@@ -26,6 +26,24 @@ if grep -rn "match .*\.algo\b" crates examples tests --include='*.rs' \
   exit 1
 fi
 
+echo "=== JSON seam check ==="
+# All JSON is written and read by crates/trace/src/json.rs. A `push_kv`
+# helper or a string literal opening a JSON object (`"{\"` / `"{{\"`)
+# in any other source file means someone re-grew a hand-rolled emitter
+# beside it. (Test fixtures that must spell JSON out use raw strings.)
+if grep -rnE 'fn push_kv|"\{\{?\\"' crates/*/src src examples --include='*.rs' \
+    | grep -v "^crates/trace/src/json.rs:"; then
+  echo "ERROR: hand-rolled JSON outside trace::json (see above)" >&2
+  exit 1
+fi
+
+echo "=== golden report lines ==="
+# The --json report lines of six deterministic runs, byte for byte
+# against crates/bench/tests/golden/ — by name and first among the
+# output checks, so a schema slip is reported as such and not as a
+# smoke-step failure further down.
+cargo test -q -p bench --test golden_json
+
 echo "=== phase_profile smoke (4 algorithms x {ADR, eADR}) ==="
 # phase_profile iterates the full {undo, redo, cow, htm-logged} x
 # {ADR, eADR} matrix internally, so this one smoke run exercises every

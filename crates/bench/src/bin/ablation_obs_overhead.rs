@@ -91,16 +91,19 @@ fn main() {
         let regression =
             100.0 * (off.throughput_mops() - on.throughput_mops()) / off.throughput_mops();
         if opts.json {
-            println!(
-                "{{\"workload\":\"btree-insert\",\"ablation\":\"obs_overhead\",\
-                 \"threads\":{threads},\"off_mops\":{:.6},\"on_mops\":{:.6},\
-                 \"off_elapsed_virtual_ns\":{},\"on_elapsed_virtual_ns\":{},\
-                 \"samples\":{samples},\"regression_pct\":{regression:.3}}}",
-                off.throughput_mops(),
-                on.throughput_mops(),
-                off.elapsed_virtual_ns,
-                on.elapsed_virtual_ns
-            );
+            let mut w = trace::json::Writer::new();
+            w.begin_object();
+            w.key("workload").str("btree-insert");
+            w.key("ablation").str("obs_overhead");
+            w.key("threads").u64(threads as u64);
+            w.key("off_mops").f64(off.throughput_mops(), 6);
+            w.key("on_mops").f64(on.throughput_mops(), 6);
+            w.key("off_elapsed_virtual_ns").u64(off.elapsed_virtual_ns);
+            w.key("on_elapsed_virtual_ns").u64(on.elapsed_virtual_ns);
+            w.key("samples").u64(samples);
+            w.key("regression_pct").f64(regression, 3);
+            w.end_object();
+            println!("{}", w.finish());
         } else {
             println!(
                 "btree-insert,{threads},off,{:.4},{},0,",

@@ -27,16 +27,17 @@ fn main() {
         );
     }
     let domains = [
-        ("adr", DurabilityDomain::Adr),
-        ("eadr", DurabilityDomain::Eadr),
-        ("pdram", DurabilityDomain::Pdram),
-        ("pdram-lite", DurabilityDomain::PdramLite),
+        DurabilityDomain::Adr,
+        DurabilityDomain::Eadr,
+        DurabilityDomain::Pdram,
+        DurabilityDomain::PdramLite,
     ];
     let mut guard_ok = false;
     let mut guard_checked = false;
     for name in ["btree-insert", "tpcc-hash"] {
         for (algo_label, algo) in [("redo", Algo::RedoLazy), ("undo", Algo::UndoEager)] {
-            for (domain_label, domain) in domains {
+            for domain in domains {
+                let domain_label = domain.name();
                 for &threads in &opts.threads {
                     let sc = Scenario::new(
                         format!("{domain_label}_{}", algo.label()),

@@ -78,27 +78,29 @@ fn parse_opts() -> Opts {
 
 fn emit_pair(o: &Opts, prev_n: u64, next_n: u64, rep: &TrendReport) {
     if o.json {
-        print!(
-            "{{\"schema_version\":{},\"kind\":\"bench_trend\",\"prev\":\"PR{prev_n}\",\
-             \"next\":\"PR{next_n}\",\"common\":{},\"added\":{},\"removed\":{},\
-             \"regressions\":{},\"deltas\":[",
-            obs::export::SCHEMA_VERSION,
-            rep.common,
-            rep.added,
-            rep.removed,
-            rep.regressions
-        );
-        for (i, d) in rep.deltas.iter().filter(|d| d.regressed).enumerate() {
-            if i > 0 {
-                print!(",");
-            }
-            print!(
-                "{{\"key\":\"{}\",\"metric\":\"{}\",\"prev\":{:.4},\"next\":{:.4},\
-                 \"pct\":{:.2}}}",
-                d.key, d.metric, d.prev, d.next, d.pct
-            );
+        let mut w = trace::json::Writer::new();
+        w.begin_object();
+        w.key("schema_version")
+            .u64(u64::from(obs::export::SCHEMA_VERSION));
+        w.key("kind").str("bench_trend");
+        w.key("prev").str(&format!("PR{prev_n}"));
+        w.key("next").str(&format!("PR{next_n}"));
+        w.key("common").u64(rep.common as u64);
+        w.key("added").u64(rep.added as u64);
+        w.key("removed").u64(rep.removed as u64);
+        w.key("regressions").u64(rep.regressions as u64);
+        w.key("deltas").begin_array();
+        for d in rep.deltas.iter().filter(|d| d.regressed) {
+            w.begin_object();
+            w.key("key").str(&d.key);
+            w.key("metric").str(d.metric);
+            w.key("prev").f64(d.prev, 4);
+            w.key("next").f64(d.next, 4);
+            w.key("pct").f64(d.pct, 2);
+            w.end_object();
         }
-        println!("]}}");
+        w.end_array().end_object();
+        println!("{}", w.finish());
         return;
     }
     println!(

@@ -39,11 +39,12 @@
 
 use pmem_sim::AdversaryPolicy;
 use ptm::crash_harness::{
-    algo_name, count_sites, count_sites_sharded, default_cases, domain_name, parse_algo,
-    parse_domain, run_site, run_site_sharded, sweep_case, sweep_case_sharded, BankTransfers,
-    CrashWorkload, GroupWindowBank, ShardedTransfers, SweepCase, SweepOptions,
+    count_sites, count_sites_sharded, default_cases, run_site, run_site_sharded, sweep_case,
+    sweep_case_sharded, BankTransfers, CrashWorkload, GroupWindowBank, ShardedTransfers, SweepCase,
+    SweepOptions,
 };
 use ptm::{Algo, RecoverOptions};
+use trace::json::Writer;
 
 struct Opts {
     quick: bool,
@@ -117,11 +118,11 @@ fn parse_opts() -> Opts {
             }
             "--algo" => {
                 let v = next(&mut args, "--algo");
-                algo = Some(parse_algo(&v).unwrap_or_else(|| panic!("unknown algo `{v}`")));
+                algo = Some(v.parse().unwrap_or_else(|e| panic!("{e}")));
             }
             "--domain" => {
                 let v = next(&mut args, "--domain");
-                domain = Some(parse_domain(&v).unwrap_or_else(|| panic!("unknown domain `{v}`")));
+                domain = Some(v.parse().unwrap_or_else(|e| panic!("{e}")));
             }
             "--policy" => {
                 let v = next(&mut args, "--policy");
@@ -152,36 +153,57 @@ fn parse_opts() -> Opts {
     opts
 }
 
-fn case_json(
-    workload: &dyn CrashWorkload,
+/// One sweep case as a JSON line. A violation's detail is free text from
+/// the workload's checker; the writer's escaping keeps it on the line.
+fn case_json(workload: &str, shard: u64, case: &SweepCase, r: &ptm::CaseResult) -> String {
+    let mut w = Writer::new();
+    w.begin_object();
+    w.key("workload").str(workload);
+    w.key("shard").u64(shard);
+    w.key("algo").str(case.algo.name());
+    w.key("domain").str(case.domain.name());
+    w.key("policy").str(&case.policy.to_string());
+    w.key("seed").u64(case.seed);
+    w.key("total_sites").u64(r.total_sites);
+    w.key("sites_run").u64(r.sites_run);
+    w.key("violations").begin_array();
+    for v in &r.violations {
+        w.begin_object();
+        w.key("site").u64(v.site);
+        w.key("detail").str(&v.detail);
+        w.end_object();
+    }
+    w.end_array().end_object();
+    w.finish()
+}
+
+/// Print one sweep case (a JSON line or a CSV row) and its violations'
+/// reproducers; returns whether the case was violated.
+fn report_case(
+    opts: &Opts,
+    workload: &str,
     shard: u64,
     case: &SweepCase,
     r: &ptm::CaseResult,
-) -> String {
-    let violations: Vec<String> = r
-        .violations
-        .iter()
-        .map(|v| {
-            format!(
-                "{{\"site\":{},\"detail\":\"{}\"}}",
-                v.site,
-                v.detail.replace('\\', "\\\\").replace('"', "\\\"")
-            )
-        })
-        .collect();
-    format!(
-        "{{\"workload\":\"{}\",\"shard\":{},\"algo\":\"{}\",\"domain\":\"{}\",\"policy\":\"{}\",\
-         \"seed\":{},\"total_sites\":{},\"sites_run\":{},\"violations\":[{}]}}",
-        workload.name(),
-        shard,
-        algo_name(case.algo),
-        domain_name(case.domain),
-        case.policy,
-        case.seed,
-        r.total_sites,
-        r.sites_run,
-        violations.join(",")
-    )
+) -> bool {
+    if opts.json {
+        println!("{}", case_json(workload, shard, case, r));
+    } else {
+        println!(
+            "{workload},{shard},{},{},{},{},{},{},{}",
+            case.algo.name(),
+            case.domain.name(),
+            case.policy,
+            case.seed,
+            r.total_sites,
+            r.sites_run,
+            r.violations.len()
+        );
+    }
+    for v in &r.violations {
+        eprintln!("{v}");
+    }
+    !r.violations.is_empty()
 }
 
 /// The cross-shard 2PC sweep: one sharded engine, one global site
@@ -202,8 +224,8 @@ fn run_transfer_sweep(opts: &Opts) {
             workload.shards,
             site,
             total,
-            algo_name(case.algo),
-            domain_name(case.domain),
+            case.algo.name(),
+            case.domain.name(),
             case.policy,
             case.seed,
             opts.recover.workers.max(1),
@@ -251,48 +273,7 @@ fn run_transfer_sweep(opts: &Opts) {
         .filter(|c| c.algo != Algo::HtmLogged)
     {
         let r = sweep_case_sharded(&workload, &case, sweep_opts);
-        if opts.json {
-            let violations: Vec<String> = r
-                .violations
-                .iter()
-                .map(|v| {
-                    format!(
-                        "{{\"site\":{},\"detail\":\"{}\"}}",
-                        v.site,
-                        v.detail.replace('\\', "\\\\").replace('"', "\\\"")
-                    )
-                })
-                .collect();
-            println!(
-                "{{\"workload\":\"transfer\",\"shard\":{},\"algo\":\"{}\",\"domain\":\"{}\",\
-                 \"policy\":\"{}\",\"seed\":{},\"total_sites\":{},\"sites_run\":{},\
-                 \"violations\":[{}]}}",
-                workload.shards,
-                algo_name(case.algo),
-                domain_name(case.domain),
-                case.policy,
-                case.seed,
-                r.total_sites,
-                r.sites_run,
-                violations.join(",")
-            );
-        } else {
-            println!(
-                "transfer,{},{},{},{},{},{},{},{}",
-                workload.shards,
-                algo_name(case.algo),
-                domain_name(case.domain),
-                case.policy,
-                case.seed,
-                r.total_sites,
-                r.sites_run,
-                r.violations.len()
-            );
-        }
-        for v in &r.violations {
-            dirty = true;
-            eprintln!("{v}");
-        }
+        dirty |= report_case(opts, "transfer", workload.shards as u64, &case, &r);
     }
     if dirty {
         std::process::exit(1);
@@ -315,8 +296,8 @@ fn main() {
             workload.name(),
             site,
             total,
-            algo_name(case.algo),
-            domain_name(case.domain),
+            case.algo.name(),
+            case.domain.name(),
             case.policy,
             case.seed
         );
@@ -360,29 +341,49 @@ fn main() {
     for shard in 0..opts.shards {
         for case in default_cases(shard_seed(opts.seed, shard)) {
             let r = sweep_case(workload.as_ref(), &case, sweep_opts);
-            if opts.json {
-                println!("{}", case_json(workload.as_ref(), shard, &case, &r));
-            } else {
-                println!(
-                    "{},{},{},{},{},{},{},{},{}",
-                    workload.name(),
-                    shard,
-                    algo_name(case.algo),
-                    domain_name(case.domain),
-                    case.policy,
-                    case.seed,
-                    r.total_sites,
-                    r.sites_run,
-                    r.violations.len()
-                );
-            }
-            for v in &r.violations {
-                dirty = true;
-                eprintln!("{v}");
-            }
+            dirty |= report_case(&opts, workload.name(), shard, &case, &r);
         }
     }
     if dirty {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pmem_sim::DurabilityDomain;
+    use ptm::crash_harness::Violation;
+
+    /// A checker's free-text detail may hold anything; the `--json`
+    /// contract is one well-formed object per line regardless.
+    #[test]
+    fn violation_detail_with_newline_and_quote_stays_one_line() {
+        let case = SweepCase {
+            algo: Algo::RedoLazy,
+            domain: DurabilityDomain::Adr,
+            policy: AdversaryPolicy::PerWord,
+            seed: 42,
+        };
+        let detail = "balance \"a\" = 7,\nexpected 9 \\ tab\there";
+        let r = ptm::CaseResult {
+            case,
+            total_sites: 10,
+            sites_run: 11,
+            violations: vec![Violation {
+                workload: "bank".into(),
+                case,
+                site: 3,
+                fired: None,
+                detail: detail.into(),
+            }],
+        };
+        let line = case_json("bank", 0, &case, &r);
+        assert!(!line.contains('\n'), "{line:?}");
+        trace::json::check_structure(&line).expect("well-formed line");
+        assert_eq!(trace::json::str(&line, "detail").as_deref(), Some(detail));
+        let head =
+            r#"{"workload":"bank","shard":0,"algo":"redo","domain":"adr","policy":"per-word","#;
+        assert!(line.starts_with(head), "{line}");
     }
 }

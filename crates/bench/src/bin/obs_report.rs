@@ -18,15 +18,16 @@
 //! * **1% closure** — the sum of span components equals the driver's
 //!   independently-recorded sojourn total (`LatencyHistogram::sum()`,
 //!   which is exact, unlike its bucketed percentiles) within 1%;
-//! * **domain sanity** — under `--domain eadr` the series must contain
-//!   zero fence-activity and zero WPQ-activity rows (eADR has no flush
-//!   fences and no WPQ); under ADR both must be present.
+//! * **domain sanity** — under a flush-free domain (`--domain eadr`,
+//!   `pdram`, `pdram-lite`) the series must contain zero fence-activity
+//!   and zero WPQ-activity rows (no flush fences, no WPQ); under ADR
+//!   both must be present.
 //!
 //! `--verify` replays the identical configuration and asserts the
 //! exported series and decomposition are byte-identical (virtual-time
 //! determinism of the telemetry pipeline).
 //!
-//! Flags: `--quick --json --domain adr|eadr --shards N`
+//! Flags: `--quick --json --domain adr|eadr|pdram|pdram-lite --shards N`
 //! `--threads-per-shard N --ops N --period NS --gap NS --seed S`
 //! `--out PREFIX --verify`.
 
@@ -36,6 +37,7 @@ use obs::series::{self, SeriesSummary, ShardRow};
 use obs::spans::{self, Comp, Decomposition};
 use obs::{export, Sampler};
 use pmem_sim::DurabilityDomain;
+use trace::json::Writer;
 use trace::TraceSink;
 use workloads::{ShardedRunConfig, ShardedRunResult, StreamConfig};
 
@@ -74,11 +76,9 @@ fn parse_opts() -> Opts {
             "--quick" => quick = true,
             "--json" => json = true,
             "--domain" => {
-                domain = match next(&mut args, "--domain").as_str() {
-                    "adr" => DurabilityDomain::Adr,
-                    "eadr" => DurabilityDomain::Eadr,
-                    other => panic!("unknown domain `{other}` (adr|eadr)"),
-                };
+                domain = next(&mut args, "--domain")
+                    .parse()
+                    .unwrap_or_else(|e| panic!("{e}"));
             }
             "--shards" => shards = next(&mut args, "--shards").parse().expect("bad shards"),
             "--threads-per-shard" => {
@@ -253,23 +253,19 @@ fn main() {
     }
 
     // Domain sanity on the series.
-    match o.domain {
-        DurabilityDomain::Eadr => {
-            if rep.summary.fence_rows != 0 || rep.summary.wpq_rows != 0 {
-                failures.push(format!(
-                    "eADR series shows fence/WPQ activity: {} fence rows, {} WPQ rows",
-                    rep.summary.fence_rows, rep.summary.wpq_rows
-                ));
-            }
+    let (fence_rows, wpq_rows) = (rep.summary.fence_rows, rep.summary.wpq_rows);
+    if o.domain.requires_flushes() {
+        if fence_rows == 0 || wpq_rows == 0 {
+            failures.push(format!(
+                "{} series missing expected activity: {fence_rows} fence rows, {wpq_rows} WPQ rows",
+                o.domain
+            ));
         }
-        _ => {
-            if rep.summary.fence_rows == 0 || rep.summary.wpq_rows == 0 {
-                failures.push(format!(
-                    "ADR series missing expected activity: {} fence rows, {} WPQ rows",
-                    rep.summary.fence_rows, rep.summary.wpq_rows
-                ));
-            }
-        }
+    } else if fence_rows != 0 || wpq_rows != 0 {
+        failures.push(format!(
+            "{} series shows fence/WPQ activity: {fence_rows} fence rows, {wpq_rows} WPQ rows",
+            o.domain
+        ));
     }
 
     if o.verify {
@@ -292,28 +288,30 @@ fn main() {
 
     if o.json {
         print!("{}", export_text(&rep));
-        println!(
-            "{{\"schema_version\":{},\"kind\":\"obs_validation\",\"domain\":\"{:?}\",\
-             \"shards\":{},\"threads_per_shard\":{},\"ops\":{},\"spans\":{span_count},\
-             \"requests\":{hist_count},\"span_total_ns\":{span_total},\
-             \"sojourn_total_ns\":{hist_total},\"closure_pct\":{closure_pct:.4},\
-             \"fence_rows\":{},\"wpq_rows\":{},\"series_rows\":{},\"windows\":{},\
-             \"trace_dropped\":{},\"sample_dropped\":{},\"verified_deterministic\":{},\
-             \"ok\":{}}}",
-            export::SCHEMA_VERSION,
-            o.domain,
-            o.shards,
-            o.threads_per_shard,
-            o.ops,
-            rep.summary.fence_rows,
-            rep.summary.wpq_rows,
-            rep.rows.len(),
-            rep.summary.windows,
-            rep.trace_dropped,
-            rep.sample_dropped,
-            o.verify,
-            failures.is_empty()
-        );
+        let mut w = Writer::new();
+        w.begin_object();
+        w.key("schema_version")
+            .u64(u64::from(export::SCHEMA_VERSION));
+        w.key("kind").str("obs_validation");
+        w.key("domain").str(&format!("{:?}", o.domain));
+        w.key("shards").u64(o.shards as u64);
+        w.key("threads_per_shard").u64(o.threads_per_shard as u64);
+        w.key("ops").u64(o.ops);
+        w.key("spans").u64(span_count);
+        w.key("requests").u64(hist_count);
+        w.key("span_total_ns").u64(span_total);
+        w.key("sojourn_total_ns").u64(hist_total);
+        w.key("closure_pct").f64(closure_pct, 4);
+        w.key("fence_rows").u64(rep.summary.fence_rows as u64);
+        w.key("wpq_rows").u64(rep.summary.wpq_rows as u64);
+        w.key("series_rows").u64(rep.rows.len() as u64);
+        w.key("windows").u64(rep.summary.windows as u64);
+        w.key("trace_dropped").u64(rep.trace_dropped);
+        w.key("sample_dropped").u64(rep.sample_dropped);
+        w.key("verified_deterministic").bool(o.verify);
+        w.key("ok").bool(failures.is_empty());
+        w.end_object();
+        println!("{}", w.finish());
     } else {
         println!(
             "# obs_report: sharded-kv {}x{} {:?} period={}ns ops={}",

@@ -209,10 +209,8 @@ fn main() {
     let xshard_shards = opts.shards.iter().copied().max().unwrap_or(1);
     let mut adr_latency: Vec<(f64, f64)> = Vec::new();
     if xshard_shards > 1 {
-        for &(domain, dom_label) in &[
-            (DurabilityDomain::Adr, "adr"),
-            (DurabilityDomain::Eadr, "eadr"),
-        ] {
+        for domain in [DurabilityDomain::Adr, DurabilityDomain::Eadr] {
+            let dom_label = domain.name();
             for &frac in &opts.cross_frac {
                 let mut rc = point(&opts, xshard_shards, false);
                 rc.domain = domain;

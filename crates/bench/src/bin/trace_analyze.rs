@@ -21,12 +21,12 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use bench::trace_out::expected_totals;
 use pmem_sim::{DurabilityDomain, LatencyModel, MediaKind};
 use trace::analyze::{
     abort_heatmap, crosscheck, fence_windows, wpq_timeline, TraceTotals, WpqTimeline,
 };
-use trace::export::{read_binary, validate_json_structure, ExpectedTotals};
+use trace::export::{read_binary, ExpectedTotals};
+use trace::json::{check_structure, Writer};
 use trace::{AbortCause, ThreadTrace, TraceSink};
 use workloads::driver::RunConfig;
 use workloads::Scenario;
@@ -124,7 +124,7 @@ fn analyze_self_run(o: &Opts) -> Analysis {
         ..RunConfig::default()
     };
     let r = bench::run_point_with("tpcc-hash", &sc, &rc, o.quick);
-    let expected = expected_totals(&r);
+    let expected = r.trace_totals();
     let threads = sink.threads();
     let derived = TraceTotals::from_events(&trace::merge_threads(&threads));
     let dropped = sink.dropped_events();
@@ -157,7 +157,7 @@ fn analyze_file(path: &str) -> Analysis {
     let sibling = format!("{path}.json");
     let json_check = std::fs::read_to_string(&sibling)
         .ok()
-        .map(|s| validate_json_structure(&s));
+        .map(|s| check_structure(&s));
     Analysis {
         mode: format!("file {path}"),
         threads: dump.threads,
@@ -277,84 +277,69 @@ fn print_text(a: &Analysis, heat: &[trace::analyze::OrecAborts], wpq: &WpqTimeli
 
 fn print_json(a: &Analysis, heat: &[trace::analyze::OrecAborts], wpq: &WpqTimeline) {
     let events: u64 = a.threads.iter().map(|t| t.events.len() as u64).sum();
-    let windows = fence_windows(&a.threads);
-    let mut out = String::with_capacity(1024);
-    out.push('{');
-    out.push_str(&format!(
-        "\"schema_version\":{},",
-        bench::report::SCHEMA_VERSION
-    ));
-    out.push_str(&format!("\"mode\":{:?}", a.mode));
-    out.push_str(&format!(
-        ",\"events\":{events},\"threads\":{},\"dropped_events\":{},\"lower_bounds\":{}",
-        a.threads.len(),
-        a.dropped,
-        a.dropped > 0
-    ));
-    out.push_str(",\"dropped_per_thread\":[");
-    let mut first = true;
+    let mut w = Writer::with_capacity(1024);
+    w.begin_object();
+    w.key("schema_version")
+        .u64(u64::from(bench::report::SCHEMA_VERSION));
+    w.key("mode").str(&a.mode);
+    w.key("events").u64(events);
+    w.key("threads").u64(a.threads.len() as u64);
+    w.key("dropped_events").u64(a.dropped);
+    w.key("lower_bounds").bool(a.dropped > 0);
+    w.key("dropped_per_thread").begin_array();
     for t in a.threads.iter().filter(|t| t.dropped > 0) {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!("{{\"tid\":{},\"dropped\":{}}}", t.tid, t.dropped));
+        w.begin_object();
+        w.key("tid").u64(u64::from(t.tid));
+        w.key("dropped").u64(t.dropped);
+        w.end_object();
     }
-    out.push(']');
-    out.push_str(&format!(
-        ",\"crosscheck\":{{\"checked\":{},\"divergences\":[",
-        a.dropped == 0
-    ));
-    for (i, d) in a.divergences.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{d:?}"));
+    w.end_array();
+    w.key("crosscheck").begin_object();
+    w.key("checked").bool(a.dropped == 0);
+    w.key("divergences").begin_array();
+    for d in &a.divergences {
+        w.str(d);
     }
-    out.push_str("]}");
-    out.push_str(",\"totals\":{");
-    for (i, (name, v)) in a.expected.fields().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{v}"));
+    w.end_array().end_object();
+    w.key("totals").begin_object();
+    for (name, v) in a.expected.fields() {
+        w.key(name).u64(v);
     }
-    out.push('}');
-    out.push_str(",\"heatmap\":[");
-    for (i, h) in heat.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    w.end_object();
+    w.key("heatmap").begin_array();
+    for h in heat {
+        w.begin_object();
+        w.key("orec").u64(h.orec);
+        w.key("total").u64(h.total);
+        for cause in [
+            AbortCause::ReadLocked,
+            AbortCause::ReadVersion,
+            AbortCause::Acquire,
+            AbortCause::Validation,
+        ] {
+            w.key(cause.label()).u64(h.by_cause[cause as usize]);
         }
-        out.push_str(&format!(
-            "{{\"orec\":{},\"total\":{},\"read_locked\":{},\"read_version\":{},\"acquire\":{},\"validation\":{}}}",
-            h.orec,
-            h.total,
-            h.by_cause[AbortCause::ReadLocked as usize],
-            h.by_cause[AbortCause::ReadVersion as usize],
-            h.by_cause[AbortCause::Acquire as usize],
-            h.by_cause[AbortCause::Validation as usize],
-        ));
+        w.end_object();
     }
-    out.push(']');
-    out.push_str(&format!(
-        ",\"wpq\":{{\"samples\":{},\"max_backlog_ns\":{},\"total_stall_ns\":{},\"stall_intervals\":[",
-        wpq.samples.len(),
-        wpq.max_backlog_ns,
-        wpq.total_stall_ns
-    ));
-    for (i, s) in wpq.stalls.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"start\":{},\"end\":{},\"events\":{},\"stall_ns\":{}}}",
-            s.start, s.end, s.events, s.stall_ns
-        ));
+    w.end_array();
+    w.key("wpq").begin_object();
+    w.key("samples").u64(wpq.samples.len() as u64);
+    w.key("max_backlog_ns").u64(wpq.max_backlog_ns);
+    w.key("total_stall_ns").u64(wpq.total_stall_ns);
+    w.key("stall_intervals").begin_array();
+    for s in &wpq.stalls {
+        w.begin_object();
+        w.key("start").u64(s.start);
+        w.key("end").u64(s.end);
+        w.key("events").u64(s.events);
+        w.key("stall_ns").u64(s.stall_ns);
+        w.end_object();
     }
-    out.push_str("]}");
-    out.push_str(&format!(",\"fence_windows\":{}", windows.len()));
-    out.push('}');
-    println!("{out}");
+    w.end_array().end_object();
+    w.key("fence_windows")
+        .u64(fence_windows(&a.threads).len() as u64);
+    w.end_object();
+    println!("{}", w.finish());
 }
 
 fn main() -> ExitCode {

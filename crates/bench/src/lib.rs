@@ -2,7 +2,7 @@
 //!
 //! One binary per table and figure of the paper (see `src/bin/`), plus
 //! ablation binaries for the design decisions DESIGN.md calls out, plus
-//! criterion microbenchmarks of the runtime's hot paths (`benches/`).
+//! wall-time microbenchmarks of the runtime's hot paths (`benches/`).
 //!
 //! All binaries print CSV to stdout and honor three flags:
 //!

@@ -1,11 +1,15 @@
 //! Structured JSON reports for experiment points.
 //!
 //! Every figure/table binary can emit one JSON object per measurement
-//! point (JSON Lines) instead of CSV, via `--json`. The writer is
-//! hand-rolled: the build environment has no crates-io access, and the
-//! schema is small and flat. See README.md for the schema.
+//! point (JSON Lines) instead of CSV, via `--json`. Lines are built with
+//! [`trace::json::Writer`]; the `ptm` and `mem` blocks walk the layers'
+//! counter tables (`PtmStatsSnapshot::fields`, `StatsSnapshot::fields`),
+//! so a new counter reaches the report by being declared. See README.md
+//! for the schema.
 
 use ptm::Phase;
+use trace::counters::{emitted, group_nonzero, Emit, Field};
+use trace::json::Writer;
 use workloads::driver::RunResult;
 
 /// The report schema version stamped on every JSONL line (shared with
@@ -14,45 +18,31 @@ use workloads::driver::RunResult;
 /// archives (version 1).
 pub use obs::export::SCHEMA_VERSION;
 
-/// Append a JSON-escaped string literal (with quotes).
-fn push_str_lit(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// Decimal places of every float in a report line.
+const DECIMALS: usize = 6;
+
+/// Open a report line: `{"schema_version":..,"workload":..,"scenario":..`.
+fn begin_line(capacity: usize, workload: &str, scenario: &str) -> Writer {
+    let mut w = Writer::with_capacity(capacity);
+    w.begin_object();
+    w.key("schema_version").u64(u64::from(SCHEMA_VERSION));
+    w.key("workload").str(workload);
+    w.key("scenario").str(scenario);
+    w
 }
 
-fn push_kv_u64(out: &mut String, key: &str, v: u64, first: &mut bool) {
-    if !*first {
-        out.push(',');
+/// `"key":{<name>:<value>,...}` for the given counter fields.
+fn counter_block<'a>(w: &mut Writer, key: &str, fields: impl IntoIterator<Item = &'a Field>) {
+    w.key(key).begin_object();
+    for f in fields {
+        w.key(f.name).u64(f.value);
     }
-    *first = false;
-    push_str_lit(out, key);
-    out.push(':');
-    out.push_str(&v.to_string());
+    w.end_object();
 }
 
-fn push_kv_f64(out: &mut String, key: &str, v: f64, first: &mut bool) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    push_str_lit(out, key);
-    out.push(':');
-    if v.is_finite() {
-        out.push_str(&format!("{v:.6}"));
-    } else {
-        out.push_str("null"); // JSON has no Infinity/NaN
-    }
+/// The fields named in `names`, in table order.
+fn named<'a>(fields: &'a [Field], names: &'a [&str]) -> impl Iterator<Item = &'a Field> {
+    fields.iter().filter(move |f| names.contains(&f.name))
 }
 
 /// One measurement point as a single-line JSON object.
@@ -64,251 +54,47 @@ fn push_kv_f64(out: &mut String, key: &str, v: f64, first: &mut bool) {
 ///   latency: {count, mean_ns, p50, p90, p95, p99, p999, max,
 ///             buckets: [[lower_bound_ns, count], ...]},
 ///   ptm: {commits, aborts, ...}, mem: {loads, stores, ...}}`
+///
+/// The `ptm` and `mem` blocks carry every counter of their table whose
+/// emit gate passes: contention-pacing and 2PC counters appear only when
+/// nonzero, so runs that never pace or cross shards keep the exact
+/// PR 1-9 line (the phase_profile byte-identity baseline depends on it).
 pub fn point_json(workload: &str, r: &RunResult) -> String {
-    let mut out = String::with_capacity(1024);
-    let mut first = true;
-    out.push('{');
-    out.push_str(&format!("\"schema_version\":{SCHEMA_VERSION},"));
+    let mut w = begin_line(2048, workload, &r.label);
+    w.key("threads").u64(r.threads as u64);
+    w.key("ops").u64(r.ops);
+    w.key("elapsed_virtual_ns").u64(r.elapsed_virtual_ns);
+    w.key("throughput_mops").f64(r.throughput_mops(), DECIMALS);
 
-    if !first {
-        out.push(',');
-    }
-    first = false;
-    push_str_lit(&mut out, "workload");
-    out.push(':');
-    push_str_lit(&mut out, workload);
-    out.push(',');
-    push_str_lit(&mut out, "scenario");
-    out.push(':');
-    push_str_lit(&mut out, &r.label);
-
-    push_kv_u64(&mut out, "threads", r.threads as u64, &mut first);
-    push_kv_u64(&mut out, "ops", r.ops, &mut first);
-    push_kv_u64(
-        &mut out,
-        "elapsed_virtual_ns",
-        r.elapsed_virtual_ns,
-        &mut first,
-    );
-    push_kv_f64(&mut out, "throughput_mops", r.throughput_mops(), &mut first);
-
-    // Phase breakdown.
-    out.push(',');
-    push_str_lit(&mut out, "phase_ns");
-    out.push_str(":{");
-    let mut pf = true;
+    w.key("phase_ns").begin_object();
     for p in Phase::ALL {
-        push_kv_u64(&mut out, p.label(), r.phases.get(p), &mut pf);
+        w.key(p.label()).u64(r.phases.get(p));
     }
-    out.push('}');
-    push_kv_f64(
-        &mut out,
-        "persistence_share",
-        r.phases.persistence_share(),
-        &mut first,
-    );
+    w.end_object();
+    w.key("persistence_share")
+        .f64(r.phases.persistence_share(), DECIMALS);
 
     // Latency digest + sparse histogram.
     let s = r.latency.summary();
-    out.push(',');
-    push_str_lit(&mut out, "latency");
-    out.push_str(":{");
-    let mut lf = true;
-    push_kv_u64(&mut out, "count", s.count, &mut lf);
-    push_kv_f64(&mut out, "mean_ns", s.mean_ns, &mut lf);
-    push_kv_u64(&mut out, "p50", s.p50, &mut lf);
-    push_kv_u64(&mut out, "p90", s.p90, &mut lf);
-    push_kv_u64(&mut out, "p95", s.p95, &mut lf);
-    push_kv_u64(&mut out, "p99", s.p99, &mut lf);
-    push_kv_u64(&mut out, "p999", s.p999, &mut lf);
-    push_kv_u64(&mut out, "max", s.max, &mut lf);
-    out.push(',');
-    push_str_lit(&mut out, "buckets");
-    out.push_str(":[");
-    for (i, (lb, c)) in r.latency.nonzero_buckets().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("[{lb},{c}]"));
+    w.key("latency").begin_object();
+    w.key("count").u64(s.count);
+    w.key("mean_ns").f64(s.mean_ns, DECIMALS);
+    w.key("p50").u64(s.p50);
+    w.key("p90").u64(s.p90);
+    w.key("p95").u64(s.p95);
+    w.key("p99").u64(s.p99);
+    w.key("p999").u64(s.p999);
+    w.key("max").u64(s.max);
+    w.key("buckets").begin_array();
+    for (lower_bound, count) in r.latency.nonzero_buckets() {
+        w.begin_array().u64(lower_bound).u64(count).end_array();
     }
-    out.push_str("]}");
+    w.end_array().end_object();
 
-    // Transaction counters.
-    out.push(',');
-    push_str_lit(&mut out, "ptm");
-    out.push_str(":{");
-    let mut tf = true;
-    push_kv_u64(&mut out, "commits", r.ptm.commits, &mut tf);
-    push_kv_u64(&mut out, "aborts", r.ptm.aborts, &mut tf);
-    push_kv_u64(
-        &mut out,
-        "aborts_read_locked",
-        r.ptm.aborts_read_locked,
-        &mut tf,
-    );
-    push_kv_u64(
-        &mut out,
-        "aborts_read_version",
-        r.ptm.aborts_read_version,
-        &mut tf,
-    );
-    push_kv_u64(&mut out, "aborts_acquire", r.ptm.aborts_acquire, &mut tf);
-    push_kv_u64(
-        &mut out,
-        "aborts_validation",
-        r.ptm.aborts_validation,
-        &mut tf,
-    );
-    push_kv_u64(&mut out, "extensions", r.ptm.extensions, &mut tf);
-    push_kv_u64(&mut out, "htm_commits", r.ptm.htm_commits, &mut tf);
-    push_kv_u64(
-        &mut out,
-        "htm_logged_commits",
-        r.ptm.htm_logged_commits,
-        &mut tf,
-    );
-    push_kv_u64(&mut out, "htm_aborts", r.ptm.htm_aborts, &mut tf);
-    push_kv_u64(
-        &mut out,
-        "htm_capacity_aborts",
-        r.ptm.htm_capacity_aborts,
-        &mut tf,
-    );
-    push_kv_u64(
-        &mut out,
-        "htm_conflict_aborts",
-        r.ptm.htm_conflict_aborts,
-        &mut tf,
-    );
-    push_kv_u64(
-        &mut out,
-        "htm_explicit_aborts",
-        r.ptm.htm_explicit_aborts,
-        &mut tf,
-    );
-    push_kv_u64(&mut out, "htm_fallbacks", r.ptm.htm_fallbacks, &mut tf);
-    // Contention-pacing and 2PC counters are emitted only when nonzero:
-    // runs that never pace or cross shards keep the exact PR 1-9 line
-    // (the phase_profile byte-identity baseline depends on this).
-    if r.ptm.htm_fallback_fastpathed > 0 {
-        push_kv_u64(
-            &mut out,
-            "htm_fallback_fastpathed",
-            r.ptm.htm_fallback_fastpathed,
-            &mut tf,
-        );
-    }
-    if r.ptm.prepares > 0 || r.ptm.coordinator_commits > 0 {
-        push_kv_u64(&mut out, "prepares", r.ptm.prepares, &mut tf);
-        push_kv_u64(
-            &mut out,
-            "coordinator_commits",
-            r.ptm.coordinator_commits,
-            &mut tf,
-        );
-        push_kv_u64(
-            &mut out,
-            "prepare_fence_ns",
-            r.ptm.prepare_fence_ns,
-            &mut tf,
-        );
-    }
-    if r.ptm.indoubt_resolved_commit > 0 || r.ptm.indoubt_resolved_abort > 0 {
-        push_kv_u64(
-            &mut out,
-            "indoubt_resolved_commit",
-            r.ptm.indoubt_resolved_commit,
-            &mut tf,
-        );
-        push_kv_u64(
-            &mut out,
-            "indoubt_resolved_abort",
-            r.ptm.indoubt_resolved_abort,
-            &mut tf,
-        );
-    }
-    push_kv_u64(
-        &mut out,
-        "backend_log_bytes",
-        r.ptm.backend_log_bytes,
-        &mut tf,
-    );
-    push_kv_u64(
-        &mut out,
-        "max_write_entries",
-        r.ptm.max_write_entries,
-        &mut tf,
-    );
-    push_kv_u64(&mut out, "flushes_elided", r.ptm.flushes_elided, &mut tf);
-    push_kv_u64(&mut out, "lines_planned", r.ptm.lines_planned, &mut tf);
-    push_kv_u64(
-        &mut out,
-        "max_read_set_unique",
-        r.ptm.max_read_set_unique,
-        &mut tf,
-    );
-    push_kv_u64(&mut out, "max_write_lines", r.ptm.max_write_lines, &mut tf);
-    push_kv_u64(
-        &mut out,
-        "shadow_lines_allocated",
-        r.ptm.shadow_lines_allocated,
-        &mut tf,
-    );
-    push_kv_u64(
-        &mut out,
-        "shadow_lines_reclaimed",
-        r.ptm.shadow_lines_reclaimed,
-        &mut tf,
-    );
-    push_kv_u64(&mut out, "publish_fences", r.ptm.publish_fences, &mut tf);
-    push_kv_u64(
-        &mut out,
-        "group_commit_windows",
-        r.ptm.group_commit_windows,
-        &mut tf,
-    );
-    push_kv_u64(&mut out, "sfences_elided", r.ptm.sfences_elided, &mut tf);
-    push_kv_u64(&mut out, "max_backoff_ns", r.ptm.max_backoff_ns, &mut tf);
-    out.push('}');
-
-    // Memory-system counters.
-    out.push(',');
-    push_str_lit(&mut out, "mem");
-    out.push_str(":{");
-    let mut mf = true;
-    push_kv_u64(&mut out, "loads", r.mem.loads, &mut mf);
-    push_kv_u64(&mut out, "stores", r.mem.stores, &mut mf);
-    push_kv_u64(&mut out, "l3_hits", r.mem.l3_hits, &mut mf);
-    push_kv_u64(&mut out, "l3_misses", r.mem.l3_misses, &mut mf);
-    push_kv_u64(&mut out, "clwbs", r.mem.clwbs, &mut mf);
-    push_kv_u64(&mut out, "clwb_writebacks", r.mem.clwb_writebacks, &mut mf);
-    push_kv_u64(&mut out, "clwb_batches", r.mem.clwb_batches, &mut mf);
-    push_kv_u64(&mut out, "sfences", r.mem.sfences, &mut mf);
-    push_kv_u64(&mut out, "evictions", r.mem.evictions, &mut mf);
-    push_kv_u64(
-        &mut out,
-        "optane_lines_written",
-        r.mem.optane_lines_written,
-        &mut mf,
-    );
-    push_kv_u64(
-        &mut out,
-        "dram_lines_written",
-        r.mem.dram_lines_written,
-        &mut mf,
-    );
-    push_kv_u64(&mut out, "wpq_stall_ns", r.mem.wpq_stall_ns, &mut mf);
-    push_kv_u64(
-        &mut out,
-        "dram_write_stall_ns",
-        r.mem.dram_write_stall_ns,
-        &mut mf,
-    );
-    push_kv_u64(&mut out, "fence_wait_ns", r.mem.fence_wait_ns, &mut mf);
-    out.push('}');
-
-    out.push('}');
-    out
+    counter_block(&mut w, "ptm", emitted(&r.ptm.fields()));
+    counter_block(&mut w, "mem", emitted(&r.mem.fields()));
+    w.end_object();
+    w.finish()
 }
 
 /// One sharded measurement point as a single-line JSON object.
@@ -316,139 +102,66 @@ pub fn point_json(workload: &str, r: &RunResult) -> String {
 /// Extends the flat schema with the shard geometry, the group-commit
 /// counters, sojourn latency (arrival → completion, the open-loop
 /// front-end's client-visible metric) and a `per_shard` array carrying
-/// each shard's WPQ-stall attribution.
+/// each shard's WPQ-stall attribution. Its counter blocks are the
+/// subsets of the tables a sharded sweep is read for.
 pub fn sharded_point_json(workload: &str, r: &workloads::ShardedRunResult) -> String {
-    let mut out = String::with_capacity(1024);
-    let mut first = false;
-    out.push('{');
-    out.push_str(&format!("\"schema_version\":{SCHEMA_VERSION},"));
-    push_str_lit(&mut out, "workload");
-    out.push(':');
-    push_str_lit(&mut out, workload);
-    out.push(',');
-    push_str_lit(&mut out, "scenario");
-    out.push(':');
-    push_str_lit(&mut out, &r.label);
-    push_kv_u64(&mut out, "shards", r.shards as u64, &mut first);
-    push_kv_u64(
-        &mut out,
-        "threads_per_shard",
-        r.threads_per_shard as u64,
-        &mut first,
-    );
-    push_kv_u64(&mut out, "ops", r.ops, &mut first);
-    push_kv_u64(
-        &mut out,
-        "elapsed_virtual_ns",
-        r.elapsed_virtual_ns,
-        &mut first,
-    );
-    push_kv_f64(&mut out, "throughput_mops", r.throughput_mops(), &mut first);
-    push_kv_f64(
-        &mut out,
-        "sfences_per_commit",
-        r.sfences_per_commit(),
-        &mut first,
-    );
+    let mut w = begin_line(1024, workload, &r.label);
+    w.key("shards").u64(r.shards as u64);
+    w.key("threads_per_shard").u64(r.threads_per_shard as u64);
+    w.key("ops").u64(r.ops);
+    w.key("elapsed_virtual_ns").u64(r.elapsed_virtual_ns);
+    w.key("throughput_mops").f64(r.throughput_mops(), DECIMALS);
+    w.key("sfences_per_commit")
+        .f64(r.sfences_per_commit(), DECIMALS);
 
     let s = r.sojourn.summary();
-    out.push(',');
-    push_str_lit(&mut out, "sojourn");
-    out.push_str(":{");
-    let mut lf = true;
-    push_kv_u64(&mut out, "count", s.count, &mut lf);
-    push_kv_f64(&mut out, "mean_ns", s.mean_ns, &mut lf);
-    push_kv_u64(&mut out, "p50", s.p50, &mut lf);
-    push_kv_u64(&mut out, "p99", s.p99, &mut lf);
-    push_kv_u64(&mut out, "p999", s.p999, &mut lf);
-    push_kv_u64(&mut out, "max", s.max, &mut lf);
-    out.push('}');
+    w.key("sojourn").begin_object();
+    w.key("count").u64(s.count);
+    w.key("mean_ns").f64(s.mean_ns, DECIMALS);
+    w.key("p50").u64(s.p50);
+    w.key("p99").u64(s.p99);
+    w.key("p999").u64(s.p999);
+    w.key("max").u64(s.max);
+    w.end_object();
 
-    out.push(',');
-    push_str_lit(&mut out, "ptm");
-    out.push_str(":{");
-    let mut tf = true;
-    push_kv_u64(&mut out, "commits", r.ptm.commits, &mut tf);
-    push_kv_u64(&mut out, "aborts", r.ptm.aborts, &mut tf);
-    push_kv_u64(
-        &mut out,
+    let ptm = r.ptm.fields();
+    let ptm_names = [
+        "commits",
+        "aborts",
         "group_commit_windows",
-        r.ptm.group_commit_windows,
-        &mut tf,
-    );
-    push_kv_u64(&mut out, "sfences_elided", r.ptm.sfences_elided, &mut tf);
-    push_kv_u64(&mut out, "max_backoff_ns", r.ptm.max_backoff_ns, &mut tf);
-    out.push('}');
-
-    // 2PC counters, emitted only when the run actually crossed shards
-    // (single-shard sweeps keep the exact PR 1-9 line).
-    if r.ptm.prepares > 0 || r.ptm.coordinator_commits > 0 {
-        out.push(',');
-        push_str_lit(&mut out, "twopc");
-        out.push_str(":{");
-        let mut xf = true;
-        push_kv_u64(&mut out, "prepares", r.ptm.prepares, &mut xf);
-        push_kv_u64(
-            &mut out,
-            "coordinator_commits",
-            r.ptm.coordinator_commits,
-            &mut xf,
-        );
-        push_kv_u64(
-            &mut out,
-            "prepare_fence_ns",
-            r.ptm.prepare_fence_ns,
-            &mut xf,
-        );
-        push_kv_u64(
-            &mut out,
-            "indoubt_resolved_commit",
-            r.ptm.indoubt_resolved_commit,
-            &mut xf,
-        );
-        push_kv_u64(
-            &mut out,
-            "indoubt_resolved_abort",
-            r.ptm.indoubt_resolved_abort,
-            &mut xf,
-        );
-        out.push('}');
+        "sfences_elided",
+        "max_backoff_ns",
+    ];
+    counter_block(&mut w, "ptm", named(&ptm, &ptm_names));
+    // The 2PC counters (in-doubt resolution included), only when the run
+    // actually crossed shards: single-shard sweeps keep the exact
+    // PR 1-9 line.
+    if group_nonzero(&ptm, "twopc") {
+        let twopc = ptm
+            .iter()
+            .filter(|f| matches!(f.emit, Emit::NonZeroWith("twopc" | "indoubt")));
+        counter_block(&mut w, "twopc", twopc);
     }
 
-    out.push(',');
-    push_str_lit(&mut out, "mem");
-    out.push_str(":{");
-    let mut mf = true;
-    push_kv_u64(&mut out, "sfences", r.mem.sfences, &mut mf);
-    push_kv_u64(&mut out, "wpq_stall_ns", r.mem.wpq_stall_ns, &mut mf);
-    push_kv_u64(
-        &mut out,
+    let mem_names = [
+        "sfences",
+        "wpq_stall_ns",
         "dram_write_stall_ns",
-        r.mem.dram_write_stall_ns,
-        &mut mf,
-    );
-    push_kv_u64(&mut out, "fence_wait_ns", r.mem.fence_wait_ns, &mut mf);
-    out.push('}');
+        "fence_wait_ns",
+    ];
+    counter_block(&mut w, "mem", named(&r.mem.fields(), &mem_names));
 
-    out.push(',');
-    push_str_lit(&mut out, "per_shard");
-    out.push_str(":[");
+    w.key("per_shard").begin_array();
     for (i, m) in r.per_shard_mem.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+        w.begin_object();
+        w.key("shard").u64(i as u64);
+        for f in named(&m.fields(), &["sfences", "wpq_stall_ns", "fence_wait_ns"]) {
+            w.key(f.name).u64(f.value);
         }
-        out.push('{');
-        let mut sf = true;
-        push_kv_u64(&mut out, "shard", i as u64, &mut sf);
-        push_kv_u64(&mut out, "sfences", m.sfences, &mut sf);
-        push_kv_u64(&mut out, "wpq_stall_ns", m.wpq_stall_ns, &mut sf);
-        push_kv_u64(&mut out, "fence_wait_ns", m.fence_wait_ns, &mut sf);
-        out.push('}');
+        w.end_object();
     }
-    out.push(']');
-
-    out.push('}');
-    out
+    w.end_array().end_object();
+    w.finish()
 }
 
 /// One restart measurement point as a single-line JSON object.
@@ -475,115 +188,41 @@ pub fn restart_point_json(
     workers: u64,
     r: &ptm::db::ReopenReports,
 ) -> String {
-    let mut out = String::with_capacity(512);
-    let mut first = false;
-    out.push('{');
-    out.push_str(&format!("\"schema_version\":{SCHEMA_VERSION},"));
-    push_str_lit(&mut out, "workload");
-    out.push(':');
-    push_str_lit(&mut out, "restart");
-    out.push(',');
-    push_str_lit(&mut out, "scenario");
-    out.push(':');
-    push_str_lit(&mut out, scenario);
-    push_kv_u64(&mut out, "pool_words", pool_words, &mut first);
-    push_kv_u64(&mut out, "dirty_entries", dirty_entries, &mut first);
-    push_kv_u64(&mut out, "workers", workers, &mut first);
+    let mut w = begin_line(512, "restart", scenario);
+    w.key("pool_words").u64(pool_words);
+    w.key("dirty_entries").u64(dirty_entries);
+    w.key("workers").u64(workers);
 
-    out.push(',');
-    push_str_lit(&mut out, "recovery");
-    out.push_str(":{");
-    let mut rf = true;
-    push_kv_u64(
-        &mut out,
-        "logs_scanned",
-        r.recovery.logs_scanned as u64,
-        &mut rf,
-    );
-    push_kv_u64(
-        &mut out,
-        "redo_replayed",
-        r.recovery.redo_replayed as u64,
-        &mut rf,
-    );
-    push_kv_u64(
-        &mut out,
-        "redo_entries",
-        r.recovery.redo_entries as u64,
-        &mut rf,
-    );
-    push_kv_u64(
-        &mut out,
-        "undo_rolled_back",
-        r.recovery.undo_rolled_back as u64,
-        &mut rf,
-    );
-    push_kv_u64(
-        &mut out,
-        "torn_entries",
-        r.recovery.torn_entries as u64,
-        &mut rf,
-    );
-    push_kv_u64(
-        &mut out,
-        "malformed_logs",
-        r.recovery.malformed.len() as u64,
-        &mut rf,
-    );
-    push_kv_u64(&mut out, "recovery_ns", r.recovery.recovery_ns, &mut rf);
-    push_kv_u64(
-        &mut out,
-        "recovery_workers",
-        r.recovery.recovery_workers as u64,
-        &mut rf,
-    );
-    out.push('}');
+    w.key("recovery").begin_object();
+    w.key("logs_scanned").u64(r.recovery.logs_scanned as u64);
+    w.key("redo_replayed").u64(r.recovery.redo_replayed as u64);
+    w.key("redo_entries").u64(r.recovery.redo_entries as u64);
+    w.key("undo_rolled_back")
+        .u64(r.recovery.undo_rolled_back as u64);
+    w.key("torn_entries").u64(r.recovery.torn_entries as u64);
+    w.key("malformed_logs")
+        .u64(r.recovery.malformed.len() as u64);
+    w.key("recovery_ns").u64(r.recovery.recovery_ns);
+    w.key("recovery_workers")
+        .u64(r.recovery.recovery_workers as u64);
+    w.end_object();
 
-    out.push(',');
-    push_str_lit(&mut out, "gc");
-    out.push_str(":{");
-    let mut gf = true;
-    push_kv_u64(
-        &mut out,
-        "blocks_scanned",
-        r.gc.blocks_scanned as u64,
-        &mut gf,
-    );
-    push_kv_u64(&mut out, "live_blocks", r.gc.live_blocks as u64, &mut gf);
-    push_kv_u64(
-        &mut out,
-        "reclaimed_blocks",
-        r.gc.reclaimed_blocks as u64,
-        &mut gf,
-    );
-    push_kv_u64(
-        &mut out,
-        "leaked_blocks",
-        r.gc.leaked_blocks as u64,
-        &mut gf,
-    );
-    push_kv_u64(
-        &mut out,
-        "corrupt_headers",
-        r.gc.corrupt_headers as u64,
-        &mut gf,
-    );
-    push_kv_u64(&mut out, "gc_scan_ns", r.gc.gc_scan_ns, &mut gf);
-    push_kv_u64(&mut out, "gc_mark_ns", r.gc.gc_mark_ns, &mut gf);
-    push_kv_u64(&mut out, "gc_sweep_ns", r.gc.gc_sweep_ns, &mut gf);
-    push_kv_u64(&mut out, "gc_workers", r.gc.gc_workers as u64, &mut gf);
-    out.push('}');
+    w.key("gc").begin_object();
+    w.key("blocks_scanned").u64(r.gc.blocks_scanned as u64);
+    w.key("live_blocks").u64(r.gc.live_blocks as u64);
+    w.key("reclaimed_blocks").u64(r.gc.reclaimed_blocks as u64);
+    w.key("leaked_blocks").u64(r.gc.leaked_blocks as u64);
+    w.key("corrupt_headers").u64(r.gc.corrupt_headers as u64);
+    w.key("gc_scan_ns").u64(r.gc.gc_scan_ns);
+    w.key("gc_mark_ns").u64(r.gc.gc_mark_ns);
+    w.key("gc_sweep_ns").u64(r.gc.gc_sweep_ns);
+    w.key("gc_workers").u64(r.gc.gc_workers as u64);
+    w.end_object();
 
-    push_kv_u64(
-        &mut out,
-        "time_to_first_txn_ns",
-        r.time_to_first_txn_ns,
-        &mut first,
-    );
-    push_kv_u64(&mut out, "full_restart_ns", r.full_restart_ns, &mut first);
-
-    out.push('}');
-    out
+    w.key("time_to_first_txn_ns").u64(r.time_to_first_txn_ns);
+    w.key("full_restart_ns").u64(r.full_restart_ns);
+    w.end_object();
+    w.finish()
 }
 
 #[cfg(test)]
@@ -643,31 +282,11 @@ mod tests {
         let j = point_json("noop", &r);
         // Structural sanity without a JSON parser: balanced delimiters,
         // escaped quotes in the scenario label, the expected keys.
-        assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(
-            j.starts_with("{\"schema_version\":2,"),
+            j.starts_with(r#"{"schema_version":2,"#),
             "schema_version must lead every line: {j}"
         );
-        let depth_ok = {
-            let mut depth = 0i64;
-            let mut in_str = false;
-            let mut escape = false;
-            for c in j.chars() {
-                if escape {
-                    escape = false;
-                    continue;
-                }
-                match c {
-                    '\\' if in_str => escape = true,
-                    '"' => in_str = !in_str,
-                    '{' | '[' if !in_str => depth += 1,
-                    '}' | ']' if !in_str => depth -= 1,
-                    _ => {}
-                }
-            }
-            depth == 0 && !in_str
-        };
-        assert!(depth_ok, "unbalanced JSON: {j}");
+        trace::json::check_structure(&j).expect("well-formed line");
         assert!(j.contains("\"scenario\":\"json \\\"test\\\"\""));
         for key in [
             "\"phase_ns\"",
@@ -732,7 +351,7 @@ mod tests {
         };
         let r = workloads::run_sharded_kv(&rc);
         let j = sharded_point_json("sharded-kv", &r);
-        assert!(j.starts_with("{\"schema_version\":2,"), "unversioned: {j}");
+        assert!(j.starts_with(r#"{"schema_version":2,"#), "unversioned: {j}");
         for key in [
             "\"shards\"",
             "\"threads_per_shard\"",
@@ -830,7 +449,7 @@ mod tests {
         );
 
         let j = restart_point_json("redo/adr", 1 << 12, 1, 2, &reports);
-        assert!(j.starts_with("{\"schema_version\":2,"), "unversioned: {j}");
+        assert!(j.starts_with(r#"{"schema_version":2,"#), "unversioned: {j}");
         // The restart counters are part of the published schema:
         // EXPERIMENTS.md tables and the ci.sh quick guard key on them.
         for key in [

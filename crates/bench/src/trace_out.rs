@@ -6,36 +6,9 @@
 
 use std::sync::Arc;
 
-use trace::export::{chrome_trace_json, write_binary, ExpectedTotals};
+use trace::export::{chrome_trace_json, write_binary};
 use trace::TraceSink;
 use workloads::driver::RunResult;
-
-/// Counter totals a lossless trace must reproduce, lifted from a run's
-/// stats snapshots (the same counters `report::point_json` emits).
-pub fn expected_totals(r: &RunResult) -> ExpectedTotals {
-    ExpectedTotals {
-        commits: r.ptm.commits,
-        aborts: r.ptm.aborts,
-        aborts_read_locked: r.ptm.aborts_read_locked,
-        aborts_read_version: r.ptm.aborts_read_version,
-        aborts_acquire: r.ptm.aborts_acquire,
-        aborts_validation: r.ptm.aborts_validation,
-        htm_commits: r.ptm.htm_commits,
-        htm_logged_commits: r.ptm.htm_logged_commits,
-        htm_aborts: r.ptm.htm_aborts,
-        htm_capacity_aborts: r.ptm.htm_capacity_aborts,
-        htm_conflict_aborts: r.ptm.htm_conflict_aborts,
-        htm_explicit_aborts: r.ptm.htm_explicit_aborts,
-        htm_fallbacks: r.ptm.htm_fallbacks,
-        clwbs: r.mem.clwbs,
-        clwb_writebacks: r.mem.clwb_writebacks,
-        clwb_batches: r.mem.clwb_batches,
-        sfences: r.mem.sfences,
-        fence_wait_ns: r.mem.fence_wait_ns,
-        wpq_stall_ns: r.mem.wpq_stall_ns,
-        fence_joins: r.ptm.sfences_elided,
-    }
-}
 
 /// Write both export formats for a recorded run: the compact binary dump
 /// to `path` and Chrome trace-event JSON (Perfetto-loadable) to
@@ -46,8 +19,7 @@ pub fn write_trace_exports(
     r: &RunResult,
 ) -> std::io::Result<u64> {
     let threads = sink.threads();
-    let expected = expected_totals(r);
-    std::fs::write(path, write_binary(&threads, &expected))?;
+    std::fs::write(path, write_binary(&threads, &r.trace_totals()))?;
     std::fs::write(format!("{path}.json"), chrome_trace_json(&threads))?;
     Ok(threads.iter().map(|t| t.events.len() as u64).sum())
 }
@@ -56,7 +28,7 @@ pub fn write_trace_exports(
 mod tests {
     use super::*;
     use pmem_sim::{DurabilityDomain, MediaKind};
-    use trace::export::read_binary;
+    use trace::export::{read_binary, ExpectedTotals};
     use workloads::driver::{RunConfig, Scenario};
 
     #[test]
@@ -84,8 +56,40 @@ mod tests {
         assert!(n > 0, "traced run exported no events");
 
         let dump = read_binary(&std::fs::read(path).unwrap()).unwrap();
-        assert_eq!(dump.expected, expected_totals(&r));
+        assert_eq!(dump.expected, r.trace_totals());
         let json = std::fs::read_to_string(format!("{path}.json")).unwrap();
-        trace::export::validate_json_structure(&json).unwrap();
+        trace::json::check_structure(&json).unwrap();
+    }
+
+    /// Every dump total resolves to a declared counter of the layer it
+    /// names — `from_counters` panics otherwise, so a renamed counter
+    /// fails here, not in `trace_analyze` — and carries its value.
+    #[test]
+    fn every_dump_total_resolves_to_a_declared_counter() {
+        let ptm = ptm::PtmStatsSnapshot {
+            commits: 3,
+            htm_capacity_aborts: 4,
+            sfences_elided: 5,
+            ..Default::default()
+        };
+        let mem = pmem_sim::StatsSnapshot {
+            clwbs: 7,
+            wpq_stall_ns: 8,
+            ..Default::default()
+        };
+        let got: Vec<_> = ExpectedTotals::from_counters(&ptm.fields(), &mem.fields())
+            .fields()
+            .filter(|&(_, v)| v != 0)
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("commits", 3),
+                ("htm_capacity_aborts", 4),
+                ("clwbs", 7),
+                ("wpq_stall_ns", 8),
+                ("fence_joins", 5),
+            ]
+        );
     }
 }

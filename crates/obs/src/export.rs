@@ -1,9 +1,10 @@
 //! JSONL + CSV export of sampled series and span decompositions,
-//! next to the bench `--json` schema (hand-rolled writers — the build
-//! environment has no serde).
+//! next to the bench `--json` schema.
 
 use crate::series::ShardRow;
-use crate::spans::{Comp, Decomposition, COMP_COUNT};
+use crate::spans::{Comp, Decomposition};
+use crate::GaugeSet;
+use trace::json::Writer;
 use trace::{AbortCause, HtmAbortCause};
 
 /// Version stamped into every JSONL line this workspace emits
@@ -13,78 +14,63 @@ use trace::{AbortCause, HtmAbortCause};
 /// instead of misparsing them.
 pub const SCHEMA_VERSION: u32 = 2;
 
-fn push_kv_u64(out: &mut String, key: &str, v: u64) {
-    out.push_str(&format!("\"{key}\":{v}"));
-}
+/// Decimal places of the (mean, hence fractional) ns figures.
+const NS_DECIMALS: usize = 4;
 
-fn push_kv_f64(out: &mut String, key: &str, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("\"{key}\":{v:.4}"));
-    } else {
-        out.push_str(&format!("\"{key}\":null"));
-    }
+/// The plain (non-per-cause) gauges of a row, in export order: the JSON
+/// keys and the CSV columns both come from this one list.
+fn scalar_gauges(g: &GaugeSet) -> [(&'static str, u64); 20] {
+    [
+        ("htm_fallbacks", g.htm_fallbacks),
+        ("reads", g.reads),
+        ("writes", g.writes),
+        ("log_entries", g.log_entries),
+        ("htm_log_entries", g.htm_log_entries),
+        ("sfences", g.sfences),
+        ("fence_wait_ns", g.fence_wait_ns),
+        ("fence_joins", g.fence_joins),
+        ("join_wait_ns", g.join_wait_ns),
+        ("clwbs", g.clwbs),
+        ("clwb_batches", g.clwb_batches),
+        ("wpq_accepts", g.wpq_accepts),
+        ("wpq_backlog_hw_ns", g.wpq_backlog_hw_ns),
+        ("wpq_stalls", g.wpq_stalls),
+        ("wpq_stall_ns", g.wpq_stall_ns),
+        ("backoffs", g.backoffs),
+        ("backoff_ns", g.backoff_ns),
+        ("backoff_hw_ns", g.backoff_hw_ns),
+        ("queue_waits", g.queue_waits),
+        ("queue_wait_ns", g.queue_wait_ns),
+    ]
 }
 
 /// One series row as a JSON line.
 pub fn series_row_json(r: &ShardRow) -> String {
-    let mut o = String::with_capacity(512);
-    o.push('{');
-    push_kv_u64(&mut o, "schema_version", SCHEMA_VERSION as u64);
-    o.push_str(",\"kind\":\"obs_series\",");
-    push_kv_u64(&mut o, "ts", r.ts);
-    o.push(',');
-    push_kv_u64(&mut o, "shard", r.shard as u64);
-    o.push(',');
-    push_kv_u64(&mut o, "threads", r.threads as u64);
-    o.push(',');
-    push_kv_u64(&mut o, "commits", r.g.commits);
-    o.push(',');
-    push_kv_u64(&mut o, "htm_commits", r.g.htm_commits);
-    o.push(',');
-    push_kv_u64(&mut o, "twopc_commits", r.g.twopc_commits);
-    o.push_str(",\"aborts\":{");
-    for (i, c) in AbortCause::ALL.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        push_kv_u64(&mut o, c.label(), r.g.aborts[i]);
+    let mut w = Writer::with_capacity(512);
+    w.begin_object();
+    w.key("schema_version").u64(SCHEMA_VERSION as u64);
+    w.key("kind").str("obs_series");
+    w.key("ts").u64(r.ts);
+    w.key("shard").u64(r.shard as u64);
+    w.key("threads").u64(r.threads as u64);
+    w.key("commits").u64(r.g.commits);
+    w.key("htm_commits").u64(r.g.htm_commits);
+    w.key("twopc_commits").u64(r.g.twopc_commits);
+    w.key("aborts").begin_object();
+    for (c, v) in AbortCause::ALL.iter().zip(r.g.aborts) {
+        w.key(c.label()).u64(v);
     }
-    o.push_str("},\"htm_aborts\":{");
-    for (i, c) in HtmAbortCause::ALL.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        push_kv_u64(&mut o, c.label(), r.g.htm_aborts[i]);
+    w.end_object();
+    w.key("htm_aborts").begin_object();
+    for (c, v) in HtmAbortCause::ALL.iter().zip(r.g.htm_aborts) {
+        w.key(c.label()).u64(v);
     }
-    o.push_str("},");
-    for (key, v) in [
-        ("htm_fallbacks", r.g.htm_fallbacks),
-        ("reads", r.g.reads),
-        ("writes", r.g.writes),
-        ("log_entries", r.g.log_entries),
-        ("htm_log_entries", r.g.htm_log_entries),
-        ("sfences", r.g.sfences),
-        ("fence_wait_ns", r.g.fence_wait_ns),
-        ("fence_joins", r.g.fence_joins),
-        ("join_wait_ns", r.g.join_wait_ns),
-        ("clwbs", r.g.clwbs),
-        ("clwb_batches", r.g.clwb_batches),
-        ("wpq_accepts", r.g.wpq_accepts),
-        ("wpq_backlog_hw_ns", r.g.wpq_backlog_hw_ns),
-        ("wpq_stalls", r.g.wpq_stalls),
-        ("wpq_stall_ns", r.g.wpq_stall_ns),
-        ("backoffs", r.g.backoffs),
-        ("backoff_ns", r.g.backoff_ns),
-        ("backoff_hw_ns", r.g.backoff_hw_ns),
-        ("queue_waits", r.g.queue_waits),
-        ("queue_wait_ns", r.g.queue_wait_ns),
-    ] {
-        push_kv_u64(&mut o, key, v);
-        o.push(',');
+    w.end_object();
+    for (key, v) in scalar_gauges(&r.g) {
+        w.key(key).u64(v);
     }
-    o.pop();
-    o.push('}');
-    o
+    w.end_object();
+    w.finish()
 }
 
 /// CSV header matching [`series_row_csv`].
@@ -98,12 +84,10 @@ pub fn series_csv_header() -> String {
         h.push_str(",htm_aborts_");
         h.push_str(c.label());
     }
-    h.push_str(
-        ",htm_fallbacks,reads,writes,log_entries,htm_log_entries,\
-         sfences,fence_wait_ns,fence_joins,join_wait_ns,clwbs,clwb_batches,\
-         wpq_accepts,wpq_backlog_hw_ns,wpq_stalls,wpq_stall_ns,\
-         backoffs,backoff_ns,backoff_hw_ns,queue_waits,queue_wait_ns",
-    );
+    for (name, _) in scalar_gauges(&GaugeSet::default()) {
+        h.push(',');
+        h.push_str(name);
+    }
     h
 }
 
@@ -113,34 +97,8 @@ pub fn series_row_csv(r: &ShardRow) -> String {
         "{},{},{},{},{},{}",
         r.ts, r.shard, r.threads, r.g.commits, r.g.htm_commits, r.g.twopc_commits
     );
-    for v in r.g.aborts {
-        o.push_str(&format!(",{v}"));
-    }
-    for v in r.g.htm_aborts {
-        o.push_str(&format!(",{v}"));
-    }
-    for v in [
-        r.g.htm_fallbacks,
-        r.g.reads,
-        r.g.writes,
-        r.g.log_entries,
-        r.g.htm_log_entries,
-        r.g.sfences,
-        r.g.fence_wait_ns,
-        r.g.fence_joins,
-        r.g.join_wait_ns,
-        r.g.clwbs,
-        r.g.clwb_batches,
-        r.g.wpq_accepts,
-        r.g.wpq_backlog_hw_ns,
-        r.g.wpq_stalls,
-        r.g.wpq_stall_ns,
-        r.g.backoffs,
-        r.g.backoff_ns,
-        r.g.backoff_hw_ns,
-        r.g.queue_waits,
-        r.g.queue_wait_ns,
-    ] {
+    let per_cause = r.g.aborts.into_iter().chain(r.g.htm_aborts);
+    for v in per_cause.chain(scalar_gauges(&r.g).map(|(_, v)| v)) {
         o.push_str(&format!(",{v}"));
     }
     o
@@ -148,46 +106,35 @@ pub fn series_row_csv(r: &ShardRow) -> String {
 
 /// A whole decomposition as one JSON line (tail rows inline).
 pub fn decomposition_json(label: &str, d: &Decomposition) -> String {
-    let mut o = String::with_capacity(1024);
-    o.push('{');
-    push_kv_u64(&mut o, "schema_version", SCHEMA_VERSION as u64);
-    o.push_str(&format!(
-        ",\"kind\":\"obs_decomposition\",\"label\":\"{}\",",
-        label.replace('\\', "\\\\").replace('"', "\\\"")
-    ));
-    push_kv_u64(&mut o, "spans", d.spans as u64);
-    o.push(',');
-    push_kv_u64(&mut o, "dropped_events", d.dropped_events);
-    o.push(',');
-    push_kv_f64(&mut o, "mean_total_ns", d.mean.mean_total_ns);
-    o.push_str(",\"mean\":{");
-    for (i, c) in Comp::ALL.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        push_kv_f64(&mut o, c.label(), d.mean.mean_comp_ns[i]);
+    let mut w = Writer::with_capacity(1024);
+    w.begin_object();
+    w.key("schema_version").u64(SCHEMA_VERSION as u64);
+    w.key("kind").str("obs_decomposition");
+    w.key("label").str(label);
+    w.key("spans").u64(d.spans as u64);
+    w.key("dropped_events").u64(d.dropped_events);
+    w.key("mean_total_ns")
+        .f64(d.mean.mean_total_ns, NS_DECIMALS);
+    w.key("mean").begin_object();
+    for (c, v) in Comp::ALL.iter().zip(d.mean.mean_comp_ns) {
+        w.key(c.label()).f64(v, NS_DECIMALS);
     }
-    o.push_str("},\"tails\":[");
-    for (ti, t) in d.tails.iter().enumerate() {
-        if ti > 0 {
-            o.push(',');
+    w.end_object();
+    w.key("tails").begin_array();
+    for t in &d.tails {
+        w.begin_object();
+        w.key("pct").f64(t.pct, NS_DECIMALS);
+        w.key("threshold_ns").u64(t.threshold_ns);
+        w.key("cohort").u64(t.cohort.count as u64);
+        w.key("mean_total_ns")
+            .f64(t.cohort.mean_total_ns, NS_DECIMALS);
+        for (c, v) in Comp::ALL.iter().zip(t.cohort.mean_comp_ns) {
+            w.key(c.label()).f64(v, NS_DECIMALS);
         }
-        o.push('{');
-        push_kv_f64(&mut o, "pct", t.pct);
-        o.push(',');
-        push_kv_u64(&mut o, "threshold_ns", t.threshold_ns);
-        o.push(',');
-        push_kv_u64(&mut o, "cohort", t.cohort.count as u64);
-        o.push(',');
-        push_kv_f64(&mut o, "mean_total_ns", t.cohort.mean_total_ns);
-        for (i, c) in Comp::ALL.iter().enumerate().take(COMP_COUNT) {
-            o.push(',');
-            push_kv_f64(&mut o, c.label(), t.cohort.mean_comp_ns[i]);
-        }
-        o.push('}');
+        w.end_object();
     }
-    o.push_str("]}");
-    o
+    w.end_array().end_object();
+    w.finish()
 }
 
 #[cfg(test)]
@@ -195,29 +142,8 @@ mod tests {
     use super::*;
     use crate::series::shard_rows;
     use crate::{merge_samplers, Sampler};
+    use trace::json::check_structure;
     use trace::EventKind;
-
-    fn balanced(s: &str) -> bool {
-        let (mut b, mut c) = (0i32, 0i32);
-        let mut in_str = false;
-        let mut esc = false;
-        for ch in s.chars() {
-            if esc {
-                esc = false;
-                continue;
-            }
-            match ch {
-                '\\' if in_str => esc = true,
-                '"' => in_str = !in_str,
-                '{' if !in_str => b += 1,
-                '}' if !in_str => b -= 1,
-                '[' if !in_str => c += 1,
-                ']' if !in_str => c -= 1,
-                _ => {}
-            }
-        }
-        !in_str && b == 0 && c == 0
-    }
 
     #[test]
     fn exports_are_well_formed_and_versioned() {
@@ -229,15 +155,20 @@ mod tests {
         let rows = shard_rows(&merge_samplers(&[&s]));
         assert_eq!(rows.len(), 1);
         let line = series_row_json(&rows[0]);
-        assert!(balanced(&line), "unbalanced: {line}");
-        assert!(line.starts_with("{\"schema_version\":2,"));
+        check_structure(&line).expect("series row");
+        assert!(line.starts_with(r#"{"schema_version":2,"#));
         assert!(line.contains("\"fence_wait_ns\":25"));
         let header_cols = series_csv_header().split(',').count();
         let row_cols = series_row_csv(&rows[0]).split(',').count();
         assert_eq!(header_cols, row_cols);
         let d = crate::spans::decompose(&[], 0, &[99.0]);
-        let dj = decomposition_json("adr \"q\"", &d);
-        assert!(balanced(&dj), "unbalanced: {dj}");
+        // A label with every awkward character still yields one
+        // well-formed line that reads back unchanged.
+        let label = "adr \"q\"\nline two\\";
+        let dj = decomposition_json(label, &d);
+        check_structure(&dj).expect("decomposition");
+        assert!(!dj.contains('\n'), "must stay one line: {dj}");
+        assert_eq!(trace::json::str(&dj, "label").as_deref(), Some(label));
         assert!(dj.contains("\"schema_version\":2"));
     }
 }

@@ -11,37 +11,7 @@
 //! archives).
 
 use crate::export::SCHEMA_VERSION;
-
-/// Locate `"key":` at object scope and return the text after the colon.
-fn after_key<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    line.find(&needle).map(|i| &line[i + needle.len()..])
-}
-
-/// Extract a numeric value for `key` (first occurrence).
-pub fn json_num(line: &str, key: &str) -> Option<f64> {
-    let rest = after_key(line, key)?;
-    let end = rest
-        .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extract a string value for `key` (first occurrence), unescaping the
-/// two escapes our writers emit (`\"` and `\\`).
-pub fn json_str(line: &str, key: &str) -> Option<String> {
-    let rest = after_key(line, key)?.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => out.push(chars.next()?),
-            c => out.push(c),
-        }
-    }
-    None
-}
+use trace::json;
 
 /// One comparable point extracted from an archive line.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,34 +31,11 @@ pub struct ParsedArchive {
     pub points: Vec<TrendPoint>,
     /// Lines skipped because they carry a newer schema than this build.
     pub skipped_newer: usize,
-    /// Lines that start an object but never close it — a truncated or
-    /// partially written archive (e.g. a run killed mid-append). The
+    /// Lines that start an object but are not exactly one well-formed
+    /// object — a truncated or partially written archive (e.g. a run
+    /// killed mid-append, or two appends interleaved on one line). The
     /// caller should warn and diff the surviving points, not abort.
     pub truncated: usize,
-}
-
-/// True when `line`'s braces, brackets and quotes all close — the test
-/// a partially written JSONL line fails.
-fn line_is_complete(line: &str) -> bool {
-    let (mut braces, mut brackets) = (0i64, 0i64);
-    let mut in_str = false;
-    let mut esc = false;
-    for c in line.chars() {
-        if esc {
-            esc = false;
-            continue;
-        }
-        match c {
-            '\\' if in_str => esc = true,
-            '"' => in_str = !in_str,
-            '{' if !in_str => braces += 1,
-            '}' if !in_str => braces -= 1,
-            '[' if !in_str => brackets += 1,
-            ']' if !in_str => brackets -= 1,
-            _ => {}
-        }
-    }
-    !in_str && braces == 0 && brackets == 0
 }
 
 /// Parse one archive: the points, plus counts of newer-schema lines
@@ -102,24 +49,24 @@ pub fn parse_archive(text: &str) -> ParsedArchive {
         if !line.starts_with('{') {
             continue;
         }
-        if !line_is_complete(line) {
+        if json::check_structure(line).is_err() {
             truncated += 1;
             continue;
         }
-        let version = json_num(line, "schema_version").map_or(1, |v| v as u32);
+        let version = json::num(line, "schema_version").map_or(1, |v| v as u32);
         if version > SCHEMA_VERSION {
             skipped += 1;
             continue;
         }
         let (Some(workload), Some(scenario)) =
-            (json_str(line, "workload"), json_str(line, "scenario"))
+            (json::str(line, "workload"), json::str(line, "scenario"))
         else {
             continue;
         };
-        let population = if let Some(shards) = json_num(line, "shards") {
-            let tps = json_num(line, "threads_per_shard").unwrap_or(1.0);
+        let population = if let Some(shards) = json::num(line, "shards") {
+            let tps = json::num(line, "threads_per_shard").unwrap_or(1.0);
             format!("s{}x{}", shards as u64, tps as u64)
-        } else if let Some(t) = json_num(line, "threads") {
+        } else if let Some(t) = json::num(line, "threads") {
             format!("t{}", t as u64)
         } else {
             "t0".to_string()
@@ -132,8 +79,8 @@ pub fn parse_archive(text: &str) -> ParsedArchive {
         }
         points.push(TrendPoint {
             key,
-            throughput_mops: json_num(line, "throughput_mops"),
-            p99_ns: json_num(line, "p99"),
+            throughput_mops: json::num(line, "throughput_mops"),
+            p99_ns: json::num(line, "p99"),
             schema_version: version,
         });
     }
@@ -282,11 +229,14 @@ mod tests {
 
     #[test]
     fn rejects_newer_schema_lines() {
-        let line = format!(
-            "{{\"schema_version\":{},\"workload\":\"x\",\"scenario\":\"y\",\"threads\":1}}",
-            SCHEMA_VERSION + 1
-        );
-        let parsed = parse_archive(&line);
+        let mut w = json::Writer::new();
+        w.begin_object();
+        w.key("schema_version").u64(u64::from(SCHEMA_VERSION) + 1);
+        w.key("workload").str("x");
+        w.key("scenario").str("y");
+        w.key("threads").u64(1);
+        w.end_object();
+        let parsed = parse_archive(&w.finish());
         assert!(parsed.points.is_empty());
         assert_eq!(parsed.skipped_newer, 1);
     }
@@ -351,9 +301,21 @@ mod tests {
         assert_eq!(rep.regressions, 0);
     }
 
+    /// A line is one object or it is damaged: text after the closing
+    /// brace, or a closer of the wrong kind, is counted with the
+    /// truncated lines rather than half-parsed.
     #[test]
-    fn p999_does_not_shadow_p99() {
-        let line = r#"{"workload":"w","scenario":"s","threads":1,"latency":{"p999":7,"p99":5}}"#;
-        assert_eq!(json_num(line, "p99"), Some(5.0));
+    fn lines_that_are_not_one_object_are_counted_not_parsed() {
+        let text = concat!(
+            r#"{"workload":"a","scenario":"s","threads":1} trailing"#,
+            "\n",
+            r#"{"workload":"b","scenario":"s","threads":1}{"workload":"c"}"#,
+            "\n",
+            r#"{"workload":"d","scenario":"s","tails":[1,2}}"#,
+            "\n",
+        );
+        let parsed = parse_archive(text);
+        assert_eq!(parsed.truncated, 3);
+        assert!(parsed.points.is_empty());
     }
 }

@@ -105,6 +105,33 @@ impl DurabilityDomain {
     }
 }
 
+impl DurabilityDomain {
+    /// Short stable name used in reproducer lines and CLI flags (the
+    /// inverse of [`std::str::FromStr`]).
+    pub fn name(self) -> &'static str {
+        match self {
+            DurabilityDomain::NoPowerReserve => "nores",
+            DurabilityDomain::Adr => "adr",
+            DurabilityDomain::Eadr => "eadr",
+            DurabilityDomain::Pdram => "pdram",
+            DurabilityDomain::PdramLite => "pdram-lite",
+        }
+    }
+}
+
+impl std::str::FromStr for DurabilityDomain {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<DurabilityDomain, String> {
+        DurabilityDomain::ALL
+            .into_iter()
+            .find(|d| d.name() == s)
+            .ok_or_else(|| {
+                format!("unknown domain `{s}` (known: nores, adr, eadr, pdram, pdram-lite)")
+            })
+    }
+}
+
 impl std::fmt::Display for DurabilityDomain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
@@ -176,5 +203,16 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), DurabilityDomain::ALL.len());
+    }
+
+    /// Reproducer lines and `--domain` flags carry these spellings.
+    #[test]
+    fn names_are_the_cli_spellings_and_parse_back() {
+        let names = DurabilityDomain::ALL.map(|d| d.name());
+        assert_eq!(names, ["nores", "adr", "eadr", "pdram", "pdram-lite"]);
+        for d in DurabilityDomain::ALL {
+            assert_eq!(d.name().parse(), Ok(d));
+        }
+        assert!("ADR".parse::<DurabilityDomain>().is_err());
     }
 }

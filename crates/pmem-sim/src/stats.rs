@@ -3,159 +3,52 @@
 //! Counters are relaxed atomics updated on the access fast paths; they feed
 //! the paper's secondary measurements (flush/fence counts, writeback
 //! volume, WPQ stalls) and many shape assertions in tests.
+//!
+//! The table below is the one place a machine counter is declared: rows
+//! are in the order the `--json` report's `mem` block emits them, and
+//! every row is an event count or a stall total, so all are `Sum` (see
+//! [`trace::counters!`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live counters (shared, relaxed).
-#[derive(Debug, Default)]
-pub struct MachineStats {
-    pub loads: AtomicU64,
-    pub stores: AtomicU64,
-    pub l3_hits: AtomicU64,
-    pub l3_misses: AtomicU64,
-    pub clwbs: AtomicU64,
+trace::counters! {
+    /// Live counters (shared, relaxed).
+    live MachineStats;
+    /// A plain-value snapshot of [`MachineStats`].
+    snapshot StatsSnapshot;
+
+    loads: Sum, Always;
+    stores: Sum, Always;
+    l3_hits: Sum, Always;
+    l3_misses: Sum, Always;
+    clwbs: Sum, Always;
     /// `clwb`s that actually wrote a dirty line back.
-    pub clwb_writebacks: AtomicU64,
+    clwb_writebacks: Sum, Always;
     /// Batched flush drains issued via `clwb_batch`.
-    pub clwb_batches: AtomicU64,
-    pub sfences: AtomicU64,
+    clwb_batches: Sum, Always;
+    sfences: Sum, Always;
     /// Dirty lines displaced by capacity/conflict evictions.
-    pub evictions: AtomicU64,
+    evictions: Sum, Always;
     /// Lines written to Optane media (flushes + evictions + PDRAM writeback).
-    pub optane_lines_written: AtomicU64,
+    optane_lines_written: Sum, Always;
     /// Lines written to DRAM.
-    pub dram_lines_written: AtomicU64,
+    dram_lines_written: Sum, Always;
     /// Virtual ns spent stalled on a full WPQ / writeback backlog
     /// (Optane write path only).
-    pub wpq_stall_ns: AtomicU64,
+    wpq_stall_ns: Sum, Always;
     /// Virtual ns spent stalled on DRAM write-server backlog (e.g. L3
     /// victims of DRAM-backed or PDRAM-accelerated pools). Kept apart
     /// from `wpq_stall_ns` so the WPQ counter means exactly "Optane
     /// write-pending-queue pressure", the paper's saturation signal.
-    pub dram_write_stall_ns: AtomicU64,
+    dram_write_stall_ns: Sum, Always;
     /// Virtual ns spent waiting in `sfence` for outstanding flushes.
-    pub fence_wait_ns: AtomicU64,
-}
-
-/// A plain-value snapshot of [`MachineStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    pub loads: u64,
-    pub stores: u64,
-    pub l3_hits: u64,
-    pub l3_misses: u64,
-    pub clwbs: u64,
-    pub clwb_writebacks: u64,
-    pub clwb_batches: u64,
-    pub sfences: u64,
-    pub evictions: u64,
-    pub optane_lines_written: u64,
-    pub dram_lines_written: u64,
-    pub wpq_stall_ns: u64,
-    pub dram_write_stall_ns: u64,
-    pub fence_wait_ns: u64,
+    fence_wait_ns: Sum, Always;
 }
 
 impl MachineStats {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     #[inline]
     pub fn bump(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Capture the current values.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            loads: self.loads.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-            l3_hits: self.l3_hits.load(Ordering::Relaxed),
-            l3_misses: self.l3_misses.load(Ordering::Relaxed),
-            clwbs: self.clwbs.load(Ordering::Relaxed),
-            clwb_writebacks: self.clwb_writebacks.load(Ordering::Relaxed),
-            clwb_batches: self.clwb_batches.load(Ordering::Relaxed),
-            sfences: self.sfences.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            optane_lines_written: self.optane_lines_written.load(Ordering::Relaxed),
-            dram_lines_written: self.dram_lines_written.load(Ordering::Relaxed),
-            wpq_stall_ns: self.wpq_stall_ns.load(Ordering::Relaxed),
-            dram_write_stall_ns: self.dram_write_stall_ns.load(Ordering::Relaxed),
-            fence_wait_ns: self.fence_wait_ns.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zero all counters (between benchmark phases).
-    pub fn reset(&self) {
-        for c in [
-            &self.loads,
-            &self.stores,
-            &self.l3_hits,
-            &self.l3_misses,
-            &self.clwbs,
-            &self.clwb_writebacks,
-            &self.clwb_batches,
-            &self.sfences,
-            &self.evictions,
-            &self.optane_lines_written,
-            &self.dram_lines_written,
-            &self.wpq_stall_ns,
-            &self.dram_write_stall_ns,
-            &self.fence_wait_ns,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-impl StatsSnapshot {
-    /// Difference against an earlier snapshot (per-phase deltas).
-    /// Saturating: a `reset` racing between the two snapshots must not
-    /// panic the reporter.
-    pub fn delta_since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            loads: self.loads.saturating_sub(earlier.loads),
-            stores: self.stores.saturating_sub(earlier.stores),
-            l3_hits: self.l3_hits.saturating_sub(earlier.l3_hits),
-            l3_misses: self.l3_misses.saturating_sub(earlier.l3_misses),
-            clwbs: self.clwbs.saturating_sub(earlier.clwbs),
-            clwb_writebacks: self.clwb_writebacks.saturating_sub(earlier.clwb_writebacks),
-            clwb_batches: self.clwb_batches.saturating_sub(earlier.clwb_batches),
-            sfences: self.sfences.saturating_sub(earlier.sfences),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
-            optane_lines_written: self
-                .optane_lines_written
-                .saturating_sub(earlier.optane_lines_written),
-            dram_lines_written: self
-                .dram_lines_written
-                .saturating_sub(earlier.dram_lines_written),
-            wpq_stall_ns: self.wpq_stall_ns.saturating_sub(earlier.wpq_stall_ns),
-            dram_write_stall_ns: self
-                .dram_write_stall_ns
-                .saturating_sub(earlier.dram_write_stall_ns),
-            fence_wait_ns: self.fence_wait_ns.saturating_sub(earlier.fence_wait_ns),
-        }
-    }
-
-    /// Accumulate another machine's counters into this snapshot (shard
-    /// aggregation: all fields are event counts or stall totals, so a
-    /// plain sum is the right combination everywhere).
-    pub fn merge(&mut self, other: &StatsSnapshot) {
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.l3_hits += other.l3_hits;
-        self.l3_misses += other.l3_misses;
-        self.clwbs += other.clwbs;
-        self.clwb_writebacks += other.clwb_writebacks;
-        self.clwb_batches += other.clwb_batches;
-        self.sfences += other.sfences;
-        self.evictions += other.evictions;
-        self.optane_lines_written += other.optane_lines_written;
-        self.dram_lines_written += other.dram_lines_written;
-        self.wpq_stall_ns += other.wpq_stall_ns;
-        self.dram_write_stall_ns += other.dram_write_stall_ns;
-        self.fence_wait_ns += other.fence_wait_ns;
     }
 }
 

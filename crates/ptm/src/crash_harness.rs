@@ -52,40 +52,6 @@ pub struct SweepCase {
     pub seed: u64,
 }
 
-/// Short stable names used in reproducer lines and CLI flags
-/// (delegates to [`Algo::name`] so the registry is the single source).
-pub fn algo_name(algo: Algo) -> &'static str {
-    algo.name()
-}
-
-/// Inverse of [`algo_name`].
-pub fn parse_algo(s: &str) -> Option<Algo> {
-    s.parse().ok()
-}
-
-/// Short stable names used in reproducer lines and CLI flags.
-pub fn domain_name(domain: DurabilityDomain) -> &'static str {
-    match domain {
-        DurabilityDomain::NoPowerReserve => "nores",
-        DurabilityDomain::Adr => "adr",
-        DurabilityDomain::Eadr => "eadr",
-        DurabilityDomain::Pdram => "pdram",
-        DurabilityDomain::PdramLite => "pdram-lite",
-    }
-}
-
-/// Inverse of [`domain_name`].
-pub fn parse_domain(s: &str) -> Option<DurabilityDomain> {
-    match s {
-        "nores" => Some(DurabilityDomain::NoPowerReserve),
-        "adr" => Some(DurabilityDomain::Adr),
-        "eadr" => Some(DurabilityDomain::Eadr),
-        "pdram" => Some(DurabilityDomain::Pdram),
-        "pdram-lite" => Some(DurabilityDomain::PdramLite),
-        _ => None,
-    }
-}
-
 /// The crash adversary seed used when crashing at `site`: per-site so
 /// that neighbouring sites don't share coin flips, but a pure function
 /// of (case seed, site) so a reproducer replays the exact image.
@@ -138,8 +104,8 @@ impl Violation {
             "CRASH-REPRO workload={} site={} algo={} domain={} policy={} seed={}",
             self.workload,
             self.site,
-            algo_name(self.case.algo),
-            domain_name(self.case.domain),
+            self.case.algo.name(),
+            self.case.domain.name(),
             self.case.policy,
             self.case.seed,
         )
@@ -1549,16 +1515,10 @@ mod tests {
     #[test]
     fn names_roundtrip() {
         for algo in Algo::ALL {
-            assert_eq!(parse_algo(algo_name(algo)), Some(algo));
+            assert_eq!(algo.name().parse(), Ok(algo));
         }
-        for domain in [
-            DurabilityDomain::NoPowerReserve,
-            DurabilityDomain::Adr,
-            DurabilityDomain::Eadr,
-            DurabilityDomain::Pdram,
-            DurabilityDomain::PdramLite,
-        ] {
-            assert_eq!(parse_domain(domain_name(domain)), Some(domain));
+        for domain in DurabilityDomain::ALL {
+            assert_eq!(domain.name().parse(), Ok(domain));
         }
     }
 }

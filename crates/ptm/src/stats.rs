@@ -1,132 +1,99 @@
 //! Commit/abort accounting (Tables I and II report commit-to-abort ratios).
+//!
+//! The table below is the one place a PTM counter is declared: rows are
+//! in the order the `--json` report's `ptm` block emits them, and the
+//! snapshot plumbing, the report block and the trace dump's embedded
+//! totals all derive from it (see [`trace::counters!`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Shared transaction outcome counters.
-#[derive(Debug, Default)]
-pub struct PtmStats {
-    pub commits: AtomicU64,
-    pub aborts: AtomicU64,
+trace::counters! {
+    /// Shared transaction outcome counters.
+    live PtmStats;
+    /// Plain-value snapshot.
+    snapshot PtmStatsSnapshot;
+
+    commits: Sum, Always;
+    aborts: Sum, Always;
     /// Aborts broken out by cause, for diagnosis and ablations.
-    pub aborts_read_locked: AtomicU64,
-    pub aborts_read_version: AtomicU64,
-    pub aborts_acquire: AtomicU64,
-    pub aborts_validation: AtomicU64,
+    aborts_read_locked: Sum, Always;
+    aborts_read_version: Sum, Always;
+    aborts_acquire: Sum, Always;
+    aborts_validation: Sum, Always;
     /// Successful timestamp extensions (reads salvaged).
-    pub extensions: AtomicU64,
+    extensions: Sum, Always;
     /// Transactions committed on the hardware path.
-    pub htm_commits: AtomicU64,
-    /// Hardware-path aborts (conflict/validation).
-    pub htm_aborts: AtomicU64,
-    /// Transactions that exhausted hardware retries and took the
-    /// software path.
-    pub htm_fallbacks: AtomicU64,
+    htm_commits: Sum, Always;
     /// Hardware commits that went through the `HtmLogged` aliased
     /// back-end-logging path (also counted in `htm_commits`).
-    pub htm_logged_commits: AtomicU64,
+    htm_logged_commits: Sum, Always;
+    /// Hardware-path aborts (conflict/validation).
+    htm_aborts: Sum, Always;
     /// Hardware aborts by cause: the section's line footprint exceeded
     /// the model's capacity.
-    pub htm_capacity_aborts: AtomicU64,
+    htm_capacity_aborts: Sum, Always;
     /// Hardware aborts by cause: coherence conflict with a concurrent
     /// committer (or a locked/too-new orec seen inside the section).
-    pub htm_conflict_aborts: AtomicU64,
+    htm_conflict_aborts: Sum, Always;
     /// Hardware aborts by cause: the policy aborted the section
     /// explicitly (e.g. back-end log ring full).
-    pub htm_explicit_aborts: AtomicU64,
-    /// `HtmLogged`: bytes appended to back-end redo logs.
-    pub backend_log_bytes: AtomicU64,
-    /// Largest write set observed, in log entries (the paper's §IV-B
-    /// sizing argument for PDRAM-Lite: Vacation <= 37 log cache lines,
-    /// TPCC <= 36).
-    pub max_write_entries: AtomicU64,
-    /// Flushes the write-combining planner skipped because the line was
-    /// already planned in the same fence window (offers minus unique).
-    pub flushes_elided: AtomicU64,
-    /// Unique lines the planner actually drained through `clwb_batch`.
-    pub lines_planned: AtomicU64,
-    /// Largest duplicate-filtered read set observed, in unique orecs.
-    pub max_read_set_unique: AtomicU64,
-    /// Largest write-back footprint observed, in unique data lines.
-    pub max_write_lines: AtomicU64,
-    /// CowShadow: shadow lines allocated from the persistent heap.
-    pub shadow_lines_allocated: AtomicU64,
-    /// CowShadow: shadow lines returned to the allocator after a publish
-    /// or an abort (crashed transactions leave theirs to the restart GC).
-    pub shadow_lines_reclaimed: AtomicU64,
-    /// CowShadow: ordering points issued while publishing shadow lines
-    /// to their home locations (two per committed writer transaction).
-    pub publish_fences: AtomicU64,
-    /// Group commit: fence windows opened (lead fences that later
-    /// commits could join).
-    pub group_commit_windows: AtomicU64,
-    /// Group commit: `sfence`s elided because the committing transaction
-    /// joined an already-completed window fence.
-    pub sfences_elided: AtomicU64,
-    /// Largest single contention-backoff delay issued, in virtual ns
-    /// (high-water; bounded by `PtmConfig::max_backoff_ns`).
-    pub max_backoff_ns: AtomicU64,
-    /// 2PC: participant-shard prepares made durable.
-    pub prepares: AtomicU64,
-    /// 2PC: coordinator commit records written (one per committed
-    /// cross-shard transaction).
-    pub coordinator_commits: AtomicU64,
-    /// 2PC recovery: in-doubt participants resolved to commit by the
-    /// coordinator record.
-    pub indoubt_resolved_commit: AtomicU64,
-    /// 2PC recovery: in-doubt participants resolved to abort (no
-    /// coordinator record — presumed abort).
-    pub indoubt_resolved_abort: AtomicU64,
-    /// 2PC: virtual ns spent in the prepare phase (per-participant
-    /// `make_prepared` flush+fence work), the ADR-vs-eADR knee.
-    pub prepare_fence_ns: AtomicU64,
+    htm_explicit_aborts: Sum, Always;
+    /// Transactions that exhausted hardware retries and took the
+    /// software path.
+    htm_fallbacks: Sum, Always;
     /// Hardware retries skipped by contention-aware fallback pacing
     /// (`PtmConfig::htm_fastpath_threshold`): transactions that jumped
     /// to the software path early (also counted in `htm_fallbacks`).
-    pub htm_fallback_fastpathed: AtomicU64,
-}
-
-/// Plain-value snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PtmStatsSnapshot {
-    pub commits: u64,
-    pub aborts: u64,
-    pub aborts_read_locked: u64,
-    pub aborts_read_version: u64,
-    pub aborts_acquire: u64,
-    pub aborts_validation: u64,
-    pub extensions: u64,
-    pub htm_commits: u64,
-    pub htm_aborts: u64,
-    pub htm_fallbacks: u64,
-    pub htm_logged_commits: u64,
-    pub htm_capacity_aborts: u64,
-    pub htm_conflict_aborts: u64,
-    pub htm_explicit_aborts: u64,
-    pub backend_log_bytes: u64,
-    pub max_write_entries: u64,
-    pub flushes_elided: u64,
-    pub lines_planned: u64,
-    pub max_read_set_unique: u64,
-    pub max_write_lines: u64,
-    pub shadow_lines_allocated: u64,
-    pub shadow_lines_reclaimed: u64,
-    pub publish_fences: u64,
-    pub group_commit_windows: u64,
-    pub sfences_elided: u64,
-    pub max_backoff_ns: u64,
-    pub prepares: u64,
-    pub coordinator_commits: u64,
-    pub indoubt_resolved_commit: u64,
-    pub indoubt_resolved_abort: u64,
-    pub prepare_fence_ns: u64,
-    pub htm_fallback_fastpathed: u64,
+    htm_fallback_fastpathed: Sum, NonZero;
+    /// 2PC: participant-shard prepares made durable.
+    prepares: Sum, NonZeroWith("twopc");
+    /// 2PC: coordinator commit records written (one per committed
+    /// cross-shard transaction).
+    coordinator_commits: Sum, NonZeroWith("twopc");
+    /// 2PC: virtual ns spent in the prepare phase (per-participant
+    /// `make_prepared` flush+fence work), the ADR-vs-eADR knee.
+    prepare_fence_ns: Sum, NonZeroWith("twopc");
+    /// 2PC recovery: in-doubt participants resolved to commit by the
+    /// coordinator record.
+    indoubt_resolved_commit: Sum, NonZeroWith("indoubt");
+    /// 2PC recovery: in-doubt participants resolved to abort (no
+    /// coordinator record — presumed abort).
+    indoubt_resolved_abort: Sum, NonZeroWith("indoubt");
+    /// `HtmLogged`: bytes appended to back-end redo logs.
+    backend_log_bytes: Sum, Always;
+    /// Largest write set observed, in log entries (the paper's §IV-B
+    /// sizing argument for PDRAM-Lite: Vacation <= 37 log cache lines,
+    /// TPCC <= 36).
+    max_write_entries: Max, Always;
+    /// Flushes the write-combining planner skipped because the line was
+    /// already planned in the same fence window (offers minus unique).
+    flushes_elided: Sum, Always;
+    /// Unique lines the planner actually drained through `clwb_batch`.
+    lines_planned: Sum, Always;
+    /// Largest duplicate-filtered read set observed, in unique orecs.
+    max_read_set_unique: Max, Always;
+    /// Largest write-back footprint observed, in unique data lines.
+    max_write_lines: Max, Always;
+    /// CowShadow: shadow lines allocated from the persistent heap.
+    shadow_lines_allocated: Sum, Always;
+    /// CowShadow: shadow lines returned to the allocator after a publish
+    /// or an abort (crashed transactions leave theirs to the restart GC).
+    shadow_lines_reclaimed: Sum, Always;
+    /// CowShadow: ordering points issued while publishing shadow lines
+    /// to their home locations (two per committed writer transaction).
+    publish_fences: Sum, Always;
+    /// Group commit: fence windows opened (lead fences that later
+    /// commits could join).
+    group_commit_windows: Sum, Always;
+    /// Group commit: `sfence`s elided because the committing transaction
+    /// joined an already-completed window fence.
+    sfences_elided: Sum, Always;
+    /// Largest single contention-backoff delay issued, in virtual ns
+    /// (high-water; bounded by `PtmConfig::max_backoff_ns`).
+    max_backoff_ns: Max, Always;
 }
 
 impl PtmStats {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Record a committed transaction's write-set size.
     #[inline]
     pub fn note_write_set(&self, entries: u64) {
@@ -149,82 +116,6 @@ impl PtmStats {
     pub fn high_water(counter: &AtomicU64, v: u64) {
         counter.fetch_max(v, Ordering::Relaxed);
     }
-
-    pub fn snapshot(&self) -> PtmStatsSnapshot {
-        PtmStatsSnapshot {
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
-            aborts_read_locked: self.aborts_read_locked.load(Ordering::Relaxed),
-            aborts_read_version: self.aborts_read_version.load(Ordering::Relaxed),
-            aborts_acquire: self.aborts_acquire.load(Ordering::Relaxed),
-            aborts_validation: self.aborts_validation.load(Ordering::Relaxed),
-            extensions: self.extensions.load(Ordering::Relaxed),
-            htm_commits: self.htm_commits.load(Ordering::Relaxed),
-            htm_aborts: self.htm_aborts.load(Ordering::Relaxed),
-            htm_fallbacks: self.htm_fallbacks.load(Ordering::Relaxed),
-            htm_logged_commits: self.htm_logged_commits.load(Ordering::Relaxed),
-            htm_capacity_aborts: self.htm_capacity_aborts.load(Ordering::Relaxed),
-            htm_conflict_aborts: self.htm_conflict_aborts.load(Ordering::Relaxed),
-            htm_explicit_aborts: self.htm_explicit_aborts.load(Ordering::Relaxed),
-            backend_log_bytes: self.backend_log_bytes.load(Ordering::Relaxed),
-            max_write_entries: self.max_write_entries.load(Ordering::Relaxed),
-            flushes_elided: self.flushes_elided.load(Ordering::Relaxed),
-            lines_planned: self.lines_planned.load(Ordering::Relaxed),
-            max_read_set_unique: self.max_read_set_unique.load(Ordering::Relaxed),
-            max_write_lines: self.max_write_lines.load(Ordering::Relaxed),
-            shadow_lines_allocated: self.shadow_lines_allocated.load(Ordering::Relaxed),
-            shadow_lines_reclaimed: self.shadow_lines_reclaimed.load(Ordering::Relaxed),
-            publish_fences: self.publish_fences.load(Ordering::Relaxed),
-            group_commit_windows: self.group_commit_windows.load(Ordering::Relaxed),
-            sfences_elided: self.sfences_elided.load(Ordering::Relaxed),
-            max_backoff_ns: self.max_backoff_ns.load(Ordering::Relaxed),
-            prepares: self.prepares.load(Ordering::Relaxed),
-            coordinator_commits: self.coordinator_commits.load(Ordering::Relaxed),
-            indoubt_resolved_commit: self.indoubt_resolved_commit.load(Ordering::Relaxed),
-            indoubt_resolved_abort: self.indoubt_resolved_abort.load(Ordering::Relaxed),
-            prepare_fence_ns: self.prepare_fence_ns.load(Ordering::Relaxed),
-            htm_fallback_fastpathed: self.htm_fallback_fastpathed.load(Ordering::Relaxed),
-        }
-    }
-
-    pub fn reset(&self) {
-        for c in [
-            &self.commits,
-            &self.aborts,
-            &self.aborts_read_locked,
-            &self.aborts_read_version,
-            &self.aborts_acquire,
-            &self.aborts_validation,
-            &self.extensions,
-            &self.htm_commits,
-            &self.htm_aborts,
-            &self.htm_fallbacks,
-            &self.htm_logged_commits,
-            &self.htm_capacity_aborts,
-            &self.htm_conflict_aborts,
-            &self.htm_explicit_aborts,
-            &self.backend_log_bytes,
-            &self.max_write_entries,
-            &self.flushes_elided,
-            &self.lines_planned,
-            &self.max_read_set_unique,
-            &self.max_write_lines,
-            &self.shadow_lines_allocated,
-            &self.shadow_lines_reclaimed,
-            &self.publish_fences,
-            &self.group_commit_windows,
-            &self.sfences_elided,
-            &self.max_backoff_ns,
-            &self.prepares,
-            &self.coordinator_commits,
-            &self.indoubt_resolved_commit,
-            &self.indoubt_resolved_abort,
-            &self.prepare_fence_ns,
-            &self.htm_fallback_fastpathed,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 impl PtmStatsSnapshot {
@@ -236,116 +127,6 @@ impl PtmStatsSnapshot {
         } else {
             self.commits as f64 / self.aborts as f64
         }
-    }
-
-    /// Difference against an earlier snapshot. Saturating: a `reset`
-    /// racing between the two snapshots must not panic the reporter.
-    /// `max_write_entries` is a high-water mark, not a counter — the
-    /// delta keeps the larger of the two values.
-    pub fn delta_since(&self, earlier: &PtmStatsSnapshot) -> PtmStatsSnapshot {
-        PtmStatsSnapshot {
-            commits: self.commits.saturating_sub(earlier.commits),
-            aborts: self.aborts.saturating_sub(earlier.aborts),
-            aborts_read_locked: self
-                .aborts_read_locked
-                .saturating_sub(earlier.aborts_read_locked),
-            aborts_read_version: self
-                .aborts_read_version
-                .saturating_sub(earlier.aborts_read_version),
-            aborts_acquire: self.aborts_acquire.saturating_sub(earlier.aborts_acquire),
-            aborts_validation: self
-                .aborts_validation
-                .saturating_sub(earlier.aborts_validation),
-            extensions: self.extensions.saturating_sub(earlier.extensions),
-            htm_commits: self.htm_commits.saturating_sub(earlier.htm_commits),
-            htm_aborts: self.htm_aborts.saturating_sub(earlier.htm_aborts),
-            htm_fallbacks: self.htm_fallbacks.saturating_sub(earlier.htm_fallbacks),
-            htm_logged_commits: self
-                .htm_logged_commits
-                .saturating_sub(earlier.htm_logged_commits),
-            htm_capacity_aborts: self
-                .htm_capacity_aborts
-                .saturating_sub(earlier.htm_capacity_aborts),
-            htm_conflict_aborts: self
-                .htm_conflict_aborts
-                .saturating_sub(earlier.htm_conflict_aborts),
-            htm_explicit_aborts: self
-                .htm_explicit_aborts
-                .saturating_sub(earlier.htm_explicit_aborts),
-            backend_log_bytes: self
-                .backend_log_bytes
-                .saturating_sub(earlier.backend_log_bytes),
-            max_write_entries: self.max_write_entries.max(earlier.max_write_entries),
-            flushes_elided: self.flushes_elided.saturating_sub(earlier.flushes_elided),
-            lines_planned: self.lines_planned.saturating_sub(earlier.lines_planned),
-            max_read_set_unique: self.max_read_set_unique.max(earlier.max_read_set_unique),
-            max_write_lines: self.max_write_lines.max(earlier.max_write_lines),
-            shadow_lines_allocated: self
-                .shadow_lines_allocated
-                .saturating_sub(earlier.shadow_lines_allocated),
-            shadow_lines_reclaimed: self
-                .shadow_lines_reclaimed
-                .saturating_sub(earlier.shadow_lines_reclaimed),
-            publish_fences: self.publish_fences.saturating_sub(earlier.publish_fences),
-            group_commit_windows: self
-                .group_commit_windows
-                .saturating_sub(earlier.group_commit_windows),
-            sfences_elided: self.sfences_elided.saturating_sub(earlier.sfences_elided),
-            max_backoff_ns: self.max_backoff_ns.max(earlier.max_backoff_ns),
-            prepares: self.prepares.saturating_sub(earlier.prepares),
-            coordinator_commits: self
-                .coordinator_commits
-                .saturating_sub(earlier.coordinator_commits),
-            indoubt_resolved_commit: self
-                .indoubt_resolved_commit
-                .saturating_sub(earlier.indoubt_resolved_commit),
-            indoubt_resolved_abort: self
-                .indoubt_resolved_abort
-                .saturating_sub(earlier.indoubt_resolved_abort),
-            prepare_fence_ns: self
-                .prepare_fence_ns
-                .saturating_sub(earlier.prepare_fence_ns),
-            htm_fallback_fastpathed: self
-                .htm_fallback_fastpathed
-                .saturating_sub(earlier.htm_fallback_fastpathed),
-        }
-    }
-
-    /// Accumulate another engine's counters into this snapshot (shard
-    /// aggregation): plain counters sum, high-water marks keep the max.
-    pub fn merge(&mut self, other: &PtmStatsSnapshot) {
-        self.commits += other.commits;
-        self.aborts += other.aborts;
-        self.aborts_read_locked += other.aborts_read_locked;
-        self.aborts_read_version += other.aborts_read_version;
-        self.aborts_acquire += other.aborts_acquire;
-        self.aborts_validation += other.aborts_validation;
-        self.extensions += other.extensions;
-        self.htm_commits += other.htm_commits;
-        self.htm_aborts += other.htm_aborts;
-        self.htm_fallbacks += other.htm_fallbacks;
-        self.htm_logged_commits += other.htm_logged_commits;
-        self.htm_capacity_aborts += other.htm_capacity_aborts;
-        self.htm_conflict_aborts += other.htm_conflict_aborts;
-        self.htm_explicit_aborts += other.htm_explicit_aborts;
-        self.backend_log_bytes += other.backend_log_bytes;
-        self.max_write_entries = self.max_write_entries.max(other.max_write_entries);
-        self.flushes_elided += other.flushes_elided;
-        self.lines_planned += other.lines_planned;
-        self.max_read_set_unique = self.max_read_set_unique.max(other.max_read_set_unique);
-        self.max_write_lines = self.max_write_lines.max(other.max_write_lines);
-        self.shadow_lines_allocated += other.shadow_lines_allocated;
-        self.shadow_lines_reclaimed += other.shadow_lines_reclaimed;
-        self.publish_fences += other.publish_fences;
-        self.group_commit_windows += other.group_commit_windows;
-        self.sfences_elided += other.sfences_elided;
-        self.max_backoff_ns = self.max_backoff_ns.max(other.max_backoff_ns);
-        self.prepares += other.prepares;
-        self.coordinator_commits += other.coordinator_commits;
-        self.indoubt_resolved_commit += other.indoubt_resolved_commit;
-        self.indoubt_resolved_abort += other.indoubt_resolved_abort;
-        self.prepare_fence_ns += other.prepare_fence_ns;
-        self.htm_fallback_fastpathed += other.htm_fallback_fastpathed;
     }
 }
 

@@ -7,7 +7,7 @@
 //! where ordering within a thread matters) and is pure data-in/data-out —
 //! rendering lives in the `trace_analyze` binary.
 
-use crate::export::ExpectedTotals;
+use crate::export::{ExpectedTotals, TOTALS};
 use crate::{AbortCause, EventKind, HtmAbortCause, MergedEvent, ThreadTrace};
 
 /// Aggregate totals independently re-derived from trace events alone.
@@ -100,11 +100,11 @@ impl TraceTotals {
         t
     }
 
-    fn cause(&self, c: AbortCause) -> u64 {
+    pub(crate) fn cause(&self, c: AbortCause) -> u64 {
         self.aborts_by_cause[c as usize]
     }
 
-    fn htm_cause(&self, c: HtmAbortCause) -> u64 {
+    pub(crate) fn htm_cause(&self, c: HtmAbortCause) -> u64 {
         self.htm_aborts_by_cause[c as usize]
     }
 }
@@ -116,74 +116,10 @@ impl TraceTotals {
 /// trace is lossy and equality cannot be expected — callers should report
 /// the loss instead of treating divergence as an error.
 pub fn crosscheck(derived: &TraceTotals, expected: &ExpectedTotals) -> Vec<String> {
-    let pairs = [
-        ("commits", derived.commits, expected.commits),
-        ("aborts", derived.aborts, expected.aborts),
-        (
-            "aborts_read_locked",
-            derived.cause(AbortCause::ReadLocked),
-            expected.aborts_read_locked,
-        ),
-        (
-            "aborts_read_version",
-            derived.cause(AbortCause::ReadVersion),
-            expected.aborts_read_version,
-        ),
-        (
-            "aborts_acquire",
-            derived.cause(AbortCause::Acquire),
-            expected.aborts_acquire,
-        ),
-        (
-            "aborts_validation",
-            derived.cause(AbortCause::Validation),
-            expected.aborts_validation,
-        ),
-        ("htm_commits", derived.htm_commits, expected.htm_commits),
-        (
-            "htm_logged_commits",
-            derived.htm_logged_commits,
-            expected.htm_logged_commits,
-        ),
-        ("htm_aborts", derived.htm_aborts, expected.htm_aborts),
-        (
-            "htm_capacity_aborts",
-            derived.htm_cause(HtmAbortCause::Capacity),
-            expected.htm_capacity_aborts,
-        ),
-        (
-            "htm_conflict_aborts",
-            derived.htm_cause(HtmAbortCause::Conflict),
-            expected.htm_conflict_aborts,
-        ),
-        (
-            "htm_explicit_aborts",
-            derived.htm_cause(HtmAbortCause::Explicit),
-            expected.htm_explicit_aborts,
-        ),
-        (
-            "htm_fallbacks",
-            derived.htm_fallbacks,
-            expected.htm_fallbacks,
-        ),
-        ("clwbs", derived.clwbs, expected.clwbs),
-        (
-            "clwb_writebacks",
-            derived.clwb_writebacks,
-            expected.clwb_writebacks,
-        ),
-        ("clwb_batches", derived.clwb_batches, expected.clwb_batches),
-        ("sfences", derived.sfences, expected.sfences),
-        (
-            "fence_wait_ns",
-            derived.fence_wait_ns,
-            expected.fence_wait_ns,
-        ),
-        ("wpq_stall_ns", derived.wpq_stall_ns, expected.wpq_stall_ns),
-        ("fence_joins", derived.fence_joins, expected.fence_joins),
-    ];
-    pairs
+    TOTALS
         .iter()
+        .zip(expected.fields())
+        .map(|(row, (name, e))| (name, (row.derive)(derived), e))
         .filter(|(_, d, e)| d != e)
         .map(|(name, d, e)| format!("{name}: trace-derived {d} != counter {e}"))
         .collect()
@@ -396,25 +332,21 @@ mod tests {
         assert_eq!(t.sfences, 1);
         assert_eq!(t.fence_wait_ns, 40);
         assert_eq!(t.wpq_stall_ns, 100);
-        let expected = ExpectedTotals {
-            commits: 1,
-            aborts: 1,
-            aborts_acquire: 1,
-            clwbs: 2,
-            clwb_writebacks: 1,
-            sfences: 1,
-            fence_wait_ns: 40,
-            wpq_stall_ns: 100,
-            ..ExpectedTotals::default()
-        };
-        assert!(crosscheck(&t, &expected).is_empty());
-        let divergent = ExpectedTotals {
-            commits: 2,
-            ..expected
-        };
-        let d = crosscheck(&t, &divergent);
-        assert_eq!(d.len(), 1);
-        assert!(d[0].contains("commits"));
+        let agreeing = [
+            ("commits", 1),
+            ("aborts", 1),
+            ("aborts_acquire", 1),
+            ("clwbs", 2),
+            ("clwb_writebacks", 1),
+            ("sfences", 1),
+            ("fence_wait_ns", 40),
+            ("wpq_stall_ns", 100),
+        ];
+        assert!(crosscheck(&t, &ExpectedTotals::with(&agreeing)).is_empty());
+        let mut divergent = agreeing;
+        divergent[0].1 = 2;
+        let d = crosscheck(&t, &ExpectedTotals::with(&divergent));
+        assert_eq!(d, ["commits: trace-derived 1 != counter 2"]);
     }
 
     #[test]

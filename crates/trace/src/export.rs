@@ -3,95 +3,127 @@
 //!
 //! Both formats surface per-thread `dropped_events` loss accounting. The
 //! binary dump additionally embeds the live counter totals
-//! ([`ExpectedTotals`], captured from `PtmStats`/`MachineStats` at export
-//! time) so an *offline* analyzer can re-derive totals from the events
-//! alone and cross-check them against what the counters said — the trace
-//! and the counters can never silently disagree.
+//! ([`ExpectedTotals`], captured from the `ptm` and `pmem-sim` counter
+//! tables at export time) so an *offline* analyzer can re-derive totals
+//! from the events alone and cross-check them against what the counters
+//! said — the trace and the counters can never silently disagree.
 
-use crate::{EventKind, ThreadTrace, TraceEvent, TraceSink};
+use crate::analyze::TraceTotals;
+use crate::counters::Field;
+use crate::json::Writer;
+use crate::{AbortCause, EventKind, HtmAbortCause, ThreadTrace, TraceEvent};
 
 /// Magic prefix of the binary dump format, version 1.
 pub const BINARY_MAGIC: &[u8; 8] = b"PTMTRC01";
 
-/// Counter totals captured at export time, in a fixed serialization
-/// order. Field-for-field these mirror the subset of
-/// `ptm::PtmStatsSnapshot` / `pmem_sim::StatsSnapshot` that the trace can
-/// independently re-derive (see [`crate::analyze::TraceTotals`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExpectedTotals {
-    pub commits: u64,
-    pub aborts: u64,
-    pub aborts_read_locked: u64,
-    pub aborts_read_version: u64,
-    pub aborts_acquire: u64,
-    pub aborts_validation: u64,
-    pub htm_commits: u64,
-    pub htm_logged_commits: u64,
-    pub htm_aborts: u64,
-    pub htm_capacity_aborts: u64,
-    pub htm_conflict_aborts: u64,
-    pub htm_explicit_aborts: u64,
-    pub htm_fallbacks: u64,
-    pub clwbs: u64,
-    pub clwb_writebacks: u64,
-    pub clwb_batches: u64,
-    pub sfences: u64,
-    pub fence_wait_ns: u64,
-    pub wpq_stall_ns: u64,
-    /// Group-commit fence joins (`PtmStats::sfences_elided`).
-    pub fence_joins: u64,
+/// Where a dump total is captured from: a row of the `ptm` or the
+/// `pmem-sim` counter table (see [`crate::counters!`]), by name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Source {
+    Ptm(&'static str),
+    Mem(&'static str),
 }
 
+/// One total of the dump's counter block: its name in the dump, the live
+/// counter it is captured from, and how the analyzer re-derives it from
+/// the events alone.
+pub struct Total {
+    pub name: &'static str,
+    pub source: Source,
+    pub derive: fn(&TraceTotals) -> u64,
+}
+
+/// The counter block, in serialization order: the subset of the live
+/// counters that the trace can independently re-derive. Capture
+/// ([`ExpectedTotals::from_counters`]), the dump layout and
+/// [`crate::analyze::crosscheck`] all walk this one table. Appending a
+/// row changes the block size, so it needs a new [`BINARY_MAGIC`].
+pub const TOTALS: [Total; 20] = {
+    use Source::{Mem, Ptm};
+    macro_rules! same_name {
+        ($layer:ident $name:ident) => {
+            Total {
+                name: stringify!($name),
+                source: $layer(stringify!($name)),
+                derive: |t| t.$name,
+            }
+        };
+    }
+    macro_rules! by_cause {
+        ($name:ident, $get:ident($cause:expr)) => {
+            Total {
+                name: stringify!($name),
+                source: Ptm(stringify!($name)),
+                derive: |t| t.$get($cause),
+            }
+        };
+    }
+    [
+        same_name!(Ptm commits),
+        same_name!(Ptm aborts),
+        by_cause!(aborts_read_locked, cause(AbortCause::ReadLocked)),
+        by_cause!(aborts_read_version, cause(AbortCause::ReadVersion)),
+        by_cause!(aborts_acquire, cause(AbortCause::Acquire)),
+        by_cause!(aborts_validation, cause(AbortCause::Validation)),
+        same_name!(Ptm htm_commits),
+        same_name!(Ptm htm_logged_commits),
+        same_name!(Ptm htm_aborts),
+        by_cause!(htm_capacity_aborts, htm_cause(HtmAbortCause::Capacity)),
+        by_cause!(htm_conflict_aborts, htm_cause(HtmAbortCause::Conflict)),
+        by_cause!(htm_explicit_aborts, htm_cause(HtmAbortCause::Explicit)),
+        same_name!(Ptm htm_fallbacks),
+        same_name!(Mem clwbs),
+        same_name!(Mem clwb_writebacks),
+        same_name!(Mem clwb_batches),
+        same_name!(Mem sfences),
+        same_name!(Mem fence_wait_ns),
+        same_name!(Mem wpq_stall_ns),
+        // Each group-commit fence join elides exactly one `sfence`.
+        Total {
+            name: "fence_joins",
+            source: Ptm("sfences_elided"),
+            derive: |t| t.fence_joins,
+        },
+    ]
+};
+
+/// Counter totals captured at export time: one value per [`TOTALS`] row.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExpectedTotals([u64; TOTALS.len()]);
+
 impl ExpectedTotals {
-    /// `(name, value)` pairs in serialization order.
-    pub fn fields(&self) -> [(&'static str, u64); 20] {
-        [
-            ("commits", self.commits),
-            ("aborts", self.aborts),
-            ("aborts_read_locked", self.aborts_read_locked),
-            ("aborts_read_version", self.aborts_read_version),
-            ("aborts_acquire", self.aborts_acquire),
-            ("aborts_validation", self.aborts_validation),
-            ("htm_commits", self.htm_commits),
-            ("htm_logged_commits", self.htm_logged_commits),
-            ("htm_aborts", self.htm_aborts),
-            ("htm_capacity_aborts", self.htm_capacity_aborts),
-            ("htm_conflict_aborts", self.htm_conflict_aborts),
-            ("htm_explicit_aborts", self.htm_explicit_aborts),
-            ("htm_fallbacks", self.htm_fallbacks),
-            ("clwbs", self.clwbs),
-            ("clwb_writebacks", self.clwb_writebacks),
-            ("clwb_batches", self.clwb_batches),
-            ("sfences", self.sfences),
-            ("fence_wait_ns", self.fence_wait_ns),
-            ("wpq_stall_ns", self.wpq_stall_ns),
-            ("fence_joins", self.fence_joins),
-        ]
+    /// Capture the totals from a run's two counter tables (the
+    /// `fields()` of its `PtmStatsSnapshot` and `StatsSnapshot`).
+    ///
+    /// Panics if a [`TOTALS`] row names a counter its table does not
+    /// declare — a renamed counter, caught by the bench crate's tests.
+    pub fn from_counters(ptm: &[Field], mem: &[Field]) -> ExpectedTotals {
+        ExpectedTotals(TOTALS.each_ref().map(|row| {
+            let (fields, counter) = match row.source {
+                Source::Ptm(counter) => (ptm, counter),
+                Source::Mem(counter) => (mem, counter),
+            };
+            let field = fields.iter().find(|f| f.name == counter);
+            field
+                .unwrap_or_else(|| panic!("dump total `{}`: no counter `{counter}`", row.name))
+                .value
+        }))
     }
 
-    fn from_values(v: &[u64]) -> ExpectedTotals {
-        ExpectedTotals {
-            commits: v[0],
-            aborts: v[1],
-            aborts_read_locked: v[2],
-            aborts_read_version: v[3],
-            aborts_acquire: v[4],
-            aborts_validation: v[5],
-            htm_commits: v[6],
-            htm_logged_commits: v[7],
-            htm_aborts: v[8],
-            htm_capacity_aborts: v[9],
-            htm_conflict_aborts: v[10],
-            htm_explicit_aborts: v[11],
-            htm_fallbacks: v[12],
-            clwbs: v[13],
-            clwb_writebacks: v[14],
-            clwb_batches: v[15],
-            sfences: v[16],
-            fence_wait_ns: v[17],
-            wpq_stall_ns: v[18],
-            fence_joins: v[19],
+    /// `(name, value)` pairs in serialization order.
+    pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        TOTALS.iter().zip(self.0).map(|(row, v)| (row.name, v))
+    }
+
+    /// All-zero totals except the named ones.
+    #[cfg(test)]
+    pub(crate) fn with(named: &[(&str, u64)]) -> ExpectedTotals {
+        let mut t = ExpectedTotals::default();
+        for &(name, v) in named {
+            let i = TOTALS.iter().position(|row| row.name == name);
+            t.0[i.expect("a TOTALS name")] = v;
         }
+        t
     }
 }
 
@@ -163,9 +195,8 @@ pub fn write_binary(threads: &[ThreadTrace], expected: &ExpectedTotals) -> Vec<u
     let events: usize = threads.iter().map(|t| t.events.len()).sum();
     let mut out = Vec::with_capacity(32 + 16 * 16 + events * 25 + threads.len() * 20);
     out.extend_from_slice(BINARY_MAGIC);
-    let fields = expected.fields();
-    put_u32(&mut out, fields.len() as u32);
-    for (_, v) in fields {
+    put_u32(&mut out, TOTALS.len() as u32);
+    for v in expected.0 {
         put_u64(&mut out, v);
     }
     put_u32(&mut out, threads.len() as u32);
@@ -183,11 +214,6 @@ pub fn write_binary(threads: &[ThreadTrace], expected: &ExpectedTotals) -> Vec<u
     out
 }
 
-/// Convenience: serialize everything a sink has collected.
-pub fn write_binary_from_sink(sink: &TraceSink, expected: &ExpectedTotals) -> Vec<u8> {
-    write_binary(&sink.threads(), expected)
-}
-
 /// Parse a binary dump, validating structure, magic and event codes.
 pub fn read_binary(buf: &[u8]) -> Result<TraceDump, String> {
     let mut r = Reader { buf, pos: 0 };
@@ -196,14 +222,13 @@ pub fn read_binary(buf: &[u8]) -> Result<TraceDump, String> {
         return Err(format!("bad magic {magic:?} (expected {BINARY_MAGIC:?})"));
     }
     let n_counters = r.u32()? as usize;
-    if n_counters != 20 {
+    let mut expected = ExpectedTotals::default();
+    if n_counters != expected.0.len() {
         return Err(format!("unsupported counter-block size {n_counters}"));
     }
-    let mut vals = Vec::with_capacity(n_counters);
-    for _ in 0..n_counters {
-        vals.push(r.u64()?);
+    for v in &mut expected.0 {
+        *v = r.u64()?;
     }
-    let expected = ExpectedTotals::from_values(&vals);
     let n_threads = r.u32()? as usize;
     let mut threads = Vec::with_capacity(n_threads);
     for _ in 0..n_threads {
@@ -239,10 +264,10 @@ pub fn read_binary(buf: &[u8]) -> Result<TraceDump, String> {
     Ok(TraceDump { expected, threads })
 }
 
-/// Append a virtual-ns timestamp as fractional Chrome microseconds
-/// (ns-exact: 3 decimal places).
-fn push_us(out: &mut String, ns: u64) {
-    out.push_str(&format!("{}.{:03}", ns / 1000, ns % 1000));
+/// A virtual-ns timestamp as fractional Chrome microseconds (ns-exact:
+/// 3 decimal places).
+fn micros(w: &mut Writer, ns: u64) {
+    w.raw(format_args!("{}.{:03}", ns / 1000, ns % 1000));
 }
 
 /// Render per-thread traces as Chrome trace-event JSON.
@@ -256,39 +281,38 @@ fn push_us(out: &mut String, ns: u64) {
 pub fn chrome_trace_json(threads: &[ThreadTrace]) -> String {
     let mut threads: Vec<&ThreadTrace> = threads.iter().collect();
     threads.sort_by_key(|t| t.tid);
-    let dropped_total: u64 = threads.iter().map(|t| t.dropped).sum();
-    let mut out = String::with_capacity(threads.iter().map(|t| t.events.len()).sum::<usize>() * 96);
-    out.push_str("{\"displayTimeUnit\":\"ns\",\"otherData\":{\"dropped_events\":");
-    out.push_str(&dropped_total.to_string());
-    out.push_str(",\"dropped_by_thread\":{");
-    for (i, t) in threads.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{}", t.tid, t.dropped));
-    }
-    out.push_str("}},\"traceEvents\":[");
-    let mut first = true;
+    let events: usize = threads.iter().map(|t| t.events.len()).sum();
+    let mut w = Writer::with_capacity(events * 96);
+    w.begin_object();
+    w.key("displayTimeUnit").str("ns");
+    w.key("otherData").begin_object();
+    w.key("dropped_events")
+        .u64(threads.iter().map(|t| t.dropped).sum());
+    w.key("dropped_by_thread").begin_object();
     for t in &threads {
-        if !first {
-            out.push(',');
-        }
-        first = false;
+        w.key(&t.tid.to_string()).u64(t.dropped);
+    }
+    w.end_object().end_object();
+    w.key("traceEvents").begin_array();
+    for t in &threads {
+        let tid = u64::from(t.tid);
         let name = if t.tid == crate::RECOVERY_TID {
             "recovery".to_string()
         } else {
             format!("vthread {}", t.tid)
         };
-        out.push_str(&format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\
-             \"args\":{{\"name\":\"{name}\",\"dropped_events\":{}}}}}",
-            t.tid, t.dropped
-        ));
+        w.begin_object();
+        w.key("name").str("thread_name");
+        w.key("ph").str("M");
+        w.key("pid").u64(0);
+        w.key("tid").u64(tid);
+        w.key("args").begin_object();
+        w.key("name").str(&name);
+        w.key("dropped_events").u64(t.dropped);
+        w.end_object().end_object();
         for ev in &t.events {
-            out.push(',');
-            out.push_str("{\"name\":\"");
-            out.push_str(ev.kind.label());
-            out.push_str("\",\"ph\":\"");
+            w.begin_object();
+            w.key("name").str(ev.kind.label());
             let durationful = matches!(
                 ev.kind,
                 EventKind::Sfence
@@ -298,58 +322,23 @@ pub fn chrome_trace_json(threads: &[ThreadTrace]) -> String {
                     | EventKind::QueueWait
             );
             if durationful {
-                out.push_str("X\",\"dur\":");
-                push_us(&mut out, ev.a);
+                w.key("ph").str("X");
+                micros(w.key("dur"), ev.a);
             } else {
-                out.push_str("i\",\"s\":\"t\"");
+                w.key("ph").str("i");
+                w.key("s").str("t");
             }
-            out.push_str(",\"ts\":");
-            push_us(&mut out, ev.ts);
-            out.push_str(&format!(",\"pid\":0,\"tid\":{}", t.tid));
-            out.push_str(&format!(",\"args\":{{\"a\":{},\"b\":{}}}}}", ev.a, ev.b));
+            micros(w.key("ts"), ev.ts);
+            w.key("pid").u64(0);
+            w.key("tid").u64(tid);
+            w.key("args").begin_object();
+            w.key("a").u64(ev.a);
+            w.key("b").u64(ev.b);
+            w.end_object().end_object();
         }
     }
-    out.push_str("]}");
-    out
-}
-
-/// Structural JSON validation without a parser: non-empty object with
-/// balanced braces/brackets outside string literals and correctly
-/// terminated strings/escapes. Used by `trace_analyze`'s CI smoke to
-/// reject malformed exports.
-pub fn validate_json_structure(s: &str) -> Result<(), String> {
-    let t = s.trim();
-    if !t.starts_with('{') || !t.ends_with('}') {
-        return Err("not a JSON object".into());
-    }
-    let mut depth = 0i64;
-    let mut in_str = false;
-    let mut escape = false;
-    for c in t.chars() {
-        if escape {
-            escape = false;
-            continue;
-        }
-        match c {
-            '\\' if in_str => escape = true,
-            '"' => in_str = !in_str,
-            '{' | '[' if !in_str => depth += 1,
-            '}' | ']' if !in_str => {
-                depth -= 1;
-                if depth < 0 {
-                    return Err("unbalanced close delimiter".into());
-                }
-            }
-            _ => {}
-        }
-    }
-    if in_str {
-        return Err("unterminated string".into());
-    }
-    if depth != 0 {
-        return Err(format!("unbalanced delimiters (depth {depth})"));
-    }
-    Ok(())
+    w.end_array().end_object();
+    w.finish()
 }
 
 #[cfg(test)]
@@ -384,15 +373,14 @@ mod tests {
     #[test]
     fn binary_roundtrips_exactly() {
         let threads = sample_threads();
-        let expected = ExpectedTotals {
-            commits: 1,
-            aborts: 1,
-            clwbs: 1,
-            sfences: 1,
-            fence_wait_ns: 50,
-            wpq_stall_ns: 40,
-            ..ExpectedTotals::default()
-        };
+        let expected = ExpectedTotals::with(&[
+            ("commits", 1),
+            ("aborts", 1),
+            ("clwbs", 1),
+            ("sfences", 1),
+            ("fence_wait_ns", 50),
+            ("wpq_stall_ns", 40),
+        ]);
         let bytes = write_binary(&threads, &expected);
         let dump = read_binary(&bytes).expect("roundtrip");
         assert_eq!(dump.expected, expected);
@@ -432,7 +420,7 @@ mod tests {
     fn chrome_json_is_structurally_valid_and_loss_accounted() {
         let threads = sample_threads();
         let j = chrome_trace_json(&threads);
-        validate_json_structure(&j).expect("well-formed");
+        crate::json::check_structure(&j).expect("well-formed");
         assert!(j.contains("\"traceEvents\""));
         assert!(j.contains("\"dropped_events\":1"));
         assert!(j.contains("\"dropped_by_thread\":{\"0\":0,\"1\":1}"));
@@ -442,15 +430,5 @@ mod tests {
         assert!(j.contains("\"name\":\"clwb\",\"ph\":\"i\",\"s\":\"t\""));
         // ns-exact fractional microseconds.
         assert!(j.contains("\"ts\":0.100"));
-    }
-
-    #[test]
-    fn json_validator_rejects_malformed() {
-        assert!(validate_json_structure("{\"a\":1}").is_ok());
-        assert!(validate_json_structure("").is_err());
-        assert!(validate_json_structure("[1,2]").is_err());
-        assert!(validate_json_structure("{\"a\":[1,2}").is_err());
-        assert!(validate_json_structure("{\"a\":\"unterminated}").is_err());
-        assert!(validate_json_structure("{}}").is_err());
     }
 }

@@ -29,9 +29,14 @@
 //!
 //! The crate is dependency-free; `pmem-sim` and `ptm` embed it behind a
 //! one-relaxed-load-when-off gate (same idiom as `pmem_sim::inject`).
+//! Being the one crate every layer already depends on, it also hosts the
+//! two things every layer's reporting shares: the declarative counter
+//! tables ([`counters!`]) and the JSON writer/reader ([`json`]).
 
 pub mod analyze;
+pub mod counters;
 pub mod export;
+pub mod json;
 
 use std::sync::{Arc, Mutex};
 

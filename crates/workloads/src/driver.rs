@@ -201,6 +201,11 @@ impl RunResult {
     pub fn commit_abort_ratio(&self) -> f64 {
         self.ptm.commit_abort_ratio()
     }
+
+    /// The counter totals a trace dump of this run embeds.
+    pub fn trace_totals(&self) -> trace::export::ExpectedTotals {
+        trace::export::ExpectedTotals::from_counters(&self.ptm.fields(), &self.mem.fields())
+    }
 }
 
 /// A benchmark application: sized at construction, populated once in

@@ -4,16 +4,17 @@
 # archive (results/BENCH_${BENCH_TAG}.json, one object per figure/table
 # point) and diffs it against the previous archive with bench_trend.
 #
-# The archive tag defaults to the current PR; override with e.g.
-# `BENCH_TAG=PR10 ./run_benches.sh`. Archiving is unconditional: every
+# The archive tag names the PR being archived and has no default (a
+# stale one silently overwrote an older archive): run as e.g.
+# `BENCH_TAG=PR13 ./run_benches.sh`. Archiving is unconditional: every
 # full run leaves a BENCH_<tag>.json for the trend guard to compare.
 #
 # Each binary runs once with --json (the structured superset of its CSV;
 # run any binary without flags for the human-readable CSV instead).
 set -u
-cd /root/repo
+: "${BENCH_TAG:?set BENCH_TAG to the archive tag, e.g. BENCH_TAG=PR13 $0}"
+cd "$(dirname "$0")"
 mkdir -p results
-BENCH_TAG="${BENCH_TAG:-PR10}"
 BINS="fig3 fig4 fig6 fig7 table1 table2 table3 fig8 algo_compare ablation_log_split ablation_flush_timing ablation_lite_budget ablation_orec ablation_htm ablation_window ablation_index ablation_write_combining ablation_trace_overhead ablation_obs_overhead ablation_htm_logged memstats latency shard_scaling recovery_bench"
 for bin in $BINS; do
   echo "=== $bin start $(date +%T) ==="

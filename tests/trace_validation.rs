@@ -5,37 +5,12 @@
 use optane_ptm::pmem_sim::{DurabilityDomain, MediaKind};
 use optane_ptm::ptm::Algo;
 use optane_ptm::trace::analyze::{crosscheck, TraceTotals};
-use optane_ptm::trace::export::{read_binary, write_binary, ExpectedTotals};
+use optane_ptm::trace::export::{read_binary, write_binary};
 use optane_ptm::trace::{EventKind, TraceSink};
 use optane_ptm::workloads::driver::{run_scenario, RunConfig, RunResult, Scenario};
 use optane_ptm::workloads::{IndexKind, Tatp, Tpcc, Vacation, VacationCfg};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-fn expected_of(r: &RunResult) -> ExpectedTotals {
-    ExpectedTotals {
-        commits: r.ptm.commits,
-        aborts: r.ptm.aborts,
-        aborts_read_locked: r.ptm.aborts_read_locked,
-        aborts_read_version: r.ptm.aborts_read_version,
-        aborts_acquire: r.ptm.aborts_acquire,
-        aborts_validation: r.ptm.aborts_validation,
-        htm_commits: r.ptm.htm_commits,
-        htm_logged_commits: r.ptm.htm_logged_commits,
-        htm_aborts: r.ptm.htm_aborts,
-        htm_capacity_aborts: r.ptm.htm_capacity_aborts,
-        htm_conflict_aborts: r.ptm.htm_conflict_aborts,
-        htm_explicit_aborts: r.ptm.htm_explicit_aborts,
-        htm_fallbacks: r.ptm.htm_fallbacks,
-        clwbs: r.mem.clwbs,
-        clwb_writebacks: r.mem.clwb_writebacks,
-        clwb_batches: r.mem.clwb_batches,
-        sfences: r.mem.sfences,
-        fence_wait_ns: r.mem.fence_wait_ns,
-        wpq_stall_ns: r.mem.wpq_stall_ns,
-        fence_joins: r.ptm.sfences_elided,
-    }
-}
 
 fn traced_run(
     which: u8,
@@ -68,8 +43,8 @@ fn identical_single_thread_runs_dump_identical_bytes() {
     // same embedded counter totals.
     let (s1, r1) = traced_run(1, 1, 120, Algo::RedoLazy, DurabilityDomain::Adr);
     let (s2, r2) = traced_run(1, 1, 120, Algo::RedoLazy, DurabilityDomain::Adr);
-    let d1 = write_binary(&s1.threads(), &expected_of(&r1));
-    let d2 = write_binary(&s2.threads(), &expected_of(&r2));
+    let d1 = write_binary(&s1.threads(), &r1.trace_totals());
+    let d2 = write_binary(&s2.threads(), &r2.trace_totals());
     assert!(!d1.is_empty());
     assert_eq!(
         d1, d2,
@@ -77,7 +52,7 @@ fn identical_single_thread_runs_dump_identical_bytes() {
     );
     // And the dump round-trips through the reader.
     let dump = read_binary(&d1).unwrap();
-    assert_eq!(dump.expected, expected_of(&r1));
+    assert_eq!(dump.expected, r1.trace_totals());
     assert_eq!(dump.threads.len(), 1);
 }
 
@@ -163,7 +138,7 @@ proptest! {
         let (sink, r) = traced_run(which, threads, ops, algo, domain);
         prop_assert_eq!(sink.dropped_events(), 0, "ring sized for test scale");
         let derived = TraceTotals::from_events(&sink.merged());
-        let diverged = crosscheck(&derived, &expected_of(&r));
+        let diverged = crosscheck(&derived, &r.trace_totals());
         prop_assert!(
             diverged.is_empty(),
             "trace must re-derive the counters exactly: {:?}",
