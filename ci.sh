@@ -68,6 +68,35 @@ echo "=== write-combining smoke + flush-elision guard ==="
 # the redo ADR workload (i.e. the planner stopped deduplicating).
 cargo run -q --release -p bench --bin ablation_write_combining -- --quick > /dev/null
 
+echo "=== crash toolkit seam check ==="
+# One enumerated driver and one restart sequence: a `_sharded` function
+# in the crash harness means the second driver grew back, and a second
+# `Machine::reboot` in non-test ptm code (everything above a file's
+# first `#[cfg(test)]`; engine_tests.rs is all test) means someone
+# hand-rolled reboot -> recover -> attach beside `ptm::db::restart`.
+if grep -nE 'fn [a-z_]*_sharded' crates/ptm/src/crash_harness.rs; then
+  echo "ERROR: a second (sharded) crash-sweep driver in crash_harness.rs (see above)" >&2
+  exit 1
+fi
+REBOOTS=$(for f in crates/ptm/src/*.rs crates/ptm/src/algo/*.rs; do
+  [ "$f" = crates/ptm/src/engine_tests.rs ] && continue
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /Machine::reboot\(/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ "$(printf '%s' "$REBOOTS" | grep -c .)" -ne 1 ]; then
+  echo "ERROR: expected exactly one Machine::reboot call in non-test crates/ptm/src, found:" >&2
+  echo "$REBOOTS" >&2
+  exit 1
+fi
+
+echo "=== golden crash sweeps ==="
+# The three sweeps smoke-run below (CSV and --json) and nine replays at
+# 1 and 4 recovery workers, byte for byte against
+# crates/bench/tests/golden/crash_sites_* — site counts, violation
+# counts and recovered-state digests. By name and before the smoke
+# steps, so a lost or renumbered crash site is reported as such.
+# --release: the test is ignored in a debug build (minutes there).
+cargo test -q --release -p bench --test golden_crash_sites
+
 echo "=== crash_sites smoke sweep (4 algorithms x 4 domains) ==="
 # Bounded deterministic crash-site sweep: every {algo x domain x policy}
 # case — all four registered algorithms, including cow shadow and the

@@ -6,18 +6,11 @@
 //! (default 40). For *exhaustive* (rather than sampled) crash coverage
 //! of a deterministic workload, see the `crash_sites` binary.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::time::Duration;
 
-use palloc::{layout, PHeap};
-use pmem_sim::{AdversaryPolicy, DurabilityDomain, Machine, MachineConfig, PAddr};
-use ptm::{recover, Algo, Ptm, PtmConfig, TxThread};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-const ACCOUNTS: u64 = 48;
-const INITIAL: u64 = 1_000;
-const THREADS: usize = 3;
+use pmem_sim::{AdversaryPolicy, DurabilityDomain};
+use ptm::crash_round::{frozen_bank_round, FROZEN_ACCOUNTS, FROZEN_INITIAL};
+use ptm::{Algo, PtmConfig};
 
 fn main() {
     let rounds: u64 = std::env::args()
@@ -38,13 +31,20 @@ fn main() {
             (Algo::RedoLazy, DurabilityDomain::Eadr),
             (Algo::RedoLazy, DurabilityDomain::PdramLite),
         ] {
-            let (total, redo, undo) = run_round(algo, domain, policy, round);
-            total_redo += redo;
-            total_undo += undo;
-            if total != ACCOUNTS * INITIAL {
+            let cfg = PtmConfig {
+                algo,
+                ..PtmConfig::default()
+            };
+            // Vary the freeze point with the round as well as the host.
+            let run_for = Duration::from_millis(8 + round % 13);
+            let r = frozen_bank_round(cfg, domain, policy, round, run_for);
+            total_redo += r.recovery.redo_replayed as u64;
+            total_undo += r.recovery.undo_rolled_back as u64;
+            if r.total != FROZEN_ACCOUNTS * FROZEN_INITIAL {
                 eprintln!(
-                    "FAIL round {round} {algo:?}/{domain:?}/{policy}: total {total} != {}",
-                    ACCOUNTS * INITIAL
+                    "FAIL round {round} {algo:?}/{domain:?}/{policy}: total {} != {}",
+                    r.total,
+                    FROZEN_ACCOUNTS * FROZEN_INITIAL
                 );
                 failures += 1;
             }
@@ -60,89 +60,4 @@ fn main() {
     }
     println!("crash_fuzz: {rounds} rounds, {failures} failures, {total_redo} redo replays, {total_undo} undo rollbacks");
     std::process::exit(if failures > 0 { 1 } else { 0 });
-}
-
-fn run_round(
-    algo: Algo,
-    domain: DurabilityDomain,
-    policy: AdversaryPolicy,
-    seed: u64,
-) -> (u64, u64, u64) {
-    let machine = Machine::new(MachineConfig {
-        domain,
-        track_persistence: true,
-        ..MachineConfig::default()
-    });
-    let heap = PHeap::format(&machine, "bank", 1 << 15, 4);
-    let ptm = Ptm::new(PtmConfig {
-        algo,
-        ..PtmConfig::default()
-    });
-    machine.begin_run(1, u64::MAX);
-    let table = {
-        let mut th = TxThread::new(ptm.clone(), heap.clone(), machine.session(0));
-        let h = Arc::clone(&heap);
-        let table = h.alloc(th.session_mut(), ACCOUNTS as usize);
-        th.run(|tx| {
-            for i in 0..ACCOUNTS {
-                tx.write_at(table, i, INITIAL)?;
-            }
-            Ok(())
-        });
-        heap.set_root(th.session_mut(), 0, table);
-        table
-    };
-    let stop = Arc::new(AtomicBool::new(false));
-    machine.begin_run(THREADS, u64::MAX);
-    let image = std::thread::scope(|scope| {
-        for tid in 0..THREADS {
-            let machine = Arc::clone(&machine);
-            let ptm = Arc::clone(&ptm);
-            let heap = Arc::clone(&heap);
-            let stop = Arc::clone(&stop);
-            scope.spawn(move || {
-                let mut th = TxThread::new(ptm, heap, machine.session(tid));
-                let mut rng = SmallRng::seed_from_u64(seed ^ (tid as u64) << 32);
-                while !stop.load(Ordering::Relaxed) {
-                    let from = rng.gen_range(0..ACCOUNTS);
-                    let to = rng.gen_range(0..ACCOUNTS);
-                    let amt = rng.gen_range(1..60);
-                    th.run(|tx| {
-                        let f = tx.read_at(table, from)?;
-                        let t = tx.read_at(table, to)?;
-                        if from != to && f >= amt {
-                            tx.write_at(table, from, f - amt)?;
-                            tx.write_at(table, to, t + amt)?;
-                        }
-                        Ok(())
-                    });
-                }
-            });
-        }
-        std::thread::sleep(std::time::Duration::from_millis(8 + (seed % 13)));
-        machine.freeze();
-        let image = machine.crash_with(seed.wrapping_mul(0x9E37_79B9), policy);
-        stop.store(true, Ordering::Relaxed);
-        machine.thaw();
-        image
-    });
-    let machine2 = Machine::reboot(
-        &image,
-        MachineConfig {
-            domain,
-            track_persistence: true,
-            ..MachineConfig::default()
-        },
-    );
-    let report = recover(&machine2);
-    let pool = machine2.pool(heap.pool().id());
-    let table2 = PAddr(pool.raw_load(layout::OFF_ROOTS));
-    let total = (0..ACCOUNTS)
-        .map(|i| pool.raw_load(table2.word() + i))
-        .sum();
-    (
-        total,
-        report.redo_replayed as u64,
-        report.undo_rolled_back as u64,
-    )
 }

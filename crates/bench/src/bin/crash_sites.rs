@@ -30,7 +30,7 @@
 //! * `--json` — one JSON object per case (JSON Lines) instead of CSV;
 //! * `--skip-undo-rollback`, `--skip-redo-replay` — deliberately break
 //!   recovery to demonstrate the sweep catches it (must exit nonzero);
-//! * replay mode: `--site N --algo redo|undo --domain
+//! * replay mode: `--site N --algo redo|undo|cow|htm --domain
 //!   adr|eadr|pdram|pdram-lite --policy per-word|all-old|all-new|per-line|biased:P`
 //!   re-runs one exact crash from a `CRASH-REPRO` line.
 //!
@@ -39,9 +39,8 @@
 
 use pmem_sim::AdversaryPolicy;
 use ptm::crash_harness::{
-    count_sites, count_sites_sharded, default_cases, run_site, run_site_sharded, sweep_case,
-    sweep_case_sharded, BankTransfers, CrashWorkload, GroupWindowBank, ShardedTransfers, SweepCase,
-    SweepOptions,
+    count_sites, default_cases, run_site, shard_seed, sweep_case, BankTransfers, CrashWorkload,
+    GroupWindowBank, ShardedTransfers, SweepCase, SweepOptions,
 };
 use ptm::{Algo, RecoverOptions};
 use trace::json::Writer;
@@ -54,22 +53,19 @@ struct Opts {
     workload: String,
     shards: u64,
     recover: RecoverOptions,
-    /// Replay mode: (site, algo, domain, policy).
-    replay: Option<SweepCase>,
-    replay_site: Option<u64>,
+    /// Replay mode: the case (algo, domain, policy, seed) and the site.
+    replay: Option<(SweepCase, u64)>,
 }
 
-/// Shard `i`'s sweep seed: the same golden-ratio derivation the sharded
-/// engine uses, anchored so shard 0 keeps the base seed.
-fn shard_seed(seed: u64, shard: u64) -> u64 {
-    seed ^ 0x9E3779B97F4A7C15u64.wrapping_mul(shard)
-}
-
-fn make_workload(name: &str) -> Box<dyn CrashWorkload> {
+fn make_workload(name: &str, shards: usize) -> Box<dyn CrashWorkload> {
     match name {
         "bank" => Box::new(BankTransfers::default()),
         "group" => Box::new(GroupWindowBank::default()),
-        other => panic!("unknown workload `{other}` (known: bank group)"),
+        "transfer" => Box::new(ShardedTransfers {
+            shards,
+            ..Default::default()
+        }),
+        other => panic!("unknown workload `{other}` (known: bank group transfer)"),
     }
 }
 
@@ -83,9 +79,8 @@ fn parse_opts() -> Opts {
         shards: 1,
         recover: RecoverOptions::default(),
         replay: None,
-        replay_site: None,
     };
-    let (mut algo, mut domain, mut policy) = (None, None, None);
+    let (mut site, mut algo, mut domain, mut policy) = (None, None, None, None);
     let mut args = std::env::args().skip(1);
     let next = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
         args.next()
@@ -113,9 +108,7 @@ fn parse_opts() -> Opts {
             }
             "--skip-undo-rollback" => opts.recover.skip_undo_rollback = true,
             "--skip-redo-replay" => opts.recover.skip_redo_replay = true,
-            "--site" => {
-                opts.replay_site = Some(next(&mut args, "--site").parse().expect("bad site"))
-            }
+            "--site" => site = Some(next(&mut args, "--site").parse().expect("bad site")),
             "--algo" => {
                 let v = next(&mut args, "--algo");
                 algo = Some(v.parse().unwrap_or_else(|e| panic!("{e}")));
@@ -137,13 +130,14 @@ fn parse_opts() -> Opts {
             ),
         }
     }
-    if opts.replay_site.is_some() {
-        opts.replay = Some(SweepCase {
+    if let Some(site) = site {
+        let case = SweepCase {
             algo: algo.expect("replay mode needs --algo"),
             domain: domain.expect("replay mode needs --domain"),
             policy: policy.expect("replay mode needs --policy"),
             seed: opts.seed,
-        });
+        };
+        opts.replay = Some((case, site));
     } else {
         assert!(
             algo.is_none() && domain.is_none() && policy.is_none(),
@@ -155,7 +149,8 @@ fn parse_opts() -> Opts {
 
 /// One sweep case as a JSON line. A violation's detail is free text from
 /// the workload's checker; the writer's escaping keeps it on the line.
-fn case_json(workload: &str, shard: u64, case: &SweepCase, r: &ptm::CaseResult) -> String {
+fn case_json(workload: &str, shard: u64, r: &ptm::CaseResult) -> String {
+    let case = &r.case;
     let mut w = Writer::new();
     w.begin_object();
     w.key("workload").str(workload);
@@ -179,15 +174,10 @@ fn case_json(workload: &str, shard: u64, case: &SweepCase, r: &ptm::CaseResult) 
 
 /// Print one sweep case (a JSON line or a CSV row) and its violations'
 /// reproducers; returns whether the case was violated.
-fn report_case(
-    opts: &Opts,
-    workload: &str,
-    shard: u64,
-    case: &SweepCase,
-    r: &ptm::CaseResult,
-) -> bool {
+fn report_case(opts: &Opts, workload: &str, shard: u64, r: &ptm::CaseResult) -> bool {
+    let case = &r.case;
     if opts.json {
-        println!("{}", case_json(workload, shard, case, r));
+        println!("{}", case_json(workload, shard, r));
     } else {
         println!(
             "{workload},{shard},{},{},{},{},{},{},{}",
@@ -206,22 +196,17 @@ fn report_case(
     !r.violations.is_empty()
 }
 
-/// The cross-shard 2PC sweep: one sharded engine, one global site
-/// numbering over all shard machines, `sweep_case_sharded` invariants
-/// (all-or-nothing transfers, idempotent resolution, worker-count
-/// independent digests).
-fn run_transfer_sweep(opts: &Opts) {
-    let workload = ShardedTransfers {
-        shards: opts.shards as usize,
-        ..ShardedTransfers::default()
-    };
+fn main() {
+    let opts = parse_opts();
+    let workload = make_workload(&opts.workload, opts.shards as usize);
 
-    if let (Some(case), Some(site)) = (opts.replay, opts.replay_site) {
-        let total = count_sites_sharded(&workload, &case);
-        let r = run_site_sharded(&workload, &case, site, opts.recover);
+    if let Some((case, site)) = opts.replay {
+        let total = count_sites(workload.as_ref(), &case);
+        let r = run_site(workload.as_ref(), &case, site, opts.recover);
         println!(
-            "replay workload=transfer shards={} site={}/{} algo={} domain={} policy={} seed={} workers={}",
-            workload.shards,
+            "replay workload={} shards={} site={}/{} algo={} domain={} policy={} seed={} workers={}",
+            workload.name(),
+            workload.machines(),
             site,
             total,
             case.algo.name(),
@@ -244,73 +229,6 @@ fn run_transfer_sweep(opts: &Opts) {
             r.recovery.prepared_skipped,
             r.recovery.indoubt_resolved_commit,
             r.recovery.indoubt_resolved_abort,
-        );
-        println!("state digest: {:#018x}", r.state_digest);
-        if r.violations.is_empty() {
-            println!("invariants: OK");
-        } else {
-            for v in &r.violations {
-                eprintln!("VIOLATION: {v}");
-            }
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let sweep_opts = SweepOptions {
-        max_sites_per_case: if opts.quick { Some(12) } else { opts.max_sites },
-        recover: opts.recover,
-    };
-    if !opts.json {
-        println!("workload,shard,algo,domain,policy,seed,total_sites,sites_run,violations");
-    }
-    let mut dirty = false;
-    // The 2PC window is a software-path construct; the sweep grid runs
-    // the three software logging policies over every domain and
-    // adversary (HTM cross-shard commits always take the software path).
-    for case in default_cases(opts.seed)
-        .into_iter()
-        .filter(|c| c.algo != Algo::HtmLogged)
-    {
-        let r = sweep_case_sharded(&workload, &case, sweep_opts);
-        dirty |= report_case(opts, "transfer", workload.shards as u64, &case, &r);
-    }
-    if dirty {
-        std::process::exit(1);
-    }
-}
-
-fn main() {
-    let opts = parse_opts();
-    if opts.workload == "transfer" {
-        run_transfer_sweep(&opts);
-        return;
-    }
-    let workload = make_workload(&opts.workload);
-
-    if let (Some(case), Some(site)) = (opts.replay, opts.replay_site) {
-        let total = count_sites(workload.as_ref(), &case);
-        let r = run_site(workload.as_ref(), &case, site, opts.recover);
-        println!(
-            "replay workload={} site={}/{} algo={} domain={} policy={} seed={}",
-            workload.name(),
-            site,
-            total,
-            case.algo.name(),
-            case.domain.name(),
-            case.policy,
-            case.seed
-        );
-        match r.fired {
-            Some((at, kind)) => println!("crash fired at site {at} ({})", kind.label()),
-            None => println!("run completed; crashed at end-of-run"),
-        }
-        println!(
-            "recovery: logs={} redo_replayed={} undo_rolled_back={} torn={}",
-            r.recovery.logs_scanned,
-            r.recovery.redo_replayed,
-            r.recovery.undo_rolled_back,
-            r.recovery.torn_entries
         );
         if let Some(gc) = r.gc {
             println!(
@@ -337,11 +255,21 @@ fn main() {
     if !opts.json {
         println!("workload,shard,algo,domain,policy,seed,total_sites,sites_run,violations");
     }
+    // `transfer` sweeps its one engine once, labelled with the shard
+    // count; the others run `--shards` independent sweeps, each under
+    // its own derived seed (shard 0 keeps the base seed).
+    let one_engine = opts.workload == "transfer";
     let mut dirty = false;
-    for shard in 0..opts.shards {
-        for case in default_cases(shard_seed(opts.seed, shard)) {
+    for shard in 0..if one_engine { 1 } else { opts.shards } {
+        let label = if one_engine { opts.shards } else { shard };
+        // HTM cross-shard commits always take the software path, so the
+        // 2PC grid runs the three software logging policies only.
+        for case in default_cases(shard_seed(opts.seed, shard as usize))
+            .into_iter()
+            .filter(|c| !one_engine || c.algo != Algo::HtmLogged)
+        {
             let r = sweep_case(workload.as_ref(), &case, sweep_opts);
-            dirty |= report_case(&opts, workload.name(), shard, &case, &r);
+            dirty |= report_case(&opts, workload.name(), label, &r);
         }
     }
     if dirty {
@@ -378,7 +306,7 @@ mod tests {
                 detail: detail.into(),
             }],
         };
-        let line = case_json("bank", 0, &case, &r);
+        let line = case_json("bank", 0, &r);
         assert!(!line.contains('\n'), "{line:?}");
         trace::json::check_structure(&line).expect("well-formed line");
         assert_eq!(trace::json::str(&line, "detail").as_deref(), Some(detail));

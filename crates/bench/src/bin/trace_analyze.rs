@@ -203,8 +203,12 @@ fn print_text(a: &Analysis, heat: &[trace::analyze::OrecAborts], wpq: &WpqTimeli
         );
     } else if a.divergences.is_empty() {
         println!(
-            "OK: all 15 totals match exactly (commits={} aborts={} clwbs={} sfences={})",
-            a.derived.commits, a.derived.aborts, a.derived.clwbs, a.derived.sfences
+            "OK: all {} totals match exactly (commits={} aborts={} clwbs={} sfences={})",
+            trace::export::TOTALS.len(),
+            a.derived.commits,
+            a.derived.aborts,
+            a.derived.clwbs,
+            a.derived.sfences
         );
     } else {
         for d in &a.divergences {

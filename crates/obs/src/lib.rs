@@ -314,17 +314,6 @@ pub struct ThreadSeries {
     pub dropped: u64,
 }
 
-/// A restart-GC phase observation (untimed: recovery runs outside
-/// virtual time, so the wall-clock duration rides along instead).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GcNote {
-    /// Phase code: 0 = scan, 1 = mark, 2 = sweep.
-    pub phase: u64,
-    pub wall_ns: u64,
-    /// The shard that restarted (from the sampler's shard tag).
-    pub shard: u32,
-}
-
 /// Shared collector for sampled series, armed on a
 /// `pmem_sim::Machine` exactly like `trace::TraceSink`.
 ///
@@ -338,7 +327,6 @@ pub struct Sampler {
     capacity: usize,
     shard_tag: u32,
     threads: Mutex<Vec<ThreadSeries>>,
-    gc: Mutex<Vec<GcNote>>,
     dropped_total: AtomicU64,
 }
 
@@ -349,7 +337,6 @@ impl Sampler {
             capacity: capacity.max(1),
             shard_tag: 0,
             threads: Mutex::new(Vec::new()),
-            gc: Mutex::new(Vec::new()),
             dropped_total: AtomicU64::new(0),
         }
     }
@@ -403,23 +390,9 @@ impl Sampler {
         threads.sort_by_key(|t| t.tid);
     }
 
-    /// Record a restart-GC phase completion (no virtual timestamp).
-    pub fn note_gc_phase(&self, phase: u64, wall_ns: u64) {
-        self.gc.lock().unwrap().push(GcNote {
-            phase,
-            wall_ns,
-            shard: self.shard(),
-        });
-    }
-
     /// Submitted per-thread series, sorted by tid.
     pub fn threads(&self) -> Vec<ThreadSeries> {
         self.threads.lock().unwrap().clone()
-    }
-
-    /// GC phase observations in submission order.
-    pub fn gc_notes(&self) -> Vec<GcNote> {
-        self.gc.lock().unwrap().clone()
     }
 
     /// Total samples dropped across all submitted rings.
@@ -430,7 +403,6 @@ impl Sampler {
     /// Drop all submitted series (between setup and measured phases).
     pub fn clear(&self) {
         self.threads.lock().unwrap().clear();
-        self.gc.lock().unwrap().clear();
         self.dropped_total.store(0, Ordering::Relaxed);
     }
 }

@@ -1,42 +1,47 @@
 //! Deterministic crash-site enumeration harness.
 //!
 //! Random crash fuzzing (freeze at a wall-clock instant, crash with a
-//! random adversary seed) samples the crash space; this module
-//! *enumerates* it. Every persistence-relevant event of a workload run —
-//! timed store, `clwb`, `sfence`, cache eviction, WPQ acceptance,
-//! recovery persist — is a numbered **crash site** (see
+//! random adversary seed — [`crate::crash_round`]) samples the crash
+//! space; this module *enumerates* it. Every persistence-relevant event
+//! of a workload run — timed store, `clwb`, `sfence`, cache eviction, WPQ
+//! acceptance, recovery persist — is a numbered **crash site** (see
 //! [`pmem_sim::inject`]). The harness:
 //!
 //! 1. **dry-runs** the workload with a counting injector to learn the
 //!    total number of sites;
 //! 2. **sweeps** every site (or a strided subset above a configurable
-//!    bound): for each site it re-runs the workload on a fresh machine
-//!    with an injector armed to crash exactly there, reboots from the
-//!    captured image, runs [`crate::recover`] and the allocator's restart
-//!    GC, and checks invariants;
+//!    bound): for each site it re-runs the workload on fresh machines
+//!    with an injector armed to crash exactly there, restarts them from
+//!    the captured images through the production sequence
+//!    ([`crate::db::restart`] per machine, then in-doubt resolution), and
+//!    checks invariants;
 //! 3. on a violation prints a **minimal reproducer** — the site index,
 //!    algorithm, durability domain, adversary policy and seed — that
 //!    replays the exact same crash deterministically (single-threaded
 //!    workloads are fully determined by the case seed).
 //!
-//! The generic invariants (recovery idempotence, heap attach + GC
-//! consistency) live here; workload-specific ones (e.g. the bank's
-//! committed-prefix check) live in the [`CrashWorkload`] impl.
+//! There is one driver, written over a slice of machines: a workload
+//! spanning N machines (the shards of a [`ShardedEngine`]) has one
+//! injector armed on all of them, so one site index names an event on
+//! any machine; an ordinary workload is the length-1 case. The generic
+//! invariants live in [`run_site`]; workload-specific ones (e.g. the
+//! bank's committed-prefix check) in the [`CrashWorkload`] impl. Adding
+//! a workload is one `impl CrashWorkload` and nothing else.
 
 use std::sync::Arc;
 
 use palloc::{GcReport, PHeap};
 use pmem_sim::{
     catch_simulated_crash, silence_simulated_crash_panics, AdversaryPolicy, CrashImage,
-    CrashInjector, DurabilityDomain, Machine, MachineConfig, SiteKind,
+    CrashInjector, DurabilityDomain, Machine, MachineConfig, MachineSet, PAddr, SiteKind,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::{Algo, PtmConfig};
-use crate::db::ReopenReports;
+use crate::db::{machines_of, ReopenReports, Restarted};
 use crate::recovery::{recover_with_options, resolve_in_doubt, RecoverOptions, RecoveryReport};
-use crate::shard::{ShardedEngine, SHARD_HEAP_PREFIX};
+use crate::shard::{restart_all, shard_heap_name, ShardedEngine};
 use crate::twopc::CrossShardTx;
 use crate::txn::{Ptm, TxThread};
 
@@ -59,6 +64,15 @@ pub fn derive_crash_seed(seed: u64, site: u64) -> u64 {
     seed ^ site.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
+/// Shard (machine) `shard`'s seed derived from `seed` — the
+/// [`pmem_sim::MachineSet::crash_all`] golden-ratio derivation, anchored
+/// so shard 0 keeps `seed` itself: one machine is the length-1 case, and
+/// every machine's crash image stays an independent pure function of
+/// the case seed and site.
+pub fn shard_seed(seed: u64, shard: usize) -> u64 {
+    seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard as u64)
+}
+
 /// A workload the harness can sweep. Implementations must be
 /// **deterministic in the case seed** when run single-threaded: the
 /// dry-run and every armed run must produce the identical event
@@ -66,20 +80,32 @@ pub fn derive_crash_seed(seed: u64, site: u64) -> u64 {
 pub trait CrashWorkload {
     /// Display name (appears in reproducer lines).
     fn name(&self) -> &str;
-    /// Name of the pool holding the workload's persistent heap.
-    fn heap_pool(&self) -> &str;
-    /// Execute the full workload (format, populate, transact) on a fresh
-    /// machine. May unwind with a simulated crash at any site.
-    fn run(&self, machine: &Arc<Machine>, case: &SweepCase);
-    /// Check workload invariants on the recovered machine. Returns one
-    /// description per violation (empty = consistent).
-    fn check(
-        &self,
-        machine: &Arc<Machine>,
-        heap: &Arc<PHeap>,
-        gc: &GcReport,
-        case: &SweepCase,
-    ) -> Vec<String>;
+    /// How many machines one run spans. The harness builds that many
+    /// fresh machines and arms one injector on all of them, so a site
+    /// index names an event on whichever machine it happens on.
+    fn machines(&self) -> usize {
+        1
+    }
+    /// Name of the pool holding machine `machine`'s persistent heap.
+    fn heap_pool(&self, machine: usize) -> String;
+    /// Execute the full workload (format, populate, transact) on fresh
+    /// machines. May unwind with a simulated crash at any site.
+    fn run(&self, machines: &[Arc<Machine>], case: &SweepCase);
+    /// Split [`CrashWorkload::run`] for the harness: what `build` itself
+    /// does happens before the injector is armed and so stays outside
+    /// the numbered sites; the closure it returns is the armed rest. The
+    /// default arms everything.
+    fn build<'a>(
+        &'a self,
+        machines: &'a [Arc<Machine>],
+        case: &'a SweepCase,
+    ) -> Box<dyn FnOnce() + 'a> {
+        Box::new(move || self.run(machines, case))
+    }
+    /// Check workload invariants on the restarted machines (in machine
+    /// order). Returns one description per violation (empty =
+    /// consistent).
+    fn check(&self, restarted: &[Restarted], case: &SweepCase) -> Vec<String>;
 }
 
 /// One invariant violation found by the sweep.
@@ -135,10 +161,13 @@ pub struct SiteResult {
     /// Actual firing point, `None` when the run completed (the armed
     /// site was past the end; the harness then crashes at end-of-run).
     pub fired: Option<(u64, SiteKind)>,
+    /// Recovery and GC reports, merged over the machines; default /
+    /// `None` when a machine failed to restart.
     pub recovery: RecoveryReport,
     pub gc: Option<GcReport>,
-    /// FNV-1a digest over every pool's post-recovery contents; equal
-    /// digests ⇒ identical recovered states (replay determinism checks).
+    /// [`digest_pools`] of the restarted machines; equal digests ⇒
+    /// identical recovered states (replay determinism checks). 0 when a
+    /// machine failed to restart — there is no recovered state.
     pub state_digest: u64,
     pub violations: Vec<String>,
 }
@@ -175,137 +204,216 @@ impl SweepReport {
     }
 }
 
-/// Dry-run `workload` under `case`, counting every crash site without
-/// firing. Returns the total number of sites.
+/// Every word of every pool: machines in slice order, pools in id order.
+fn pool_words(machines: &[Arc<Machine>]) -> impl Iterator<Item = u64> + '_ {
+    machines.iter().flat_map(|m| m.pools()).flat_map(|pool| {
+        let words = pool.len_words() as u64;
+        (0..words).map(move |w| pool.raw_load(w))
+    })
+}
+
+/// The durable state of `machines`, word for word — what two recoveries
+/// of one image must agree on.
+pub(crate) fn snapshot_pools(machines: &[Arc<Machine>]) -> Vec<u64> {
+    pool_words(machines).collect()
+}
+
+/// FNV-1a fold of every pool word (a slice of one machine folds to that
+/// machine's digest: one machine is the length-1 case).
+pub fn digest_pools(machines: &[Arc<Machine>]) -> u64 {
+    pool_words(machines).fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Run `workload` on fresh machines with `injector` armed on every one
+/// of them (its build step first, unarmed). Returns the machines and
+/// whether the run completed rather than unwinding with a crash.
+fn armed_run(
+    workload: &dyn CrashWorkload,
+    case: &SweepCase,
+    injector: &Arc<CrashInjector>,
+) -> (Vec<Arc<Machine>>, bool) {
+    let cfg = MachineConfig::functional(case.domain);
+    let machines: Vec<_> = (0..workload.machines())
+        .map(|_| Machine::new(cfg.clone()))
+        .collect();
+    let run = workload.build(&machines, case);
+    for m in &machines {
+        m.arm_injector(Arc::clone(injector));
+    }
+    let completed = catch_simulated_crash(run).is_ok();
+    for m in &machines {
+        m.disarm_injector();
+    }
+    (machines, completed)
+}
+
+/// Dry-run `workload` under `case`, counting every crash site on every
+/// machine without firing. Returns the total number of sites.
 pub fn count_sites(workload: &dyn CrashWorkload, case: &SweepCase) -> u64 {
-    let machine = Machine::new(MachineConfig::functional(case.domain));
     let injector = CrashInjector::count_only();
-    machine.arm_injector(Arc::clone(&injector));
-    workload.run(&machine, case);
-    machine.disarm_injector();
+    armed_run(workload, case, &injector);
     injector.sites_counted()
 }
 
-fn snapshot_pools(machine: &Arc<Machine>) -> Vec<Vec<u64>> {
-    machine
-        .pools()
+/// A workload run cut short by a crash: one image per machine.
+pub struct CrashedRun {
+    pub images: Vec<CrashImage>,
+    /// Actual firing point, `None` when the run completed (the armed
+    /// site was at or past the end) and the crash hit at end-of-run.
+    pub fired: Option<(u64, SiteKind)>,
+}
+
+/// Run `workload` with a crash armed at `site` and image every machine:
+/// the firing machine synchronously at the site, the survivors — all of
+/// them when the run completes — under per-machine derived adversary
+/// seeds ([`shard_seed`]).
+pub fn crash_at_site(workload: &dyn CrashWorkload, case: &SweepCase, site: u64) -> CrashedRun {
+    silence_simulated_crash_panics();
+    let crash_seed = derive_crash_seed(case.seed, site);
+    let injector = CrashInjector::at_site(site, case.policy, crash_seed);
+    let (machines, completed) = armed_run(workload, case, &injector);
+    let outcome = (!completed).then(|| {
+        injector
+            .take_outcome()
+            .expect("simulated crash unwound without a captured image")
+    });
+    let fired = outcome.as_ref().map(|f| (f.site, f.kind));
+    // The fired image was captured on the machine whose heap pool it
+    // holds; a single machine needs no lookup (its heap may not exist
+    // yet when the workload formats it inside the armed run).
+    let mut at_site = outcome.map(|f| {
+        let hit = (0..machines.len())
+            .find(|&m| {
+                let heap = workload.heap_pool(m);
+                machines.len() == 1 || f.image.pools.iter().any(|p| p.name == heap)
+            })
+            .expect("fired crash image holds no machine's heap pool");
+        (hit, f.image)
+    });
+    let images = machines
         .iter()
-        .map(|p| (0..p.len_words() as u64).map(|w| p.raw_load(w)).collect())
-        .collect()
+        .enumerate()
+        .map(|(m, machine)| match at_site.take_if(|(hit, _)| *hit == m) {
+            Some((_, image)) => image,
+            None => machine.crash_with(shard_seed(crash_seed, m), case.policy),
+        })
+        .collect();
+    CrashedRun { images, fired }
 }
 
-fn digest_pools(machine: &Arc<Machine>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for pool in machine.pools() {
-        for w in 0..pool.len_words() as u64 {
-            h = (h ^ pool.raw_load(w)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// Run `workload` with a crash armed at `site`, reboot, recover with
-/// `opts`, and check every invariant. A `site` at or past the end of the
-/// run crashes at end-of-run instead (the run completes first).
+/// [`crash_at_site`], then restart every machine with `opts` and check
+/// every invariant:
+///
+/// * every machine **restarts** — an image whose heap pool is missing
+///   or fails to attach is a violation, not a panic;
+/// * recovery + in-doubt resolution are **idempotent** (a second pass
+///   finds no work, sees no prepared log, decides nothing and changes no
+///   durable word on any machine);
+/// * the restarted state is **worker-count independent** (the same
+///   images restarted at a different recovery worker count land on a
+///   bit-identical digest and, timing aside, identical reports);
+/// * every heap validates after its restart GC, and the workload's own
+///   invariants hold.
 pub fn run_site(
     workload: &dyn CrashWorkload,
     case: &SweepCase,
     site: u64,
     opts: RecoverOptions,
 ) -> SiteResult {
-    silence_simulated_crash_panics();
-    let machine = Machine::new(MachineConfig::functional(case.domain));
-    let crash_seed = derive_crash_seed(case.seed, site);
-    let injector = CrashInjector::at_site(site, case.policy, crash_seed);
-    machine.arm_injector(Arc::clone(&injector));
-    let completed = catch_simulated_crash(|| workload.run(&machine, case)).is_ok();
-    machine.disarm_injector();
-    let (image, fired) = if completed {
-        (machine.crash_with(crash_seed, case.policy), None)
-    } else {
-        let f = injector
-            .take_outcome()
-            .expect("simulated crash unwound without a captured image");
-        (f.image, Some((f.site, f.kind)))
+    let CrashedRun { images, fired } = crash_at_site(workload, case, site);
+    let cfg = MachineConfig::functional(case.domain);
+    let heap_pools: Vec<String> = (0..images.len()).map(|m| workload.heap_pool(m)).collect();
+    let restarted = match restart_all(&images, &heap_pools, &cfg, opts) {
+        Ok(restarted) => restarted,
+        Err(e) => {
+            return SiteResult {
+                fired,
+                recovery: RecoveryReport::default(),
+                gc: None,
+                state_digest: 0,
+                violations: vec![e],
+            }
+        }
     };
-    drop(machine);
-
-    let recovered = Machine::reboot(&image, MachineConfig::functional(case.domain));
-    let recovery = recover_with_options(&recovered, opts);
+    let machines = machines_of(&restarted);
     let mut violations = Vec::new();
 
-    // Generic invariant: recovery is idempotent — a second pass finds no
-    // work and leaves every durable word unchanged.
-    let before = snapshot_pools(&recovered);
-    let second = recover_with_options(&recovered, opts);
-    if second.redo_replayed + second.undo_rolled_back + second.htm_replayed != 0 {
-        violations.push(format!("second recovery pass still found work: {second:?}"));
-    }
-    if snapshot_pools(&recovered) != before {
-        violations.push("second recovery pass changed durable state".to_string());
-    }
-
-    // Generic invariant: recovery is worker-count independent — the same
-    // image recovered at a different worker count lands on a bit-
-    // identical durable state (replay-order independence; see the
-    // recovery module docs) and, timing aside, an identical report.
-    {
-        let alt_workers = if opts.workers <= 1 { 4 } else { 1 };
-        let alt = Machine::reboot(&image, MachineConfig::functional(case.domain));
-        let alt_recovery = recover_with_options(
-            &alt,
-            RecoverOptions {
-                workers: alt_workers,
-                ..opts
-            },
-        );
-        if digest_pools(&alt) != digest_pools(&recovered) {
-            violations.push(format!(
-                "recovery with {alt_workers} workers diverged from {} workers \
-                 (post-recovery digests differ)",
-                recovery.recovery_workers
-            ));
+    // Generic invariant: recovery + resolution are idempotent.
+    let before = snapshot_pools(&machines);
+    for machine in &machines {
+        let second = recover_with_options(machine, opts);
+        if second.redo_replayed + second.undo_rolled_back + second.htm_replayed != 0 {
+            violations.push(format!("second recovery pass still found work: {second:?}"));
         }
-        if alt_recovery.without_timing() != recovery.without_timing() {
+        if second.prepared_skipped != 0 {
             violations.push(format!(
-                "recovery report depends on worker count: \
-                 {} workers {recovery:?} vs {alt_workers} workers {alt_recovery:?}",
-                recovery.recovery_workers
+                "second recovery pass still sees {} prepared logs",
+                second.prepared_skipped
             ));
         }
     }
+    for r in resolve_in_doubt(&machines) {
+        if r.indoubt_resolved_commit + r.indoubt_resolved_abort != 0 {
+            violations.push(format!("second resolution pass still decided logs: {r:?}"));
+        }
+    }
+    if snapshot_pools(&machines) != before {
+        violations.push("second recovery+resolution pass changed durable state".to_string());
+    }
+    let state_digest = digest_pools(&machines);
 
-    // Generic invariant: the heap re-attaches, its GC report and header
-    // chain are consistent, and the workload's own invariants hold. The
-    // GC runs with the same worker count as log recovery, so parallel
-    // sweeps exercise the parallel scan/mark too.
-    let heap_pool = recovered
-        .pools()
-        .into_iter()
-        .find(|p| p.name() == workload.heap_pool());
-    let mut gc_report = None;
-    match heap_pool {
-        None => violations.push(format!(
-            "heap pool `{}` missing after reboot",
-            workload.heap_pool()
+    // Generic invariant: worker-count independence (replay-order
+    // independence; see the recovery module docs). The GC runs with the
+    // same worker count as log recovery, so parallel sweeps exercise the
+    // parallel scan/mark too.
+    let alt_opts = RecoverOptions {
+        workers: if opts.workers <= 1 { 4 } else { 1 },
+        ..opts
+    };
+    match restart_all(&images, &heap_pools, &cfg, alt_opts) {
+        Err(e) => violations.push(format!(
+            "restart with {} recovery workers failed: {e}",
+            alt_opts.workers
         )),
-        Some(pool) => match PHeap::attach_with(pool, opts.workers.max(1)) {
-            Err(e) => violations.push(format!("heap attach failed: {e}")),
-            Ok((heap, gc)) => {
-                if let Err(e) = heap.validate() {
-                    violations.push(format!("heap inconsistent after GC: {e}"));
-                }
-                violations.extend(workload.check(&recovered, &heap, &gc, case));
-                gc_report = Some(gc);
+        Ok(alt) => {
+            if digest_pools(&machines_of(&alt)) != state_digest {
+                violations.push(format!(
+                    "recovery with {} workers diverged from {} workers \
+                     (post-recovery digests differ)",
+                    alt_opts.workers,
+                    opts.workers.max(1)
+                ));
             }
-        },
+            for (m, (a, b)) in restarted.iter().zip(&alt).enumerate() {
+                let (a, b) = (&a.reports.recovery, &b.reports.recovery);
+                if a.without_timing() != b.without_timing() {
+                    violations.push(format!(
+                        "machine {m} recovery report depends on worker count: {a:?} vs {b:?}"
+                    ));
+                }
+            }
+        }
     }
 
+    // Per-machine heap health, then the workload's own invariants.
+    for (m, r) in restarted.iter().enumerate() {
+        if let Err(e) = r.heap.validate() {
+            violations.push(format!("machine {m}: heap inconsistent after GC: {e}"));
+        }
+    }
+    violations.extend(workload.check(&restarted, case));
+
+    let mut merged = ReopenReports::default();
+    for r in &restarted {
+        merged.merge(&r.reports);
+    }
     SiteResult {
         fired,
-        recovery,
-        gc: gc_report,
-        state_digest: digest_pools(&recovered),
+        recovery: merged.recovery,
+        gc: Some(merged.gc),
+        state_digest,
         violations,
     }
 }
@@ -383,15 +491,133 @@ pub fn default_cases(seed: u64) -> Vec<SweepCase> {
     cases
 }
 
+/// The bank model every workload below shares: a seeded sequence of
+/// `(from, to, amount)` transfers over `accounts` accounts that all
+/// start at `initial` (account numbers are local to the range; a
+/// workload that keeps several ranges adds the base itself).
+///
+/// The plan is a pure function of its seed and the transfers commit in
+/// order, each atomically, so the checker can enumerate every state a
+/// crash may legally leave behind: the accounts after exactly k
+/// committed transfers for some k — no mixtures, no partial transfers,
+/// which also implies the total balance is conserved.
+struct BankPlan {
+    accounts: u64,
+    initial: u64,
+    transfers: Vec<(u64, u64, u64)>,
+}
+
+impl BankPlan {
+    fn new(seed: u64, accounts: u64, initial: u64, transfers: usize) -> BankPlan {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let transfers = (0..transfers)
+            .map(|_| {
+                (
+                    rng.gen_range(0..accounts),
+                    rng.gen_range(0..accounts),
+                    rng.gen_range(1..initial / 2),
+                )
+            })
+            .collect();
+        BankPlan {
+            accounts,
+            initial,
+            transfers,
+        }
+    }
+
+    /// Account balances after k committed transfers, k = 0..=transfers.
+    fn prefix_states(&self) -> Vec<Vec<u64>> {
+        let mut state = vec![self.initial; self.accounts as usize];
+        let mut states = vec![state.clone()];
+        for &(from, to, amt) in &self.transfers {
+            let f = state[from as usize];
+            if from != to && f >= amt {
+                state[from as usize] -= amt;
+                state[to as usize] += amt;
+            }
+            states.push(state.clone());
+        }
+        states
+    }
+
+    /// `None` if `balances` is a committed prefix of the plan, else the
+    /// violation text.
+    fn prefix_violation(&self, balances: &[u64]) -> Option<String> {
+        if self.prefix_states().iter().any(|s| s == balances) {
+            return None;
+        }
+        let total: u64 = balances.iter().sum();
+        Some(format!(
+            "recovered table {balances:?} (sum {total}) matches no committed prefix \
+             (expected sum {})",
+            self.accounts * self.initial
+        ))
+    }
+}
+
+/// Restart-GC invariant of the bank workloads: once machine `m`'s root
+/// is durable its (committed) init transaction is recoverable, so
+/// exactly the table block is reachable; before that, nothing is.
+/// Everything else — the scratch blocks leaked on purpose — must have
+/// been reclaimed.
+fn live_blocks_violation(m: usize, r: &Restarted) -> Option<String> {
+    let expected_live = if r.heap.root_raw(0).is_null() { 0 } else { 1 };
+    let gc = &r.reports.gc;
+    (gc.live_blocks != expected_live).then(|| {
+        format!(
+            "machine {m}: GC kept {} live blocks, expected {expected_live} \
+             (leaked {} of {} scanned)",
+            gc.live_blocks, gc.leaked_blocks, gc.blocks_scanned
+        )
+    })
+}
+
+/// The `len` words of the table rooted in slot 0 of `r`'s heap; `None`
+/// while the root is still null (the crash hit set-up, so there is no
+/// committed state to compare yet).
+pub(crate) fn rooted_table(r: &Restarted, len: u64) -> Option<Vec<u64>> {
+    let root = r.heap.root_raw(0);
+    if root.is_null() {
+        return None;
+    }
+    let pool = r.machine.pool(root.pool());
+    Some((0..len).map(|i| pool.raw_load(root.word() + i)).collect())
+}
+
+/// Allocate an `accounts`-word table, set every balance to `initial` in
+/// one transaction, and root the table in slot 0 of the thread's heap.
+pub(crate) fn open_accounts(th: &mut TxThread, accounts: u64, initial: u64) -> PAddr {
+    let heap = Arc::clone(th.heap());
+    let table = heap.alloc(th.session_mut(), accounts as usize);
+    th.run(|tx| {
+        for i in 0..accounts {
+            tx.write_at(table, i, initial)?;
+        }
+        Ok(())
+    });
+    heap.set_root(th.session_mut(), 0, table);
+    table
+}
+
+/// One transfer transaction between two words of `table`: all or
+/// nothing, and nothing when it would overdraw `from`.
+pub(crate) fn transfer(th: &mut TxThread, table: PAddr, from: u64, to: u64, amt: u64) {
+    th.run(|tx| {
+        let f = tx.read_at(table, from)?;
+        let t = tx.read_at(table, to)?;
+        if from != to && f >= amt {
+            tx.write_at(table, from, f - amt)?;
+            tx.write_at(table, to, t + amt)?;
+        }
+        Ok(())
+    });
+}
+
 /// The canonical sweep workload: a single-threaded sequence of bank
 /// transfers over a rooted table, with deliberately leaked scratch
-/// allocations so the restart GC has something to reclaim.
-///
-/// The transfer plan is a pure function of the case seed, so the checker
-/// can enumerate every committed-prefix state: after recovery the table
-/// must equal the state after exactly k committed transfers for some k
-/// (transactions are atomic — no mixtures, no partial transfers), which
-/// also implies the total balance is conserved.
+/// allocations so the restart GC has something to reclaim. Recovery
+/// must land on a committed prefix of its [`BankPlan`].
 #[derive(Debug, Clone)]
 pub struct BankTransfers {
     pub accounts: u64,
@@ -415,33 +641,8 @@ impl Default for BankTransfers {
 }
 
 impl BankTransfers {
-    /// The deterministic transfer plan for `seed`.
-    fn plan(&self, seed: u64) -> Vec<(u64, u64, u64)> {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        (0..self.transfers)
-            .map(|_| {
-                (
-                    rng.gen_range(0..self.accounts),
-                    rng.gen_range(0..self.accounts),
-                    rng.gen_range(1..self.initial / 2),
-                )
-            })
-            .collect()
-    }
-
-    /// Table contents after k committed transfers, for k = 0..=transfers.
-    fn prefix_states(&self, seed: u64) -> Vec<Vec<u64>> {
-        let mut state = vec![self.initial; self.accounts as usize];
-        let mut states = vec![state.clone()];
-        for (from, to, amt) in self.plan(seed) {
-            let f = state[from as usize];
-            if from != to && f >= amt {
-                state[from as usize] -= amt;
-                state[to as usize] += amt;
-            }
-            states.push(state.clone());
-        }
-        states
+    fn plan(&self, seed: u64) -> BankPlan {
+        BankPlan::new(seed, self.accounts, self.initial, self.transfers)
     }
 }
 
@@ -450,12 +651,13 @@ impl CrashWorkload for BankTransfers {
         "bank"
     }
 
-    fn heap_pool(&self) -> &str {
-        "bank"
+    fn heap_pool(&self, _machine: usize) -> String {
+        "bank".to_string()
     }
 
-    fn run(&self, machine: &Arc<Machine>, case: &SweepCase) {
-        let heap = PHeap::format(machine, self.heap_pool(), 1 << 15, 4);
+    fn run(&self, machines: &[Arc<Machine>], case: &SweepCase) {
+        let machine = &machines[0];
+        let heap = PHeap::format(machine, &self.heap_pool(0), 1 << 15, 4);
         let cfg = PtmConfig {
             algo: case.algo,
             write_combining: self.write_combining,
@@ -463,65 +665,22 @@ impl CrashWorkload for BankTransfers {
         };
         let ptm = Ptm::new(cfg);
         let mut th = TxThread::new(ptm, Arc::clone(&heap), machine.session(0));
-        let table = heap.alloc(th.session_mut(), self.accounts as usize);
-        th.run(|tx| {
-            for i in 0..self.accounts {
-                tx.write_at(table, i, self.initial)?;
-            }
-            Ok(())
-        });
-        heap.set_root(th.session_mut(), 0, table);
-        for (from, to, amt) in self.plan(case.seed) {
+        let table = open_accounts(&mut th, self.accounts, self.initial);
+        for (from, to, amt) in self.plan(case.seed).transfers {
             // Leak a scratch block on purpose: a crash anywhere leaves it
             // unreachable, and the restart GC must reclaim it.
             let scratch = heap.alloc(th.session_mut(), 3);
             th.session_mut().store(scratch, 0xC0FFEE);
-            th.run(|tx| {
-                let f = tx.read_at(table, from)?;
-                let t = tx.read_at(table, to)?;
-                if from != to && f >= amt {
-                    tx.write_at(table, from, f - amt)?;
-                    tx.write_at(table, to, t + amt)?;
-                }
-                Ok(())
-            });
+            transfer(&mut th, table, from, to, amt);
         }
     }
 
-    fn check(
-        &self,
-        machine: &Arc<Machine>,
-        heap: &Arc<PHeap>,
-        gc: &GcReport,
-        case: &SweepCase,
-    ) -> Vec<String> {
-        let mut violations = Vec::new();
-        let root = heap.root_raw(0);
-        // Once the root is durable, the (committed) init transaction is
-        // recoverable, so exactly the table block is reachable; before
-        // that, nothing is. Everything else must have been reclaimed.
-        let expected_live = if root.is_null() { 0 } else { 1 };
-        if gc.live_blocks != expected_live {
-            violations.push(format!(
-                "GC kept {} live blocks, expected {expected_live} (leaked {} of {} scanned)",
-                gc.live_blocks, gc.leaked_blocks, gc.blocks_scanned
-            ));
-        }
-        if root.is_null() {
-            return violations;
-        }
-        let pool = machine.pool(root.pool());
-        let table: Vec<u64> = (0..self.accounts)
-            .map(|i| pool.raw_load(root.word() + i))
+    fn check(&self, restarted: &[Restarted], case: &SweepCase) -> Vec<String> {
+        let mut violations: Vec<String> = live_blocks_violation(0, &restarted[0])
+            .into_iter()
             .collect();
-        let states = self.prefix_states(case.seed);
-        if !states.contains(&table) {
-            let total: u64 = table.iter().sum();
-            violations.push(format!(
-                "recovered table {table:?} (sum {total}) matches no committed prefix \
-                 (expected sum {})",
-                self.accounts * self.initial
-            ));
+        if let Some(table) = rooted_table(&restarted[0], self.accounts) {
+            violations.extend(self.plan(case.seed).prefix_violation(&table));
         }
         violations
     }
@@ -559,35 +718,15 @@ impl Default for GroupWindowBank {
 }
 
 impl GroupWindowBank {
-    /// Thread `t`'s deterministic transfer plan, confined to its own
-    /// account range `[t·n, (t+1)·n)` (offsets are range-local).
-    fn plan(&self, seed: u64, t: u64) -> Vec<(u64, u64, u64)> {
-        let n = self.accounts_per_thread;
-        let mut rng = SmallRng::seed_from_u64(seed ^ (t + 1).wrapping_mul(0x9E37_79B9));
-        (0..self.transfers_per_thread)
-            .map(|_| {
-                (
-                    rng.gen_range(0..n),
-                    rng.gen_range(0..n),
-                    rng.gen_range(1..self.initial / 2),
-                )
-            })
-            .collect()
-    }
-
-    /// Thread `t`'s range contents after k committed transfers.
-    fn prefix_states(&self, seed: u64, t: u64) -> Vec<Vec<u64>> {
-        let mut state = vec![self.initial; self.accounts_per_thread as usize];
-        let mut states = vec![state.clone()];
-        for (from, to, amt) in self.plan(seed, t) {
-            let f = state[from as usize];
-            if from != to && f >= amt {
-                state[from as usize] -= amt;
-                state[to as usize] += amt;
-            }
-            states.push(state.clone());
-        }
-        states
+    /// Thread `t`'s plan, confined to its own account range
+    /// `[t·n, (t+1)·n)`.
+    fn plan(&self, seed: u64, t: u64) -> BankPlan {
+        BankPlan::new(
+            seed ^ (t + 1).wrapping_mul(0x9E37_79B9),
+            self.accounts_per_thread,
+            self.initial,
+            self.transfers_per_thread,
+        )
     }
 }
 
@@ -596,13 +735,14 @@ impl CrashWorkload for GroupWindowBank {
         "group-bank"
     }
 
-    fn heap_pool(&self) -> &str {
-        "group-bank"
+    fn heap_pool(&self, _machine: usize) -> String {
+        "group-bank".to_string()
     }
 
-    fn run(&self, machine: &Arc<Machine>, case: &SweepCase) {
+    fn run(&self, machines: &[Arc<Machine>], case: &SweepCase) {
+        let machine = &machines[0];
         machine.begin_run(2, u64::MAX);
-        let heap = PHeap::format(machine, self.heap_pool(), 1 << 15, 4);
+        let heap = PHeap::format(machine, &self.heap_pool(0), 1 << 15, 4);
         let cfg = PtmConfig {
             algo: case.algo,
             group_commit: true,
@@ -617,87 +757,46 @@ impl CrashWorkload for GroupWindowBank {
             .map(|t| TxThread::new(Arc::clone(&ptm), Arc::clone(&heap), machine.session(t)))
             .collect();
         let n = self.accounts_per_thread;
-        let table = heap.alloc(ths[0].session_mut(), (2 * n) as usize);
-        ths[0].run(|tx| {
-            for i in 0..2 * n {
-                tx.write_at(table, i, self.initial)?;
-            }
-            Ok(())
-        });
-        heap.set_root(ths[0].session_mut(), 0, table);
+        let table = open_accounts(&mut ths[0], 2 * n, self.initial);
         let plans = [self.plan(case.seed, 0), self.plan(case.seed, 1)];
         // Step the two virtual threads alternately from this one OS
         // thread: every B-transfer commits right after an A-transfer's
         // fence, inside the window A just opened (and vice versa).
-        for (pa, pb) in plans[0].iter().zip(&plans[1]) {
+        for (pa, pb) in plans[0].transfers.iter().zip(&plans[1].transfers) {
             for (t, &(from, to, amt)) in [pa, pb].into_iter().enumerate() {
                 let base = t as u64 * n;
-                ths[t].run(|tx| {
-                    let f = tx.read_at(table, base + from)?;
-                    let v = tx.read_at(table, base + to)?;
-                    if from != to && f >= amt {
-                        tx.write_at(table, base + from, f - amt)?;
-                        tx.write_at(table, base + to, v + amt)?;
-                    }
-                    Ok(())
-                });
+                transfer(&mut ths[t], table, base + from, base + to, amt);
             }
         }
     }
 
-    fn check(
-        &self,
-        machine: &Arc<Machine>,
-        heap: &Arc<PHeap>,
-        gc: &GcReport,
-        case: &SweepCase,
-    ) -> Vec<String> {
-        let mut violations = Vec::new();
-        let root = heap.root_raw(0);
-        let expected_live = if root.is_null() { 0 } else { 1 };
-        if gc.live_blocks != expected_live {
-            violations.push(format!(
-                "GC kept {} live blocks, expected {expected_live}",
-                gc.live_blocks
-            ));
-        }
-        if root.is_null() {
-            return violations;
-        }
-        let pool = machine.pool(root.pool());
+    fn check(&self, restarted: &[Restarted], case: &SweepCase) -> Vec<String> {
+        let mut violations: Vec<String> = live_blocks_violation(0, &restarted[0])
+            .into_iter()
+            .collect();
         let n = self.accounts_per_thread;
-        for t in 0..2u64 {
-            let slice: Vec<u64> = (0..n)
-                .map(|i| pool.raw_load(root.word() + t * n + i))
-                .collect();
-            if !self.prefix_states(case.seed, t).contains(&slice) {
-                violations.push(format!(
-                    "thread {t} range {slice:?} matches no committed prefix \
-                     (torn group-commit window?)"
-                ));
+        if let Some(table) = rooted_table(&restarted[0], 2 * n) {
+            for (t, range) in table.chunks(n as usize).enumerate() {
+                if let Some(v) = self.plan(case.seed, t as u64).prefix_violation(range) {
+                    violations.push(format!("thread {t} (torn group-commit window?): {v}"));
+                }
             }
         }
         violations
     }
 }
 
-// ---------------------------------------------------------------------
-// Sharded (cross-shard 2PC) crash-site sweep
-// ---------------------------------------------------------------------
-
 /// The cross-shard sweep workload: a single worker issuing a
 /// deterministic sequence of bank transfers over accounts partitioned
-/// round-robin across the shards of a [`ShardedEngine`], driven through
-/// [`CrossShardTx`] so that roughly half the transfers span two shards
-/// and commit via 2PC (prepare → coordinator record → commit), while the
-/// rest take the single-writer fast path.
+/// round-robin across the shards of a [`ShardedEngine`] — one machine
+/// per shard — driven through [`CrossShardTx`] so that roughly half the
+/// transfers span two shards and commit via 2PC (prepare → coordinator
+/// record → commit), while the rest take the single-writer fast path.
 ///
-/// Like [`BankTransfers`], the plan is a pure function of the case seed,
-/// so the checker enumerates every committed-prefix state: after
-/// recovery the global account vector (gathered across all shards) must
-/// equal the state after exactly k committed transfers for some k. A
-/// torn cross-shard transfer — debit applied on one shard, credit lost
-/// on the other — matches no prefix and fails the sweep.
+/// The global account vector (gathered across all shards) must match a
+/// committed prefix of the one [`BankPlan`]: a torn cross-shard transfer
+/// — debit applied on one shard, credit lost on the other — matches no
+/// prefix and fails the sweep.
 #[derive(Debug, Clone)]
 pub struct ShardedTransfers {
     pub shards: usize,
@@ -720,26 +819,6 @@ impl Default for ShardedTransfers {
 }
 
 impl ShardedTransfers {
-    fn ptm_config(&self, case: &SweepCase) -> PtmConfig {
-        PtmConfig {
-            algo: case.algo,
-            ..PtmConfig::default()
-        }
-    }
-
-    /// Build the fresh engine a run starts from (heap format and
-    /// coordinator pools are created *before* the injector is armed, so
-    /// site numbering starts at the workload itself).
-    fn build(&self, case: &SweepCase) -> ShardedEngine {
-        ShardedEngine::create(
-            self.shards,
-            MachineConfig::functional(case.domain),
-            self.ptm_config(case),
-            1 << 15,
-            4,
-        )
-    }
-
     /// Home shard and table offset of account `a`.
     fn home(&self, a: u64) -> (usize, u64) {
         ((a % self.shards as u64) as usize, a / self.shards as u64)
@@ -750,38 +829,12 @@ impl ShardedTransfers {
         (self.accounts + self.shards as u64 - 1 - s as u64) / self.shards as u64
     }
 
-    /// The deterministic transfer plan for `seed`.
-    fn plan(&self, seed: u64) -> Vec<(u64, u64, u64)> {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        (0..self.transfers)
-            .map(|_| {
-                (
-                    rng.gen_range(0..self.accounts),
-                    rng.gen_range(0..self.accounts),
-                    rng.gen_range(1..self.initial / 2),
-                )
-            })
-            .collect()
+    fn plan(&self, seed: u64) -> BankPlan {
+        BankPlan::new(seed, self.accounts, self.initial, self.transfers)
     }
 
-    /// Global account vector after k committed transfers, k = 0..=n.
-    fn prefix_states(&self, seed: u64) -> Vec<Vec<u64>> {
-        let mut state = vec![self.initial; self.accounts as usize];
-        let mut states = vec![state.clone()];
-        for (from, to, amt) in self.plan(seed) {
-            let f = state[from as usize];
-            if from != to && f >= amt {
-                state[from as usize] -= amt;
-                state[to as usize] += amt;
-            }
-            states.push(state.clone());
-        }
-        states
-    }
-
-    /// Execute the workload (populate every shard, then transact). May
-    /// unwind with a simulated crash at any armed site.
-    fn run(&self, engine: &ShardedEngine, case: &SweepCase) {
+    /// Populate every shard, then transact.
+    fn transact(&self, engine: &ShardedEngine, case: &SweepCase) {
         engine.begin_run_all(1, u64::MAX);
         let mut cx = CrossShardTx::new(engine, 0);
         // Per-shard account tables, rooted so recovery can find them.
@@ -802,7 +855,7 @@ impl ShardedTransfers {
             heap.set_root(th.session_mut(), 0, table);
             tables.push(table);
         }
-        for (from, to, amt) in self.plan(case.seed) {
+        for (from, to, amt) in self.plan(case.seed).transfers {
             let (sf, of) = self.home(from);
             let (st, ot) = self.home(to);
             // Leak a scratch block on the debit shard: a crash leaves it
@@ -824,296 +877,68 @@ impl ShardedTransfers {
             });
         }
     }
+}
 
-    /// Workload invariants on the recovered engine.
-    fn check(
-        &self,
-        engine: &ShardedEngine,
-        reports: &[ReopenReports],
-        case: &SweepCase,
-    ) -> Vec<String> {
-        let mut violations = Vec::new();
-        let mut roots = Vec::with_capacity(self.shards);
-        for (s, report) in reports.iter().enumerate().take(self.shards) {
-            let root = engine.heap(s).root_raw(0);
-            // Same reasoning as the single-shard bank: once shard s's
-            // root is durable its (committed) init transaction is
-            // recoverable, so exactly the table block is live there.
-            let expected_live = if root.is_null() { 0 } else { 1 };
-            if report.gc.live_blocks != expected_live {
-                violations.push(format!(
-                    "shard {s}: GC kept {} live blocks, expected {expected_live}",
-                    report.gc.live_blocks
-                ));
-            }
-            roots.push(root);
-        }
+impl CrashWorkload for ShardedTransfers {
+    fn name(&self) -> &str {
+        "transfer"
+    }
+
+    fn machines(&self) -> usize {
+        self.shards
+    }
+
+    fn heap_pool(&self, machine: usize) -> String {
+        shard_heap_name(machine)
+    }
+
+    fn run(&self, machines: &[Arc<Machine>], case: &SweepCase) {
+        self.build(machines, case)()
+    }
+
+    /// The engine's heaps and coordinator pools are formatted here,
+    /// before the injector is armed, so site numbering starts at the
+    /// workload itself.
+    fn build<'a>(
+        &'a self,
+        machines: &'a [Arc<Machine>],
+        case: &'a SweepCase,
+    ) -> Box<dyn FnOnce() + 'a> {
+        let cfg = PtmConfig {
+            algo: case.algo,
+            ..PtmConfig::default()
+        };
+        let set = MachineSet::from_machines(machines.to_vec());
+        let engine = ShardedEngine::on_machines(set, cfg, 1 << 15, 4);
+        Box::new(move || self.transact(&engine, case))
+    }
+
+    fn check(&self, restarted: &[Restarted], case: &SweepCase) -> Vec<String> {
+        let mut violations: Vec<String> = restarted
+            .iter()
+            .enumerate()
+            .filter_map(|(s, r)| live_blocks_violation(s, r))
+            .collect();
         // Shards are set up in order, so transfers only ever ran if every
-        // root is durable; a null root anywhere means we crashed during
-        // setup and there is no committed-prefix state to compare yet.
-        if roots.iter().any(|r| r.is_null()) {
-            return violations;
-        }
-        let mut state = vec![0u64; self.accounts as usize];
-        for a in 0..self.accounts {
-            let (s, off) = self.home(a);
-            let pool = engine.machine(s).pool(roots[s].pool());
-            state[a as usize] = pool.raw_load(roots[s].word() + off);
-        }
-        if !self.prefix_states(case.seed).contains(&state) {
-            let total: u64 = state.iter().sum();
-            violations.push(format!(
-                "recovered accounts {state:?} (sum {total}) match no committed prefix \
-                 (expected sum {}): a cross-shard transfer tore",
-                self.accounts * self.initial
-            ));
+        // root is durable; a null root anywhere means the crash hit
+        // set-up and there is no committed-prefix state to compare yet.
+        let tables: Option<Vec<Vec<u64>>> = restarted
+            .iter()
+            .enumerate()
+            .map(|(s, r)| rooted_table(r, self.accounts_on(s)))
+            .collect();
+        if let Some(tables) = tables {
+            let state: Vec<u64> = (0..self.accounts)
+                .map(|a| {
+                    let (s, off) = self.home(a);
+                    tables[s][off as usize]
+                })
+                .collect();
+            if let Some(v) = self.plan(case.seed).prefix_violation(&state) {
+                violations.push(format!("{v}: a cross-shard transfer tore"));
+            }
         }
         violations
-    }
-}
-
-/// Per-shard adversary seed for survivor shards, matching the
-/// [`pmem_sim::MachineSet::crash_all`] derivation so every shard's image
-/// stays an independent pure function of the case seed and site.
-fn shard_crash_seed(crash_seed: u64, shard: usize) -> u64 {
-    if shard == 0 {
-        crash_seed
-    } else {
-        crash_seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard as u64)
-    }
-}
-
-/// Which shard's machine a fired crash image belongs to, identified by
-/// its `shard-heap-<i>` pool.
-fn crashed_shard(image: &CrashImage) -> usize {
-    let prefix = format!("{SHARD_HEAP_PREFIX}-");
-    image
-        .pools
-        .iter()
-        .find_map(|p| p.name.strip_prefix(&prefix).and_then(|s| s.parse().ok()))
-        .expect("fired crash image contains no shard heap pool")
-}
-
-fn digest_machines(machines: &[Arc<Machine>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for machine in machines {
-        for pool in machine.pools() {
-            for w in 0..pool.len_words() as u64 {
-                h = (h ^ pool.raw_load(w)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    h
-}
-
-fn snapshot_machines(machines: &[Arc<Machine>]) -> Vec<Vec<Vec<u64>>> {
-    machines
-        .iter()
-        .map(|m| {
-            m.pools()
-                .iter()
-                .map(|p| (0..p.len_words() as u64).map(|w| p.raw_load(w)).collect())
-                .collect()
-        })
-        .collect()
-}
-
-/// Dry-run the sharded workload, counting every crash site across *all*
-/// shard machines with one shared injector (the global site numbering is
-/// what lets one index name an event on any shard).
-pub fn count_sites_sharded(workload: &ShardedTransfers, case: &SweepCase) -> u64 {
-    let engine = workload.build(case);
-    let injector = CrashInjector::count_only();
-    for s in 0..workload.shards {
-        engine.machine(s).arm_injector(Arc::clone(&injector));
-    }
-    workload.run(&engine, case);
-    for s in 0..workload.shards {
-        engine.machine(s).disarm_injector();
-    }
-    injector.sites_counted()
-}
-
-/// Run the sharded workload with a crash armed at global `site`, image
-/// every shard (the firing shard synchronously at the site, survivors
-/// under per-shard derived adversary seeds), reopen the whole engine —
-/// per-shard recovery followed by the cross-shard resolution pass — and
-/// check every invariant:
-///
-/// * recovery + resolution are **idempotent** (a second pass finds no
-///   work and changes no durable word on any shard);
-/// * the reopened state is **worker-count independent** (recovery at 1
-///   and 4 workers lands on bit-identical cross-engine digests);
-/// * every shard's heap re-attaches and validates, restart GC reclaims
-///   exactly the leaked scratch blocks;
-/// * the recovered global account vector matches a committed prefix —
-///   cross-shard transfers are all-or-nothing under every crash site.
-pub fn run_site_sharded(
-    workload: &ShardedTransfers,
-    case: &SweepCase,
-    site: u64,
-    opts: RecoverOptions,
-) -> SiteResult {
-    silence_simulated_crash_panics();
-    let engine = workload.build(case);
-    let crash_seed = derive_crash_seed(case.seed, site);
-    let injector = CrashInjector::at_site(site, case.policy, crash_seed);
-    for s in 0..workload.shards {
-        engine.machine(s).arm_injector(Arc::clone(&injector));
-    }
-    let completed = catch_simulated_crash(|| workload.run(&engine, case)).is_ok();
-    for s in 0..workload.shards {
-        engine.machine(s).disarm_injector();
-    }
-    let (images, fired) = if completed {
-        let images = (0..workload.shards)
-            .map(|s| {
-                engine
-                    .machine(s)
-                    .crash_with(shard_crash_seed(crash_seed, s), case.policy)
-            })
-            .collect::<Vec<_>>();
-        (images, None)
-    } else {
-        let f = injector
-            .take_outcome()
-            .expect("simulated crash unwound without a captured image");
-        let hit = crashed_shard(&f.image);
-        let fired = Some((f.site, f.kind));
-        let mut images = Vec::with_capacity(workload.shards);
-        for s in 0..workload.shards {
-            if s == hit {
-                images.push(f.image.clone());
-            } else {
-                images.push(
-                    engine
-                        .machine(s)
-                        .crash_with(shard_crash_seed(crash_seed, s), case.policy),
-                );
-            }
-        }
-        (images, fired)
-    };
-    drop(engine);
-
-    let machine_cfg = MachineConfig::functional(case.domain);
-    let ptm_cfg = workload.ptm_config(case);
-    let (recovered, reports) =
-        ShardedEngine::reopen_with(&images, machine_cfg.clone(), ptm_cfg.clone(), opts);
-    let mut violations = Vec::new();
-
-    // Generic invariant: recovery + resolution are idempotent.
-    let machines: Vec<Arc<Machine>> = recovered.machine_set().machines().to_vec();
-    let before = snapshot_machines(&machines);
-    for machine in &machines {
-        let second = recover_with_options(machine, opts);
-        if second.redo_replayed + second.undo_rolled_back + second.htm_replayed != 0 {
-            violations.push(format!("second recovery pass still found work: {second:?}"));
-        }
-        if second.prepared_skipped != 0 {
-            violations.push(format!(
-                "second recovery pass still sees {} prepared logs",
-                second.prepared_skipped
-            ));
-        }
-    }
-    let second_res = resolve_in_doubt(&machines);
-    for r in &second_res {
-        if r.indoubt_resolved_commit + r.indoubt_resolved_abort != 0 {
-            violations.push(format!("second resolution pass still decided logs: {r:?}"));
-        }
-    }
-    if snapshot_machines(&machines) != before {
-        violations.push("second recovery+resolution pass changed durable state".to_string());
-    }
-
-    // Generic invariant: worker-count independence — the same images
-    // reopened at a different recovery worker count land on an
-    // identical cross-engine digest (and, timing aside, reports).
-    {
-        let alt_workers = if opts.workers <= 1 { 4 } else { 1 };
-        let (alt, alt_reports) = ShardedEngine::reopen_with(
-            &images,
-            machine_cfg.clone(),
-            ptm_cfg.clone(),
-            RecoverOptions {
-                workers: alt_workers,
-                ..opts
-            },
-        );
-        let alt_machines: Vec<Arc<Machine>> = alt.machine_set().machines().to_vec();
-        if digest_machines(&alt_machines) != digest_machines(&machines) {
-            violations.push(format!(
-                "sharded recovery with {alt_workers} workers diverged from {} workers \
-                 (post-recovery digests differ)",
-                opts.workers.max(1)
-            ));
-        }
-        for (s, (a, b)) in reports.iter().zip(alt_reports.iter()).enumerate() {
-            if a.recovery.without_timing() != b.recovery.without_timing() {
-                violations.push(format!(
-                    "shard {s} recovery report depends on worker count: {:?} vs {:?}",
-                    a.recovery, b.recovery
-                ));
-            }
-        }
-    }
-
-    // Per-shard heap health, then the workload's own invariants.
-    for s in 0..workload.shards {
-        if let Err(e) = recovered.heap(s).validate() {
-            violations.push(format!("shard {s}: heap inconsistent after GC: {e}"));
-        }
-    }
-    violations.extend(workload.check(&recovered, &reports, case));
-
-    let mut merged = ReopenReports::default();
-    for r in &reports {
-        merged.merge(r);
-    }
-    SiteResult {
-        fired,
-        recovery: merged.recovery,
-        gc: Some(merged.gc),
-        state_digest: digest_machines(&machines),
-        violations,
-    }
-}
-
-/// Sweep one case of the sharded grid: count global sites, crash at
-/// every site (strided above `opts.max_sites_per_case`) plus once at
-/// end-of-run.
-pub fn sweep_case_sharded(
-    workload: &ShardedTransfers,
-    case: &SweepCase,
-    opts: SweepOptions,
-) -> CaseResult {
-    let total_sites = count_sites_sharded(workload, case);
-    let span = total_sites + 1;
-    let stride = match opts.max_sites_per_case {
-        Some(max) if max > 0 && span > max => span.div_ceil(max),
-        _ => 1,
-    };
-    let mut violations = Vec::new();
-    let mut sites_run = 0;
-    let mut site = 0;
-    while site < span {
-        let result = run_site_sharded(workload, case, site, opts.recover);
-        sites_run += 1;
-        violations.extend(result.violations.into_iter().map(|detail| Violation {
-            workload: format!("xshard-{}", workload.shards),
-            case: *case,
-            site,
-            fired: result.fired,
-            detail,
-        }));
-        site += stride;
-    }
-    CaseResult {
-        case: *case,
-        total_sites,
-        sites_run,
-        violations,
     }
 }
 
@@ -1242,7 +1067,7 @@ mod tests {
         let machine = Machine::new(MachineConfig::functional(c.domain));
         let sink = trace::TraceSink::new(1 << 14);
         machine.attach_tracer(Arc::clone(&sink));
-        bank.run(&machine, &c);
+        bank.run(std::slice::from_ref(&machine), &c);
         machine.detach_tracer();
         let joins = sink
             .merged()
@@ -1374,14 +1199,15 @@ mod tests {
     fn sharded_site_counting_is_deterministic_and_nonzero() {
         let w = tiny_xshard();
         let c = case(Algo::RedoLazy, AdversaryPolicy::PerWord);
-        let a = count_sites_sharded(&w, &c);
-        let b = count_sites_sharded(&w, &c);
+        let a = count_sites(&w, &c);
+        let b = count_sites(&w, &c);
         assert_eq!(a, b);
         assert!(a > 0, "a cross-shard workload must emit crash sites");
         // The plan for this seed must actually cross shards, or the
         // sweep below would never exercise the 2PC windows.
         assert!(
             w.plan(c.seed)
+                .transfers
                 .iter()
                 .any(|&(f, t, _)| w.home(f).0 != w.home(t).0),
             "seed {} produces no cross-shard transfer",
@@ -1393,10 +1219,10 @@ mod tests {
     fn sharded_replay_of_a_site_reproduces_the_exact_state() {
         let w = tiny_xshard();
         let c = case(Algo::UndoEager, AdversaryPolicy::PerWord);
-        let total = count_sites_sharded(&w, &c);
+        let total = count_sites(&w, &c);
         let site = total / 2;
-        let a = run_site_sharded(&w, &c, site, RecoverOptions::default());
-        let b = run_site_sharded(&w, &c, site, RecoverOptions::default());
+        let a = run_site(&w, &c, site, RecoverOptions::default());
+        let b = run_site(&w, &c, site, RecoverOptions::default());
         assert_eq!(a.fired, b.fired);
         assert_eq!(a.state_digest, b.state_digest, "replay must be bit-exact");
         assert_eq!(a.violations, b.violations);
@@ -1406,8 +1232,8 @@ mod tests {
     fn sharded_end_of_run_site_recovers_the_final_state() {
         let w = tiny_xshard();
         let c = case(Algo::RedoLazy, AdversaryPolicy::PerWord);
-        let total = count_sites_sharded(&w, &c);
-        let r = run_site_sharded(&w, &c, total, RecoverOptions::default());
+        let total = count_sites(&w, &c);
+        let r = run_site(&w, &c, total, RecoverOptions::default());
         assert!(r.fired.is_none(), "site == total must complete the run");
         assert!(r.violations.is_empty(), "{:?}", r.violations);
     }
@@ -1437,7 +1263,7 @@ mod tests {
                     policy: AdversaryPolicy::PerWord,
                     seed: 42,
                 };
-                let report = sweep_case_sharded(&w, &c, opts);
+                let report = sweep_case(&w, &c, opts);
                 assert!(report.sites_run > 0);
                 let msgs: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
                 assert!(
@@ -1465,7 +1291,7 @@ mod tests {
                 policy,
                 seed: 42,
             };
-            let report = sweep_case_sharded(&w, &c, opts);
+            let report = sweep_case(&w, &c, opts);
             assert!(report.sites_run > 0);
             let msgs: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
             assert!(report.violations.is_empty(), "{policy}: {msgs:?}");
@@ -1484,12 +1310,13 @@ mod tests {
         // is a 2PC commit sequence.
         let seed = (0..100u64)
             .find(|&s| {
-                let crossing = w
-                    .plan(s)
+                let plan = w.plan(s);
+                let crossing = plan
+                    .transfers
                     .last()
                     .map(|&(f, t, _)| f != t && w.home(f).0 != w.home(t).0)
                     .unwrap_or(false);
-                let states = w.prefix_states(s);
+                let states = plan.prefix_states();
                 crossing && states[states.len() - 1] != states[states.len() - 2]
             })
             .expect("some small seed must end on an effective cross-shard transfer");
@@ -1499,16 +1326,109 @@ mod tests {
             policy: AdversaryPolicy::AllOld,
             seed,
         };
-        let total = count_sites_sharded(&w, &c);
+        let total = count_sites(&w, &c);
         let mut resolved = 0usize;
         for site in total.saturating_sub(48)..total {
-            let r = run_site_sharded(&w, &c, site, RecoverOptions::default());
+            let r = run_site(&w, &c, site, RecoverOptions::default());
             assert!(r.violations.is_empty(), "site {site}: {:?}", r.violations);
             resolved += r.recovery.indoubt_resolved_commit + r.recovery.indoubt_resolved_abort;
         }
         assert!(
             resolved > 0,
             "no tail site left a log in doubt — the sweep is missing the 2PC window"
+        );
+    }
+
+    /// One machine is the length-1 case of the multi-machine driver, bit
+    /// for bit: the site counts and recovered-state digests below were
+    /// measured with the separate single-machine and sharded drivers
+    /// this one replaced (parent commit, same workloads, case and site).
+    #[test]
+    fn length_one_runs_reproduce_the_single_machine_driver() {
+        assert_eq!(shard_seed(0xABCD, 0), 0xABCD);
+        let c = case(Algo::RedoLazy, AdversaryPolicy::PerWord);
+        let one_shard = ShardedTransfers {
+            shards: 1,
+            ..tiny_xshard()
+        };
+        let pinned: [(&dyn CrashWorkload, u64, u64); 3] = [
+            (&tiny_bank(), 78, 0x9c2b_2332_e669_7daf),
+            (&one_shard, 123, 0x0e23_86d7_973d_0070),
+            (&tiny_xshard(), 159, 0x99d8_5c5f_8498_0927),
+        ];
+        for (w, total, digest) in pinned {
+            assert_eq!(count_sites(w, &c), total, "{}", w.name());
+            let r = run_site(w, &c, total / 2, RecoverOptions::default());
+            assert_eq!(r.state_digest, digest, "{}", w.name());
+            assert!(r.violations.is_empty(), "{:?}", r.violations);
+        }
+    }
+
+    /// A bank whose declared heap pool is wrong, or whose heap header is
+    /// wrecked at the end of the run.
+    struct BrokenHeap {
+        bank: BankTransfers,
+        wreck_header: bool,
+    }
+
+    impl CrashWorkload for BrokenHeap {
+        fn name(&self) -> &str {
+            "broken-heap"
+        }
+        fn heap_pool(&self, m: usize) -> String {
+            if self.wreck_header {
+                self.bank.heap_pool(m)
+            } else {
+                "no-such-pool".to_string()
+            }
+        }
+        fn run(&self, machines: &[Arc<Machine>], case: &SweepCase) {
+            self.bank.run(machines, case);
+            if self.wreck_header {
+                let pools = machines[0].pools();
+                let heap = pools.iter().find(|p| p.name() == "bank").unwrap();
+                heap.raw_store(palloc::layout::OFF_MAGIC, 0);
+                heap.persist_line_now(0);
+            }
+        }
+        fn check(&self, restarted: &[Restarted], case: &SweepCase) -> Vec<String> {
+            self.bank.check(restarted, case)
+        }
+    }
+
+    /// The fail-soft property the restart sequence's `Result` exists
+    /// for: a machine that cannot be restarted is a violation carrying
+    /// the reason, never a panic in the sweep.
+    #[test]
+    fn unrestartable_machine_is_a_violation_not_a_panic() {
+        let c = case(Algo::RedoLazy, AdversaryPolicy::PerWord);
+        for (wreck_header, expect) in [(false, "missing after reboot"), (true, "attach failed")] {
+            let w = BrokenHeap {
+                bank: tiny_bank(),
+                wreck_header,
+            };
+            let total = count_sites(&w, &c);
+            let r = run_site(&w, &c, total, RecoverOptions::default());
+            assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
+            assert!(r.violations[0].contains(expect), "{:?}", r.violations);
+            assert!(r.gc.is_none() && r.state_digest == 0);
+        }
+        // Through the sweep: a missing pool fails every site, each with
+        // its reproducer line.
+        let w = BrokenHeap {
+            bank: tiny_bank(),
+            wreck_header: false,
+        };
+        let opts = SweepOptions {
+            max_sites_per_case: Some(4),
+            ..SweepOptions::default()
+        };
+        let swept = sweep_case(&w, &c, opts);
+        assert_eq!(swept.violations.len() as u64, swept.sites_run);
+        let line = swept.violations[0].to_string();
+        assert!(
+            line.starts_with("CRASH-REPRO workload=broken-heap site=0 "),
+            "{line}"
         );
     }
 

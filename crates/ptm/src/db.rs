@@ -70,6 +70,57 @@ impl ReopenReports {
     }
 }
 
+/// One machine brought back by [`restart`].
+pub struct Restarted {
+    pub machine: Arc<Machine>,
+    pub heap: Arc<PHeap>,
+    pub reports: ReopenReports,
+}
+
+/// The machines of a restarted set, in order.
+pub(crate) fn machines_of(restarted: &[Restarted]) -> Vec<Arc<Machine>> {
+    restarted.iter().map(|r| Arc::clone(&r.machine)).collect()
+}
+
+/// The restart sequence, written once: reboot a machine from `image`,
+/// repair its logs with `opts`, then attach the heap in pool `heap_pool`
+/// *online* (GC scan/mark on [`RecoverOptions::workers`] threads) and
+/// join the sweep, so the machine comes back fully ready while the
+/// reports still split time-to-first-transaction from the full restart.
+/// [`PtmDb::reopen_with`], [`crate::ShardedEngine::reopen_with`] and the
+/// crash harness all restart through here; the façades `expect` the
+/// result, the harness reports an `Err` as a violation.
+pub fn restart(
+    image: &CrashImage,
+    heap_pool: &str,
+    machine_cfg: MachineConfig,
+    opts: RecoverOptions,
+) -> Result<Restarted, String> {
+    let t0 = Instant::now();
+    let machine = Machine::reboot(image, machine_cfg);
+    let recovery = recover_with_options(&machine, opts);
+    let pool = machine
+        .pools()
+        .into_iter()
+        .find(|p| p.name() == heap_pool)
+        .ok_or_else(|| format!("heap pool `{heap_pool}` missing after reboot"))?;
+    let (heap, online) = PHeap::attach_online(pool, opts.workers.max(1))
+        .map_err(|e| format!("heap `{heap_pool}` attach failed: {e}"))?;
+    let time_to_first_txn_ns = t0.elapsed().as_nanos() as u64;
+    let gc = online.join();
+    let full_restart_ns = t0.elapsed().as_nanos() as u64;
+    Ok(Restarted {
+        machine,
+        heap,
+        reports: ReopenReports {
+            recovery,
+            gc,
+            time_to_first_txn_ns,
+            full_restart_ns,
+        },
+    })
+}
+
 /// A persistent database: one machine, one heap, one PTM.
 pub struct PtmDb {
     machine: Arc<Machine>,
@@ -125,35 +176,14 @@ impl PtmDb {
         ptm_cfg: PtmConfig,
         opts: RecoverOptions,
     ) -> (PtmDb, ReopenReports) {
-        let t0 = Instant::now();
-        let machine = Machine::reboot(image, machine_cfg);
-        let recovery = recover_with_options(&machine, opts);
-        let pool = machine
-            .pools()
-            .into_iter()
-            .find(|p| p.name() == DB_HEAP_NAME)
-            .expect("crash image contains no PtmDb heap");
-        let (heap, online) = PHeap::attach_online(pool, opts.workers.max(1)).expect("heap attach");
-        let time_to_first_txn_ns = t0.elapsed().as_nanos() as u64;
-        let gc = online.join();
-        let full_restart_ns = t0.elapsed().as_nanos() as u64;
-        if let Some(sink) = machine.tracer() {
-            let mut r = sink.ring();
-            r.record(0, trace::EventKind::GcPhase, 0, gc.gc_scan_ns);
-            r.record(0, trace::EventKind::GcPhase, 1, gc.gc_mark_ns);
-            r.record(0, trace::EventKind::GcPhase, 2, gc.gc_sweep_ns);
-            sink.submit(trace::RECOVERY_TID, &r);
-        }
-        let ptm = Ptm::new(ptm_cfg);
-        (
-            PtmDb { machine, heap, ptm },
-            ReopenReports {
-                recovery,
-                gc,
-                time_to_first_txn_ns,
-                full_restart_ns,
-            },
-        )
+        let r = restart(image, DB_HEAP_NAME, machine_cfg, opts)
+            .expect("reopen found no PtmDb heap it could attach");
+        let db = PtmDb {
+            machine: r.machine,
+            heap: r.heap,
+            ptm: Ptm::new(ptm_cfg),
+        };
+        (db, r.reports)
     }
 
     /// Begin a timed run with `threads` virtual threads (see

@@ -51,6 +51,7 @@ pub mod access;
 pub mod algo;
 pub mod config;
 pub mod crash_harness;
+pub mod crash_round;
 pub mod db;
 #[cfg(test)]
 mod engine_tests;
@@ -66,9 +67,9 @@ pub mod umap;
 
 pub use config::{Algo, FlushTiming, PtmConfig};
 pub use crash_harness::{
-    count_sites, count_sites_sharded, default_cases, run_site, run_site_sharded, sweep, sweep_case,
-    sweep_case_sharded, BankTransfers, CaseResult, CrashWorkload, GroupWindowBank,
-    ShardedTransfers, SiteResult, SweepCase, SweepOptions, SweepReport, Violation,
+    count_sites, default_cases, run_site, sweep, sweep_case, BankTransfers, CaseResult,
+    CrashWorkload, GroupWindowBank, ShardedTransfers, SiteResult, SweepCase, SweepOptions,
+    SweepReport, Violation,
 };
 pub use db::PtmDb;
 pub use phases::{Phase, PhaseSnapshot, PhaseStats, PhaseTimer, PHASE_COUNT};

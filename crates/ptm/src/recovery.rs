@@ -904,6 +904,7 @@ mod malformed_log_tests {
 mod parallel_recovery_tests {
     use super::*;
     use crate::config::PtmConfig;
+    use crate::crash_harness::snapshot_pools;
     use crate::log::{committed_marker, W_COUNT};
     use palloc::PHeap;
     use pmem_sim::{
@@ -952,14 +953,6 @@ mod parallel_recovery_tests {
         (m.crash(1), blocks)
     }
 
-    fn full_state(machine: &Arc<Machine>) -> Vec<Vec<u64>> {
-        machine
-            .pools()
-            .iter()
-            .map(|p| (0..p.len_words() as u64).map(|w| p.raw_load(w)).collect())
-            .collect()
-    }
-
     /// The tentpole contract: recovering the same image with any worker
     /// count yields a bit-identical machine state and (timing aside) an
     /// identical report.
@@ -969,7 +962,7 @@ mod parallel_recovery_tests {
         let serial_m = Machine::reboot(&img, cfg());
         let serial_rep = recover(&serial_m);
         assert_eq!(serial_rep.redo_replayed, LOGS);
-        let serial_state = full_state(&serial_m);
+        let serial_state = snapshot_pools(std::slice::from_ref(&serial_m));
         for workers in [2, 4, 8] {
             let m = Machine::reboot(&img, cfg());
             let rep = recover_with_options(
@@ -985,7 +978,11 @@ mod parallel_recovery_tests {
                 serial_rep.without_timing(),
                 "workers {workers}"
             );
-            assert_eq!(full_state(&m), serial_state, "workers {workers}");
+            assert_eq!(
+                snapshot_pools(std::slice::from_ref(&m)),
+                serial_state,
+                "workers {workers}"
+            );
         }
     }
 
@@ -1041,7 +1038,7 @@ mod parallel_recovery_tests {
                 222,
                 "workers {workers}"
             );
-            states.push(full_state(&m2));
+            states.push(snapshot_pools(std::slice::from_ref(&m2)));
         }
         assert_eq!(states[0], states[1], "same line, any order: same state");
     }
@@ -1095,6 +1092,7 @@ mod parallel_recovery_tests {
 mod recovery_idempotence_tests {
     use super::*;
     use crate::config::PtmConfig;
+    use crate::crash_harness::snapshot_pools;
     use crate::log::{committed_marker, seal, W_COUNT, W_STATE};
     use palloc::PHeap;
     use pmem_sim::{
@@ -1188,14 +1186,6 @@ mod recovery_idempotence_tests {
         })
     }
 
-    fn full_state(machine: &Arc<Machine>) -> Vec<Vec<u64>> {
-        machine
-            .pools()
-            .iter()
-            .map(|p| (0..p.len_words() as u64).map(|w| p.raw_load(w)).collect())
-            .collect()
-    }
-
     /// Redo replay interrupted at *every* recovery persist site must
     /// converge to the fully-replayed state on the next recovery pass.
     #[test]
@@ -1216,10 +1206,14 @@ mod recovery_idempotence_tests {
                     );
                 }
                 // Third pass: already converged, nothing left to do.
-                let before = full_state(&m3);
+                let before = snapshot_pools(std::slice::from_ref(&m3));
                 let r2 = recover(&m3);
                 assert_eq!(r2.redo_replayed, 0, "policy {policy} site {site}");
-                assert_eq!(before, full_state(&m3), "policy {policy} site {site}");
+                assert_eq!(
+                    before,
+                    snapshot_pools(std::slice::from_ref(&m3)),
+                    "policy {policy} site {site}"
+                );
             }
         }
     }
@@ -1243,10 +1237,14 @@ mod recovery_idempotence_tests {
                         "policy {policy} site {site} entry {i}"
                     );
                 }
-                let before = full_state(&m3);
+                let before = snapshot_pools(std::slice::from_ref(&m3));
                 let r2 = recover(&m3);
                 assert_eq!(r2.undo_rolled_back, 0, "policy {policy} site {site}");
-                assert_eq!(before, full_state(&m3), "policy {policy} site {site}");
+                assert_eq!(
+                    before,
+                    snapshot_pools(std::slice::from_ref(&m3)),
+                    "policy {policy} site {site}"
+                );
             }
         }
     }

@@ -32,9 +32,9 @@ use palloc::PHeap;
 use pmem_sim::{CrashImage, Machine, MachineConfig, MachineSet, PmemPool, StatsSnapshot};
 
 use crate::config::PtmConfig;
-use crate::db::ReopenReports;
+use crate::db::{machines_of, restart, ReopenReports, Restarted};
 use crate::log::{COORD_POOL, COORD_SLOTS, COORD_SLOT_WORDS};
-use crate::recovery::{recover_with_options, resolve_in_doubt, RecoverOptions};
+use crate::recovery::{resolve_in_doubt, RecoverOptions};
 use crate::stats::{PtmStats, PtmStatsSnapshot};
 use crate::txn::{Ptm, TxThread};
 
@@ -42,8 +42,41 @@ use crate::txn::{Ptm, TxThread};
 /// `"shard-heap-<i>"`, which is how [`ShardedEngine::reopen`] finds it.
 pub const SHARD_HEAP_PREFIX: &str = "shard-heap";
 
-fn shard_heap_name(shard: usize) -> String {
+pub(crate) fn shard_heap_name(shard: usize) -> String {
     format!("{SHARD_HEAP_PREFIX}-{shard}")
+}
+
+/// Restart a set of machines, machine `i` from `images[i]` with its heap
+/// in pool `heap_pools[i]`: every machine goes through [`restart`] on its
+/// own thread (machines never read each other's pools, so restarts
+/// commute and the result is that of the serial order), then one
+/// cross-machine [`resolve_in_doubt`] pass decides each PREPARED log from
+/// the durable coordinator records, in fixed machine order, and folds
+/// its counts into the owning machine's recovery report. The first `Err`
+/// in machine order wins; a panicking restart thread re-raises here.
+pub(crate) fn restart_all(
+    images: &[CrashImage],
+    heap_pools: &[String],
+    machine_cfg: &MachineConfig,
+    opts: RecoverOptions,
+) -> Result<Vec<Restarted>, String> {
+    let results: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = images
+            .iter()
+            .zip(heap_pools)
+            .map(|(image, pool)| s.spawn(move || restart(image, pool, machine_cfg.clone(), opts)))
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let mut restarted = Vec::with_capacity(images.len());
+    for res in results {
+        restarted.push(res.unwrap_or_else(|payload| std::panic::resume_unwind(payload))?);
+    }
+    let resolution = resolve_in_doubt(&machines_of(&restarted));
+    for (r, res) in restarted.iter_mut().zip(resolution) {
+        r.reports.recovery.merge(&res);
+    }
+    Ok(restarted)
 }
 
 /// N single-shard PTM stacks behind one key-routed front door.
@@ -77,7 +110,23 @@ impl ShardedEngine {
         heap_words_per_shard: usize,
         roots: usize,
     ) -> ShardedEngine {
-        let machines = MachineSet::new(shards, machine_cfg);
+        Self::on_machines(
+            MachineSet::new(shards, machine_cfg),
+            ptm_cfg,
+            heap_words_per_shard,
+            roots,
+        )
+    }
+
+    /// [`ShardedEngine::create`] over machines the caller already built
+    /// (the crash harness arms one injector on all of them).
+    pub(crate) fn on_machines(
+        machines: MachineSet,
+        ptm_cfg: PtmConfig,
+        heap_words_per_shard: usize,
+        roots: usize,
+    ) -> ShardedEngine {
+        let shards = machines.len();
         let heaps = (0..shards)
             .map(|i| {
                 PHeap::format_with_media(
@@ -198,49 +247,28 @@ impl ShardedEngine {
         opts: RecoverOptions,
     ) -> (ShardedEngine, Vec<ReopenReports>) {
         assert!(!images.is_empty(), "reopen needs at least one shard image");
-        let shard_results: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = images
-                .iter()
-                .enumerate()
-                .map(|(i, image)| {
-                    let machine_cfg = machine_cfg.clone();
-                    s.spawn(move || Self::reopen_shard(i, image, machine_cfg, opts))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
+        let heap_pools: Vec<String> = (0..images.len()).map(shard_heap_name).collect();
+        let restarted =
+            restart_all(images, &heap_pools, &machine_cfg, opts).expect("shard restart");
         let mut machines = Vec::with_capacity(images.len());
         let mut heaps = Vec::with_capacity(images.len());
         let mut reports = Vec::with_capacity(images.len());
-        for res in shard_results {
-            match res {
-                Ok((machine, heap, rep)) => {
-                    machines.push(machine);
-                    heaps.push(heap);
-                    reports.push(rep);
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        // Cross-shard outcome resolution: with every shard's pools
-        // readable, decide each in-doubt (PREPARED) participant log from
-        // the durable coordinator records, in fixed shard order — the
-        // result is independent of the per-shard recovery order above.
-        let resolution = resolve_in_doubt(&machines);
-        for (i, res) in resolution.iter().enumerate() {
-            reports[i].recovery.merge(res);
+        for r in restarted {
+            machines.push(r.machine);
+            heaps.push(r.heap);
+            reports.push(r.reports);
         }
         let ptms: Vec<Arc<Ptm>> = (0..images.len())
             .map(|_| Ptm::new(ptm_cfg.clone()))
             .collect();
-        for (i, res) in resolution.iter().enumerate() {
+        for (ptm, rep) in ptms.iter().zip(&reports) {
             PtmStats::add(
-                &ptms[i].stats.indoubt_resolved_commit,
-                res.indoubt_resolved_commit as u64,
+                &ptm.stats.indoubt_resolved_commit,
+                rep.recovery.indoubt_resolved_commit as u64,
             );
             PtmStats::add(
-                &ptms[i].stats.indoubt_resolved_abort,
-                res.indoubt_resolved_abort as u64,
+                &ptm.stats.indoubt_resolved_abort,
+                rep.recovery.indoubt_resolved_abort as u64,
             );
         }
         // Re-adopt (or re-create, for images that predate 2PC) each
@@ -271,56 +299,6 @@ impl ShardedEngine {
                 coord_cursor: AtomicUsize::new(0),
             },
             reports,
-        )
-    }
-
-    /// Restart one shard: reboot → log recovery → online heap attach.
-    /// The sweep is joined before returning, so the shard comes back
-    /// fully ready; the timing split still records how early reads
-    /// became servable behind the GC's epoch fence.
-    fn reopen_shard(
-        i: usize,
-        image: &CrashImage,
-        machine_cfg: MachineConfig,
-        opts: RecoverOptions,
-    ) -> (Arc<Machine>, Arc<PHeap>, ReopenReports) {
-        let t0 = std::time::Instant::now();
-        let machine = Machine::reboot(image, machine_cfg);
-        let recovery = recover_with_options(&machine, opts);
-        let name = shard_heap_name(i);
-        let pool = machine
-            .pools()
-            .into_iter()
-            .find(|p| p.name() == name)
-            .unwrap_or_else(|| panic!("image {i} contains no {name} pool"));
-        let (heap, online) =
-            PHeap::attach_online(pool, opts.workers.max(1)).expect("shard heap attach");
-        let time_to_first_txn_ns = t0.elapsed().as_nanos() as u64;
-        let gc = online.join();
-        let full_restart_ns = t0.elapsed().as_nanos() as u64;
-        if let Some(sink) = machine.tracer() {
-            let mut r = sink.ring();
-            r.record(0, trace::EventKind::GcPhase, 0, gc.gc_scan_ns);
-            r.record(0, trace::EventKind::GcPhase, 1, gc.gc_mark_ns);
-            r.record(0, trace::EventKind::GcPhase, 2, gc.gc_sweep_ns);
-            sink.submit(trace::RECOVERY_TID, &r);
-        }
-        if let Some(sampler) = machine.sampler() {
-            // Restart runs outside virtual time; GC progress is noted
-            // as untimed phase observations rather than series windows.
-            sampler.note_gc_phase(0, gc.gc_scan_ns);
-            sampler.note_gc_phase(1, gc.gc_mark_ns);
-            sampler.note_gc_phase(2, gc.gc_sweep_ns);
-        }
-        (
-            machine,
-            heap,
-            ReopenReports {
-                recovery,
-                gc,
-                time_to_first_txn_ns,
-                full_restart_ns,
-            },
         )
     }
 

@@ -12,17 +12,13 @@
 //!   durable state and identical resolution counts.
 
 use palloc::PHeap;
-use pmem_sim::{
-    catch_simulated_crash, silence_simulated_crash_panics, AdversaryPolicy, CrashImage,
-    CrashInjector, DurabilityDomain, Machine, MachineConfig, PAddr,
-};
+use pmem_sim::{AdversaryPolicy, DurabilityDomain, Machine, MachineConfig, PAddr};
 use proptest::prelude::*;
+use ptm::crash_harness::{count_sites, crash_at_site, digest_pools, ShardedTransfers, SweepCase};
 use ptm::{
     recover_with_options, resolve_in_doubt, Abort, Algo, CrossShardTx, Ptm, PtmConfig,
-    RecoverOptions, ShardedEngine, TxThread, SHARD_HEAP_PREFIX,
+    RecoverOptions, ShardedEngine, TxThread,
 };
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 const DOMAINS: [DurabilityDomain; 4] = [
@@ -233,111 +229,6 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// FNV-1a over every word of every pool, across machines in shard order.
-fn digest(machines: &[Arc<Machine>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for machine in machines {
-        for pool in machine.pools() {
-            for w in 0..pool.len_words() as u64 {
-                h = (h ^ pool.raw_load(w)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    h
-}
-
-/// Which shard a fired crash image belongs to, by its heap pool name.
-fn crashed_shard(image: &CrashImage) -> usize {
-    let prefix = format!("{SHARD_HEAP_PREFIX}-");
-    image
-        .pools
-        .iter()
-        .find_map(|p| p.name.strip_prefix(&prefix).and_then(|s| s.parse().ok()))
-        .expect("fired crash image contains no shard heap pool")
-}
-
-/// Build a sharded engine, run a transfer workload, and crash it at
-/// global `site` (sites counted across every shard machine by one
-/// shared injector; `u64::MAX` = dry run). Returns one image per shard
-/// plus the number of sites the run observed.
-fn crash_at(
-    shards: usize,
-    algo: Algo,
-    domain: DurabilityDomain,
-    seed: u64,
-    site: u64,
-    policy: AdversaryPolicy,
-) -> (Vec<CrashImage>, u64) {
-    let run = |engine: &ShardedEngine| {
-        engine.begin_run_all(1, u64::MAX);
-        let mut cx = CrossShardTx::new(engine, 0);
-        let accounts = 6u64;
-        let mut tables = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let n = (0..accounts).filter(|&k| home(k, shards).0 == s).count();
-            let th = cx.thread_mut(s);
-            let heap = Arc::clone(th.heap());
-            let table = heap.alloc(th.session_mut(), n.max(1));
-            cx.run_single(s, |tx| {
-                for i in 0..n as u64 {
-                    tx.write_at(table, i, 64)?;
-                }
-                Ok(())
-            });
-            tables.push(table);
-        }
-        let mut rng = SmallRng::seed_from_u64(seed);
-        for _ in 0..6 {
-            let from = rng.gen_range(0..accounts);
-            let to = rng.gen_range(0..accounts);
-            let amt = rng.gen_range(1..32u64);
-            let (sf, of) = home(from, shards);
-            let (st, ot) = home(to, shards);
-            cx.run(|tx| {
-                let f = tx.read_at(sf, tables[sf], of)?;
-                let t = tx.read_at(st, tables[st], ot)?;
-                if from != to && f >= amt {
-                    tx.write_at(sf, tables[sf], of, f - amt)?;
-                    tx.write_at(st, tables[st], ot, t + amt)?;
-                }
-                Ok(())
-            });
-        }
-    };
-
-    let cfg = PtmConfig {
-        algo,
-        ..PtmConfig::default()
-    };
-    let mcfg = MachineConfig::functional(domain);
-    let engine = ShardedEngine::create(shards, mcfg.clone(), cfg, 1 << 14, 4);
-    let injector = CrashInjector::at_site(site, policy, seed ^ 0xD1F0_5EED);
-    for s in 0..shards {
-        engine.machine(s).arm_injector(Arc::clone(&injector));
-    }
-    let _ = catch_simulated_crash(|| run(&engine));
-    for s in 0..shards {
-        engine.machine(s).disarm_injector();
-    }
-    let fired = injector.take_outcome();
-    let fired_shard = fired.as_ref().map(|f| crashed_shard(&f.image));
-    let images = (0..shards)
-        .map(|s| {
-            if Some(s) == fired_shard {
-                fired.as_ref().unwrap().image.clone()
-            } else {
-                // Survivor shards (and the completed-run case) are imaged
-                // under per-shard derived seeds, like the sweep harness.
-                engine.machine(s).crash_with(
-                    (seed ^ 0xD1F0_5EED) ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(s as u64),
-                    policy,
-                )
-            }
-        })
-        .collect();
-    (images, injector.sites_counted())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -353,18 +244,20 @@ proptest! {
         policy_idx in 0usize..AdversaryPolicy::SWEEP.len(),
         shards in 2usize..4,
     ) {
-        silence_simulated_crash_panics();
         let algo = Algo::ALL[algo_idx];
         let domain = DurabilityDomain::Adr;
         let policy = AdversaryPolicy::SWEEP[policy_idx];
 
-        // Count the sites with a dry run, then land the crash in the
-        // later half of the run, where 2PC prepare/decide windows live.
-        let (_, total) = crash_at(shards, algo, domain, seed, u64::MAX, policy);
-        let total = total.max(1);
+        // The sweep harness's cross-shard transfer workload and its
+        // crash step (one injector over every shard machine, survivors
+        // imaged under per-shard derived seeds). Count the sites with a
+        // dry run, then land the crash in the later half of the run,
+        // where 2PC prepare/decide windows live.
+        let workload = ShardedTransfers { shards, accounts: 6, initial: 64, transfers: 6 };
+        let case = SweepCase { algo, domain, policy, seed };
+        let total = count_sites(&workload, &case).max(1);
         let site = total / 2 + site_frac % (total - total / 2).max(1);
-
-        let (images, _) = crash_at(shards, algo, domain, seed, site, policy);
+        let images = crash_at_site(&workload, &case, site).images;
 
         let mut reference: Option<(u64, usize, usize)> = None;
         for perm in permutations(shards) {
@@ -378,7 +271,7 @@ proptest! {
             let reports = resolve_in_doubt(&machines);
             let commits: usize = reports.iter().map(|r| r.indoubt_resolved_commit).sum();
             let aborts: usize = reports.iter().map(|r| r.indoubt_resolved_abort).sum();
-            let d = digest(&machines);
+            let d = digest_pools(&machines);
             match reference {
                 None => reference = Some((d, commits, aborts)),
                 Some((d0, c0, a0)) => {

@@ -111,7 +111,9 @@ pub enum EventKind {
     RecoveryLog = 18,
     /// One restart-GC phase completed. `a` = phase code (0 = scan,
     /// 1 = mark, 2 = sweep), `b` = wall-clock duration in ns. Recovery
-    /// events are untimed (`ts` 0); the duration rides in `b`.
+    /// events are untimed (`ts` 0); the duration rides in `b`. No longer
+    /// recorded (a restarted machine has no tracer; the phase times are
+    /// in `ReopenReports.gc`); the code stays so old dumps still parse.
     GcPhase = 19,
     /// The simulated hardware section retired (HTM commit succeeded).
     /// Everything between the attempt's [`EventKind::TxBegin`] and this

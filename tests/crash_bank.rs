@@ -3,153 +3,85 @@
 //! be exactly conserved under every (algorithm, durability domain) pair
 //! and many adversarial persistence seeds.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::time::Duration;
 
-use optane_ptm::palloc::{layout, PHeap};
-use optane_ptm::pmem_sim::{DurabilityDomain, Machine, MachineConfig, PAddr};
-use optane_ptm::ptm::{recover, Algo, Ptm, PtmConfig, TxThread};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use optane_ptm::pmem_sim::{AdversaryPolicy, DurabilityDomain};
+use optane_ptm::ptm::crash_round::{
+    frozen_bank_round, FrozenRound, FROZEN_ACCOUNTS, FROZEN_INITIAL,
+};
+use optane_ptm::ptm::{Algo, PtmConfig};
 
-const ACCOUNTS: u64 = 32;
-const INITIAL: u64 = 500;
-const THREADS: usize = 3;
-
-fn run_crash_bank(algo: Algo, domain: DurabilityDomain, seed: u64) -> (u64, u64, u64) {
-    let machine = Machine::new(MachineConfig {
+/// One frozen round under `cfg`; the root pointer must survive and the
+/// money must be conserved.
+fn conserved(cfg: PtmConfig, domain: DurabilityDomain, seed: u64) -> FrozenRound {
+    let round = frozen_bank_round(
+        cfg,
         domain,
-        track_persistence: true,
-        ..MachineConfig::default()
-    });
-    let heap = PHeap::format(&machine, "bank", 1 << 15, 4);
+        AdversaryPolicy::default(),
+        seed,
+        Duration::from_millis(25),
+    );
+    assert_eq!(round.root, round.table, "root pointer must survive");
+    assert_eq!(
+        round.total,
+        FROZEN_ACCOUNTS * FROZEN_INITIAL,
+        "{domain:?} seed {seed}"
+    );
+    round
+}
+
+fn run_crash_bank(algo: Algo, domain: DurabilityDomain, seed: u64) {
     let cfg = PtmConfig {
         algo,
         ..PtmConfig::default()
     };
-    let ptm = Ptm::new(cfg);
-    machine.begin_run(1, u64::MAX);
-    let table = {
-        let mut th = TxThread::new(ptm.clone(), heap.clone(), machine.session(0));
-        let h = Arc::clone(&heap);
-        let table = h.alloc(th.session_mut(), ACCOUNTS as usize);
-        th.run(|tx| {
-            for i in 0..ACCOUNTS {
-                tx.write_at(table, i, INITIAL)?;
-            }
-            Ok(())
-        });
-        heap.set_root(th.session_mut(), 0, table);
-        table
-    };
-    let stop = Arc::new(AtomicBool::new(false));
-    machine.begin_run(THREADS, u64::MAX);
-    let image = std::thread::scope(|scope| {
-        for tid in 0..THREADS {
-            let machine = Arc::clone(&machine);
-            let ptm = Arc::clone(&ptm);
-            let heap = Arc::clone(&heap);
-            let stop = Arc::clone(&stop);
-            scope.spawn(move || {
-                let mut th = TxThread::new(ptm, heap, machine.session(tid));
-                let mut rng = SmallRng::seed_from_u64(seed ^ tid as u64);
-                while !stop.load(Ordering::Relaxed) {
-                    let from = rng.gen_range(0..ACCOUNTS);
-                    let to = rng.gen_range(0..ACCOUNTS);
-                    let amt = rng.gen_range(1..40);
-                    th.run(|tx| {
-                        let f = tx.read_at(table, from)?;
-                        let t = tx.read_at(table, to)?;
-                        if from != to && f >= amt {
-                            tx.write_at(table, from, f - amt)?;
-                            tx.write_at(table, to, t + amt)?;
-                        }
-                        Ok(())
-                    });
-                }
-            });
-        }
-        std::thread::sleep(std::time::Duration::from_millis(25));
-        machine.freeze();
-        let image = machine.crash(seed);
-        stop.store(true, Ordering::Relaxed);
-        machine.thaw();
-        image
-    });
-    let machine2 = Machine::reboot(
-        &image,
-        MachineConfig {
-            domain,
-            track_persistence: true,
-            ..MachineConfig::default()
-        },
-    );
-    let report = recover(&machine2);
-    let pool = machine2.pool(heap.pool().id());
-    let table2 = PAddr(pool.raw_load(layout::OFF_ROOTS));
-    assert_eq!(table2, table, "root pointer must survive");
-    let total: u64 = (0..ACCOUNTS)
-        .map(|i| pool.raw_load(table2.word() + i))
-        .sum();
-    (
-        total,
-        report.redo_replayed as u64,
-        report.undo_rolled_back as u64,
-    )
+    conserved(cfg, domain, seed);
 }
 
 #[test]
 fn money_conserved_redo_adr() {
     for seed in 0..4 {
-        let (total, ..) = run_crash_bank(Algo::RedoLazy, DurabilityDomain::Adr, seed);
-        assert_eq!(total, ACCOUNTS * INITIAL, "seed {seed}");
+        run_crash_bank(Algo::RedoLazy, DurabilityDomain::Adr, seed);
     }
 }
 
 #[test]
 fn money_conserved_undo_adr() {
     for seed in 0..4 {
-        let (total, ..) = run_crash_bank(Algo::UndoEager, DurabilityDomain::Adr, seed);
-        assert_eq!(total, ACCOUNTS * INITIAL, "seed {seed}");
+        run_crash_bank(Algo::UndoEager, DurabilityDomain::Adr, seed);
     }
 }
 
 #[test]
 fn money_conserved_cow_adr() {
     for seed in 0..4 {
-        let (total, ..) = run_crash_bank(Algo::CowShadow, DurabilityDomain::Adr, seed);
-        assert_eq!(total, ACCOUNTS * INITIAL, "seed {seed}");
+        run_crash_bank(Algo::CowShadow, DurabilityDomain::Adr, seed);
     }
 }
 
 #[test]
 fn money_conserved_redo_eadr() {
-    let (total, ..) = run_crash_bank(Algo::RedoLazy, DurabilityDomain::Eadr, 7);
-    assert_eq!(total, ACCOUNTS * INITIAL);
+    run_crash_bank(Algo::RedoLazy, DurabilityDomain::Eadr, 7);
 }
 
 #[test]
 fn money_conserved_undo_eadr() {
-    let (total, ..) = run_crash_bank(Algo::UndoEager, DurabilityDomain::Eadr, 7);
-    assert_eq!(total, ACCOUNTS * INITIAL);
+    run_crash_bank(Algo::UndoEager, DurabilityDomain::Eadr, 7);
 }
 
 #[test]
 fn money_conserved_cow_eadr() {
-    let (total, ..) = run_crash_bank(Algo::CowShadow, DurabilityDomain::Eadr, 7);
-    assert_eq!(total, ACCOUNTS * INITIAL);
+    run_crash_bank(Algo::CowShadow, DurabilityDomain::Eadr, 7);
 }
 
 #[test]
 fn money_conserved_redo_pdram() {
-    let (total, ..) = run_crash_bank(Algo::RedoLazy, DurabilityDomain::Pdram, 11);
-    assert_eq!(total, ACCOUNTS * INITIAL);
+    run_crash_bank(Algo::RedoLazy, DurabilityDomain::Pdram, 11);
 }
 
 #[test]
 fn money_conserved_redo_pdram_lite() {
-    let (total, ..) = run_crash_bank(Algo::RedoLazy, DurabilityDomain::PdramLite, 13);
-    assert_eq!(total, ACCOUNTS * INITIAL);
+    run_crash_bank(Algo::RedoLazy, DurabilityDomain::PdramLite, 13);
 }
 
 #[test]
@@ -157,82 +89,14 @@ fn money_conserved_hybrid_htm_eadr() {
     // The hybrid HTM path has no log: its commit must be crash-atomic by
     // construction (the simulated power failure cannot split xend).
     for seed in 0..3 {
-        let machine = Machine::new(MachineConfig {
-            domain: DurabilityDomain::Eadr,
-            track_persistence: true,
-            ..MachineConfig::default()
-        });
-        let heap = PHeap::format(&machine, "bank", 1 << 15, 4);
-        let ptm = Ptm::new(PtmConfig {
+        let cfg = PtmConfig {
             htm_retries: 4,
             ..PtmConfig::redo()
-        });
-        machine.begin_run(1, u64::MAX);
-        let table = {
-            let mut th = TxThread::new(ptm.clone(), heap.clone(), machine.session(0));
-            let h = Arc::clone(&heap);
-            let table = h.alloc(th.session_mut(), ACCOUNTS as usize);
-            th.run(|tx| {
-                for i in 0..ACCOUNTS {
-                    tx.write_at(table, i, INITIAL)?;
-                }
-                Ok(())
-            });
-            heap.set_root(th.session_mut(), 0, table);
-            table
         };
-        let stop = Arc::new(AtomicBool::new(false));
-        machine.begin_run(THREADS, u64::MAX);
-        let image = std::thread::scope(|scope| {
-            for tid in 0..THREADS {
-                let machine = Arc::clone(&machine);
-                let ptm = Arc::clone(&ptm);
-                let heap = Arc::clone(&heap);
-                let stop = Arc::clone(&stop);
-                scope.spawn(move || {
-                    let mut th = TxThread::new(ptm, heap, machine.session(tid));
-                    let mut rng = SmallRng::seed_from_u64(seed ^ tid as u64);
-                    while !stop.load(Ordering::Relaxed) {
-                        let from = rng.gen_range(0..ACCOUNTS);
-                        let to = rng.gen_range(0..ACCOUNTS);
-                        let amt = rng.gen_range(1..40);
-                        th.run(|tx| {
-                            let f = tx.read_at(table, from)?;
-                            let t = tx.read_at(table, to)?;
-                            if from != to && f >= amt {
-                                tx.write_at(table, from, f - amt)?;
-                                tx.write_at(table, to, t + amt)?;
-                            }
-                            Ok(())
-                        });
-                    }
-                });
-            }
-            std::thread::sleep(std::time::Duration::from_millis(25));
-            machine.freeze();
-            let image = machine.crash(seed);
-            stop.store(true, Ordering::Relaxed);
-            machine.thaw();
-            image
-        });
+        let round = conserved(cfg, DurabilityDomain::Eadr, seed);
         assert!(
-            ptm.stats_snapshot().htm_commits > 0,
+            round.stats.htm_commits > 0,
             "hardware path must actually engage"
         );
-        let machine2 = Machine::reboot(
-            &image,
-            MachineConfig {
-                domain: DurabilityDomain::Eadr,
-                track_persistence: true,
-                ..MachineConfig::default()
-            },
-        );
-        recover(&machine2);
-        let pool = machine2.pool(heap.pool().id());
-        let table2 = PAddr(pool.raw_load(layout::OFF_ROOTS));
-        let total: u64 = (0..ACCOUNTS)
-            .map(|i| pool.raw_load(table2.word() + i))
-            .sum();
-        assert_eq!(total, ACCOUNTS * INITIAL, "seed {seed}: torn HTM commit");
     }
 }

@@ -10,6 +10,7 @@ use optane_ptm::pmem_sim::{
     DurabilityDomain, Machine, MachineConfig,
 };
 use optane_ptm::ptm::crash_harness::{run_site, sweep, BankTransfers, SweepCase, SweepOptions};
+use optane_ptm::ptm::db::restart;
 use optane_ptm::ptm::{recover, Algo, RecoverOptions};
 use std::sync::Arc;
 
@@ -109,7 +110,7 @@ fn broken_recovery_yields_a_deterministic_reproducer() {
 /// to a consistent bank.
 #[test]
 fn crash_during_recovery_converges_on_the_next_pass() {
-    use optane_ptm::ptm::crash_harness::{count_sites, derive_crash_seed, CrashWorkload};
+    use optane_ptm::ptm::crash_harness::{count_sites, crash_at_site, CrashWorkload};
 
     silence_simulated_crash_panics();
     let bank = small_bank();
@@ -123,17 +124,16 @@ fn crash_during_recovery_converges_on_the_next_pass() {
     // (and thus undo logs) are in flight.
     let total = count_sites(&bank, &case);
     let site = total * 3 / 4;
-    let machine = Machine::new(MachineConfig::functional(case.domain));
-    let inj = CrashInjector::at_site(site, case.policy, derive_crash_seed(case.seed, site));
-    machine.arm_injector(Arc::clone(&inj));
-    let completed = catch_simulated_crash(|| bank.run(&machine, &case)).is_ok();
-    machine.disarm_injector();
-    assert!(!completed, "site {site}/{total} must interrupt the run");
-    let image = inj.take_outcome().unwrap().image;
+    let crashed = crash_at_site(&bank, &case, site);
+    assert!(
+        crashed.fired.is_some(),
+        "site {site}/{total} must interrupt the run"
+    );
+    let image = &crashed.images[0];
 
     // Second crash: during recovery, at every recovery site in turn.
     for recovery_site in 0..u64::MAX {
-        let m2 = Machine::reboot(&image, MachineConfig::functional(case.domain));
+        let m2 = Machine::reboot(image, MachineConfig::functional(case.domain));
         let inj2 = CrashInjector::at_site(recovery_site, case.policy, 77 ^ recovery_site);
         m2.arm_injector(Arc::clone(&inj2));
         let done = catch_simulated_crash(|| recover(&m2)).is_ok();
@@ -143,19 +143,18 @@ fn crash_during_recovery_converges_on_the_next_pass() {
             break;
         }
         let image2 = inj2.take_outcome().unwrap().image;
-        let m3 = Machine::reboot(&image2, MachineConfig::functional(case.domain));
-        recover(&m3);
-        // Converged: the doubly-crashed machine passes the same checks
-        // the harness applies, including committed-prefix equality.
-        let (heap, gc) = optane_ptm::palloc::PHeap::attach(
-            m3.pools()
-                .into_iter()
-                .find(|p| p.name() == bank.heap_pool())
-                .unwrap(),
+        // Converged: the doubly-crashed machine restarts and passes the
+        // same checks the harness applies, including committed-prefix
+        // equality.
+        let m3 = restart(
+            &image2,
+            &bank.heap_pool(0),
+            MachineConfig::functional(case.domain),
+            RecoverOptions::default(),
         )
         .unwrap();
-        heap.validate().unwrap();
-        let violations = bank.check(&m3, &heap, &gc, &case);
+        m3.heap.validate().unwrap();
+        let violations = bank.check(&[m3], &case);
         assert!(
             violations.is_empty(),
             "recovery site {recovery_site}: {violations:?}"
