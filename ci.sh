@@ -8,7 +8,7 @@ echo "=== fmt ==="
 cargo fmt --check
 
 echo "=== clippy ==="
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "=== test ==="
 # --workspace: the root package's integration tests alone skip the ptm /
@@ -37,8 +37,25 @@ if grep -rnE 'fn push_kv|"\{\{?\\"' crates/*/src src examples --include='*.rs' \
   exit 1
 fi
 
+echo "=== flush-shape seam check ==="
+# Policies offer lines to TxAccess's flush window and close it; what an
+# offer becomes is decided in crates/ptm/src/access.rs alone. A plan
+# test in a policy file means a per-policy flush fork grew back, and a
+# 14th PtmConfig field means a knob did (DESIGN.md §5 has one row per
+# field with the result or test that justifies it).
+if grep -nE 'combining\(\)|write_combining|FlushTiming|FlushPlan::' crates/ptm/src/algo/*.rs; then
+  echo "ERROR: flush-shape decision inside a policy (see above)" >&2
+  exit 1
+fi
+FIELDS=$(awk '/^pub struct PtmConfig/ { on = 1; next } on && /^}/ { exit } on && /^    pub / { n++ } END { print n + 0 }' \
+  crates/ptm/src/config.rs)
+if [ "$FIELDS" -ne 13 ]; then
+  echo "ERROR: PtmConfig has $FIELDS pub fields, expected 13" >&2
+  exit 1
+fi
+
 echo "=== golden report lines ==="
-# The --json report lines of six deterministic runs, byte for byte
+# The --json report lines of thirteen deterministic runs, byte for byte
 # against crates/bench/tests/golden/ — by name and first among the
 # output checks, so a schema slip is reported as such and not as a
 # smoke-step failure further down.

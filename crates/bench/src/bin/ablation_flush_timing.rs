@@ -4,7 +4,7 @@
 
 use bench::{emit_point, run_point_with, HarnessOpts};
 use pmem_sim::{DurabilityDomain, MediaKind};
-use ptm::{Algo, FlushTiming};
+use ptm::{Algo, FlushPlan};
 use workloads::driver::Scenario;
 
 fn main() {
@@ -21,9 +21,9 @@ fn main() {
                 Algo::RedoLazy,
             );
             let mut rc = opts.run_config(threads);
-            rc.ptm.flush_timing = FlushTiming::Incremental;
+            rc.ptm.flush = FlushPlan::Incremental;
             let inc = run_point_with(name, &sc, &rc, opts.quick);
-            rc.ptm.flush_timing = FlushTiming::Batched;
+            rc.ptm.flush = FlushPlan::Batched;
             let bat = run_point_with(name, &sc, &rc, opts.quick);
             if opts.json {
                 emit_point(&opts, &format!("{name}-incremental"), &inc);

@@ -1,7 +1,7 @@
 //! Ablation: naive vs write-combining commit pipeline.
 //!
 //! The write-combining pipeline (see `ptm::umap::LineSet` and
-//! `PtmConfig::write_combining`) collects every durability obligation of
+//! `FlushPlan::Combined`) collects every durability obligation of
 //! a fence window, dedupes at cache-line granularity and drains the
 //! unique lines through the bank-interleaved `MemSession::clwb_batch`.
 //! This binary measures the gain over the naive per-entry flush loop on
@@ -15,7 +15,7 @@
 
 use bench::{emit_point, run_point_with, HarnessOpts};
 use pmem_sim::{DurabilityDomain, MediaKind};
-use ptm::Algo;
+use ptm::{Algo, FlushPlan};
 use workloads::driver::Scenario;
 
 fn main() {
@@ -46,9 +46,9 @@ fn main() {
                         algo,
                     );
                     let mut rc = opts.run_config(threads);
-                    rc.ptm.write_combining = false;
+                    rc.ptm.flush = FlushPlan::Batched;
                     let naive = run_point_with(name, &sc, &rc, opts.quick);
-                    rc.ptm.write_combining = true;
+                    rc.ptm.flush = FlushPlan::Combined;
                     let combined = run_point_with(name, &sc, &rc, opts.quick);
                     // Flush-count regression guard: the first redo ADR
                     // point must elide a nonzero share of flushes.

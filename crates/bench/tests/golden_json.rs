@@ -11,7 +11,7 @@
 //! drift with host scheduling, so stall and latency figures move (the
 //! counts do not). Their goldens are stored, and compared, with every
 //! number masked to `#` — that still pins the key sequence and the
-//! presence or absence of the `twopc` block. The other four were
+//! presence or absence of the `twopc` block. The others were
 //! identical over repeated runs.
 //!
 //! After an *intended* schema change, regenerate the goldens with
@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 
 use bench::report::{point_json, sharded_point_json};
 use pmem_sim::{DurabilityDomain, MediaKind, PAddr};
-use ptm::{Algo, PtmConfig, TxThread};
+use ptm::{Algo, FlushPlan, PtmConfig, TxThread};
 use rand::rngs::SmallRng;
 use workloads::driver::{run_scenario, RunConfig, Scenario, Workload};
 use workloads::{ShardedRunConfig, StreamConfig};
@@ -82,14 +82,21 @@ fn one_thread(ops: u64, ptm: PtmConfig) -> RunConfig {
     }
 }
 
-fn tpcc_adr_redo() -> String {
+/// 200 `tpcc-hash` operations, one thread, Optane under ADR, `algo`
+/// flushing by `flush`: one case per (policy, flush plan) arm that a
+/// benchmark or ablation runs.
+fn tpcc_adr(algo: Algo, flush: FlushPlan) -> String {
     let sc = Scenario::new(
-        "Optane_ADR_R",
+        format!("Optane_ADR_{}", algo.label()),
         MediaKind::Optane,
         DurabilityDomain::Adr,
-        Algo::RedoLazy,
+        algo,
     );
-    let rc = one_thread(200, PtmConfig::default());
+    let ptm = PtmConfig {
+        flush,
+        ..PtmConfig::default()
+    };
+    let rc = one_thread(200, ptm);
     point_json(
         "tpcc-hash",
         &bench::run_point_with("tpcc-hash", &sc, &rc, true),
@@ -154,10 +161,34 @@ fn xshard_masked(frac: f64) -> String {
 }
 
 /// `(golden file stem, emitted line)` for every case.
-fn cases() -> [(&'static str, String); 6] {
+fn cases() -> [(&'static str, String); 13] {
+    use Algo::{CowShadow, HtmLogged, RedoLazy, UndoEager};
+    use FlushPlan::{Batched, Combined, Incremental};
     let kv = workloads::run_sharded_kv(&two_by_one());
     [
-        ("point_tpcc_adr_redo_1t", tpcc_adr_redo()),
+        ("point_tpcc_adr_redo_1t", tpcc_adr(RedoLazy, Batched)),
+        (
+            "point_tpcc_adr_redo_incremental_1t",
+            tpcc_adr(RedoLazy, Incremental),
+        ),
+        (
+            "point_tpcc_adr_redo_combined_1t",
+            tpcc_adr(RedoLazy, Combined),
+        ),
+        ("point_tpcc_adr_undo_1t", tpcc_adr(UndoEager, Batched)),
+        (
+            "point_tpcc_adr_undo_combined_1t",
+            tpcc_adr(UndoEager, Combined),
+        ),
+        ("point_tpcc_adr_cow_1t", tpcc_adr(CowShadow, Batched)),
+        (
+            "point_tpcc_adr_cow_combined_1t",
+            tpcc_adr(CowShadow, Combined),
+        ),
+        (
+            "point_tpcc_adr_htm_combined_1t",
+            tpcc_adr(HtmLogged, Combined),
+        ),
         ("point_htm_logged_1t", htm_run("Optane_ADR_H", 0)),
         ("point_htm_fastpath_1t", htm_run("Optane_ADR_H_paced", 2)),
         ("sharded_kv_2x1", sharded_point_json("sharded-kv", &kv)),

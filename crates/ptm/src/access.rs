@@ -1,7 +1,9 @@
 //! Shared per-thread transaction machinery, independent of the logging
 //! algorithm: read-set tracking, `U64Map`-deduped write-set structures,
-//! orec acquisition/validation, phase charging, flush planning, and
-//! trace emission.
+//! orec acquisition/validation, phase charging, the flush window (the one
+//! place that turns a policy's durability obligations into `clwb`s), the
+//! header-seal and orec-release steps every policy ends with, and trace
+//! emission.
 //!
 //! [`TxAccess`] owns everything a transaction attempt accumulates —
 //! the [`crate::algo::LogPolicy`] implementations operate on it and keep
@@ -17,6 +19,7 @@ use rand::{Rng, SeedableRng};
 
 use trace::{AbortCause, EventKind, HtmAbortCause};
 
+use crate::config::{FlushPlan, INDEX_NS, LOCK_SPIN, MAX_BACKOFF_NS, OREC_NS};
 use crate::log::TxLog;
 use crate::orec::{is_locked, owner_of};
 use crate::phases::{Phase, PhaseTimer};
@@ -39,17 +42,24 @@ pub struct TxAccess {
     pub(crate) start_time: u64,
     pub(crate) read_set: Vec<(u32, u64)>,
     /// Duplicate filter over `read_set` (orec -> slot), maintained only
-    /// under `write_combining`: repeated reads of a hot stripe then cost
-    /// O(unique orecs) in `validate_reads`/`extend`.
+    /// under [`FlushPlan::Combined`]: repeated reads of a hot stripe then
+    /// cost O(unique orecs) in `validate_reads`/`extend`.
     pub(crate) read_index: U64Map,
     /// Redo: (addr bits, new value). Undo: (addr bits, old value).
     pub(crate) entries: Vec<(u64, u64)>,
     pub(crate) redo_index: U64Map,
-    /// Write-combining flush planner: every durability obligation of the
-    /// current fence window, deduped at cache-line granularity.
-    pub(crate) plan: LineSet,
+    /// What an offer to the flush window becomes: the configured
+    /// [`FlushPlan`], with `Combined` resolved to `Batched` once per
+    /// thread where the domain elides flushes (planning would only spend
+    /// DRAM time and skew the planner counters there).
+    window: FlushPlan,
+    /// `Combined` window: every durability obligation offered since the
+    /// last close, deduped at cache-line granularity.
+    plan: LineSet,
     /// Reusable drain buffer handed to `MemSession::clwb_batch`.
-    pub(crate) plan_scratch: Vec<PAddr>,
+    plan_scratch: Vec<PAddr>,
+    /// Last line [`Self::offer_adjacent`] flushed directly this window.
+    run_line: (pmem_sim::PoolId, u64),
     /// Held orecs with their pre-lock versions.
     pub(crate) owned: Vec<(u32, u64)>,
     pub(crate) owned_map: U64Map,
@@ -98,11 +108,18 @@ pub struct TxAccess {
     pub(crate) pending_abort: Option<(u64, u64)>,
 }
 
+/// [`TxAccess::run_line`] before the first adjacent offer of a window.
+const NO_LINE: (pmem_sim::PoolId, u64) = (pmem_sim::PoolId(u32::MAX), u64::MAX);
+
 impl TxAccess {
     pub(crate) fn new(ptm: Arc<Ptm>, heap: Arc<PHeap>, s: MemSession) -> TxAccess {
         let tid = s.tid() as u64;
         let log = TxLog::create(s.machine(), s.tid(), &ptm.config);
         let cap = ptm.config.log_capacity.min(1 << 12);
+        let window = match ptm.config.flush {
+            FlushPlan::Combined if !s.machine().domain().requires_flushes() => FlushPlan::Batched,
+            plan => plan,
+        };
         TxAccess {
             ptm,
             heap,
@@ -114,8 +131,10 @@ impl TxAccess {
             read_index: U64Map::new(256),
             entries: Vec::with_capacity(cap.min(256)),
             redo_index: U64Map::new(64),
+            window,
             plan: LineSet::new(64),
             plan_scratch: Vec::with_capacity(64),
+            run_line: NO_LINE,
             owned: Vec::with_capacity(64),
             owned_map: U64Map::new(64),
             undo_logged: U64Map::new(64),
@@ -214,7 +233,9 @@ impl TxAccess {
         }
     }
 
-    /// `clwb`, charged to [`Phase::Flush`] (elided → ~0 under eADR).
+    /// Direct `clwb`, charged to [`Phase::Flush`] (elided → ~0 under
+    /// eADR): header lines, per-entry undo appends and rollback
+    /// restores, which are never part of a window.
     #[inline]
     pub(crate) fn flush_line(&mut self, addr: PAddr) {
         let now = self.s.now();
@@ -224,26 +245,75 @@ impl TxAccess {
         self.timer.switch(now, prev);
     }
 
-    /// Whether this commit should route its flushes through the
-    /// write-combining planner. Under eADR-class domains the planner is
-    /// skipped entirely (flushes are free no-ops there, so planning
-    /// would only spend DRAM time and skew the planner counters).
+    // ---- the flush window -----------------------------------------------
+    //
+    // A policy *offers* each line a fence must cover, then *closes* the
+    // window and fences. Whether an offer is an immediate `clwb` or an
+    // entry in the deduping plan drained at close is decided here and
+    // nowhere else.
+
+    /// Offer the cache line containing `addr` to the open window.
     #[inline]
-    pub(crate) fn combining(&self) -> bool {
-        self.ptm.config.write_combining && self.s.machine().domain().requires_flushes()
+    pub(crate) fn offer(&mut self, addr: PAddr) {
+        if self.window == FlushPlan::Combined {
+            let base = PAddr::new(addr.pool(), addr.line() * pmem_sim::WORDS_PER_LINE as u64);
+            self.plan.insert(base.0);
+        } else {
+            self.flush_line(addr);
+        }
     }
 
-    /// Offer the cache line containing `addr` to the fence window's plan.
+    /// [`Self::offer`] for a run of addresses whose same-line members are
+    /// adjacent (consecutive log entries): a direct flush skips an offer
+    /// on the line it flushed last. The plan dedupes by itself and counts
+    /// every offer, so `flushes_elided` is what the direct arm would
+    /// have saved.
     #[inline]
-    pub(crate) fn plan_line(&mut self, addr: PAddr) {
-        let base = PAddr::new(addr.pool(), addr.line() * pmem_sim::WORDS_PER_LINE as u64);
-        self.plan.insert(base.0);
+    pub(crate) fn offer_adjacent(&mut self, addr: PAddr) {
+        if self.window == FlushPlan::Combined {
+            self.offer(addr);
+        } else if (addr.pool(), addr.line()) != self.run_line {
+            self.flush_line(addr);
+            self.run_line = (addr.pool(), addr.line());
+        }
     }
 
-    /// Drain the planned window through the bank-interleaved batched
-    /// flusher, charged to [`Phase::Flush`]; updates the planner
-    /// counters (`lines_planned`, `flushes_elided`).
-    pub(crate) fn drain_plan(&mut self) {
+    /// Offer the lines of alloc-new blocks (unlogged initialization) so
+    /// they are durable before the commit point; overlapping blocks
+    /// dedupe under a plan.
+    pub(crate) fn offer_fresh_blocks(&mut self) {
+        for i in 0..self.fresh_blocks.len() {
+            let (addr_bits, words) = self.fresh_blocks[i];
+            let base = PAddr(addr_bits);
+            let mut w = 0u64;
+            while w < words as u64 {
+                self.offer(base.offset(w));
+                w += pmem_sim::WORDS_PER_LINE as u64;
+            }
+        }
+    }
+
+    /// Redo appended log entry `i`. Incremental timing (§III-B) staggers
+    /// `clwb`s during execution by flushing each log line as it
+    /// *completes*, i.e. when the append after it starts a new line (the
+    /// commit still covers every touched line). Flushing half-filled
+    /// lines on every append would instead double the writeback traffic.
+    #[inline]
+    pub(crate) fn log_entry_appended(&mut self, i: usize) {
+        if self.window == FlushPlan::Incremental && i > 0 {
+            let (prev, e) = (self.log.entry_addr(i - 1), self.log.entry_addr(i));
+            if prev.line() != e.line() || prev.pool() != e.pool() {
+                self.flush_line(prev);
+            }
+        }
+    }
+
+    /// Close the window: drain a plan through the bank-interleaved
+    /// batched flusher, charged to [`Phase::Flush`], and update the
+    /// planner counters (`lines_planned`, `flushes_elided`). Direct
+    /// offers were flushed as they came. The caller fences.
+    pub(crate) fn close_window(&mut self) {
+        self.run_line = NO_LINE;
         let unique = self.plan.len() as u64;
         let offered = self.plan.offered();
         if unique == 0 {
@@ -262,16 +332,22 @@ impl TxAccess {
         self.timer.switch(now, prev);
     }
 
+    /// [`Self::close_window`] for a window of home data lines: a plan's
+    /// unique-line count is the `max_write_lines` high-water mark.
+    pub(crate) fn close_data_window(&mut self) {
+        PtmStats::high_water(&self.ptm.stats.max_write_lines, self.plan.len() as u64);
+        self.close_window();
+    }
+
     #[inline]
     pub(crate) fn index_cost(&mut self) {
-        let cfg = &self.ptm.config;
-        if cfg.split_log_index {
-            self.s.advance(cfg.index_ns);
+        if self.ptm.config.split_log_index {
+            self.s.advance(INDEX_NS);
         } else {
             // Unsplit ablation: the index itself lives in Optane; charge a
             // partial media access per probe (some probes hit cache).
             let extra = self.s.machine().model().optane_load_ns / 4;
-            self.s.advance(cfg.index_ns + extra);
+            self.s.advance(INDEX_NS + extra);
         }
     }
 
@@ -296,7 +372,7 @@ impl TxAccess {
         self.tx_allocs.clear();
         self.tx_frees.clear();
         self.start_time = self.ptm.clock.sample();
-        self.s.advance(self.ptm.config.orec_ns);
+        self.s.advance(OREC_NS);
         self.pending_abort = None;
         self.htm_abort_cause = None;
         self.commit_wv = 0;
@@ -306,10 +382,8 @@ impl TxAccess {
 
     /// Timestamp extension: revalidate the read set at a newer clock.
     pub(crate) fn extend(&mut self) -> bool {
-        let cfg_orec_ns = self.ptm.config.orec_ns;
         let ts = self.ptm.clock.sample();
-        self.s
-            .advance(cfg_orec_ns * (self.read_set.len() as u64 + 1));
+        self.s.advance(OREC_NS * (self.read_set.len() as u64 + 1));
         for i in 0..self.read_set.len() {
             let (o, ver) = self.read_set[i];
             let cur = self.ptm.orecs.load(o);
@@ -336,14 +410,12 @@ impl TxAccess {
     /// filtered) read set. Algorithm-specific own-write fast paths run
     /// before this via [`crate::algo::LogPolicy::on_read`].
     pub(crate) fn validated_read(&mut self, addr: PAddr, o: u32) -> TxResult<u64> {
-        let spin_limit = self.ptm.config.lock_spin;
-        let orec_ns = self.ptm.config.orec_ns;
         let mut spins = 0;
         loop {
-            self.s.advance(orec_ns);
+            self.s.advance(OREC_NS);
             let v1 = self.ptm.orecs.load(o);
             if is_locked(v1) {
-                if spins < spin_limit {
+                if spins < LOCK_SPIN {
                     spins += 1;
                     self.s.advance(8);
                     continue;
@@ -353,7 +425,7 @@ impl TxAccess {
                 return Err(Abort);
             }
             if v1 > self.start_time {
-                if self.ptm.config.ts_extension && self.extend() {
+                if self.extend() {
                     continue;
                 }
                 PtmStats::bump(&self.ptm.stats.aborts_read_version);
@@ -361,10 +433,10 @@ impl TxAccess {
                 return Err(Abort);
             }
             let val = self.s.load(addr);
-            self.s.advance(orec_ns);
+            self.s.advance(OREC_NS);
             let v2 = self.ptm.orecs.load(o);
             if v2 != v1 {
-                if spins < spin_limit {
+                if spins < LOCK_SPIN {
                     spins += 1;
                     continue;
                 }
@@ -373,7 +445,7 @@ impl TxAccess {
                 return Err(Abort);
             }
             self.trace(EventKind::TxRead, o as u64, addr.0);
-            if self.ptm.config.write_combining {
+            if self.ptm.config.flush == FlushPlan::Combined {
                 // Duplicate-filtered read set: one slot per orec. A
                 // repeat hit must have observed the recorded version —
                 // any later committer bumps the orec past start_time,
@@ -403,8 +475,7 @@ impl TxAccess {
     /// orecs are already acquired. On failure returns the orec whose
     /// version moved (abort attribution).
     pub(crate) fn validate_reads(&mut self) -> Result<(), u32> {
-        self.s
-            .advance(self.ptm.config.orec_ns * self.read_set.len() as u64);
+        self.s.advance(OREC_NS * self.read_set.len() as u64);
         for i in 0..self.read_set.len() {
             let (o, ver) = self.read_set[i];
             let cur = self.ptm.orecs.load(o);
@@ -429,33 +500,31 @@ impl TxAccess {
     /// abort cause and stats and returns `false` — the caller releases
     /// whatever it already holds.
     pub(crate) fn acquire_commit(&mut self, addr: PAddr) -> bool {
-        let spin_limit = self.ptm.config.lock_spin;
-        let orec_ns = self.ptm.config.orec_ns;
         let o = self.ptm.orecs.index_of(addr);
-        self.s.advance(self.ptm.config.index_ns);
+        self.s.advance(INDEX_NS);
         if self.owned_map.get(o as u64).is_some() {
             return true;
         }
         let mut spins = 0;
         let acquired = loop {
-            self.s.advance(orec_ns);
+            self.s.advance(OREC_NS);
             let v = self.ptm.orecs.load(o);
             if is_locked(v) {
-                if spins < spin_limit {
+                if spins < LOCK_SPIN {
                     spins += 1;
                     self.s.advance(8);
                     continue;
                 }
                 break false;
             }
-            self.s.advance(orec_ns);
+            self.s.advance(OREC_NS);
             if self.ptm.orecs.try_lock(o, v, self.tid).is_ok() {
                 self.owned_map.insert(o as u64, self.owned.len() as u64);
                 self.owned.push((o, v));
                 self.trace(EventKind::TxAcquire, o as u64, v);
                 break true;
             }
-            if spins >= spin_limit {
+            if spins >= LOCK_SPIN {
                 break false;
             }
             spins += 1;
@@ -467,40 +536,11 @@ impl TxAccess {
         acquired
     }
 
-    /// Flush the lines of alloc-new blocks (unlogged initialization) so
-    /// they are durable before the commit point.
-    pub(crate) fn flush_fresh_blocks(&mut self) {
-        for i in 0..self.fresh_blocks.len() {
-            let (addr_bits, words) = self.fresh_blocks[i];
-            let base = PAddr(addr_bits);
-            let mut w = 0u64;
-            while w < words as u64 {
-                self.flush_line(base.offset(w));
-                w += pmem_sim::WORDS_PER_LINE as u64;
-            }
-        }
-    }
-
-    /// Planner counterpart of [`Self::flush_fresh_blocks`]: offer the
-    /// alloc-new lines to the current fence window instead of flushing
-    /// them immediately (overlapping blocks dedupe).
-    pub(crate) fn plan_fresh_blocks(&mut self) {
-        for i in 0..self.fresh_blocks.len() {
-            let (addr_bits, words) = self.fresh_blocks[i];
-            let base = PAddr(addr_bits);
-            let mut w = 0u64;
-            while w < words as u64 {
-                self.plan_line(base.offset(w));
-                w += pmem_sim::WORDS_PER_LINE as u64;
-            }
-        }
-    }
-
     /// Record the duplicate-filtered read-set high-water mark (only
-    /// meaningful when `write_combining` maintains the filter).
+    /// meaningful when [`FlushPlan::Combined`] maintains the filter).
     #[inline]
     pub(crate) fn note_read_set(&self) {
-        if self.ptm.config.write_combining {
+        if self.ptm.config.flush == FlushPlan::Combined {
             PtmStats::high_water(
                 &self.ptm.stats.max_read_set_unique,
                 self.read_set.len() as u64,
@@ -514,14 +554,82 @@ impl TxAccess {
     pub(crate) fn release_owned_restore(&mut self) {
         let now = self.s.now();
         self.timer.switch(now, Phase::Rollback);
-        self.s
-            .advance(self.ptm.config.orec_ns * self.owned.len() as u64);
+        self.s.advance(OREC_NS * self.owned.len() as u64);
         for i in 0..self.owned.len() {
             let (o, prev) = self.owned[i];
             self.ptm.orecs.release(o, prev);
         }
         self.owned.clear();
         self.owned_map.clear();
+    }
+
+    /// Make the committed writes visible: release held orecs at commit
+    /// timestamp `wv`, charged to [`Phase::Validation`].
+    pub(crate) fn release_owned_at(&mut self, wv: u64) {
+        let now = self.s.now();
+        self.timer.switch(now, Phase::Validation);
+        self.s.advance(OREC_NS * self.owned.len() as u64);
+        for i in 0..self.owned.len() {
+            let (o, _) = self.owned[i];
+            self.ptm.orecs.release(o, wv);
+        }
+    }
+
+    /// Store `state` to the log header's state word and make it durable
+    /// (flush, fence), charged to [`Phase::LogAppend`]: a marker going
+    /// down, or `STATE_IDLE` retiring the log.
+    pub(crate) fn persist_state(&mut self, state: u64) {
+        let now = self.s.now();
+        self.timer.switch(now, Phase::LogAppend);
+        let addr = self.log.state_addr();
+        self.s.store(addr, state);
+        self.flush_line(addr);
+        self.fence();
+    }
+
+    /// The linearization + durability point of a marker-sealed log:
+    /// persist `marker` with its entry count. The count rides inside the
+    /// marker word (see `log::committed_marker`): marker and count must
+    /// persist atomically, and a torn header line persists word by word.
+    /// `W_COUNT`, on the same header line, is only a mirror.
+    pub(crate) fn seal_header(&mut self, count: u64, marker: u64) {
+        let now = self.s.now();
+        self.timer.switch(now, Phase::LogAppend);
+        let addr = self.log.count_addr();
+        self.s.store(addr, count);
+        self.persist_state(marker);
+    }
+
+    /// Own-write lookup in the buffered write set (`entries` indexed by
+    /// `redo_index`): the `on_read` of every policy that buffers writes
+    /// word by word.
+    #[inline]
+    pub(crate) fn buffered_read(&mut self, addr: PAddr) -> Option<TxResult<u64>> {
+        if !self.entries.is_empty() {
+            self.index_cost();
+            if let Some(i) = self.redo_index.get(addr.0) {
+                return Some(Ok(self.entries[i as usize].1));
+            }
+        }
+        None
+    }
+
+    /// Commit-time locking over the `n` written words `word(self, i)`:
+    /// on the first failed acquisition everything held is released at
+    /// its pre-lock version and `false` returned.
+    pub(crate) fn acquire_each(
+        &mut self,
+        n: usize,
+        word: impl Fn(&TxAccess, usize) -> u64,
+    ) -> bool {
+        for i in 0..n {
+            let addr = PAddr(word(self, i));
+            if !self.acquire_commit(addr) {
+                self.release_owned_restore();
+                return false;
+            }
+        }
+        true
     }
 
     /// Return transactionally-allocated blocks after an abort.
@@ -558,7 +666,7 @@ impl TxAccess {
         // Exponential growth saturates at the configured ceiling so a
         // victim of a hot orec is delayed a bounded amount per attempt
         // (never pushed past, e.g., a whole group-commit window).
-        let ceiling = (100u64 << shift).min(self.ptm.config.max_backoff_ns.max(1));
+        let ceiling = (100u64 << shift).min(MAX_BACKOFF_NS);
         let delay = self.rng.gen_range(ceiling / 2..=ceiling);
         PtmStats::high_water(&self.ptm.stats.max_backoff_ns, delay);
         // Stamped at backoff start so [ts, ts+delay] is the interval.

@@ -98,41 +98,32 @@ fn seal_publish_log(ax: &mut TxAccess, marker: u64) {
     ax.timer.switch(now, outer);
     // Shadow data + publish log + alloc-new blocks: flush each line
     // once, one fence for all three.
-    if ax.combining() {
-        ax.plan_fresh_blocks();
-        for i in 0..ax.cow_lines.len() {
-            ax.plan_line(PAddr(ax.cow_lines[i].shadow));
-            ax.plan_line(ax.log.entry_addr(i));
-        }
-        ax.drain_plan();
-    } else {
-        ax.flush_fresh_blocks();
-        for i in 0..ax.cow_lines.len() {
-            ax.flush_line(PAddr(ax.cow_lines[i].shadow));
-        }
-        let mut last_line = (pmem_sim::PoolId(u32::MAX), u64::MAX);
-        for i in 0..ax.cow_lines.len() {
-            let e = ax.log.entry_addr(i);
-            let line = (e.pool(), e.line());
-            if line != last_line {
-                ax.flush_line(e);
-                last_line = line;
+    ax.offer_fresh_blocks();
+    for i in 0..ax.cow_lines.len() {
+        ax.offer(PAddr(ax.cow_lines[i].shadow));
+    }
+    for i in 0..ax.cow_lines.len() {
+        ax.offer_adjacent(ax.log.entry_addr(i));
+    }
+    ax.close_window();
+    ax.fence();
+    // As in redo, the marker is the linearization + durability point.
+    ax.seal_header(ax.cow_lines.len() as u64, marker);
+}
+
+/// Publish the first `count` publish-log records: copy each record's
+/// masked shadow words home, durably.
+fn replay(ctx: &mut RecoverCtx<'_>, count: usize) {
+    for i in 0..count {
+        let (home, shadow, mask) = ctx.raw_entry(i);
+        for w in 0..LPW {
+            if mask & (1 << w) != 0 {
+                let v = ctx.raw_load(PAddr(shadow).offset(w));
+                ctx.store_persist(PAddr(home).offset(w), v);
+                ctx.report.cow_words += 1;
             }
         }
     }
-    ax.fence();
-    // Linearization + durability point: the marker.
-    let now = ax.s.now();
-    ax.timer.switch(now, Phase::LogAppend);
-    let state = ax.log.state_addr();
-    let count = ax.log.count_addr();
-    // As in redo: the count rides inside the marker word so a torn
-    // header line can never persist the marker with a stale count.
-    // `W_COUNT` is only a mirror.
-    ax.s.store(count, ax.cow_lines.len() as u64);
-    ax.s.store(state, marker);
-    ax.flush_line(state);
-    ax.fence();
 }
 
 impl LogPolicy for CowPolicy {
@@ -217,14 +208,7 @@ impl LogPolicy for CowPolicy {
 
     /// Commit-time locking over the written words, like redo.
     fn pre_commit_acquire(&self, ax: &mut TxAccess) -> bool {
-        for i in 0..ax.cow_words.len() {
-            let addr = PAddr(ax.cow_words[i]);
-            if !ax.acquire_commit(addr) {
-                ax.release_owned_restore();
-                return false;
-            }
-        }
-        true
+        ax.acquire_each(ax.cow_words.len(), |ax, i| ax.cow_words[i])
     }
 
     fn make_durable(&self, ax: &mut TxAccess) {
@@ -241,51 +225,24 @@ impl LogPolicy for CowPolicy {
         // stored again at home).
         let now = ax.s.now();
         ax.timer.switch(now, Phase::Writeback);
-        if ax.combining() {
-            for i in 0..ax.cow_lines.len() {
-                let line = ax.cow_lines[i];
-                let (home, shadow) = (PAddr(line.home), PAddr(line.shadow));
-                for w in 0..LPW {
-                    if line.mask & (1 << w) != 0 {
-                        let v = ax.s.load(shadow.offset(w));
-                        ax.s.store(home.offset(w), v);
-                    }
+        for i in 0..ax.cow_lines.len() {
+            let line = ax.cow_lines[i];
+            let (home, shadow) = (PAddr(line.home), PAddr(line.shadow));
+            for w in 0..LPW {
+                if line.mask & (1 << w) != 0 {
+                    let v = ax.s.load(shadow.offset(w));
+                    ax.s.store(home.offset(w), v);
                 }
-                ax.plan_line(home);
             }
-            PtmStats::high_water(&ax.ptm.stats.max_write_lines, ax.plan.len() as u64);
-            ax.drain_plan();
-        } else {
-            for i in 0..ax.cow_lines.len() {
-                let line = ax.cow_lines[i];
-                let (home, shadow) = (PAddr(line.home), PAddr(line.shadow));
-                for w in 0..LPW {
-                    if line.mask & (1 << w) != 0 {
-                        let v = ax.s.load(shadow.offset(w));
-                        ax.s.store(home.offset(w), v);
-                    }
-                }
-                ax.flush_line(home);
-            }
+            ax.offer(home);
         }
+        ax.close_data_window();
         ax.fence();
         PtmStats::bump(&ax.ptm.stats.publish_fences);
-        // Retire the log.
-        let now = ax.s.now();
-        ax.timer.switch(now, Phase::LogAppend);
-        let state = ax.log.state_addr();
-        ax.s.store(state, STATE_IDLE);
-        ax.flush_line(state);
-        ax.fence();
+        // Retire the log, then make the writes visible.
+        ax.persist_state(STATE_IDLE);
         PtmStats::bump(&ax.ptm.stats.publish_fences);
-        // Make the writes visible at the commit timestamp.
-        let now = ax.s.now();
-        ax.timer.switch(now, Phase::Validation);
-        ax.s.advance(ax.ptm.config.orec_ns * ax.owned.len() as u64);
-        for i in 0..ax.owned.len() {
-            let (o, _) = ax.owned[i];
-            ax.ptm.orecs.release(o, wv);
-        }
+        ax.release_owned_at(wv);
         // Allocator work, charged like deferred frees.
         let now = ax.s.now();
         ax.timer.switch(now, Phase::Speculation);
@@ -303,30 +260,12 @@ impl LogPolicy for CowPolicy {
     fn recover_apply(&self, ctx: &mut RecoverCtx<'_>) {
         let state = ctx.primary.raw_load(W_STATE);
         if is_committed(state) && !ctx.opts.skip_redo_replay {
-            // Count from the marker word, never from the `W_COUNT`
-            // mirror (see the redo policy): a stale count would re-copy
-            // leftover publish entries from reclaimed shadow lines.
-            let count = marker_count(state) as usize;
-            if count > ctx.capacity() {
-                // As in redo: a marker count beyond the log's physical
-                // capacity proves header corruption — never read entries
-                // out of bounds or publish garbage shadow data.
-                ctx.malformed(format!(
-                    "committed marker count {count} exceeds log capacity {} — publish skipped",
-                    ctx.capacity()
-                ));
+            // A stale count would re-copy leftover publish entries from
+            // reclaimed shadow lines, a corrupt one publish garbage.
+            let Some(count) = ctx.sealed_count("committed", marker_count(state), "publish") else {
                 return;
-            }
-            for i in 0..count {
-                let (home, shadow, mask) = ctx.raw_entry(i);
-                for w in 0..LPW {
-                    if mask & (1 << w) != 0 {
-                        let v = ctx.raw_load(PAddr(shadow).offset(w));
-                        ctx.store_persist(PAddr(home).offset(w), v);
-                        ctx.report.cow_words += 1;
-                    }
-                }
-            }
+            };
+            replay(ctx, count);
             ctx.report.cow_published += 1;
         }
         // The orphaned shadow blocks stay allocated until the restart
@@ -339,24 +278,10 @@ impl LogPolicy for CowPolicy {
         if committed {
             // The coordinator decided commit: publish the masked shadow
             // words home, exactly like a committed publish log.
-            let count = prepared_count(state) as usize;
-            if count > ctx.capacity() {
-                ctx.malformed(format!(
-                    "prepared marker count {count} exceeds log capacity {} — publish skipped",
-                    ctx.capacity()
-                ));
+            let Some(count) = ctx.sealed_count("prepared", prepared_count(state), "publish") else {
                 return;
-            }
-            for i in 0..count {
-                let (home, shadow, mask) = ctx.raw_entry(i);
-                for w in 0..LPW {
-                    if mask & (1 << w) != 0 {
-                        let v = ctx.raw_load(PAddr(shadow).offset(w));
-                        ctx.store_persist(PAddr(home).offset(w), v);
-                        ctx.report.cow_words += 1;
-                    }
-                }
-            }
+            };
+            replay(ctx, count);
         }
         // Presumed abort: home untouched — retiring is the rollback.
         // Either way the shadow blocks fall to the restart GC.

@@ -64,10 +64,10 @@ use pmem_sim::PAddr;
 use trace::{EventKind, HtmAbortCause};
 
 use crate::access::TxAccess;
-use crate::config::Algo;
+use crate::config::{Algo, OREC_NS};
 use crate::log::{
     committed_marker, is_committed, marker_count, prepared_count, prepared_marker, seal, ALGO_HTM,
-    STATE_IDLE,
+    STATE_IDLE, W_STATE,
 };
 use crate::orec::is_locked;
 use crate::phases::Phase;
@@ -121,12 +121,7 @@ fn reset_ring(ax: &mut TxAccess) {
     // covers: once the marker is gone the log can no longer repair a
     // torn one.
     ax.fence();
-    let state = ax.log.state_addr();
-    let count = ax.log.count_addr();
-    ax.s.store(count, 0);
-    ax.s.store(state, STATE_IDLE);
-    ax.flush_line(state);
-    ax.fence();
+    ax.seal_header(0, STATE_IDLE);
     ax.log_sealed = 0;
     // Deregister *before* any slot reuse: a committer finding a stale
     // record of ours would tombstone a slot about to hold a live entry.
@@ -226,39 +221,20 @@ fn append_and_seal(ax: &mut TxAccess, wv: u64, gtid: Option<u64>) {
     }
     // Persist alloc-new initialization and the fresh entries: one flush
     // per line, one fence for everything (tombstones included).
-    if ax.combining() {
-        ax.plan_fresh_blocks();
-        for i in 0..n {
-            let e = ax.log.entry_addr(base + i);
-            ax.plan_line(e);
-        }
-        ax.drain_plan();
-    } else {
-        ax.flush_fresh_blocks();
-        let mut last_line = (pmem_sim::PoolId(u32::MAX), u64::MAX);
-        for i in 0..n {
-            let e = ax.log.entry_addr(base + i);
-            let line = (e.pool(), e.line());
-            if line != last_line {
-                ax.flush_line(e);
-                last_line = line;
-            }
-        }
+    ax.offer_fresh_blocks();
+    for i in 0..n {
+        ax.offer_adjacent(ax.log.entry_addr(base + i));
     }
+    ax.close_window();
     ax.fence();
     // The marker's count covers the whole valid ring prefix, so replay
     // walks slots in order and later transactions' entries win.
     let total = (base + n) as u64;
-    let state = ax.log.state_addr();
-    let count = ax.log.count_addr();
-    ax.s.store(count, total);
     let marker = match gtid {
         Some(g) => prepared_marker(total, g),
         None => committed_marker(total),
     };
-    ax.s.store(state, marker);
-    ax.flush_line(state);
-    ax.fence();
+    ax.seal_header(total, marker);
     ax.log_sealed = base + n;
     PtmStats::add(&ax.ptm.stats.backend_log_bytes, n as u64 * 32);
 }
@@ -269,38 +245,21 @@ fn append_and_seal(ax: &mut TxAccess, wv: u64, gtid: Option<u64>) {
 fn publish_home(ax: &mut TxAccess, wv: u64) {
     let now = ax.s.now();
     ax.timer.switch(now, Phase::Writeback);
-    if ax.combining() {
-        for i in 0..ax.entries.len() {
-            let (a, v) = ax.entries[i];
-            let addr = PAddr(a);
-            ax.s.store(addr, v);
-            ax.plan_line(addr);
-        }
-        PtmStats::high_water(&ax.ptm.stats.max_write_lines, ax.plan.len() as u64);
-        ax.drain_plan();
-    } else {
-        // Two passes: complete ALL home stores before issuing any
-        // flushes. A clwb snapshots the line at issue time, so a flush
-        // interleaved between two same-line stores captures only the
-        // first — and line dedup would then skip the re-flush the
-        // second store needs, leaving it unflushed forever. A redundant
-        // flush (line revisited non-adjacently) is merely slow; a
-        // skipped one loses committed data once the ring entry covering
-        // it is recycled.
-        for i in 0..ax.entries.len() {
-            let (a, v) = ax.entries[i];
-            ax.s.store(PAddr(a), v);
-        }
-        let mut last_line = (pmem_sim::PoolId(u32::MAX), u64::MAX);
-        for i in 0..ax.entries.len() {
-            let addr = PAddr(ax.entries[i].0);
-            let line = (addr.pool(), addr.line());
-            if line != last_line {
-                ax.flush_line(addr);
-                last_line = line;
-            }
-        }
+    // Two passes: complete ALL home stores before offering any line. A
+    // clwb snapshots the line at issue time, so a direct flush
+    // interleaved between two same-line stores captures only the first
+    // — and line dedup would then skip the re-flush the second store
+    // needs, leaving it unflushed forever. A redundant flush (line
+    // revisited non-adjacently) is merely slow; a skipped one loses
+    // committed data once the ring entry covering it is recycled.
+    for i in 0..ax.entries.len() {
+        let (a, v) = ax.entries[i];
+        ax.s.store(PAddr(a), v);
     }
+    for i in 0..ax.entries.len() {
+        ax.offer_adjacent(PAddr(ax.entries[i].0));
+    }
+    ax.close_data_window();
     // Publish the write lines to the hardware conflict table while the
     // orecs still exclude readers, so an overlapping open section
     // aborts instead of observing a partial write set.
@@ -308,12 +267,22 @@ fn publish_home(ax: &mut TxAccess, wv: u64) {
         let entries = &ax.entries;
         ax.s.htm_publish_lines(entries.iter().map(|&(a, _)| PAddr(a)));
     }
-    let now = ax.s.now();
-    ax.timer.switch(now, Phase::Validation);
-    ax.s.advance(ax.ptm.config.orec_ns * ax.owned.len() as u64);
-    for i in 0..ax.owned.len() {
-        let (o, _) = ax.owned[i];
-        ax.ptm.orecs.release(o, wv);
+    ax.release_owned_at(wv);
+}
+
+/// Write the live entries among ring slots `0..count` back home, in
+/// slot order: later transactions' entries overwrite earlier ones for
+/// the same word. Checksum failures are tombstoned entries (a newer
+/// commit in another ring covers the word) — skipped, counted as torn.
+fn replay(ctx: &mut RecoverCtx<'_>, count: usize) {
+    for i in 0..count {
+        let (a, v, wv, chk) = ctx.raw_entry4(i);
+        if chk != seal(a, v, wv) {
+            ctx.report.torn_entries += 1;
+            continue;
+        }
+        ctx.store_persist(PAddr(a), v);
+        ctx.report.htm_entries += 1;
     }
 }
 
@@ -385,7 +354,7 @@ impl LogPolicy for HtmPolicy {
         // conflict detector. The timestamp only versions the orecs and
         // salts the entry checksums.
         let wv = ax.ptm.clock.bump();
-        ax.s.advance(ax.ptm.config.orec_ns);
+        ax.s.advance(OREC_NS);
         let fp = ax.s.htm_footprint_lines() as u64;
         if !ax.s.htm_commit() {
             ax.htm_abort_cause = Some(HtmAbortCause::Conflict);
@@ -403,13 +372,7 @@ impl LogPolicy for HtmPolicy {
     }
 
     fn on_read(&self, ax: &mut TxAccess, addr: PAddr, _o: u32) -> Option<TxResult<u64>> {
-        if !ax.entries.is_empty() {
-            ax.index_cost();
-            if let Some(i) = ax.redo_index.get(addr.0) {
-                return Some(Ok(ax.entries[i as usize].1));
-            }
-        }
-        None
+        ax.buffered_read(addr)
     }
 
     /// Software-path write capture: DRAM-only buffering — unlike redo,
@@ -441,14 +404,7 @@ impl LogPolicy for HtmPolicy {
     }
 
     fn pre_commit_acquire(&self, ax: &mut TxAccess) -> bool {
-        for i in 0..ax.entries.len() {
-            let addr = PAddr(ax.entries[i].0);
-            if !ax.acquire_commit(addr) {
-                ax.release_owned_restore();
-                return false;
-            }
-        }
-        true
+        ax.acquire_each(ax.entries.len(), |ax, i| ax.entries[i].0)
     }
 
     fn make_durable(&self, ax: &mut TxAccess) {
@@ -490,12 +446,7 @@ impl LogPolicy for HtmPolicy {
         // home writeback: once the coordinator record is tombstoned, a
         // still-PREPARED ring would resolve as aborted and retire
         // without replay, leaving the unfenced writeback unrepairable.
-        let now = ax.s.now();
-        ax.timer.switch(now, Phase::LogAppend);
-        let state = ax.log.state_addr();
-        ax.s.store(state, committed_marker(ax.log_sealed as u64));
-        ax.flush_line(state);
-        ax.fence();
+        ax.persist_state(committed_marker(ax.log_sealed as u64));
         publish_home(ax, wv);
     }
 
@@ -508,28 +459,14 @@ impl LogPolicy for HtmPolicy {
     }
 
     fn resolve_prepared(&self, ctx: &mut RecoverCtx<'_>, committed: bool) {
-        let state = ctx.primary.raw_load(crate::log::W_STATE);
+        let state = ctx.primary.raw_load(W_STATE);
         if committed {
-            let count = prepared_count(state) as usize;
-            if count > ctx.capacity() {
-                ctx.malformed(format!(
-                    "prepared marker count {count} exceeds log capacity {} — replay skipped",
-                    ctx.capacity()
-                ));
-                return;
-            }
             // The prepare path reset the ring first, so the prefix is
-            // exactly the in-doubt transaction. Checksum failures are
-            // tombstoned entries — skipped, counted as torn.
-            for i in 0..count {
-                let (a, v, wv, chk) = ctx.raw_entry4(i);
-                if chk != seal(a, v, wv) {
-                    ctx.report.torn_entries += 1;
-                    continue;
-                }
-                ctx.store_persist(PAddr(a), v);
-                ctx.report.htm_entries += 1;
-            }
+            // exactly the in-doubt transaction.
+            let Some(count) = ctx.sealed_count("prepared", prepared_count(state), "replay") else {
+                return;
+            };
+            replay(ctx, count);
         }
         // Presumed abort: nothing in place — retiring is the rollback.
         ctx.retire();
@@ -542,29 +479,12 @@ impl LogPolicy for HtmPolicy {
     }
 
     fn recover_apply(&self, ctx: &mut RecoverCtx<'_>) {
-        let state = ctx.primary.raw_load(crate::log::W_STATE);
+        let state = ctx.primary.raw_load(W_STATE);
         if is_committed(state) && !ctx.opts.skip_redo_replay {
-            let count = marker_count(state) as usize;
-            if count > ctx.capacity() {
-                ctx.malformed(format!(
-                    "committed marker count {count} exceeds log capacity {} — replay skipped",
-                    ctx.capacity()
-                ));
+            let Some(count) = ctx.sealed_count("committed", marker_count(state), "replay") else {
                 return;
-            }
-            // Slots in order: later transactions' entries overwrite
-            // earlier ones for the same word. Checksum failures are
-            // tombstoned entries (a newer commit in another ring covers
-            // the word) — skipped, counted as torn.
-            for i in 0..count {
-                let (a, v, wv, chk) = ctx.raw_entry4(i);
-                if chk != seal(a, v, wv) {
-                    ctx.report.torn_entries += 1;
-                    continue;
-                }
-                ctx.store_persist(PAddr(a), v);
-                ctx.report.htm_entries += 1;
-            }
+            };
+            replay(ctx, count);
             ctx.report.htm_replayed += 1;
         }
         ctx.retire();

@@ -116,12 +116,7 @@ pub trait LogPolicy: Sync {
     /// idempotently.
     fn abort_prepared(&self, ax: &mut TxAccess, wv: u64) {
         self.abort_rollback(ax, Some(wv));
-        let now = ax.s.now();
-        ax.timer.switch(now, Phase::LogAppend);
-        let state = ax.log.state_addr();
-        ax.s.store(state, crate::log::STATE_IDLE);
-        ax.flush_line(state);
-        ax.fence();
+        ax.persist_state(crate::log::STATE_IDLE);
     }
 
     /// Resolve one in-doubt (`PREPARED`) log during recovery:

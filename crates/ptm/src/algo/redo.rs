@@ -12,14 +12,13 @@ use pmem_sim::PAddr;
 use trace::EventKind;
 
 use crate::access::TxAccess;
-use crate::config::{Algo, FlushTiming};
+use crate::config::Algo;
 use crate::log::{
     committed_marker, is_committed, marker_count, prepared_count, prepared_marker, ALGO_REDO,
     STATE_IDLE, W_STATE,
 };
 use crate::phases::Phase;
 use crate::recovery::RecoverCtx;
-use crate::stats::PtmStats;
 use crate::txn::TxResult;
 
 use super::LogPolicy;
@@ -30,43 +29,25 @@ pub struct RedoPolicy;
 /// marker on the single-shard path, a PREPARED marker on the 2PC
 /// prepare path — same flush/fence sequence either way).
 fn seal_log(ax: &mut TxAccess, marker: u64) {
-    // Persist alloc-new initialization and the redo log: flush each
-    // line once, one fence for both.
-    if ax.combining() {
-        // Window 1: plan fresh-block lines and log lines together —
-        // the planner dedupes across both sources (a fresh block the
-        // log pass also covered is flushed once).
-        ax.plan_fresh_blocks();
-        for i in 0..ax.entries.len() {
-            let e = ax.log.entry_addr(i);
-            ax.plan_line(e);
-        }
-        ax.drain_plan();
-    } else {
-        ax.flush_fresh_blocks();
-        let mut last_line = (pmem_sim::PoolId(u32::MAX), u64::MAX);
-        for i in 0..ax.entries.len() {
-            let e = ax.log.entry_addr(i);
-            let line = (e.pool(), e.line());
-            if line != last_line {
-                ax.flush_line(e);
-                last_line = line;
-            }
-        }
+    // Alloc-new initialization and the redo log share one window: each
+    // line flushed once (a fresh block the log pass also covered
+    // dedupes under a plan), one fence for both.
+    ax.offer_fresh_blocks();
+    for i in 0..ax.entries.len() {
+        ax.offer_adjacent(ax.log.entry_addr(i));
     }
+    ax.close_window();
     ax.fence();
-    // Linearization + durability point: the marker.
-    let now = ax.s.now();
-    ax.timer.switch(now, Phase::LogAppend);
-    let state = ax.log.state_addr();
-    let count = ax.log.count_addr();
-    // The count rides inside the marker word (see `committed_marker`):
-    // marker and count must persist atomically, and a torn header
-    // line persists word by word. `W_COUNT` is only a mirror.
-    ax.s.store(count, ax.entries.len() as u64);
-    ax.s.store(state, marker);
-    ax.flush_line(state); // state & count share the header line
-    ax.fence();
+    ax.seal_header(ax.entries.len() as u64, marker);
+}
+
+/// Write the first `count` entries back to program data, durably.
+fn replay(ctx: &mut RecoverCtx<'_>, count: usize) {
+    for i in 0..count {
+        let (a, v, _chk) = ctx.raw_entry(i);
+        ctx.store_persist(PAddr(a), v);
+        ctx.report.redo_entries += 1;
+    }
 }
 
 impl LogPolicy for RedoPolicy {
@@ -79,13 +60,7 @@ impl LogPolicy for RedoPolicy {
     }
 
     fn on_read(&self, ax: &mut TxAccess, addr: PAddr, _o: u32) -> Option<TxResult<u64>> {
-        if !ax.entries.is_empty() {
-            ax.index_cost();
-            if let Some(i) = ax.redo_index.get(addr.0) {
-                return Some(Ok(ax.entries[i as usize].1));
-            }
-        }
-        None
+        ax.buffered_read(addr)
     }
 
     fn on_write(&self, ax: &mut TxAccess, addr: PAddr, val: u64) -> TxResult<()> {
@@ -114,17 +89,7 @@ impl LogPolicy for RedoPolicy {
         let e = ax.log.entry_addr(i);
         ax.s.store(e, addr.0);
         ax.s.store(e.offset(1), val);
-        // Incremental flush timing (§III-B): stagger `clwb`s during
-        // execution by flushing each log line as it *completes* (the
-        // commit still covers every touched line). The paper found this
-        // makes no difference vs batching — flushing half-filled lines on
-        // every append would instead double the writeback traffic.
-        if ax.ptm.config.flush_timing == FlushTiming::Incremental && i > 0 {
-            let prev = ax.log.entry_addr(i - 1);
-            if prev.line() != e.line() || prev.pool() != e.pool() {
-                ax.flush_line(prev);
-            }
-        }
+        ax.log_entry_appended(i);
         let now = ax.s.now();
         ax.timer.switch(now, outer);
         Ok(())
@@ -142,14 +107,7 @@ impl LogPolicy for RedoPolicy {
 
     /// Acquire all write-set orecs (commit-time locking).
     fn pre_commit_acquire(&self, ax: &mut TxAccess) -> bool {
-        for i in 0..ax.entries.len() {
-            let addr = PAddr(ax.entries[i].0);
-            if !ax.acquire_commit(addr) {
-                ax.release_owned_restore();
-                return false;
-            }
-        }
-        true
+        ax.acquire_each(ax.entries.len(), |ax, i| ax.entries[i].0)
     }
 
     fn make_durable(&self, ax: &mut TxAccess) {
@@ -161,46 +119,24 @@ impl LogPolicy for RedoPolicy {
     }
 
     fn commit_publish(&self, ax: &mut TxAccess, wv: u64) {
-        // Write back and persist program data.
+        // Write back and persist program data. Under a plan the whole
+        // write set is applied first and each dirty line flushed exactly
+        // once; a direct store-then-flush per entry re-dirties a shared
+        // line between flushes, so a line written by k entries pays k
+        // writebacks.
         let now = ax.s.now();
         ax.timer.switch(now, Phase::Writeback);
-        if ax.combining() {
-            // Window 2: apply the whole write set first, then flush each
-            // dirty line exactly once. The naive loop's store-then-flush
-            // per entry re-dirties a shared line between flushes, so a
-            // line written by k entries pays k writebacks.
-            for i in 0..ax.entries.len() {
-                let (a, v) = ax.entries[i];
-                let addr = PAddr(a);
-                ax.s.store(addr, v);
-                ax.plan_line(addr);
-            }
-            PtmStats::high_water(&ax.ptm.stats.max_write_lines, ax.plan.len() as u64);
-            ax.drain_plan();
-        } else {
-            for i in 0..ax.entries.len() {
-                let (a, v) = ax.entries[i];
-                let addr = PAddr(a);
-                ax.s.store(addr, v);
-                ax.flush_line(addr);
-            }
+        for i in 0..ax.entries.len() {
+            let (a, v) = ax.entries[i];
+            let addr = PAddr(a);
+            ax.s.store(addr, v);
+            ax.offer(addr);
         }
+        ax.close_data_window();
         ax.fence();
-        // Retire the log.
-        let now = ax.s.now();
-        ax.timer.switch(now, Phase::LogAppend);
-        let state = ax.log.state_addr();
-        ax.s.store(state, STATE_IDLE);
-        ax.flush_line(state);
-        ax.fence();
-        // Make the writes visible at the commit timestamp.
-        let now = ax.s.now();
-        ax.timer.switch(now, Phase::Validation);
-        ax.s.advance(ax.ptm.config.orec_ns * ax.owned.len() as u64);
-        for i in 0..ax.owned.len() {
-            let (o, _) = ax.owned[i];
-            ax.ptm.orecs.release(o, wv);
-        }
+        // Retire the log, then make the writes visible.
+        ax.persist_state(STATE_IDLE);
+        ax.release_owned_at(wv);
     }
 
     /// Redo abort: nothing was written in place; restore pre-lock
@@ -210,30 +146,12 @@ impl LogPolicy for RedoPolicy {
     }
 
     fn recover_apply(&self, ctx: &mut RecoverCtx<'_>) {
-        let state = ctx.primary.raw_load(crate::log::W_STATE);
+        let state = ctx.primary.raw_load(W_STATE);
         if is_committed(state) && !ctx.opts.skip_redo_replay {
-            // Take the count from the marker word, NOT from `W_COUNT`: a
-            // torn header line can persist the fresh marker next to a
-            // stale count, and a stale (larger) count would replay
-            // leftover entries from an earlier transaction on top of
-            // this one's write set.
-            let count = marker_count(state) as usize;
-            if count > ctx.capacity() {
-                // A legitimate commit can never seal more entries than
-                // the log physically holds: the marker word is corrupt.
-                // Fail soft — no out-of-bounds entry reads, no replay of
-                // garbage, log left as-is for inspection.
-                ctx.malformed(format!(
-                    "committed marker count {count} exceeds log capacity {} — replay skipped",
-                    ctx.capacity()
-                ));
+            let Some(count) = ctx.sealed_count("committed", marker_count(state), "replay") else {
                 return;
-            }
-            for i in 0..count {
-                let (a, v, _chk) = ctx.raw_entry(i);
-                ctx.store_persist(PAddr(a), v);
-                ctx.report.redo_entries += 1;
-            }
+            };
+            replay(ctx, count);
             ctx.report.redo_replayed += 1;
         }
         ctx.retire();
@@ -244,19 +162,10 @@ impl LogPolicy for RedoPolicy {
         if committed {
             // The coordinator decided commit: the prepared entries are a
             // complete redo log — replay like a committed one.
-            let count = prepared_count(state) as usize;
-            if count > ctx.capacity() {
-                ctx.malformed(format!(
-                    "prepared marker count {count} exceeds log capacity {} — replay skipped",
-                    ctx.capacity()
-                ));
+            let Some(count) = ctx.sealed_count("prepared", prepared_count(state), "replay") else {
                 return;
-            }
-            for i in 0..count {
-                let (a, v, _chk) = ctx.raw_entry(i);
-                ctx.store_persist(PAddr(a), v);
-                ctx.report.redo_entries += 1;
-            }
+            };
+            replay(ctx, count);
         }
         // Presumed abort: nothing was written in place, retiring the
         // log is the whole rollback.

@@ -11,8 +11,8 @@ use pmem_sim::PAddr;
 use trace::{AbortCause, EventKind};
 
 use crate::access::TxAccess;
-use crate::config::Algo;
-use crate::log::{prepared_marker, seal, ALGO_UNDO, ENTRY_WORDS, STATE_IDLE, W_SEQ};
+use crate::config::{Algo, INDEX_NS, LOCK_SPIN, OREC_NS};
+use crate::log::{prepared_marker, seal, ALGO_UNDO, STATE_IDLE, W_SEQ};
 use crate::orec::is_locked;
 use crate::phases::Phase;
 use crate::recovery::RecoverCtx;
@@ -42,13 +42,24 @@ fn rollback_undo(ax: &mut TxAccess, wv: u64) {
         ax.flush_line(e0);
         ax.fence();
     }
-    ax.s.advance(ax.ptm.config.orec_ns * ax.owned.len() as u64);
+    ax.s.advance(OREC_NS * ax.owned.len() as u64);
     for i in 0..ax.owned.len() {
         let (o, _) = ax.owned[i];
         ax.ptm.orecs.release(o, wv);
     }
     ax.owned.clear();
     ax.owned_map.clear();
+}
+
+/// Flush the in-place data and alloc-new blocks, one fence: what commit
+/// and 2PC prepare both need durable before touching the log.
+fn persist_in_place(ax: &mut TxAccess) {
+    ax.offer_fresh_blocks();
+    for i in 0..ax.eager_writes.len() {
+        ax.offer(PAddr(ax.eager_writes[i]));
+    }
+    ax.close_data_window();
+    ax.fence();
 }
 
 impl LogPolicy for UndoPolicy {
@@ -62,7 +73,7 @@ impl LogPolicy for UndoPolicy {
 
     fn on_read(&self, ax: &mut TxAccess, addr: PAddr, o: u32) -> Option<TxResult<u64>> {
         if !ax.owned.is_empty() {
-            ax.s.advance(ax.ptm.config.index_ns);
+            ax.s.advance(INDEX_NS);
             if ax.owned_map.get(o as u64).is_some() {
                 // We hold the stripe: in-place values are ours to read.
                 return Some(Ok(ax.s.load(addr)));
@@ -75,15 +86,13 @@ impl LogPolicy for UndoPolicy {
         let o = ax.ptm.orecs.index_of(addr);
         ax.index_cost();
         if ax.owned_map.get(o as u64).is_none() {
-            let spin_limit = ax.ptm.config.lock_spin;
-            let orec_ns = ax.ptm.config.orec_ns;
             let mut spins = 0;
             loop {
-                ax.s.advance(orec_ns);
+                ax.s.advance(OREC_NS);
                 let v = ax.ptm.orecs.load(o);
                 if is_locked(v) {
                     // (cannot be ours: owned_map said no)
-                    if spins < spin_limit {
+                    if spins < LOCK_SPIN {
                         spins += 1;
                         ax.s.advance(8);
                         continue;
@@ -95,21 +104,21 @@ impl LogPolicy for UndoPolicy {
                 if v > ax.start_time {
                     // Acquiring a newer stripe would let owned-stripe reads
                     // see post-snapshot values; extend or abort.
-                    if ax.ptm.config.ts_extension && ax.extend() {
+                    if ax.extend() {
                         continue;
                     }
                     PtmStats::bump(&ax.ptm.stats.aborts_acquire);
                     ax.abort_at(AbortCause::Acquire, o);
                     return Err(Abort);
                 }
-                ax.s.advance(orec_ns);
+                ax.s.advance(OREC_NS);
                 if ax.ptm.orecs.try_lock(o, v, ax.tid).is_ok() {
                     ax.owned_map.insert(o as u64, ax.owned.len() as u64);
                     ax.owned.push((o, v));
                     ax.trace(EventKind::TxAcquire, o as u64, v);
                     break;
                 }
-                if spins >= spin_limit {
+                if spins >= LOCK_SPIN {
                     PtmStats::bump(&ax.ptm.stats.aborts_acquire);
                     ax.abort_at(AbortCause::Acquire, o);
                     return Err(Abort);
@@ -171,23 +180,7 @@ impl LogPolicy for UndoPolicy {
     }
 
     fn make_durable(&self, ax: &mut TxAccess) {
-        // Flush the in-place data and alloc-new blocks, one fence.
-        if ax.combining() {
-            ax.plan_fresh_blocks();
-            for i in 0..ax.eager_writes.len() {
-                let addr = PAddr(ax.eager_writes[i]);
-                ax.plan_line(addr);
-            }
-            PtmStats::high_water(&ax.ptm.stats.max_write_lines, ax.plan.len() as u64);
-            ax.drain_plan();
-        } else {
-            ax.flush_fresh_blocks();
-            for i in 0..ax.eager_writes.len() {
-                let addr = PAddr(ax.eager_writes[i]);
-                ax.flush_line(addr);
-            }
-        }
-        ax.fence();
+        persist_in_place(ax);
         // Truncate the undo log: entry 0's addr word zeroed, durable.
         let now = ax.s.now();
         ax.timer.switch(now, Phase::LogAppend);
@@ -198,44 +191,16 @@ impl LogPolicy for UndoPolicy {
     }
 
     fn commit_publish(&self, ax: &mut TxAccess, wv: u64) {
-        let now = ax.s.now();
-        ax.timer.switch(now, Phase::Validation);
-        ax.s.advance(ax.ptm.config.orec_ns * ax.owned.len() as u64);
-        for i in 0..ax.owned.len() {
-            let (o, _) = ax.owned[i];
-            ax.ptm.orecs.release(o, wv);
-        }
+        ax.release_owned_at(wv);
     }
 
     fn make_prepared(&self, ax: &mut TxAccess, gtid: u64) {
-        // Flush the in-place data and alloc-new blocks, one fence —
-        // exactly `make_durable`'s first half.
-        if ax.combining() {
-            ax.plan_fresh_blocks();
-            for i in 0..ax.eager_writes.len() {
-                let addr = PAddr(ax.eager_writes[i]);
-                ax.plan_line(addr);
-            }
-            PtmStats::high_water(&ax.ptm.stats.max_write_lines, ax.plan.len() as u64);
-            ax.drain_plan();
-        } else {
-            ax.flush_fresh_blocks();
-            for i in 0..ax.eager_writes.len() {
-                let addr = PAddr(ax.eager_writes[i]);
-                ax.flush_line(addr);
-            }
-        }
-        ax.fence();
+        persist_in_place(ax);
         // But do NOT truncate: the sealed undo entries are the only way
         // a decide-abort (or presumed-abort recovery) can restore the
         // in-place writes. Seal the in-doubt window with the PREPARED
         // marker instead.
-        let now = ax.s.now();
-        ax.timer.switch(now, Phase::LogAppend);
-        let state = ax.log.state_addr();
-        ax.s.store(state, prepared_marker(ax.entries.len() as u64, gtid));
-        ax.flush_line(state);
-        ax.fence();
+        ax.persist_state(prepared_marker(ax.entries.len() as u64, gtid));
     }
 
     fn commit_prepared(&self, ax: &mut TxAccess, wv: u64) {
@@ -249,10 +214,7 @@ impl LogPolicy for UndoPolicy {
             ax.s.store(e0, 0);
             ax.flush_line(e0);
         }
-        let state = ax.log.state_addr();
-        ax.s.store(state, STATE_IDLE);
-        ax.flush_line(state);
-        ax.fence();
+        ax.persist_state(STATE_IDLE);
         self.commit_publish(ax, wv);
     }
 
@@ -289,12 +251,7 @@ impl LogPolicy for UndoPolicy {
         // descriptor's persisted sequence number.
         let seq = ctx.primary.raw_load(W_SEQ);
         let mut valid = Vec::new();
-        let capacity = ctx.primary_cap
-            + ctx
-                .overflow
-                .as_ref()
-                .map_or(0, |p| p.len_words() / ENTRY_WORDS as usize);
-        for i in 0..capacity {
+        for i in 0..ctx.capacity() {
             let (a, old, chk) = ctx.raw_entry(i);
             if a == 0 {
                 break;

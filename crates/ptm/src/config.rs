@@ -85,21 +85,53 @@ impl std::str::FromStr for Algo {
     }
 }
 
-/// When redo-log lines are flushed (§III-B: the paper found no noticeable
-/// difference; `bench --bin ablation_flush_timing` reproduces that).
+/// How a transaction's durability obligations become `clwb`s — one
+/// concept with three points. Policies only *offer* lines to the flush
+/// window of [`crate::access::TxAccess`]; this plan (and whether the
+/// domain needs flushes at all) decides what an offer turns into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FlushTiming {
-    /// `clwb` each log line as it is written.
+pub enum FlushPlan {
+    /// Per-entry `clwb`s, and additionally each redo-log line as it
+    /// fills during execution (§III-B's staggered timing; the paper found
+    /// no noticeable difference, `bench --bin ablation_flush_timing`
+    /// reproduces that).
     Incremental,
-    /// `clwb` all log lines in a tight loop just before the commit marker.
+    /// Per-entry `clwb`s in a tight loop at commit: the paper's measured
+    /// baseline and the default.
     Batched,
+    /// Write combining: every obligation of a fence window (redo
+    /// write-back lines, `eager_writes`, fresh blocks, log lines) is
+    /// collected in a line-granular `LineSet`, deduped, and drained
+    /// through the bank-interleaved `MemSession::clwb_batch`; the read
+    /// set is duplicate-filtered too, so `validate_reads`/`extend` cost
+    /// O(unique orecs). Under eADR-class domains the planner is skipped
+    /// (flushes are free no-ops there).
+    Combined,
 }
 
-/// Runtime configuration.
+/// Modeled cost of one orec/global-clock access (DRAM metadata, hot).
+pub const OREC_NS: u64 = 4;
+/// Modeled cost of one log-index probe when `split_log_index`.
+pub const INDEX_NS: u64 = 4;
+/// Spin iterations on a locked orec before aborting.
+pub const LOCK_SPIN: u32 = 16;
+/// Abort ceiling before declaring livelock (panics). Generous.
+pub const MAX_RETRIES: u32 = 1_000_000;
+/// Contention backoff ceiling in virtual ns (the exponential retry
+/// backoff saturates here). Bounded so a victim of a hot orec can never
+/// be pushed past a group-commit window length per attempt; the
+/// high-water `PtmStats::max_backoff_ns` makes the actual worst delay
+/// observable.
+pub const MAX_BACKOFF_NS: u64 = 40_000;
+const _: () = assert!(MAX_BACKOFF_NS > 0, "backoff ceiling must be positive");
+
+/// Runtime configuration. TL2-style timestamp extension on validation
+/// failure is always attempted; the modeled metadata costs and retry
+/// bounds are the constants above.
 #[derive(Debug, Clone)]
 pub struct PtmConfig {
     pub algo: Algo,
-    pub flush_timing: FlushTiming,
+    pub flush: FlushPlan,
     /// Table III's deliberately *incorrect* variant: issue `clwb`s but no
     /// `sfence`s. Measurement-only — recovery guarantees are void.
     pub elide_fences: bool,
@@ -107,16 +139,6 @@ pub struct PtmConfig {
     /// index in DRAM. When `false`, index probes are charged Optane
     /// latency (ablation).
     pub split_log_index: bool,
-    /// TL2-style timestamp extension on validation failure.
-    pub ts_extension: bool,
-    /// Write-combining commit pipeline: plan every durability obligation
-    /// of a fence window (redo write-back lines, `eager_writes`, fresh
-    /// blocks, log lines) in a line-granular `LineSet`, dedupe, and
-    /// drain through the bank-interleaved `MemSession::clwb_batch`; also
-    /// duplicate-filters the read set so `validate_reads`/`extend` cost
-    /// O(unique orecs). Off by default (ablation flag): the naive
-    /// per-entry flush loop is the paper's measured baseline.
-    pub write_combining: bool,
     /// Cross-transaction group commit (Marathe et al., *Persistent
     /// Memory Transactions*): a transaction reaching `make_durable`
     /// whose flushes were all WPQ-accepted before a recently completed
@@ -131,12 +153,6 @@ pub struct PtmConfig {
     /// a fence absurdly far in this thread's future signals a clock
     /// reset and is also rejected).
     pub group_window_ns: u64,
-    /// Contention backoff ceiling in virtual ns (the exponential retry
-    /// backoff saturates here). Bounded so a victim of a hot orec can
-    /// never be pushed past a group-commit window length per attempt;
-    /// the high-water `PtmStats::max_backoff_ns` makes the actual worst
-    /// delay observable.
-    pub max_backoff_ns: u64,
     /// Number of orecs (rounded to a power of two).
     pub orec_count: usize,
     /// Log capacity in entries (4 words each).
@@ -149,14 +165,6 @@ pub struct PtmConfig {
     /// ramdisk baseline). Stored here so the harness can construct
     /// matching log pools.
     pub heap_media: pmem_sim::MediaKind,
-    /// Modeled cost of one orec/global-clock access (DRAM metadata, hot).
-    pub orec_ns: u64,
-    /// Modeled cost of one log-index probe when `split_log_index`.
-    pub index_ns: u64,
-    /// Spin iterations on a locked orec before aborting.
-    pub lock_spin: u32,
-    /// Abort ceiling before declaring livelock (panics). Generous.
-    pub max_retries: u32,
     /// Hardware-TM attempts before falling back to the software path
     /// (0 disables the hybrid entirely). The paper's §V future work:
     /// TSX-style transactions skip all orec instrumentation and logging,
@@ -188,22 +196,15 @@ impl Default for PtmConfig {
     fn default() -> Self {
         PtmConfig {
             algo: Algo::RedoLazy,
-            flush_timing: FlushTiming::Batched,
+            flush: FlushPlan::Batched,
             elide_fences: false,
             split_log_index: true,
-            ts_extension: true,
-            write_combining: false,
             group_commit: false,
             group_window_ns: 1_000,
-            max_backoff_ns: 40_000,
             orec_count: 1 << 18,
             log_capacity: 1 << 13,
             lite_log_entries: 128,
             heap_media: pmem_sim::MediaKind::Optane,
-            orec_ns: 4,
-            index_ns: 4,
-            lock_spin: 16,
-            max_retries: 1_000_000,
             htm_retries: 0,
             htm_fastpath_threshold: 0,
             tracing: false,
@@ -245,20 +246,11 @@ impl PtmConfig {
         Self::with_algo(Algo::HtmLogged)
     }
 
-    /// The given algorithm with the write-combining commit pipeline on.
+    /// The given algorithm under [`FlushPlan::Combined`].
     pub fn combined(algo: Algo) -> Self {
         PtmConfig {
             algo,
-            write_combining: true,
-            ..Self::default()
-        }
-    }
-
-    /// The given algorithm with cross-transaction group commit on.
-    pub fn grouped(algo: Algo) -> Self {
-        PtmConfig {
-            algo,
-            group_commit: true,
+            flush: FlushPlan::Combined,
             ..Self::default()
         }
     }
@@ -272,26 +264,18 @@ mod tests {
     fn defaults_match_paper_setup() {
         let c = PtmConfig::default();
         assert!(c.split_log_index, "paper's tuned algorithms split the log");
-        assert!(c.ts_extension, "every optimization enabled");
         assert!(!c.elide_fences, "fence elision is an incorrect variant");
-        assert!(!c.write_combining, "write combining is the ablation arm");
+        assert_eq!(c.flush, FlushPlan::Batched, "the paper's measured arm");
         assert!(!c.group_commit, "group commit is opt-in");
+        assert!(c.group_window_ns > 0, "a zero window could never be joined");
         assert_eq!(c.htm_fastpath_threshold, 0, "fallback pacing is opt-in");
-        assert!(c.max_backoff_ns > 0, "backoff ceiling must be positive");
-    }
-
-    #[test]
-    fn grouped_turns_on_group_commit() {
-        let c = PtmConfig::grouped(Algo::RedoLazy);
-        assert!(c.group_commit);
-        assert!(c.group_window_ns > 0);
     }
 
     #[test]
     fn combined_turns_on_write_combining() {
         let c = PtmConfig::combined(Algo::UndoEager);
         assert_eq!(c.algo, Algo::UndoEager);
-        assert!(c.write_combining);
+        assert_eq!(c.flush, FlushPlan::Combined);
     }
 
     #[test]

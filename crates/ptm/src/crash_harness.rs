@@ -38,7 +38,7 @@ use pmem_sim::{
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::config::{Algo, PtmConfig};
+use crate::config::{Algo, FlushPlan, PtmConfig};
 use crate::db::{machines_of, ReopenReports, Restarted};
 use crate::recovery::{recover_with_options, resolve_in_doubt, RecoverOptions, RecoveryReport};
 use crate::shard::{restart_all, shard_heap_name, ShardedEngine};
@@ -623,10 +623,10 @@ pub struct BankTransfers {
     pub accounts: u64,
     pub initial: u64,
     pub transfers: usize,
-    /// Run commits through the write-combining pipeline (the default:
-    /// the sweep's acceptance bar is that batching survives every crash
-    /// site; set `false` to sweep the naive baseline).
-    pub write_combining: bool,
+    /// How commits flush. `Combined` by default: the sweep's acceptance
+    /// bar is that batching survives every crash site; set `Batched` to
+    /// sweep the naive baseline.
+    pub flush: FlushPlan,
 }
 
 impl Default for BankTransfers {
@@ -635,7 +635,7 @@ impl Default for BankTransfers {
             accounts: 8,
             initial: 100,
             transfers: 10,
-            write_combining: true,
+            flush: FlushPlan::Combined,
         }
     }
 }
@@ -660,7 +660,7 @@ impl CrashWorkload for BankTransfers {
         let heap = PHeap::format(machine, &self.heap_pool(0), 1 << 15, 4);
         let cfg = PtmConfig {
             algo: case.algo,
-            write_combining: self.write_combining,
+            flush: self.flush,
             ..PtmConfig::default()
         };
         let ptm = Ptm::new(cfg);

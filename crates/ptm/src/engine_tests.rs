@@ -9,7 +9,7 @@ use palloc::PHeap;
 use pmem_sim::{DurabilityDomain, Machine, MachineConfig, PAddr};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
-use crate::config::{Algo, PtmConfig};
+use crate::config::{Algo, FlushPlan, PtmConfig};
 use crate::txn::{Abort, Ptm, TxThread};
 
 fn setup(algo: Algo) -> (Arc<Machine>, Arc<Ptm>, Arc<PHeap>) {
@@ -378,9 +378,9 @@ fn combined_cow_writebacks_count_shadow_and_home_lines() {
 #[test]
 fn combined_pipeline_matches_naive_semantics_with_fewer_flushes() {
     for algo in [Algo::RedoLazy, Algo::UndoEager] {
-        let run = |combining: bool| {
+        let run = |flush: FlushPlan| {
             let cfg = PtmConfig {
-                write_combining: combining,
+                flush,
                 ..PtmConfig::with_algo(algo)
             };
             let (m, ptm, heap) = setup_with(cfg);
@@ -399,8 +399,8 @@ fn combined_pipeline_matches_naive_semantics_with_fewer_flushes() {
                 .collect();
             (values, m.stats.snapshot().clwbs)
         };
-        let (naive_vals, naive_clwbs) = run(false);
-        let (combined_vals, combined_clwbs) = run(true);
+        let (naive_vals, naive_clwbs) = run(FlushPlan::Batched);
+        let (combined_vals, combined_clwbs) = run(FlushPlan::Combined);
         assert_eq!(naive_vals, combined_vals, "{algo:?}: divergent commits");
         assert!(
             combined_clwbs < naive_clwbs,
@@ -417,7 +417,7 @@ fn combining_is_inert_under_eadr() {
     let m = Machine::new(MachineConfig::functional(DurabilityDomain::Eadr));
     let heap = PHeap::format(&m, "heap", 1 << 16, 8);
     let ptm = Ptm::new(PtmConfig {
-        write_combining: true,
+        flush: FlushPlan::Combined,
         htm_retries: 0,
         ..PtmConfig::redo()
     });

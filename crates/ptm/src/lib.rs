@@ -65,7 +65,7 @@ pub mod twopc;
 pub mod txn;
 pub mod umap;
 
-pub use config::{Algo, FlushTiming, PtmConfig};
+pub use config::{Algo, FlushPlan, PtmConfig};
 pub use crash_harness::{
     count_sites, default_cases, run_site, sweep, sweep_case, BankTransfers, CaseResult,
     CrashWorkload, GroupWindowBank, ShardedTransfers, SiteResult, SweepCase, SweepOptions,

@@ -281,6 +281,28 @@ impl RecoverCtx<'_> {
                 .map_or(0, |p| p.len_words() / ENTRY_WORDS as usize)
     }
 
+    /// Bound-check the entry `count` a `kind` ("committed"/"prepared")
+    /// marker sealed, before a replay loop trusts it. Callers take the
+    /// count from the marker word, NOT from the `W_COUNT` mirror: a torn
+    /// header line can persist the fresh marker next to a stale count,
+    /// and a stale (larger) count would replay leftover entries from an
+    /// earlier transaction on top of this one's write set. A legitimate
+    /// commit can never seal more entries than the log physically holds,
+    /// so a larger count means the marker word is corrupt: fail soft —
+    /// no out-of-bounds entry reads, no replay of garbage, `None`, and
+    /// the log left as-is for inspection (`action` names what was
+    /// skipped).
+    pub fn sealed_count(&mut self, kind: &str, count: u64, action: &str) -> Option<usize> {
+        let (count, capacity) = (count as usize, self.capacity());
+        if count > capacity {
+            self.malformed(format!(
+                "{kind} marker count {count} exceeds log capacity {capacity} — {action} skipped"
+            ));
+            return None;
+        }
+        Some(count)
+    }
+
     /// Record a per-log diagnostic: the log failed validation and was
     /// left untouched.
     pub fn malformed(&mut self, msg: String) {

@@ -420,9 +420,9 @@ mod tests {
             th.run(|tx| tx.write(c, 100 + shard as u64));
             cells.push(c);
         }
-        for shard in 0..2 {
+        for (shard, &c) in cells.iter().enumerate() {
             let mut th = e.thread(shard, 0);
-            assert_eq!(th.run(|tx| tx.read(cells[shard])), 100 + shard as u64);
+            assert_eq!(th.run(|tx| tx.read(c)), 100 + shard as u64);
         }
         let agg = e.aggregate_ptm_stats();
         assert_eq!(agg.commits, 4);
@@ -455,9 +455,9 @@ mod tests {
             assert_eq!(rep.recovery.logs_scanned, 1, "shard {shard} log scan");
         }
         e2.begin_run_all(1, u64::MAX);
-        for shard in 0..3 {
+        for (shard, &cell) in cells.iter().enumerate() {
             let c = e2.heap(shard).root_raw(0);
-            assert_eq!(c, cells[shard]);
+            assert_eq!(c, cell);
             let mut th = e2.thread(shard, 0);
             assert_eq!(th.run(|tx| tx.read(c)), 7 * (shard as u64 + 1));
             assert_eq!(th.run(|tx| tx.read_at(c, 1)), 9);

@@ -143,7 +143,7 @@ impl<'e> CrossShardTx<'e> {
                     th.ax.s.trace_event(EventKind::TxAbort, cause, orec);
                 }
                 assert!(
-                    attempts < th.ax.ptm.config.max_retries,
+                    attempts < crate::config::MAX_RETRIES,
                     "cross-shard livelock: {attempts} consecutive aborts on worker {}",
                     self.tid
                 );
@@ -302,7 +302,7 @@ impl<'e> CrossShardTx<'e> {
             let th = self.slots[s].as_mut().unwrap();
             let wv = th.ax.ptm.clock.bump();
             th.ax.commit_wv = wv;
-            th.ax.s.advance(th.ax.ptm.config.orec_ns);
+            th.ax.s.advance(crate::config::OREC_NS);
             wvs.push(wv);
         }
         for (k, &s) in writers.iter().enumerate() {
@@ -390,7 +390,7 @@ impl<'e> CrossShardTx<'e> {
         }
         let wv = th.ax.ptm.clock.bump();
         th.ax.commit_wv = wv;
-        th.ax.s.advance(th.ax.ptm.config.orec_ns);
+        th.ax.s.advance(crate::config::OREC_NS);
         if wv != th.ax.start_time + 2 {
             if let Err(o) = th.ax.validate_reads() {
                 PtmStats::bump(&th.ax.ptm.stats.aborts_validation);
@@ -558,10 +558,10 @@ mod tests {
                 cells.push(c);
             }
             let gtid = 7u64;
-            for s in 0..2 {
+            for (s, &cell) in cells.iter().enumerate() {
                 let mut th = e.thread(s, 1);
                 th.ax.begin();
-                th.policy.on_write(&mut th.ax, cells[s], 2).unwrap();
+                th.policy.on_write(&mut th.ax, cell, 2).unwrap();
                 assert!(th.policy.pre_commit_acquire(&mut th.ax));
                 let wv = th.ptm().clock.bump();
                 th.ax.commit_wv = wv;

@@ -314,7 +314,7 @@ impl TxThread {
             self.ax.abort_cleanup();
             self.ax.attempts += 1;
             assert!(
-                self.ax.attempts < self.ax.ptm.config.max_retries,
+                self.ax.attempts < crate::config::MAX_RETRIES,
                 "transaction livelock: {} consecutive aborts on thread {}",
                 self.ax.attempts,
                 self.ax.tid
@@ -378,7 +378,7 @@ impl TxThread {
         }
         let wv = self.ax.ptm.clock.bump();
         self.ax.commit_wv = wv;
-        self.ax.s.advance(self.ax.ptm.config.orec_ns);
+        self.ax.s.advance(crate::config::OREC_NS);
         if wv != self.ax.start_time + 2 {
             if let Err(o) = self.ax.validate_reads() {
                 PtmStats::bump(&self.ax.ptm.stats.aborts_validation);

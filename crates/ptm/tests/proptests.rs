@@ -5,7 +5,7 @@ use palloc::PHeap;
 use pmem_sim::{DurabilityDomain, Machine, MachineConfig, PAddr};
 use proptest::prelude::*;
 use ptm::umap::U64Map;
-use ptm::{Algo, Ptm, PtmConfig, TxThread};
+use ptm::{Algo, FlushPlan, Ptm, PtmConfig, TxThread};
 use std::collections::HashMap;
 
 proptest! {
@@ -119,10 +119,10 @@ proptest! {
         algo_idx in 0usize..Algo::ALL.len(),
     ) {
         let algo = Algo::ALL[algo_idx];
-        let run_with = |combining: bool| {
+        let run_with = |flush: FlushPlan| {
             let m = Machine::new(MachineConfig::functional(DurabilityDomain::Adr));
             let heap = PHeap::format(&m, "h", 1 << 14, 4);
-            let cfg = PtmConfig { algo, write_combining: combining, ..PtmConfig::default() };
+            let cfg = PtmConfig { algo, flush, ..PtmConfig::default() };
             let mut th = TxThread::new(Ptm::new(cfg), heap.clone(), m.session(0));
             let base = {
                 let h = std::sync::Arc::clone(&heap);
@@ -154,7 +154,7 @@ proptest! {
                 .map(|a| heap.pool().shadow().unwrap().load(base.word() + a))
                 .collect::<Vec<u64>>()
         };
-        prop_assert_eq!(run_with(false), run_with(true));
+        prop_assert_eq!(run_with(FlushPlan::Batched), run_with(FlushPlan::Combined));
     }
 
     /// The hybrid HTM path computes the same results as pure software for
@@ -211,27 +211,27 @@ proptest! {
             policy: AdversaryPolicy::SWEEP[(seed % AdversaryPolicy::SWEEP.len() as u64) as usize],
             seed,
         };
-        let bank = |combining: bool| BankTransfers {
+        let bank = |flush: FlushPlan| BankTransfers {
             accounts: 4,
             initial: 64,
             transfers,
-            write_combining: combining,
+            flush,
         };
         let opts = SweepOptions {
             max_sites_per_case: Some(6),
             ..SweepOptions::default()
         };
-        for combining in [false, true] {
-            let r = sweep_case(&bank(combining), &case, opts);
+        for flush in [FlushPlan::Batched, FlushPlan::Combined] {
+            let r = sweep_case(&bank(flush), &case, opts);
             let lines: Vec<String> = r.violations.iter().map(|v| v.to_string()).collect();
-            prop_assert!(lines.is_empty(), "combining={}: {:?}", combining, lines);
+            prop_assert!(lines.is_empty(), "{:?}: {:?}", flush, lines);
         }
         // End-of-run crash at one fixed armed site: identical adversary
         // seed for both pipelines, so equal digests ⇒ the combined
         // pipeline leaves the machine in exactly the naive durable state.
         const END: u64 = 1 << 40;
-        let naive = run_site(&bank(false), &case, END, RecoverOptions::default());
-        let combined = run_site(&bank(true), &case, END, RecoverOptions::default());
+        let naive = run_site(&bank(FlushPlan::Batched), &case, END, RecoverOptions::default());
+        let combined = run_site(&bank(FlushPlan::Combined), &case, END, RecoverOptions::default());
         prop_assert!(naive.violations.is_empty(), "{:?}", naive.violations);
         prop_assert!(combined.violations.is_empty(), "{:?}", combined.violations);
         prop_assert_eq!(naive.state_digest, combined.state_digest);
