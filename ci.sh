@@ -41,7 +41,7 @@ echo "=== flush-shape seam check ==="
 # Policies offer lines to TxAccess's flush window and close it; what an
 # offer becomes is decided in crates/ptm/src/access.rs alone. A plan
 # test in a policy file means a per-policy flush fork grew back, and a
-# 14th PtmConfig field means a knob did (DESIGN.md §5 has one row per
+# 12th PtmConfig field means a knob did (DESIGN.md §5 has one row per
 # field with the result or test that justifies it).
 if grep -nE 'combining\(\)|write_combining|FlushTiming|FlushPlan::' crates/ptm/src/algo/*.rs; then
   echo "ERROR: flush-shape decision inside a policy (see above)" >&2
@@ -49,8 +49,20 @@ if grep -nE 'combining\(\)|write_combining|FlushTiming|FlushPlan::' crates/ptm/s
 fi
 FIELDS=$(awk '/^pub struct PtmConfig/ { on = 1; next } on && /^}/ { exit } on && /^    pub / { n++ } END { print n + 0 }' \
   crates/ptm/src/config.rs)
-if [ "$FIELDS" -ne 13 ]; then
-  echo "ERROR: PtmConfig has $FIELDS pub fields, expected 13" >&2
+if [ "$FIELDS" -ne 11 ]; then
+  echo "ERROR: PtmConfig has $FIELDS pub fields, expected 11" >&2
+  exit 1
+fi
+
+echo "=== hardware-path seam check ==="
+# One hardware commit path, in crates/ptm/src/algo/htm.rs: it alone
+# applies a write set in place without a log (inside the simulator's
+# crash-atomic section, where the domain needs no flushes). A second
+# `enter_atomic` caller, or one of the deleted hybrid's names, means an
+# unlogged commit or its knobs grew back beside it.
+if grep -rnE 'enter_atomic|htm_retries|htm_fastpath_threshold|try_advance' crates src tests examples --include='*.rs' \
+    | grep -vE '^crates/(ptm/src/algo/htm\.rs|pmem-sim/)'; then
+  echo "ERROR: unlogged hardware commit outside ptm::algo::htm (see above)" >&2
   exit 1
 fi
 
@@ -71,6 +83,14 @@ echo "=== algo_compare smoke ==="
 # Head-to-head {redo, undo, cow, htm-logged} comparison across all four
 # durability domains (throughput / abort rate / persistence work).
 cargo run -q --release -p bench --bin algo_compare -- --quick --threads 2 --ops 100 > /dev/null
+
+echo "=== htm ablation smoke + §V guard ==="
+# Redo vs HtmLogged on tatp / tpcc-hash / btree-mixed under eADR, PDRAM
+# and ADR, 1 thread (deterministic). The binary's built-in guard exits
+# nonzero unless, under eADR and PDRAM, every commit takes the hardware
+# path and HtmLogged does not lose to software redo (the paper's §V
+# expectation that TSX composes with eADR).
+cargo run -q --release -p bench --bin ablation_htm -- --quick --threads 1 > /dev/null
 
 echo "=== htm-logged ablation smoke + ADR crossover guard ==="
 # Redo vs HtmLogged on the KV workload under ADR. The binary's built-in

@@ -1,10 +1,9 @@
 //! Does back-end logging make HTM pay off under ADR? (PR 8 tentpole.)
 //!
-//! The plain hybrid (`ablation_htm`) is a no-op under ADR because a
-//! `clwb` inside a hardware section aborts it. `Algo::HtmLogged` moves
-//! all persistence *after* the section retires — buffered writes, then a
-//! sealed redo-style back-end log (2 fences) and an unfenced lazy home
-//! writeback — so the HTM fast path runs under ADR too.
+//! A `clwb` inside a hardware section aborts it, so `Algo::HtmLogged`
+//! moves all persistence *after* the section retires — buffered writes,
+//! then a sealed redo-style back-end log (2 fences) and an unfenced lazy
+//! home writeback — so the HTM fast path runs under ADR too.
 //!
 //! This ablation runs the memcached-like KV workload under ADR and
 //! compares software redo against HtmLogged across a contention sweep
@@ -14,15 +13,6 @@
 //! begin/commit overhead. Under high contention footprint conflicts
 //! abort sections and the software fallback absorbs the work, so no
 //! claim is asserted there.
-//!
-//! A third arm rides the high-contention cell: HtmLogged with
-//! contention-aware fallback pacing on (`htm_fastpath_threshold = 2`).
-//! Once a (cause, footprint) signature has burned its retry budget
-//! twice, later transactions with the same signature skip straight to
-//! the software path instead of re-aborting hardware sections. The
-//! guard asserts the pacer actually fires there
-//! (`htm_fallback_fastpathed > 0`) and that paced throughput does not
-//! lose to the unpaced hybrid.
 //!
 //! If the simulated machine has HTM disabled the comparison is
 //! meaningless; the binary prints a skip note and exits 0.
@@ -42,15 +32,14 @@ fn main() {
     if !opts.json {
         println!(
             "contention,items,threads,redo_mops,htm_logged_mops,speedup_pct,\
-             logged_commit_pct,htm_fallbacks,redo_sfences,htm_sfences,\
-             paced_mops,htm_fallback_fastpathed"
+             logged_commit_pct,htm_fallbacks,redo_sfences,htm_sfences"
         );
     }
     // Working-set size sets the key-collision rate: 512 distinct 1 KB
     // values make same-key conflicts rare; 16 make them the common case.
     for (contention, items) in [("low", 512u64), ("high", 16u64)] {
         for threads in [1usize, 2] {
-            let run = |algo: Algo, pace: u32| {
+            let run = |algo: Algo| {
                 let mut w = KvStore::new(items);
                 let sc = Scenario::new(
                     format!("ADR_{}_{}", contention, algo.label()),
@@ -58,26 +47,18 @@ fn main() {
                     DurabilityDomain::Adr,
                     algo,
                 );
-                let mut rc = opts.run_config(threads);
-                rc.ptm.htm_fastpath_threshold = pace;
-                run_boxed(&mut w, &sc, &rc)
+                run_boxed(&mut w, &sc, &opts.run_config(threads))
             };
-            let redo = run(Algo::RedoLazy, 0);
-            let htm = run(Algo::HtmLogged, 0);
-            // Pacing only matters where sections keep re-aborting, so
-            // the paced arm runs in the high-contention cells only.
-            let paced = (contention == "high" && threads >= 2).then(|| run(Algo::HtmLogged, 2));
+            let redo = run(Algo::RedoLazy);
+            let htm = run(Algo::HtmLogged);
             if opts.json {
                 emit_point(&opts, &format!("kvstore-{contention}-redo"), &redo);
                 emit_point(&opts, &format!("kvstore-{contention}-htm-logged"), &htm);
-                if let Some(p) = &paced {
-                    emit_point(&opts, &format!("kvstore-{contention}-htm-logged-paced"), p);
-                }
             } else {
                 let logged_pct =
                     100.0 * htm.ptm.htm_logged_commits as f64 / htm.ptm.commits.max(1) as f64;
                 println!(
-                    "{},{},{},{:.4},{:.4},{:+.1},{:.1},{},{},{},{:.4},{}",
+                    "{},{},{},{:.4},{:.4},{:+.1},{:.1},{},{},{}",
                     contention,
                     items,
                     threads,
@@ -88,27 +69,6 @@ fn main() {
                     htm.ptm.htm_fallbacks,
                     redo.mem.sfences,
                     htm.mem.sfences,
-                    paced.as_ref().map_or(0.0, |p| p.throughput_mops()),
-                    paced.as_ref().map_or(0, |p| p.ptm.htm_fallback_fastpathed),
-                );
-            }
-            if let Some(p) = &paced {
-                // Satellite guard: under sustained same-signature
-                // conflicts the pacer must actually shortcut retries,
-                // and skipping doomed hardware attempts must not cost
-                // throughput.
-                assert!(
-                    p.ptm.htm_fallback_fastpathed > 0,
-                    "fallback pacing never fired at high contention \
-                     ({} threads, threshold 2)",
-                    threads,
-                );
-                assert!(
-                    p.throughput_mops() >= 0.8 * htm.throughput_mops(),
-                    "paced HtmLogged ({:.4} Mops) fell more than 20% below the \
-                     unpaced hybrid ({:.4} Mops) at high contention",
-                    p.throughput_mops(),
-                    htm.throughput_mops(),
                 );
             }
             if contention == "low" {

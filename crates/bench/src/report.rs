@@ -374,7 +374,7 @@ mod tests {
     }
 
     /// The 2PC block is strictly opt-in: a run that never crosses shards
-    /// (and never paces HTM fallbacks) emits the exact PR 1-9 keys —
+    /// emits the exact PR 1-9 keys —
     /// the phase_profile byte-identity baseline depends on this.
     #[test]
     fn twopc_keys_absent_when_run_never_crosses_shards() {
@@ -385,7 +385,6 @@ mod tests {
             "\"coordinator_commits\"",
             "\"prepare_fence_ns\"",
             "\"indoubt_resolved_commit\"",
-            "\"htm_fallback_fastpathed\"",
         ] {
             assert!(!j.contains(key), "gated key {key} leaked into {j}");
         }

@@ -103,24 +103,15 @@ fn tpcc_adr(algo: Algo, flush: FlushPlan) -> String {
     )
 }
 
-/// `WideAndNarrow` under `Algo::HtmLogged`, with or without fallback
-/// pacing (`htm_fastpath_threshold`; its gated counter appears only in
-/// the paced golden).
-fn htm_run(label: &str, htm_fastpath_threshold: u32) -> String {
-    let sc = Scenario::new(
-        label,
-        MediaKind::Optane,
-        DurabilityDomain::Adr,
-        Algo::HtmLogged,
-    );
-    let ptm = PtmConfig {
-        htm_fastpath_threshold,
-        ..PtmConfig::default()
-    };
+/// `WideAndNarrow` under `Algo::HtmLogged`: under ADR every commit
+/// goes through the back-end ring, under eADR only the capacity
+/// fallbacks do (`backend_log_bytes` is their share).
+fn htm_run(label: &str, domain: DurabilityDomain) -> String {
+    let sc = Scenario::new(label, MediaKind::Optane, domain, Algo::HtmLogged);
     let r = run_scenario(
         &mut WideAndNarrow(Mutex::new(None)),
         &sc,
-        &one_thread(40, ptm),
+        &one_thread(40, PtmConfig::default()),
     );
     // What the case exists to pin: the hardware-path counters carry
     // values. (Conflict and explicit aborts need a second thread or a
@@ -189,8 +180,14 @@ fn cases() -> [(&'static str, String); 13] {
             "point_tpcc_adr_htm_combined_1t",
             tpcc_adr(HtmLogged, Combined),
         ),
-        ("point_htm_logged_1t", htm_run("Optane_ADR_H", 0)),
-        ("point_htm_fastpath_1t", htm_run("Optane_ADR_H_paced", 2)),
+        (
+            "point_htm_logged_1t",
+            htm_run("Optane_ADR_H", DurabilityDomain::Adr),
+        ),
+        (
+            "point_htm_logged_eadr_1t",
+            htm_run("Optane_eADR_H", DurabilityDomain::Eadr),
+        ),
         ("sharded_kv_2x1", sharded_point_json("sharded-kv", &kv)),
         ("sharded_xshard_half_2x1", xshard_masked(0.5)),
         ("sharded_xshard_none_2x1", xshard_masked(0.0)),

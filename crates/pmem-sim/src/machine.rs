@@ -93,6 +93,49 @@ impl MachineConfig {
     }
 }
 
+/// An observer a run may attach to the machine (injector, tracer,
+/// sampler). `armed` mirrors `value.is_some()`, so finding none attached
+/// costs one relaxed load.
+#[derive(Debug)]
+struct Slot<T> {
+    value: Mutex<Option<Arc<T>>>,
+    armed: AtomicBool,
+}
+
+impl<T> Slot<T> {
+    fn empty() -> Self {
+        Slot {
+            value: Mutex::new(None),
+            armed: AtomicBool::new(false),
+        }
+    }
+
+    /// Replaces any previously attached value.
+    fn attach(&self, v: Arc<T>) {
+        *self.value.lock().unwrap() = Some(v);
+        self.armed.store(true, Ordering::Release);
+    }
+
+    fn detach(&self) -> Option<Arc<T>> {
+        self.armed.store(false, Ordering::Release);
+        self.value.lock().unwrap().take()
+    }
+
+    #[inline]
+    fn get(&self) -> Option<Arc<T>> {
+        if self.armed.load(Ordering::Relaxed) {
+            self.get_slow()
+        } else {
+            None
+        }
+    }
+
+    #[cold]
+    fn get_slow(&self) -> Option<Arc<T>> {
+        self.value.lock().unwrap().clone()
+    }
+}
+
 /// One simulated Optane-class machine.
 ///
 /// A `Machine` owns its pools, the shared L3 model, the bandwidth servers
@@ -110,19 +153,15 @@ pub struct Machine {
     pub(crate) dram_cache: CacheSim,
     pub(crate) servers: Servers,
     clocks: RwLock<Arc<ClockDomain>>,
-    /// Armed crash-site injector, if any (see [`crate::inject`]).
-    injector: Mutex<Option<Arc<CrashInjector>>>,
-    /// Fast-path flag mirroring `injector.is_some()`, so un-instrumented
-    /// runs pay one relaxed load per persistence event.
-    injector_armed: AtomicBool,
+    /// Armed crash-site injector, if any (see [`crate::inject`]):
+    /// un-instrumented runs pay one relaxed load per persistence event.
+    injector: Slot<CrashInjector>,
     /// Attached flight-recorder sink, if any. Sessions capture a ring
-    /// from it at construction; same arming idiom as the injector.
-    tracer: Mutex<Option<Arc<trace::TraceSink>>>,
-    tracer_armed: AtomicBool,
+    /// from it at construction.
+    tracer: Slot<trace::TraceSink>,
     /// Attached telemetry sampler, if any. Sessions capture a sample
-    /// ring from it at construction; same arming idiom as the tracer.
-    sampler: Mutex<Option<Arc<obs::Sampler>>>,
-    sampler_armed: AtomicBool,
+    /// ring from it at construction.
+    sampler: Slot<obs::Sampler>,
     /// Monotonic serial stamped on every HTM line publication; sections
     /// sample it at `xbegin` and conflict against later publications.
     htm_serial: AtomicU64,
@@ -146,12 +185,9 @@ impl Machine {
             dram_cache,
             servers,
             clocks: RwLock::new(clocks),
-            injector: Mutex::new(None),
-            injector_armed: AtomicBool::new(false),
-            tracer: Mutex::new(None),
-            tracer_armed: AtomicBool::new(false),
-            sampler: Mutex::new(None),
-            sampler_armed: AtomicBool::new(false),
+            injector: Slot::empty(),
+            tracer: Slot::empty(),
+            sampler: Slot::empty(),
             htm_serial: AtomicU64::new(0),
             htm_table: Mutex::new(HashMap::new()),
             stats: MachineStats::new(),
@@ -211,14 +247,12 @@ impl Machine {
     /// event is counted (and may trigger a simulated crash). Replaces any
     /// previously armed injector.
     pub fn arm_injector(&self, injector: Arc<CrashInjector>) {
-        *self.injector.lock().unwrap() = Some(injector);
-        self.injector_armed.store(true, Ordering::Release);
+        self.injector.attach(injector);
     }
 
     /// Disarm and return the current injector.
     pub fn disarm_injector(&self) -> Option<Arc<CrashInjector>> {
-        self.injector_armed.store(false, Ordering::Release);
-        self.injector.lock().unwrap().take()
+        self.injector.detach()
     }
 
     /// Record one persistence-relevant event with the armed injector (a
@@ -226,15 +260,7 @@ impl Machine {
     /// [`crate::inject::SimulatedCrash`] if the armed site is reached.
     #[inline]
     pub fn note_site(&self, kind: SiteKind, in_atomic: bool) {
-        if self.injector_armed.load(Ordering::Relaxed) {
-            self.note_site_slow(kind, in_atomic);
-        }
-    }
-
-    #[cold]
-    fn note_site_slow(&self, kind: SiteKind, in_atomic: bool) {
-        let injector = self.injector.lock().unwrap().clone();
-        if let Some(inj) = injector {
+        if let Some(inj) = self.injector.get() {
             inj.note(self, kind, in_atomic);
         }
     }
@@ -243,30 +269,19 @@ impl Machine {
     /// durability events into per-thread rings submitted to this sink.
     /// Replaces any previously attached sink.
     pub fn attach_tracer(&self, sink: Arc<trace::TraceSink>) {
-        *self.tracer.lock().unwrap() = Some(sink);
-        self.tracer_armed.store(true, Ordering::Release);
+        self.tracer.attach(sink);
     }
 
     /// Detach and return the current tracer sink.
     pub fn detach_tracer(&self) -> Option<Arc<trace::TraceSink>> {
-        self.tracer_armed.store(false, Ordering::Release);
-        self.tracer.lock().unwrap().take()
+        self.tracer.detach()
     }
 
     /// The attached tracer sink, if any. One relaxed load when none is
     /// attached (the common case).
     #[inline]
     pub fn tracer(&self) -> Option<Arc<trace::TraceSink>> {
-        if self.tracer_armed.load(Ordering::Relaxed) {
-            self.tracer_slow()
-        } else {
-            None
-        }
-    }
-
-    #[cold]
-    fn tracer_slow(&self) -> Option<Arc<trace::TraceSink>> {
-        self.tracer.lock().unwrap().clone()
+        self.tracer.get()
     }
 
     /// Attach a telemetry sampler: sessions created *afterwards* fold
@@ -274,30 +289,19 @@ impl Machine {
     /// sampler. Sampling never advances virtual time. Replaces any
     /// previously attached sampler.
     pub fn attach_sampler(&self, sampler: Arc<obs::Sampler>) {
-        *self.sampler.lock().unwrap() = Some(sampler);
-        self.sampler_armed.store(true, Ordering::Release);
+        self.sampler.attach(sampler);
     }
 
     /// Detach and return the current sampler.
     pub fn detach_sampler(&self) -> Option<Arc<obs::Sampler>> {
-        self.sampler_armed.store(false, Ordering::Release);
-        self.sampler.lock().unwrap().take()
+        self.sampler.detach()
     }
 
     /// The attached sampler, if any. One relaxed load when none is
     /// attached (the common case).
     #[inline]
     pub fn sampler(&self) -> Option<Arc<obs::Sampler>> {
-        if self.sampler_armed.load(Ordering::Relaxed) {
-            self.sampler_slow()
-        } else {
-            None
-        }
-    }
-
-    #[cold]
-    fn sampler_slow(&self) -> Option<Arc<obs::Sampler>> {
-        self.sampler.lock().unwrap().clone()
+        self.sampler.get()
     }
 
     pub fn config(&self) -> &MachineConfig {

@@ -1,17 +1,24 @@
 //! Durable HTM via aliased back-end logging (Giles et al., *Hardware
-//! Transactional Persistent Memory*): the hardware fast path that works
-//! under ADR.
+//! Transactional Persistent Memory*): the one hardware path, under
+//! every durability domain.
 //!
-//! The plain hybrid cannot run hardware sections under flush-requiring
-//! domains — a `clwb` aborts a TSX transaction (the paper's §V
-//! observation). This policy moves **all** persistence out of the
-//! section: the body runs with buffered writes and no orec acquisition,
-//! flush or fence inside the section; after the section retires, the
-//! write set is persisted to a redo-style *back-end log* and sealed with
-//! the COMMITTED marker (two fences, both outside the contention
-//! window), then home locations are written back lazily with **no**
-//! writeback fence — a torn writeback is repaired by replaying the
-//! sealed log.
+//! A `clwb` aborts a TSX transaction (the paper's §V observation), so
+//! the body runs with buffered writes and no orec acquisition, flush or
+//! fence inside the section. What follows the section depends on one
+//! thing, `domain().requires_flushes()`:
+//!
+//! * **yes (ADR)** — the write set is persisted to a redo-style
+//!   *back-end log* and sealed with the COMMITTED marker (two fences,
+//!   both outside the contention window), then home locations are
+//!   written back lazily with **no** writeback fence — a torn writeback
+//!   is repaired by replaying the sealed log.
+//! * **no (eADR, PDRAM, PDRAM-Lite)** — cache visibility *is*
+//!   durability, so `xend` is the commit point: the write set is applied
+//!   in place inside a crash-atomic section and the log is skipped. The
+//!   software fallback still logs (its stores can tear) but retires its
+//!   ring *before* releasing its orecs, so outside a software commit
+//!   the ring is empty and no stale entry can replay over a later,
+//!   unlogged hardware commit of the same word.
 //!
 //! The back-end log is a per-thread *ring*: sealed entries of earlier
 //! transactions stay in place (slots `0..log_sealed`) and the COMMITTED
@@ -51,11 +58,11 @@
 //! Conflict detection on the hardware path is the section itself
 //! ([`pmem_sim::MemSession::htm_commit`] checks the line-granular
 //! footprint against concurrently published lines); the global clock is
-//! bumped, not `try_advance`d, so unrelated hardware commits never
-//! serialize against each other. Software commits of this policy
-//! publish their write lines to the same conflict table before
-//! releasing their orecs, so an overlapping open section aborts instead
-//! of reading a half-published write set.
+//! only bumped, so unrelated hardware commits never serialize against
+//! each other. Software commits of this policy publish their write
+//! lines to the same conflict table before releasing their orecs, so an
+//! overlapping open section aborts instead of reading a half-published
+//! write set.
 
 use std::sync::atomic::Ordering;
 
@@ -267,6 +274,12 @@ fn publish_home(ax: &mut TxAccess, wv: u64) {
         let entries = &ax.entries;
         ax.s.htm_publish_lines(entries.iter().map(|&(a, _)| PAddr(a)));
     }
+    if !ax.s.machine().domain().requires_flushes() {
+        // Hardware commits log nothing here: an entry left sealed past
+        // the orec release would replay over a later one of the same
+        // word. The stores above are already durable.
+        reset_ring(ax);
+    }
     ax.release_owned_at(wv);
 }
 
@@ -349,10 +362,9 @@ impl LogPolicy for HtmPolicy {
             ax.owned_map.insert(o as u64, ax.owned.len() as u64);
             ax.owned.push((o, v));
         }
-        // A plain bump, not `try_advance`: unrelated hardware commits
-        // must not serialize — the footprint check below is the
-        // conflict detector. The timestamp only versions the orecs and
-        // salts the entry checksums.
+        // Unrelated hardware commits must not serialize — the footprint
+        // check below is the conflict detector. The timestamp only
+        // versions the orecs and salts the entry checksums.
         let wv = ax.ptm.clock.bump();
         ax.s.advance(OREC_NS);
         let fp = ax.s.htm_footprint_lines() as u64;
@@ -364,8 +376,29 @@ impl LogPolicy for HtmPolicy {
         // Section retired — persistence is legal again, and the
         // contention window above contained no clwb or sfence.
         ax.trace(EventKind::HtmRetire, fp, n as u64);
-        append_and_seal(ax, wv, None);
-        publish_home(ax, wv);
+        if ax.s.machine().domain().requires_flushes() {
+            append_and_seal(ax, wv, None);
+            publish_home(ax, wv);
+        } else {
+            // A real hardware transaction's stores become visible — and
+            // here durable — atomically at xend, with the orec release
+            // (in-section metadata, uncharged like the acquire). No log
+            // repairs a torn application: a crash must not split it.
+            debug_assert_eq!(ax.log_sealed, 0, "ring outlived a software commit");
+            ax.s.enter_atomic();
+            let now = ax.s.now();
+            ax.timer.switch(now, Phase::Writeback);
+            for i in 0..n {
+                let (a, v) = ax.entries[i];
+                ax.s.store(PAddr(a), v);
+            }
+            let now = ax.s.now();
+            ax.timer.switch(now, Phase::Validation);
+            for i in 0..ax.owned.len() {
+                ax.ptm.orecs.release(ax.owned[i].0, wv);
+            }
+            ax.s.exit_atomic();
+        }
         ax.ptm.stats.note_write_set(n as u64);
         ax.apply_frees();
         true

@@ -10,9 +10,9 @@
 //! matches on [`Algo`] — the only algorithm dispatch in the crate is
 //! the [`policy`] registry below. Registering a new algorithm means
 //! adding a policy file and a registry row. The hardware path is itself
-//! part of the seam: [`LogPolicy::htm_commit`] defaults to the plain
-//! hybrid's unlogged commit, and a policy that persists *through* the
-//! hardware path ([`htm::HtmPolicy`]) overrides it.
+//! part of the seam: a policy opts in through [`LogPolicy::htm_mode`]
+//! and supplies [`LogPolicy::htm_commit`]; [`htm::HtmPolicy`] is the
+//! one that does.
 
 pub mod cow;
 pub mod htm;
@@ -21,12 +21,8 @@ pub mod undo;
 
 use pmem_sim::PAddr;
 
-use trace::{EventKind, HtmAbortCause};
-
 use crate::access::TxAccess;
 use crate::config::Algo;
-use crate::orec::is_locked;
-use crate::phases::Phase;
 use crate::recovery::RecoverCtx;
 use crate::txn::TxResult;
 
@@ -126,11 +122,10 @@ pub trait LogPolicy: Sync {
 
     // ---- hardware path --------------------------------------------------
 
-    /// Whether this policy persists *through* the hardware path (a
-    /// back-end log outside the section). Logged mode attempts the
-    /// hardware path under every durability domain — flush-requiring
-    /// ones included — and even when `htm_retries` is 0; the plain
-    /// (default) hybrid only runs it where flushes are elided.
+    /// Whether this policy has a hardware path: the driver then runs
+    /// the body in a hardware section first, under every domain, and
+    /// falls back to the software sequence above after
+    /// [`crate::config::HTM_ATTEMPTS`] aborts.
     fn htm_mode(&self) -> bool {
         false
     }
@@ -144,76 +139,10 @@ pub trait LogPolicy: Sync {
     /// Commit the open hardware section (the driver already ran the
     /// body). On `false` the policy has closed the section, noted the
     /// abort cause in `ax.htm_abort_cause`, and released anything it
-    /// acquired; the driver counts the abort and retries.
-    ///
-    /// The default is the plain hybrid commit: close the section, then
-    /// acquire the write-set stripes and atomically
-    /// validate-and-serialize on the global clock (no other transaction
-    /// may have committed since begin — conservative, like a real HTM's
-    /// read-set tracking at line granularity), then apply in place. No
-    /// logging and no flushes: under eADR-class domains the stores are
-    /// durable the moment they are cache-visible, which is exactly why
-    /// the paper expects TSX to compose with eADR but not ADR.
-    fn htm_commit(&self, ax: &mut TxAccess) -> bool {
-        let now = ax.s.now();
-        ax.timer.switch(now, Phase::Validation);
-        let fp = ax.s.htm_footprint_lines() as u64;
-        let n = ax.entries.len() as u64;
-        // The global-clock serialization below subsumes the machine's
-        // footprint conflict check (any concurrent commit fails
-        // `try_advance`), so the section retires unchecked either way.
-        ax.s.htm_commit_readonly();
-        ax.trace(EventKind::HtmRetire, fp, n);
-        if ax.entries.is_empty() {
-            // Read-only: all reads saw orec versions <= start_time and
-            // unlocked stripes; any later committer would have bumped
-            // the clock, which htm_read's version check bounds. Commit.
-            ax.apply_frees();
-            return true;
-        }
-        for i in 0..ax.entries.len() {
-            let addr = PAddr(ax.entries[i].0);
-            let o = ax.ptm.orecs.index_of(addr);
-            if ax.owned_map.get(o as u64).is_some() {
-                continue;
-            }
-            let v = ax.ptm.orecs.load(o);
-            if is_locked(v) || ax.ptm.orecs.try_lock(o, v, ax.tid).is_err() {
-                ax.htm_abort_cause = Some(HtmAbortCause::Conflict);
-                ax.release_owned_restore();
-                return false;
-            }
-            ax.owned_map.insert(o as u64, ax.owned.len() as u64);
-            ax.owned.push((o, v));
-        }
-        let wv = match ax.ptm.clock.try_advance(ax.start_time) {
-            Ok(wv) => wv,
-            Err(_) => {
-                ax.htm_abort_cause = Some(HtmAbortCause::Conflict);
-                ax.release_owned_restore();
-                return false;
-            }
-        };
-        // A real hardware transaction's stores become visible (and,
-        // under eADR, durable) atomically at xend; a simulated power
-        // failure must not split the application of the write set —
-        // there is no log to repair a torn hardware commit.
-        ax.s.enter_atomic();
-        let now = ax.s.now();
-        ax.timer.switch(now, Phase::Writeback);
-        for i in 0..ax.entries.len() {
-            let (a, v) = ax.entries[i];
-            ax.s.store(PAddr(a), v);
-        }
-        let now = ax.s.now();
-        ax.timer.switch(now, Phase::Validation);
-        for i in 0..ax.owned.len() {
-            let (o, _) = ax.owned[i];
-            ax.ptm.orecs.release(o, wv);
-        }
-        ax.s.exit_atomic();
-        ax.apply_frees();
-        true
+    /// acquired; the driver counts the abort and retries. Only called
+    /// when [`LogPolicy::htm_mode`] is `true`.
+    fn htm_commit(&self, _ax: &mut TxAccess) -> bool {
+        unreachable!("htm_commit on a policy without a hardware path")
     }
 }
 

@@ -30,7 +30,9 @@ pub enum Algo {
     /// retires, a redo-style back-end log is persisted and sealed, then
     /// home locations are written back lazily. Conflict detection is the
     /// hardware section itself, so the contention window contains zero
-    /// persistence stalls — the HTM fast path works under ADR.
+    /// persistence stalls — the HTM fast path works under ADR. Where the
+    /// domain needs no flushes the log is skipped: the write set is
+    /// applied in place, atomically, when the section retires.
     HtmLogged,
 }
 
@@ -124,6 +126,11 @@ pub const MAX_RETRIES: u32 = 1_000_000;
 /// observable.
 pub const MAX_BACKOFF_NS: u64 = 40_000;
 const _: () = assert!(MAX_BACKOFF_NS > 0, "backoff ceiling must be positive");
+/// Hardware-section attempts before a policy with a hardware path
+/// ([`Algo::HtmLogged`]) falls back to its software sequence. The
+/// hardware model itself (capacity, begin/commit costs, whether HTM
+/// exists at all) lives in `pmem_sim::HtmModel` — a machine property.
+pub const HTM_ATTEMPTS: u32 = 4;
 
 /// Runtime configuration. TL2-style timestamp extension on validation
 /// failure is always attempted; the modeled metadata costs and retry
@@ -165,24 +172,6 @@ pub struct PtmConfig {
     /// ramdisk baseline). Stored here so the harness can construct
     /// matching log pools.
     pub heap_media: pmem_sim::MediaKind,
-    /// Hardware-TM attempts before falling back to the software path
-    /// (0 disables the hybrid entirely). The paper's §V future work:
-    /// TSX-style transactions skip all orec instrumentation and logging,
-    /// but are incompatible with ADR (`clwb` aborts a hardware
-    /// transaction), so under flush-requiring domains the plain hybrid
-    /// always takes the software path; [`Algo::HtmLogged`] removes that
-    /// restriction by keeping all persistence outside the section. The
-    /// hardware model itself (capacity, begin/commit costs, whether HTM
-    /// exists at all) lives in `pmem_sim::HtmModel` — a machine property,
-    /// not a PTM knob.
-    pub htm_retries: u32,
-    /// Contention-aware HTM fallback pacing: after this many
-    /// *consecutive* hardware capacity/conflict aborts on the same
-    /// footprint, skip the remaining retry budget and go straight to
-    /// the software fallback (counted in `htm_fallback_fastpathed`).
-    /// `0` disables pacing — the full `htm_retries` budget is always
-    /// burned, bit-identical to the pre-pacing behavior.
-    pub htm_fastpath_threshold: u32,
     /// Record transaction-lifecycle events into the flight recorder
     /// attached to the machine (see the `trace` crate). The memory-system
     /// events trace whenever a sink is attached; this flag additionally
@@ -205,23 +194,12 @@ impl Default for PtmConfig {
             log_capacity: 1 << 13,
             lite_log_entries: 128,
             heap_media: pmem_sim::MediaKind::Optane,
-            htm_retries: 0,
-            htm_fastpath_threshold: 0,
             tracing: false,
         }
     }
 }
 
 impl PtmConfig {
-    /// Hybrid HTM-first configuration (falls back to the given algorithm).
-    pub fn hybrid(algo: Algo) -> Self {
-        PtmConfig {
-            algo,
-            htm_retries: 4,
-            ..Self::default()
-        }
-    }
-
     /// Default configuration running `algo`.
     pub fn with_algo(algo: Algo) -> Self {
         PtmConfig {
@@ -268,7 +246,6 @@ mod tests {
         assert_eq!(c.flush, FlushPlan::Batched, "the paper's measured arm");
         assert!(!c.group_commit, "group commit is opt-in");
         assert!(c.group_window_ns > 0, "a zero window could never be joined");
-        assert_eq!(c.htm_fastpath_threshold, 0, "fallback pacing is opt-in");
     }
 
     #[test]

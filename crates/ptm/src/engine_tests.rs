@@ -418,7 +418,6 @@ fn combining_is_inert_under_eadr() {
     let heap = PHeap::format(&m, "heap", 1 << 16, 8);
     let ptm = Ptm::new(PtmConfig {
         flush: FlushPlan::Combined,
-        htm_retries: 0,
         ..PtmConfig::redo()
     });
     let mut th = TxThread::new(ptm.clone(), heap.clone(), m.session(0));
@@ -613,7 +612,7 @@ mod htm {
     fn setup(domain: DurabilityDomain) -> (Arc<Machine>, Arc<Ptm>, Arc<PHeap>) {
         let m = Machine::new(MachineConfig::functional(domain));
         let heap = PHeap::format(&m, "heap", 1 << 16, 8);
-        let ptm = Ptm::new(PtmConfig::hybrid(Algo::RedoLazy));
+        let ptm = Ptm::new(PtmConfig::htm_logged());
         (m, ptm, heap)
     }
 
@@ -636,18 +635,6 @@ mod htm {
     }
 
     #[test]
-    fn htm_is_skipped_under_adr() {
-        let (m, ptm, heap) = setup(DurabilityDomain::Adr);
-        let mut th = TxThread::new(ptm.clone(), heap.clone(), m.session(0));
-        let a = heap.alloc(th.session_mut(), 4);
-        th.run(|tx| tx.write(a, 9));
-        let s = ptm.stats_snapshot();
-        assert_eq!(s.htm_commits, 0, "TSX is incompatible with ADR");
-        assert_eq!(s.commits, 1);
-        assert!(m.stats.snapshot().sfences > 0, "software path flushed");
-    }
-
-    #[test]
     fn htm_commit_is_durable_under_eadr() {
         let (m, ptm, heap) = setup(DurabilityDomain::Eadr);
         let mut th = TxThread::new(ptm.clone(), heap.clone(), m.session(0));
@@ -658,6 +645,45 @@ mod htm {
         let m2 = Machine::reboot(&img, MachineConfig::functional(DurabilityDomain::Eadr));
         crate::recovery::recover(&m2);
         assert_eq!(m2.pool(a.pool()).raw_load(a.word()), 1234);
+    }
+
+    /// A conflict fallback commits one word through its back-end ring;
+    /// a later hardware commit of the same word logs nothing. Were the
+    /// fallback's sealed entry still in the ring, recovery would replay
+    /// the stale value over the hardware commit's.
+    #[test]
+    fn fallback_ring_entry_never_replays_over_a_later_hardware_commit() {
+        for domain in [
+            DurabilityDomain::Eadr,
+            DurabilityDomain::Pdram,
+            DurabilityDomain::PdramLite,
+        ] {
+            let (m, ptm, heap) = setup(domain);
+            // Two virtual threads on this one OS thread: no lag window.
+            m.begin_run(2, u64::MAX);
+            let mut th0 = TxThread::new(ptm.clone(), heap.clone(), m.session(0));
+            let mut th1 = TxThread::new(ptm.clone(), heap.clone(), m.session(1));
+            let a = heap.alloc(th0.session_mut(), 8);
+            // th1 commits to the same line inside each of th0's hardware
+            // sections, so every one of them conflict-aborts.
+            let mut attempt = 0;
+            th0.run(|tx| {
+                if attempt < crate::config::HTM_ATTEMPTS {
+                    th1.run(|t| t.write(a.offset(1), attempt as u64));
+                }
+                attempt += 1;
+                tx.write(a, 1)
+            });
+            let s = ptm.stats_snapshot();
+            assert_eq!(s.htm_fallbacks, 1, "{domain:?}: {s:?}");
+            assert_eq!(s.backend_log_bytes, 32, "{domain:?}: one ring entry");
+            th1.run(|t| t.write(a, 2));
+            assert_eq!(ptm.stats_snapshot().backend_log_bytes, 32);
+            let img = m.crash(0);
+            let m2 = Machine::reboot(&img, MachineConfig::functional(domain));
+            crate::recovery::recover(&m2);
+            assert_eq!(m2.pool(a.pool()).raw_load(a.word()), 2, "{domain:?}");
+        }
     }
 
     #[test]
@@ -741,11 +767,11 @@ mod htm {
 
     #[test]
     fn htm_mixes_safely_with_software_writers() {
-        // One thread runs hybrid, another pure-STM eager, on overlapping
-        // data; the sum invariant must hold.
+        // Two threads mix hardware commits and conflict fallbacks on
+        // overlapping data; the sum invariant must hold.
         let m = Machine::new(MachineConfig::functional(DurabilityDomain::Eadr));
         let heap = PHeap::format(&m, "heap", 1 << 16, 8);
-        let hybrid = Ptm::new(PtmConfig::hybrid(Algo::RedoLazy));
+        let hybrid = Ptm::new(PtmConfig::htm_logged());
         let mut th0 = TxThread::new(hybrid.clone(), heap.clone(), m.session(0));
         let cells = heap.alloc(th0.session_mut(), 8);
         th0.run(|tx| {
@@ -757,9 +783,8 @@ mod htm {
         drop(th0);
         m.begin_run(2, u64::MAX);
         std::thread::scope(|scope| {
-            // NOTE: both threads must share the same Ptm (same orecs/clock);
-            // the hybrid flag is per-config, so use one Ptm and rely on
-            // run()'s dispatch for both.
+            // Both threads share one Ptm (same orecs/clock); run()
+            // picks the hardware or software path per attempt.
             let m0 = Arc::clone(&m);
             let p0 = Arc::clone(&hybrid);
             let h0 = Arc::clone(&heap);

@@ -56,16 +56,6 @@ impl GlobalClock {
     pub fn bump(&self) -> u64 {
         self.0.fetch_add(2, Ordering::AcqRel) + 2
     }
-
-    /// Advance only if the clock still reads `expected`: the hybrid HTM
-    /// commit's atomic validate-and-serialize. Returns the new timestamp,
-    /// or the observed value on failure.
-    #[inline]
-    pub fn try_advance(&self, expected: u64) -> Result<u64, u64> {
-        self.0
-            .compare_exchange(expected, expected + 2, Ordering::AcqRel, Ordering::Acquire)
-            .map(|_| expected + 2)
-    }
 }
 
 impl Default for GlobalClock {
@@ -150,15 +140,6 @@ mod tests {
         assert!(is_locked(w));
         assert_eq!(owner_of(w), 42);
         assert!(!is_locked(8));
-    }
-
-    #[test]
-    fn try_advance_is_atomic_validate_and_bump() {
-        let c = GlobalClock::new();
-        assert_eq!(c.try_advance(0), Ok(2));
-        assert_eq!(c.try_advance(0), Err(2));
-        assert_eq!(c.try_advance(2), Ok(4));
-        assert_eq!(c.sample(), 4);
     }
 
     #[test]

@@ -41,10 +41,6 @@ trace::counters! {
     /// Transactions that exhausted hardware retries and took the
     /// software path.
     htm_fallbacks: Sum, Always;
-    /// Hardware retries skipped by contention-aware fallback pacing
-    /// (`PtmConfig::htm_fastpath_threshold`): transactions that jumped
-    /// to the software path early (also counted in `htm_fallbacks`).
-    htm_fallback_fastpathed: Sum, NonZero;
     /// 2PC: participant-shard prepares made durable.
     prepares: Sum, NonZeroWith("twopc");
     /// 2PC: coordinator commit records written (one per committed

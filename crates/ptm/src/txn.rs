@@ -36,7 +36,9 @@
 //! * **htm-logged** commits in a hardware section whose contention
 //!   window contains *no* `clwb` or `sfence` — persistence moves to a
 //!   back-end log sealed after the section retires (two fences,
-//!   amortized ring retirement; see `crate::algo::htm`).
+//!   amortized ring retirement), and is skipped where the domain makes
+//!   cache visibility durable (see `crate::algo::htm`). It is the only
+//!   hardware path; the driver attempts it `HTM_ATTEMPTS` times.
 //!
 //! Under eADR-class durability domains the `clwb`/`sfence` calls are
 //! free ([`pmem_sim::MemSession`] elides them), which is precisely the
@@ -55,7 +57,7 @@ use trace::{AbortCause, EventKind, HtmAbortCause};
 use crate::access::TxAccess;
 use crate::algo::htm::PendingEntry;
 use crate::algo::LogPolicy;
-use crate::config::PtmConfig;
+use crate::config::{PtmConfig, HTM_ATTEMPTS};
 use crate::orec::{is_locked, GlobalClock, OrecTable};
 use crate::phases::{Phase, PhaseSnapshot, PhaseStats};
 use crate::stats::{PtmStats, PtmStatsSnapshot};
@@ -162,16 +164,12 @@ impl TxThread {
 
     /// Run `f` as a transaction, retrying on aborts until it commits.
     ///
-    /// With `htm_retries > 0` and a durability domain that does not
-    /// require flushes (eADR / PDRAM / PDRAM-Lite), the hardware path is
-    /// attempted first: no orec instrumentation, no log, no flushes —
-    /// conflicts and capacity overflows fall back to the software
-    /// algorithm. Under ADR the plain hybrid skips the hardware path
-    /// entirely: a `clwb` inside a hardware transaction aborts it (the
-    /// paper's §V observation about TSX). A logged hardware policy
-    /// ([`crate::config::Algo::HtmLogged`]) keeps all persistence
-    /// outside the section and therefore runs the hardware path under
-    /// every domain.
+    /// A policy with a hardware path ([`crate::config::Algo::HtmLogged`])
+    /// is attempted there first, under every durability domain, with no
+    /// orec instrumentation, flush or fence inside the section (a `clwb`
+    /// aborts a hardware transaction — the paper's §V observation).
+    /// Conflicts and capacity overflows fall back to the software
+    /// sequence after [`HTM_ATTEMPTS`] tries.
     pub fn run<T>(&mut self, f: impl FnMut(&mut Tx<'_>) -> TxResult<T>) -> T {
         // Phase accounting brackets the whole call: every virtual
         // nanosecond between here and the drain is charged to exactly one
@@ -186,30 +184,8 @@ impl TxThread {
 
     fn run_inner<T>(&mut self, mut f: impl FnMut(&mut Tx<'_>) -> TxResult<T>) -> T {
         self.ax.attempts = 0;
-        let htm_retries = self.ax.ptm.config.htm_retries;
-        let htm_tries = if !self.ax.s.htm_enabled() {
-            0
-        } else if self.policy.htm_mode() {
-            // A logged hardware policy persists outside the section, so
-            // the hardware path is its point under *every* domain — it
-            // runs even when the hybrid knob is off.
-            htm_retries.max(4)
-        } else if htm_retries > 0 && !self.ax.s.machine().domain().requires_flushes() {
-            htm_retries
-        } else {
-            0
-        };
-        if htm_tries > 0 {
-            // Contention-aware fallback pacing (opt-in): consecutive
-            // capacity/conflict aborts with an unchanged write-set
-            // footprint mean the section will keep failing the same way
-            // — skip the rest of the retry budget. Pure DRAM
-            // bookkeeping; with the threshold at 0 the loop below is
-            // bit-identical to the unpaced driver.
-            let pace_threshold = self.ax.ptm.config.htm_fastpath_threshold;
-            let mut pace_streak: u32 = 0;
-            let mut pace_key: (u64, u64) = (u64::MAX, u64::MAX);
-            for attempt in 0..htm_tries {
+        if self.ax.s.htm_enabled() && self.policy.htm_mode() {
+            for attempt in 0..HTM_ATTEMPTS {
                 // Before the section: the policy's only chance to fence
                 // (ring recycling) without the flush landing inside the
                 // TxBegin→HtmRetire window.
@@ -218,32 +194,22 @@ impl TxThread {
                 self.ax.in_htm = true;
                 self.ax.s.htm_begin();
                 let outcome = f(&mut Tx { th: self });
-                let committed = match outcome {
-                    Ok(v) => {
-                        if self.policy.htm_commit(&mut self.ax) {
-                            self.ax.in_htm = false;
-                            let logged = self.policy.htm_mode();
-                            PtmStats::bump(&self.ax.ptm.stats.htm_commits);
-                            if logged {
-                                PtmStats::bump(&self.ax.ptm.stats.htm_logged_commits);
-                            }
-                            PtmStats::bump(&self.ax.ptm.stats.commits);
-                            let n = self.ax.entries.len() as u64;
-                            self.ax
-                                .trace(EventKind::TxCommit, n, if logged { 2 } else { 1 });
-                            return v;
-                        }
-                        false
+                self.ax.in_htm = false;
+                if let Ok(v) = outcome {
+                    if self.policy.htm_commit(&mut self.ax) {
+                        PtmStats::bump(&self.ax.ptm.stats.htm_commits);
+                        PtmStats::bump(&self.ax.ptm.stats.htm_logged_commits);
+                        PtmStats::bump(&self.ax.ptm.stats.commits);
+                        let n = self.ax.entries.len() as u64;
+                        self.ax.trace(EventKind::TxCommit, n, 2);
+                        return v;
                     }
-                    Err(Abort) => false,
-                };
-                debug_assert!(!committed);
+                }
                 if self.ax.s.htm_in_section() {
                     // `Err(Abort)` escaped the closure with the section
                     // still open (policy commit paths close it themselves).
                     self.ax.s.htm_abort();
                 }
-                self.ax.in_htm = false;
                 let cause = self
                     .ax
                     .htm_abort_cause
@@ -258,21 +224,6 @@ impl TxThread {
                 self.ax
                     .trace(EventKind::HtmAbort, cause as u64, attempt as u64);
                 self.ax.abort_cleanup();
-                if pace_threshold > 0
-                    && matches!(cause, HtmAbortCause::Capacity | HtmAbortCause::Conflict)
-                {
-                    let key = (cause as u64, self.ax.entries.len() as u64);
-                    if key == pace_key {
-                        pace_streak += 1;
-                    } else {
-                        pace_key = key;
-                        pace_streak = 1;
-                    }
-                    if pace_streak >= pace_threshold {
-                        PtmStats::bump(&self.ax.ptm.stats.htm_fallback_fastpathed);
-                        break;
-                    }
-                }
                 let now = self.ax.s.now();
                 self.ax.timer.switch(now, Phase::Backoff);
                 let delay = 60u64 << attempt.min(6);
@@ -280,7 +231,8 @@ impl TxThread {
                 self.ax.s.advance(delay);
             }
             PtmStats::bump(&self.ax.ptm.stats.htm_fallbacks);
-            self.ax.trace(EventKind::HtmFallback, htm_tries as u64, 0);
+            self.ax
+                .trace(EventKind::HtmFallback, HTM_ATTEMPTS as u64, 0);
         }
         self.run_software(f)
     }

@@ -157,16 +157,22 @@ proptest! {
         prop_assert_eq!(run_with(FlushPlan::Batched), run_with(FlushPlan::Combined));
     }
 
-    /// The hybrid HTM path computes the same results as pure software for
-    /// sequential programs.
+    /// The hardware path, unlogged where the domain needs no flushes,
+    /// computes the same results as pure software for sequential
+    /// programs.
     #[test]
     fn hybrid_matches_software(
         writes in prop::collection::vec((0u64..32, any::<u64>()), 1..60),
+        domain_idx in 0usize..3,
     ) {
-        let run_with = |htm_retries: u32| {
-            let m = Machine::new(MachineConfig::functional(DurabilityDomain::Eadr));
+        let domain = [
+            DurabilityDomain::Eadr,
+            DurabilityDomain::Pdram,
+            DurabilityDomain::PdramLite,
+        ][domain_idx];
+        let run_with = |cfg: PtmConfig| {
+            let m = Machine::new(MachineConfig::functional(domain));
             let heap = PHeap::format(&m, "h", 1 << 14, 4);
-            let cfg = PtmConfig { htm_retries, ..PtmConfig::redo() };
             let mut th = TxThread::new(Ptm::new(cfg), heap.clone(), m.session(0));
             let base = {
                 let h = std::sync::Arc::clone(&heap);
@@ -182,7 +188,7 @@ proptest! {
                 .map(|a| th.run(|tx| tx.read_at(base, a)))
                 .collect::<Vec<u64>>()
         };
-        prop_assert_eq!(run_with(0), run_with(4));
+        prop_assert_eq!(run_with(PtmConfig::redo()), run_with(PtmConfig::htm_logged()));
     }
 }
 
@@ -267,7 +273,7 @@ proptest! {
         let final_state = |algo: Algo| {
             let m = Machine::new(MachineConfig::functional(domain));
             let heap = PHeap::format(&m, "h", 1 << 14, 4);
-            let cfg = PtmConfig { algo, htm_retries: 0, ..PtmConfig::default() };
+            let cfg = PtmConfig::with_algo(algo);
             let mut th = TxThread::new(Ptm::new(cfg), heap.clone(), m.session(0));
             let base = {
                 let h = std::sync::Arc::clone(&heap);

@@ -84,19 +84,31 @@ fn money_conserved_redo_pdram_lite() {
     run_crash_bank(Algo::RedoLazy, DurabilityDomain::PdramLite, 13);
 }
 
-#[test]
-fn money_conserved_hybrid_htm_eadr() {
-    // The hybrid HTM path has no log: its commit must be crash-atomic by
-    // construction (the simulated power failure cannot split xend).
+/// Where the domain needs no flushes a hardware commit has no log: it
+/// must be crash-atomic by construction (the simulated power failure
+/// cannot split xend), and the software fallback's ring must never
+/// outlive its orecs.
+fn conserved_htm_flush_free(domain: DurabilityDomain) {
     for seed in 0..3 {
-        let cfg = PtmConfig {
-            htm_retries: 4,
-            ..PtmConfig::redo()
-        };
-        let round = conserved(cfg, DurabilityDomain::Eadr, seed);
+        let round = conserved(PtmConfig::htm_logged(), domain, seed);
         assert!(
             round.stats.htm_commits > 0,
             "hardware path must actually engage"
         );
     }
+}
+
+#[test]
+fn money_conserved_hybrid_htm_eadr() {
+    conserved_htm_flush_free(DurabilityDomain::Eadr);
+}
+
+#[test]
+fn money_conserved_htm_pdram() {
+    conserved_htm_flush_free(DurabilityDomain::Pdram);
+}
+
+#[test]
+fn money_conserved_htm_pdram_lite() {
+    conserved_htm_flush_free(DurabilityDomain::PdramLite);
 }

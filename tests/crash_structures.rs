@@ -5,7 +5,8 @@
 use optane_ptm::palloc::PHeap;
 use optane_ptm::pmem_sim::{DurabilityDomain, Machine, MachineConfig};
 use optane_ptm::pstructs::{BpTree, PHashMap, PList, PQueue};
-use optane_ptm::ptm::{recover, Algo, Ptm, PtmConfig, TxThread};
+use optane_ptm::ptm::db::restart;
+use optane_ptm::ptm::{Algo, Ptm, PtmConfig, RecoverOptions, TxThread};
 use std::sync::Arc;
 
 fn cfg_for(algo: Algo) -> PtmConfig {
@@ -15,28 +16,27 @@ fn cfg_for(algo: Algo) -> PtmConfig {
     }
 }
 
-fn machine(domain: DurabilityDomain) -> Arc<Machine> {
-    Machine::new(MachineConfig {
+fn machine_cfg(domain: DurabilityDomain) -> MachineConfig {
+    MachineConfig {
         domain,
         track_persistence: true,
         ..MachineConfig::default()
-    })
+    }
+}
+
+fn machine(domain: DurabilityDomain) -> Arc<Machine> {
+    Machine::new(machine_cfg(domain))
 }
 
 fn crash_recover(m: &Arc<Machine>, heap: &Arc<PHeap>, seed: u64) -> (Arc<Machine>, Arc<PHeap>) {
-    let domain = m.domain();
-    let image = m.crash(seed);
-    let m2 = Machine::reboot(
-        &image,
-        MachineConfig {
-            domain,
-            track_persistence: true,
-            ..MachineConfig::default()
-        },
-    );
-    recover(&m2);
-    let (heap2, _gc) = PHeap::attach(m2.pool(heap.pool().id())).expect("attach");
-    (m2, heap2)
+    let r = restart(
+        &m.crash(seed),
+        heap.pool().name(),
+        machine_cfg(m.domain()),
+        RecoverOptions::default(),
+    )
+    .expect("restart");
+    (r.machine, r.heap)
 }
 
 #[test]
