@@ -66,6 +66,26 @@ if grep -rnE 'enter_atomic|htm_retries|htm_fastpath_threshold|try_advance' crate
   exit 1
 fi
 
+echo "=== observer seam check ==="
+# The flight recorder is the only observer a run arms and GaugeSet::apply
+# the only event fold (DESIGN.md §5 decision 15). An `obs` dependency of
+# the simulator core or the drivers, one of the deleted online-sampler or
+# second-fold names, or a 30th bench binary means the online sampler
+# stack (slot, run-config field, overhead ablation) grew back.
+if grep -n '^obs' crates/pmem-sim/Cargo.toml crates/workloads/Cargo.toml; then
+  echo "ERROR: pmem-sim / workloads must not depend on obs (see above)" >&2
+  exit 1
+fi
+if grep -rnE 'attach_sampler|SampleRing|merge_samplers|TraceTotals' crates src tests examples; then
+  echo "ERROR: online sampler or second event fold grew back (see above)" >&2
+  exit 1
+fi
+BINS=$(ls crates/bench/src/bin/*.rs | wc -l)
+if [ "$BINS" -ne 29 ]; then
+  echo "ERROR: crates/bench/src/bin holds $BINS binaries, expected 29" >&2
+  exit 1
+fi
+
 echo "=== golden report lines ==="
 # The --json report lines of thirteen deterministic runs, byte for byte
 # against crates/bench/tests/golden/ — by name and first among the
@@ -129,8 +149,10 @@ echo "=== golden crash sweeps ==="
 # The three sweeps smoke-run below (CSV and --json) and nine replays at
 # 1 and 4 recovery workers, byte for byte against
 # crates/bench/tests/golden/crash_sites_* — site counts, violation
-# counts and recovered-state digests. By name and before the smoke
-# steps, so a lost or renumbered crash site is reported as such.
+# counts and recovered-state digests — plus `obs_report --quick --json`
+# under ADR and eADR against obs_report_quick_*.jsonl. By name and
+# before the smoke steps, so a lost or renumbered crash site (or a moved
+# series row) is reported as such.
 # --release: the test is ignored in a debug build (minutes there).
 cargo test -q --release -p bench --test golden_crash_sites
 
@@ -208,11 +230,6 @@ echo "=== obs_report smoke (ADR series + eADR domain sanity) ==="
 # eADR must show zero fence and zero WPQ sample rows.
 cargo run -q --release -p bench --bin obs_report -- --quick --verify > /dev/null
 cargo run -q --release -p bench --bin obs_report -- --quick --domain eadr > /dev/null
-
-echo "=== obs overhead ablation (sampler off = inert, on <= 2%) ==="
-# Sampling disabled must be bit-identical run to run; armed must not
-# perturb 1-thread virtual time at all and stay within 2% at 4 threads.
-cargo run -q --release -p bench --bin ablation_obs_overhead -- --quick > /dev/null
 
 echo "=== bench_trend smoke ==="
 # Diff consecutive results/BENCH_PR<N>.json archives. --quick tolerates

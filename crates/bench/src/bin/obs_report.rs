@@ -4,17 +4,18 @@
 //!
 //! Runs the sharded KV workload (8 shards x 1 worker by default — one
 //! worker per shard keeps request claiming, and hence the whole trace,
-//! deterministic) with a per-shard [`obs::Sampler`] and
-//! [`trace::TraceSink`] armed for the measured phase. From the samplers
-//! it renders the merged time series (virtual-time windows x shards);
-//! from the trace it reconstructs per-request span trees and prints the
-//! exact p50/p95/p99 sojourn decomposition (queue wait, execution,
-//! commit, flush, fence wait, WPQ stall, backoff, rollback).
+//! deterministic) with a per-shard [`trace::TraceSink`] armed for the
+//! measured phase. Both views are folded offline from the recorded
+//! events: the time series (virtual-time windows of `--period` ns x
+//! shards) and the per-request span trees behind the exact p50/p95/p99
+//! sojourn decomposition (queue wait, execution, commit, flush, fence
+//! wait, WPQ stall, backoff, rollback).
 //!
 //! Always-on validation (nonzero exit on failure):
 //!
 //! * **coverage** — one reconstructed span per completed request, no
-//!   trace-ring loss;
+//!   trace-ring loss (`trace_dropped`, the one loss figure of both
+//!   views);
 //! * **1% closure** — the sum of span components equals the driver's
 //!   independently-recorded sojourn total (`LatencyHistogram::sum()`,
 //!   which is exact, unlike its bucketed percentiles) within 1%;
@@ -31,11 +32,9 @@
 //! `--threads-per-shard N --ops N --period NS --gap NS --seed S`
 //! `--out PREFIX --verify`.
 
-use std::sync::Arc;
-
+use obs::export;
 use obs::series::{self, SeriesSummary, ShardRow};
 use obs::spans::{self, Comp, Decomposition};
-use obs::{export, Sampler};
 use pmem_sim::DurabilityDomain;
 use trace::json::Writer;
 use trace::TraceSink;
@@ -119,7 +118,6 @@ struct Report {
     decomp: Decomposition,
     result: ShardedRunResult,
     trace_dropped: u64,
-    sample_dropped: u64,
 }
 
 fn run(o: &Opts) -> Report {
@@ -141,31 +139,13 @@ fn run(o: &Opts) -> Report {
     rc.trace = (0..o.shards)
         .map(|i| TraceSink::new_for_shard(ring_cap, i as u32))
         .collect();
-    rc.obs = (0..o.shards)
-        .map(|i| {
-            Arc::new(Sampler::new_for_shard(
-                o.period_ns,
-                obs::DEFAULT_RING_CAPACITY,
-                i,
-            ))
-        })
-        .collect();
 
     let result = workloads::run_sharded_kv(&rc);
 
-    let samplers: Vec<&Sampler> = rc.obs.iter().map(|s| s.as_ref()).collect();
-    let rows = series::aggregate(&samplers);
+    let threads: Vec<_> = rc.trace.iter().flat_map(|sink| sink.threads()).collect();
+    let rows = series::from_threads(&threads, o.period_ns);
     let summary = SeriesSummary::from_rows(&rows);
-    let sample_dropped: u64 = samplers.iter().map(|s| s.dropped_samples()).sum();
-
-    let mut threads = Vec::new();
-    let mut trace_dropped = 0u64;
-    for sink in &rc.trace {
-        for t in sink.threads() {
-            trace_dropped += t.dropped;
-            threads.push(t);
-        }
-    }
+    let trace_dropped = threads.iter().map(|t| t.dropped).sum();
     let (op_spans, dropped_events) = spans::reconstruct(&threads);
     let decomp = spans::decompose(&op_spans, dropped_events, &[50.0, 95.0, 99.0]);
 
@@ -176,7 +156,6 @@ fn run(o: &Opts) -> Report {
         decomp,
         result,
         trace_dropped,
-        sample_dropped,
     }
 }
 
@@ -307,7 +286,6 @@ fn main() {
         w.key("series_rows").u64(rep.rows.len() as u64);
         w.key("windows").u64(rep.summary.windows as u64);
         w.key("trace_dropped").u64(rep.trace_dropped);
-        w.key("sample_dropped").u64(rep.sample_dropped);
         w.key("verified_deterministic").bool(o.verify);
         w.key("ok").bool(failures.is_empty());
         w.end_object();
@@ -320,7 +298,7 @@ fn main() {
         let s = &rep.summary;
         println!(
             "series: rows={} windows={} shards={} span=[{}..{}]ns \
-             fence_rows={} wpq_rows={} peak_window_commits={} sample_dropped={}",
+             fence_rows={} wpq_rows={} peak_window_commits={}",
             rep.rows.len(),
             s.windows,
             s.shards,
@@ -328,8 +306,7 @@ fn main() {
             s.last_ts,
             s.fence_rows,
             s.wpq_rows,
-            s.peak_window_commits,
-            rep.sample_dropped
+            s.peak_window_commits
         );
         let t = &s.totals;
         println!(

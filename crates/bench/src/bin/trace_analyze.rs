@@ -22,12 +22,10 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use pmem_sim::{DurabilityDomain, LatencyModel, MediaKind};
-use trace::analyze::{
-    abort_heatmap, crosscheck, fence_windows, wpq_timeline, TraceTotals, WpqTimeline,
-};
+use trace::analyze::{abort_heatmap, crosscheck, fence_windows, wpq_timeline, WpqTimeline};
 use trace::export::{read_binary, ExpectedTotals};
 use trace::json::{check_structure, Writer};
-use trace::{AbortCause, ThreadTrace, TraceSink};
+use trace::{AbortCause, GaugeSet, ThreadTrace, TraceSink};
 use workloads::driver::RunConfig;
 use workloads::Scenario;
 
@@ -91,7 +89,7 @@ struct Analysis {
     mode: String,
     threads: Vec<ThreadTrace>,
     dropped: u64,
-    derived: TraceTotals,
+    derived: GaugeSet,
     expected: ExpectedTotals,
     divergences: Vec<String>,
     json_check: Option<Result<(), String>>,
@@ -126,7 +124,7 @@ fn analyze_self_run(o: &Opts) -> Analysis {
     let r = bench::run_point_with("tpcc-hash", &sc, &rc, o.quick);
     let expected = r.trace_totals();
     let threads = sink.threads();
-    let derived = TraceTotals::from_events(&trace::merge_threads(&threads));
+    let derived = GaugeSet::of_run(&threads);
     let dropped = sink.dropped_events();
     let divergences = if dropped == 0 {
         crosscheck(&derived, &expected)
@@ -147,7 +145,7 @@ fn analyze_self_run(o: &Opts) -> Analysis {
 fn analyze_file(path: &str) -> Analysis {
     let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
     let dump = read_binary(&bytes).unwrap_or_else(|e| panic!("parsing {path}: {e}"));
-    let derived = TraceTotals::from_events(&dump.merged());
+    let derived = GaugeSet::of_run(&dump.threads);
     let dropped = dump.dropped_events();
     let divergences = if dropped == 0 {
         crosscheck(&derived, &dump.expected)
@@ -206,7 +204,7 @@ fn print_text(a: &Analysis, heat: &[trace::analyze::OrecAborts], wpq: &WpqTimeli
             "OK: all {} totals match exactly (commits={} aborts={} clwbs={} sfences={})",
             trace::export::TOTALS.len(),
             a.derived.commits,
-            a.derived.aborts,
+            a.derived.aborts_total(),
             a.derived.clwbs,
             a.derived.sfences
         );

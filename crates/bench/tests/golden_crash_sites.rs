@@ -1,5 +1,6 @@
 //! Golden byte-identity test for the `crash_sites` binary — the
-//! refactoring oracle of the crash toolkit.
+//! refactoring oracle of the crash toolkit — and for `obs_report`, the
+//! one reader of the offline time series.
 //!
 //! Three sweeps (the ones `ci.sh` smoke-runs), each as CSV and as
 //! `--json`, must reproduce `tests/golden/crash_sites_*.{csv,jsonl}`
@@ -8,7 +9,9 @@
 //! and 4 recovery workers, must reproduce the site total and the
 //! recovered-state digest in `crash_sites_replays.txt`; of a replay's
 //! output only those two values are compared, so its human-readable
-//! lines stay free to change.
+//! lines stay free to change. Two `obs_report --quick --json` runs (ADR
+//! and eADR: every series row, the sojourn decomposition and the
+//! validation line) must reproduce `obs_report_quick_*.jsonl`.
 //!
 //! Every run is single-threaded in virtual time and so deterministic.
 //! The sweeps take ~25 s optimised and minutes unoptimised, hence the
@@ -24,6 +27,9 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+
+const CRASH_SITES: &str = env!("CARGO_BIN_EXE_crash_sites");
+const OBS_REPORT: &str = env!("CARGO_BIN_EXE_obs_report");
 
 /// `(golden file stem, crash_sites flags)` for the sweeps; each runs
 /// once bare (`.csv`) and once with `--json` (`.jsonl`).
@@ -53,14 +59,25 @@ const REPLAYS: [&str; 9] = [
     "--workload transfer --shards 2 --site 80 --algo cow --domain eadr --policy per-line",
 ];
 
-fn crash_sites(flags: &str) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_crash_sites"))
+/// `(golden file, obs_report flags)`: one flush-bound and one flush-free
+/// domain, so both arms of the series' domain sanity check are pinned.
+const OBS_REPORTS: [(&str, &str); 2] = [
+    ("obs_report_quick_adr.jsonl", "--quick --json"),
+    (
+        "obs_report_quick_eadr.jsonl",
+        "--quick --json --domain eadr",
+    ),
+];
+
+/// Standard output of one successful run of the bench binary at `exe`.
+fn run(exe: &str, flags: &str) -> String {
+    let out = Command::new(exe)
         .args(flags.split_whitespace())
         .output()
-        .expect("spawn crash_sites");
+        .unwrap_or_else(|e| panic!("spawn {exe}: {e}"));
     assert!(
         out.status.success(),
-        "crash_sites {flags} failed:\n{}",
+        "{exe} {flags} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("utf-8 output")
@@ -73,7 +90,7 @@ fn replay_lines() -> String {
     for replay in REPLAYS {
         for workers in [1, 4] {
             let flags = format!("{replay} --workers {workers}");
-            let out = crash_sites(&flags);
+            let out = run(CRASH_SITES, &flags);
             let total = out
                 .split_whitespace()
                 .find_map(|tok| tok.strip_prefix("site=")?.split_once('/'))
@@ -93,11 +110,14 @@ fn replay_lines() -> String {
 fn cases() -> Vec<(String, String)> {
     let mut cases = vec![("crash_sites_replays.txt".to_string(), replay_lines())];
     for (stem, flags) in SWEEPS {
-        cases.push((format!("{stem}.csv"), crash_sites(flags)));
+        cases.push((format!("{stem}.csv"), run(CRASH_SITES, flags)));
         cases.push((
             format!("{stem}.jsonl"),
-            crash_sites(&format!("{flags} --json")),
+            run(CRASH_SITES, &format!("{flags} --json")),
         ));
+    }
+    for (file, flags) in OBS_REPORTS {
+        cases.push((file.to_string(), run(OBS_REPORT, flags)));
     }
     cases
 }
@@ -123,7 +143,7 @@ fn sweeps_and_replays_match_goldens_byte_for_byte() {
 }
 
 #[test]
-#[ignore = "rewrites tests/golden/crash_sites_*; run only to accept an intended sweep change"]
+#[ignore = "rewrites tests/golden/{crash_sites,obs_report}_*; run only to accept an intended change"]
 fn regenerate_goldens() {
     for (file, text) in cases() {
         std::fs::write(golden_path(&file), text).expect("write golden");

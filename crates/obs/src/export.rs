@@ -1,4 +1,4 @@
-//! JSONL + CSV export of sampled series and span decompositions,
+//! JSONL + CSV export of series rows and span decompositions,
 //! next to the bench `--json` schema.
 
 use crate::series::ShardRow;
@@ -140,19 +140,21 @@ pub fn decomposition_json(label: &str, d: &Decomposition) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::shard_rows;
-    use crate::{merge_samplers, Sampler};
     use trace::json::check_structure;
-    use trace::EventKind;
+    use trace::{EventKind, ThreadTrace, TraceEvent};
 
     #[test]
     fn exports_are_well_formed_and_versioned() {
-        let s = Sampler::new(100, 16);
-        let mut r = s.ring();
-        r.ingest(10, EventKind::TxCommit, 2, 0);
-        r.ingest(40, EventKind::Sfence, 25, 0);
-        s.submit(0, r);
-        let rows = shard_rows(&merge_samplers(&[&s]));
+        let event = |ts, kind, a| TraceEvent { ts, kind, a, b: 0 };
+        let t = ThreadTrace {
+            tid: 0,
+            events: vec![
+                event(10, EventKind::TxCommit, 2),
+                event(40, EventKind::Sfence, 25),
+            ],
+            dropped: 0,
+        };
+        let rows = crate::series::from_threads(&[t], 100);
         assert_eq!(rows.len(), 1);
         let line = series_row_json(&rows[0]);
         check_structure(&line).expect("series row");

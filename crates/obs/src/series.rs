@@ -1,15 +1,20 @@
-//! Per-shard time-series aggregation and run summaries.
+//! The per-shard time series and its run summary, folded offline from
+//! the flight recorder.
 //!
-//! The raw merged timeline ([`crate::merge_samplers`]) has one sample
-//! per (thread, window). Dashboards and the eADR sanity checks want the
-//! per-shard view: all threads of a shard folded into one [`GaugeSet`]
-//! per window, rows ordered by `(ts, shard)` — still fully
-//! deterministic.
+//! Dashboards and the eADR sanity checks want the per-shard view: all
+//! threads of a shard folded into one [`GaugeSet`] per sampling window,
+//! rows ordered by `(ts, shard)`. A row's content depends only on each
+//! thread's deterministic virtual execution, so the series is identical
+//! regardless of thread retirement order or the order traces are handed
+//! in. What the trace ring dropped is missing from the series too — the
+//! traces' `dropped` counts are its loss accounting.
 
-use crate::{merge_samplers, GaugeSet, MergedSample, Sampler};
-use trace::shard_of_tid;
+use std::collections::BTreeMap;
 
-/// One (window, shard) row of the aggregated series.
+use crate::GaugeSet;
+use trace::{shard_of_tid, ThreadTrace};
+
+/// One (window, shard) row of the series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardRow {
     /// Window start timestamp (multiple of the sampling period).
@@ -20,42 +25,36 @@ pub struct ShardRow {
     pub g: GaugeSet,
 }
 
-/// Fold a merged timeline into per-(window, shard) rows.
-pub fn shard_rows(merged: &[MergedSample]) -> Vec<ShardRow> {
-    let mut rows: Vec<ShardRow> = Vec::new();
-    for s in merged {
-        let shard = shard_of_tid(s.tid);
-        match rows.last_mut() {
-            Some(r) if r.ts == s.ts && r.shard == shard => {
-                r.g.merge(&s.g);
-                r.threads += 1;
+/// Fold per-thread traces into per-(window, shard) rows of
+/// `period_ns` each. A thread's events are bucketed by `ts / period`
+/// (timestamps are monotone per thread, so a window closes when the
+/// next event crosses its end); windows in which no event carried a
+/// gauge are skipped, so idle time produces no rows.
+pub fn from_threads(threads: &[ThreadTrace], period_ns: u64) -> Vec<ShardRow> {
+    let period = period_ns.max(1);
+    let mut rows: BTreeMap<(u64, u32), ShardRow> = BTreeMap::new();
+    for t in threads {
+        let shard = shard_of_tid(t.tid);
+        for window in t.events.chunk_by(|a, b| a.ts / period == b.ts / period) {
+            let mut g = GaugeSet::default();
+            for ev in window {
+                g.apply(ev.kind, ev.a, ev.b);
             }
-            _ => {
-                // Merged order is (ts, tid, seq) and tids are
-                // shard-tagged in the high bits, so equal (ts, shard)
-                // runs are contiguous only per shard prefix; fall back
-                // to a search for interleaved shards.
-                if let Some(r) = rows.iter_mut().find(|r| r.ts == s.ts && r.shard == shard) {
-                    r.g.merge(&s.g);
-                    r.threads += 1;
-                } else {
-                    rows.push(ShardRow {
-                        ts: s.ts,
-                        shard,
-                        threads: 1,
-                        g: s.g,
-                    });
-                }
+            if g.is_empty() {
+                continue;
             }
+            let ts = window[0].ts / period * period;
+            let row = rows.entry((ts, shard)).or_insert(ShardRow {
+                ts,
+                shard,
+                threads: 0,
+                g: GaugeSet::default(),
+            });
+            row.threads += 1;
+            row.g.merge(&g);
         }
     }
-    rows.sort_by_key(|r| (r.ts, r.shard));
-    rows
-}
-
-/// Convenience: merge samplers and aggregate per shard in one step.
-pub fn aggregate(samplers: &[&Sampler]) -> Vec<ShardRow> {
-    shard_rows(&merge_samplers(samplers))
+    rows.into_values().collect()
 }
 
 /// Whole-run rollup of a series, for report headers and CI sanity
@@ -116,27 +115,74 @@ impl SeriesSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trace::EventKind;
+    use trace::{EventKind, TraceEvent, SHARD_SHIFT};
 
-    fn sampled(shard: usize, tid: u32, events: &[(u64, EventKind, u64, u64)]) -> Sampler {
-        let s = Sampler::new_for_shard(100, 64, shard);
-        let mut r = s.ring();
-        for &(ts, k, a, b) in events {
-            r.ingest(ts, k, a, b);
+    fn thread(shard: u32, tid: u32, events: &[(u64, EventKind, u64, u64)]) -> ThreadTrace {
+        ThreadTrace {
+            tid: (shard << SHARD_SHIFT) | tid,
+            events: events
+                .iter()
+                .map(|&(ts, kind, a, b)| TraceEvent { ts, kind, a, b })
+                .collect(),
+            dropped: 0,
         }
-        s.submit(tid, r);
-        s
+    }
+
+    #[test]
+    fn windows_close_on_crossing_and_the_trailing_partial_one_is_kept() {
+        let t = thread(
+            0,
+            0,
+            &[
+                (10, EventKind::TxCommit, 3, 0),
+                (90, EventKind::Sfence, 40, 0),
+                (150, EventKind::TxCommit, 2, 0),
+            ],
+        );
+        let rows = from_threads(&[t], 100);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].ts, 0);
+        assert_eq!(rows[0].g.commits, 1);
+        assert_eq!(rows[0].g.log_entries, 3);
+        assert_eq!(rows[0].g.sfences, 1);
+        assert_eq!(rows[0].g.fence_wait_ns, 40);
+        assert_eq!(rows[1].ts, 100);
+        assert_eq!(rows[1].g.commits, 1);
+    }
+
+    #[test]
+    fn windows_without_a_gauge_are_skipped() {
+        // Windows 0, 5 and 9 get events; 1-4 and 6-8 stay empty, and
+        // window 7 sees only an event that carries no gauge.
+        let t = thread(
+            0,
+            0,
+            &[
+                (1, EventKind::Clwb, 0, 1),
+                (51, EventKind::Clwb, 5, 1),
+                (75, EventKind::TxBegin, 0, 0),
+                (91, EventKind::Clwb, 9, 1),
+            ],
+        );
+        let ts: Vec<u64> = from_threads(&[t], 10).iter().map(|r| r.ts).collect();
+        assert_eq!(ts, [0, 50, 90]);
     }
 
     #[test]
     fn rows_fold_threads_of_a_shard_per_window() {
-        let s0 = sampled(0, 0, &[(10, EventKind::TxCommit, 1, 0)]);
-        let mut r = s0.ring();
-        r.ingest(20, EventKind::TxCommit, 2, 0);
-        r.ingest(120, EventKind::Sfence, 5, 0);
-        s0.submit(1, r);
-        let s1 = sampled(3, 0, &[(15, EventKind::WpqAccept, 700, 15)]);
-        let rows = aggregate(&[&s0, &s1]);
+        let threads = [
+            thread(0, 0, &[(10, EventKind::TxCommit, 1, 0)]),
+            thread(
+                0,
+                1,
+                &[
+                    (20, EventKind::TxCommit, 2, 0),
+                    (120, EventKind::Sfence, 5, 0),
+                ],
+            ),
+            thread(3, 0, &[(15, EventKind::WpqAccept, 700, 15)]),
+        ];
+        let rows = from_threads(&threads, 100);
         assert_eq!(rows.len(), 3);
         // (ts 0, shard 0): two threads' commits folded.
         assert_eq!((rows[0].ts, rows[0].shard, rows[0].threads), (0, 0, 2));

@@ -1,13 +1,14 @@
-//! Property: the merged, per-shard time series is a pure function of
-//! what each thread observed — the order in which threads retire (and
-//! hence submit their sample rings), and the order shards are merged
-//! in, must not change a single exported row.
+//! Properties of the offline series fold: it is a pure function of what
+//! each thread recorded — the order in which threads retire (and hence
+//! the order their `ThreadTrace`s are handed in) must not change a
+//! single exported row — and, whatever the period, its rows add up to
+//! the one whole-run fold of the same events.
 
-use obs::{export, series, Sampler};
+use obs::{export, series, GaugeSet};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use trace::EventKind;
+use trace::{EventKind, ThreadTrace, TraceEvent, SHARD_SHIFT};
 
 /// A compact thread event script: (virtual-time delta, kind selector,
 /// payload). Deltas keep per-thread timestamps monotone, as the real
@@ -34,33 +35,35 @@ fn scripts() -> impl Strategy<Value = Vec<Vec<Script>>> {
     )
 }
 
-/// Feed every script into per-shard samplers, submitting thread rings
-/// in the order given by `order` (a permutation of all (shard, thread)
-/// pairs), then export the merged series as canonical JSONL.
-fn render(shards: &[Vec<Script>], order: &[(usize, usize)]) -> String {
-    let samplers: Vec<Sampler> = (0..shards.len())
-        .map(|s| Sampler::new_for_shard(obs::DEFAULT_PERIOD_NS, 64, s))
-        .collect();
-    for &(s, t) in order {
-        let sampler = &samplers[s];
-        let mut ring = sampler.ring();
-        let mut ts = 0u64;
-        for &(dt, k, a) in &shards[s][t] {
-            ts += dt;
-            ring.ingest(ts, KINDS[k as usize], a, a / 3);
-        }
-        sampler.submit(t as u32, ring);
-    }
-    // Merge the shards in the order their threads happened to retire —
-    // the aggregate must not care.
-    let mut refs: Vec<&Sampler> = Vec::new();
-    for &(s, _) in order {
-        if !refs.iter().any(|r| std::ptr::eq(*r, &samplers[s])) {
-            refs.push(&samplers[s]);
+/// One shard-tagged `ThreadTrace` per script, in (shard, thread) order.
+fn traces(shards: &[Vec<Script>]) -> Vec<ThreadTrace> {
+    let mut out = Vec::new();
+    for (s, threads) in shards.iter().enumerate() {
+        for (t, script) in threads.iter().enumerate() {
+            let mut ts = 0u64;
+            let events = script.iter().map(|&(dt, k, a)| {
+                ts += dt;
+                TraceEvent {
+                    ts,
+                    kind: KINDS[k as usize],
+                    a,
+                    b: a / 3,
+                }
+            });
+            out.push(ThreadTrace {
+                tid: ((s as u32) << SHARD_SHIFT) | t as u32,
+                events: events.collect(),
+                dropped: 0,
+            });
         }
     }
+    out
+}
+
+/// The series as canonical JSONL.
+fn render(threads: &[ThreadTrace]) -> String {
     let mut out = String::new();
-    for row in series::aggregate(&refs) {
+    for row in series::from_threads(threads, obs::DEFAULT_PERIOD_NS) {
         out.push_str(&export::series_row_json(&row));
         out.push('\n');
     }
@@ -71,24 +74,32 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn merged_series_is_submission_order_invariant(
+    fn series_is_trace_order_invariant(
         shards in scripts(),
         seed in any::<u64>(),
     ) {
-        let mut order: Vec<(usize, usize)> = shards
-            .iter()
-            .enumerate()
-            .flat_map(|(s, threads)| (0..threads.len()).map(move |t| (s, t)))
-            .collect();
-        let baseline = render(&shards, &order);
+        let mut threads = traces(&shards);
+        let baseline = render(&threads);
 
         // Fisher–Yates shuffle: an arbitrary retirement order.
         let mut rng = SmallRng::seed_from_u64(seed);
-        for i in (1..order.len()).rev() {
+        for i in (1..threads.len()).rev() {
             let j = rng.gen_range(0..=i);
-            order.swap(i, j);
+            threads.swap(i, j);
         }
-        let shuffled = render(&shards, &order);
-        prop_assert_eq!(baseline, shuffled);
+        prop_assert_eq!(baseline, render(&threads));
+    }
+
+    #[test]
+    fn rows_add_up_to_the_whole_run_fold(
+        shards in scripts(),
+        period in 1u64..50_000,
+    ) {
+        let threads = traces(&shards);
+        let mut total = GaugeSet::default();
+        for row in series::from_threads(&threads, period) {
+            total.merge(&row.g);
+        }
+        prop_assert_eq!(total, GaugeSet::of_run(&threads));
     }
 }

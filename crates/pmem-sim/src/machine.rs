@@ -93,9 +93,9 @@ impl MachineConfig {
     }
 }
 
-/// An observer a run may attach to the machine (injector, tracer,
-/// sampler). `armed` mirrors `value.is_some()`, so finding none attached
-/// costs one relaxed load.
+/// An observer a run may attach to the machine (injector, tracer).
+/// `armed` mirrors `value.is_some()`, so finding none attached costs one
+/// relaxed load.
 #[derive(Debug)]
 struct Slot<T> {
     value: Mutex<Option<Arc<T>>>,
@@ -159,9 +159,6 @@ pub struct Machine {
     /// Attached flight-recorder sink, if any. Sessions capture a ring
     /// from it at construction.
     tracer: Slot<trace::TraceSink>,
-    /// Attached telemetry sampler, if any. Sessions capture a sample
-    /// ring from it at construction.
-    sampler: Slot<obs::Sampler>,
     /// Monotonic serial stamped on every HTM line publication; sections
     /// sample it at `xbegin` and conflict against later publications.
     htm_serial: AtomicU64,
@@ -187,7 +184,6 @@ impl Machine {
             clocks: RwLock::new(clocks),
             injector: Slot::empty(),
             tracer: Slot::empty(),
-            sampler: Slot::empty(),
             htm_serial: AtomicU64::new(0),
             htm_table: Mutex::new(HashMap::new()),
             stats: MachineStats::new(),
@@ -282,26 +278,6 @@ impl Machine {
     #[inline]
     pub fn tracer(&self) -> Option<Arc<trace::TraceSink>> {
         self.tracer.get()
-    }
-
-    /// Attach a telemetry sampler: sessions created *afterwards* fold
-    /// their events into per-thread sample rings submitted back to this
-    /// sampler. Sampling never advances virtual time. Replaces any
-    /// previously attached sampler.
-    pub fn attach_sampler(&self, sampler: Arc<obs::Sampler>) {
-        self.sampler.attach(sampler);
-    }
-
-    /// Detach and return the current sampler.
-    pub fn detach_sampler(&self) -> Option<Arc<obs::Sampler>> {
-        self.sampler.detach()
-    }
-
-    /// The attached sampler, if any. One relaxed load when none is
-    /// attached (the common case).
-    #[inline]
-    pub fn sampler(&self) -> Option<Arc<obs::Sampler>> {
-        self.sampler.get()
     }
 
     pub fn config(&self) -> &MachineConfig {

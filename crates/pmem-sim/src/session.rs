@@ -60,12 +60,6 @@ pub struct MemSession {
     /// every record site is a single branch on an owned Option). The
     /// ring is submitted back to the sink when the session drops.
     ring: Option<(Arc<trace::TraceSink>, trace::TraceRing)>,
-    /// Telemetry sample ring, captured from the machine's attached
-    /// sampler at construction; every event that reaches
-    /// [`MemSession::trace_event`] is also folded into the current
-    /// sampling window. Ingest never touches the clock, so sampling is
-    /// invisible to virtual time. Submitted back on drop.
-    samples: Option<(Arc<obs::Sampler>, obs::SampleRing)>,
     /// Inside a hardware-transactional section ([`Self::htm_begin`] ..
     /// commit/abort). Flush/fence instructions are illegal in a section
     /// (they abort real HTM — the paper's §V TSX observation); debug
@@ -85,10 +79,6 @@ impl MemSession {
             let ring = sink.ring();
             (sink, ring)
         });
-        let samples = machine.sampler().map(|sampler| {
-            let ring = sampler.ring();
-            (sampler, ring)
-        });
         MemSession {
             machine,
             tid,
@@ -97,7 +87,6 @@ impl MemSession {
             pending: Vec::new(),
             last_flush_accept: 0,
             ring,
-            samples,
             htm_active: false,
             htm_start_serial: 0,
             htm_footprint: HashSet::new(),
@@ -218,16 +207,13 @@ impl MemSession {
         if let Some((_, ring)) = self.ring.as_mut() {
             ring.record(self.clock.now(), kind, a, b);
         }
-        if let Some((_, ring)) = self.samples.as_mut() {
-            ring.ingest(self.clock.now(), kind, a, b);
-        }
     }
 
-    /// Whether this session is recording trace events or telemetry
-    /// samples (callers use this to skip computing event payloads).
+    /// Whether this session is recording trace events (callers use this
+    /// to skip computing event payloads).
     #[inline]
     pub fn tracing(&self) -> bool {
-        self.ring.is_some() || self.samples.is_some()
+        self.ring.is_some()
     }
 
     /// The virtual thread id of this session.
@@ -700,9 +686,6 @@ impl Drop for MemSession {
     fn drop(&mut self) {
         if let Some((sink, ring)) = self.ring.take() {
             sink.submit(self.tid as u32, &ring);
-        }
-        if let Some((sampler, ring)) = self.samples.take() {
-            sampler.submit(self.tid as u32, ring);
         }
     }
 }

@@ -64,21 +64,6 @@ impl MachineSet {
         }
     }
 
-    /// Attach one flight-recorder sink per shard, each tagging its
-    /// thread ids with the shard index (see `trace::SHARD_SHIFT`), so a
-    /// later merge of all sinks' threads keeps per-shard attribution.
-    pub fn attach_tracers(&self, ring_capacity: usize) -> Vec<Arc<trace::TraceSink>> {
-        self.machines
-            .iter()
-            .enumerate()
-            .map(|(i, m)| {
-                let sink = trace::TraceSink::new_for_shard(ring_capacity, i as u32);
-                m.attach_tracer(Arc::clone(&sink));
-                sink
-            })
-            .collect()
-    }
-
     /// Stop the world on every shard (crash snapshots of a live run).
     pub fn freeze_all(&self) {
         for m in &self.machines {
@@ -184,23 +169,5 @@ mod tests {
         }
         let images = set.crash_all(42);
         assert_eq!(images.len(), 3);
-    }
-
-    #[test]
-    fn shard_tracers_tag_thread_ids() {
-        let set = MachineSet::new(2, MachineConfig::functional(DurabilityDomain::Adr));
-        let sinks = set.attach_tracers(1 << 10);
-        let p = set.get(1).alloc_pool("h", 64, MediaKind::Optane);
-        set.begin_run_all(1, u64::MAX);
-        {
-            let mut s = set.get(1).session(0);
-            s.store(p.addr(0), 1);
-            s.clwb(p.addr(0));
-            s.sfence();
-        } // session drop submits the ring
-        let threads = sinks[1].threads();
-        assert_eq!(threads.len(), 1);
-        assert_eq!(trace::shard_of_tid(threads[0].tid), 1);
-        assert_eq!(trace::local_tid(threads[0].tid), 0);
     }
 }

@@ -270,7 +270,7 @@ impl<'e> CrossShardTx<'e> {
             1 => {
                 // One writer: 2PC adds nothing — run the ordinary
                 // single-shard commit sequence on that shard.
-                if !self.single_commit(writers[0]) {
+                if !self.slots[writers[0]].as_mut().unwrap().try_commit() {
                     return false;
                 }
                 for &s in &shards {
@@ -375,38 +375,6 @@ impl<'e> CrossShardTx<'e> {
             th.policy.write_set_size(&th.ax)
         };
         self.finish_commit(coord, n, gtid);
-        true
-    }
-
-    /// The unmodified single-shard commit sequence (mirrors the private
-    /// `TxThread::try_commit`), for cross-shard attempts that turn out
-    /// to have at most one writer participant.
-    fn single_commit(&mut self, shard: usize) -> bool {
-        let th = self.slots[shard].as_mut().unwrap();
-        let now = th.ax.s.now();
-        th.ax.timer.switch(now, Phase::Validation);
-        if !th.policy.pre_commit_acquire(&mut th.ax) {
-            return false;
-        }
-        let wv = th.ax.ptm.clock.bump();
-        th.ax.commit_wv = wv;
-        th.ax.s.advance(crate::config::OREC_NS);
-        if wv != th.ax.start_time + 2 {
-            if let Err(o) = th.ax.validate_reads() {
-                PtmStats::bump(&th.ax.ptm.stats.aborts_validation);
-                th.ax.abort_at(AbortCause::Validation, o);
-                th.policy.abort_rollback(&mut th.ax, Some(wv));
-                return false;
-            }
-            let reads = th.ax.read_set.len() as u64;
-            th.ax.trace(EventKind::TxValidate, reads, wv);
-        }
-        th.policy.make_durable(&mut th.ax);
-        th.policy.commit_publish(&mut th.ax, wv);
-        let n = th.policy.write_set_size(&th.ax);
-        th.ax.ptm.stats.note_write_set(n);
-        th.ax.note_read_set();
-        th.ax.apply_frees();
         true
     }
 

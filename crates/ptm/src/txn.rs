@@ -318,7 +318,8 @@ impl TxThread {
     /// The shared commit sequence. The policy fills in acquisition,
     /// durability, and publication; the driver owns the clock protocol
     /// and read validation so every algorithm serializes identically.
-    fn try_commit(&mut self) -> bool {
+    /// (`CrossShardTx` calls it for an attempt with one writer shard.)
+    pub(crate) fn try_commit(&mut self) -> bool {
         if self.policy.read_only(&self.ax) {
             self.ax.apply_frees();
             return true;

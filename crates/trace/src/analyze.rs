@@ -1,5 +1,5 @@
-//! Trace analysis: re-derive aggregate totals from the raw event stream
-//! and cross-check them against the live counters, attribute aborts to
+//! Trace analysis: cross-check the whole-run event fold
+//! ([`GaugeSet::of_run`]) against the live counters, attribute aborts to
 //! contended orecs, reconstruct the WPQ occupancy timeline with stall
 //! intervals, and count flushes per fence window.
 //!
@@ -8,114 +8,16 @@
 //! rendering lives in the `trace_analyze` binary.
 
 use crate::export::{ExpectedTotals, TOTALS};
-use crate::{AbortCause, EventKind, HtmAbortCause, MergedEvent, ThreadTrace};
+use crate::{AbortCause, EventKind, GaugeSet, MergedEvent, ThreadTrace};
 
-/// Aggregate totals independently re-derived from trace events alone.
-///
-/// When no events were dropped, each field must equal the corresponding
-/// live counter (`ptm::PtmStats` / `pmem_sim::MachineStats`) — see
-/// [`crosscheck`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceTotals {
-    pub commits: u64,
-    pub aborts: u64,
-    pub aborts_by_cause: [u64; AbortCause::COUNT],
-    pub htm_commits: u64,
-    /// Hardware commits that went through the `HtmLogged` aliased
-    /// back-end-logging path (`TxCommit` with `b == 2`; also counted in
-    /// `htm_commits`).
-    pub htm_logged_commits: u64,
-    /// Commits issued through the cross-shard handle (`TxCommit` with
-    /// `b == 3`; also counted in `commits`). Single-shard fast-path
-    /// commits and 2PC commits alike — the 2PC subset is the engine's
-    /// `coordinator_commits` counter.
-    pub twopc_commits: u64,
-    pub htm_aborts: u64,
-    pub htm_aborts_by_cause: [u64; HtmAbortCause::COUNT],
-    pub htm_fallbacks: u64,
-    pub clwbs: u64,
-    pub clwb_writebacks: u64,
-    pub clwb_batches: u64,
-    pub sfences: u64,
-    pub fence_wait_ns: u64,
-    pub wpq_stall_ns: u64,
-    /// Group-commit fence joins (each elides one `sfence`).
-    pub fence_joins: u64,
-    /// Virtual ns join sites waited for their covering fence. Derived
-    /// only — joins charge no machine counter (the wait belongs to the
-    /// covering fence's timeline), so this has no cross-check partner.
-    pub join_wait_ns: u64,
-}
-
-impl TraceTotals {
-    /// Derive totals from a merged timeline.
-    pub fn from_events(events: &[MergedEvent]) -> TraceTotals {
-        let mut t = TraceTotals::default();
-        for ev in events {
-            match ev.kind {
-                EventKind::TxCommit => {
-                    t.commits += 1;
-                    if ev.b == 1 || ev.b == 2 {
-                        t.htm_commits += 1;
-                    }
-                    if ev.b == 2 {
-                        t.htm_logged_commits += 1;
-                    }
-                    if ev.b == 3 {
-                        t.twopc_commits += 1;
-                    }
-                }
-                EventKind::TxAbort => {
-                    t.aborts += 1;
-                    if let Some(c) = AbortCause::from_code(ev.a) {
-                        t.aborts_by_cause[c as usize] += 1;
-                    }
-                }
-                EventKind::HtmAbort => {
-                    t.htm_aborts += 1;
-                    if let Some(c) = HtmAbortCause::from_code(ev.a) {
-                        t.htm_aborts_by_cause[c as usize] += 1;
-                    }
-                }
-                EventKind::HtmFallback => t.htm_fallbacks += 1,
-                EventKind::Clwb => {
-                    t.clwbs += 1;
-                    if ev.b == 1 {
-                        t.clwb_writebacks += 1;
-                    }
-                }
-                EventKind::ClwbBatch => t.clwb_batches += 1,
-                EventKind::Sfence => {
-                    t.sfences += 1;
-                    t.fence_wait_ns += ev.a;
-                }
-                EventKind::WpqStall => t.wpq_stall_ns += ev.a,
-                EventKind::FenceJoin => {
-                    t.fence_joins += 1;
-                    t.join_wait_ns += ev.a;
-                }
-                _ => {}
-            }
-        }
-        t
-    }
-
-    pub(crate) fn cause(&self, c: AbortCause) -> u64 {
-        self.aborts_by_cause[c as usize]
-    }
-
-    pub(crate) fn htm_cause(&self, c: HtmAbortCause) -> u64 {
-        self.htm_aborts_by_cause[c as usize]
-    }
-}
-
-/// Compare trace-derived totals against the live counters.
+/// Compare a run's folded events ([`GaugeSet::of_run`]) against the live
+/// counters (`ptm::PtmStats` / `pmem_sim::MachineStats`).
 ///
 /// Returns one human-readable line per divergent field; empty means the
 /// trace and the counters agree exactly. With `dropped_events > 0` the
 /// trace is lossy and equality cannot be expected — callers should report
 /// the loss instead of treating divergence as an error.
-pub fn crosscheck(derived: &TraceTotals, expected: &ExpectedTotals) -> Vec<String> {
+pub fn crosscheck(derived: &GaugeSet, expected: &ExpectedTotals) -> Vec<String> {
     TOTALS
         .iter()
         .zip(expected.fields())
@@ -322,11 +224,10 @@ mod tests {
                 (99, EventKind::WpqStall, 100, 9000),
             ],
         )];
-        let m = merge_threads(&threads);
-        let t = TraceTotals::from_events(&m);
+        let t = GaugeSet::of_run(&threads);
         assert_eq!(t.commits, 1);
-        assert_eq!(t.aborts, 1);
-        assert_eq!(t.cause(AbortCause::Acquire), 1);
+        assert_eq!(t.aborts_total(), 1);
+        assert_eq!(t.aborts[AbortCause::Acquire as usize], 1);
         assert_eq!(t.clwbs, 2);
         assert_eq!(t.clwb_writebacks, 1);
         assert_eq!(t.sfences, 1);

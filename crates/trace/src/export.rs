@@ -4,14 +4,13 @@
 //! Both formats surface per-thread `dropped_events` loss accounting. The
 //! binary dump additionally embeds the live counter totals
 //! ([`ExpectedTotals`], captured from the `ptm` and `pmem-sim` counter
-//! tables at export time) so an *offline* analyzer can re-derive totals
-//! from the events alone and cross-check them against what the counters
-//! said — the trace and the counters can never silently disagree.
+//! tables at export time) so an *offline* analyzer can fold the events
+//! alone and cross-check the result against what the counters said — the
+//! trace and the counters can never silently disagree.
 
-use crate::analyze::TraceTotals;
 use crate::counters::Field;
 use crate::json::Writer;
-use crate::{AbortCause, EventKind, HtmAbortCause, ThreadTrace, TraceEvent};
+use crate::{AbortCause, EventKind, GaugeSet, HtmAbortCause, ThreadTrace, TraceEvent};
 
 /// Magic prefix of the binary dump format, version 1.
 pub const BINARY_MAGIC: &[u8; 8] = b"PTMTRC01";
@@ -25,12 +24,12 @@ pub enum Source {
 }
 
 /// One total of the dump's counter block: its name in the dump, the live
-/// counter it is captured from, and how the analyzer re-derives it from
-/// the events alone.
+/// counter it is captured from, and where the analyzer finds it in the
+/// whole-run fold of the events alone ([`GaugeSet::of_run`]).
 pub struct Total {
     pub name: &'static str,
     pub source: Source,
-    pub derive: fn(&TraceTotals) -> u64,
+    pub derive: fn(&GaugeSet) -> u64,
 }
 
 /// The counter block, in serialization order: the subset of the live
@@ -45,32 +44,37 @@ pub const TOTALS: [Total; 20] = {
             Total {
                 name: stringify!($name),
                 source: $layer(stringify!($name)),
-                derive: |t| t.$name,
+                derive: |g| g.$name,
+            }
+        };
+    }
+    macro_rules! derived {
+        ($name:ident, $derive:expr) => {
+            Total {
+                name: stringify!($name),
+                source: Ptm(stringify!($name)),
+                derive: $derive,
             }
         };
     }
     macro_rules! by_cause {
-        ($name:ident, $get:ident($cause:expr)) => {
-            Total {
-                name: stringify!($name),
-                source: Ptm(stringify!($name)),
-                derive: |t| t.$get($cause),
-            }
+        ($name:ident, $field:ident[$cause:expr]) => {
+            derived!($name, |g| g.$field[$cause as usize])
         };
     }
     [
         same_name!(Ptm commits),
-        same_name!(Ptm aborts),
-        by_cause!(aborts_read_locked, cause(AbortCause::ReadLocked)),
-        by_cause!(aborts_read_version, cause(AbortCause::ReadVersion)),
-        by_cause!(aborts_acquire, cause(AbortCause::Acquire)),
-        by_cause!(aborts_validation, cause(AbortCause::Validation)),
+        derived!(aborts, GaugeSet::aborts_total),
+        by_cause!(aborts_read_locked, aborts[AbortCause::ReadLocked]),
+        by_cause!(aborts_read_version, aborts[AbortCause::ReadVersion]),
+        by_cause!(aborts_acquire, aborts[AbortCause::Acquire]),
+        by_cause!(aborts_validation, aborts[AbortCause::Validation]),
         same_name!(Ptm htm_commits),
         same_name!(Ptm htm_logged_commits),
-        same_name!(Ptm htm_aborts),
-        by_cause!(htm_capacity_aborts, htm_cause(HtmAbortCause::Capacity)),
-        by_cause!(htm_conflict_aborts, htm_cause(HtmAbortCause::Conflict)),
-        by_cause!(htm_explicit_aborts, htm_cause(HtmAbortCause::Explicit)),
+        derived!(htm_aborts, GaugeSet::htm_aborts_total),
+        by_cause!(htm_capacity_aborts, htm_aborts[HtmAbortCause::Capacity]),
+        by_cause!(htm_conflict_aborts, htm_aborts[HtmAbortCause::Conflict]),
+        by_cause!(htm_explicit_aborts, htm_aborts[HtmAbortCause::Explicit]),
         same_name!(Ptm htm_fallbacks),
         same_name!(Mem clwbs),
         same_name!(Mem clwb_writebacks),
@@ -82,7 +86,7 @@ pub const TOTALS: [Total; 20] = {
         Total {
             name: "fence_joins",
             source: Ptm("sfences_elided"),
-            derive: |t| t.fence_joins,
+            derive: |g| g.fence_joins,
         },
     ]
 };
@@ -139,11 +143,6 @@ impl TraceDump {
     pub fn dropped_events(&self) -> u64 {
         self.threads.iter().map(|t| t.dropped).sum()
     }
-
-    /// The `(ts, tid, seq)`-merged timeline.
-    pub fn merged(&self) -> Vec<crate::MergedEvent> {
-        crate::merge_threads(&self.threads)
-    }
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -184,7 +183,21 @@ impl<'a> Reader<'a> {
     fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
+
+    /// A record count read from the dump, as a pre-allocation size:
+    /// never more than the bytes still unread could hold at
+    /// `min_record_bytes` each, so a corrupt count cannot size an
+    /// allocation (the per-record reads then fail as truncation).
+    fn capacity_for(&self, count: u64, min_record_bytes: usize) -> usize {
+        let fits = (self.buf.len() - self.pos) / min_record_bytes;
+        count.min(fits as u64) as usize
+    }
 }
+
+/// Serialized size of a thread record's header (tid, dropped, event
+/// count) and of one event (ts, kind, a, b).
+const THREAD_HEADER_BYTES: usize = 4 + 8 + 8;
+const EVENT_BYTES: usize = 8 + 1 + 8 + 8;
 
 /// Serialize per-thread traces plus the counter block into the compact
 /// binary format. Deterministic: identical traces and totals produce
@@ -193,7 +206,9 @@ pub fn write_binary(threads: &[ThreadTrace], expected: &ExpectedTotals) -> Vec<u
     let mut threads: Vec<&ThreadTrace> = threads.iter().collect();
     threads.sort_by_key(|t| t.tid);
     let events: usize = threads.iter().map(|t| t.events.len()).sum();
-    let mut out = Vec::with_capacity(32 + 16 * 16 + events * 25 + threads.len() * 20);
+    let mut out = Vec::with_capacity(
+        32 + 16 * 16 + events * EVENT_BYTES + threads.len() * THREAD_HEADER_BYTES,
+    );
     out.extend_from_slice(BINARY_MAGIC);
     put_u32(&mut out, TOTALS.len() as u32);
     for v in expected.0 {
@@ -229,13 +244,13 @@ pub fn read_binary(buf: &[u8]) -> Result<TraceDump, String> {
     for v in &mut expected.0 {
         *v = r.u64()?;
     }
-    let n_threads = r.u32()? as usize;
-    let mut threads = Vec::with_capacity(n_threads);
+    let n_threads = r.u32()?;
+    let mut threads = Vec::with_capacity(r.capacity_for(n_threads.into(), THREAD_HEADER_BYTES));
     for _ in 0..n_threads {
         let tid = r.u32()?;
         let dropped = r.u64()?;
-        let count = r.u64()? as usize;
-        let mut events = Vec::with_capacity(count.min(1 << 20));
+        let count = r.u64()?;
+        let mut events = Vec::with_capacity(r.capacity_for(count, EVENT_BYTES));
         let mut prev_ts = 0u64;
         for i in 0..count {
             let ts = r.u64()?;
@@ -414,6 +429,29 @@ mod tests {
         let mut bad_kind = bytes.clone();
         bad_kind[kind_off] = 200;
         assert!(read_binary(&bad_kind).is_err(), "kind code");
+        // A thread count no dump of this size could hold must be
+        // rejected, not pre-allocated for (it used to abort the process).
+        let threads_off = 8 + 4 + 20 * 8;
+        let mut bad_threads = bytes.clone();
+        bad_threads[threads_off..threads_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(read_binary(&bad_threads).is_err(), "thread count");
+
+        // Fail-soft as a property: truncation at every offset, and every
+        // single-bit flip of the header and of thread 0's whole record,
+        // returns Ok or Err — the reader never panics or aborts.
+        for len in 0..bytes.len() {
+            assert!(read_binary(&bytes[..len]).is_err(), "truncated at {len}");
+        }
+        let record_end = threads_off + 4 + THREAD_HEADER_BYTES + 4 * EVENT_BYTES;
+        let mut rejected = 0;
+        for bit in 0..record_end * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            rejected += usize::from(read_binary(&flipped).is_err());
+        }
+        // Magic, block size, both counts and the kind bytes are checked
+        // structure; payload words are free to take any value.
+        assert!(rejected > (8 + 4 + 4 + 8) * 8 && rejected < record_end * 8);
     }
 
     #[test]

@@ -22,9 +22,12 @@
 //! * [`export`] renders the merged timeline as Chrome trace-event JSON
 //!   (loadable in Perfetto / `chrome://tracing`) or as a compact binary
 //!   dump with an embedded counter block for offline cross-checking;
+//! * [`fold`] is the one place an event's payload words are turned into
+//!   counters ([`GaugeSet::apply`]): over a whole run for the counter
+//!   cross-check, per sampling period for the `obs` time series;
 //! * [`analyze`] derives an orec abort-attribution heatmap, a WPQ
 //!   occupancy timeline with stall intervals, and per-fence-window flush
-//!   counts — and cross-checks every derived total against the live
+//!   counts — and cross-checks every folded total against the live
 //!   counters so the trace and the counters can never silently disagree.
 //!
 //! The crate is dependency-free; `pmem-sim` and `ptm` embed it behind a
@@ -36,7 +39,10 @@
 pub mod analyze;
 pub mod counters;
 pub mod export;
+pub mod fold;
 pub mod json;
+
+pub use fold::GaugeSet;
 
 use std::sync::{Arc, Mutex};
 
@@ -664,6 +670,31 @@ mod tests {
         let r = sink.ring();
         sink.submit(0, &r);
         assert!(sink.threads().is_empty());
+    }
+
+    #[test]
+    fn shard_sinks_tag_thread_ids_except_the_recovery_band() {
+        let sink = TraceSink::new_for_shard(4, 2);
+        assert_eq!(sink.shard(), 2);
+        let mut r = sink.ring();
+        r.record(1, EventKind::Clwb, 0, 0);
+        sink.submit(1, &r);
+        sink.submit(recovery_worker_tid(3), &r);
+        sink.submit(RECOVERY_TID, &r);
+        let tids: Vec<u32> = sink.threads().iter().map(|t| t.tid).collect();
+        assert_eq!(
+            tids,
+            [(2 << SHARD_SHIFT) | 1, recovery_worker_tid(3), RECOVERY_TID]
+        );
+        assert_eq!((shard_of_tid(tids[0]), local_tid(tids[0])), (2, 1));
+        for &tid in &tids[1..] {
+            assert!(is_recovery_tid(tid));
+            assert_eq!((shard_of_tid(tid), local_tid(tid)), (0, tid));
+        }
+        // Unsharded sinks leave ids untouched.
+        let plain = TraceSink::new(4);
+        plain.submit(1, &r);
+        assert_eq!(plain.threads()[0].tid, 1);
     }
 
     #[test]

@@ -150,11 +150,6 @@ pub struct RunConfig {
     /// resets) and `PtmConfig::tracing` is forced on, so every thread's
     /// transaction and durability events land in the sink.
     pub trace: Option<Arc<trace::TraceSink>>,
-    /// Telemetry sampler: when set, it is attached to the machine for
-    /// the measured phase only (like `trace`) and `PtmConfig::tracing`
-    /// is forced on so transaction lifecycle events reach the sampler.
-    /// Sampling never advances virtual time.
-    pub obs: Option<Arc<obs::Sampler>>,
 }
 
 impl Default for RunConfig {
@@ -167,7 +162,6 @@ impl Default for RunConfig {
             seed: 42,
             ptm: PtmConfig::default(),
             trace: None,
-            obs: None,
         }
     }
 }
@@ -234,7 +228,7 @@ pub fn run_scenario<W: Workload>(w: &mut W, sc: &Scenario, rc: &RunConfig) -> Ru
         algo: sc.algo,
         elide_fences: sc.elide_fences,
         heap_media: sc.heap_media,
-        tracing: rc.ptm.tracing || rc.trace.is_some() || rc.obs.is_some(),
+        tracing: rc.ptm.tracing || rc.trace.is_some(),
         ..rc.ptm.clone()
     });
     // Setup phase: one thread, unthrottled.
@@ -252,9 +246,6 @@ pub fn run_scenario<W: Workload>(w: &mut W, sc: &Scenario, rc: &RunConfig) -> Ru
     // created after this point.
     if let Some(sink) = &rc.trace {
         machine.attach_tracer(Arc::clone(sink));
-    }
-    if let Some(sampler) = &rc.obs {
-        machine.attach_sampler(Arc::clone(sampler));
     }
     // Measured phase. Latencies go into per-thread log₂ histograms merged
     // at thread exit: memory stays O(buckets), not O(ops).
@@ -288,9 +279,6 @@ pub fn run_scenario<W: Workload>(w: &mut W, sc: &Scenario, rc: &RunConfig) -> Ru
     // sink now holds the complete run.
     if rc.trace.is_some() {
         machine.detach_tracer();
-    }
-    if rc.obs.is_some() {
-        machine.detach_sampler();
     }
     RunResult {
         label: sc.label.clone(),

@@ -160,12 +160,8 @@ pub struct ShardedRunConfig {
     /// machine, attached for the measured phase only). Empty = off.
     /// Build them with `TraceSink::new_for_shard` so merged tids stay
     /// shard-attributable. `PtmConfig::tracing` is forced on while any
-    /// sink or sampler is present.
+    /// sink is present.
     pub trace: Vec<Arc<trace::TraceSink>>,
-    /// Per-shard telemetry samplers, mirroring `trace`. Build with
-    /// `obs::Sampler::new_for_shard`. Sampling never advances virtual
-    /// time.
-    pub obs: Vec<Arc<obs::Sampler>>,
 }
 
 impl Default for ShardedRunConfig {
@@ -179,7 +175,6 @@ impl Default for ShardedRunConfig {
             ptm: PtmConfig::default(),
             stream: StreamConfig::default(),
             trace: Vec::new(),
-            obs: Vec::new(),
         }
     }
 }
@@ -219,11 +214,11 @@ impl ShardedRunResult {
     }
 }
 
-/// PTM template with tracing forced on while telemetry is armed, so
-/// transaction lifecycle events reach the sinks/samplers.
+/// PTM template with tracing forced on while a flight recorder is armed,
+/// so transaction lifecycle events reach the sinks.
 fn ptm_config(rc: &ShardedRunConfig) -> PtmConfig {
     PtmConfig {
-        tracing: rc.ptm.tracing || !rc.trace.is_empty() || !rc.obs.is_empty(),
+        tracing: rc.ptm.tracing || !rc.trace.is_empty(),
         ..rc.ptm.clone()
     }
 }
@@ -260,13 +255,10 @@ fn drive<F>(
 where
     F: Fn(usize, &mut ptm::TxThread, &mut SmallRng, &Request) + Sync,
 {
-    // Arm telemetry for the measured phase only: worker sessions below
-    // capture their rings at construction.
+    // Arm the flight recorder for the measured phase only: worker
+    // sessions below capture their rings at construction.
     for (i, sink) in rc.trace.iter().enumerate() {
         engine.machine(i).attach_tracer(Arc::clone(sink));
-    }
-    for (i, sampler) in rc.obs.iter().enumerate() {
-        engine.machine(i).attach_sampler(Arc::clone(sampler));
     }
     engine.begin_run_all(rc.threads_per_shard, rc.window_ns);
     let heads: Vec<AtomicUsize> = (0..rc.shards).map(|_| AtomicUsize::new(0)).collect();
@@ -318,9 +310,6 @@ where
     // Worker sessions have dropped (submitting their rings); disarm.
     for (i, _) in rc.trace.iter().enumerate() {
         engine.machine(i).detach_tracer();
-    }
-    for (i, _) in rc.obs.iter().enumerate() {
-        engine.machine(i).detach_sampler();
     }
     (engine.max_run_time_ns(), sojourn.into_inner().unwrap())
 }
@@ -580,9 +569,6 @@ pub fn run_cross_shard_transfer(rc: &ShardedRunConfig, cross_frac: f64) -> Shard
     for (i, sink) in rc.trace.iter().enumerate() {
         engine.machine(i).attach_tracer(Arc::clone(sink));
     }
-    for (i, sampler) in rc.obs.iter().enumerate() {
-        engine.machine(i).attach_sampler(Arc::clone(sampler));
-    }
     let workers = (rc.threads_per_shard * rc.shards).max(1);
     engine.begin_run_all(workers, u64::MAX);
     let total_ops = rc.stream.total_ops;
@@ -651,9 +637,6 @@ pub fn run_cross_shard_transfer(rc: &ShardedRunConfig, cross_frac: f64) -> Shard
     });
     for (i, _) in rc.trace.iter().enumerate() {
         engine.machine(i).detach_tracer();
-    }
-    for (i, _) in rc.obs.iter().enumerate() {
-        engine.machine(i).detach_sampler();
     }
 
     // Workload invariant: transfers conserve the total balance. A 2PC

@@ -16,9 +16,9 @@
 //!   virtual-thread measurement driver;
 //! * [`trace`] — the virtual-time flight recorder (per-thread event rings,
 //!   Perfetto/binary export, abort-attribution and WPQ analysis);
-//! * [`obs`] — continuous telemetry on top of the trace funnel
-//!   (virtual-time time-series sampler, per-request critical-path span
-//!   reconstruction, bench-trend regression guard).
+//! * [`obs`] — offline telemetry folded from recorded traces (per-shard
+//!   virtual-time series, per-request critical-path span reconstruction,
+//!   bench-trend regression guard).
 
 pub use obs;
 pub use palloc;

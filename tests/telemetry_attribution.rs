@@ -9,9 +9,7 @@
 //! every nanosecond between arrival and completion is charged to
 //! exactly one component.
 
-use std::sync::Arc;
-
-use optane_ptm::obs::{self, spans, Sampler};
+use optane_ptm::obs::spans;
 use optane_ptm::pmem_sim::DurabilityDomain;
 use optane_ptm::trace::TraceSink;
 use optane_ptm::workloads::{run_sharded_kv, ShardedRunConfig, StreamConfig};
@@ -31,9 +29,6 @@ fn run_domain(domain: DurabilityDomain) -> (spans::Decomposition, Vec<spans::OpS
     };
     rc.trace = (0..rc.shards)
         .map(|i| TraceSink::new_for_shard(1 << 17, i as u32))
-        .collect();
-    rc.obs = (0..rc.shards)
-        .map(|i| Arc::new(Sampler::new_for_shard(obs::DEFAULT_PERIOD_NS, 1 << 10, i)))
         .collect();
     let r = run_sharded_kv(&rc);
 

@@ -4,9 +4,9 @@
 
 use optane_ptm::pmem_sim::{DurabilityDomain, MediaKind};
 use optane_ptm::ptm::Algo;
-use optane_ptm::trace::analyze::{crosscheck, TraceTotals};
+use optane_ptm::trace::analyze::crosscheck;
 use optane_ptm::trace::export::{read_binary, write_binary};
-use optane_ptm::trace::{EventKind, TraceSink};
+use optane_ptm::trace::{EventKind, GaugeSet, TraceSink};
 use optane_ptm::workloads::driver::{run_scenario, RunConfig, RunResult, Scenario};
 use optane_ptm::workloads::{IndexKind, Tatp, Tpcc, Vacation, VacationCfg};
 use proptest::prelude::*;
@@ -137,7 +137,7 @@ proptest! {
         let domain = if eadr { DurabilityDomain::Eadr } else { DurabilityDomain::Adr };
         let (sink, r) = traced_run(which, threads, ops, algo, domain);
         prop_assert_eq!(sink.dropped_events(), 0, "ring sized for test scale");
-        let derived = TraceTotals::from_events(&sink.merged());
+        let derived = GaugeSet::of_run(&sink.threads());
         let diverged = crosscheck(&derived, &r.trace_totals());
         prop_assert!(
             diverged.is_empty(),
