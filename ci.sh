@@ -86,6 +86,25 @@ if [ "$BINS" -ne 29 ]; then
   exit 1
 fi
 
+echo "=== session hot-path seam check ==="
+# Everything a MemSession touches per access is owned by the session or
+# read-only (DESIGN.md §5 decision 16). A `fetch_add` or a clone from
+# `fn resolve` through `commit_pending` in session.rs (the access
+# helpers, load/store/cas, the flush and fence paths) means a locked
+# read-modify-write (a shared counter, an `Arc` refcount) or a per-call
+# copy is back on the access path; `min_cache` anywhere means the
+# clock's shared minimum, read on every advance, is.
+if awk '/fn resolve/ { on = 1 } /pub fn last_flush_accept/ { on = 0 }
+        on && /fetch_add|\.clone\(\)|Arc::clone/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/pmem-sim/src/session.rs | grep .; then
+  echo "ERROR: locked RMW or clone on the session access path (see above)" >&2
+  exit 1
+fi
+if grep -rn 'min_cache' crates; then
+  echo "ERROR: a shared clock-minimum cache grew back (see above)" >&2
+  exit 1
+fi
+
 echo "=== golden report lines ==="
 # The --json report lines of thirteen deterministic runs, byte for byte
 # against crates/bench/tests/golden/ — by name and first among the
@@ -230,6 +249,14 @@ echo "=== obs_report smoke (ADR series + eADR domain sanity) ==="
 # eADR must show zero fence and zero WPQ sample rows.
 cargo run -q --release -p bench --bin obs_report -- --quick --verify > /dev/null
 cargo run -q --release -p bench --bin obs_report -- --quick --domain eadr > /dev/null
+
+echo "=== two-clock benchmark smoke ==="
+# All five benchmark workloads at tiny op counts with every check on
+# (virtual-time determinism, zero failed operations, the model constants):
+# seconds, and the only CI step that looks at both clocks. Builds with
+# benchmark/'s own lock file, which cargo rewrites in place while it
+# carries stale edges (ROADMAP item 2).
+benchmark/run.sh --smoke > /dev/null
 
 echo "=== bench_trend smoke ==="
 # Diff consecutive results/BENCH_PR<N>.json archives. --quick tolerates

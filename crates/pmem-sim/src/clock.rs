@@ -27,8 +27,12 @@ const DONE: u64 = u64::MAX;
 /// a forgotten `publish`/`finish`) is the only way to exhaust this.
 const FREEZE_YIELD_BUDGET: u64 = 20_000_000;
 
-/// Shared state for one virtual thread's clock.
+/// Shared state for one virtual thread's clock. Written by its owner at
+/// every publish and read by every throttling peer, so each slot gets its
+/// own cache lines: one thread's publish must not invalidate the line a
+/// peer's slot (or an adjacent-line prefetch pair) lives in.
 #[derive(Debug)]
+#[repr(align(128))]
 pub struct ClockSlot {
     vt: AtomicU64,
     /// Final virtual time recorded when the thread finishes (the live
@@ -59,8 +63,6 @@ impl ClockSlot {
 pub struct ClockDomain {
     slots: Vec<Arc<ClockSlot>>,
     window_ns: u64,
-    /// Cached lower bound of the minimum active clock; refreshed lazily.
-    min_cache: AtomicU64,
     /// Stop-the-world flag: threads park at their next publish point.
     /// Used to make a concurrent crash snapshot instantaneous (a real
     /// power failure does not interleave with further execution).
@@ -76,7 +78,6 @@ impl ClockDomain {
         ClockDomain {
             slots: (0..n).map(|_| Arc::new(ClockSlot::new())).collect(),
             window_ns,
-            min_cache: AtomicU64::new(0),
             freeze: std::sync::atomic::AtomicBool::new(false),
         }
     }
@@ -170,24 +171,32 @@ impl ClockDomain {
             slot: Arc::clone(&self.slots[tid]),
             domain: Arc::clone(self),
             local_vt: 0,
+            limit: if self.throttles() {
+                self.window_ns
+            } else {
+                u64::MAX
+            },
             publish_mask: 0x3f,
             ops_since_publish: 0,
             defer_park: 0,
         }
     }
 
-    /// Recompute and cache the minimum virtual time over active threads.
-    /// Returns `DONE` when every thread has finished.
-    fn refresh_min(&self) -> u64 {
-        let mut min = DONE;
-        for s in &self.slots {
-            let v = s.vt.load(Ordering::Acquire);
-            if v < min {
-                min = v;
-            }
-        }
-        self.min_cache.store(min, Ordering::Release);
-        min
+    /// Whether threads of this domain ever wait for each other: a lone
+    /// thread has no peer to lag behind, and an unbounded window admits
+    /// any lag.
+    fn throttles(&self) -> bool {
+        self.window_ns != u64::MAX && self.slots.len() > 1
+    }
+
+    /// The minimum published virtual time over active threads; `DONE`
+    /// when every thread has finished.
+    fn min_time(&self) -> u64 {
+        self.slots
+            .iter()
+            .map(|s| s.vt.load(Ordering::Acquire))
+            .min()
+            .unwrap_or(DONE)
     }
 
     /// The largest virtual time any thread has reached (the simulation's
@@ -215,6 +224,13 @@ pub struct ClockHandle {
     slot: Arc<ClockSlot>,
     domain: Arc<ClockDomain>,
     local_vt: u64,
+    /// The virtual time up to which this thread may run before it must
+    /// look at its peers again: the minimum it computed at its last
+    /// throttle check plus the window (`u64::MAX` where the domain never
+    /// throttles). Handle-local, so [`Self::advance`] reads nothing
+    /// another thread writes; a stale value is conservative, because
+    /// peers' clocks only move forward.
+    limit: u64,
     /// Publish (and maybe throttle) every `publish_mask + 1` advances.
     publish_mask: u32,
     ops_since_publish: u32,
@@ -238,11 +254,8 @@ impl ClockHandle {
         self.local_vt += ns;
         self.ops_since_publish = self.ops_since_publish.wrapping_add(1);
         // Publish either periodically or when we may have crossed the
-        // window relative to the cached minimum.
-        let min = self.domain.min_cache.load(Ordering::Relaxed);
-        if self.ops_since_publish & self.publish_mask == 0
-            || self.local_vt > min.saturating_add(self.domain.window_ns)
-        {
+        // window relative to the minimum last seen.
+        if self.ops_since_publish & self.publish_mask == 0 || self.local_vt > self.limit {
             self.publish_and_throttle();
         }
     }
@@ -282,12 +295,14 @@ impl ClockHandle {
             return;
         }
         self.maybe_park();
-        if self.domain.window_ns == u64::MAX || self.domain.slots.len() == 1 {
+        if !self.domain.throttles() {
             return;
         }
         loop {
-            let min = self.domain.refresh_min();
-            if min == DONE || self.local_vt <= min.saturating_add(self.domain.window_ns) {
+            // Decide on a freshly computed minimum, never on the stale
+            // `limit`. (`DONE` — nobody left to wait for — saturates.)
+            self.limit = self.domain.min_time().saturating_add(self.domain.window_ns);
+            if self.local_vt <= self.limit {
                 break;
             }
             // A freeze can arrive while we are waiting here; without this
@@ -331,7 +346,6 @@ impl ClockHandle {
             .final_vt
             .fetch_max(self.local_vt, Ordering::AcqRel);
         self.slot.vt.store(DONE, Ordering::Release);
-        self.domain.refresh_min();
     }
 
     /// Explicitly publish the local clock (e.g. before blocking on
@@ -370,6 +384,28 @@ mod tests {
             h.advance(50);
         }
         assert_eq!(h.now(), 500_000);
+    }
+
+    /// A lone thread has no peer to throttle against, so a finite window
+    /// must not push it onto the publish path: its slot moves once per
+    /// 64-advance batch, however far past the window it runs.
+    #[test]
+    fn lone_thread_with_a_finite_window_publishes_once_per_batch() {
+        let d = Arc::new(ClockDomain::new(1, 1_000));
+        let mut h = d.handle(0);
+        let mut publishes = 0;
+        let mut last = d.slots[0].vt.load(Ordering::Acquire);
+        for _ in 0..64 * 100 {
+            h.advance(50);
+            let vt = d.slots[0].vt.load(Ordering::Acquire);
+            if vt != last {
+                assert_eq!(vt, h.now(), "a publish stores the current time");
+                publishes += 1;
+                last = vt;
+            }
+        }
+        assert_eq!(h.now(), 64 * 100 * 50, "far past the window");
+        assert_eq!(publishes, 100);
     }
 
     #[test]

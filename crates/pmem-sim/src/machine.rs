@@ -171,7 +171,18 @@ pub struct Machine {
 impl Machine {
     pub fn new(config: MachineConfig) -> Arc<Self> {
         let cache = CacheSim::new(config.model.l3_bytes);
-        let dram_cache = CacheSim::new(config.model.dram_cache_bytes);
+        // Only a domain that serves some Optane pool at DRAM speed (asked
+        // for the most accelerated class) ever consults the DRAM cache;
+        // elsewhere a minimum-size array stands in for the 8 MB of tags
+        // the default 64 MB cache needs.
+        let has_dram_cache = config
+            .domain
+            .serves_at_dram_speed(MediaKind::Optane, PersistenceClass::PdramLite);
+        let dram_cache = CacheSim::new(if has_dram_cache {
+            config.model.dram_cache_bytes
+        } else {
+            0
+        });
         let servers = Servers::new(config.model.optane_write_banks);
         let clocks = Arc::new(ClockDomain::new(1, u64::MAX));
         Arc::new(Machine {
@@ -430,6 +441,29 @@ mod tests {
         let m = Machine::new(MachineConfig::default());
         let a = m.alloc_pool("a", 64, MediaKind::Optane);
         assert!(a.id().0 >= 1, "PAddr::NULL must never address a real pool");
+    }
+
+    /// Only PDRAM and PDRAM-Lite consult the DRAM cache of Optane pages;
+    /// every other domain must not pay for its tag array.
+    #[test]
+    fn dram_cache_is_sized_from_the_domain() {
+        for domain in DurabilityDomain::ALL {
+            let m = Machine::new(MachineConfig {
+                domain,
+                ..MachineConfig::default()
+            });
+            let full = m.model().dram_cache_bytes / crate::LINE_BYTES;
+            let accelerated = matches!(
+                domain,
+                DurabilityDomain::Pdram | DurabilityDomain::PdramLite
+            );
+            let want = if accelerated {
+                full
+            } else {
+                CacheSim::new(0).lines()
+            };
+            assert_eq!(m.dram_cache.lines(), want, "{domain}");
+        }
     }
 
     #[test]

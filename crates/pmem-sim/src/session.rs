@@ -27,7 +27,7 @@ use crate::domain::DurabilityDomain;
 use crate::inject::SiteKind;
 use crate::machine::Machine;
 use crate::pool::{MediaKind, PAddr, PmemPool, PoolId};
-use crate::stats::MachineStats;
+use crate::stats::{bump, StatsShard};
 use crate::WORDS_PER_LINE;
 
 /// A line pending durability: flushed by `clwb`, committed by `sfence`.
@@ -42,11 +42,20 @@ struct PendingFlush {
 }
 
 /// Per-thread access handle. Not `Sync`; create one per virtual thread.
+///
+/// Everything an access touches is either owned by the session (clock,
+/// counters, pool handles, scratch) or read-only (`machine`'s config),
+/// except what the model itself shares between threads: the L3 tag
+/// array, the bandwidth servers and the pools' words.
 pub struct MemSession {
     machine: Arc<Machine>,
     tid: usize,
     clock: ClockHandle,
-    /// Pool-id-indexed cache of pool handles (append-only registry).
+    /// This session's counters (see [`crate::stats`]): it is the only
+    /// writer; the machine folds them into its totals when it drops.
+    stats: Arc<StatsShard>,
+    /// Pool-id-indexed cache of pool handles (append-only registry);
+    /// [`Self::resolve`] lends pools out of it.
     pool_cache: Vec<Option<Arc<PmemPool>>>,
     pending: Vec<PendingFlush>,
     /// WPQ-acceptance time of this thread's latest outstanding flush.
@@ -71,6 +80,10 @@ pub struct MemSession {
     htm_footprint: HashSet<u64>,
     /// Write subset of the footprint: the lines published at `xend`.
     htm_writes: HashSet<u64>,
+    /// [`Self::clwb_batch`] scratch, kept for its capacity: per-bank
+    /// sequence counters and the `(round, bank, line)` schedule.
+    batch_seq: Vec<u32>,
+    batch_order: Vec<(u32, u32, PAddr)>,
 }
 
 impl MemSession {
@@ -79,10 +92,12 @@ impl MemSession {
             let ring = sink.ring();
             (sink, ring)
         });
+        let stats = machine.stats.register();
         MemSession {
             machine,
             tid,
             clock,
+            stats,
             pool_cache: Vec::new(),
             pending: Vec::new(),
             last_flush_accept: 0,
@@ -91,6 +106,8 @@ impl MemSession {
             htm_start_serial: 0,
             htm_footprint: HashSet::new(),
             htm_writes: HashSet::new(),
+            batch_seq: Vec::new(),
+            batch_order: Vec::new(),
         }
     }
 
@@ -275,38 +292,46 @@ impl MemSession {
         self.machine.note_site(kind, self.clock.in_atomic());
     }
 
+    /// Borrow pool `id` out of the session's cache (no refcount traffic),
+    /// fetching its handle from the machine on first use. The borrow
+    /// holds the whole session, so helpers below take a [`PoolId`] and
+    /// resolve it themselves rather than being handed the pool.
     #[inline]
-    fn resolve(&mut self, id: PoolId) -> Arc<PmemPool> {
+    fn resolve(&mut self, id: PoolId) -> &PmemPool {
+        let idx = id.0 as usize;
+        if !matches!(self.pool_cache.get(idx), Some(Some(_))) {
+            self.cache_pool(id);
+        }
+        self.pool_cache[idx].as_deref().expect("cached just above")
+    }
+
+    #[cold]
+    fn cache_pool(&mut self, id: PoolId) {
         let idx = id.0 as usize;
         if idx >= self.pool_cache.len() {
             self.pool_cache.resize(idx + 1, None);
         }
-        if self.pool_cache[idx].is_none() {
-            self.pool_cache[idx] = Some(self.machine.pool(id));
-        }
-        Arc::clone(self.pool_cache[idx].as_ref().unwrap())
+        self.pool_cache[idx] = Some(self.machine.pool(id));
     }
 
-    /// Whether accesses to `pool` pay Optane or DRAM latency under the
-    /// active domain.
+    /// Whether accesses to pool `id` pay Optane or DRAM latency under
+    /// the active domain.
     #[inline]
-    fn effective_optane(&self, pool: &PmemPool) -> bool {
+    fn effective_optane(&mut self, id: PoolId) -> bool {
+        let domain = self.machine.domain();
+        let pool = self.resolve(id);
         pool.media_kind() == MediaKind::Optane
-            && !self
-                .machine
-                .domain()
-                .serves_at_dram_speed(pool.media_kind(), pool.class())
+            && !domain.serves_at_dram_speed(pool.media_kind(), pool.class())
     }
 
-    /// Whether writes to `pool` generate deferred Optane writeback traffic
-    /// (PDRAM / PDRAM-Lite accelerated pools).
+    /// Whether writes to pool `id` generate deferred Optane writeback
+    /// traffic (PDRAM / PDRAM-Lite accelerated pools).
     #[inline]
-    fn pdram_writeback(&self, pool: &PmemPool) -> bool {
+    fn pdram_writeback(&mut self, id: PoolId) -> bool {
+        let domain = self.machine.domain();
+        let pool = self.resolve(id);
         pool.media_kind() == MediaKind::Optane
-            && self
-                .machine
-                .domain()
-                .serves_at_dram_speed(pool.media_kind(), pool.class())
+            && domain.serves_at_dram_speed(pool.media_kind(), pool.class())
     }
 
     /// Charge synchronous back-pressure from an over-bound write-server
@@ -321,10 +346,10 @@ impl MemSession {
         }
         let stall = backlog - bound;
         if optane {
-            MachineStats::bump(&self.machine.stats.wpq_stall_ns, stall);
+            bump(&self.stats.wpq_stall_ns, stall);
             self.trace_event(trace::EventKind::WpqStall, stall, backlog);
         } else {
-            MachineStats::bump(&self.machine.stats.dram_write_stall_ns, stall);
+            bump(&self.stats.dram_write_stall_ns, stall);
         }
         self.clock.advance(stall);
     }
@@ -339,8 +364,7 @@ impl MemSession {
         if self.machine.tracking() && self.machine.domain() == DurabilityDomain::Adr {
             let pool_id = PoolId((victim_key >> 44) as u32);
             let line = victim_key & ((1 << 44) - 1);
-            let pool = self.resolve(pool_id);
-            pool.persist_line_now(line);
+            self.resolve(pool_id).persist_line_now(line);
         }
     }
 
@@ -349,20 +373,19 @@ impl MemSession {
     /// [`Self::persist_victim`]).
     fn writeback_victim(&mut self, victim_key: u64) {
         let pool_id = PoolId((victim_key >> 44) as u32);
-        let pool = self.resolve(pool_id);
         // A PDRAM-accelerated pool's L3 victims land in the DRAM cache.
-        let optane = self.effective_optane(&pool);
+        let optane = self.effective_optane(pool_id);
         let m = self.machine.model();
         let g = self
             .machine
             .servers
             .write_for(optane, victim_key)
             .request(self.now(), m.write_line_ns(optane));
-        MachineStats::bump(&self.machine.stats.evictions, 1);
+        bump(&self.stats.evictions, 1);
         if optane {
-            MachineStats::bump(&self.machine.stats.optane_lines_written, 1);
+            bump(&self.stats.optane_lines_written, 1);
         } else {
-            MachineStats::bump(&self.machine.stats.dram_lines_written, 1);
+            bump(&self.stats.dram_lines_written, 1);
         }
         // Evictions are asynchronous: the thread only stalls when the
         // write server's backlog bound is exceeded.
@@ -370,14 +393,13 @@ impl MemSession {
         self.backpressure(optane, g.backlog, bound);
     }
 
-    fn miss_fill(&mut self, pool: &PmemPool, key: u64, dirty_victim: Option<u64>, rfo: bool) {
+    fn miss_fill(&mut self, pool: PoolId, key: u64, dirty_victim: Option<u64>, rfo: bool) {
         // Durability of the displaced line first — before any advance
         // (park point). See `persist_victim`.
         if let Some(v) = dirty_victim {
             self.site(SiteKind::Eviction);
             self.persist_victim(v);
         }
-        let m = self.machine.model().clone();
         // For PDRAM-accelerated pools the L3 miss goes through the DRAM
         // cache of Optane pages: a hit there is a DRAM access, a miss pays
         // Optane latency while the page is pulled in (Fig. 8's
@@ -390,6 +412,7 @@ impl MemSession {
         } else {
             self.effective_optane(pool)
         };
+        let m = self.machine.model();
         // Bandwidth queueing on the read path...
         let g = self
             .machine
@@ -403,7 +426,7 @@ impl MemSession {
             lat += m.store_rfo_extra_ns;
         }
         self.clock.advance(lat);
-        MachineStats::bump(&self.machine.stats.l3_misses, 1);
+        bump(&self.stats.l3_misses, 1);
         if let Some(v) = dirty_victim {
             self.writeback_victim(v);
         }
@@ -411,66 +434,63 @@ impl MemSession {
 
     /// Timed 64-bit load.
     pub fn load(&mut self, addr: PAddr) -> u64 {
-        let pool = self.resolve(addr.pool());
         let key = line_key(addr.pool().0, addr.line());
-        MachineStats::bump(&self.machine.stats.loads, 1);
+        bump(&self.stats.loads, 1);
         match self.machine.cache.access(key, false) {
             Access::Hit => {
                 self.clock.advance(self.machine.model().l3_hit_ns);
-                MachineStats::bump(&self.machine.stats.l3_hits, 1);
+                bump(&self.stats.l3_hits, 1);
             }
             Access::Miss { dirty_victim } => {
-                self.miss_fill(&pool, key, dirty_victim, false);
+                self.miss_fill(addr.pool(), key, dirty_victim, false);
             }
         }
-        pool.raw_load(addr.word())
+        self.resolve(addr.pool()).raw_load(addr.word())
     }
 
     /// Timed 64-bit store (becomes durable according to the domain rules).
     pub fn store(&mut self, addr: PAddr, value: u64) {
         self.site(SiteKind::Store);
-        let pool = self.resolve(addr.pool());
         let key = line_key(addr.pool().0, addr.line());
-        MachineStats::bump(&self.machine.stats.stores, 1);
+        bump(&self.stats.stores, 1);
         match self.machine.cache.access(key, true) {
             Access::Hit => {
                 self.clock.advance(self.machine.model().store_hit_ns);
-                MachineStats::bump(&self.machine.stats.l3_hits, 1);
+                bump(&self.stats.l3_hits, 1);
             }
             Access::Miss { dirty_victim } => {
-                self.miss_fill(&pool, key, dirty_victim, true);
+                self.miss_fill(addr.pool(), key, dirty_victim, true);
                 // Creating a new dirty line under PDRAM schedules deferred
                 // Optane writeback traffic.
-                if self.pdram_writeback(&pool) {
+                if self.pdram_writeback(addr.pool()) {
                     let m = self.machine.model();
                     let g = self
                         .machine
                         .servers
                         .write_for(true, key)
                         .request(self.now(), m.optane_write_line_ns);
-                    MachineStats::bump(&self.machine.stats.optane_lines_written, 1);
+                    bump(&self.stats.optane_lines_written, 1);
                     let bound = m.pdram_backlog_ns();
                     self.backpressure(true, g.backlog, bound);
                 }
             }
         }
-        pool.raw_store(addr.word(), value);
+        self.resolve(addr.pool()).raw_store(addr.word(), value);
     }
 
     /// Timed compare-and-swap (used by allocator free lists and tests).
     pub fn cas(&mut self, addr: PAddr, expect: u64, new: u64) -> Result<u64, u64> {
         self.site(SiteKind::Store);
-        let pool = self.resolve(addr.pool());
         let key = line_key(addr.pool().0, addr.line());
-        MachineStats::bump(&self.machine.stats.stores, 1);
+        bump(&self.stats.stores, 1);
         match self.machine.cache.access(key, true) {
             Access::Hit => {
                 self.clock.advance(self.machine.model().store_hit_ns);
-                MachineStats::bump(&self.machine.stats.l3_hits, 1);
+                bump(&self.stats.l3_hits, 1);
             }
-            Access::Miss { dirty_victim } => self.miss_fill(&pool, key, dirty_victim, true),
+            Access::Miss { dirty_victim } => self.miss_fill(addr.pool(), key, dirty_victim, true),
         }
-        pool.raw_cas(addr.word(), expect, new)
+        self.resolve(addr.pool()).raw_cas(addr.word(), expect, new)
     }
 
     /// Timed `clwb` of the line containing `addr`.
@@ -486,11 +506,9 @@ impl MemSession {
             "clwb inside a hardware section would abort it"
         );
         self.site(SiteKind::Clwb);
-        let pool = self.resolve(addr.pool());
         let key = line_key(addr.pool().0, addr.line());
-        let optane = self.effective_optane(&pool);
-        let m = self.machine.model().clone();
-        MachineStats::bump(&self.machine.stats.clwbs, 1);
+        let optane = self.effective_optane(addr.pool());
+        bump(&self.stats.clwbs, 1);
         let was_dirty = self.machine.cache.clwb(key);
         self.trace_event(trace::EventKind::Clwb, key, was_dirty as u64);
         // Record the durability obligation regardless of the line's dirty
@@ -499,42 +517,43 @@ impl MemSession {
         // `clwb` whose fence has not executed; this thread's
         // `clwb`+`sfence` must still guarantee the data (flush+fence by
         // any thread after the last store is the architectural contract).
-        if self.machine.tracking() && pool.media_kind() == MediaKind::Optane {
-            let (snapshot, epoch) = pool.snapshot_line(addr.line());
-            self.pending.push(PendingFlush {
-                pool: addr.pool(),
-                line: addr.line(),
-                snapshot: Some(snapshot),
-                epoch,
-            });
+        if self.machine.tracking() {
+            let pool = self.resolve(addr.pool());
+            if pool.media_kind() == MediaKind::Optane {
+                let (snapshot, epoch) = pool.snapshot_line(addr.line());
+                self.pending.push(PendingFlush {
+                    pool: addr.pool(),
+                    line: addr.line(),
+                    snapshot: Some(snapshot),
+                    epoch,
+                });
+            }
         }
         if !was_dirty {
-            self.clock.advance(m.clwb_clean_ns);
+            self.clock.advance(self.machine.model().clwb_clean_ns);
             return;
         }
-        self.clock.advance(m.clwb_ns(optane));
-        MachineStats::bump(&self.machine.stats.clwb_writebacks, 1);
+        self.clock.advance(self.machine.model().clwb_ns(optane));
+        bump(&self.stats.clwb_writebacks, 1);
         if optane {
-            MachineStats::bump(&self.machine.stats.optane_lines_written, 1);
+            bump(&self.stats.optane_lines_written, 1);
         } else {
-            MachineStats::bump(&self.machine.stats.dram_lines_written, 1);
+            bump(&self.stats.dram_lines_written, 1);
         }
+        let write_ns = self.machine.model().write_line_ns(optane);
         let g = self
             .machine
             .servers
             .write_for(optane, key)
-            .request(self.now(), m.write_line_ns(optane));
+            .request(self.now(), write_ns);
         // The flush is durable once the WPQ accepts it — when its bank
         // starts serving it — not when the media write completes.
         self.site(SiteKind::WpqAccept);
-        let accept = g
-            .finish
-            .saturating_sub(m.write_line_ns(optane))
-            .max(self.now());
+        let accept = g.finish.saturating_sub(write_ns).max(self.now());
         self.last_flush_accept = self.last_flush_accept.max(accept);
         self.trace_event(trace::EventKind::WpqAccept, g.backlog, accept);
         // WPQ bound: a full queue back-pressures the flusher synchronously.
-        let bound = m.wpq_backlog_ns();
+        let bound = self.machine.model().wpq_backlog_ns();
         self.backpressure(optane, g.backlog, bound);
     }
 
@@ -556,29 +575,29 @@ impl MemSession {
             lines.clear();
             return;
         }
-        MachineStats::bump(&self.machine.stats.clwb_batches, 1);
+        bump(&self.stats.clwb_batches, 1);
         self.trace_event(trace::EventKind::ClwbBatch, lines.len() as u64, 0);
         if lines.len() > 1 {
-            let banks = self.machine.servers.optane_write.len();
-            let mut seq = vec![0u32; banks];
-            let mut keyed: Vec<(u32, u32, PAddr)> = lines
-                .drain(..)
-                .map(|a| {
-                    let bank = self
-                        .machine
-                        .servers
-                        .optane_bank_of(line_key(a.pool().0, a.line()));
-                    let s = seq[bank];
-                    seq[bank] += 1;
-                    (s, bank as u32, a)
-                })
-                .collect();
+            let servers = &self.machine.servers;
+            let seq = &mut self.batch_seq;
+            seq.clear();
+            seq.resize(servers.optane_write.len(), 0);
+            // Taken out of the session while `clwb` borrows it; put back
+            // below for its capacity.
+            let mut order = std::mem::take(&mut self.batch_order);
+            order.extend(lines.drain(..).map(|a| {
+                let bank = servers.optane_bank_of(line_key(a.pool().0, a.line()));
+                let s = seq[bank];
+                seq[bank] += 1;
+                (s, bank as u32, a)
+            }));
             // Unique (round, bank) pairs: round-robin one line per bank
             // per round, deterministic for a given input order.
-            keyed.sort_unstable_by_key(|&(s, b, _)| (s, b));
-            for (_, _, a) in keyed {
+            order.sort_unstable_by_key(|&(s, b, _)| (s, b));
+            for (_, _, a) in order.drain(..) {
                 self.clwb(a);
             }
+            self.batch_order = order;
         } else {
             let a = lines.pop().unwrap();
             self.clwb(a);
@@ -596,14 +615,14 @@ impl MemSession {
             "sfence inside a hardware section would abort it"
         );
         self.site(SiteKind::Sfence);
-        MachineStats::bump(&self.machine.stats.sfences, 1);
+        bump(&self.stats.sfences, 1);
         let now = self.now();
         let wait = self.last_flush_accept.saturating_sub(now);
         // Recorded before the wait is charged, so the event spans the
         // fence-wait interval [ts, ts+wait].
         self.trace_event(trace::EventKind::Sfence, wait, 0);
         if wait > 0 {
-            MachineStats::bump(&self.machine.stats.fence_wait_ns, wait);
+            bump(&self.stats.fence_wait_ns, wait);
             self.clock.advance(wait);
         }
         self.clock.advance(self.machine.model().sfence_ns);
@@ -616,10 +635,9 @@ impl MemSession {
     fn commit_pending(&mut self) {
         if self.machine.tracking() && self.machine.domain() == DurabilityDomain::Adr {
             for pf in self.pending.drain(..) {
-                let pool = {
-                    let idx = pf.pool.0 as usize;
-                    Arc::clone(self.pool_cache[idx].as_ref().expect("pool cached at clwb"))
-                };
+                let pool = self.pool_cache[pf.pool.0 as usize]
+                    .as_deref()
+                    .expect("pool cached at clwb");
                 match &pf.snapshot {
                     Some(snap) => pool.persist_line_snapshot(pf.line, snap, pf.epoch),
                     None => pool.persist_line_now(pf.line),
@@ -684,6 +702,7 @@ impl MemSession {
 
 impl Drop for MemSession {
     fn drop(&mut self) {
+        self.machine.stats.retire(&self.stats);
         if let Some((sink, ring)) = self.ring.take() {
             sink.submit(self.tid as u32, &ring);
         }

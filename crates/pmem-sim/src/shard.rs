@@ -155,8 +155,15 @@ mod tests {
         s0.store(p0.addr(0), 1);
         s1.store(p1.addr(0), 2);
         s1.store(p1.addr(8), 3);
+        // One session retired, one still live: both count.
+        drop(s0);
         let agg = set.aggregate_stats();
         assert_eq!(agg.stores, 3);
+        let mut sum = StatsSnapshot::default();
+        for m in set.machines() {
+            sum.merge(&m.stats.snapshot());
+        }
+        assert_eq!(agg, sum);
         set.reset_stats();
         assert_eq!(set.aggregate_stats().stores, 0);
     }

@@ -112,8 +112,13 @@ fn redo_beats_undo_on_tpcc_under_adr() {
 #[test]
 fn tatp_is_the_undo_outlier() {
     // §III-B: TATP's tiny write sets make undo competitive (the paper's
-    // only outlier). Competitive = within 25% or better.
-    let c = rc(2, 500);
+    // only outlier). Competitive = within 25% or better. The claim is
+    // about write-set size, not contention, so it is checked at one
+    // thread, where both sides are bit-exact (redo 1.184826, undo
+    // 1.074010 Mops/s: ratio 0.906). At two threads the redo side is a
+    // 500-op race that lands anywhere in 1.46-2.01 Mops/s and the ratio
+    // crossed 0.75 in a few runs per hundred.
+    let c = rc(1, 500);
     let mut w1 = Tatp::new(600);
     let r = mops(
         &mut w1,
