@@ -90,7 +90,7 @@ echo "=== session hot-path seam check ==="
 # Everything a MemSession touches per access is owned by the session or
 # read-only (DESIGN.md §5 decision 16). A `fetch_add` or a clone from
 # `fn resolve` through `commit_pending` in session.rs (the access
-# helpers, load/store/cas, the flush and fence paths) means a locked
+# helpers, load/store, the flush and fence paths) means a locked
 # read-modify-write (a shared counter, an `Arc` refcount) or a per-call
 # copy is back on the access path; `min_cache` anywhere means the
 # clock's shared minimum, read on every advance, is.
@@ -165,8 +165,8 @@ if [ "$(printf '%s' "$REBOOTS" | grep -c .)" -ne 1 ]; then
 fi
 
 echo "=== golden crash sweeps ==="
-# The three sweeps smoke-run below (CSV and --json) and nine replays at
-# 1 and 4 recovery workers, byte for byte against
+# The three sweeps smoke-run below (CSV and --json) and nine replays,
+# byte for byte against
 # crates/bench/tests/golden/crash_sites_* — site counts, violation
 # counts and recovered-state digests — plus `obs_report --quick --json`
 # under ADR and eADR against obs_report_quick_*.jsonl. By name and
@@ -203,30 +203,40 @@ echo "=== cross-shard 2PC crash sweep smoke (transfer workload) ==="
 # One 2-shard engine, one global site numbering across both shard
 # machines: {redo, undo, cow} x 4 domains x adversary policies, a few
 # strided sites each, asserting cross-shard transfers stay all-or-nothing
-# and in-doubt resolution is idempotent and worker-count independent.
+# and in-doubt resolution is idempotent.
 cargo run -q --release -p bench --bin crash_sites -- --workload transfer --shards 2 --max-sites 4 > /dev/null
 
-echo "=== 2PC recovery digest equality (1 vs 4 recovery workers) ==="
-# Replay one mid-run cross-shard crash site twice, rebooting with 1 and
-# 4 recovery workers; the printed recovered-state digests must match
-# bit for bit (parallel recovery is a pure scheduling change).
-XS_ARGS="--workload transfer --shards 2 --site 150 --algo redo --domain adr --policy all-old"
-DIGEST_1=$(cargo run -q --release -p bench --bin crash_sites -- $XS_ARGS --workers 1 | grep 'state digest')
-DIGEST_4=$(cargo run -q --release -p bench --bin crash_sites -- $XS_ARGS --workers 4 | grep 'state digest')
-if [ -z "$DIGEST_1" ] || [ "$DIGEST_1" != "$DIGEST_4" ]; then
-  echo "ERROR: recovery digest differs across worker counts: [$DIGEST_1] vs [$DIGEST_4]" >&2
+echo "=== restart seam check ==="
+# Restart is one serial pipeline: log repair in pool order, then one
+# header hop, one mark worklist and an address-order sweep behind
+# PHeap::attach_online's single background thread (DESIGN.md §5 decision
+# 12). A thread or a condition variable in non-test recovery.rs / gc.rs
+# (everything above a file's first `#[cfg(test)]`), a read of the inert
+# `RecoverOptions::workers` field, or one of the deleted parallel path's
+# names means a worker-parallel restart grew back beside it.
+THREADS=$(for f in crates/ptm/src/recovery.rs crates/palloc/src/gc.rs; do
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+      /thread::scope|thread::spawn|Condvar/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$THREADS" ]; then
+  echo "ERROR: thread or condvar in restart's log repair / GC scan+mark:" >&2
+  echo "$THREADS" >&2
+  exit 1
+fi
+if grep -rnE '[A-Za-z0-9_)]\.workers\b' crates src tests examples --include='*.rs'; then
+  echo "ERROR: RecoverOptions::workers is inert and must be read nowhere (see above)" >&2
+  exit 1
+fi
+if grep -rnE 'attach_with|recovery_worker_tid|gc_workers|recovery_workers' crates src tests examples; then
+  echo "ERROR: a name of the deleted worker-parallel restart grew back (see above)" >&2
   exit 1
 fi
 
-echo "=== recovery_bench smoke + restart SLO guards ==="
-# Restart-latency sweep (pool size x dirtiness x recovery workers) on
-# crafted committed-but-unretired log images. The binary's built-in
-# guards exit nonzero if (a) parallel recovery is slower than 0.9x
-# serial where the host has real cores (on a 1-core host this ratio
-# degenerates and the absolute overhead bound takes over), (b) 4-worker
-# recovery overhead blows up past thread bookkeeping, or (c) the first
-# read through the online-GC epoch fence degenerates to waiting for the
-# full sweep.
+echo "=== recovery_bench smoke + online-restart guard ==="
+# Restart-latency sweep (pool size x dirtiness) on crafted
+# committed-but-unretired log images. The binary's built-in guard exits
+# nonzero if the first read through the online-GC epoch fence
+# degenerates to waiting for the full sweep.
 cargo run -q --release -p bench --bin recovery_bench -- --quick > /dev/null
 
 echo "=== trace smoke ==="

@@ -17,10 +17,10 @@
 //! If the simulated machine has HTM disabled the comparison is
 //! meaningless; the binary prints a skip note and exits 0.
 
-use bench::{emit_point, run_boxed, HarnessOpts};
+use bench::{emit_point, HarnessOpts};
 use pmem_sim::{DurabilityDomain, MachineConfig, MediaKind};
 use ptm::Algo;
-use workloads::driver::Scenario;
+use workloads::driver::{run_scenario, Scenario};
 use workloads::KvStore;
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
                     DurabilityDomain::Adr,
                     algo,
                 );
-                run_boxed(&mut w, &sc, &opts.run_config(threads))
+                run_scenario(&mut w, &sc, &opts.run_config(threads))
             };
             let redo = run(Algo::RedoLazy);
             let htm = run(Algo::HtmLogged);

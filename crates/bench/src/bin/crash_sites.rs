@@ -23,10 +23,6 @@
 //!   base seed, so `--shards 1` is bit-identical to the unsharded
 //!   sweep); for `transfer`: the shard count of the one sharded engine
 //!   the sweep runs 2PC over;
-//! * `--workers N` — recovery (and GC) worker threads used when
-//!   rebooting from each crash image (replay mode prints the recovered
-//!   state digest, so two replays at different worker counts make a
-//!   digest-equality check);
 //! * `--json` — one JSON object per case (JSON Lines) instead of CSV;
 //! * `--skip-undo-rollback`, `--skip-redo-replay` — deliberately break
 //!   recovery to demonstrate the sweep catches it (must exit nonzero);
@@ -101,11 +97,6 @@ fn parse_opts() -> Opts {
                     .expect("bad shard count");
                 assert!(opts.shards >= 1, "--shards needs at least 1");
             }
-            "--workers" => {
-                opts.recover.workers = next(&mut args, "--workers")
-                    .parse()
-                    .expect("bad worker count");
-            }
             "--skip-undo-rollback" => opts.recover.skip_undo_rollback = true,
             "--skip-redo-replay" => opts.recover.skip_redo_replay = true,
             "--site" => site = Some(next(&mut args, "--site").parse().expect("bad site")),
@@ -125,7 +116,7 @@ fn parse_opts() -> Opts {
             }
             other => panic!(
                 "unknown flag `{other}` (known: --quick --json --max-sites --seed \
-                 --workload --shards --workers --skip-undo-rollback --skip-redo-replay \
+                 --workload --shards --skip-undo-rollback --skip-redo-replay \
                  --site --algo --domain --policy)"
             ),
         }
@@ -204,7 +195,7 @@ fn main() {
         let total = count_sites(workload.as_ref(), &case);
         let r = run_site(workload.as_ref(), &case, site, opts.recover);
         println!(
-            "replay workload={} shards={} site={}/{} algo={} domain={} policy={} seed={} workers={}",
+            "replay workload={} shards={} site={}/{} algo={} domain={} policy={} seed={}",
             workload.name(),
             workload.machines(),
             site,
@@ -213,7 +204,6 @@ fn main() {
             case.domain.name(),
             case.policy,
             case.seed,
-            opts.recover.workers.max(1),
         );
         match r.fired {
             Some((at, kind)) => println!("crash fired at site {at} ({})", kind.label()),

@@ -4,10 +4,10 @@
 //! preserve the paper's four regimes: fits-in-L3, fits-in-DRAM,
 //! exceeds-DRAM, index-uncacheable.
 
-use bench::{emit_point, run_boxed, HarnessOpts};
+use bench::{emit_point, HarnessOpts};
 use pmem_sim::{DurabilityDomain, MediaKind};
 use ptm::Algo;
-use workloads::driver::{RunConfig, Scenario};
+use workloads::driver::{run_scenario, RunConfig, Scenario};
 use workloads::KvStore;
 
 fn main() {
@@ -85,7 +85,7 @@ fn main() {
                 continue;
             }
             let mut w = KvStore::new(ws_kb);
-            let r = run_boxed(&mut w, sc, &rc);
+            let r = run_scenario(&mut w, sc, &rc);
             if opts.json {
                 emit_point(&opts, &format!("kvstore-{ws_kb}kb"), &r);
                 continue;

@@ -1,31 +1,19 @@
-//! recovery_bench — restart latency vs pool size × dirtiness × workers.
+//! recovery_bench — restart latency vs pool size × dirtiness.
 //!
-//! The restart-time observability bench for the parallel recovery + online
+//! The restart-time observability bench for the log repair + online
 //! restart-GC pipeline. For each `(pool_words, dirty_entries)` cell one
 //! crash image is crafted — a `PtmDb`-compatible heap populated with a
 //! root-reachable chain plus deliberately leaked blocks, and [`LOGS`]
-//! committed-but-unretired redo logs carrying the dirty entries — and that
-//! *same* image is rebooted once per worker count, so the worker sweep
-//! measures the recovery pipeline and nothing else. Times are host
-//! wall-clock (restart runs before any virtual clock exists); each point
-//! is best-of-[`REPS`].
+//! committed-but-unretired redo logs carrying the dirty entries — and
+//! restarted through `PtmDb::reopen`. Times are host wall-clock (restart
+//! runs before any virtual clock exists); each point is best-of-[`REPS`].
 //!
 //! Output: CSV to stdout, or one JSON object per point with `--json`
 //! (see [`bench::report::restart_point_json`] for the schema).
 //!
-//! `--quick` shrinks the grid and enforces the restart-SLO guards:
-//!
-//! 1. at the largest quick cell, recovery with `min(4, cores)` workers
-//!    must not be slower than 0.9x the serial pass (exit 1 if it is in
-//!    the sweep's pair and in each of three re-measured pairs).
-//!    On a single-core host the ratio degenerates to serial-vs-serial —
-//!    workers timesharing one CPU cannot beat serial by construction —
-//!    so the regression coverage there comes from guard 2;
-//! 2. 4-worker recovery (even on one core) must stay within thread
-//!    bookkeeping of serial: `<= 3x serial + 2 ms` catches pathological
-//!    serialization — lock convoys, quadratic merges — on any host;
-//! 3. a read must be servable behind the online-GC epoch fence, no
-//!    later than a bounded factor of the full restart.
+//! `--quick` shrinks the grid and enforces the online-restart guard: at
+//! the largest quick cell a read must be servable behind the online-GC
+//! epoch fence, no later than a bounded factor of the full restart.
 
 use std::time::Instant;
 
@@ -34,10 +22,9 @@ use palloc::PHeap;
 use pmem_sim::{CrashImage, DurabilityDomain, Machine, MachineConfig, PAddr};
 use ptm::db::{PtmDb, ReopenReports, DB_HEAP_NAME};
 use ptm::log::{committed_marker, TxLog, W_COUNT, W_STATE};
-use ptm::{recover_with_options, PtmConfig, RecoverOptions};
+use ptm::{recover, PtmConfig};
 
-/// Per-thread logs in every crafted image (the parallelism ceiling:
-/// recovery clamps its worker count to the number of discovered logs).
+/// Per-thread logs in every crafted image.
 const LOGS: usize = 8;
 /// Repetitions per point; the fastest is reported (restart is a latency
 /// measurement — the minimum is the least noisy estimator).
@@ -120,19 +107,11 @@ fn build_image(pool_words: usize, entries_per_log: usize) -> CrashImage {
     m.crash(42)
 }
 
-/// Reboot + recover + online-GC the image with `workers`, best-of-REPS.
-fn measure(image: &CrashImage, workers: usize) -> ReopenReports {
+/// Reboot + recover + online-GC the image, best-of-REPS.
+fn measure(image: &CrashImage) -> ReopenReports {
     let mut best: Option<ReopenReports> = None;
     for _ in 0..REPS {
-        let (_db, rep) = PtmDb::reopen_with(
-            image,
-            cfg(),
-            PtmConfig::redo(),
-            RecoverOptions {
-                workers,
-                ..RecoverOptions::default()
-            },
-        );
+        let (_db, rep) = PtmDb::reopen(image, cfg(), PtmConfig::redo());
         if best
             .as_ref()
             .is_none_or(|b| rep.full_restart_ns < b.full_restart_ns)
@@ -143,26 +122,20 @@ fn measure(image: &CrashImage, workers: usize) -> ReopenReports {
     best.unwrap()
 }
 
-/// Quick-mode guard 2: reboot once more and serve a read through the
+/// The quick-mode guard: reboot once more and serve a read through the
 /// online-GC epoch fence *before* joining the sweep. Returns the
 /// host-side time to that first read and whether the sweep was still
 /// running when the read completed.
 fn first_read_through_fence(image: &CrashImage) -> (u64, bool) {
     let t0 = Instant::now();
     let m = Machine::reboot(image, cfg());
-    recover_with_options(
-        &m,
-        RecoverOptions {
-            workers: 4,
-            ..RecoverOptions::default()
-        },
-    );
+    recover(&m);
     let pool = m
         .pools()
         .into_iter()
         .find(|p| p.name() == DB_HEAP_NAME)
         .expect("crafted image lost its heap pool");
-    let (heap, online) = PHeap::attach_online(pool, 4).expect("heap attach");
+    let (heap, online) = PHeap::attach_online(pool).expect("heap attach");
     let head = heap.root_raw(0);
     let v = heap.pool().raw_load(head.word());
     assert_eq!(
@@ -186,10 +159,8 @@ fn main() {
         }
     }
     // Dirtiness entries are per log and clamped per pool (the scratch
-    // blocks must fit alongside the population); the heavy cells matter:
-    // with ~8 ns/entry of serial replay, the guard cell needs tens of
-    // thousands of entries for the parallel pass to amortize its thread
-    // spawns. 8192 is the default log capacity — the worst legal case.
+    // blocks must fit alongside the population). 8192 is the default log
+    // capacity — the worst legal case.
     let pools: &[usize] = if quick {
         &[1 << 14, 1 << 18]
     } else {
@@ -200,119 +171,48 @@ fn main() {
     } else {
         &[64, 1024, 8192]
     };
-    let workers: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
 
     if !json {
         println!(
-            "pool_words,dirty_entries,workers,recovery_ns,gc_scan_ns,gc_mark_ns,gc_sweep_ns,\
+            "pool_words,dirty_entries,recovery_ns,gc_scan_ns,gc_mark_ns,gc_sweep_ns,\
              time_to_first_txn_ns,full_restart_ns"
         );
     }
 
-    // The guard cell: largest pool x heaviest dirtiness in the sweep.
-    let (mut guard_serial, mut guard_par) = (0u64, 0u64);
-    let guard_pool = *pools.last().unwrap();
-    let guard_dirt = *dirt.last().unwrap();
-    let mut guard_image = None;
-
+    // The guard cell is the last one swept: largest pool x heaviest
+    // dirtiness.
+    let mut last = None;
     for &p in pools {
         for &d in dirt {
             // Clamp per-log entries so the scratch blocks fit in half
             // the pool (the other half holds the population + slack).
             let d_eff = d.min(p / (2 * LOGS));
             let image = build_image(p, d_eff);
-            for &w in workers {
-                let rep = measure(&image, w);
-                let dirty = (d_eff * LOGS) as u64;
-                if json {
-                    let scenario = format!("redo/adr/p{p}/d{dirty}");
-                    println!(
-                        "{}",
-                        restart_point_json(&scenario, p as u64, dirty, w as u64, &rep)
-                    );
-                } else {
-                    println!(
-                        "{p},{dirty},{w},{},{},{},{},{},{}",
-                        rep.recovery.recovery_ns,
-                        rep.gc.gc_scan_ns,
-                        rep.gc.gc_mark_ns,
-                        rep.gc.gc_sweep_ns,
-                        rep.time_to_first_txn_ns,
-                        rep.full_restart_ns
-                    );
-                }
-                if p == guard_pool && d == guard_dirt {
-                    match w {
-                        1 => guard_serial = rep.recovery.recovery_ns.max(1),
-                        4 => guard_par = rep.recovery.recovery_ns.max(1),
-                        _ => {}
-                    }
-                }
+            let rep = measure(&image);
+            let dirty = (d_eff * LOGS) as u64;
+            if json {
+                let scenario = format!("redo/adr/p{p}/d{dirty}");
+                println!("{}", restart_point_json(&scenario, p as u64, dirty, &rep));
+            } else {
+                println!(
+                    "{p},{dirty},{},{},{},{},{},{}",
+                    rep.recovery.recovery_ns,
+                    rep.gc.gc_scan_ns,
+                    rep.gc.gc_mark_ns,
+                    rep.gc.gc_sweep_ns,
+                    rep.time_to_first_txn_ns,
+                    rep.full_restart_ns
+                );
             }
-            if p == guard_pool && d == guard_dirt {
-                guard_image = Some(image);
-            }
+            last = Some((image, rep.full_restart_ns));
         }
     }
 
     if quick {
-        let image = guard_image.expect("guard cell was swept");
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let gw = cores.min(4);
-
-        // Guard 1: the SLO. Where the host can actually run workers in
-        // parallel, recovery with min(4, cores) workers must not be
-        // slower than 0.9x serial at the largest quick cell (both
-        // best-of-REPS on the same image).
-        let guard_g = match gw {
-            1 => guard_serial,
-            4 => guard_par,
-            _ => measure(&image, gw).recovery.recovery_ns.max(1),
-        };
-        // Host wall clock on a small machine flips this comparison on
-        // scheduling noise alone, so a violating pair is re-measured up
-        // to three times, alternating which side runs first; only a
-        // violation in every pair fails.
-        let recover_ns = |w| measure(&image, w).recovery.recovery_ns.max(1);
-        let mut pair = (guard_serial, guard_g);
-        for retry in 0.. {
-            let (serial, par) = pair;
-            eprintln!(
-                "# restart SLO: serial {serial} ns, {gw}-worker {par} ns \
-                 (speedup {:.2}x, floor 0.90x, {cores} cores)",
-                serial as f64 / par as f64
-            );
-            if par * 9 <= serial * 10 {
-                break;
-            }
-            if retry == 3 {
-                eprintln!("# restart SLO VIOLATED: {gw}-worker recovery slower than 0.9x serial");
-                std::process::exit(1);
-            }
-            pair = if retry % 2 == 0 {
-                let par = recover_ns(gw);
-                (recover_ns(1), par)
-            } else {
-                (recover_ns(1), recover_ns(gw))
-            };
-        }
-
-        // Guard 2: absolute overhead bound, meaningful even on one
-        // core where guard 1 degenerates: 4 workers may cost thread
-        // bookkeeping over serial, never a blow-up.
-        eprintln!(
-            "# restart overhead: 4-worker {guard_par} ns vs bound {} ns",
-            guard_serial * 3 + 2_000_000
-        );
-        if guard_par > guard_serial * 3 + 2_000_000 {
-            eprintln!("# restart SLO VIOLATED: 4-worker recovery overhead blow-up");
-            std::process::exit(1);
-        }
-
-        // Guard 3: online restart — a read is served behind the epoch
-        // fence, and never later than the full restart completes.
+        // Online restart: a read is served behind the epoch fence, and
+        // never later than a bounded factor of the full restart.
+        let (image, full) = last.expect("guard cell was swept");
         let (first_read_ns, sweep_running) = first_read_through_fence(&image);
-        let full = measure(&image, 4).full_restart_ns;
         eprintln!(
             "# first read through epoch fence after {first_read_ns} ns \
              (sweep still running: {sweep_running}; full restart {full} ns)"

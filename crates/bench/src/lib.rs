@@ -137,36 +137,14 @@ pub fn make_workload(name: &str, total_ops: u64, quick: bool) -> Box<dyn Workloa
 pub fn run_point(name: &str, sc: &Scenario, opts: &HarnessOpts, threads: usize) -> RunResult {
     let mut w = make_workload(name, opts.total_ops(threads), opts.quick);
     let rc = opts.run_config(threads);
-    run_boxed(w.as_mut(), sc, &rc)
+    run_scenario(w.as_mut(), sc, &rc)
 }
 
 /// Like [`run_point`] but with a custom [`RunConfig`] (ablations).
 pub fn run_point_with(name: &str, sc: &Scenario, rc: &RunConfig, quick: bool) -> RunResult {
     let total = rc.threads as u64 * rc.ops_per_thread;
     let mut w = make_workload(name, total, quick);
-    run_boxed(w.as_mut(), sc, rc)
-}
-
-/// `run_scenario` over a `dyn Workload` (a tiny adapter: the driver is
-/// generic, the harness is dynamic).
-pub fn run_boxed(w: &mut dyn Workload, sc: &Scenario, rc: &RunConfig) -> RunResult {
-    struct Dyn<'a>(&'a mut dyn Workload);
-    impl Workload for Dyn<'_> {
-        fn name(&self) -> String {
-            self.0.name()
-        }
-        fn heap_words(&self) -> usize {
-            self.0.heap_words()
-        }
-        fn setup(&mut self, th: &mut ptm::TxThread) {
-            self.0.setup(th)
-        }
-        fn op(&self, th: &mut ptm::TxThread, rng: &mut rand::rngs::SmallRng, tid: usize, i: u64) {
-            self.0.op(th, rng, tid, i)
-        }
-    }
-    let mut d = Dyn(w);
-    run_scenario(&mut d, sc, rc)
+    run_scenario(w.as_mut(), sc, rc)
 }
 
 /// CSV header shared by the figure binaries.

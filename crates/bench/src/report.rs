@@ -168,30 +168,27 @@ pub fn sharded_point_json(workload: &str, r: &workloads::ShardedRunResult) -> St
 ///
 /// Emitted by `recovery_bench`: restart latency decomposed into log
 /// repair and GC phases for a pool of `pool_words` words carrying
-/// `dirty_entries` committed-but-unretired log entries, recovered with
-/// `workers` threads. Times are wall-clock ns (restart is a host-side
-/// operation — there is no virtual clock yet when it runs).
+/// `dirty_entries` committed-but-unretired log entries. Times are
+/// wall-clock ns (restart is a host-side operation — there is no
+/// virtual clock yet when it runs).
 ///
 /// Schema:
-/// `{workload, scenario, pool_words, dirty_entries, workers,
+/// `{workload, scenario, pool_words, dirty_entries,
 ///   recovery: {logs_scanned, redo_replayed, redo_entries,
 ///              undo_rolled_back, torn_entries, malformed_logs,
-///              recovery_ns, recovery_workers},
+///              recovery_ns},
 ///   gc: {blocks_scanned, live_blocks, reclaimed_blocks, leaked_blocks,
-///        corrupt_headers, gc_scan_ns, gc_mark_ns, gc_sweep_ns,
-///        gc_workers},
+///        corrupt_headers, gc_scan_ns, gc_mark_ns, gc_sweep_ns},
 ///   time_to_first_txn_ns, full_restart_ns}`
 pub fn restart_point_json(
     scenario: &str,
     pool_words: u64,
     dirty_entries: u64,
-    workers: u64,
     r: &ptm::db::ReopenReports,
 ) -> String {
     let mut w = begin_line(512, "restart", scenario);
     w.key("pool_words").u64(pool_words);
     w.key("dirty_entries").u64(dirty_entries);
-    w.key("workers").u64(workers);
 
     w.key("recovery").begin_object();
     w.key("logs_scanned").u64(r.recovery.logs_scanned as u64);
@@ -203,8 +200,6 @@ pub fn restart_point_json(
     w.key("malformed_logs")
         .u64(r.recovery.malformed.len() as u64);
     w.key("recovery_ns").u64(r.recovery.recovery_ns);
-    w.key("recovery_workers")
-        .u64(r.recovery.recovery_workers as u64);
     w.end_object();
 
     w.key("gc").begin_object();
@@ -216,7 +211,6 @@ pub fn restart_point_json(
     w.key("gc_scan_ns").u64(r.gc.gc_scan_ns);
     w.key("gc_mark_ns").u64(r.gc.gc_mark_ns);
     w.key("gc_sweep_ns").u64(r.gc.gc_sweep_ns);
-    w.key("gc_workers").u64(r.gc.gc_workers as u64);
     w.end_object();
 
     w.key("time_to_first_txn_ns").u64(r.time_to_first_txn_ns);
@@ -426,7 +420,7 @@ mod tests {
     fn restart_json_pins_restart_counter_schema() {
         use pmem_sim::{DurabilityDomain, MachineConfig};
         use ptm::db::PtmDb;
-        use ptm::{PtmConfig, RecoverOptions};
+        use ptm::PtmConfig;
 
         let cfg = MachineConfig::functional(DurabilityDomain::Adr);
         let db = PtmDb::create(cfg.clone(), PtmConfig::redo(), 1 << 12, 4);
@@ -437,45 +431,49 @@ mod tests {
         heap.set_root(th.session_mut(), 0, a);
         drop(th);
         let image = db.crash(7);
-        let (_db2, reports) = PtmDb::reopen_with(
-            &image,
-            cfg,
-            PtmConfig::redo(),
-            RecoverOptions {
-                workers: 2,
-                ..RecoverOptions::default()
-            },
-        );
+        let (_db2, reports) = PtmDb::reopen(&image, cfg, PtmConfig::redo());
 
-        let j = restart_point_json("redo/adr", 1 << 12, 1, 2, &reports);
+        let j = restart_point_json("redo/adr", 1 << 12, 1, &reports);
         assert!(j.starts_with(r#"{"schema_version":2,"#), "unversioned: {j}");
-        // The restart counters are part of the published schema:
-        // EXPERIMENTS.md tables and the ci.sh quick guard key on them.
-        for key in [
-            "\"pool_words\"",
-            "\"dirty_entries\"",
-            "\"workers\"",
-            "\"recovery\"",
-            "\"logs_scanned\"",
-            "\"malformed_logs\"",
-            "\"recovery_ns\"",
-            "\"recovery_workers\"",
-            "\"gc\"",
-            "\"gc_scan_ns\"",
-            "\"gc_mark_ns\"",
-            "\"gc_sweep_ns\"",
-            "\"gc_workers\"",
-            "\"corrupt_headers\"",
-            "\"time_to_first_txn_ns\"",
-            "\"full_restart_ns\"",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
-        }
-        // One discovered log clamps the recovery workers to 1 even when
-        // two were requested; both facts are part of the point.
-        assert!(j.contains("\"workers\":2"), "requested workers: {j}");
-        assert!(j.contains("\"recovery_workers\":1"), "clamped workers: {j}");
-        assert!(j.contains("\"gc_workers\":2"), "gc workers: {j}");
+        // The restart counters are part of the published schema
+        // (EXPERIMENTS.md tables key on them): exactly these keys, in
+        // this order.
+        let keys: Vec<&str> = j
+            .split('"')
+            .skip(1)
+            .step_by(2)
+            .filter(|tok| !["restart", "redo/adr"].contains(tok))
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "schema_version",
+                "workload",
+                "scenario",
+                "pool_words",
+                "dirty_entries",
+                "recovery",
+                "logs_scanned",
+                "redo_replayed",
+                "redo_entries",
+                "undo_rolled_back",
+                "torn_entries",
+                "malformed_logs",
+                "recovery_ns",
+                "gc",
+                "blocks_scanned",
+                "live_blocks",
+                "reclaimed_blocks",
+                "leaked_blocks",
+                "corrupt_headers",
+                "gc_scan_ns",
+                "gc_mark_ns",
+                "gc_sweep_ns",
+                "time_to_first_txn_ns",
+                "full_restart_ns",
+            ],
+            "{j}"
+        );
         assert!(!j.contains('\n'));
     }
 

@@ -5,11 +5,11 @@
 //! Three sweeps (the ones `ci.sh` smoke-runs), each as CSV and as
 //! `--json`, must reproduce `tests/golden/crash_sites_*.{csv,jsonl}`
 //! byte for byte: same site counts (no crash site lost or renumbered),
-//! same sites run, same violation counts. Nine fixed replays, each at 1
-//! and 4 recovery workers, must reproduce the site total and the
-//! recovered-state digest in `crash_sites_replays.txt`; of a replay's
-//! output only those two values are compared, so its human-readable
-//! lines stay free to change. Two `obs_report --quick --json` runs (ADR
+//! same sites run, same violation counts. Nine fixed replays must
+//! reproduce the site total and the recovered-state digest in
+//! `crash_sites_replays.txt`; of a replay's output only those two
+//! values are compared, so its human-readable lines stay free to
+//! change. Two `obs_report --quick --json` runs (ADR
 //! and eADR: every series row, the sojourn decomposition and the
 //! validation line) must reproduce `obs_report_quick_*.jsonl`.
 //!
@@ -46,7 +46,7 @@ const SWEEPS: [(&str, &str); 3] = [
 ];
 
 /// Three replays per workload, each landing mid-run under the default
-/// seed; each runs with `--workers 1` and `--workers 4`.
+/// seed.
 const REPLAYS: [&str; 9] = [
     "--workload bank --site 100 --algo redo --domain adr --policy per-word",
     "--workload bank --site 60 --algo undo --domain eadr --policy all-new",
@@ -87,21 +87,18 @@ fn run(exe: &str, flags: &str) -> String {
 /// the `site=N/T` token) and the `state digest` line.
 fn replay_lines() -> String {
     let mut lines = String::new();
-    for replay in REPLAYS {
-        for workers in [1, 4] {
-            let flags = format!("{replay} --workers {workers}");
-            let out = run(CRASH_SITES, &flags);
-            let total = out
-                .split_whitespace()
-                .find_map(|tok| tok.strip_prefix("site=")?.split_once('/'))
-                .unwrap_or_else(|| panic!("no site=N/T token in:\n{out}"))
-                .1;
-            let digest = out
-                .lines()
-                .find(|l| l.starts_with("state digest: "))
-                .unwrap_or_else(|| panic!("no state digest line in:\n{out}"));
-            lines.push_str(&format!("{flags} total_sites={total} {digest}\n"));
-        }
+    for flags in REPLAYS {
+        let out = run(CRASH_SITES, flags);
+        let total = out
+            .split_whitespace()
+            .find_map(|tok| tok.strip_prefix("site=")?.split_once('/'))
+            .unwrap_or_else(|| panic!("no site=N/T token in:\n{out}"))
+            .1;
+        let digest = out
+            .lines()
+            .find(|l| l.starts_with("state digest: "))
+            .unwrap_or_else(|| panic!("no state digest line in:\n{out}"));
+        lines.push_str(&format!("{flags} total_sites={total} {digest}\n"));
     }
     lines
 }

@@ -1,5 +1,4 @@
-//! Restart conservative mark-sweep (Makalu's recovery GC), parallel and
-//! instrumented.
+//! Restart conservative mark-sweep (Makalu's recovery GC), instrumented.
 //!
 //! After a crash, the volatile free lists are gone and some blocks may
 //! have leaked (allocated but never linked before the failure). Recovery
@@ -10,38 +9,23 @@
 //! 2. **marks** conservatively from the root table: any word inside a
 //!    reachable block whose bit pattern equals the address of a block's
 //!    first data word is treated as a pointer;
-//! 3. **sweeps** every unmarked block onto the volatile free lists.
+//! 3. **sweeps** every unmarked block onto the volatile free lists, in
+//!    address order: free lists are stacks, and allocation determinism
+//!    after restart (tests pin "leaked block must be recycled first")
+//!    requires a stable push order.
 //!
 //! Conservatism can only over-retain (an integer that happens to look
 //! like a block address keeps that block alive) — never reclaim live
 //! data.
 //!
-//! # Parallelism
-//!
-//! With `workers > 1` the two O(heap) phases split across OS threads:
-//!
-//! * **Scan** is parallel over address ranges with a speculative stitch.
-//!   The header chain is a linked hop (each header's class word names the
-//!   next header position), so a worker cannot know where the chain
-//!   enters its range. Each worker instead scans *speculatively* from the
-//!   first word in its range that decodes as a header; a serial stitch
-//!   pass then adopts a range's chain wholesale iff its speculative
-//!   origin equals the authoritative chain's entry point into that range
-//!   (the common case — data words rarely fake-decode), and re-walks the
-//!   range serially otherwise. Adoption is sound: the hop from a given
-//!   position is a pure function of the pool image, so equal origins
-//!   imply equal chains.
-//! * **Mark** runs a shared-worklist traversal: block marks are
-//!   `AtomicBool`s, so marking is idempotent and confluent — the marked
-//!   set is the reachable set regardless of traversal order, which keeps
-//!   the report and the rebuilt free lists deterministic.
-//! * **Sweep** stays serial and in discovery (address) order: free lists
-//!   are stacks, and allocation determinism after restart (tests pin
-//!   "leaked block must be recycled first") requires a stable push order.
+//! All three phases run on the calling thread — for an online attach
+//! that is [`crate::PHeap::attach_online`]'s one background thread.
+//! Serial on purpose: a worker-parallel scan and mark measured slower
+//! than this path in every cell of `recovery_bench`'s grid
+//! (EXPERIMENTS.md "Restart latency").
 //!
 //! GC writes nothing persistent — all three phases only rebuild volatile
-//! state — so a parallel run is trivially crash-equivalent to a serial
-//! one.
+//! state — so a crash during restart GC needs no repair of its own.
 //!
 //! # Corruption defense
 //!
@@ -56,8 +40,6 @@
 //! no future allocation can land on memory the chain no longer accounts
 //! for (fail toward leak, never toward corruption).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use pmem_sim::{PAddr, PmemPool};
@@ -91,8 +73,6 @@ pub struct GcReport {
     pub gc_mark_ns: u64,
     /// Wall-clock nanoseconds spent rebuilding the free lists.
     pub gc_sweep_ns: u64,
-    /// Worker threads the phases ran on.
-    pub gc_workers: usize,
 }
 
 impl GcReport {
@@ -100,7 +80,7 @@ impl GcReport {
     /// add saturating (a merged report must never wrap into nonsense —
     /// mirror of the `delta_since` fix); wall-clock phase times take the
     /// max, since per-shard GCs run concurrently and the restart clock
-    /// is the slowest shard; `gc_workers` takes the max.
+    /// is the slowest shard.
     pub fn merge(&mut self, other: &GcReport) {
         self.blocks_scanned = self.blocks_scanned.saturating_add(other.blocks_scanned);
         self.live_blocks = self.live_blocks.saturating_add(other.live_blocks);
@@ -111,278 +91,82 @@ impl GcReport {
         self.gc_scan_ns = self.gc_scan_ns.max(other.gc_scan_ns);
         self.gc_mark_ns = self.gc_mark_ns.max(other.gc_mark_ns);
         self.gc_sweep_ns = self.gc_sweep_ns.max(other.gc_sweep_ns);
-        self.gc_workers = self.gc_workers.max(other.gc_workers);
     }
 }
 
 /// One discovered block: data-start word, data words, header tag.
 type Block = (u64, usize, u64);
 
-/// How a hop over `[from, limit)` ended.
-enum HopEnd {
-    /// The chain crossed `limit`; the next header position is given.
-    Crossed(u64),
-    /// The chain terminated inside the range at the given header
-    /// position; `corrupt` is set when the terminator was a nonzero
-    /// non-header word or an extent overrun (see module docs).
-    Terminated { at: u64, corrupt: bool },
-}
-
-/// Walk the header chain from `from` until it leaves `[from, limit)` or
-/// terminates. Pure function of the pool image.
-fn hop(pool: &PmemPool, from: u64, limit: u64, len: u64, out: &mut Vec<Block>) -> HopEnd {
-    let mut cursor = from;
-    while cursor < limit {
-        let word = pool.raw_load(cursor);
-        let Some((tag, class)) = decode_header(word) else {
-            return HopEnd::Terminated {
-                at: cursor,
-                corrupt: word != 0,
-            };
-        };
-        let data = cursor + 1;
-        if data + class as u64 > len {
-            return HopEnd::Terminated {
-                at: cursor,
-                corrupt: true,
-            };
-        }
-        out.push((data, class, tag));
-        cursor = data + class as u64;
-    }
-    HopEnd::Crossed(cursor)
-}
-
-/// One worker's speculative scan of `[lo, hi)`: the chain from the first
-/// word in the range that decodes as an in-bounds header.
-struct RangeScan {
-    hi: u64,
-    /// Speculative chain origin, `u64::MAX` when no word in the range
-    /// decodes as a header.
-    origin: u64,
-    entries: Vec<Block>,
-    end: Option<HopEnd>,
-}
-
-fn scan_range(pool: &PmemPool, lo: u64, hi: u64, len: u64) -> RangeScan {
-    let mut origin = u64::MAX;
-    for w in lo..hi {
-        if let Some((_tag, class)) = decode_header(pool.raw_load(w)) {
-            if w + 1 + class as u64 <= len {
-                origin = w;
-                break;
-            }
-        }
-    }
-    let mut entries = Vec::new();
-    let end = (origin != u64::MAX).then(|| hop(pool, origin, hi, len, &mut entries));
-    RangeScan {
-        hi,
-        origin,
-        entries,
-        end,
-    }
-}
-
-/// Parallel header scan: speculative per-range hops stitched serially.
-/// Returns the discovered blocks (address order), the recovered bump
-/// pointer, and the corrupt-header count.
-fn scan(pool: &PmemPool, start: u64, workers: usize) -> (Vec<Block>, u64, usize) {
+/// Header scan: walk the header chain from `start` until it reaches the
+/// pool end or terminates. Returns the discovered blocks (address
+/// order), the recovered bump pointer, and the corrupt-header count.
+fn scan(pool: &PmemPool, start: u64) -> (Vec<Block>, u64, usize) {
     let len = pool.len_words() as u64;
-    let span = len.saturating_sub(start);
-    let ranges: Vec<RangeScan> = if workers <= 1 || span < 4096 {
-        vec![scan_range(pool, start, len, len)]
-    } else {
-        let chunk = span.div_ceil(workers as u64);
-        std::thread::scope(|s| {
-            (0..workers as u64)
-                .map(|w| {
-                    let lo = start + w * chunk;
-                    let hi = (lo + chunk).min(len);
-                    s.spawn(move || scan_range(pool, lo, hi, len))
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|j| j.join().expect("gc scan worker"))
-                .collect()
+    let mut blocks = Vec::new();
+    let mut cursor = start;
+    while cursor < len {
+        let word = pool.raw_load(cursor);
+        let data = cursor + 1;
+        match decode_header(word) {
+            Some((tag, class)) if data + class as u64 <= len => {
+                blocks.push((data, class, tag));
+                cursor = data + class as u64;
+            }
+            // The clean end of the allocated region.
+            None if word == 0 => break,
+            // Corruption — an extent overrunning the pool, or a nonzero
+            // non-header terminator: quarantine the tail (never
+            // re-allocate over words the chain no longer accounts for).
+            _ => return (blocks, len, 1),
+        }
+    }
+    (blocks, cursor, 0)
+}
+
+/// Mark the block whose first data word `word` addresses, if there is
+/// one; returns its index when this call newly marked it.
+fn mark_target(pool: &PmemPool, blocks: &[Block], marked: &mut [bool], word: u64) -> Option<usize> {
+    let p = PAddr(word);
+    if p.pool() != pool.id() {
+        return None;
+    }
+    let i = blocks.binary_search_by_key(&p.word(), |b| b.0).ok()?;
+    (!std::mem::replace(&mut marked[i], true)).then_some(i)
+}
+
+/// Conservative mark from the root table: one worklist, seeded from the
+/// root slots, scanning every word of each reached block for pointers
+/// into other blocks. Returns the per-block mark bits, index-aligned
+/// with `blocks`.
+fn mark(pool: &PmemPool, blocks: &[Block], roots: usize) -> Vec<bool> {
+    let mut marked = vec![false; blocks.len()];
+    let mut worklist: Vec<usize> = (0..roots as u64)
+        .filter_map(|slot| {
+            let root = pool.raw_load(crate::layout::OFF_ROOTS + slot);
+            mark_target(pool, blocks, &mut marked, root)
         })
-    };
-
-    // Serial stitch: walk ranges left to right, adopting each range's
-    // speculative chain when its origin equals the authoritative entry
-    // point, re-walking the range otherwise.
-    let mut blocks: Vec<Block> = Vec::new();
-    let mut corrupt = 0usize;
-    let mut auth = start;
-    let mut ended = None;
-    for r in &ranges {
-        if ended.is_some() {
-            break;
+        .collect();
+    while let Some(i) = worklist.pop() {
+        let (data, class, _) = blocks[i];
+        for w in data..data + class as u64 {
+            worklist.extend(mark_target(pool, blocks, &mut marked, pool.raw_load(w)));
         }
-        if auth >= r.hi {
-            continue; // a block from an earlier range spans past this one
-        }
-        let rewalk;
-        let end = if r.origin == auth {
-            blocks.extend_from_slice(&r.entries);
-            r.end.as_ref().expect("origin implies a hop end")
-        } else {
-            // Speculation missed (fake header before the true entry, or
-            // no decodable word found): authoritative re-walk.
-            rewalk = hop(pool, auth, r.hi, len, &mut blocks);
-            &rewalk
-        };
-        match *end {
-            HopEnd::Crossed(next) => auth = next,
-            HopEnd::Terminated { at, corrupt: c } => {
-                if c {
-                    corrupt += 1;
-                }
-                ended = Some((at, c));
-            }
-        }
-    }
-    let bump = match ended {
-        // Corruption: quarantine the tail (never re-allocate over words
-        // the chain no longer accounts for).
-        Some((_, true)) => len,
-        Some((at, false)) => at,
-        None => auth,
-    };
-    (blocks, bump, corrupt)
-}
-
-/// Shared-worklist state for the parallel mark.
-struct MarkQueue {
-    queue: Mutex<Vec<usize>>,
-    cv: Condvar,
-    /// Items queued or in flight; 0 means the traversal is complete.
-    pending: AtomicUsize,
-}
-
-impl MarkQueue {
-    fn push(&self, item: usize) {
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        self.queue.lock().unwrap().push(item);
-        self.cv.notify_one();
-    }
-
-    /// Pop one item, or `None` once the traversal has drained.
-    fn pop(&self) -> Option<usize> {
-        let mut q = self.queue.lock().unwrap();
-        loop {
-            if let Some(item) = q.pop() {
-                return Some(item);
-            }
-            if self.pending.load(Ordering::SeqCst) == 0 {
-                return None;
-            }
-            q = self.cv.wait(q).unwrap();
-        }
-    }
-
-    /// Mark one popped item fully processed (its children are pushed).
-    fn done(&self) {
-        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            // Traversal drained: wake every waiter so they can exit.
-            let _q = self.queue.lock().unwrap();
-            self.cv.notify_all();
-        }
-    }
-}
-
-/// Scan one block's words for pointers into other blocks, marking and
-/// enqueueing newly reached ones.
-fn mark_block(
-    pool: &PmemPool,
-    blocks: &[Block],
-    marked: &[AtomicBool],
-    idx: usize,
-    enqueue: &mut impl FnMut(usize),
-) {
-    let (data, class, _) = blocks[idx];
-    for w in data..data + class as u64 {
-        let p = PAddr(pool.raw_load(w));
-        if p.pool() != pool.id() {
-            continue;
-        }
-        if let Ok(i) = blocks.binary_search_by_key(&p.word(), |b| b.0) {
-            if !marked[i].swap(true, Ordering::Relaxed) {
-                enqueue(i);
-            }
-        }
-    }
-}
-
-/// Conservative mark from the root table. Returns the per-block mark
-/// bits, index-aligned with `blocks`.
-fn mark(pool: &PmemPool, blocks: &[Block], roots: usize, workers: usize) -> Vec<AtomicBool> {
-    let marked: Vec<AtomicBool> = (0..blocks.len()).map(|_| AtomicBool::new(false)).collect();
-    let mut seeds = Vec::new();
-    for slot in 0..roots {
-        let p = PAddr(pool.raw_load(crate::layout::OFF_ROOTS + slot as u64));
-        if p.pool() != pool.id() {
-            continue;
-        }
-        if let Ok(i) = blocks.binary_search_by_key(&p.word(), |b| b.0) {
-            if !marked[i].swap(true, Ordering::Relaxed) {
-                seeds.push(i);
-            }
-        }
-    }
-    // Thread spawns only pay off past a few cache lines of blocks; the
-    // serial fallback is observationally identical (marking is
-    // confluent), so callers may pass any worker count unconditionally.
-    if workers <= 1 || blocks.len() < 64 {
-        let mut worklist = seeds;
-        while let Some(i) = worklist.pop() {
-            mark_block(pool, blocks, &marked, i, &mut |j| worklist.push(j));
-        }
-    } else {
-        let mq = MarkQueue {
-            queue: Mutex::new(Vec::new()),
-            cv: Condvar::new(),
-            pending: AtomicUsize::new(0),
-        };
-        for i in seeds {
-            mq.push(i);
-        }
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let mq = &mq;
-                let marked = &marked;
-                s.spawn(move || {
-                    while let Some(i) = mq.pop() {
-                        mark_block(pool, blocks, marked, i, &mut |j| mq.push(j));
-                        mq.done();
-                    }
-                });
-            }
-        });
     }
     marked
 }
 
-/// Scan + mark + sweep with an explicit worker-thread count for the scan
-/// and mark phases (sweep stays serial for free-list order determinism);
-/// returns the rebuilt volatile state and a report.
-pub(crate) fn recover_with(
-    pool: &PmemPool,
-    start: u64,
-    roots: usize,
-    workers: usize,
-) -> (Inner, GcReport) {
-    let workers = workers.max(1);
+/// Scan + mark + sweep; returns the rebuilt volatile state and a report.
+pub(crate) fn recover(pool: &PmemPool, start: u64, roots: usize) -> (Inner, GcReport) {
     let t0 = Instant::now();
-    let (blocks, bump, corrupt_headers) = scan(pool, start, workers);
+    let (blocks, bump, corrupt_headers) = scan(pool, start);
     let gc_scan_ns = t0.elapsed().as_nanos() as u64;
 
     let t1 = Instant::now();
-    let marked = mark(pool, &blocks, roots, workers);
+    let marked = mark(pool, &blocks, roots);
     let gc_mark_ns = t1.elapsed().as_nanos() as u64;
 
-    // Sweep: serial, in address order — free lists are stacks, and
-    // restart allocation determinism depends on a stable push order.
+    // Sweep in address order — free lists are stacks, and restart
+    // allocation determinism depends on a stable push order.
     let t2 = Instant::now();
     let mut free = vec![Vec::new(); NUM_CLASSES];
     let mut report = GcReport {
@@ -390,11 +174,10 @@ pub(crate) fn recover_with(
         corrupt_headers,
         gc_scan_ns,
         gc_mark_ns,
-        gc_workers: workers,
         ..GcReport::default()
     };
-    for (i, &(data, class, tag)) in blocks.iter().enumerate() {
-        if marked[i].load(Ordering::Relaxed) {
+    for (&(data, class, tag), &live) in blocks.iter().zip(&marked) {
+        if live {
             report.live_blocks += 1;
         } else {
             report.reclaimed_blocks += 1;
@@ -575,8 +358,7 @@ mod tests {
         }
     }
 
-    /// Build a heap whose live graph is a wide rooted tree plus leaks,
-    /// and return (machine, heap, expected live, expected reclaimed).
+    /// Build a heap whose live graph is a wide rooted tree plus leaks.
     fn populated_heap(blocks: usize) -> (Arc<Machine>, Arc<PHeap>) {
         let m = machine();
         let h = PHeap::format(&m, "h", 1 << 18, 8);
@@ -591,30 +373,6 @@ mod tests {
         }
         h.set_root(&mut s, 0, spine);
         (m, h)
-    }
-
-    /// Parallel GC must produce exactly the serial result: same report
-    /// counts, same bump, same per-class free lists in the same order.
-    #[test]
-    fn parallel_gc_equals_serial() {
-        let (m, h) = populated_heap(200);
-        let img = m.crash(9);
-        let m2 = Machine::reboot(&img, MachineConfig::functional(m.domain()));
-        let pool = m2.pool(h.pool().id());
-        let start = h.start();
-        let (serial, rs) = super::recover_with(&pool, start, 8, 1);
-        for workers in [2, 4, 8] {
-            let (par, rp) = super::recover_with(&pool, start, 8, workers);
-            assert_eq!(par.bump, serial.bump, "workers={workers}");
-            assert_eq!(par.free, serial.free, "workers={workers}");
-            assert_eq!(rp.blocks_scanned, rs.blocks_scanned, "workers={workers}");
-            assert_eq!(rp.live_blocks, rs.live_blocks, "workers={workers}");
-            assert_eq!(rp.reclaimed_blocks, rs.reclaimed_blocks);
-            assert_eq!(rp.leaked_blocks, rs.leaked_blocks);
-            assert_eq!(rp.reclaimed_words, rs.reclaimed_words);
-            assert_eq!(rp.corrupt_headers, 0);
-            assert_eq!(rp.gc_workers, workers);
-        }
     }
 
     /// A class word smashed to overrun the pool end must be detected and

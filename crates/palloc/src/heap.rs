@@ -171,19 +171,8 @@ impl PHeap {
     /// the volatile free lists and reclaim leaked blocks. Untimed: recovery
     /// happens outside measured execution.
     pub fn attach(pool: Arc<PmemPool>) -> Result<(Arc<PHeap>, GcReport), AttachError> {
-        Self::attach_with(pool, 1)
-    }
-
-    /// [`PHeap::attach`] with an explicit worker-thread count for the GC's
-    /// scan and mark phases. Observationally identical to the serial
-    /// attach (marking is confluent and the sweep order is fixed), just
-    /// faster on large pools.
-    pub fn attach_with(
-        pool: Arc<PmemPool>,
-        workers: usize,
-    ) -> Result<(Arc<PHeap>, GcReport), AttachError> {
         let (start, roots) = Self::check_header(&pool)?;
-        let (inner, report) = gc::recover_with(&pool, start, roots, workers);
+        let (inner, report) = gc::recover(&pool, start, roots);
         Ok((
             Arc::new(PHeap {
                 pool,
@@ -210,10 +199,7 @@ impl PHeap {
     /// sound because GC writes nothing persistent: the durable image a
     /// reader sees is exactly the post-recovery image, independent of GC
     /// progress.
-    pub fn attach_online(
-        pool: Arc<PmemPool>,
-        workers: usize,
-    ) -> Result<(Arc<PHeap>, OnlineGc), AttachError> {
+    pub fn attach_online(pool: Arc<PmemPool>) -> Result<(Arc<PHeap>, OnlineGc), AttachError> {
         let (start, roots) = Self::check_header(&pool)?;
         let heap = Arc::new(PHeap {
             pool,
@@ -227,7 +213,7 @@ impl PHeap {
         });
         let h = Arc::clone(&heap);
         let handle = std::thread::spawn(move || {
-            let (inner, report) = gc::recover_with(h.pool(), h.start, h.roots, workers);
+            let (inner, report) = gc::recover(h.pool(), h.start, h.roots);
             *h.inner.lock().unwrap() = inner;
             let mut ready = h.gate.ready.lock().unwrap();
             *ready = true;
@@ -263,12 +249,6 @@ impl PHeap {
         }
     }
 
-    /// Whether a background restart GC is still running (reads are being
-    /// served ahead of the sweep).
-    pub fn gc_pending(&self) -> bool {
-        !*self.gate.ready.lock().unwrap()
-    }
-
     /// The underlying pool.
     pub fn pool(&self) -> &Arc<PmemPool> {
         &self.pool
@@ -277,11 +257,6 @@ impl PHeap {
     /// First allocatable word.
     pub fn start(&self) -> u64 {
         self.start
-    }
-
-    /// Number of root slots.
-    pub fn root_slots(&self) -> usize {
-        self.roots
     }
 
     /// Allocate `words` data words; returns the address of the first data
@@ -730,7 +705,7 @@ mod tests {
         let img = m.crash(6);
         let m2 = Machine::reboot(&img, MachineConfig::functional(DurabilityDomain::Adr));
         let pool = m2.pool(h.pool().id());
-        let (h2, gc) = PHeap::attach_online(pool, 2).expect("online attach");
+        let (h2, gc) = PHeap::attach_online(pool).expect("online attach");
         // Reads are served immediately — no fence (regardless of whether
         // the background sweep has finished yet).
         let root = h2.root_raw(0);
@@ -756,18 +731,15 @@ mod tests {
         h.set_root(&mut s, 0, kept);
         let leak = h.alloc(&mut s, 8);
         let img = m.crash(7);
-        for workers in [1, 4] {
-            let m2 = Machine::reboot(&img, MachineConfig::functional(DurabilityDomain::Adr));
-            let pool = m2.pool(h.pool().id());
-            let (h2, gc) = PHeap::attach_online(pool, workers).expect("online attach");
-            let mut s2 = m2.session(0);
-            // No join before alloc: wait_gc inside alloc is the fence.
-            let d = h2.alloc(&mut s2, 8);
-            assert_eq!(d, leak, "workers={workers}");
-            let report = gc.join();
-            assert_eq!(report.gc_workers, workers);
-            h2.validate().unwrap();
-        }
+        let m2 = Machine::reboot(&img, MachineConfig::functional(DurabilityDomain::Adr));
+        let pool = m2.pool(h.pool().id());
+        let (h2, gc) = PHeap::attach_online(pool).expect("online attach");
+        let mut s2 = m2.session(0);
+        // No join before alloc: wait_gc inside alloc is the fence.
+        let d = h2.alloc(&mut s2, 8);
+        assert_eq!(d, leak);
+        gc.join();
+        h2.validate().unwrap();
     }
 
     #[test]

@@ -136,8 +136,8 @@ impl Machine {
         let domain = self.domain();
         // An instantaneous power cut is one cross-pool cut: freeze every
         // pool's durability pipeline for the whole capture, so a persist
-        // racing on a sibling thread (e.g. a parallel-recovery worker
-        // mid-repair when an injector fires) lands either entirely
+        // racing on a sibling thread (e.g. another virtual thread's
+        // `sfence` when an injector fires) lands either entirely
         // before the cut or entirely after it — never a torn image where
         // a later persist is included but an earlier one is not.
         let all = self.pools();
@@ -162,16 +162,15 @@ impl Machine {
                 match policy {
                     AdversaryPolicy::AllOld => {}
                     AdversaryPolicy::AllNew => base.copy_from_slice(&current),
-                    AdversaryPolicy::Biased(p) => {
+                    AdversaryPolicy::Biased(_) | AdversaryPolicy::PerWord => {
+                        // The fair coin is the biased one at 0.5.
+                        let p = if let AdversaryPolicy::Biased(p) = policy {
+                            p
+                        } else {
+                            0.5
+                        };
                         for (w, slot) in base.iter_mut().enumerate() {
                             if *slot != current[w] && rng.gen_bool(p) {
-                                *slot = current[w];
-                            }
-                        }
-                    }
-                    AdversaryPolicy::PerWord => {
-                        for (w, slot) in base.iter_mut().enumerate() {
-                            if *slot != current[w] && rng.gen_bool(0.5) {
                                 *slot = current[w];
                             }
                         }

@@ -97,23 +97,6 @@ impl Default for LatencyModel {
 }
 
 impl LatencyModel {
-    /// The paper's experimental platform (alias of `default`).
-    pub fn optane_dc() -> Self {
-        Self::default()
-    }
-
-    /// A hypothetical machine where persistent media is as fast as DRAM.
-    /// Useful in tests to isolate algorithmic costs from media costs.
-    pub fn uniform_dram() -> Self {
-        LatencyModel {
-            optane_load_ns: 81,
-            optane_write_line_ns: 18,
-            optane_read_line_ns: 2,
-            clwb_optane_ns: 86,
-            ..Self::default()
-        }
-    }
-
     /// A zero-latency model: every operation is free. Only for functional
     /// tests where virtual time is irrelevant.
     pub fn zero() -> Self {

@@ -408,12 +408,6 @@ impl Machine {
         self.clocks.read().unwrap().thaw();
     }
 
-    /// Drop cached lines (e.g. to cold-start a measurement phase).
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-        self.dram_cache.clear();
-    }
-
     /// Drop only the L3 model, keeping the PDRAM DRAM-cache warm (models
     /// an L3-capacity working set churn without evicting DRAM pages).
     pub fn clear_l3(&self) {

@@ -107,12 +107,14 @@ pub struct MediaShadow {
     epoch: AtomicU64,
     /// Serializes shadow applications, striped by line: monotonicity is
     /// a *per-line* invariant (the `applied` epoch check), so two
-    /// applications to different lines never needed mutual exclusion —
-    /// a single lock merely serialized them, which made concurrent
-    /// recovery replay into one pool lock-bound. Same-line applications
-    /// still map to the same stripe. Crash capture, which does need a
-    /// cross-line cut, takes every stripe (see
-    /// [`PmemPool::freeze_applies`]).
+    /// applications to different lines never needed mutual exclusion.
+    /// Same-line applications still map to the same stripe. Crash
+    /// capture, which does need a cross-line cut, takes every stripe
+    /// (see [`PmemPool::freeze_applies`]). The striping was added for
+    /// the worker-parallel recovery replay, since removed; the
+    /// concurrent appliers left are the virtual threads of a tracked
+    /// run, and whether they need more than one lock is unmeasured
+    /// (ROADMAP item 5).
     apply_locks: [ApplyStripe; APPLY_STRIPES],
 }
 
@@ -248,13 +250,6 @@ impl PmemPool {
     #[inline]
     pub fn raw_store(&self, word: u64, value: u64) {
         self.words[word as usize].store(value, Ordering::Release);
-    }
-
-    /// Untimed compare-exchange on the current value (sessions charge the
-    /// timing separately).
-    #[inline]
-    pub fn raw_cas(&self, word: u64, expect: u64, new: u64) -> Result<u64, u64> {
-        self.words[word as usize].compare_exchange(expect, new, Ordering::AcqRel, Ordering::Acquire)
     }
 
     /// The durable shadow, if tracking is enabled.
@@ -404,21 +399,6 @@ mod tests {
         p.raw_store(5, 99);
         assert_eq!(p.raw_load(5), 99);
         assert_eq!(p.raw_load(6), 0);
-    }
-
-    #[test]
-    fn raw_cas_success_and_failure() {
-        let p = PmemPool::new(
-            PoolId(0),
-            "t",
-            8,
-            MediaKind::Optane,
-            PersistenceClass::Normal,
-            false,
-        );
-        assert_eq!(p.raw_cas(0, 0, 5), Ok(0));
-        assert_eq!(p.raw_cas(0, 0, 7), Err(5));
-        assert_eq!(p.raw_load(0), 5);
     }
 
     #[test]

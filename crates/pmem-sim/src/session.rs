@@ -34,8 +34,8 @@ use crate::WORDS_PER_LINE;
 struct PendingFlush {
     pool: PoolId,
     line: u64,
-    /// Captured at `clwb` time iff persistence tracking is enabled.
-    snapshot: Option<[u64; WORDS_PER_LINE]>,
+    /// The line's contents, captured at `clwb` time.
+    snapshot: [u64; WORDS_PER_LINE],
     /// Capture epoch ordering this flush against other flushes of the
     /// same line.
     epoch: u64,
@@ -478,21 +478,6 @@ impl MemSession {
         self.resolve(addr.pool()).raw_store(addr.word(), value);
     }
 
-    /// Timed compare-and-swap (used by allocator free lists and tests).
-    pub fn cas(&mut self, addr: PAddr, expect: u64, new: u64) -> Result<u64, u64> {
-        self.site(SiteKind::Store);
-        let key = line_key(addr.pool().0, addr.line());
-        bump(&self.stats.stores, 1);
-        match self.machine.cache.access(key, true) {
-            Access::Hit => {
-                self.clock.advance(self.machine.model().store_hit_ns);
-                bump(&self.stats.l3_hits, 1);
-            }
-            Access::Miss { dirty_victim } => self.miss_fill(addr.pool(), key, dirty_victim, true),
-        }
-        self.resolve(addr.pool()).raw_cas(addr.word(), expect, new)
-    }
-
     /// Timed `clwb` of the line containing `addr`.
     ///
     /// Free under eADR-class domains (the PTM elides the instruction; the
@@ -524,7 +509,7 @@ impl MemSession {
                 self.pending.push(PendingFlush {
                     pool: addr.pool(),
                     line: addr.line(),
-                    snapshot: Some(snapshot),
+                    snapshot,
                     epoch,
                 });
             }
@@ -638,10 +623,7 @@ impl MemSession {
                 let pool = self.pool_cache[pf.pool.0 as usize]
                     .as_deref()
                     .expect("pool cached at clwb");
-                match &pf.snapshot {
-                    Some(snap) => pool.persist_line_snapshot(pf.line, snap, pf.epoch),
-                    None => pool.persist_line_now(pf.line),
-                }
+                pool.persist_line_snapshot(pf.line, &pf.snapshot, pf.epoch);
             }
         } else {
             // NoPowerReserve: the WPQ may be lost; flushed lines get no

@@ -17,7 +17,6 @@
 //! internal: 1+B..2+2B children (B+1 of them)
 //! ```
 
-use palloc::PHeap;
 use pmem_sim::PAddr;
 use ptm::{Tx, TxResult};
 
@@ -320,14 +319,6 @@ impl BpTree {
             node = PAddr(next);
         }
     }
-}
-
-/// Convenience: create a tree in its own transaction and persist its
-/// header into `root_slot` of the heap.
-pub fn create_rooted(th: &mut ptm::TxThread, heap: &PHeap, root_slot: usize) -> BpTree {
-    let tree = th.run(BpTree::create);
-    heap.set_root(th.session_mut(), root_slot, tree.header());
-    tree
 }
 
 #[cfg(test)]

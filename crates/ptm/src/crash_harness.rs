@@ -311,9 +311,6 @@ pub fn crash_at_site(workload: &dyn CrashWorkload, case: &SweepCase, site: u64) 
 /// * recovery + in-doubt resolution are **idempotent** (a second pass
 ///   finds no work, sees no prepared log, decides nothing and changes no
 ///   durable word on any machine);
-/// * the restarted state is **worker-count independent** (the same
-///   images restarted at a different recovery worker count land on a
-///   bit-identical digest and, timing aside, identical reports);
 /// * every heap validates after its restart GC, and the workload's own
 ///   invariants hold.
 pub fn run_site(
@@ -363,39 +360,6 @@ pub fn run_site(
         violations.push("second recovery+resolution pass changed durable state".to_string());
     }
     let state_digest = digest_pools(&machines);
-
-    // Generic invariant: worker-count independence (replay-order
-    // independence; see the recovery module docs). The GC runs with the
-    // same worker count as log recovery, so parallel sweeps exercise the
-    // parallel scan/mark too.
-    let alt_opts = RecoverOptions {
-        workers: if opts.workers <= 1 { 4 } else { 1 },
-        ..opts
-    };
-    match restart_all(&images, &heap_pools, &cfg, alt_opts) {
-        Err(e) => violations.push(format!(
-            "restart with {} recovery workers failed: {e}",
-            alt_opts.workers
-        )),
-        Ok(alt) => {
-            if digest_pools(&machines_of(&alt)) != state_digest {
-                violations.push(format!(
-                    "recovery with {} workers diverged from {} workers \
-                     (post-recovery digests differ)",
-                    alt_opts.workers,
-                    opts.workers.max(1)
-                ));
-            }
-            for (m, (a, b)) in restarted.iter().zip(&alt).enumerate() {
-                let (a, b) = (&a.reports.recovery, &b.reports.recovery);
-                if a.without_timing() != b.without_timing() {
-                    violations.push(format!(
-                        "machine {m} recovery report depends on worker count: {a:?} vs {b:?}"
-                    ));
-                }
-            }
-        }
-    }
 
     // Per-machine heap health, then the workload's own invariants.
     for (m, r) in restarted.iter().enumerate() {
@@ -1123,57 +1087,6 @@ mod tests {
         let b = run_site(&bank, &c, site, RecoverOptions::default());
         assert_eq!(a.fired, b.fired);
         assert_eq!(a.state_digest, b.state_digest);
-    }
-
-    /// Satellite acceptance: the sweep run at recovery workers 1 and 4
-    /// lands on bit-identical post-recovery digests at every probed
-    /// site (the two-thread workload has two logs, so 4 workers really
-    /// does split the repair work).
-    #[test]
-    fn sweep_with_parallel_recovery_matches_serial_digests() {
-        let bank = tiny_group_bank();
-        let c = case(Algo::RedoLazy, AdversaryPolicy::PerWord);
-        let total = count_sites(&bank, &c);
-        assert!(total > 2);
-        for site in [total / 4, total / 2, total - 1] {
-            let serial = run_site(&bank, &c, site, RecoverOptions::default());
-            let parallel = run_site(
-                &bank,
-                &c,
-                site,
-                RecoverOptions {
-                    workers: 4,
-                    ..RecoverOptions::default()
-                },
-            );
-            assert_eq!(serial.fired, parallel.fired, "site {site}");
-            assert_eq!(
-                serial.state_digest, parallel.state_digest,
-                "site {site}: serial and parallel recovery must converge bit-identically"
-            );
-            assert!(parallel.violations.is_empty(), "{:?}", parallel.violations);
-        }
-    }
-
-    /// A bounded sweep of every algorithm with recovery (and GC) at 4
-    /// workers stays clean — the in-sweep worker-independence invariant
-    /// re-checks each site against a serial pass.
-    #[test]
-    fn bounded_sweep_with_four_recovery_workers_is_clean() {
-        let bank = tiny_group_bank();
-        let opts = SweepOptions {
-            max_sites_per_case: Some(12),
-            recover: RecoverOptions {
-                workers: 4,
-                ..RecoverOptions::default()
-            },
-        };
-        for algo in Algo::ALL {
-            let report = sweep_case(&bank, &case(algo, AdversaryPolicy::PerWord), opts);
-            assert!(report.sites_run > 0);
-            let msgs: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
-            assert!(report.violations.is_empty(), "{algo:?}: {msgs:?}");
-        }
     }
 
     #[test]

@@ -84,9 +84,9 @@ pub(crate) fn machines_of(restarted: &[Restarted]) -> Vec<Arc<Machine>> {
 
 /// The restart sequence, written once: reboot a machine from `image`,
 /// repair its logs with `opts`, then attach the heap in pool `heap_pool`
-/// *online* (GC scan/mark on [`RecoverOptions::workers`] threads) and
-/// join the sweep, so the machine comes back fully ready while the
-/// reports still split time-to-first-transaction from the full restart.
+/// *online* and join the sweep, so the machine comes back fully ready
+/// while the reports still split time-to-first-transaction from the
+/// full restart.
 /// [`PtmDb::reopen_with`], [`crate::ShardedEngine::reopen_with`] and the
 /// crash harness all restart through here; the façades `expect` the
 /// result, the harness reports an `Err` as a violation.
@@ -104,8 +104,8 @@ pub fn restart(
         .into_iter()
         .find(|p| p.name() == heap_pool)
         .ok_or_else(|| format!("heap pool `{heap_pool}` missing after reboot"))?;
-    let (heap, online) = PHeap::attach_online(pool, opts.workers.max(1))
-        .map_err(|e| format!("heap `{heap_pool}` attach failed: {e}"))?;
+    let (heap, online) =
+        PHeap::attach_online(pool).map_err(|e| format!("heap `{heap_pool}` attach failed: {e}"))?;
     let time_to_first_txn_ns = t0.elapsed().as_nanos() as u64;
     let gc = online.join();
     let full_restart_ns = t0.elapsed().as_nanos() as u64;
@@ -163,13 +163,12 @@ impl PtmDb {
         Self::reopen_with(image, machine_cfg, ptm_cfg, RecoverOptions::default())
     }
 
-    /// [`PtmDb::reopen`] with explicit recovery options: log repair runs
-    /// with [`RecoverOptions::workers`] threads and the restart GC's
-    /// scan/mark phases use the same worker count. The heap is attached
-    /// *online* — the returned timing splits time-to-first-transaction
-    /// (reads servable) from the full restart (sweep installed) — but
-    /// the sweep is joined before returning, so the database is fully
-    /// ready and the reports are complete.
+    /// [`PtmDb::reopen`] with explicit recovery options (the harness's
+    /// fault-injection switches). The heap is attached *online* — the
+    /// returned timing splits time-to-first-transaction (reads servable)
+    /// from the full restart (sweep installed) — but the sweep is joined
+    /// before returning, so the database is fully ready and the reports
+    /// are complete.
     pub fn reopen_with(
         image: &CrashImage,
         machine_cfg: MachineConfig,
@@ -320,15 +319,7 @@ mod tests {
         heap.set_root(th.session_mut(), 0, a);
         drop(th);
         let image = db.crash(2);
-        let (_db2, reports) = PtmDb::reopen_with(
-            &image,
-            cfg(),
-            PtmConfig::redo(),
-            crate::recovery::RecoverOptions {
-                workers: 2,
-                ..Default::default()
-            },
-        );
+        let (_db2, reports) = PtmDb::reopen(&image, cfg(), PtmConfig::redo());
         assert!(reports.time_to_first_txn_ns > 0);
         assert!(reports.full_restart_ns >= reports.time_to_first_txn_ns);
         assert!(reports.recovery.recovery_ns > 0);

@@ -28,12 +28,12 @@
 //! outside measured execution) and uses raw pool operations plus
 //! `persist_line_now`.
 //!
-//! ## Parallel recovery and replay-order independence
+//! ## One serial pass, in pool order
 //!
-//! With [`RecoverOptions::workers`] > 1, discovery stays serial (it is
-//! a cheap header scan in pool order) and the discovered logs are
-//! partitioned round-robin across worker threads, each repairing its
-//! share independently. This is sound because distinct logs commute:
+//! Discovery is a header scan in pool order and the discovered logs are
+//! repaired one after another in that same order, on the calling
+//! thread. Pool order is not commit order; repairing in it is sound
+//! because distinct logs commute:
 //!
 //! * every committed-but-unretired log's write set still holds its
 //!   orecs — the retire store is durable *before* any orec is released
@@ -42,16 +42,12 @@
 //!   overwrites a word another ring still covers *tombstones* the
 //!   superseded entry before sealing its own (see `crate::algo::htm`),
 //!   restoring the one-covering-entry invariant;
-//! * replay writes whole 64-bit words atomically ([`PmemPool::raw_store`])
-//!   and `persist_line_now` snapshots the line's *current* contents
-//!   under the pool's apply lock, so two logs touching different words
-//!   of the same cache line interleave safely in any order;
 //! * undo rollback targets only words its own (in-flight) transaction
 //!   wrote, which it likewise still owns.
 //!
-//! Per-log repair order within a worker is preserved, and worker
-//! reports are merged in worker-index order, so the merged
-//! [`RecoveryReport`] is deterministic for a given worker count.
+//! Serial on purpose: a worker-parallel repair (logs partitioned across
+//! threads) measured slower than this pass in every cell of
+//! `recovery_bench`'s grid (EXPERIMENTS.md "Restart latency").
 //!
 //! ## Fail-soft discovery
 //!
@@ -80,7 +76,7 @@ use crate::log::{
 /// tests) can demonstrate that the sweep catches the resulting
 /// inconsistencies with a deterministic reproducer. Never set in
 /// production recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoverOptions {
     /// Skip rolling back in-flight undo logs (leaves torn in-place
     /// writes of uncommitted transactions in program data).
@@ -88,21 +84,13 @@ pub struct RecoverOptions {
     /// Skip replaying committed redo logs (loses transactions whose
     /// commit marker is durable but whose writeback was not).
     pub skip_redo_replay: bool,
-    /// Worker threads to repair discovered logs with (clamped to at
-    /// least 1 and at most the number of logs). Not a fault-injection
-    /// switch: any worker count produces the same post-recovery state
-    /// (see the module docs on replay-order independence).
+    /// Inert: nothing reads it — recovery is one serial pass whatever
+    /// it holds. It selected the worker-parallel repair until that path
+    /// was removed, and stays only because `benchmark/src/suite/bank.rs`
+    /// spells `workers: 1` and a PR that changes the system may not
+    /// touch `benchmark/` (ROADMAP item 2 drops that line, then this
+    /// field).
     pub workers: usize,
-}
-
-impl Default for RecoverOptions {
-    fn default() -> Self {
-        RecoverOptions {
-            skip_undo_rollback: false,
-            skip_redo_replay: false,
-            workers: 1,
-        }
-    }
 }
 
 /// What recovery found and repaired.
@@ -144,16 +132,14 @@ pub struct RecoveryReport {
     pub malformed: Vec<String>,
     /// Wall-clock duration of this recovery pass.
     pub recovery_ns: u64,
-    /// Worker threads the pass actually ran with (after clamping).
-    pub recovery_workers: usize,
 }
 
 impl RecoveryReport {
-    /// Fold `other` (a worker's share) into `self`. Counts add
+    /// Fold `other` (another shard's pass) into `self`. Counts add
     /// saturating (mirrors the `ReopenReports` aggregation rules);
-    /// diagnostics concatenate in call order; the timing/worker fields
-    /// take the maximum, since worker passes overlap in wall-clock time
-    /// rather than summing.
+    /// diagnostics concatenate in call order; the timing field takes
+    /// the maximum, since shards restart concurrently and their passes
+    /// overlap in wall-clock time rather than summing.
     pub fn merge(&mut self, other: &RecoveryReport) {
         self.logs_scanned = self.logs_scanned.saturating_add(other.logs_scanned);
         self.redo_replayed = self.redo_replayed.saturating_add(other.redo_replayed);
@@ -174,16 +160,13 @@ impl RecoveryReport {
             .saturating_add(other.indoubt_resolved_abort);
         self.malformed.extend(other.malformed.iter().cloned());
         self.recovery_ns = self.recovery_ns.max(other.recovery_ns);
-        self.recovery_workers = self.recovery_workers.max(other.recovery_workers);
     }
 
     /// The report with its wall-clock timing zeroed: what must be
-    /// bit-identical between a serial and a parallel pass over the same
-    /// image (`recovery_workers` stays — callers compare it explicitly).
+    /// bit-identical between two passes over the same image.
     pub fn without_timing(&self) -> RecoveryReport {
         RecoveryReport {
             recovery_ns: 0,
-            recovery_workers: 0,
             ..self.clone()
         }
     }
@@ -209,9 +192,7 @@ pub struct RecoverCtx<'a> {
     /// per-entry pool-table lookup). Entries overwhelmingly target
     /// consecutive words, so batching turns one `persist_line_now` per
     /// *entry* into one per *line* — the dominant cost of a large
-    /// replay, and (because every persist takes the target pool's
-    /// apply lock) the serialization point when recovery workers replay
-    /// into a shared heap pool.
+    /// replay.
     pending: Option<(Arc<PmemPool>, u64)>,
 }
 
@@ -354,11 +335,10 @@ struct DiscoveredLog {
     policy: &'static dyn crate::algo::LogPolicy,
 }
 
-/// Repair one discovered log, attributing its trace events to `worker`.
+/// Repair one discovered log.
 fn recover_one(
     machine: &Arc<Machine>,
     log: DiscoveredLog,
-    worker: usize,
     opts: RecoverOptions,
     report: &mut RecoveryReport,
     ring: &mut Option<trace::TraceRing>,
@@ -368,7 +348,7 @@ fn recover_one(
             0,
             trace::EventKind::RecoveryLog,
             log.primary.id().0 as u64,
-            worker as u64,
+            0,
         );
     }
     let mut ctx = RecoverCtx {
@@ -387,14 +367,13 @@ fn recover_one(
     ctx.flush_pending();
 }
 
-/// [`recover`] with fault-injection switches and a worker count.
+/// [`recover`] with fault-injection switches.
 pub fn recover_with_options(machine: &Arc<Machine>, opts: RecoverOptions) -> RecoveryReport {
     let t0 = Instant::now();
     let mut report = RecoveryReport::default();
     // Recovery is untimed: its events carry ts 0 and are submitted
-    // under the reserved recovery-tid band (ordering within each stream
-    // is preserved by the merge's sequence tiebreak; worker streams get
-    // distinct band tids so a merged timeline stays deterministic).
+    // under the reserved recovery tid (ordering within the stream is
+    // preserved by the merge's sequence tiebreak).
     let tracer = machine.tracer();
     let mut ring = tracer.as_ref().map(|sink| sink.ring());
     if let Some(r) = ring.as_mut() {
@@ -405,64 +384,12 @@ pub fn recover_with_options(machine: &Arc<Machine>, opts: RecoverOptions) -> Rec
             0,
         );
     }
-    // Discovery: a serial header scan in pool order, validating each
-    // prefix-colliding pool fail-soft before it is handed to a policy.
+    // Discovery validates each prefix-colliding pool fail-soft before it
+    // is handed to a policy; repair follows in the same pool order.
     let (logs, prepared) = discover(machine, &mut report);
     report.prepared_skipped = prepared.len();
-    let workers = opts.workers.clamp(1, logs.len().max(1));
-    report.recovery_workers = workers;
-    if workers <= 1 {
-        for log in logs {
-            recover_one(machine, log, 0, opts, &mut report, &mut ring);
-        }
-    } else {
-        // Round-robin partition in discovery order; each worker repairs
-        // its share with a private report and trace ring, merged back in
-        // worker-index order so the result is deterministic. Sound for
-        // any partition — distinct logs commute (see module docs).
-        let mut buckets: Vec<Vec<DiscoveredLog>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, log) in logs.into_iter().enumerate() {
-            buckets[i % workers].push(log);
-        }
-        let tracer_ref = tracer.as_ref();
-        let joined: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .enumerate()
-                .map(|(w, bucket)| {
-                    s.spawn(move || {
-                        let mut rep = RecoveryReport::default();
-                        let mut ring = tracer_ref.map(|sink| sink.ring());
-                        for log in bucket {
-                            recover_one(machine, log, w, opts, &mut rep, &mut ring);
-                        }
-                        (rep, ring)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-        // Merge completed workers first (their repairs are durable and
-        // idempotent regardless of a sibling's fate), then re-raise the
-        // first simulated-crash panic so the caller's crash harness sees
-        // it exactly as in the serial path.
-        let mut panic_payload = None;
-        for (w, res) in joined.into_iter().enumerate() {
-            match res {
-                Ok((rep, worker_ring)) => {
-                    report.merge(&rep);
-                    if let (Some(sink), Some(r)) = (tracer.as_ref(), worker_ring) {
-                        sink.submit(trace::recovery_worker_tid(w), &r);
-                    }
-                }
-                Err(payload) => {
-                    panic_payload.get_or_insert(payload);
-                }
-            }
-        }
-        if let Some(payload) = panic_payload {
-            std::panic::resume_unwind(payload);
-        }
+    for log in logs {
+        recover_one(machine, log, opts, &mut report, &mut ring);
     }
     report.recovery_ns = t0.elapsed().as_nanos() as u64;
     if let (Some(sink), Some(mut r)) = (tracer, ring) {
@@ -477,8 +404,8 @@ pub fn recover_with_options(machine: &Arc<Machine>, opts: RecoverOptions) -> Rec
     report
 }
 
-/// Serial header scan in pool order, validating each prefix-colliding
-/// pool fail-soft. Returns `(repairable, prepared)`: logs whose header
+/// Header scan in pool order, validating each prefix-colliding pool
+/// fail-soft. Returns `(repairable, prepared)`: logs whose header
 /// carries a PREPARED marker are in doubt — the per-shard pass must
 /// leave them untouched, because their fate is a *cross-shard* decision
 /// that [`resolve_in_doubt`] takes once every shard's coordinator pool
@@ -923,16 +850,14 @@ mod malformed_log_tests {
 }
 
 #[cfg(test)]
-mod parallel_recovery_tests {
+mod multi_log_recovery_tests {
+    use super::recovery_idempotence_tests::crash_during_recovery;
     use super::*;
     use crate::config::PtmConfig;
     use crate::crash_harness::snapshot_pools;
     use crate::log::{committed_marker, W_COUNT};
     use palloc::PHeap;
-    use pmem_sim::{
-        catch_simulated_crash, silence_simulated_crash_panics, AdversaryPolicy, CrashImage,
-        CrashInjector, DurabilityDomain, Machine, MachineConfig,
-    };
+    use pmem_sim::{AdversaryPolicy, CrashImage, DurabilityDomain, Machine, MachineConfig};
 
     const LOGS: usize = 6;
     const N: usize = 4;
@@ -975,46 +900,11 @@ mod parallel_recovery_tests {
         (m.crash(1), blocks)
     }
 
-    /// The tentpole contract: recovering the same image with any worker
-    /// count yields a bit-identical machine state and (timing aside) an
-    /// identical report.
+    /// Two distinct committed logs whose write sets land on *different
+    /// words of the same cache line*: both replay, and the second log's
+    /// line persist keeps the first log's word.
     #[test]
-    fn parallel_recovery_matches_serial_bit_for_bit() {
-        let (img, _) = crashed_multi_log_image();
-        let serial_m = Machine::reboot(&img, cfg());
-        let serial_rep = recover(&serial_m);
-        assert_eq!(serial_rep.redo_replayed, LOGS);
-        let serial_state = snapshot_pools(std::slice::from_ref(&serial_m));
-        for workers in [2, 4, 8] {
-            let m = Machine::reboot(&img, cfg());
-            let rep = recover_with_options(
-                &m,
-                RecoverOptions {
-                    workers,
-                    ..RecoverOptions::default()
-                },
-            );
-            assert_eq!(rep.recovery_workers, workers.min(LOGS), "workers {workers}");
-            assert_eq!(
-                rep.without_timing(),
-                serial_rep.without_timing(),
-                "workers {workers}"
-            );
-            assert_eq!(
-                snapshot_pools(std::slice::from_ref(&m)),
-                serial_state,
-                "workers {workers}"
-            );
-        }
-    }
-
-    /// Replay-order independence in its sharpest form: two distinct
-    /// committed logs whose write sets land on *different words of the
-    /// same cache line*. Whole-word atomic stores plus whole-line
-    /// durable snapshots under the pool's apply lock make the two
-    /// replays commute, whichever worker gets there first.
-    #[test]
-    fn two_logs_replaying_into_one_cache_line_commute() {
+    fn two_logs_replaying_into_one_cache_line_both_land() {
         let m = Machine::new(cfg());
         let heap = PHeap::format(&m, "heap", 1 << 14, 4);
         let cfg_p = PtmConfig::redo();
@@ -1042,59 +932,40 @@ mod parallel_recovery_tests {
             log.primary.persist_line_now(0);
         }
         let img = m.crash(7);
-        let mut states = Vec::new();
-        for workers in [1, 2] {
-            let m2 = Machine::reboot(&img, cfg());
-            let rep = recover_with_options(
-                &m2,
-                RecoverOptions {
-                    workers,
-                    ..RecoverOptions::default()
-                },
-            );
-            assert_eq!(rep.redo_replayed, 2, "workers {workers}");
-            let pool = m2.pool(block.pool());
-            assert_eq!(pool.raw_load(block.word() + o), 111, "workers {workers}");
-            assert_eq!(
-                pool.raw_load(block.word() + o + 1),
-                222,
-                "workers {workers}"
-            );
-            states.push(snapshot_pools(std::slice::from_ref(&m2)));
-        }
-        assert_eq!(states[0], states[1], "same line, any order: same state");
+        let m2 = Machine::reboot(&img, cfg());
+        let rep = recover(&m2);
+        assert_eq!(rep.redo_replayed, 2);
+        // Durable, not merely cache-visible: read back through a crash.
+        let m3 = Machine::reboot(&m2.crash_with(0, AdversaryPolicy::AllOld), cfg());
+        let pool = m3.pool(block.pool());
+        assert_eq!(pool.raw_load(block.word() + o), 111);
+        assert_eq!(pool.raw_load(block.word() + o + 1), 222);
     }
 
-    /// A crash *during* a parallel recovery pass (simulated-crash panic
-    /// on a worker thread, re-raised on the caller) must leave state a
-    /// second, serial pass converges from — the same idempotence
-    /// contract the serial sweeps pin, minus site determinism, which an
-    /// interleaved global site counter cannot promise.
+    /// A crash at *every* persist site of a recovery pass over several
+    /// logs, under every adversary policy, leaves state the next pass
+    /// converges from; and because the pass is serial its sites are
+    /// deterministic — replaying a site reproduces the same image.
     #[test]
-    fn crash_during_parallel_recovery_converges() {
-        silence_simulated_crash_panics();
+    fn crash_at_every_site_of_multi_log_recovery_converges_and_replays() {
         let (img, blocks) = crashed_multi_log_image();
+        let clean = recover(&Machine::reboot(&img, cfg()));
+        assert_eq!(clean.logs_scanned, LOGS);
+        assert_eq!(clean.redo_replayed, LOGS);
+        assert_eq!(clean.redo_entries, LOGS * N);
         for policy in AdversaryPolicy::SWEEP {
-            for site in 0..64 {
-                let m2 = Machine::reboot(&img, cfg());
-                let inj = CrashInjector::at_site(site, policy, site ^ 0xBEEF);
-                m2.arm_injector(Arc::clone(&inj));
-                let interrupted = catch_simulated_crash(|| {
-                    recover_with_options(
-                        &m2,
-                        RecoverOptions {
-                            workers: 4,
-                            ..RecoverOptions::default()
-                        },
-                    )
-                })
-                .is_err();
-                m2.disarm_injector();
-                if !interrupted {
-                    break;
-                }
-                let fired = inj.take_outcome().expect("crash fired");
-                let m3 = Machine::reboot(&fired.image, cfg());
+            let crash_at =
+                |site| crash_during_recovery(&Machine::reboot(&img, cfg()), site, policy);
+            let mut sites = 0;
+            while let Some(m3) = crash_at(sites) {
+                let site = sites;
+                sites += 1;
+                let replayed = crash_at(site).expect("site fires again");
+                assert_eq!(
+                    snapshot_pools(std::slice::from_ref(&m3)),
+                    snapshot_pools(&[replayed]),
+                    "policy {policy} site {site}: replay produced a different image"
+                );
                 recover(&m3);
                 for (t, block) in blocks.iter().enumerate() {
                     for i in 0..N as u64 {
@@ -1106,6 +977,8 @@ mod parallel_recovery_tests {
                     }
                 }
             }
+            // Every entry store and every retire is a site of its own.
+            assert_eq!(sites as usize, LOGS * (N + 1), "policy {policy}");
         }
     }
 }
@@ -1189,7 +1062,7 @@ mod recovery_idempotence_tests {
     /// Crash `machine` at recovery-persist site `site` (if recovery has
     /// that many), reboot from the captured image, and return the new
     /// machine. `None` if recovery completed before reaching the site.
-    fn crash_during_recovery(
+    pub(super) fn crash_during_recovery(
         machine: &Arc<Machine>,
         site: u64,
         policy: AdversaryPolicy,

@@ -233,13 +233,12 @@ impl ShardedEngine {
         Self::reopen_with(images, machine_cfg, ptm_cfg, RecoverOptions::default())
     }
 
-    /// [`ShardedEngine::reopen`] with explicit recovery options: the
-    /// shards restart *concurrently* (one restart thread per shard) and
-    /// each shard's log repair and GC scan/mark additionally use
-    /// [`RecoverOptions::workers`] threads. Observationally identical
-    /// to the serial reopen — shards never read each other's pools, so
-    /// shard restarts commute — and the returned reports stay in shard
-    /// order.
+    /// [`ShardedEngine::reopen`] with explicit recovery options (the
+    /// harness's fault-injection switches). The shards restart
+    /// *concurrently* (one restart thread per shard), which is
+    /// observationally identical to restarting them in order — shards
+    /// never read each other's pools, so shard restarts commute — and
+    /// the returned reports stay in shard order.
     pub fn reopen_with(
         images: &[CrashImage],
         machine_cfg: MachineConfig,
@@ -337,11 +336,6 @@ impl ShardedEngine {
     /// Aggregate makespan: the largest virtual time reached on any shard.
     pub fn max_run_time_ns(&self) -> u64 {
         self.machines.max_run_time_ns()
-    }
-
-    /// The underlying machine set (tracer attachment, direct inspection).
-    pub fn machine_set(&self) -> &MachineSet {
-        &self.machines
     }
 
     /// Shard `i`'s machine.
@@ -464,12 +458,12 @@ mod tests {
         }
     }
 
-    /// Concurrent shard restart with parallel recovery workers is
-    /// observationally identical to the serial reopen, and folding the
-    /// per-shard reports with `ReopenReports::merge` equals the
-    /// field-wise sum (counts) / max (wall-clock).
+    /// Concurrent shard restart is deterministic — two reopens of the
+    /// same images agree report for report and word for word — and
+    /// folding the per-shard reports with `ReopenReports::merge` equals
+    /// the field-wise sum (counts) / max (wall-clock).
     #[test]
-    fn parallel_reopen_matches_serial_and_merge_equals_sum() {
+    fn concurrent_reopen_is_deterministic_and_merge_equals_sum() {
         let e = engine(3);
         e.begin_run_all(1, u64::MAX);
         for shard in 0..3 {
@@ -481,67 +475,56 @@ mod tests {
             let _leak = heap.alloc(th.session_mut(), 4);
         }
         let images = e.crash_all(23);
-        let (serial_e, serial_reports) = ShardedEngine::reopen(&images, cfg(), PtmConfig::redo());
-        let (par_e, par_reports) = ShardedEngine::reopen_with(
-            &images,
-            cfg(),
-            PtmConfig::redo(),
-            RecoverOptions {
-                workers: 4,
-                ..Default::default()
-            },
-        );
-        assert_eq!(serial_reports.len(), par_reports.len());
+        let (first_e, first_reports) = ShardedEngine::reopen(&images, cfg(), PtmConfig::redo());
+        let (second_e, reports) = ShardedEngine::reopen(&images, cfg(), PtmConfig::redo());
+        assert_eq!(first_reports.len(), reports.len());
         for shard in 0..3 {
-            let (s, p) = (&serial_reports[shard], &par_reports[shard]);
+            let (a, b) = (&first_reports[shard], &reports[shard]);
             assert_eq!(
-                s.recovery.without_timing(),
-                p.recovery.without_timing(),
+                a.recovery.without_timing(),
+                b.recovery.without_timing(),
                 "shard {shard} recovery report"
             );
-            assert_eq!(s.gc.live_blocks, p.gc.live_blocks, "shard {shard}");
-            assert_eq!(s.gc.leaked_blocks, p.gc.leaked_blocks, "shard {shard}");
+            assert_eq!(a.gc.live_blocks, b.gc.live_blocks, "shard {shard}");
+            assert_eq!(a.gc.leaked_blocks, b.gc.leaked_blocks, "shard {shard}");
             assert_eq!(
-                s.gc.reclaimed_blocks, p.gc.reclaimed_blocks,
+                a.gc.reclaimed_blocks, b.gc.reclaimed_blocks,
                 "shard {shard}"
             );
             // Bit-identical durable state per shard.
-            for (sp, pp) in serial_e
+            for (pa, pb) in first_e
                 .machine(shard)
                 .pools()
                 .iter()
-                .zip(par_e.machine(shard).pools().iter())
+                .zip(second_e.machine(shard).pools().iter())
             {
-                for w in 0..sp.len_words() as u64 {
-                    assert_eq!(sp.raw_load(w), pp.raw_load(w), "shard {shard} word {w}");
+                for w in 0..pa.len_words() as u64 {
+                    assert_eq!(pa.raw_load(w), pb.raw_load(w), "shard {shard} word {w}");
                 }
             }
         }
         let mut merged = ReopenReports::default();
-        for r in &par_reports {
+        for r in &reports {
             merged.merge(r);
         }
         assert_eq!(
             merged.recovery.logs_scanned,
-            par_reports
+            reports
                 .iter()
                 .map(|r| r.recovery.logs_scanned)
                 .sum::<usize>()
         );
         assert_eq!(
             merged.gc.blocks_scanned,
-            par_reports
-                .iter()
-                .map(|r| r.gc.blocks_scanned)
-                .sum::<usize>()
+            reports.iter().map(|r| r.gc.blocks_scanned).sum::<usize>()
         );
         assert_eq!(
             merged.full_restart_ns,
-            par_reports.iter().map(|r| r.full_restart_ns).max().unwrap()
+            reports.iter().map(|r| r.full_restart_ns).max().unwrap()
         );
         assert_eq!(
             merged.time_to_first_txn_ns,
-            par_reports
+            reports
                 .iter()
                 .map(|r| r.time_to_first_txn_ns)
                 .max()

@@ -290,11 +290,6 @@ impl TxThread {
         &self.ax.ptm
     }
 
-    /// Consume the executor, returning its session.
-    pub fn into_session(self) -> MemSession {
-        self.ax.s
-    }
-
     // ---- internals ------------------------------------------------------
 
     pub(crate) fn tx_read(&mut self, addr: PAddr) -> TxResult<u64> {

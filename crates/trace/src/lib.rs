@@ -112,8 +112,9 @@ pub enum EventKind {
     /// cross-check of `sfences`/`fence_wait_ns` stays exact.
     FenceJoin = 17,
     /// Recovery dispatched one discovered log to its policy's
-    /// `recover_apply`. `a` = the log's primary pool id, `b` = the
-    /// recovery worker index that replayed it (0 on the serial path).
+    /// `recover_apply`. `a` = the log's primary pool id, `b` = 0 (the
+    /// index of the recovery worker that replayed it, in dumps written
+    /// while a worker-parallel recovery existed).
     RecoveryLog = 18,
     /// One restart-GC phase completed. `a` = phase code (0 = scan,
     /// 1 = mark, 2 = sweep), `b` = wall-clock duration in ns. Recovery
@@ -397,22 +398,16 @@ pub struct MergedEvent {
 /// recovery runs outside any timed session.
 pub const RECOVERY_TID: u32 = u32::MAX;
 
-/// Width of the reserved recovery-tid band: parallel recovery workers
-/// submit their rings under `RECOVERY_TID - 1 - worker`, so up to
-/// `RECOVERY_TID_BAND - 1` workers get distinct, deterministically
-/// ordered streams that — like [`RECOVERY_TID`] itself — are exempt
-/// from shard tagging.
+/// Width of the reserved recovery-tid band. Recovery submits under
+/// [`RECOVERY_TID`] alone; the rest of the band is what the removed
+/// worker-parallel recovery wrote (worker `w` under
+/// `RECOVERY_TID - 1 - w`), and stays reserved — exempt from shard
+/// tagging like [`RECOVERY_TID`] itself — so `PTMTRC01` dumps from then
+/// still read.
 pub const RECOVERY_TID_BAND: u32 = 64;
 
-/// The thread id a parallel recovery worker submits under.
-#[inline]
-pub fn recovery_worker_tid(worker: usize) -> u32 {
-    debug_assert!((worker as u32) < RECOVERY_TID_BAND - 1);
-    RECOVERY_TID - 1 - worker as u32
-}
-
 /// Whether `tid` lies in the reserved recovery band (the machine-level
-/// recovery stream or one of its workers).
+/// recovery stream, or a recovery worker's in an old dump).
 #[inline]
 pub fn is_recovery_tid(tid: u32) -> bool {
     tid >= RECOVERY_TID - RECOVERY_TID_BAND
@@ -679,13 +674,13 @@ mod tests {
         let mut r = sink.ring();
         r.record(1, EventKind::Clwb, 0, 0);
         sink.submit(1, &r);
-        sink.submit(recovery_worker_tid(3), &r);
+        // What recovery worker 3 submitted under while a worker-parallel
+        // recovery existed; such dumps must keep reading.
+        let old_worker_tid = RECOVERY_TID - 4;
+        sink.submit(old_worker_tid, &r);
         sink.submit(RECOVERY_TID, &r);
         let tids: Vec<u32> = sink.threads().iter().map(|t| t.tid).collect();
-        assert_eq!(
-            tids,
-            [(2 << SHARD_SHIFT) | 1, recovery_worker_tid(3), RECOVERY_TID]
-        );
+        assert_eq!(tids, [(2 << SHARD_SHIFT) | 1, old_worker_tid, RECOVERY_TID]);
         assert_eq!((shard_of_tid(tids[0]), local_tid(tids[0])), (2, 1));
         for &tid in &tids[1..] {
             assert!(is_recovery_tid(tid));

@@ -214,8 +214,8 @@ pub trait Workload: Send + Sync {
     fn op(&self, th: &mut TxThread, rng: &mut SmallRng, tid: usize, i: u64);
 }
 
-/// Run one measurement point.
-pub fn run_scenario<W: Workload>(w: &mut W, sc: &Scenario, rc: &RunConfig) -> RunResult {
+/// Run one measurement point (`W` may be `dyn Workload`).
+pub fn run_scenario<W: Workload + ?Sized>(w: &mut W, sc: &Scenario, rc: &RunConfig) -> RunResult {
     let machine = Machine::new(MachineConfig {
         domain: sc.domain,
         model: rc.model.clone(),

@@ -22,28 +22,7 @@ fn tpcc() -> Tpcc {
 }
 
 fn mops(w: &mut dyn Workload, sc: &Scenario, c: &RunConfig) -> f64 {
-    struct Dyn<'a>(&'a mut dyn Workload);
-    impl Workload for Dyn<'_> {
-        fn name(&self) -> String {
-            self.0.name()
-        }
-        fn heap_words(&self) -> usize {
-            self.0.heap_words()
-        }
-        fn setup(&mut self, th: &mut optane_ptm::ptm::TxThread) {
-            self.0.setup(th)
-        }
-        fn op(
-            &self,
-            th: &mut optane_ptm::ptm::TxThread,
-            rng: &mut rand::rngs::SmallRng,
-            tid: usize,
-            i: u64,
-        ) {
-            self.0.op(th, rng, tid, i)
-        }
-    }
-    run_scenario(&mut Dyn(w), sc, c).throughput_mops()
+    run_scenario(w, sc, c).throughput_mops()
 }
 
 fn sc(media: MediaKind, domain: DurabilityDomain, algo: Algo) -> Scenario {
@@ -256,30 +235,9 @@ fn commit_abort_ratio_declines_with_threads() {
     // Tables I/II trend: more threads => lower commits-per-abort.
     let mut w = tpcc();
     let s = sc(MediaKind::Optane, DurabilityDomain::Adr, Algo::RedoLazy);
-    struct D<'a>(&'a mut Tpcc);
-    impl Workload for D<'_> {
-        fn name(&self) -> String {
-            self.0.name()
-        }
-        fn heap_words(&self) -> usize {
-            self.0.heap_words()
-        }
-        fn setup(&mut self, th: &mut optane_ptm::ptm::TxThread) {
-            self.0.setup(th)
-        }
-        fn op(
-            &self,
-            th: &mut optane_ptm::ptm::TxThread,
-            rng: &mut rand::rngs::SmallRng,
-            tid: usize,
-            i: u64,
-        ) {
-            self.0.op(th, rng, tid, i)
-        }
-    }
-    let low = run_scenario(&mut D(&mut w), &s, &rc(2, 600));
+    let low = run_scenario(&mut w, &s, &rc(2, 600));
     let mut w2 = tpcc();
-    let high = run_scenario(&mut D(&mut w2), &s, &rc(8, 600));
+    let high = run_scenario(&mut w2, &s, &rc(8, 600));
     let (rl, rh) = (low.commit_abort_ratio(), high.commit_abort_ratio());
     assert!(
         rh < rl || rl.is_infinite(),
@@ -405,30 +363,8 @@ fn write_sets_are_small_enough_for_pdram_lite() {
     let c = rc(2, 400);
     let s = sc(MediaKind::Optane, DurabilityDomain::Eadr, Algo::RedoLazy);
 
-    struct D<'a>(&'a mut dyn Workload);
-    impl Workload for D<'_> {
-        fn name(&self) -> String {
-            self.0.name()
-        }
-        fn heap_words(&self) -> usize {
-            self.0.heap_words()
-        }
-        fn setup(&mut self, th: &mut optane_ptm::ptm::TxThread) {
-            self.0.setup(th)
-        }
-        fn op(
-            &self,
-            th: &mut optane_ptm::ptm::TxThread,
-            rng: &mut rand::rngs::SmallRng,
-            tid: usize,
-            i: u64,
-        ) {
-            self.0.op(th, rng, tid, i)
-        }
-    }
-
     let mut vac = Vacation::new(VacationCfg::high(512));
-    let r = run_scenario(&mut D(&mut vac), &s, &c);
+    let r = run_scenario(&mut vac, &s, &c);
     let vac_lines = r.ptm.max_write_entries.div_ceil(2);
     assert!(
         vac_lines <= 40,
@@ -436,7 +372,7 @@ fn write_sets_are_small_enough_for_pdram_lite() {
     );
 
     let mut t = tpcc();
-    let r = run_scenario(&mut D(&mut t), &s, &c);
+    let r = run_scenario(&mut t, &s, &c);
     let tpcc_lines = r.ptm.max_write_entries.div_ceil(2);
     assert!(
         tpcc_lines <= 60,
