@@ -100,8 +100,35 @@ if awk '/fn resolve/ { on = 1 } /pub fn last_flush_accept/ { on = 0 }
   echo "ERROR: locked RMW or clone on the session access path (see above)" >&2
   exit 1
 fi
+# The transaction layer above it keeps the same rule: `TxAccess` and the
+# driver borrow the heap through their own fields
+# (`self.heap.free(&mut self.s, a)`); an `Arc::clone` there is two locked
+# RMWs on a count every thread shares, once per commit.
+if awk '/^#\[cfg\(test\)\]/ { nextfile } /Arc::clone/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/ptm/src/access.rs crates/ptm/src/txn.rs | grep .; then
+  echo "ERROR: refcount traffic on the transaction access path (see above)" >&2
+  exit 1
+fi
 if grep -rn 'min_cache' crates; then
   echo "ERROR: a shared clock-minimum cache grew back (see above)" >&2
+  exit 1
+fi
+
+echo "=== unsafe budget check ==="
+# Every crate's lib.rs (and the root's) carries `#![deny(unsafe_code)]`,
+# so the compiler rejects `unsafe` anywhere but under an explicit allow;
+# there is exactly one, on `pmem_sim::host::prefetch` (DESIGN.md §5
+# decision 17). A second allow is a second thing to audit.
+for f in crates/*/src/lib.rs src/lib.rs; do
+  if ! grep -q '^#!\[deny(unsafe_code)\]' "$f"; then
+    echo "ERROR: $f lacks #![deny(unsafe_code)]" >&2
+    exit 1
+  fi
+done
+ALLOWS=$(grep -rn 'allow(unsafe_code)' crates src tests examples || true)
+if [ "$(printf '%s' "$ALLOWS" | grep -c .)" -gt 1 ]; then
+  echo "ERROR: more than one allow(unsafe_code) (the budget is pmem-sim/src/host.rs alone):" >&2
+  echo "$ALLOWS" >&2
   exit 1
 fi
 

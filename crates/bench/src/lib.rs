@@ -14,6 +14,8 @@
 //! values are not comparable to the paper's testbed, but curve shapes,
 //! orderings and crossover points are.
 
+#![deny(unsafe_code)]
+
 pub mod report;
 pub mod trace_out;
 

@@ -22,6 +22,8 @@
 //! * a **trend guard** ([`trend`]): diff archived `results/BENCH_*.json`
 //!   files across PRs and flag metric regressions beyond a tolerance.
 
+#![deny(unsafe_code)]
+
 pub mod export;
 pub mod series;
 pub mod spans;

@@ -19,6 +19,8 @@
 //!   headers, conservatively marks everything reachable from the roots,
 //!   and sweeps the rest back onto the free lists ([`gc`]).
 
+#![deny(unsafe_code)]
+
 pub mod classes;
 pub mod gc;
 pub mod heap;

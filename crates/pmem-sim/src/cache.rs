@@ -112,6 +112,13 @@ impl CacheSim {
         }
     }
 
+    /// Host-only hint that an access to `key` is coming: prefetches its
+    /// tag slot (see [`crate::host::prefetch`]). Model state is untouched.
+    #[inline]
+    pub fn prefetch(&self, key: LineKey) {
+        crate::host::prefetch(self.slot(key));
+    }
+
     /// Whether `key` is currently resident (for tests and introspection).
     pub fn present(&self, key: LineKey) -> bool {
         let cur = self.slot(key).load(Ordering::Relaxed);

@@ -141,7 +141,7 @@ impl Machine {
         // before the cut or entirely after it — never a torn image where
         // a later persist is included but an earlier one is not.
         let all = self.pools();
-        let _frozen: Vec<_> = all.iter().map(|p| p.freeze_applies()).collect();
+        let _frozen: Vec<_> = all.iter().filter_map(|p| p.freeze_applies()).collect();
         let mut pools = Vec::new();
         for pool in &all {
             let words = if pool.media_kind() == MediaKind::Dram {

@@ -53,11 +53,14 @@
 //! assert!(s.now() > 0); // the ops consumed virtual time
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod bandwidth;
 pub mod cache;
 pub mod clock;
 pub mod crash;
 pub mod domain;
+pub mod host;
 pub mod inject;
 pub mod latency;
 pub mod machine;

@@ -105,29 +105,13 @@ pub struct MediaShadow {
     applied: Box<[AtomicU64]>,
     /// Epoch source (incremented at snapshot/persist capture time).
     epoch: AtomicU64,
-    /// Serializes shadow applications, striped by line: monotonicity is
-    /// a *per-line* invariant (the `applied` epoch check), so two
-    /// applications to different lines never needed mutual exclusion.
-    /// Same-line applications still map to the same stripe. Crash
-    /// capture, which does need a cross-line cut, takes every stripe
-    /// (see [`PmemPool::freeze_applies`]). The striping was added for
-    /// the worker-parallel recovery replay, since removed; the
-    /// concurrent appliers left are the virtual threads of a tracked
-    /// run, and whether they need more than one lock is unmeasured
-    /// (ROADMAP item 5).
-    apply_locks: [ApplyStripe; APPLY_STRIPES],
+    /// Serializes shadow applications (the per-line `applied` epoch
+    /// check and the word copies it guards); crash capture holds it for
+    /// a cross-line cut (see [`PmemPool::freeze_applies`]). One lock per
+    /// pool is enough: striping it by line measured no different on any
+    /// tracked workload (EXPERIMENTS.md "Shadow-apply lock").
+    apply_lock: std::sync::Mutex<()>,
 }
-
-/// Stripes of the shadow-apply lock (power of two).
-const APPLY_STRIPES: usize = 16;
-
-/// One stripe, padded to its own cache line: bare `Mutex<()>`s are a
-/// few bytes each, so an unpadded array packs every stripe into one
-/// line and the resulting false sharing re-serializes the very persists
-/// the striping is meant to let through in parallel.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct ApplyStripe(std::sync::Mutex<()>);
 
 impl MediaShadow {
     fn new(len: usize) -> Self {
@@ -136,13 +120,8 @@ impl MediaShadow {
             words: (0..len).map(|_| AtomicU64::new(0)).collect(),
             applied: (0..lines).map(|_| AtomicU64::new(0)).collect(),
             epoch: AtomicU64::new(0),
-            apply_locks: std::array::from_fn(|_| ApplyStripe::default()),
+            apply_lock: std::sync::Mutex::new(()),
         }
-    }
-
-    /// The apply-lock stripe guarding `line`.
-    fn stripe(&self, line: u64) -> &std::sync::Mutex<()> {
-        &self.apply_locks[line as usize % APPLY_STRIPES].0
     }
 
     /// Allocate a fresh capture epoch.
@@ -252,6 +231,15 @@ impl PmemPool {
         self.words[word as usize].store(value, Ordering::Release);
     }
 
+    /// Host-only hint that `word` is about to be accessed (see
+    /// [`crate::host::prefetch`]); a word past the pool's end is ignored.
+    #[inline]
+    pub fn prefetch(&self, word: u64) {
+        if let Some(w) = self.words.get(word as usize) {
+            crate::host::prefetch(w);
+        }
+    }
+
     /// The durable shadow, if tracking is enabled.
     pub fn shadow(&self) -> Option<&MediaShadow> {
         self.shadow.as_ref()
@@ -264,7 +252,7 @@ impl PmemPool {
     /// code should use [`crate::MemSession::clwb`]/`sfence` instead.
     pub fn persist_line_now(&self, line: u64) {
         if let Some(shadow) = &self.shadow {
-            let _g = shadow.stripe(line).lock().unwrap();
+            let _g = shadow.apply_lock.lock().unwrap();
             // Reading the current epoch (not an RMW on the shared
             // counter — that ping-pongs one cache line across every
             // concurrently-persisting thread) is enough: any snapshot
@@ -292,7 +280,7 @@ impl PmemPool {
         epoch: u64,
     ) {
         if let Some(shadow) = &self.shadow {
-            let _g = shadow.stripe(line).lock().unwrap();
+            let _g = shadow.apply_lock.lock().unwrap();
             if shadow.applied[line as usize].load(Ordering::Acquire) >= epoch {
                 return;
             }
@@ -315,23 +303,19 @@ impl PmemPool {
         )
     }
 
-    /// Copy the full current contents out (crash simulation under domains
-    /// that preserve cache-visible state).
     /// Freeze this pool's durability pipeline: holds the shadow-apply
     /// lock so no concurrent `persist_line_now` / snapshot application
     /// can land while the guard lives. Pools without a durable shadow
     /// need no freezing (`None`). Crash capture holds every pool's
     /// guard at once so the image is a single cross-pool cut.
-    pub(crate) fn freeze_applies(&self) -> Vec<std::sync::MutexGuard<'_, ()>> {
-        match &self.shadow {
-            // Stripes are acquired in index order; persist paths only
-            // ever hold a single stripe and take no further locks under
-            // it, so the all-stripes sweep cannot deadlock.
-            Some(s) => s.apply_locks.iter().map(|m| m.0.lock().unwrap()).collect(),
-            None => Vec::new(),
-        }
+    pub(crate) fn freeze_applies(&self) -> Option<std::sync::MutexGuard<'_, ()>> {
+        // Persist paths take no further lock under this one, so holding
+        // every pool's at once cannot deadlock.
+        self.shadow.as_ref().map(|s| s.apply_lock.lock().unwrap())
     }
 
+    /// Copy the full current contents out (crash simulation under domains
+    /// that preserve cache-visible state).
     pub(crate) fn dump_current(&self) -> Vec<u64> {
         (0..self.words.len() as u64)
             .map(|w| self.raw_load(w))

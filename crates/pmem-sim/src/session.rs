@@ -302,16 +302,41 @@ impl MemSession {
         if !matches!(self.pool_cache.get(idx), Some(Some(_))) {
             self.cache_pool(id);
         }
-        self.pool_cache[idx].as_deref().expect("cached just above")
+        self.pool_cache[idx]
+            .as_deref()
+            .expect("access to a pool the machine never allocated")
     }
 
+    /// Fetch pool `id`'s handle into the cache; an id the machine never
+    /// allocated leaves the cache as it was.
     #[cold]
     fn cache_pool(&mut self, id: PoolId) {
-        let idx = id.0 as usize;
-        if idx >= self.pool_cache.len() {
-            self.pool_cache.resize(idx + 1, None);
+        if let Some(pool) = self.machine.try_pool(id) {
+            let idx = id.0 as usize;
+            if idx >= self.pool_cache.len() {
+                self.pool_cache.resize(idx + 1, None);
+            }
+            self.pool_cache[idx] = Some(pool);
         }
-        self.pool_cache[idx] = Some(self.machine.pool(id));
+    }
+
+    /// Host-only hint that `addr` will be stored to (and its line
+    /// flushed) soon: prefetches the host lines that access will touch —
+    /// the line's L3 tag slot and the word's home in its pool — see
+    /// [`crate::host::prefetch`]. Invisible to the model (no virtual
+    /// time, counter, crash site, trace event or tag-array change) and
+    /// total: an address in no pool, or past its pool's end, is ignored.
+    #[inline]
+    pub fn prefetch(&mut self, addr: PAddr) {
+        let id = addr.pool();
+        self.machine.cache.prefetch(line_key(id.0, addr.line()));
+        let idx = id.0 as usize;
+        if !matches!(self.pool_cache.get(idx), Some(Some(_))) {
+            self.cache_pool(id);
+        }
+        if let Some(Some(pool)) = self.pool_cache.get(idx) {
+            pool.prefetch(addr.word());
+        }
     }
 
     /// Whether accesses to pool `id` pay Optane or DRAM latency under
@@ -1118,6 +1143,82 @@ mod tests {
             s.now()
         };
         assert_eq!(run(), run());
+    }
+
+    /// The commit-path hint is host-only: on a clean resident line, a
+    /// dirty one, one that was displaced and one never touched, nothing
+    /// the model or its observers can see moves.
+    #[test]
+    fn prefetch_is_invisible_to_the_model_and_its_observers() {
+        let m = machine(DD::Adr, true);
+        let p = m.alloc_pool("h", 1 << 10, MediaKind::Optane);
+        let sink = trace::TraceSink::new(1 << 10);
+        m.attach_tracer(Arc::clone(&sink));
+        let inj = crate::CrashInjector::count_only();
+        m.arm_injector(Arc::clone(&inj));
+        let mut s = m.session(0);
+        let (clean, dirty, absent, untouched) = (p.addr(0), p.addr(8), p.addr(16), p.addr(24));
+        s.store(absent, 3);
+        m.clear_l3();
+        s.load(clean);
+        s.store(dirty, 1);
+        s.clwb(dirty);
+        s.store(dirty, 2);
+        let lines = [clean, dirty, absent, untouched];
+        let observe = |s: &MemSession| {
+            (
+                s.now(),
+                m.stats.snapshot(),
+                lines.map(|a| {
+                    let key = line_key(a.pool().0, a.line());
+                    (m.cache.present(key), m.cache.dirty(key))
+                }),
+                inj.sites_counted(),
+                s.ring.as_ref().map(|(_, ring)| ring.recorded()),
+                s.pending.len(),
+            )
+        };
+        let before = observe(&s);
+        assert_eq!(
+            before.2,
+            [(true, false), (true, true), (false, false), (false, false)],
+            "the four line states the hint is tried on"
+        );
+        assert!(before.3 > 0 && before.4 > Some(0), "observers are live");
+        for a in lines {
+            s.prefetch(a);
+            s.prefetch(a.offset(7));
+        }
+        assert_eq!(observe(&s), before);
+        assert_eq!(s.load(dirty), 2, "and the data is where it was");
+    }
+
+    /// The hint is total: an address in the reserved pool, in a pool the
+    /// machine never allocated, or past its pool's end is ignored — no
+    /// panic, and no slot grown in the session's pool cache — while a
+    /// real pool the session has not used yet is found.
+    #[test]
+    fn prefetch_of_an_address_in_no_pool_is_ignored() {
+        let m = machine(DD::Adr, false);
+        let p = m.alloc_pool("h", 64, MediaKind::Optane);
+        let q = m.alloc_pool("q", 64, MediaKind::Dram);
+        let mut s = m.session(0);
+        s.load(p.addr(0));
+        let cached = s.pool_cache.len();
+        let max_word = (1 << 40) - 1;
+        s.prefetch(PAddr::new(PoolId(0), 5));
+        s.prefetch(PAddr::new(PoolId(977), 5));
+        s.prefetch(PAddr::new(PoolId((1 << 24) - 1), max_word));
+        s.prefetch(PAddr::new(p.id(), p.len_words() as u64));
+        s.prefetch(PAddr::new(p.id(), max_word));
+        assert_eq!(
+            s.pool_cache.len(),
+            cached,
+            "no slot for a pool that is not there"
+        );
+        s.prefetch(q.addr(3));
+        assert!(s.pool_cache[q.id().0 as usize].is_some());
+        assert_eq!(m.stats.snapshot().loads, 1);
     }
 
     #[test]

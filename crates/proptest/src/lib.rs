@@ -15,6 +15,8 @@
 //! Case generation is deterministic — the RNG is seeded from the test
 //! function's name — so a failure reproduces on every run.
 
+#![deny(unsafe_code)]
+
 use std::marker::PhantomData;
 
 use rand::rngs::SmallRng;

@@ -19,6 +19,8 @@
 //! [`palloc::PHeap`] root slot and re-attach after a crash with
 //! `from_header`.
 
+#![deny(unsafe_code)]
+
 pub mod blob;
 pub mod bptree;
 pub mod hashmap;

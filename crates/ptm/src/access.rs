@@ -614,6 +614,19 @@ impl TxAccess {
         None
     }
 
+    /// A buffered-write policy recorded a new write-set entry for `addr`:
+    /// its commit will lock the word's orec and store and flush its home
+    /// line, each behind a locked host operation that exposes a host
+    /// cache miss in full. Ask for those host lines now, while the
+    /// transaction body still runs (DESIGN.md §5 decision 17). Host-only:
+    /// nothing the model can see changes.
+    #[inline]
+    pub(crate) fn expect_commit_write(&mut self, addr: PAddr) {
+        let orecs = &self.ptm.orecs;
+        orecs.prefetch(orecs.index_of(addr));
+        self.s.prefetch(addr);
+    }
+
     /// Commit-time locking over the `n` written words `word(self, i)`:
     /// on the first failed acquisition everything held is released at
     /// its pre-lock version and `false` returned.
@@ -636,10 +649,9 @@ impl TxAccess {
     pub(crate) fn abort_cleanup(&mut self) {
         let now = self.s.now();
         self.timer.switch(now, Phase::Rollback);
-        let heap = Arc::clone(&self.heap);
         for i in 0..self.tx_allocs.len() {
             let a = self.tx_allocs[i];
-            heap.free(&mut self.s, a);
+            self.heap.free(&mut self.s, a);
         }
         self.tx_allocs.clear();
         self.tx_frees.clear();
@@ -650,10 +662,9 @@ impl TxAccess {
     pub(crate) fn apply_frees(&mut self) {
         let now = self.s.now();
         self.timer.switch(now, Phase::Speculation);
-        let heap = Arc::clone(&self.heap);
         for i in 0..self.tx_frees.len() {
             let a = self.tx_frees[i];
-            heap.free(&mut self.s, a);
+            self.heap.free(&mut self.s, a);
         }
         self.tx_frees.clear();
         self.tx_allocs.clear();

@@ -15,8 +15,6 @@
 //! blocks: they are unreachable from the heap roots, so the restart GC
 //! reclaims them; recovery itself only replays the publish.
 
-use std::sync::Arc;
-
 use pmem_sim::{PAddr, WORDS_PER_LINE};
 
 use trace::EventKind;
@@ -67,10 +65,9 @@ fn reclaim_shadows(ax: &mut TxAccess) {
         return;
     }
     let n = ax.cow_lines.len() as u64;
-    let heap = Arc::clone(&ax.heap);
     for i in 0..ax.cow_lines.len() {
         let block = PAddr(ax.cow_lines[i].block);
-        heap.free(&mut ax.s, block);
+        ax.heap.free(&mut ax.s, block);
     }
     PtmStats::add(&ax.ptm.stats.shadow_lines_reclaimed, n);
     ax.cow_lines.clear();
@@ -170,8 +167,7 @@ impl LogPolicy for CowPolicy {
                 // Two lines' worth guarantees a line-aligned window
                 // regardless of the block's alignment (palloc data
                 // starts one word past the block header).
-                let heap = Arc::clone(&ax.heap);
-                let block = heap.alloc(&mut ax.s, 2 * WORDS_PER_LINE);
+                let block = ax.heap.alloc(&mut ax.s, 2 * WORDS_PER_LINE);
                 let shadow = PAddr::new(block.pool(), (block.word() + LPW - 1) & !(LPW - 1));
                 PtmStats::bump(&ax.ptm.stats.shadow_lines_allocated);
                 ax.cow_map.insert(home.0, i as u64);
@@ -187,6 +183,7 @@ impl LogPolicy for CowPolicy {
         let w = addr.word() % LPW;
         if ax.cow_lines[idx].mask & (1 << w) == 0 {
             ax.cow_lines[idx].mask |= 1 << w;
+            ax.expect_commit_write(addr);
             // Word-granular commit-time acquisition set, like redo's
             // entry list (adjacent words stripe to different orecs).
             ax.cow_words.push(addr.0);

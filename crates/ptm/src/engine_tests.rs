@@ -836,3 +836,100 @@ mod htm {
         assert_eq!(sum, 800, "transfers must conserve");
     }
 }
+
+/// One line per run: the final virtual time and every nonzero counter
+/// of the three layers' snapshots.
+fn virtual_signature(m: &Machine, ptm: &Ptm, now: u64) -> String {
+    fn nonzero<const N: usize>(fields: [trace::counters::Field; N]) -> String {
+        let cells: Vec<String> = fields
+            .iter()
+            .filter(|f| f.value != 0)
+            .map(|f| format!("{}={}", f.name, f.value))
+            .collect();
+        cells.join(" ")
+    }
+    format!(
+        "now={now} | {} | phases={:?} | {}",
+        nonzero(ptm.stats_snapshot().fields()),
+        ptm.phases_snapshot().ns,
+        nonzero(m.stats.snapshot().fields()),
+    )
+}
+
+/// The commit-path prefetch hint (`TxAccess::expect_commit_write`) is
+/// host-only. One seeded stream of blind writes, read-modify-writes,
+/// re-writes, reads, allocations and frees per hinted policy, under the
+/// default latency model and ADR: every virtual statistic must equal the
+/// value recorded at the commit before the hint existed.
+#[test]
+fn commit_write_hint_moves_no_virtual_statistic() {
+    let pinned = [
+        (
+            Algo::RedoLazy,
+            "now=733443 | \
+             commits=400 max_write_entries=11 | \
+             phases=[134394, 13557, 407490, 52356, 37456, 88064, 0, 0] | \
+             loads=1390 stores=8532 l3_hits=9385 l3_misses=537 clwbs=4335 clwb_writebacks=4335 sfences=1568 optane_lines_written=4335 fence_wait_ns=5316",
+        ),
+        (
+            Algo::CowShadow,
+            "now=1012355 | \
+             commits=400 shadow_lines_allocated=2235 shadow_lines_reclaimed=2235 publish_fences=784 | \
+             phases=[142433, 31824, 616264, 51328, 37456, 132924, 0, 0] | \
+             loads=3636 stores=17453 l3_hits=20530 l3_misses=559 clwbs=6556 clwb_writebacks=6556 sfences=1568 optane_lines_written=6556 fence_wait_ns=4288",
+        ),
+        (
+            Algo::HtmLogged,
+            "now=675456 | \
+             commits=400 htm_commits=400 htm_logged_commits=400 backend_log_bytes=71776 max_write_entries=11 | \
+             phases=[113806, 52138, 379108, 25674, 16540, 88064, 0, 0] | \
+             loads=1450 stores=12720 l3_hits=13572 l3_misses=598 clwbs=4174 clwb_writebacks=4108 sfences=875 optane_lines_written=4108 fence_wait_ns=1134",
+        ),
+    ];
+    for (algo, want) in pinned {
+        let m = Machine::new(MachineConfig {
+            window_ns: u64::MAX,
+            ..MachineConfig::default()
+        });
+        let heap = PHeap::format(&m, "heap", 1 << 16, 8);
+        let ptm = Ptm::new(PtmConfig::with_algo(algo));
+        let mut th = TxThread::new(ptm.clone(), heap.clone(), m.session(0));
+        let words = 1 << 12;
+        let base = heap.alloc(th.session_mut(), words);
+        let mut rng = SmallRng::seed_from_u64(0x21);
+        let mut spare = PAddr::NULL;
+        for _ in 0..400 {
+            let blind = rng.gen_range(0..6u64);
+            let rmw = rng.gen_range(0..4u64);
+            let picks: Vec<u64> = (0..blind + 2 * rmw + 2)
+                .map(|_| rng.gen_range(0..words as u64))
+                .collect();
+            let cycle_block = rng.gen_range(0..8u32) == 0;
+            th.run(|tx| {
+                let mut p = picks.iter().map(|&w| base.offset(w));
+                for _ in 0..blind {
+                    tx.write(p.next().unwrap(), 7)?;
+                }
+                for _ in 0..rmw {
+                    let (from, to) = (p.next().unwrap(), p.next().unwrap());
+                    let v = tx.read(from)?;
+                    tx.write(to, v + 1)?;
+                    tx.write(from, v)?;
+                }
+                let (a, b) = (p.next().unwrap(), p.next().unwrap());
+                let sum = tx.read(a)? + tx.read(b)?;
+                if cycle_block {
+                    if !spare.is_null() {
+                        tx.free(spare);
+                    }
+                    spare = tx.alloc_zeroed(12);
+                    tx.write(spare, sum)?;
+                }
+                Ok(())
+            });
+        }
+        let now = th.session_mut().now();
+        drop(th);
+        assert_eq!(virtual_signature(&m, &ptm, now), want, "{algo:?}");
+    }
+}

@@ -47,6 +47,8 @@
 //! assert_eq!(v, 42);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod access;
 pub mod algo;
 pub mod config;

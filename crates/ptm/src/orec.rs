@@ -106,6 +106,13 @@ impl OrecTable {
         self.orecs[idx as usize].load(Ordering::Acquire)
     }
 
+    /// Host-only hint that orec `idx` is about to be read or locked (see
+    /// [`pmem_sim::host::prefetch`]).
+    #[inline]
+    pub fn prefetch(&self, idx: u32) {
+        pmem_sim::host::prefetch(&self.orecs[idx as usize]);
+    }
+
     /// Try to acquire: CAS `expected` (an even version) to this thread's
     /// lock word. Returns the observed value on failure.
     #[inline]

@@ -386,6 +386,7 @@ impl TxThread {
             self.ax.entries[i as usize].1 = val;
             return Ok(());
         }
+        self.ax.expect_commit_write(addr);
         self.ax.entries.push((addr.0, val));
         self.ax
             .redo_index
@@ -427,9 +428,9 @@ impl Tx<'_> {
     /// Allocate from the persistent heap. Returned blocks are freed
     /// automatically if the transaction aborts.
     pub fn alloc(&mut self, words: usize) -> PAddr {
-        let heap = Arc::clone(&self.th.ax.heap);
-        let a = heap.alloc(&mut self.th.ax.s, words);
-        self.th.ax.tx_allocs.push(a);
+        let ax = &mut self.th.ax;
+        let a = ax.heap.alloc(&mut ax.s, words);
+        ax.tx_allocs.push(a);
         a
     }
 
@@ -442,13 +443,13 @@ impl Tx<'_> {
     /// zeroes are written directly (not logged — the block is unreachable
     /// until a logged pointer-write commits) and flushed with the commit.
     pub fn alloc_zeroed(&mut self, words: usize) -> PAddr {
-        let heap = Arc::clone(&self.th.ax.heap);
-        let a = heap.alloc(&mut self.th.ax.s, words);
+        let ax = &mut self.th.ax;
+        let a = ax.heap.alloc(&mut ax.s, words);
         for w in 0..words as u64 {
-            self.th.ax.s.store(a.offset(w), 0);
+            ax.s.store(a.offset(w), 0);
         }
-        self.th.ax.tx_allocs.push(a);
-        self.th.ax.fresh_blocks.push((a.0, words));
+        ax.tx_allocs.push(a);
+        ax.fresh_blocks.push((a.0, words));
         a
     }
 

@@ -10,6 +10,8 @@
 //! bit-identical to upstream `rand` — nothing in this repo depends on
 //! upstream's exact streams, only on per-seed determinism.
 
+#![deny(unsafe_code)]
+
 pub mod rngs;
 
 pub use rngs::SmallRng;

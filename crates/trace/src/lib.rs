@@ -36,6 +36,8 @@
 //! two things every layer's reporting shares: the declarative counter
 //! tables ([`counters!`]) and the JSON writer/reader ([`json`]).
 
+#![deny(unsafe_code)]
+
 pub mod analyze;
 pub mod counters;
 pub mod export;

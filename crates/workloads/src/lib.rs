@@ -16,6 +16,8 @@
 //! measurement on a fresh simulated machine and reports virtual-time
 //! throughput, commit/abort ratios and memory-system counters.
 
+#![deny(unsafe_code)]
+
 pub mod btree_bench;
 pub mod driver;
 pub mod hist;

@@ -20,6 +20,8 @@
 //!   virtual-time series, per-request critical-path span reconstruction,
 //!   bench-trend regression guard).
 
+#![deny(unsafe_code)]
+
 pub use obs;
 pub use palloc;
 pub use pmem_sim;
