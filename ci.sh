@@ -132,6 +132,31 @@ if [ "$(printf '%s' "$ALLOWS" | grep -c .)" -gt 1 ]; then
   exit 1
 fi
 
+echo "=== host-hint seam check ==="
+# One instruction, one wrapper, three typed doors, one helper (DESIGN.md
+# §5 decision 17): `_mm_prefetch` only in pmem-sim/src/host.rs;
+# `host::prefetch` called only by `OrecTable::prefetch`,
+# `CacheSim::prefetch` and `PmemPool::prefetch`; `Tx::expect_read` called
+# only where DESIGN.md lists a benchmark workload that pays for it. The
+# hint has no knob: the one `allow(unsafe_code)` and the 11 `PtmConfig`
+# fields are held by the two checks above.
+if grep -rn '_mm_prefetch' crates src tests examples --include='*.rs' \
+    | grep -v '^crates/pmem-sim/src/host\.rs:'; then
+  echo "ERROR: _mm_prefetch outside pmem_sim::host (see above)" >&2
+  exit 1
+fi
+DOORS=$(grep -rn 'host::prefetch(' crates src tests examples --include='*.rs' | cut -d: -f1 | sort | tr '\n' ' ')
+if [ "$DOORS" != "crates/pmem-sim/src/cache.rs crates/pmem-sim/src/pool.rs crates/ptm/src/orec.rs " ]; then
+  echo "ERROR: host::prefetch callers are [$DOORS], expected one each in cache.rs, pool.rs, orec.rs" >&2
+  exit 1
+fi
+if grep -rn '\.expect_read(' crates src examples --include='*.rs' \
+    | grep -vE '^crates/(workloads/src/tpcc|pstructs/src/hashmap)\.rs:' \
+    | grep -vE '^crates/ptm/src/(txn|engine_tests)\.rs:'; then
+  echo "ERROR: Tx::expect_read call site not listed in DESIGN.md decision 17 (see above)" >&2
+  exit 1
+fi
+
 echo "=== golden report lines ==="
 # The --json report lines of thirteen deterministic runs, byte for byte
 # against crates/bench/tests/golden/ — by name and first among the

@@ -320,23 +320,42 @@ impl MemSession {
         }
     }
 
-    /// Host-only hint that `addr` will be stored to (and its line
-    /// flushed) soon: prefetches the host lines that access will touch —
-    /// the line's L3 tag slot and the word's home in its pool — see
-    /// [`crate::host::prefetch`]. Invisible to the model (no virtual
-    /// time, counter, crash site, trace event or tag-array change) and
-    /// total: an address in no pool, or past its pool's end, is ignored.
+    /// Host-only hint that the `words` words from `addr` will be loaded
+    /// or stored soon: prefetches the host lines those accesses will
+    /// touch — per simulated line of the span, its L3 tag slot and the
+    /// span's words there, at home in their pool — see
+    /// [`crate::host::prefetch`]. Returns how many of the words exist.
+    ///
+    /// Invisible to the model (no virtual time, counter, crash site,
+    /// trace event or tag-array change) and total: the part of the span
+    /// past its pool's end is ignored, as is all of it (0 returned) when
+    /// this session has not accessed the pool yet — the hint looks only
+    /// in the session's own pool cache, so a pool id the machine never
+    /// allocated costs one bounds check, never the registry's lock.
     #[inline]
-    pub fn prefetch(&mut self, addr: PAddr) {
+    pub fn prefetch(&self, addr: PAddr, words: u64) -> u64 {
         let id = addr.pool();
-        self.machine.cache.prefetch(line_key(id.0, addr.line()));
-        let idx = id.0 as usize;
-        if !matches!(self.pool_cache.get(idx), Some(Some(_))) {
-            self.cache_pool(id);
+        let Some(Some(pool)) = self.pool_cache.get(id.0 as usize) else {
+            return 0;
+        };
+        let first = addr.word();
+        let end = first.saturating_add(words).min(pool.len_words() as u64);
+        let mut word = first;
+        while word < end {
+            let line = word / WORDS_PER_LINE as u64;
+            let next = ((line + 1) * WORDS_PER_LINE as u64).min(end);
+            self.machine.cache.prefetch(line_key(id.0, line));
+            // A pool's words start where the host allocator put them (16
+            // bytes into a host line for anything it maps), so a
+            // simulated line straddles two host lines: the span's first
+            // and last word in it reach both.
+            pool.prefetch(word);
+            if next - 1 != word {
+                pool.prefetch(next - 1);
+            }
+            word = next;
         }
-        if let Some(Some(pool)) = self.pool_cache.get(idx) {
-            pool.prefetch(addr.word());
-        }
+        end.saturating_sub(first)
     }
 
     /// Whether accesses to pool `id` pay Optane or DRAM latency under
@@ -1145,9 +1164,10 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// The commit-path hint is host-only: on a clean resident line, a
-    /// dirty one, one that was displaced and one never touched, nothing
-    /// the model or its observers can see moves.
+    /// The hint is host-only: on a clean resident line, a dirty one, one
+    /// that was displaced and one never touched — word by word and as one
+    /// span over all four — nothing the model or its observers can see
+    /// moves.
     #[test]
     fn prefetch_is_invisible_to_the_model_and_its_observers() {
         let m = machine(DD::Adr, true);
@@ -1186,17 +1206,19 @@ mod tests {
         );
         assert!(before.3 > 0 && before.4 > Some(0), "observers are live");
         for a in lines {
-            s.prefetch(a);
-            s.prefetch(a.offset(7));
+            assert_eq!(s.prefetch(a, 1), 1);
+            assert_eq!(s.prefetch(a.offset(7), 1), 1);
         }
+        assert_eq!(s.prefetch(clean.offset(5), 25), 25, "a span over all four");
         assert_eq!(observe(&s), before);
         assert_eq!(s.load(dirty), 2, "and the data is where it was");
     }
 
-    /// The hint is total: an address in the reserved pool, in a pool the
-    /// machine never allocated, or past its pool's end is ignored — no
-    /// panic, and no slot grown in the session's pool cache — while a
-    /// real pool the session has not used yet is found.
+    /// The hint is total: a span in the reserved pool, in a pool the
+    /// machine never allocated, in one this session has not accessed yet,
+    /// or past its pool's end is ignored — no panic, no slot grown in the
+    /// session's pool cache (so the machine's registry was not asked) —
+    /// and a span crossing the end is cut there.
     #[test]
     fn prefetch_of_an_address_in_no_pool_is_ignored() {
         let m = machine(DD::Adr, false);
@@ -1206,19 +1228,24 @@ mod tests {
         s.load(p.addr(0));
         let cached = s.pool_cache.len();
         let max_word = (1 << 40) - 1;
-        s.prefetch(PAddr::new(PoolId(0), 5));
-        s.prefetch(PAddr::new(PoolId(977), 5));
-        s.prefetch(PAddr::new(PoolId((1 << 24) - 1), max_word));
-        s.prefetch(PAddr::new(p.id(), p.len_words() as u64));
-        s.prefetch(PAddr::new(p.id(), max_word));
+        assert_eq!(s.prefetch(PAddr::NULL, 8), 0);
+        assert_eq!(s.prefetch(PAddr::new(PoolId(0), 5), 1), 0);
+        assert_eq!(s.prefetch(PAddr::new(PoolId(977), 5), u64::MAX), 0);
         assert_eq!(
-            s.pool_cache.len(),
-            cached,
-            "no slot for a pool that is not there"
+            s.prefetch(PAddr::new(PoolId((1 << 24) - 1), max_word), 1),
+            0
         );
-        s.prefetch(q.addr(3));
-        assert!(s.pool_cache[q.id().0 as usize].is_some());
-        assert_eq!(m.stats.snapshot().loads, 1);
+        assert_eq!(s.prefetch(q.addr(3), 1), 0, "not this session's yet");
+        assert_eq!(s.pool_cache.len(), cached);
+        let end = p.len_words() as u64;
+        assert_eq!(s.prefetch(p.addr(0), 0), 0);
+        assert_eq!(s.prefetch(p.addr(end - 3), 10), 3, "cut at the pool's end");
+        assert_eq!(s.prefetch(p.addr(end - 3), u64::MAX), 3);
+        assert_eq!(s.prefetch(PAddr::new(p.id(), end), 1), 0);
+        assert_eq!(s.prefetch(PAddr::new(p.id(), max_word), u64::MAX), 0);
+        s.load(q.addr(0));
+        assert_eq!(s.prefetch(q.addr(3), 2), 2, "found once accessed");
+        assert_eq!(m.stats.snapshot().loads, 2);
     }
 
     #[test]

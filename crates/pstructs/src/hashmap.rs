@@ -4,6 +4,11 @@
 //! Fixed bucket count chosen at creation; collisions chain through
 //! heap-allocated `[key, value, next]` nodes. Like the B+Tree, every
 //! access is transactional.
+//!
+//! Every chain walk opens a node with [`Tx::expect_read`] over its three
+//! words: a host-only hint (nothing simulated changes) that lets the
+//! simulator's own lines behind the value and next-pointer reads arrive
+//! with the key's instead of one miss after another.
 
 use pmem_sim::PAddr;
 use ptm::{Tx, TxResult};
@@ -100,6 +105,7 @@ impl PHashMap {
         let bucket = self.bucket_addr(tx, key)?;
         let mut cur = tx.read_ptr(bucket)?;
         while !cur.is_null() {
+            tx.expect_read(cur, NODE_WORDS as u64);
             if tx.read_at(cur, N_KEY)? == key {
                 return Ok(Some(tx.read_at(cur, N_VAL)?));
             }
@@ -114,6 +120,7 @@ impl PHashMap {
         let head = tx.read_ptr(bucket)?;
         let mut cur = head;
         while !cur.is_null() {
+            tx.expect_read(cur, NODE_WORDS as u64);
             if tx.read_at(cur, N_KEY)? == key {
                 let old = tx.read_at(cur, N_VAL)?;
                 tx.write_at(cur, N_VAL, val)?;
@@ -134,6 +141,7 @@ impl PHashMap {
         let bucket = self.bucket_addr(tx, key)?;
         let mut cur = tx.read_ptr(bucket)?;
         while !cur.is_null() {
+            tx.expect_read(cur, NODE_WORDS as u64);
             if tx.read_at(cur, N_KEY)? == key {
                 let old = tx.read_at(cur, N_VAL)?;
                 tx.write_at(cur, N_VAL, f(old))?;
@@ -150,6 +158,7 @@ impl PHashMap {
         let mut prev: Option<PAddr> = None;
         let mut cur = tx.read_ptr(bucket)?;
         while !cur.is_null() {
+            tx.expect_read(cur, NODE_WORDS as u64);
             let next = tx.read_ptr(cur.offset(N_NEXT))?;
             if tx.read_at(cur, N_KEY)? == key {
                 let old = tx.read_at(cur, N_VAL)?;

@@ -614,17 +614,24 @@ impl TxAccess {
         None
     }
 
-    /// A buffered-write policy recorded a new write-set entry for `addr`:
-    /// its commit will lock the word's orec and store and flush its home
-    /// line, each behind a locked host operation that exposes a host
-    /// cache miss in full. Ask for those host lines now, while the
-    /// transaction body still runs (DESIGN.md §5 decision 17). Host-only:
-    /// nothing the model can see changes.
+    /// The one host hint (DESIGN.md §5 decision 17): the `words` words
+    /// from `addr` will be accessed soon, so ask the host now for the
+    /// lines that access waits on — each word's orec, and per simulated
+    /// line its L3 tag slot and home word. Host-only: nothing the model
+    /// can see changes, and whatever part of the span is no memory of
+    /// this session's is skipped.
+    ///
+    /// Two callers. A buffered-write policy that records a new write-set
+    /// entry (`words == 1`): its commit will lock the orec and store and
+    /// flush the home line, each behind a locked host operation that
+    /// exposes a host cache miss in full. And [`crate::Tx::expect_read`],
+    /// for a transaction body that knows its read footprint ahead of time.
     #[inline]
-    pub(crate) fn expect_commit_write(&mut self, addr: PAddr) {
+    pub(crate) fn expect_access(&mut self, addr: PAddr, words: u64) {
         let orecs = &self.ptm.orecs;
-        orecs.prefetch(orecs.index_of(addr));
-        self.s.prefetch(addr);
+        for w in 0..self.s.prefetch(addr, words) {
+            orecs.prefetch(orecs.index_of(addr.offset(w)));
+        }
     }
 
     /// Commit-time locking over the `n` written words `word(self, i)`:

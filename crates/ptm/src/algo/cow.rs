@@ -183,7 +183,7 @@ impl LogPolicy for CowPolicy {
         let w = addr.word() % LPW;
         if ax.cow_lines[idx].mask & (1 << w) == 0 {
             ax.cow_lines[idx].mask |= 1 << w;
-            ax.expect_commit_write(addr);
+            ax.expect_access(addr, 1);
             // Word-granular commit-time acquisition set, like redo's
             // entry list (adjacent words stripe to different orecs).
             ax.cow_words.push(addr.0);

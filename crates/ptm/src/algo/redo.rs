@@ -82,7 +82,7 @@ impl LogPolicy for RedoPolicy {
             ax.timer.switch(now, outer);
             return Ok(());
         }
-        ax.expect_commit_write(addr);
+        ax.expect_access(addr, 1);
         let i = ax.entries.len();
         assert!(i < ax.log.capacity, "redo log overflow ({i} entries)");
         ax.entries.push((addr.0, val));

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use palloc::PHeap;
-use pmem_sim::{DurabilityDomain, Machine, MachineConfig, PAddr};
+use pmem_sim::{DurabilityDomain, HtmModel, Machine, MachineConfig, PAddr, PoolId};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use crate::config::{Algo, FlushPlan, PtmConfig};
@@ -856,11 +856,12 @@ fn virtual_signature(m: &Machine, ptm: &Ptm, now: u64) -> String {
     )
 }
 
-/// The commit-path prefetch hint (`TxAccess::expect_commit_write`) is
-/// host-only. One seeded stream of blind writes, read-modify-writes,
-/// re-writes, reads, allocations and frees per hinted policy, under the
-/// default latency model and ADR: every virtual statistic must equal the
-/// value recorded at the commit before the hint existed.
+/// The commit-path prefetch hint (`TxAccess::expect_access` from a
+/// buffered write) is host-only. One seeded stream of blind writes,
+/// read-modify-writes, re-writes, reads, allocations and frees per
+/// hinted policy, under the default latency model and ADR: every
+/// virtual statistic must equal the value recorded at the commit before
+/// the hint existed.
 #[test]
 fn commit_write_hint_moves_no_virtual_statistic() {
     let pinned = [
@@ -931,5 +932,86 @@ fn commit_write_hint_moves_no_virtual_statistic() {
         let now = th.session_mut().now();
         drop(th);
         assert_eq!(virtual_signature(&m, &ptm, now), want, "{algo:?}");
+    }
+}
+
+/// `Tx::expect_read` takes any span and shows to no observer. The same
+/// seeded stream runs twice per algorithm — once plain, once with hints
+/// on the null address, a pool that does not exist, one this thread has
+/// not accessed, spans crossing and past the heap's end, a freed block
+/// and live rows — and the two runs must agree on the final clock, every
+/// counter, the phase totals, the trace, the crash sites counted and the
+/// last read set. The hardware arm runs under an 8-line footprint bound
+/// that one hinted span would overflow if a hint were tracked as a read.
+#[test]
+fn read_hint_on_any_span_leaves_every_observer_unchanged() {
+    let run = |algo: Algo, hinted: bool| {
+        let m = Machine::new(MachineConfig {
+            window_ns: u64::MAX,
+            htm: HtmModel {
+                capacity_lines: 8,
+                ..HtmModel::default()
+            },
+            ..MachineConfig::default()
+        });
+        let sink = trace::TraceSink::new(1 << 14);
+        m.attach_tracer(Arc::clone(&sink));
+        let inj = pmem_sim::CrashInjector::count_only();
+        m.arm_injector(Arc::clone(&inj));
+        let heap = PHeap::format(&m, "heap", 1 << 12, 8);
+        let unused = m.alloc_pool("unused", 64, pmem_sim::MediaKind::Optane);
+        let ptm = Ptm::new(PtmConfig {
+            tracing: true,
+            ..PtmConfig::with_algo(algo)
+        });
+        let mut th = TxThread::new(ptm.clone(), heap.clone(), m.session(0));
+        let rows = heap.alloc(th.session_mut(), 256);
+        let freed = th.run(|tx| Ok(tx.alloc(12)));
+        th.run(|tx| {
+            tx.free(freed);
+            Ok(())
+        });
+        let pool = rows.pool();
+        let end = m.pool(pool).len_words() as u64;
+        let mut rng = SmallRng::seed_from_u64(0x22);
+        for _ in 0..60 {
+            let (a, b) = (rng.gen_range(0..250u64), rng.gen_range(0..250u64));
+            th.run(|tx| {
+                if hinted {
+                    tx.expect_read(PAddr::NULL, 1 << 20);
+                    tx.expect_read(PAddr::new(PoolId(977), 5), 3);
+                    tx.expect_read(unused.addr(0), 64);
+                    tx.expect_read(PAddr::new(pool, end - 3), 10);
+                    tx.expect_read(PAddr::new(pool, end), u64::MAX);
+                    tx.expect_read(PAddr::new(pool, (1 << 40) - 1), u64::MAX);
+                    tx.expect_read(freed, 12);
+                    tx.expect_read(rows, 256);
+                    tx.expect_read(rows.offset(a), 3);
+                }
+                let v = tx.read_at(rows, a)? + tx.read_at(rows, a + 2)?;
+                if hinted {
+                    tx.expect_read(rows.offset(b), 0);
+                    tx.expect_read(rows.offset(b), 1);
+                }
+                tx.write_at(rows, b, v + 1)
+            });
+        }
+        let now = th.session_mut().now();
+        let last_reads = th.ax.read_set.clone();
+        drop(th);
+        (
+            virtual_signature(&m, &ptm, now),
+            sink.threads(),
+            inj.sites_counted(),
+            last_reads,
+        )
+    };
+    for algo in all() {
+        let plain = run(algo, false);
+        assert!(plain.2 > 0 && !plain.1.is_empty(), "observers are live");
+        if algo == Algo::HtmLogged {
+            assert!(plain.0.contains("commits=62 htm_commits=62"), "{}", plain.0);
+        }
+        assert_eq!(run(algo, true), plain, "{algo:?}");
     }
 }

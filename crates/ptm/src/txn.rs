@@ -386,7 +386,7 @@ impl TxThread {
             self.ax.entries[i as usize].1 = val;
             return Ok(());
         }
-        self.ax.expect_commit_write(addr);
+        self.ax.expect_access(addr, 1);
         self.ax.entries.push((addr.0, val));
         self.ax
             .redo_index
@@ -411,6 +411,51 @@ impl Tx<'_> {
     #[inline]
     pub fn write(&mut self, addr: PAddr, val: u64) -> TxResult<()> {
         self.th.tx_write(addr, val)
+    }
+
+    /// Tell the *host* that this transaction will read the `words` words
+    /// from `addr` shortly, so the simulator's own cold lines behind
+    /// those reads — each word's orec, each line's L3 tag slot and home
+    /// word — are on their way when the reads arrive. Call it as soon as
+    /// the address is known, at least one transactional access ahead of
+    /// the first read it covers: a hint issued by the read itself is too
+    /// late to hide anything (DESIGN.md §5 decision 17).
+    ///
+    /// It changes nothing the modelled machine or any observer of it can
+    /// see — no virtual time, counter, read-set entry, hardware-section
+    /// footprint, crash site or trace event — and accepts any span: the
+    /// null address, a pool that does not exist, words past the pool's
+    /// end and freed blocks are skipped.
+    ///
+    /// ```
+    /// use pmem_sim::{Machine, MachineConfig, PAddr};
+    /// use palloc::PHeap;
+    /// use ptm::{Ptm, PtmConfig, TxThread};
+    ///
+    /// let m = Machine::new(MachineConfig::default());
+    /// let heap = PHeap::format(&m, "heap", 1 << 12, 8);
+    /// let mut th = TxThread::new(Ptm::new(PtmConfig::redo()), heap.clone(), m.session(0));
+    /// let rows = heap.alloc(th.session_mut(), 64);
+    /// let run = |th: &mut TxThread, hint: bool| {
+    ///     m.clear_l3();
+    ///     let t0 = th.session_mut().now();
+    ///     let sum = th.run(|tx| {
+    ///         if hint {
+    ///             // Both rows are known before the first is read.
+    ///             tx.expect_read(rows.offset(8), 3);
+    ///             tx.expect_read(rows.offset(40), 3);
+    ///             tx.expect_read(PAddr::NULL, 1 << 20);
+    ///         }
+    ///         Ok(tx.read_at(rows, 8)? + tx.read_at(rows, 40)?)
+    ///     });
+    ///     (sum, th.session_mut().now() - t0)
+    /// };
+    /// let plain = run(&mut th, false);
+    /// assert_eq!(run(&mut th, true), plain, "same values, same virtual time");
+    /// ```
+    #[inline]
+    pub fn expect_read(&mut self, addr: PAddr, words: u64) {
+        self.th.ax.expect_access(addr, words);
     }
 
     /// Read `base + off` (field access sugar).

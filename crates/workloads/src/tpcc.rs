@@ -282,6 +282,16 @@ impl Tpcc {
             let ol_cnt = rng.gen_range(5..=15u64);
             let item_ids: Vec<u64> = (0..ol_cnt).map(|_| rng.gen_range(0..self.items)).collect();
             th.run(|tx| {
+                // Every row this order reads is known before its first
+                // access: a host-only hint, so the simulator's own cold
+                // lines behind them arrive together instead of one
+                // miss per read.
+                tx.expect_read(cust.offset(c * CUST_WORDS + C_DISCOUNT), 1);
+                for &i_id in &item_ids {
+                    tx.expect_read(item.offset(i_id * ITEM_WORDS + I_PRICE), 1);
+                    let sb = (w * self.items + i_id) * STOCK_WORDS;
+                    tx.expect_read(stock.offset(sb + S_QTY), 3);
+                }
                 let tax = tx.read_at(wh, w * WH_WORDS + WH_TAX)?;
                 let db = (w * DISTRICTS + d) * DIST_WORDS;
                 let o_id = tx.read_at(dist, db + D_NEXT_O_ID)?;
@@ -318,6 +328,9 @@ impl Tpcc {
             // PAYMENT.
             let amount = rng.gen_range(1..=500u64);
             th.run(|tx| {
+                // Host-only hint, as in NEW-ORDER: the customer row is
+                // read after the warehouse and district updates.
+                tx.expect_read(cust.offset(c * CUST_WORDS + C_BALANCE), 3);
                 let wb = w * WH_WORDS;
                 let ytd = tx.read_at(wh, wb + WH_YTD)?;
                 tx.write_at(wh, wb + WH_YTD, ytd + amount)?;

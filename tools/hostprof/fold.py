@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Fold a hostprof.so dump into shares by outermost function and by source line.
+"""Fold a hostprof.so dump into shares by function and by source line.
 
     fold.py <binary> <hostprof.out> [top N, default 25]
 
-Samples inside <binary> are symbolised with `addr2line -a -f -C -i`: the
-innermost inline frame outside the standard library gives the source line
-a sample is charged to, the outermost one the function that was called.
-Shares are of the samples inside the binary; samples elsewhere (libc,
-vdso, kernel entry) are counted, by mapping, in the header line only.
+A sample inside <binary> is charged to the function that was called —
+the ELF symbol enclosing it (`nm -C -n`), so a function is one row
+whatever was inlined into it and however DWARF spells its name — and to
+a source line: the innermost inline frame outside the standard library
+(`addr2line -a -f -C -i`). Shares are of the samples inside the binary;
+samples elsewhere (libc, vdso, kernel entry) are counted, by mapping, in
+the header line only, with the samples the sampler had no room for.
 """
+import bisect
 import collections
 import os
 import subprocess
@@ -31,6 +34,7 @@ def main():
     base = min((lo for lo, _, path in mapped if path == binary), default=None)
     if base is None:
         sys.exit(f"{binary} is not mapped in {dump}")
+    rest, _, dropped = rest.partition("--dropped--\n")
     ips = [int(x, 16) for x in rest.split()]
     where = collections.Counter()
     inside = collections.Counter()
@@ -46,8 +50,21 @@ def main():
         text=True,
         check=True,
     ).stdout.splitlines()
-    # Per address: "0x<addr>", then (function, file:line) pairs, innermost first.
+    # Text symbols by start address; a sample belongs to the last one at
+    # or below it.
+    symbols = []
+    for line in subprocess.run(
+        ["nm", "-C", "-n", "--defined-only", binary], capture_output=True, text=True, check=True
+    ).stdout.splitlines():
+        addr, kind, name = line.split(" ", 2)
+        if kind in "tTwW":
+            symbols.append((int(addr, 16), name))
+    starts = [a for a, _ in symbols]
     by_func, by_line = collections.Counter(), collections.Counter()
+    for addr, n in inside.items():
+        at = bisect.bisect_right(starts, addr) - 1
+        by_func[symbols[at][1] if at >= 0 else "[no symbol]"] += n
+    # Per address: "0x<addr>", then (function, file:line) pairs, innermost first.
     i = 0
     while i < len(out):
         addr = int(out[i], 16)
@@ -56,12 +73,15 @@ def main():
         while i + 1 < len(out) and not out[i].startswith("0x"):
             frames.append((out[i], out[i + 1].split(" (discriminator")[0]))
             i += 2
-        by_func[frames[-1][0]] += inside[addr]
         own = next((f for f in frames if not f[1].startswith("/rustc/")), frames[0])
         by_line[own[1]] += inside[addr]
     total = sum(inside.values())
-    print(f"{len(ips)} samples: " + ", ".join(f"{n} {os.path.basename(p)}" for p, n in where.most_common()))
-    for title, table in (("outermost function", by_func), ("source line", by_line)):
+    print(
+        f"{len(ips)} samples: "
+        + ", ".join(f"{n} {os.path.basename(p)}" for p, n in where.most_common())
+        + f"; {int(dropped or 0)} dropped by the sampler"
+    )
+    for title, table in (("function (ELF symbol)", by_func), ("source line", by_line)):
         print(f"\n  share  samples  {title}")
         for name, n in table.most_common(top):
             print(f"{100 * n / total:6.1f}% {n:8}  {name}")

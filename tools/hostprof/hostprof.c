@@ -3,7 +3,8 @@
  * ITIMER_PROF raises SIGPROF every 1/HOSTPROF_HZ s (default 250) of CPU
  * time; the handler stores the interrupted instruction pointer. At exit
  * the samples are written to $HOSTPROF_OUT (default hostprof.out) after
- * a copy of /proc/self/maps, for fold.py to symbolise.
+ * a copy of /proc/self/maps, for fold.py to symbolise, and followed by
+ * the count of samples that came after the buffer was full.
  *
  *   cc -O2 -shared -fPIC -o hostprof.so hostprof.c
  */
@@ -40,7 +41,10 @@ static void dump(void) {
     unsigned long n = taken < MAX_SAMPLES ? taken : MAX_SAMPLES;
     for (unsigned long i = 0; i < n; i++)
         fprintf(out, "%lx\n", samples[i]);
+    fprintf(out, "--dropped--\n%lu\n", taken - n);
     fclose(out);
+    if (taken > n)
+        fprintf(stderr, "hostprof: buffer full, %lu of %lu samples dropped\n", taken - n, taken);
 }
 
 __attribute__((constructor)) static void start(void) {
