@@ -40,8 +40,8 @@ fi
 echo "=== flush-shape seam check ==="
 # Policies offer lines to TxAccess's flush window and close it; what an
 # offer becomes is decided in crates/ptm/src/access.rs alone. A plan
-# test in a policy file means a per-policy flush fork grew back, and a
-# 12th PtmConfig field means a knob did (DESIGN.md §5 has one row per
+# test in a policy file means a per-policy flush fork grew back, and an
+# 11th PtmConfig field means a knob did (DESIGN.md §5 has one row per
 # field with the result or test that justifies it).
 if grep -nE 'combining\(\)|write_combining|FlushTiming|FlushPlan::' crates/ptm/src/algo/*.rs; then
   echo "ERROR: flush-shape decision inside a policy (see above)" >&2
@@ -49,8 +49,8 @@ if grep -nE 'combining\(\)|write_combining|FlushTiming|FlushPlan::' crates/ptm/s
 fi
 FIELDS=$(awk '/^pub struct PtmConfig/ { on = 1; next } on && /^}/ { exit } on && /^    pub / { n++ } END { print n + 0 }' \
   crates/ptm/src/config.rs)
-if [ "$FIELDS" -ne 11 ]; then
-  echo "ERROR: PtmConfig has $FIELDS pub fields, expected 11" >&2
+if [ "$FIELDS" -ne 10 ]; then
+  echo "ERROR: PtmConfig has $FIELDS pub fields, expected 10" >&2
   exit 1
 fi
 
@@ -138,7 +138,7 @@ echo "=== host-hint seam check ==="
 # `host::prefetch` called only by `OrecTable::prefetch`,
 # `CacheSim::prefetch` and `PmemPool::prefetch`; `Tx::expect_read` called
 # only where DESIGN.md lists a benchmark workload that pays for it. The
-# hint has no knob: the one `allow(unsafe_code)` and the 11 `PtmConfig`
+# hint has no knob: the one `allow(unsafe_code)` and the 10 `PtmConfig`
 # fields are held by the two checks above.
 if grep -rn '_mm_prefetch' crates src tests examples --include='*.rs' \
     | grep -v '^crates/pmem-sim/src/host\.rs:'; then
@@ -154,6 +154,39 @@ if grep -rn '\.expect_read(' crates src examples --include='*.rs' \
     | grep -vE '^crates/(workloads/src/tpcc|pstructs/src/hashmap)\.rs:' \
     | grep -vE '^crates/ptm/src/(txn|engine_tests)\.rs:'; then
   echo "ERROR: Tx::expect_read call site not listed in DESIGN.md decision 17 (see above)" >&2
+  exit 1
+fi
+
+echo "=== shard seam check ==="
+# A database is its shards (DESIGN.md §5 decision 18): `ShardedEngine` is
+# a `Vec<PtmDb>` plus its 2PC coordinator, and everything sharded is
+# built from the single-shard stack. A `MachineSet` (or its uncalled
+# `freeze_all` / `thaw_all`) means a parallel machine list grew back; a
+# second copy of the routing multiply-shift means a driver sizes its
+# shards with its own hash again; a `PHeap::format*` call in non-test,
+# non-comment ptm / workloads code outside db.rs (everything above a
+# file's first `#[cfg(test)]`; engine_tests.rs is all test) means a heap
+# is formatted and a `Ptm` built beside `PtmDb::on_machine`. Examples and
+# `recovery_bench`'s crafted image keep the raw API on purpose. The
+# `PtmConfig` field count and the 29 bench binaries are held above.
+if grep -rnE 'MachineSet|freeze_all|thaw_all' crates src tests examples; then
+  echo "ERROR: a machine list beside ShardedEngine's Vec<PtmDb> grew back (see above)" >&2
+  exit 1
+fi
+ROUTES=$(grep -rnF 'wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33' crates src tests examples || true)
+if [ "$(printf '%s' "$ROUTES" | grep -c .)" -ne 1 ]; then
+  echo "ERROR: expected the routing hash once (ShardedEngine::route), found:" >&2
+  echo "$ROUTES" >&2
+  exit 1
+fi
+FORMATS=$(for f in crates/ptm/src/*.rs crates/ptm/src/algo/*.rs crates/workloads/src/*.rs; do
+  case "$f" in crates/ptm/src/engine_tests.rs | crates/ptm/src/db.rs) continue ;; esac
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }
+      /PHeap::format|format_with_media/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$FORMATS" ]; then
+  echo "ERROR: a heap formatted outside PtmDb::on_machine (crates/ptm/src/db.rs):" >&2
+  echo "$FORMATS" >&2
   exit 1
 fi
 

@@ -18,17 +18,13 @@
 //! meaningless; the binary prints a skip note and exits 0.
 
 use bench::{emit_point, HarnessOpts};
-use pmem_sim::{DurabilityDomain, MachineConfig, MediaKind};
+use pmem_sim::{DurabilityDomain, MediaKind};
 use ptm::Algo;
 use workloads::driver::{run_scenario, Scenario};
 use workloads::KvStore;
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    if !MachineConfig::default().htm.enabled {
-        println!("# skipped: simulated HTM is disabled in this machine configuration");
-        return;
-    }
     if !opts.json {
         println!(
             "contention,items,threads,redo_mops,htm_logged_mops,speedup_pct,\

@@ -13,11 +13,22 @@ use ptm::crash_round::{frozen_bank_round, FROZEN_ACCOUNTS, FROZEN_INITIAL};
 use ptm::{Algo, PtmConfig};
 
 fn main() {
-    let rounds: u64 = std::env::args()
-        .skip_while(|a| a != "--ops")
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40);
+    // Like `HarnessOpts::from_args`: a flag silently ignored (`--quick`
+    // used to run the full soak) would misreport what was run.
+    let mut rounds: u64 = 40;
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--ops" => {
+                rounds = args
+                    .next()
+                    .expect("--ops needs a number of rounds")
+                    .parse()
+                    .expect("bad round count");
+            }
+            other => panic!("unknown flag `{other}` (known: --ops)"),
+        }
+    }
     let mut failures = 0;
     let mut total_redo = 0u64;
     let mut total_undo = 0u64;

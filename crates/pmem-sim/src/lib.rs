@@ -66,7 +66,6 @@ pub mod latency;
 pub mod machine;
 pub mod pool;
 pub mod session;
-pub mod shard;
 pub mod stats;
 
 pub use crash::{AdversaryPolicy, CrashImage};
@@ -79,7 +78,6 @@ pub use latency::LatencyModel;
 pub use machine::{HtmModel, Machine, MachineConfig};
 pub use pool::{MediaKind, PAddr, PersistenceClass, PmemPool, PoolId};
 pub use session::MemSession;
-pub use shard::MachineSet;
 pub use stats::{MachineStats, StatsSnapshot};
 
 /// Bytes per simulated cache line.

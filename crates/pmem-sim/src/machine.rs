@@ -15,39 +15,33 @@ use crate::pool::{MediaKind, PersistenceClass, PmemPool, PoolId};
 use crate::session::MemSession;
 use crate::stats::MachineStats;
 
+/// `xbegin` / `xend` cost, in virtual ns. Measured TSX round trips are a
+/// few dozen cycles each way (xbegin ~30-45 cycles, xend ~20-40 on
+/// Skylake-class parts): cheap enough that even read-only transactions
+/// can afford a section, which is what makes the hardware path pay off.
+pub const HTM_BEGIN_NS: u64 = 12;
+pub const HTM_COMMIT_NS: u64 = 15;
+
 /// First-class simulated-HTM model: the machine (not the PTM layer)
-/// decides whether hardware transactions exist, how many cache lines a
-/// section may touch, and what `xbegin`/`xend` cost. Conflict detection
-/// is line-granular against a machine-wide table of recently committed
-/// lines — the cache-coherence view a real HTM implementation has —
-/// so sections abort against *any* concurrent committer that published
-/// an overlapping line, exactly like a remote RFO would abort TSX.
+/// decides how many cache lines a hardware section may touch; what
+/// `xbegin`/`xend` cost is [`HTM_BEGIN_NS`] / [`HTM_COMMIT_NS`]. Conflict
+/// detection is line-granular against a machine-wide table of recently
+/// committed lines — the cache-coherence view a real HTM implementation
+/// has — so sections abort against *any* concurrent committer that
+/// published an overlapping line, exactly like a remote RFO would abort
+/// TSX.
 #[derive(Clone, Debug)]
 pub struct HtmModel {
-    /// Whether the machine offers hardware transactions at all. When
-    /// off, PTM hybrid paths must fall back to software.
-    pub enabled: bool,
     /// Line-granular footprint bound (read set + write set combined),
     /// modeling the L1/L2 capacity a real HTM tracks speculative state
     /// in. Exceeding it is a capacity abort.
     pub capacity_lines: usize,
-    /// `xbegin` cost, in virtual ns.
-    pub begin_ns: u64,
-    /// `xend` cost, in virtual ns.
-    pub commit_ns: u64,
 }
 
 impl Default for HtmModel {
     fn default() -> Self {
         HtmModel {
-            enabled: true,
             capacity_lines: 512,
-            // Measured TSX round trips are a few dozen cycles each way
-            // (xbegin ~30-45 cycles, xend ~20-40 on Skylake-class parts):
-            // cheap enough that even read-only transactions can afford a
-            // section, which is what makes the hybrid pay off.
-            begin_ns: 12,
-            commit_ns: 15,
         }
     }
 }

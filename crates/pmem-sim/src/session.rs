@@ -25,7 +25,7 @@ use crate::cache::{line_key, Access};
 use crate::clock::ClockHandle;
 use crate::domain::DurabilityDomain;
 use crate::inject::SiteKind;
-use crate::machine::Machine;
+use crate::machine::{Machine, HTM_BEGIN_NS, HTM_COMMIT_NS};
 use crate::pool::{MediaKind, PAddr, PmemPool, PoolId};
 use crate::stats::{bump, StatsShard};
 use crate::WORDS_PER_LINE;
@@ -113,12 +113,6 @@ impl MemSession {
 
     // ---- hardware transactional memory -------------------------------
 
-    /// Whether this machine offers hardware transactions at all.
-    #[inline]
-    pub fn htm_enabled(&self) -> bool {
-        self.machine.config().htm.enabled
-    }
-
     /// Begin a hardware-transactional section (`xbegin`): charges the
     /// begin cost and samples the machine's conflict serial. Sections do
     /// not nest.
@@ -128,7 +122,7 @@ impl MemSession {
         self.htm_start_serial = self.machine.htm_serial_now();
         self.htm_footprint.clear();
         self.htm_writes.clear();
-        self.clock.advance(self.machine.config().htm.begin_ns);
+        self.clock.advance(HTM_BEGIN_NS);
     }
 
     /// Whether a hardware section is currently open.
@@ -173,7 +167,7 @@ impl MemSession {
     /// (nothing published). Either way the section is closed.
     pub fn htm_commit(&mut self) -> bool {
         debug_assert!(self.htm_active, "htm_commit outside a section");
-        self.clock.advance(self.machine.config().htm.commit_ns);
+        self.clock.advance(HTM_COMMIT_NS);
         let ok = self.machine.htm_try_commit(
             self.htm_start_serial,
             &self.htm_footprint,
@@ -189,7 +183,7 @@ impl MemSession {
     /// Charges the commit cost.
     pub fn htm_commit_readonly(&mut self) {
         debug_assert!(self.htm_active, "htm_commit_readonly outside a section");
-        self.clock.advance(self.machine.config().htm.commit_ns);
+        self.clock.advance(HTM_COMMIT_NS);
         self.htm_close();
     }
 

@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 
 use trace::{AbortCause, EventKind, HtmAbortCause};
 
-use crate::config::{FlushPlan, INDEX_NS, LOCK_SPIN, MAX_BACKOFF_NS, OREC_NS};
+use crate::config::{FlushPlan, INDEX_NS, LOCK_SPIN, LOG_CAPACITY, MAX_BACKOFF_NS, OREC_NS};
 use crate::log::TxLog;
 use crate::orec::{is_locked, owner_of};
 use crate::phases::{Phase, PhaseTimer};
@@ -115,7 +115,7 @@ impl TxAccess {
     pub(crate) fn new(ptm: Arc<Ptm>, heap: Arc<PHeap>, s: MemSession) -> TxAccess {
         let tid = s.tid() as u64;
         let log = TxLog::create(s.machine(), s.tid(), &ptm.config);
-        let cap = ptm.config.log_capacity.min(1 << 12);
+        let cap = LOG_CAPACITY.min(1 << 12);
         let window = match ptm.config.flush {
             FlushPlan::Combined if !s.machine().domain().requires_flushes() => FlushPlan::Batched,
             plan => plan,

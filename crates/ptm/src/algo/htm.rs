@@ -270,10 +270,8 @@ fn publish_home(ax: &mut TxAccess, wv: u64) {
     // Publish the write lines to the hardware conflict table while the
     // orecs still exclude readers, so an overlapping open section
     // aborts instead of observing a partial write set.
-    if ax.s.htm_enabled() {
-        let entries = &ax.entries;
-        ax.s.htm_publish_lines(entries.iter().map(|&(a, _)| PAddr(a)));
-    }
+    let entries = &ax.entries;
+    ax.s.htm_publish_lines(entries.iter().map(|&(a, _)| PAddr(a)));
     if !ax.s.machine().domain().requires_flushes() {
         // Hardware commits log nothing here: an entry left sealed past
         // the orec release would replay over a later one of the same

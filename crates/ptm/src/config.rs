@@ -128,9 +128,13 @@ pub const MAX_BACKOFF_NS: u64 = 40_000;
 const _: () = assert!(MAX_BACKOFF_NS > 0, "backoff ceiling must be positive");
 /// Hardware-section attempts before a policy with a hardware path
 /// ([`Algo::HtmLogged`]) falls back to its software sequence. The
-/// hardware model itself (capacity, begin/commit costs, whether HTM
-/// exists at all) lives in `pmem_sim::HtmModel` — a machine property.
+/// hardware model itself is a machine property: the footprint capacity
+/// is `pmem_sim::HtmModel`, the `xbegin` / `xend` costs are
+/// `pmem_sim::machine::{HTM_BEGIN_NS, HTM_COMMIT_NS}`; every machine has
+/// HTM.
 pub const HTM_ATTEMPTS: u32 = 4;
+/// Per-thread log capacity in entries (4 words each).
+pub const LOG_CAPACITY: usize = 1 << 13;
 
 /// Runtime configuration. TL2-style timestamp extension on validation
 /// failure is always attempted; the modeled metadata costs and retry
@@ -162,8 +166,6 @@ pub struct PtmConfig {
     pub group_window_ns: u64,
     /// Number of orecs (rounded to a power of two).
     pub orec_count: usize,
-    /// Log capacity in entries (4 words each).
-    pub log_capacity: usize,
     /// PDRAM-Lite primary log budget, in entries. Entries beyond it spill
     /// to an Optane overflow region (§IV-B: a handful of pages per thread
     /// with fall-back to Optane "should suffice").
@@ -191,7 +193,6 @@ impl Default for PtmConfig {
             group_commit: false,
             group_window_ns: 1_000,
             orec_count: 1 << 18,
-            log_capacity: 1 << 13,
             lite_log_entries: 128,
             heap_media: pmem_sim::MediaKind::Optane,
             tracing: false,

@@ -30,20 +30,20 @@
 
 use std::sync::Arc;
 
-use palloc::{GcReport, PHeap};
+use palloc::GcReport;
 use pmem_sim::{
     catch_simulated_crash, silence_simulated_crash_panics, AdversaryPolicy, CrashImage,
-    CrashInjector, DurabilityDomain, Machine, MachineConfig, MachineSet, PAddr, SiteKind,
+    CrashInjector, DurabilityDomain, Machine, MachineConfig, PAddr, SiteKind,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::{Algo, FlushPlan, PtmConfig};
-use crate::db::{machines_of, ReopenReports, Restarted};
+use crate::db::{machines_of, PtmDb, ReopenReports, Restarted};
 use crate::recovery::{recover_with_options, resolve_in_doubt, RecoverOptions, RecoveryReport};
 use crate::shard::{restart_all, shard_heap_name, ShardedEngine};
 use crate::twopc::CrossShardTx;
-use crate::txn::{Ptm, TxThread};
+use crate::txn::TxThread;
 
 /// One point of the sweep grid: which algorithm, durability domain and
 /// crash adversary to run the workload under.
@@ -64,11 +64,11 @@ pub fn derive_crash_seed(seed: u64, site: u64) -> u64 {
     seed ^ site.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Shard (machine) `shard`'s seed derived from `seed` — the
-/// [`pmem_sim::MachineSet::crash_all`] golden-ratio derivation, anchored
-/// so shard 0 keeps `seed` itself: one machine is the length-1 case, and
-/// every machine's crash image stays an independent pure function of
-/// the case seed and site.
+/// Shard (machine) `shard`'s seed derived from `seed` — the one
+/// derivation, used by the sweep and by [`ShardedEngine::crash_all`]: a
+/// golden-ratio multiple of the shard index, anchored so shard 0 keeps
+/// `seed` itself (one machine is the length-1 case), and every machine's
+/// crash image stays an independent pure function of the seed.
 pub fn shard_seed(seed: u64, shard: usize) -> u64 {
     seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard as u64)
 }
@@ -549,11 +549,12 @@ pub(crate) fn rooted_table(r: &Restarted, len: u64) -> Option<Vec<u64>> {
     Some((0..len).map(|i| pool.raw_load(root.word() + i)).collect())
 }
 
-/// Allocate an `accounts`-word table, set every balance to `initial` in
-/// one transaction, and root the table in slot 0 of the thread's heap.
+/// Allocate an `accounts`-word table (one word when there are none), set
+/// every balance to `initial` in one transaction, and root the table in
+/// slot 0 of the thread's heap.
 pub(crate) fn open_accounts(th: &mut TxThread, accounts: u64, initial: u64) -> PAddr {
     let heap = Arc::clone(th.heap());
-    let table = heap.alloc(th.session_mut(), accounts as usize);
+    let table = heap.alloc(th.session_mut(), accounts.max(1) as usize);
     th.run(|tx| {
         for i in 0..accounts {
             tx.write_at(table, i, initial)?;
@@ -562,6 +563,14 @@ pub(crate) fn open_accounts(th: &mut TxThread, accounts: u64, initial: u64) -> P
     });
     heap.set_root(th.session_mut(), 0, table);
     table
+}
+
+/// Leak a scratch block on purpose: a crash anywhere leaves it
+/// unreachable, and the restart GC of that heap must reclaim it.
+fn leak_scratch(th: &mut TxThread) {
+    let heap = Arc::clone(th.heap());
+    let scratch = heap.alloc(th.session_mut(), 3);
+    th.session_mut().store(scratch, 0xC0FFEE);
 }
 
 /// One transfer transaction between two words of `table`: all or
@@ -620,21 +629,22 @@ impl CrashWorkload for BankTransfers {
     }
 
     fn run(&self, machines: &[Arc<Machine>], case: &SweepCase) {
-        let machine = &machines[0];
-        let heap = PHeap::format(machine, &self.heap_pool(0), 1 << 15, 4);
         let cfg = PtmConfig {
             algo: case.algo,
             flush: self.flush,
             ..PtmConfig::default()
         };
-        let ptm = Ptm::new(cfg);
-        let mut th = TxThread::new(ptm, Arc::clone(&heap), machine.session(0));
+        let db = PtmDb::on_machine(
+            Arc::clone(&machines[0]),
+            &self.heap_pool(0),
+            cfg,
+            1 << 15,
+            4,
+        );
+        let mut th = db.thread(0);
         let table = open_accounts(&mut th, self.accounts, self.initial);
         for (from, to, amt) in self.plan(case.seed).transfers {
-            // Leak a scratch block on purpose: a crash anywhere leaves it
-            // unreachable, and the restart GC must reclaim it.
-            let scratch = heap.alloc(th.session_mut(), 3);
-            th.session_mut().store(scratch, 0xC0FFEE);
+            leak_scratch(&mut th);
             transfer(&mut th, table, from, to, amt);
         }
     }
@@ -704,9 +714,7 @@ impl CrashWorkload for GroupWindowBank {
     }
 
     fn run(&self, machines: &[Arc<Machine>], case: &SweepCase) {
-        let machine = &machines[0];
-        machine.begin_run(2, u64::MAX);
-        let heap = PHeap::format(machine, &self.heap_pool(0), 1 << 15, 4);
+        machines[0].begin_run(2, u64::MAX);
         let cfg = PtmConfig {
             algo: case.algo,
             group_commit: true,
@@ -716,10 +724,14 @@ impl CrashWorkload for GroupWindowBank {
             group_window_ns: 1 << 20,
             ..PtmConfig::default()
         };
-        let ptm = Ptm::new(cfg);
-        let mut ths: Vec<TxThread> = (0..2)
-            .map(|t| TxThread::new(Arc::clone(&ptm), Arc::clone(&heap), machine.session(t)))
-            .collect();
+        let db = PtmDb::on_machine(
+            Arc::clone(&machines[0]),
+            &self.heap_pool(0),
+            cfg,
+            1 << 15,
+            4,
+        );
+        let mut ths: Vec<TxThread> = (0..2).map(|t| db.thread(t)).collect();
         let n = self.accounts_per_thread;
         let table = open_accounts(&mut ths[0], 2 * n, self.initial);
         let plans = [self.plan(case.seed, 0), self.plan(case.seed, 1)];
@@ -802,34 +814,14 @@ impl ShardedTransfers {
         engine.begin_run_all(1, u64::MAX);
         let mut cx = CrossShardTx::new(engine, 0);
         // Per-shard account tables, rooted so recovery can find them.
-        let mut tables = Vec::with_capacity(self.shards);
-        for s in 0..self.shards {
-            let n = self.accounts_on(s) as usize;
-            let th = cx.thread_mut(s);
-            let heap = Arc::clone(th.heap());
-            let table = heap.alloc(th.session_mut(), n.max(1));
-            cx.run_single(s, |tx| {
-                for i in 0..n as u64 {
-                    tx.write_at(table, i, self.initial)?;
-                }
-                Ok(())
-            });
-            let th = cx.thread_mut(s);
-            let heap = Arc::clone(th.heap());
-            heap.set_root(th.session_mut(), 0, table);
-            tables.push(table);
-        }
+        let tables: Vec<PAddr> = (0..self.shards)
+            .map(|s| open_accounts(cx.thread_mut(s), self.accounts_on(s), self.initial))
+            .collect();
         for (from, to, amt) in self.plan(case.seed).transfers {
             let (sf, of) = self.home(from);
             let (st, ot) = self.home(to);
-            // Leak a scratch block on the debit shard: a crash leaves it
-            // unreachable and that shard's restart GC must reclaim it.
-            {
-                let th = cx.thread_mut(sf);
-                let heap = Arc::clone(th.heap());
-                let scratch = heap.alloc(th.session_mut(), 3);
-                th.session_mut().store(scratch, 0xC0FFEE);
-            }
+            // The scratch block leaks on the debit shard.
+            leak_scratch(cx.thread_mut(sf));
             cx.run(|tx| {
                 let f = tx.read_at(sf, tables[sf], of)?;
                 let t = tx.read_at(st, tables[st], ot)?;
@@ -872,8 +864,7 @@ impl CrashWorkload for ShardedTransfers {
             algo: case.algo,
             ..PtmConfig::default()
         };
-        let set = MachineSet::from_machines(machines.to_vec());
-        let engine = ShardedEngine::on_machines(set, cfg, 1 << 15, 4);
+        let engine = ShardedEngine::on_machines(machines.to_vec(), cfg, 1 << 15, 4);
         Box::new(move || self.transact(&engine, case))
     }
 

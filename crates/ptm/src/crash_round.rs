@@ -5,20 +5,17 @@
 //! `crash_fuzz` soak and `tests/crash_bank.rs` both run it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use palloc::PHeap;
 use pmem_sim::{AdversaryPolicy, DurabilityDomain, Machine, MachineConfig, PAddr};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::PtmConfig;
 use crate::crash_harness::{open_accounts, rooted_table, transfer};
-use crate::db::restart;
+use crate::db::{restart, PtmDb};
 use crate::recovery::{RecoverOptions, RecoveryReport};
 use crate::stats::PtmStatsSnapshot;
-use crate::txn::{Ptm, TxThread};
 
 /// Accounts, opening balance and worker threads of one
 /// [`frozen_bank_round`]; every round must conserve
@@ -26,6 +23,7 @@ use crate::txn::{Ptm, TxThread};
 pub const FROZEN_ACCOUNTS: u64 = 32;
 pub const FROZEN_INITIAL: u64 = 500;
 const FROZEN_THREADS: usize = 3;
+const FROZEN_HEAP: &str = "bank";
 
 /// What one [`frozen_bank_round`] recovered.
 #[derive(Debug, Clone)]
@@ -57,21 +55,23 @@ pub fn frozen_bank_round(
         track_persistence: true,
         ..MachineConfig::default()
     };
-    let machine = Machine::new(machine_cfg.clone());
-    let heap = PHeap::format(&machine, "bank", 1 << 15, 4);
-    let ptm = Ptm::new(ptm_cfg);
-    machine.begin_run(1, u64::MAX);
-    let table = {
-        let mut th = TxThread::new(Arc::clone(&ptm), Arc::clone(&heap), machine.session(0));
-        open_accounts(&mut th, FROZEN_ACCOUNTS, FROZEN_INITIAL)
-    };
+    let db = PtmDb::on_machine(
+        Machine::new(machine_cfg.clone()),
+        FROZEN_HEAP,
+        ptm_cfg,
+        1 << 15,
+        4,
+    );
+    let machine = db.machine();
+    db.begin_run(1, u64::MAX);
+    let table = open_accounts(&mut db.thread(0), FROZEN_ACCOUNTS, FROZEN_INITIAL);
     let stop = AtomicBool::new(false);
-    machine.begin_run(FROZEN_THREADS, u64::MAX);
+    db.begin_run(FROZEN_THREADS, u64::MAX);
     let image = std::thread::scope(|scope| {
         for tid in 0..FROZEN_THREADS {
-            let (machine, ptm, heap, stop) = (&machine, &ptm, &heap, &stop);
+            let (db, stop) = (&db, &stop);
             scope.spawn(move || {
-                let mut th = TxThread::new(Arc::clone(ptm), Arc::clone(heap), machine.session(tid));
+                let mut th = db.thread(tid);
                 let mut rng = SmallRng::seed_from_u64(seed ^ (tid as u64) << 32);
                 while !stop.load(Ordering::Relaxed) {
                     let from = rng.gen_range(0..FROZEN_ACCOUNTS);
@@ -87,13 +87,13 @@ pub fn frozen_bank_round(
         machine.thaw();
         image
     });
-    let r = restart(&image, "bank", machine_cfg, RecoverOptions::default())
+    let r = restart(&image, FROZEN_HEAP, machine_cfg, RecoverOptions::default())
         .expect("frozen bank restart");
     FrozenRound {
         total: rooted_table(&r, FROZEN_ACCOUNTS).map_or(0, |t| t.iter().sum()),
         table,
         root: r.heap.root_raw(0),
         recovery: r.reports.recovery,
-        stats: ptm.stats_snapshot(),
+        stats: db.ptm().stats_snapshot(),
     }
 }

@@ -38,6 +38,7 @@ use pmem_sim::{CrashImage, Machine, MachineConfig};
 
 use crate::config::PtmConfig;
 use crate::recovery::{recover_with_options, RecoverOptions, RecoveryReport};
+use crate::stats::PtmStats;
 use crate::txn::{Ptm, TxThread};
 
 /// Pool name the façade uses for its heap (how `reopen` finds it again).
@@ -87,7 +88,7 @@ pub(crate) fn machines_of(restarted: &[Restarted]) -> Vec<Arc<Machine>> {
 /// *online* and join the sweep, so the machine comes back fully ready
 /// while the reports still split time-to-first-transaction from the
 /// full restart.
-/// [`PtmDb::reopen_with`], [`crate::ShardedEngine::reopen_with`] and the
+/// [`PtmDb::reopen_with`], [`crate::ShardedEngine::reopen`] and the
 /// crash harness all restart through here; the façades `expect` the
 /// result, the harness reports an `Err` as a violation.
 pub fn restart(
@@ -121,7 +122,10 @@ pub fn restart(
     })
 }
 
-/// A persistent database: one machine, one heap, one PTM.
+/// A persistent database: one machine, one heap, one PTM. Also the unit
+/// a sharded database is made of ([`crate::ShardedEngine`] is a
+/// `Vec<PtmDb>` plus its 2PC coordinator), and the one place a heap is
+/// formatted and a [`Ptm`] built.
 pub struct PtmDb {
     machine: Arc<Machine>,
     heap: Arc<PHeap>,
@@ -129,23 +133,61 @@ pub struct PtmDb {
 }
 
 impl PtmDb {
-    /// Create a fresh database.
+    /// Create a fresh database on a fresh machine.
     pub fn create(
         machine_cfg: MachineConfig,
         ptm_cfg: PtmConfig,
         heap_words: usize,
         roots: usize,
     ) -> PtmDb {
-        let machine = Machine::new(machine_cfg);
-        let heap = PHeap::format_with_media(
-            &machine,
+        Self::on_machine(
+            Machine::new(machine_cfg),
             DB_HEAP_NAME,
+            ptm_cfg,
             heap_words,
             roots,
-            ptm_cfg.heap_media,
-        );
+        )
+    }
+
+    /// A fresh database on a machine the caller built, its heap formatted
+    /// in a new pool named `heap_pool` (what a later [`restart`] must be
+    /// given to find it again).
+    pub fn on_machine(
+        machine: Arc<Machine>,
+        heap_pool: &str,
+        ptm_cfg: PtmConfig,
+        heap_words: usize,
+        roots: usize,
+    ) -> PtmDb {
+        let heap =
+            PHeap::format_with_media(&machine, heap_pool, heap_words, roots, ptm_cfg.heap_media);
+        PtmDb {
+            machine,
+            heap,
+            ptm: Ptm::new(ptm_cfg),
+        }
+    }
+
+    /// The database a [`restart`] brought back, with what the restart
+    /// did. In-doubt resolutions the reports carry (a sharded restart
+    /// folds them in) are counted into the new PTM's statistics.
+    pub fn from_restarted(r: Restarted, ptm_cfg: PtmConfig) -> (PtmDb, ReopenReports) {
         let ptm = Ptm::new(ptm_cfg);
-        PtmDb { machine, heap, ptm }
+        let rec = &r.reports.recovery;
+        PtmStats::add(
+            &ptm.stats.indoubt_resolved_commit,
+            rec.indoubt_resolved_commit as u64,
+        );
+        PtmStats::add(
+            &ptm.stats.indoubt_resolved_abort,
+            rec.indoubt_resolved_abort as u64,
+        );
+        let db = PtmDb {
+            machine: r.machine,
+            heap: r.heap,
+            ptm,
+        };
+        (db, r.reports)
     }
 
     /// Reboot from a crash image: runs PTM recovery (replaying committed
@@ -177,12 +219,7 @@ impl PtmDb {
     ) -> (PtmDb, ReopenReports) {
         let r = restart(image, DB_HEAP_NAME, machine_cfg, opts)
             .expect("reopen found no PtmDb heap it could attach");
-        let db = PtmDb {
-            machine: r.machine,
-            heap: r.heap,
-            ptm: Ptm::new(ptm_cfg),
-        };
-        (db, r.reports)
+        Self::from_restarted(r, ptm_cfg)
     }
 
     /// Begin a timed run with `threads` virtual threads (see
@@ -204,6 +241,14 @@ impl PtmDb {
     /// should [`Machine::freeze`] first).
     pub fn crash(&self, seed: u64) -> CrashImage {
         self.machine.crash(seed)
+    }
+
+    /// Zero the PTM's counters and phase totals and the machine's
+    /// memory-system counters (between set-up and a measured phase).
+    pub fn reset_stats(&self) {
+        self.ptm.stats.reset();
+        self.ptm.phases.reset();
+        self.machine.stats.reset();
     }
 
     pub fn machine(&self) -> &Arc<Machine> {

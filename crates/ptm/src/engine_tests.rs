@@ -948,10 +948,7 @@ fn read_hint_on_any_span_leaves_every_observer_unchanged() {
     let run = |algo: Algo, hinted: bool| {
         let m = Machine::new(MachineConfig {
             window_ns: u64::MAX,
-            htm: HtmModel {
-                capacity_lines: 8,
-                ..HtmModel::default()
-            },
+            htm: HtmModel { capacity_lines: 8 },
             ..MachineConfig::default()
         });
         let sink = trace::TraceSink::new(1 << 14);

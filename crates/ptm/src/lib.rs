@@ -77,7 +77,7 @@ pub use db::PtmDb;
 pub use phases::{Phase, PhaseSnapshot, PhaseStats, PhaseTimer, PHASE_COUNT};
 pub use recovery::resolve_in_doubt;
 pub use recovery::{recover, recover_with_options, RecoverOptions, RecoveryReport};
-pub use shard::{ShardedEngine, SHARD_HEAP_PREFIX};
+pub use shard::ShardedEngine;
 pub use stats::{PtmStats, PtmStatsSnapshot};
 pub use twopc::{CrossShardTx, CrossTx};
 pub use txn::{Abort, Ptm, Tx, TxResult, TxThread};

@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use pmem_sim::{DurabilityDomain, Machine, MediaKind, PAddr, PersistenceClass, PmemPool};
 
-use crate::config::PtmConfig;
+use crate::config::{PtmConfig, LOG_CAPACITY};
 
 /// Descriptor state values (the low byte of `W_STATE`).
 pub const STATE_IDLE: u64 = 0;
@@ -195,11 +195,11 @@ impl TxLog {
         let media = cfg.heap_media;
         let (primary_cap, class) = if lite && media == MediaKind::Optane {
             (
-                cfg.lite_log_entries.min(cfg.log_capacity),
+                cfg.lite_log_entries.min(LOG_CAPACITY),
                 PersistenceClass::PdramLite,
             )
         } else {
-            (cfg.log_capacity, PersistenceClass::Normal)
+            (LOG_CAPACITY, PersistenceClass::Normal)
         };
         let primary_words = (ENTRY0 + primary_cap as u64 * ENTRY_WORDS) as usize;
         let primary = machine.alloc_pool_with_class(
@@ -208,8 +208,8 @@ impl TxLog {
             media,
             class,
         );
-        let overflow = if primary_cap < cfg.log_capacity {
-            let words = (cfg.log_capacity - primary_cap) * ENTRY_WORDS as usize;
+        let overflow = if primary_cap < LOG_CAPACITY {
+            let words = (LOG_CAPACITY - primary_cap) * ENTRY_WORDS as usize;
             Some(machine.alloc_pool(&format!("{OVF_POOL_PREFIX}{tid}"), words, media))
         } else {
             None
@@ -225,7 +225,7 @@ impl TxLog {
             primary,
             overflow,
             primary_cap,
-            capacity: cfg.log_capacity,
+            capacity: LOG_CAPACITY,
         }
     }
 
@@ -324,7 +324,7 @@ mod tests {
         let log = TxLog::create(&m, 3, &cfg);
         assert_eq!(log.primary.raw_load(W_ALGO), ALGO_REDO);
         assert_eq!(log.primary.raw_load(W_STATE), STATE_IDLE);
-        assert_eq!(log.primary_cap, cfg.log_capacity);
+        assert_eq!(log.primary_cap, LOG_CAPACITY);
         assert!(log.overflow.is_none());
         // Header durable even under ADR (shadow has it).
         assert_eq!(log.primary.shadow().unwrap().load(W_ALGO), ALGO_REDO);
@@ -336,7 +336,6 @@ mod tests {
         let m = machine(DurabilityDomain::PdramLite);
         let mut cfg = PtmConfig::redo();
         cfg.lite_log_entries = 16;
-        cfg.log_capacity = 64;
         let log = TxLog::create(&m, 0, &cfg);
         assert_eq!(log.primary_cap, 16);
         assert_eq!(log.primary.class(), PersistenceClass::PdramLite);

@@ -179,7 +179,6 @@ impl RecoveryReport {
 /// mid-recovery failures of any algorithm uniformly.
 pub struct RecoverCtx<'a> {
     pub machine: &'a Arc<Machine>,
-    ring: &'a mut Option<trace::TraceRing>,
     /// The log's primary pool (header + first `primary_cap` entries).
     pub primary: Arc<PmemPool>,
     /// PDRAM-Lite spill pool, when the header points at one.
@@ -197,8 +196,7 @@ pub struct RecoverCtx<'a> {
 }
 
 impl RecoverCtx<'_> {
-    /// Durable raw store of one word (with its trace event and crash
-    /// site). Recovery must be idempotent under a failure at any point
+    /// Durable raw store of one word (with its crash site). Recovery must be idempotent under a failure at any point
     /// of its own execution.
     ///
     /// The line flush is deferred while consecutive stores hit the same
@@ -209,9 +207,6 @@ impl RecoverCtx<'_> {
     /// (idempotent) repair: the log is still live.
     pub fn store_persist(&mut self, addr: PAddr, value: u64) {
         self.machine.note_site(SiteKind::RecoveryPersist, false);
-        if let Some(r) = self.ring.as_mut() {
-            r.record(0, trace::EventKind::RecoveryApply, addr.0, value);
-        }
         let line = addr.word() / WORDS_PER_LINE as u64;
         let reuse = match self.pending.take() {
             Some((pool, l)) if pool.id() == addr.pool() => {
@@ -341,19 +336,9 @@ fn recover_one(
     log: DiscoveredLog,
     opts: RecoverOptions,
     report: &mut RecoveryReport,
-    ring: &mut Option<trace::TraceRing>,
 ) {
-    if let Some(r) = ring.as_mut() {
-        r.record(
-            0,
-            trace::EventKind::RecoveryLog,
-            log.primary.id().0 as u64,
-            0,
-        );
-    }
     let mut ctx = RecoverCtx {
         machine,
-        ring,
         primary: log.primary,
         overflow: log.overflow,
         primary_cap: log.primary_cap,
@@ -371,36 +356,14 @@ fn recover_one(
 pub fn recover_with_options(machine: &Arc<Machine>, opts: RecoverOptions) -> RecoveryReport {
     let t0 = Instant::now();
     let mut report = RecoveryReport::default();
-    // Recovery is untimed: its events carry ts 0 and are submitted
-    // under the reserved recovery tid (ordering within the stream is
-    // preserved by the merge's sequence tiebreak).
-    let tracer = machine.tracer();
-    let mut ring = tracer.as_ref().map(|sink| sink.ring());
-    if let Some(r) = ring.as_mut() {
-        r.record(
-            0,
-            trace::EventKind::RecoveryBegin,
-            machine.pools().len() as u64,
-            0,
-        );
-    }
     // Discovery validates each prefix-colliding pool fail-soft before it
     // is handed to a policy; repair follows in the same pool order.
     let (logs, prepared) = discover(machine, &mut report);
     report.prepared_skipped = prepared.len();
     for log in logs {
-        recover_one(machine, log, opts, &mut report, &mut ring);
+        recover_one(machine, log, opts, &mut report);
     }
     report.recovery_ns = t0.elapsed().as_nanos() as u64;
-    if let (Some(sink), Some(mut r)) = (tracer, ring) {
-        r.record(
-            0,
-            trace::EventKind::RecoveryEnd,
-            report.redo_replayed as u64,
-            report.undo_rolled_back as u64,
-        );
-        sink.submit(trace::RECOVERY_TID, &r);
-    }
     report
 }
 
@@ -530,10 +493,8 @@ pub fn resolve_in_doubt(machines: &[Arc<Machine>]) -> Vec<RecoveryReport> {
         for log in prepared {
             let gtid = prepared_gtid(log.primary.raw_load(W_STATE));
             let decide_commit = committed.contains(&gtid);
-            let mut ring = None;
             let mut ctx = RecoverCtx {
                 machine: m,
-                ring: &mut ring,
                 primary: log.primary,
                 overflow: log.overflow,
                 primary_cap: log.primary_cap,

@@ -28,22 +28,20 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use palloc::PHeap;
-use pmem_sim::{CrashImage, Machine, MachineConfig, MachineSet, PmemPool, StatsSnapshot};
+use pmem_sim::{CrashImage, Machine, MachineConfig, PmemPool, StatsSnapshot};
 
 use crate::config::PtmConfig;
-use crate::db::{machines_of, restart, ReopenReports, Restarted};
+use crate::crash_harness::shard_seed;
+use crate::db::{machines_of, restart, PtmDb, ReopenReports, Restarted};
 use crate::log::{COORD_POOL, COORD_SLOTS, COORD_SLOT_WORDS};
 use crate::recovery::{resolve_in_doubt, RecoverOptions};
-use crate::stats::{PtmStats, PtmStatsSnapshot};
-use crate::txn::{Ptm, TxThread};
+use crate::stats::PtmStatsSnapshot;
+use crate::txn::TxThread;
 
-/// Pool-name prefix for shard heaps; shard `i`'s heap pool is named
-/// `"shard-heap-<i>"`, which is how [`ShardedEngine::reopen`] finds it.
-pub const SHARD_HEAP_PREFIX: &str = "shard-heap";
-
+/// Shard `shard`'s heap pool name, which is how
+/// [`ShardedEngine::reopen`] finds it again.
 pub(crate) fn shard_heap_name(shard: usize) -> String {
-    format!("{SHARD_HEAP_PREFIX}-{shard}")
+    format!("shard-heap-{shard}")
 }
 
 /// Restart a set of machines, machine `i` from `images[i]` with its heap
@@ -79,11 +77,10 @@ pub(crate) fn restart_all(
     Ok(restarted)
 }
 
-/// N single-shard PTM stacks behind one key-routed front door.
+/// N single-shard databases behind one key-routed front door.
 pub struct ShardedEngine {
-    machines: MachineSet,
-    heaps: Vec<Arc<PHeap>>,
-    ptms: Vec<Arc<Ptm>>,
+    /// Shard `i` is a complete [`PtmDb`]: its own machine, heap and PTM.
+    shards: Vec<PtmDb>,
     /// Per-shard 2PC coordinator-record pools (`COORD_POOL` on each
     /// shard machine), in shard order.
     coords: Vec<Arc<PmemPool>>,
@@ -110,48 +107,57 @@ impl ShardedEngine {
         heap_words_per_shard: usize,
         roots: usize,
     ) -> ShardedEngine {
-        Self::on_machines(
-            MachineSet::new(shards, machine_cfg),
-            ptm_cfg,
-            heap_words_per_shard,
-            roots,
-        )
+        let machines = (0..shards)
+            .map(|_| Machine::new(machine_cfg.clone()))
+            .collect();
+        Self::on_machines(machines, ptm_cfg, heap_words_per_shard, roots)
     }
 
     /// [`ShardedEngine::create`] over machines the caller already built
     /// (the crash harness arms one injector on all of them).
     pub(crate) fn on_machines(
-        machines: MachineSet,
+        machines: Vec<Arc<Machine>>,
         ptm_cfg: PtmConfig,
         heap_words_per_shard: usize,
         roots: usize,
     ) -> ShardedEngine {
-        let shards = machines.len();
-        let heaps = (0..shards)
-            .map(|i| {
-                PHeap::format_with_media(
-                    machines.get(i),
+        let shards = machines
+            .into_iter()
+            .enumerate()
+            .map(|(i, machine)| {
+                PtmDb::on_machine(
+                    machine,
                     &shard_heap_name(i),
+                    ptm_cfg.clone(),
                     heap_words_per_shard,
                     roots,
-                    ptm_cfg.heap_media,
                 )
             })
             .collect();
-        let ptms = (0..shards).map(|_| Ptm::new(ptm_cfg.clone())).collect();
-        let coords = (0..shards)
-            .map(|i| {
-                machines.get(i).alloc_pool(
-                    COORD_POOL,
-                    COORD_SLOTS * COORD_SLOT_WORDS,
-                    ptm_cfg.heap_media,
-                )
+        Self::over(shards)
+    }
+
+    /// The engine over `shards`, adopting each machine's coordinator pool
+    /// or allocating it where there is none yet (a fresh machine, or an
+    /// image that predates 2PC). Restart resolution leaves every slot
+    /// durably zeroed, so starting gtids from 1 is safe either way.
+    fn over(shards: Vec<PtmDb>) -> ShardedEngine {
+        assert!(!shards.is_empty(), "an engine needs at least one shard");
+        let coords = shards
+            .iter()
+            .map(|db| {
+                let m = db.machine();
+                m.pools()
+                    .into_iter()
+                    .find(|p| p.name() == COORD_POOL)
+                    .unwrap_or_else(|| {
+                        let media = db.ptm().config.heap_media;
+                        m.alloc_pool(COORD_POOL, COORD_SLOTS * COORD_SLOT_WORDS, media)
+                    })
             })
             .collect();
         ShardedEngine {
-            machines,
-            heaps,
-            ptms,
+            shards,
             coords,
             gtid_next: AtomicU64::new(1),
             coord_cursor: AtomicUsize::new(0),
@@ -160,26 +166,33 @@ impl ShardedEngine {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.machines.len()
+        self.shards.len()
     }
 
-    /// Which shard owns `key`. Fibonacci multiply-shift so adjacent keys
-    /// scatter; deterministic, so routing is stable across runs and
-    /// across crash/reopen.
+    /// Shard `i`: a whole database (machine, heap, PTM).
+    pub fn shard(&self, shard: usize) -> &PtmDb {
+        assert!(shard < self.shards(), "shard {shard} out of range");
+        &self.shards[shard]
+    }
+
+    /// Which of `shards` shards owns `key`. Fibonacci multiply-shift so
+    /// adjacent keys scatter; a pure function of its arguments, so
+    /// routing is stable across runs and across crash/reopen, and a
+    /// driver can size its shards before the engine exists.
+    pub fn route(key: u64, shards: usize) -> usize {
+        ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % shards as u64) as usize
+    }
+
+    /// Which shard of this engine owns `key`.
     pub fn shard_of(&self, key: u64) -> usize {
-        ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % self.shards() as u64) as usize
+        Self::route(key, self.shards())
     }
 
     /// A transaction executor for virtual thread `tid` on shard `shard`.
     /// The returned [`TxThread`] is bound to that shard's heap and clock
     /// — it cannot name another shard's memory.
     pub fn thread(&self, shard: usize, tid: usize) -> TxThread {
-        assert!(shard < self.shards(), "shard {shard} out of range");
-        TxThread::new(
-            Arc::clone(&self.ptms[shard]),
-            Arc::clone(&self.heaps[shard]),
-            self.machines.get(shard).session(tid),
-        )
+        self.shard(shard).thread(tid)
     }
 
     /// Assert that `key` is homed on `shard` — drivers call this on every
@@ -199,158 +212,92 @@ impl ShardedEngine {
     }
 
     /// Start a timed run on every shard: `threads_per_shard` virtual
-    /// threads each, bounded-lag window `window_ns`.
+    /// threads each, bounded-lag window `window_ns`. Each shard has its
+    /// own clock domain — shards do not lag-couple to each other.
     pub fn begin_run_all(&self, threads_per_shard: usize, window_ns: u64) {
-        self.machines.begin_run_all(threads_per_shard, window_ns);
-    }
-
-    /// Stop the world on every shard (before a live-run crash).
-    pub fn freeze_all(&self) {
-        self.machines.freeze_all();
-    }
-
-    /// Resume every shard.
-    pub fn thaw_all(&self) {
-        self.machines.thaw_all();
+        for db in &self.shards {
+            db.begin_run(threads_per_shard, window_ns);
+        }
     }
 
     /// Simulated power failure on all shards at once: one media image per
-    /// shard, adversary seeds derived per shard from `seed`.
+    /// shard, shard `i` under the adversary seed [`shard_seed`]`(seed, i)`
+    /// (independent and deterministic per shard; shard 0 keeps `seed`).
     pub fn crash_all(&self, seed: u64) -> Vec<CrashImage> {
-        self.machines.crash_all(seed)
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(i, db)| db.crash(shard_seed(seed, i)))
+            .collect()
     }
 
     /// Reboot every shard from its crash image: per-shard PTM recovery
     /// (redo replay / undo rollback from that shard's log arena alone)
-    /// followed by per-shard heap attach + GC. Shard `i` recovers from
-    /// `images[i]`; recovery on one shard never reads another shard's
-    /// log.
+    /// followed by per-shard heap attach + GC, then one in-doubt
+    /// resolution pass over all of them ([`restart_all`]). Shard `i`
+    /// recovers from `images[i]`; the shards restart *concurrently* (one
+    /// restart thread per shard), which is observationally identical to
+    /// restarting them in order — recovery on one shard never reads
+    /// another shard's pools, so shard restarts commute — and the
+    /// returned reports stay in shard order.
     pub fn reopen(
         images: &[CrashImage],
         machine_cfg: MachineConfig,
         ptm_cfg: PtmConfig,
     ) -> (ShardedEngine, Vec<ReopenReports>) {
-        Self::reopen_with(images, machine_cfg, ptm_cfg, RecoverOptions::default())
-    }
-
-    /// [`ShardedEngine::reopen`] with explicit recovery options (the
-    /// harness's fault-injection switches). The shards restart
-    /// *concurrently* (one restart thread per shard), which is
-    /// observationally identical to restarting them in order — shards
-    /// never read each other's pools, so shard restarts commute — and
-    /// the returned reports stay in shard order.
-    pub fn reopen_with(
-        images: &[CrashImage],
-        machine_cfg: MachineConfig,
-        ptm_cfg: PtmConfig,
-        opts: RecoverOptions,
-    ) -> (ShardedEngine, Vec<ReopenReports>) {
         assert!(!images.is_empty(), "reopen needs at least one shard image");
         let heap_pools: Vec<String> = (0..images.len()).map(shard_heap_name).collect();
-        let restarted =
-            restart_all(images, &heap_pools, &machine_cfg, opts).expect("shard restart");
-        let mut machines = Vec::with_capacity(images.len());
-        let mut heaps = Vec::with_capacity(images.len());
-        let mut reports = Vec::with_capacity(images.len());
-        for r in restarted {
-            machines.push(r.machine);
-            heaps.push(r.heap);
-            reports.push(r.reports);
-        }
-        let ptms: Vec<Arc<Ptm>> = (0..images.len())
-            .map(|_| Ptm::new(ptm_cfg.clone()))
-            .collect();
-        for (ptm, rep) in ptms.iter().zip(&reports) {
-            PtmStats::add(
-                &ptm.stats.indoubt_resolved_commit,
-                rep.recovery.indoubt_resolved_commit as u64,
-            );
-            PtmStats::add(
-                &ptm.stats.indoubt_resolved_abort,
-                rep.recovery.indoubt_resolved_abort as u64,
-            );
-        }
-        // Re-adopt (or re-create, for images that predate 2PC) each
-        // shard's coordinator pool; resolution left every slot durably
-        // zeroed, so restarting gtids from 1 is safe.
-        let coords = machines
-            .iter()
-            .map(|m| {
-                m.pools()
-                    .into_iter()
-                    .find(|p| p.name() == COORD_POOL)
-                    .unwrap_or_else(|| {
-                        m.alloc_pool(
-                            COORD_POOL,
-                            COORD_SLOTS * COORD_SLOT_WORDS,
-                            ptm_cfg.heap_media,
-                        )
-                    })
-            })
-            .collect();
-        (
-            ShardedEngine {
-                machines: MachineSet::from_machines(machines),
-                heaps,
-                ptms,
-                coords,
-                gtid_next: AtomicU64::new(1),
-                coord_cursor: AtomicUsize::new(0),
-            },
-            reports,
-        )
+        let opts = RecoverOptions::default();
+        let (shards, reports) = restart_all(images, &heap_pools, &machine_cfg, opts)
+            .expect("shard restart")
+            .into_iter()
+            .map(|r| PtmDb::from_restarted(r, ptm_cfg.clone()))
+            .unzip();
+        (Self::over(shards), reports)
     }
 
     /// Sum of all shards' PTM counters (high-water fields take the max).
     pub fn aggregate_ptm_stats(&self) -> PtmStatsSnapshot {
         let mut total = PtmStatsSnapshot::default();
-        for p in &self.ptms {
-            total.merge(&p.stats.snapshot());
+        for db in &self.shards {
+            total.merge(&db.ptm().stats.snapshot());
         }
         total
     }
 
     /// Sum of all shards' memory-system counters.
     pub fn aggregate_mem_stats(&self) -> StatsSnapshot {
-        self.machines.aggregate_stats()
+        let mut total = StatsSnapshot::default();
+        for snap in self.per_shard_mem_stats() {
+            total.merge(&snap);
+        }
+        total
     }
 
     /// Per-shard memory-system snapshots, in shard order (for per-shard
     /// WPQ-stall attribution in benchmark output).
     pub fn per_shard_mem_stats(&self) -> Vec<StatsSnapshot> {
-        self.machines
-            .machines()
+        self.shards
             .iter()
-            .map(|m| m.stats.snapshot())
+            .map(|db| db.machine().stats.snapshot())
             .collect()
     }
 
     /// Zero every shard's PTM and memory counters.
     pub fn reset_stats(&self) {
-        for p in &self.ptms {
-            p.stats.reset();
+        for db in &self.shards {
+            db.reset_stats();
         }
-        self.machines.reset_stats();
     }
 
-    /// Aggregate makespan: the largest virtual time reached on any shard.
+    /// Aggregate makespan: the largest virtual time reached by any thread
+    /// on any shard (open-loop aggregate throughput = total ops / this).
     pub fn max_run_time_ns(&self) -> u64 {
-        self.machines.max_run_time_ns()
-    }
-
-    /// Shard `i`'s machine.
-    pub fn machine(&self, shard: usize) -> &Arc<Machine> {
-        self.machines.get(shard)
-    }
-
-    /// Shard `i`'s heap.
-    pub fn heap(&self, shard: usize) -> &Arc<PHeap> {
-        &self.heaps[shard]
-    }
-
-    /// Shard `i`'s PTM instance.
-    pub fn ptm(&self, shard: usize) -> &Arc<Ptm> {
-        &self.ptms[shard]
+        self.shards
+            .iter()
+            .map(|db| db.machine().run_time_ns())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Shard `i`'s 2PC coordinator-record pool.
@@ -386,20 +333,135 @@ mod tests {
         ShardedEngine::create(shards, cfg(), PtmConfig::redo(), 1 << 14, 4)
     }
 
+    /// One routing function: `shard_of` is `route` at the engine's own
+    /// shard count, for every count — in range, and a dense key range
+    /// reaches every shard.
     #[test]
-    fn routing_is_stable_and_in_range() {
-        let e = engine(4);
-        for key in 0..10_000u64 {
-            let s = e.shard_of(key);
-            assert!(s < 4);
-            assert_eq!(s, e.shard_of(key), "routing must be deterministic");
+    fn shard_of_is_route_at_every_shard_count() {
+        for n in 1..=16 {
+            let e = ShardedEngine::create(n, cfg(), PtmConfig::redo(), 1 << 12, 4);
+            let mut seen = vec![false; n];
+            for key in 0..10_000u64 {
+                let s = e.shard_of(key);
+                assert_eq!(s, ShardedEngine::route(key, n), "key {key} of {n}");
+                assert!(s < n);
+                seen[s] = true;
+            }
+            assert!(seen.iter().all(|&s| s), "dense keys must hit all {n}");
         }
-        // All shards get some share of a dense key range.
-        let mut seen = [false; 4];
-        for key in 0..10_000u64 {
-            seen[e.shard_of(key)] = true;
+    }
+
+    /// "From, not beside": a 1-shard engine is a `PtmDb` plus a
+    /// coordinator pool. Give a `PtmDb` a same-sized pool in the same
+    /// place (so both machines hold the same pools under the same ids —
+    /// the cache model hashes pool ids) and one seeded stream ends both
+    /// at the same virtual clock, counters and pool contents, under real
+    /// latencies.
+    #[test]
+    fn one_shard_engine_is_a_ptmdb_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mcfg = MachineConfig {
+            track_persistence: true,
+            ..MachineConfig::default()
+        };
+        let stream = |mut th: TxThread| {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(24);
+            let heap = Arc::clone(th.heap());
+            let table = heap.alloc(th.session_mut(), 512);
+            heap.set_root(th.session_mut(), 0, table);
+            for _ in 0..400 {
+                let (from, to) = (rng.gen_range(0..512u64), rng.gen_range(0..512u64));
+                let amt = rng.gen_range(1..9u64);
+                th.run(|tx| {
+                    let f = tx.read_at(table, from)?;
+                    tx.write_at(table, from, f.wrapping_sub(amt))?;
+                    let t = tx.read_at(table, to)?;
+                    tx.write_at(table, to, t.wrapping_add(amt))
+                });
+            }
+            th.session_mut().now()
+        };
+        for ptm_cfg in [PtmConfig::redo(), PtmConfig::undo()] {
+            let e = ShardedEngine::create(1, mcfg.clone(), ptm_cfg.clone(), 1 << 14, 4);
+            e.begin_run_all(1, u64::MAX);
+            let engine_clock = stream(e.thread(0, 0));
+
+            let db = PtmDb::create(mcfg.clone(), ptm_cfg, 1 << 14, 4);
+            db.machine().alloc_pool(
+                "in-place-of-the-coordinator",
+                COORD_SLOTS * COORD_SLOT_WORDS,
+                pmem_sim::MediaKind::Optane,
+            );
+            db.begin_run(1, u64::MAX);
+            let db_clock = stream(db.thread(0));
+
+            assert_eq!(engine_clock, db_clock);
+            assert!(engine_clock > 0);
+            assert_eq!(e.aggregate_ptm_stats(), db.ptm().stats_snapshot());
+            assert_eq!(e.aggregate_mem_stats(), db.machine().stats.snapshot());
+            assert_eq!(e.max_run_time_ns(), db.machine().run_time_ns());
+            let shard0 = std::slice::from_ref(e.shard(0).machine());
+            assert_eq!(
+                crate::crash_harness::digest_pools(shard0),
+                crate::crash_harness::digest_pools(std::slice::from_ref(db.machine()))
+            );
         }
-        assert!(seen.iter().all(|&s| s), "dense keys must hit every shard");
+    }
+
+    /// Shards share nothing: a pool allocated and timed work done on one
+    /// shard's machine moves no other shard's pools, clocks or counters.
+    #[test]
+    fn work_on_one_shard_leaves_the_others_untouched() {
+        let e = ShardedEngine::create(4, MachineConfig::default(), PtmConfig::redo(), 1 << 12, 4);
+        let pools = e.shard(1).machine().pools().len();
+        let p = e
+            .shard(0)
+            .machine()
+            .alloc_pool("h", 64, pmem_sim::MediaKind::Optane);
+        assert_eq!(e.shard(0).machine().pools().len(), pools + 1);
+        assert_eq!(e.shard(1).machine().pools().len(), pools);
+        e.begin_run_all(1, u64::MAX);
+        {
+            let mut s = e.shard(0).machine().session(0);
+            s.store(p.addr(0), 7);
+            s.clwb(p.addr(0));
+            s.sfence();
+            s.finish();
+        }
+        assert!(e.shard(0).machine().run_time_ns() > 0);
+        assert_eq!(e.max_run_time_ns(), e.shard(0).machine().run_time_ns());
+        assert_eq!(e.shard(1).machine().run_time_ns(), 0);
+        assert_eq!(e.per_shard_mem_stats()[1].stores, 0);
+    }
+
+    /// The aggregate is the sum of the per-shard snapshots whether a
+    /// shard's session has retired or is still live, and `reset_stats`
+    /// zeroes it.
+    #[test]
+    fn aggregate_mem_stats_sum_live_and_retired_sessions() {
+        let e = ShardedEngine::create(2, MachineConfig::default(), PtmConfig::redo(), 1 << 12, 4);
+        let pool = |i: usize| {
+            e.shard(i)
+                .machine()
+                .alloc_pool("a", 64, pmem_sim::MediaKind::Optane)
+        };
+        let (p0, p1) = (pool(0), pool(1));
+        e.begin_run_all(1, u64::MAX);
+        let mut s0 = e.shard(0).machine().session(0);
+        let mut s1 = e.shard(1).machine().session(0);
+        s0.store(p0.addr(0), 1);
+        s1.store(p1.addr(0), 2);
+        s1.store(p1.addr(8), 3);
+        drop(s0);
+        let agg = e.aggregate_mem_stats();
+        assert_eq!(agg.stores, 3);
+        let mut sum = StatsSnapshot::default();
+        for snap in e.per_shard_mem_stats() {
+            sum.merge(&snap);
+        }
+        assert_eq!(agg, sum);
+        e.reset_stats();
+        assert_eq!(e.aggregate_mem_stats().stores, 0);
     }
 
     #[test]
@@ -409,7 +471,7 @@ mod tests {
         let mut cells = Vec::new();
         for shard in 0..2 {
             let mut th = e.thread(shard, 0);
-            let heap = Arc::clone(e.heap(shard));
+            let heap = Arc::clone(e.shard(shard).heap());
             let c = heap.alloc(th.session_mut(), 1);
             th.run(|tx| tx.write(c, 100 + shard as u64));
             cells.push(c);
@@ -421,8 +483,8 @@ mod tests {
         let agg = e.aggregate_ptm_stats();
         assert_eq!(agg.commits, 4);
         // Each shard saw exactly its own transactions.
-        assert_eq!(e.ptm(0).stats.snapshot().commits, 2);
-        assert_eq!(e.ptm(1).stats.snapshot().commits, 2);
+        assert_eq!(e.shard(0).ptm().stats.snapshot().commits, 2);
+        assert_eq!(e.shard(1).ptm().stats.snapshot().commits, 2);
     }
 
     #[test]
@@ -432,7 +494,7 @@ mod tests {
         let mut cells = Vec::new();
         for shard in 0..3 {
             let mut th = e.thread(shard, 0);
-            let heap = Arc::clone(e.heap(shard));
+            let heap = Arc::clone(e.shard(shard).heap());
             let c = heap.alloc(th.session_mut(), 2);
             th.run(|tx| {
                 tx.write(c, 7 * (shard as u64 + 1))?;
@@ -450,7 +512,7 @@ mod tests {
         }
         e2.begin_run_all(1, u64::MAX);
         for (shard, &cell) in cells.iter().enumerate() {
-            let c = e2.heap(shard).root_raw(0);
+            let c = e2.shard(shard).heap().root_raw(0);
             assert_eq!(c, cell);
             let mut th = e2.thread(shard, 0);
             assert_eq!(th.run(|tx| tx.read(c)), 7 * (shard as u64 + 1));
@@ -468,7 +530,7 @@ mod tests {
         e.begin_run_all(1, u64::MAX);
         for shard in 0..3 {
             let mut th = e.thread(shard, 0);
-            let heap = Arc::clone(e.heap(shard));
+            let heap = Arc::clone(e.shard(shard).heap());
             let c = heap.alloc(th.session_mut(), 2);
             th.run(|tx| tx.write(c, 5 + shard as u64));
             heap.set_root(th.session_mut(), 0, c);
@@ -493,10 +555,11 @@ mod tests {
             );
             // Bit-identical durable state per shard.
             for (pa, pb) in first_e
-                .machine(shard)
+                .shard(shard)
+                .machine()
                 .pools()
                 .iter()
-                .zip(second_e.machine(shard).pools().iter())
+                .zip(second_e.shard(shard).machine().pools().iter())
             {
                 for w in 0..pa.len_words() as u64 {
                     assert_eq!(pa.raw_load(w), pb.raw_load(w), "shard {shard} word {w}");

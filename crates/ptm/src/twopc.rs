@@ -488,7 +488,7 @@ mod tests {
                 cx.run(|tx| tx.read(0, c))
             } else {
                 let mut th = e.thread(0, 0);
-                let heap = Arc::clone(e.heap(0));
+                let heap = Arc::clone(e.shard(0).heap());
                 let c = heap.alloc(th.session_mut(), 1);
                 th.run(|tx| tx.write(c, 0));
                 for i in 0..10u64 {
@@ -519,7 +519,7 @@ mod tests {
             let mut cells = Vec::new();
             for s in 0..2 {
                 let mut th = e.thread(s, 0);
-                let heap = Arc::clone(e.heap(s));
+                let heap = Arc::clone(e.shard(s).heap());
                 let c = heap.alloc(th.session_mut(), 1);
                 th.run(|tx| tx.write(c, 1));
                 heap.set_root(th.session_mut(), 0, c);
@@ -562,7 +562,7 @@ mod tests {
             let expected = if decide_commit { 2 } else { 1 };
             e2.begin_run_all(1, u64::MAX);
             for s in 0..2 {
-                let c = e2.heap(s).root_raw(0);
+                let c = e2.shard(s).heap().root_raw(0);
                 let mut th = e2.thread(s, 0);
                 assert_eq!(th.run(|tx| tx.read(c)), expected, "shard {s}");
             }
@@ -621,13 +621,13 @@ mod tests {
             e2.begin_run_all(1, u64::MAX);
             let mut total = 0;
             for s in 0..2 {
-                let c = e2.heap(s).root_raw(0);
+                let c = e2.shard(s).heap().root_raw(0);
                 let mut th = e2.thread(s, 0);
                 total += th.run(|tx| tx.read(c));
             }
             assert_eq!(total, 100, "algo {:?}", algo.algo);
             let a = {
-                let c = e2.heap(0).root_raw(0);
+                let c = e2.shard(0).heap().root_raw(0);
                 let mut th = e2.thread(0, 0);
                 th.run(|tx| tx.read(c))
             };

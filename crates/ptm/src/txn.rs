@@ -184,7 +184,7 @@ impl TxThread {
 
     fn run_inner<T>(&mut self, mut f: impl FnMut(&mut Tx<'_>) -> TxResult<T>) -> T {
         self.ax.attempts = 0;
-        if self.ax.s.htm_enabled() && self.policy.htm_mode() {
+        if self.policy.htm_mode() {
             for attempt in 0..HTM_ATTEMPTS {
                 // Before the section: the policy's only chance to fence
                 // (ring recycling) without the flush landing inside the

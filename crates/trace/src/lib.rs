@@ -99,7 +99,10 @@ pub enum EventKind {
     /// synchronously. `a` = stall ns, `b` = backlog ns at issue.
     /// Timestamped at stall start, so `[ts, ts+a]` is the stall interval.
     WpqStall = 13,
-    /// Recovery pass started. `a` = candidate pools to scan.
+    /// Recovery pass started. `a` = candidate pools to scan. Like the
+    /// other three `Recovery*` kinds, no longer recorded (a restarted
+    /// machine has no tracer; what recovery did is in its
+    /// `RecoveryReport`); the codes stay so old dumps still parse.
     RecoveryBegin = 14,
     /// Recovery persisted one word. `a` = address bits, `b` = value.
     RecoveryApply = 15,
@@ -400,12 +403,11 @@ pub struct MergedEvent {
 /// recovery runs outside any timed session.
 pub const RECOVERY_TID: u32 = u32::MAX;
 
-/// Width of the reserved recovery-tid band. Recovery submits under
-/// [`RECOVERY_TID`] alone; the rest of the band is what the removed
-/// worker-parallel recovery wrote (worker `w` under
-/// `RECOVERY_TID - 1 - w`), and stays reserved — exempt from shard
-/// tagging like [`RECOVERY_TID`] itself — so `PTMTRC01` dumps from then
-/// still read.
+/// Width of the reserved recovery-tid band. Recovery used to submit
+/// under [`RECOVERY_TID`], and the removed worker-parallel recovery
+/// under the rest of the band (worker `w` under `RECOVERY_TID - 1 - w`).
+/// Nothing in the tree records under it now, but it stays reserved —
+/// exempt from shard tagging — so `PTMTRC01` dumps from then still read.
 pub const RECOVERY_TID_BAND: u32 = 64;
 
 /// Whether `tid` lies in the reserved recovery band (the machine-level

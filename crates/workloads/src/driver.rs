@@ -7,9 +7,8 @@
 
 use std::sync::Arc;
 
-use palloc::PHeap;
 use pmem_sim::{DurabilityDomain, LatencyModel, Machine, MachineConfig, MediaKind, StatsSnapshot};
-use ptm::{Algo, PhaseSnapshot, Ptm, PtmConfig, PtmStatsSnapshot, TxThread};
+use ptm::{Algo, PhaseSnapshot, PtmConfig, PtmDb, PtmStatsSnapshot, TxThread};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -223,44 +222,34 @@ pub fn run_scenario<W: Workload + ?Sized>(w: &mut W, sc: &Scenario, rc: &RunConf
         window_ns: rc.window_ns,
         ..MachineConfig::default()
     });
-    let heap = PHeap::format_with_media(&machine, "heap", w.heap_words(), 16, sc.heap_media);
-    let ptm = Ptm::new(PtmConfig {
+    let ptm_cfg = PtmConfig {
         algo: sc.algo,
         elide_fences: sc.elide_fences,
         heap_media: sc.heap_media,
         tracing: rc.ptm.tracing || rc.trace.is_some(),
         ..rc.ptm.clone()
-    });
+    };
+    let db = PtmDb::on_machine(machine, "heap", ptm_cfg, w.heap_words(), 16);
     // Setup phase: one thread, unthrottled.
-    machine.begin_run(1, u64::MAX);
-    {
-        let mut th = TxThread::new(Arc::clone(&ptm), Arc::clone(&heap), machine.session(0));
-        w.setup(&mut th);
-    }
-    ptm.stats.reset();
-    ptm.phases.reset();
-    machine.stats.reset();
+    db.begin_run(1, u64::MAX);
+    w.setup(&mut db.thread(0));
+    db.reset_stats();
     // Attach the flight recorder after setup and the stats resets, so
     // the trace covers exactly what the counters cover: sessions capture
     // their rings at construction, and the measured sessions below are
     // created after this point.
     if let Some(sink) = &rc.trace {
-        machine.attach_tracer(Arc::clone(sink));
+        db.machine().attach_tracer(Arc::clone(sink));
     }
     // Measured phase. Latencies go into per-thread log₂ histograms merged
     // at thread exit: memory stays O(buckets), not O(ops).
-    machine.begin_run(rc.threads, rc.window_ns);
+    db.begin_run(rc.threads, rc.window_ns);
     let latency = std::sync::Mutex::new(LatencyHistogram::new());
     std::thread::scope(|scope| {
         for tid in 0..rc.threads {
-            let machine = Arc::clone(&machine);
-            let ptm = Arc::clone(&ptm);
-            let heap = Arc::clone(&heap);
-            let w = &*w;
-            let rc = rc.clone();
-            let latency = &latency;
+            let (db, w, latency) = (&db, &*w, &latency);
             scope.spawn(move || {
-                let mut th = TxThread::new(ptm, heap, machine.session(tid));
+                let mut th = db.thread(tid);
                 let mut rng =
                     SmallRng::seed_from_u64(rc.seed ^ (tid as u64).wrapping_mul(0x9E37_79B9));
                 let mut local = LatencyHistogram::new();
@@ -274,21 +263,21 @@ pub fn run_scenario<W: Workload + ?Sized>(w: &mut W, sc: &Scenario, rc: &RunConf
             });
         }
     });
-    let elapsed = machine.run_time_ns();
+    let elapsed = db.machine().run_time_ns();
     // All measured sessions have dropped (submitting their rings); the
     // sink now holds the complete run.
     if rc.trace.is_some() {
-        machine.detach_tracer();
+        db.machine().detach_tracer();
     }
     RunResult {
         label: sc.label.clone(),
         threads: rc.threads,
         ops: rc.threads as u64 * rc.ops_per_thread,
         elapsed_virtual_ns: elapsed,
-        ptm: ptm.stats_snapshot(),
-        mem: machine.stats.snapshot(),
+        ptm: db.ptm().stats_snapshot(),
+        mem: db.machine().stats.snapshot(),
         latency: latency.into_inner().unwrap(),
-        phases: ptm.phases_snapshot(),
+        phases: db.ptm().phases_snapshot(),
     }
 }
 
@@ -408,15 +397,16 @@ mod tests {
                 window_ns: u64::MAX,
                 ..MachineConfig::default()
             });
-            let heap =
-                PHeap::format_with_media(&machine, "heap", w.heap_words(), 16, MediaKind::Optane);
-            let ptm = Ptm::new(PtmConfig {
-                algo,
-                heap_media: MediaKind::Optane,
-                ..PtmConfig::default()
-            });
-            machine.begin_run(1, u64::MAX);
-            let mut th = TxThread::new(Arc::clone(&ptm), Arc::clone(&heap), machine.session(0));
+            let db = PtmDb::on_machine(
+                machine,
+                "heap",
+                PtmConfig::with_algo(algo),
+                w.heap_words(),
+                16,
+            );
+            let ptm = db.ptm();
+            db.begin_run(1, u64::MAX);
+            let mut th = db.thread(0);
             w.setup(&mut th);
             ptm.phases.reset();
             let t0 = th.session_mut().now();

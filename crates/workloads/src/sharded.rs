@@ -24,12 +24,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pmem_sim::{DurabilityDomain, LatencyModel, MachineConfig, PAddr, StatsSnapshot};
-use pstructs::PHashMap;
-use ptm::{CrossShardTx, PtmConfig, PtmStatsSnapshot, ShardedEngine};
+use ptm::{CrossShardTx, PtmConfig, PtmStatsSnapshot, ShardedEngine, TxThread};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::hist::LatencyHistogram;
+use crate::kvstore::KvStore;
 use crate::tpcc::{IndexKind, Tpcc};
 use crate::Workload;
 
@@ -199,6 +199,27 @@ pub struct ShardedRunResult {
 }
 
 impl ShardedRunResult {
+    /// Collect a finished run's totals from the engine it ran on.
+    fn collect(
+        label: String,
+        rc: &ShardedRunConfig,
+        ops: u64,
+        engine: &ShardedEngine,
+        sojourn: LatencyHistogram,
+    ) -> ShardedRunResult {
+        ShardedRunResult {
+            label,
+            shards: rc.shards,
+            threads_per_shard: rc.threads_per_shard,
+            ops,
+            elapsed_virtual_ns: engine.max_run_time_ns(),
+            ptm: engine.aggregate_ptm_stats(),
+            mem: engine.aggregate_mem_stats(),
+            per_shard_mem: engine.per_shard_mem_stats(),
+            sojourn,
+        }
+    }
+
     /// Aggregate throughput in millions of operations per virtual second.
     pub fn throughput_mops(&self) -> f64 {
         if self.elapsed_virtual_ns == 0 {
@@ -214,22 +235,60 @@ impl ShardedRunResult {
     }
 }
 
-/// PTM template with tracing forced on while a flight recorder is armed,
-/// so transaction lifecycle events reach the sinks.
-fn ptm_config(rc: &ShardedRunConfig) -> PtmConfig {
-    PtmConfig {
-        tracing: rc.ptm.tracing || !rc.trace.is_empty(),
-        ..rc.ptm.clone()
-    }
-}
-
-fn machine_config(rc: &ShardedRunConfig) -> MachineConfig {
-    MachineConfig {
+/// A fresh engine for `rc`: one machine per shard, and the PTM template
+/// with tracing forced on while a flight recorder is armed, so
+/// transaction lifecycle events reach the sinks.
+fn build_engine(rc: &ShardedRunConfig, heap_words: usize) -> ShardedEngine {
+    let machine_cfg = MachineConfig {
         domain: rc.domain,
         model: rc.model.clone(),
         track_persistence: false,
         window_ns: rc.window_ns,
         ..MachineConfig::default()
+    };
+    let ptm_cfg = PtmConfig {
+        tracing: rc.ptm.tracing || !rc.trace.is_empty(),
+        ..rc.ptm.clone()
+    };
+    ShardedEngine::create(rc.shards, machine_cfg, ptm_cfg, heap_words, 4)
+}
+
+/// Set every shard up in parallel (each shard is an independent
+/// machine), single-threaded and unthrottled within a shard: shard `i`
+/// runs `f(i, &mut states[i], thread)`. Zeroes the counters afterwards
+/// so the measured phase starts clean.
+fn set_up_shards<S: Send>(
+    engine: &ShardedEngine,
+    states: &mut [S],
+    f: impl Fn(usize, &mut S, &mut TxThread) + Sync,
+) {
+    engine.begin_run_all(1, u64::MAX);
+    std::thread::scope(|scope| {
+        for (shard, state) in states.iter_mut().enumerate() {
+            let f = &f;
+            scope.spawn(move || {
+                let mut th = engine.thread(shard, 0);
+                f(shard, state, &mut th);
+                th.session_mut().finish();
+            });
+        }
+    });
+    engine.reset_stats();
+}
+
+/// Arm the flight recorder for a measured phase: sessions capture their
+/// rings at construction, so call this before creating the workers.
+fn arm_tracers(engine: &ShardedEngine, rc: &ShardedRunConfig) {
+    for (i, sink) in rc.trace.iter().enumerate() {
+        engine.shard(i).machine().attach_tracer(Arc::clone(sink));
+    }
+}
+
+/// Disarm it once the workers' sessions have dropped (submitting their
+/// rings).
+fn disarm_tracers(engine: &ShardedEngine, rc: &ShardedRunConfig) {
+    for i in 0..rc.trace.len() {
+        engine.shard(i).machine().detach_tracer();
     }
 }
 
@@ -251,15 +310,11 @@ fn drive<F>(
     queues: &[Vec<Request>],
     rc: &ShardedRunConfig,
     exec: F,
-) -> (u64, LatencyHistogram)
+) -> LatencyHistogram
 where
-    F: Fn(usize, &mut ptm::TxThread, &mut SmallRng, &Request) + Sync,
+    F: Fn(usize, &mut TxThread, &mut SmallRng, &Request) + Sync,
 {
-    // Arm the flight recorder for the measured phase only: worker
-    // sessions below capture their rings at construction.
-    for (i, sink) in rc.trace.iter().enumerate() {
-        engine.machine(i).attach_tracer(Arc::clone(sink));
-    }
+    arm_tracers(engine, rc);
     engine.begin_run_all(rc.threads_per_shard, rc.window_ns);
     let heads: Vec<AtomicUsize> = (0..rc.shards).map(|_| AtomicUsize::new(0)).collect();
     let sojourn = Mutex::new(LatencyHistogram::new());
@@ -307,11 +362,8 @@ where
             }
         }
     });
-    // Worker sessions have dropped (submitting their rings); disarm.
-    for (i, _) in rc.trace.iter().enumerate() {
-        engine.machine(i).detach_tracer();
-    }
-    (engine.max_run_time_ns(), sojourn.into_inner().unwrap())
+    disarm_tracers(engine, rc);
+    sojourn.into_inner().unwrap()
 }
 
 // ---------------------------------------------------------------------
@@ -323,112 +375,38 @@ where
 pub const SHARDED_KV_VALUE_WORDS: u64 = 16;
 
 /// Run the memcached-like store across `rc.shards` shards: Zipfian keys
-/// are homed by [`ShardedEngine::shard_of`], a 50/50 get/set mix runs
-/// against each shard's private hash index.
+/// are homed by [`ShardedEngine::route`], a 50/50 get/set mix runs
+/// against each shard's private [`KvStore`].
 pub fn run_sharded_kv(rc: &ShardedRunConfig) -> ShardedRunResult {
     const VW: u64 = SHARDED_KV_VALUE_WORDS;
     let reqs = gen_open_loop(&rc.stream);
     // Home every key, size each shard's heap for its population.
     let mut per_shard_keys = vec![Vec::new(); rc.shards];
-    {
-        // Routing must match the engine's; build a throwaway hash of the
-        // same shape before the engine exists.
-        let probe = |key: u64| {
-            ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % rc.shards as u64) as usize
-        };
-        for k in 0..rc.stream.keys {
-            per_shard_keys[probe(k)].push(k);
-        }
+    for k in 0..rc.stream.keys {
+        per_shard_keys[ShardedEngine::route(k, rc.shards)].push(k);
     }
     let max_keys = per_shard_keys.iter().map(Vec::len).max().unwrap_or(0) as u64;
     let heap_words = ((max_keys * (VW + 16)) as usize + (1 << 15)).next_power_of_two();
-    let engine =
-        ShardedEngine::create(rc.shards, machine_config(rc), ptm_config(rc), heap_words, 4);
-    for (shard, keys) in per_shard_keys.iter().enumerate() {
-        for &k in keys {
-            engine.assert_routed(shard, k);
-        }
-    }
+    let engine = build_engine(rc, heap_words);
 
-    // Parallel per-shard setup (each shard is an independent machine),
-    // single-threaded and unthrottled within a shard.
-    engine.begin_run_all(1, u64::MAX);
-    let indexes: Vec<PHashMap> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..rc.shards)
-            .map(|shard| {
-                let engine = &engine;
-                let keys = &per_shard_keys[shard];
-                scope.spawn(move || {
-                    let mut th = engine.thread(shard, 0);
-                    let index = th.run(|tx| PHashMap::create(tx, keys.len().max(64)));
-                    for &k in keys {
-                        th.run(|tx| {
-                            let block = tx.alloc(VW as usize);
-                            let mut w = 0;
-                            while w < VW {
-                                tx.write_at(block, w, k ^ w)?;
-                                w += pmem_sim::WORDS_PER_LINE as u64;
-                            }
-                            index.insert(tx, k, block.0)?;
-                            Ok(())
-                        });
-                    }
-                    th.session_mut().finish();
-                    index
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    engine.reset_stats();
+    let mut stores: Vec<KvStore> = per_shard_keys
+        .into_iter()
+        .map(|keys| KvStore::with_keys(VW, keys))
+        .collect();
+    set_up_shards(&engine, &mut stores, |_, store, th| store.populate(th));
 
     let queues = partition(&reqs, rc.shards, |key| engine.shard_of(key));
-    let (elapsed, sojourn) = drive(&engine, &queues, rc, |shard, th, _rng, req| {
+    let sojourn = drive(&engine, &queues, rc, |shard, th, _rng, req| {
         engine.assert_routed(shard, req.key);
-        let index = indexes[shard];
         if req.kind & 1 == 0 {
-            // GET: read the whole value.
-            th.run(|tx| {
-                if let Some(block) = index.get(tx, req.key)? {
-                    let block = PAddr(block);
-                    let mut sum = 0u64;
-                    let mut w = 0;
-                    while w < VW {
-                        sum = sum.wrapping_add(tx.read_at(block, w)?);
-                        w += pmem_sim::WORDS_PER_LINE as u64;
-                    }
-                    return Ok(sum);
-                }
-                Ok(0)
-            });
+            stores[shard].get(th, req.key);
         } else {
-            // SET: overwrite the whole value.
-            let stamp = req.kind;
-            th.run(|tx| {
-                if let Some(block) = index.get(tx, req.key)? {
-                    let block = PAddr(block);
-                    let mut w = 0;
-                    while w < VW {
-                        tx.write_at(block, w, stamp ^ w)?;
-                        w += pmem_sim::WORDS_PER_LINE as u64;
-                    }
-                }
-                Ok(())
-            });
+            stores[shard].set(th, req.key, req.kind);
         }
     });
 
-    ShardedRunResult {
-        label: format!("sharded-kv-{}x{}", rc.shards, rc.threads_per_shard),
-        shards: rc.shards,
-        threads_per_shard: rc.threads_per_shard,
-        ops: reqs.len() as u64,
-        elapsed_virtual_ns: elapsed,
-        ptm: engine.aggregate_ptm_stats(),
-        mem: engine.aggregate_mem_stats(),
-        per_shard_mem: engine.per_shard_mem_stats(),
-        sojourn,
-    }
+    let label = format!("sharded-kv-{}x{}", rc.shards, rc.threads_per_shard);
+    ShardedRunResult::collect(label, rc, reqs.len() as u64, &engine, sojourn)
 }
 
 // ---------------------------------------------------------------------
@@ -460,40 +438,18 @@ pub fn run_sharded_tpcc(rc: &ShardedRunConfig, kind: IndexKind) -> ShardedRunRes
         .map(|s| Tpcc::new(kind, wh_per_shard(s), expected_per_shard))
         .collect();
     let heap_words = insts.iter().map(|t| t.heap_words()).max().unwrap();
-    let engine =
-        ShardedEngine::create(rc.shards, machine_config(rc), ptm_config(rc), heap_words, 4);
+    let engine = build_engine(rc, heap_words);
 
-    engine.begin_run_all(1, u64::MAX);
-    std::thread::scope(|scope| {
-        for (shard, inst) in insts.iter_mut().enumerate() {
-            let engine = &engine;
-            scope.spawn(move || {
-                let mut th = engine.thread(shard, 0);
-                inst.setup(&mut th);
-                th.session_mut().finish();
-            });
-        }
-    });
-    engine.reset_stats();
+    set_up_shards(&engine, &mut insts, |_, inst, th| inst.setup(th));
 
     let queues = partition(&reqs, rc.shards, route);
-    let insts = &insts;
-    let (elapsed, sojourn) = drive(&engine, &queues, rc, |shard, th, rng, req| {
+    let sojourn = drive(&engine, &queues, rc, |shard, th, rng, req| {
         debug_assert_eq!(route(req.key), shard, "warehouse routed to wrong shard");
         insts[shard].op_at_warehouse(th, rng, local_of(req.key), req.kind);
     });
 
-    ShardedRunResult {
-        label: format!("sharded-tpcc-{}x{}", rc.shards, rc.threads_per_shard),
-        shards: rc.shards,
-        threads_per_shard: rc.threads_per_shard,
-        ops: reqs.len() as u64,
-        elapsed_virtual_ns: elapsed,
-        ptm: engine.aggregate_ptm_stats(),
-        mem: engine.aggregate_mem_stats(),
-        per_shard_mem: engine.per_shard_mem_stats(),
-        sojourn,
-    }
+    let label = format!("sharded-tpcc-{}x{}", rc.shards, rc.threads_per_shard);
+    ShardedRunResult::collect(label, rc, reqs.len() as u64, &engine, sojourn)
 }
 
 // ---------------------------------------------------------------------
@@ -525,58 +481,35 @@ pub fn run_cross_shard_transfer(rc: &ShardedRunConfig, cross_frac: f64) -> Shard
     let keys = rc.stream.keys;
     assert!(keys >= 4, "transfer workload needs at least 4 accounts");
     let heap_words = ((keys as usize * 8) + (1 << 14)).next_power_of_two();
-    let engine =
-        ShardedEngine::create(rc.shards, machine_config(rc), ptm_config(rc), heap_words, 4);
+    let engine = build_engine(rc, heap_words);
 
-    // Per-shard parallel setup: allocate this shard's accounts and seed
-    // the initial balance; accounts are reported back into one global
-    // key-indexed table.
-    engine.begin_run_all(1, u64::MAX);
-    let mut accounts: Vec<PAddr> = vec![PAddr(0); keys as usize];
-    let per_shard: Vec<Vec<(u64, PAddr)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..rc.shards)
-            .map(|shard| {
-                let engine = &engine;
-                scope.spawn(move || {
-                    let mut th = engine.thread(shard, 0);
-                    let mut out = Vec::new();
-                    for k in 0..keys {
-                        if engine.shard_of(k) != shard {
-                            continue;
-                        }
-                        let c = th.run(|tx| {
-                            let c = tx.alloc(1);
-                            tx.write(c, TRANSFER_INITIAL_BALANCE)?;
-                            Ok(c)
-                        });
-                        out.push((k, c));
-                    }
-                    th.session_mut().finish();
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for (shard, pairs) in per_shard.iter().enumerate() {
-        for &(k, c) in pairs {
-            engine.assert_routed(shard, k);
-            accounts[k as usize] = c;
+    // Each shard allocates its own accounts and seeds the initial
+    // balance; the cells are gathered into one key-indexed table.
+    let mut per_shard: Vec<Vec<(u64, PAddr)>> = vec![Vec::new(); rc.shards];
+    set_up_shards(&engine, &mut per_shard, |shard, cells, th| {
+        for k in (0..keys).filter(|&k| engine.shard_of(k) == shard) {
+            let c = th.run(|tx| {
+                let c = tx.alloc(1);
+                tx.write(c, TRANSFER_INITIAL_BALANCE)?;
+                Ok(c)
+            });
+            cells.push((k, c));
         }
+    });
+    let mut accounts: Vec<PAddr> = vec![PAddr(0); keys as usize];
+    for &(k, c) in per_shard.iter().flatten() {
+        accounts[k as usize] = c;
     }
-    engine.reset_stats();
 
-    for (i, sink) in rc.trace.iter().enumerate() {
-        engine.machine(i).attach_tracer(Arc::clone(sink));
-    }
     let workers = (rc.threads_per_shard * rc.shards).max(1);
-    engine.begin_run_all(workers, u64::MAX);
     let total_ops = rc.stream.total_ops;
     let accounts = &accounts;
     let latency = Mutex::new(LatencyHistogram::new());
     // Cross-shard probability as a 32-bit threshold (exact for the
     // fractions the benches sweep; avoids per-op float draws).
     let cross_threshold = (cross_frac * u32::MAX as f64) as u32;
+    arm_tracers(&engine, rc);
+    engine.begin_run_all(workers, u64::MAX);
     std::thread::scope(|scope| {
         for w in 0..workers {
             let engine = &engine;
@@ -604,8 +537,6 @@ pub fn run_cross_shard_transfer(rc: &ShardedRunConfig, cross_frac: f64) -> Shard
                             break (k, s);
                         }
                     };
-                    engine.assert_routed(s1, k1);
-                    engine.assert_routed(s2, k2);
                     let (a1, a2) = (accounts[k1 as usize], accounts[k2 as usize]);
                     let t0 = cx.frontier();
                     if op & 1 == 1 {
@@ -635,9 +566,7 @@ pub fn run_cross_shard_transfer(rc: &ShardedRunConfig, cross_frac: f64) -> Shard
             });
         }
     });
-    for (i, _) in rc.trace.iter().enumerate() {
-        engine.machine(i).detach_tracer();
-    }
+    disarm_tracers(&engine, rc);
 
     // Workload invariant: transfers conserve the total balance. A 2PC
     // bug that commits one leg of a transfer and drops the other shows
@@ -647,7 +576,8 @@ pub fn run_cross_shard_transfer(rc: &ShardedRunConfig, cross_frac: f64) -> Shard
         .enumerate()
         .map(|(k, a)| {
             engine
-                .machine(engine.shard_of(k as u64))
+                .shard(engine.shard_of(k as u64))
+                .machine()
                 .pool(a.pool())
                 .raw_load(a.word())
         })
@@ -658,20 +588,12 @@ pub fn run_cross_shard_transfer(rc: &ShardedRunConfig, cross_frac: f64) -> Shard
         "transfer workload lost or minted balance"
     );
 
-    ShardedRunResult {
-        label: format!(
-            "xshard-transfer-{}x{}-f{:.2}",
-            rc.shards, rc.threads_per_shard, cross_frac
-        ),
-        shards: rc.shards,
-        threads_per_shard: rc.threads_per_shard,
-        ops: total_ops,
-        elapsed_virtual_ns: engine.max_run_time_ns(),
-        ptm: engine.aggregate_ptm_stats(),
-        mem: engine.aggregate_mem_stats(),
-        per_shard_mem: engine.per_shard_mem_stats(),
-        sojourn: latency.into_inner().unwrap(),
-    }
+    let label = format!(
+        "xshard-transfer-{}x{}-f{:.2}",
+        rc.shards, rc.threads_per_shard, cross_frac
+    );
+    let sojourn = latency.into_inner().unwrap();
+    ShardedRunResult::collect(label, rc, total_ops, &engine, sojourn)
 }
 
 #[cfg(test)]

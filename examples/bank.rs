@@ -13,9 +13,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use optane_ptm::palloc::PHeap;
-use optane_ptm::pmem_sim::{DurabilityDomain, Machine, MachineConfig, PAddr};
-use optane_ptm::ptm::{recover, Algo, Ptm, PtmConfig, TxThread};
+use optane_ptm::pmem_sim::{DurabilityDomain, MachineConfig};
+use optane_ptm::ptm::{Algo, PtmConfig, PtmDb};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,22 +29,23 @@ fn main() {
 }
 
 fn run(algo: Algo) {
-    let machine = Machine::new(MachineConfig {
+    let machine_cfg = MachineConfig {
         domain: DurabilityDomain::Adr,
         track_persistence: true,
         ..MachineConfig::default()
-    });
-    let heap = PHeap::format(&machine, "bank-heap", 1 << 16, 4);
+    };
     let cfg = PtmConfig::with_algo(algo);
-    let ptm = Ptm::new(cfg.clone());
+    // One machine, one heap, one PTM (`quickstart` and `crash_recovery`
+    // spell these steps out one by one).
+    let db = PtmDb::create(machine_cfg.clone(), cfg.clone(), 1 << 16, 4);
 
     // Set up the accounts table and anchor it.
     let threads = 4;
-    machine.begin_run(1, u64::MAX);
+    db.begin_run(1, u64::MAX);
     let table = {
-        let mut th = TxThread::new(ptm.clone(), heap.clone(), machine.session(0));
-        let heap_ref = Arc::clone(&heap);
-        let table = heap_ref.alloc(th.session_mut(), ACCOUNTS as usize);
+        let mut th = db.thread(0);
+        let heap = Arc::clone(db.heap());
+        let table = heap.alloc(th.session_mut(), ACCOUNTS as usize);
         th.run(|tx| {
             for i in 0..ACCOUNTS {
                 tx.write_at(table, i, INITIAL)?;
@@ -57,16 +57,13 @@ fn run(algo: Algo) {
     };
 
     // Workers transfer money until told to stop.
-    let stop = Arc::new(AtomicBool::new(false));
-    machine.begin_run(threads, u64::MAX);
+    let stop = AtomicBool::new(false);
+    db.begin_run(threads, u64::MAX);
     let image = std::thread::scope(|scope| {
         for tid in 0..threads {
-            let machine = Arc::clone(&machine);
-            let ptm = Arc::clone(&ptm);
-            let heap = Arc::clone(&heap);
-            let stop = Arc::clone(&stop);
+            let (db, stop) = (&db, &stop);
             scope.spawn(move || {
-                let mut th = TxThread::new(ptm, heap, machine.session(tid));
+                let mut th = db.thread(tid);
                 let mut rng = SmallRng::seed_from_u64(tid as u64);
                 while !stop.load(Ordering::Relaxed) {
                     let from = rng.gen_range(0..ACCOUNTS);
@@ -88,34 +85,30 @@ fn run(algo: Algo) {
         // stops the world between memory operations so the failure is
         // instantaneous, exactly like a real power cut.
         std::thread::sleep(std::time::Duration::from_millis(60));
-        machine.freeze();
-        let image = machine.crash(0xC0FFEE);
+        db.machine().freeze();
+        let image = db.crash(0xC0FFEE);
         stop.store(true, Ordering::Relaxed);
-        machine.thaw();
+        db.machine().thaw();
         image
     });
 
-    // Reboot, recover, check the invariant.
-    let machine2 = Machine::reboot(
-        &image,
-        MachineConfig {
-            domain: DurabilityDomain::Adr,
-            track_persistence: true,
-            ..MachineConfig::default()
-        },
-    );
-    let report = recover(&machine2);
-    let pool = machine2.pool(heap.pool().id());
-    let table2 = PAddr(pool.raw_load(optane_ptm::palloc::layout::OFF_ROOTS));
-    let total: u64 = (0..ACCOUNTS)
-        .map(|i| pool.raw_load(table2.word() + i))
-        .sum();
+    // Restart: log recovery, heap attach, restart GC — then check the
+    // invariant through the recovered root, in a transaction.
+    let (db2, reports) = PtmDb::reopen(&image, machine_cfg, cfg);
+    let table2 = db2.heap().root_raw(0);
+    let total = db2.thread(0).run(|tx| {
+        let mut total = 0;
+        for i in 0..ACCOUNTS {
+            total += tx.read_at(table2, i)?;
+        }
+        Ok(total)
+    });
     println!(
         "{algo:?}: after crash+recovery total = {total} (expected {}), \
          {} redo replayed / {} undo rolled back",
         ACCOUNTS * INITIAL,
-        report.redo_replayed,
-        report.undo_rolled_back
+        reports.recovery.redo_replayed,
+        reports.recovery.undo_rolled_back
     );
     assert_eq!(total, ACCOUNTS * INITIAL, "{algo:?}: money not conserved");
 }
