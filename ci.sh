@@ -117,8 +117,10 @@ fi
 echo "=== unsafe budget check ==="
 # Every crate's lib.rs (and the root's) carries `#![deny(unsafe_code)]`,
 # so the compiler rejects `unsafe` anywhere but under an explicit allow;
-# there is exactly one, on `pmem_sim::host::prefetch` (DESIGN.md §5
-# decision 17). A second allow is a second thing to audit.
+# there are exactly two, both in pmem-sim/src/host.rs: on
+# `pmem_sim::host::prefetch` (DESIGN.md §5 decision 17) and on
+# `pmem_sim::host::zeroed_words` (decision 19). A third allow is a third
+# thing to audit.
 for f in crates/*/src/lib.rs src/lib.rs; do
   if ! grep -q '^#!\[deny(unsafe_code)\]' "$f"; then
     echo "ERROR: $f lacks #![deny(unsafe_code)]" >&2
@@ -126,9 +128,37 @@ for f in crates/*/src/lib.rs src/lib.rs; do
   fi
 done
 ALLOWS=$(grep -rn 'allow(unsafe_code)' crates src tests examples || true)
-if [ "$(printf '%s' "$ALLOWS" | grep -c .)" -gt 1 ]; then
-  echo "ERROR: more than one allow(unsafe_code) (the budget is pmem-sim/src/host.rs alone):" >&2
+GUARDED=$(awk '/allow\(unsafe_code\)/ { getline; print }' crates/pmem-sim/src/host.rs \
+  | grep -oE 'fn [a-z_]+' | sort | tr '\n' ' ')
+if [ "$(printf '%s' "$ALLOWS" | grep -c .)" -ne 2 ] \
+    || printf '%s\n' "$ALLOWS" | grep -v '^crates/pmem-sim/src/host\.rs:' | grep -q . \
+    || [ "$GUARDED" != "fn prefetch fn zeroed_words " ]; then
+  echo "ERROR: the unsafe budget is two allow(unsafe_code), on host::prefetch and host::zeroed_words:" >&2
   echo "$ALLOWS" >&2
+  exit 1
+fi
+
+echo "=== lazy memory seam check ==="
+# Every table the modelled machine's size decides is built by
+# `pmem_sim::host::zeroed_words`, so untouched words cost no host page
+# (DESIGN.md §5 decision 19; crates/pmem-sim/tests/lazy_memory.rs measures
+# it). `new_zeroed_slice` anywhere else may be handed an over-aligned
+# element type, for which std zeroes with a memset; a
+# `(0..n).map(|_| AtomicU64::new(0)).collect()` in non-test pmem-sim or
+# ptm code (everything above a file's first `#[cfg(test)]`) writes every
+# word up front again.
+if grep -rn 'new_zeroed_slice' crates src tests examples --include='*.rs' \
+    | grep -v '^crates/pmem-sim/src/host\.rs:'; then
+  echo "ERROR: new_zeroed_slice outside pmem_sim::host::zeroed_words (see above)" >&2
+  exit 1
+fi
+EAGER=$(for f in crates/pmem-sim/src/*.rs crates/ptm/src/*.rs crates/ptm/src/algo/*.rs; do
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+      /AtomicU64::new\(0\)\)\.collect/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$EAGER" ]; then
+  echo "ERROR: an eagerly zero-filled table (use pmem_sim::host::zeroed_words):" >&2
+  echo "$EAGER" >&2
   exit 1
 fi
 
@@ -138,8 +168,8 @@ echo "=== host-hint seam check ==="
 # `host::prefetch` called only by `OrecTable::prefetch`,
 # `CacheSim::prefetch` and `PmemPool::prefetch`; `Tx::expect_read` called
 # only where DESIGN.md lists a benchmark workload that pays for it. The
-# hint has no knob: the one `allow(unsafe_code)` and the 10 `PtmConfig`
-# fields are held by the two checks above.
+# hint has no knob: its `allow(unsafe_code)` and the 10 `PtmConfig`
+# fields are held by the checks above.
 if grep -rn '_mm_prefetch' crates src tests examples --include='*.rs' \
     | grep -v '^crates/pmem-sim/src/host\.rs:'; then
   echo "ERROR: _mm_prefetch outside pmem_sim::host (see above)" >&2

@@ -17,7 +17,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A single-queue bandwidth server in virtual time.
+///
+/// Aligned to two host cache lines (as `ClockSlot` is) so each server
+/// owns its host line: packed, the six 8-byte write banks and the three
+/// other servers would share two lines, and every flush would bounce the
+/// line its peers' *other* banks live on. Two threads contend on a
+/// server only where the model means them to — requests to one bank.
 #[derive(Debug)]
+#[repr(align(128))]
 pub struct BwServer {
     next_free: AtomicU64,
 }

@@ -40,7 +40,7 @@ pub enum Access {
 /// Direct-mapped tag array.
 #[derive(Debug)]
 pub struct CacheSim {
-    slots: Box<[AtomicU64]>,
+    slots: crate::host::Words,
     mask: u64,
 }
 
@@ -50,9 +50,8 @@ impl CacheSim {
         let lines = (capacity_bytes / crate::LINE_BYTES)
             .max(64)
             .next_power_of_two();
-        let slots = (0..lines).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
         CacheSim {
-            slots: slots.into_boxed_slice(),
+            slots: crate::host::zeroed_words(lines),
             mask: lines as u64 - 1,
         }
     }

@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::domain::DurabilityDomain;
 use crate::machine::{Machine, MachineConfig};
-use crate::pool::{MediaKind, PersistenceClass};
+use crate::pool::{MediaKind, PersistenceClass, PmemPool};
 use crate::WORDS_PER_LINE;
 
 /// How the crash adversary decides the fate of each word that was dirty
@@ -142,58 +142,15 @@ impl Machine {
         // a later persist is included but an earlier one is not.
         let all = self.pools();
         let _frozen: Vec<_> = all.iter().filter_map(|p| p.freeze_applies()).collect();
-        let mut pools = Vec::new();
-        for pool in &all {
-            let words = if pool.media_kind() == MediaKind::Dram {
-                vec![0u64; pool.len_words()]
-            } else if domain.preserves_cache_visible(pool.media_kind(), pool.class()) {
-                pool.dump_current()
-            } else {
-                let mut base = pool.dump_shadow().unwrap_or_else(|| {
-                    panic!(
-                        "crash under {domain:?} requires track_persistence \
-                         (pool `{}` has no durable shadow)",
-                        pool.name()
-                    )
-                });
-                // Adversary: each unflushed dirty word may or may not have
-                // reached media, per the policy.
-                let current = pool.dump_current();
-                match policy {
-                    AdversaryPolicy::AllOld => {}
-                    AdversaryPolicy::AllNew => base.copy_from_slice(&current),
-                    AdversaryPolicy::Biased(_) | AdversaryPolicy::PerWord => {
-                        // The fair coin is the biased one at 0.5.
-                        let p = if let AdversaryPolicy::Biased(p) = policy {
-                            p
-                        } else {
-                            0.5
-                        };
-                        for (w, slot) in base.iter_mut().enumerate() {
-                            if *slot != current[w] && rng.gen_bool(p) {
-                                *slot = current[w];
-                            }
-                        }
-                    }
-                    AdversaryPolicy::PerLine => {
-                        for (line, chunk) in base.chunks_mut(WORDS_PER_LINE).enumerate() {
-                            let cur = &current[line * WORDS_PER_LINE..];
-                            let dirty = chunk.iter().zip(cur).any(|(s, c)| s != c);
-                            if dirty && rng.gen_bool(0.5) {
-                                chunk.copy_from_slice(&cur[..chunk.len()]);
-                            }
-                        }
-                    }
-                }
-                base
-            };
-            pools.push(PoolImage {
+        let pools = all
+            .iter()
+            .map(|pool| PoolImage {
                 name: pool.name().to_string(),
                 media: pool.media_kind(),
                 class: pool.class(),
-                words,
-            });
-        }
+                words: surviving_words(pool, domain, policy, &mut rng),
+            })
+            .collect();
         CrashImage { domain, pools }
     }
 
@@ -202,17 +159,76 @@ impl Machine {
     pub fn reboot(image: &CrashImage, config: MachineConfig) -> Arc<Machine> {
         let machine = Machine::new(config);
         for pi in &image.pools {
-            let pool = machine.alloc_pool_with_class(&pi.name, pi.words.len(), pi.media, pi.class);
-            assert_eq!(
-                pool.len_words(),
-                pi.words.len(),
-                "pool `{}` image not line-aligned",
-                pi.name
-            );
-            pool.load_image(&pi.words);
+            machine.add_pool(|id, track| PmemPool::from_image(id, pi, track));
         }
         machine
     }
+}
+
+/// What survives of one pool, read word by word straight from the pool
+/// and its durable shadow. The image starts as the allocator's zeroed
+/// memory and only non-zero survivors are written into it, so it costs
+/// host memory where the pool held data (DESIGN.md §5 decision 19). The
+/// adversary draws from `rng` once per dirty word (per dirty line under
+/// [`AdversaryPolicy::PerLine`]), in address order.
+fn surviving_words(
+    pool: &PmemPool,
+    domain: DurabilityDomain,
+    policy: AdversaryPolicy,
+    rng: &mut SmallRng,
+) -> Vec<u64> {
+    let mut words = vec![0u64; pool.len_words()];
+    if pool.media_kind() == MediaKind::Dram {
+        return words;
+    }
+    let mut keep = |w: usize, v: u64| {
+        if v != 0 {
+            words[w] = v;
+        }
+    };
+    let current = |w: usize| pool.raw_load(w as u64);
+    if domain.preserves_cache_visible(pool.media_kind(), pool.class()) {
+        (0..pool.len_words()).for_each(|w| keep(w, current(w)));
+        return words;
+    }
+    let shadow = pool.shadow().unwrap_or_else(|| {
+        panic!(
+            "crash under {domain:?} requires track_persistence \
+             (pool `{}` has no durable shadow)",
+            pool.name()
+        )
+    });
+    let durable = |w: usize| shadow.load(w as u64);
+    // Adversary: each unflushed dirty word may or may not have reached
+    // media, per the policy.
+    match policy {
+        AdversaryPolicy::AllOld => (0..pool.len_words()).for_each(|w| keep(w, durable(w))),
+        AdversaryPolicy::AllNew => (0..pool.len_words()).for_each(|w| keep(w, current(w))),
+        AdversaryPolicy::Biased(_) | AdversaryPolicy::PerWord => {
+            // The fair coin is the biased one at 0.5.
+            let p = if let AdversaryPolicy::Biased(p) = policy {
+                p
+            } else {
+                0.5
+            };
+            for w in 0..pool.len_words() {
+                let (old, new) = (durable(w), current(w));
+                let drained = old != new && rng.gen_bool(p);
+                keep(w, if drained { new } else { old });
+            }
+        }
+        AdversaryPolicy::PerLine => {
+            for base in (0..pool.len_words()).step_by(WORDS_PER_LINE) {
+                let old: [u64; WORDS_PER_LINE] = std::array::from_fn(|i| durable(base + i));
+                let new: [u64; WORDS_PER_LINE] = std::array::from_fn(|i| current(base + i));
+                let drained = old != new && rng.gen_bool(0.5);
+                for (i, v) in (if drained { new } else { old }).into_iter().enumerate() {
+                    keep(base + i, v);
+                }
+            }
+        }
+    }
+    words
 }
 
 #[cfg(test)]
@@ -457,6 +473,134 @@ mod tests {
         let x = m.crash(42);
         let y = m.crash(42);
         assert_eq!(x.pools[0].words, y.pools[0].words);
+    }
+
+    fn dump_current(pool: &PmemPool) -> Vec<u64> {
+        (0..pool.len_words() as u64)
+            .map(|w| pool.raw_load(w))
+            .collect()
+    }
+
+    fn dump_shadow(pool: &PmemPool) -> Vec<u64> {
+        let s = pool.shadow().expect("tracked pool");
+        (0..s.len() as u64).map(|w| s.load(w)).collect()
+    }
+
+    /// The capture as it was before it went sparse: a dense copy of the
+    /// shadow and of the current words, then the policy loop over them.
+    /// Kept as the oracle the sparse capture must equal, RNG draw for
+    /// RNG draw.
+    fn dense_capture(m: &Machine, seed: u64, policy: AdversaryPolicy) -> Vec<Vec<u64>> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let domain = m.domain();
+        let mut images = Vec::new();
+        for pool in &m.pools() {
+            if pool.media_kind() == MediaKind::Dram {
+                images.push(vec![0u64; pool.len_words()]);
+                continue;
+            }
+            if domain.preserves_cache_visible(pool.media_kind(), pool.class()) {
+                images.push(dump_current(pool));
+                continue;
+            }
+            let mut base = dump_shadow(pool);
+            let current = dump_current(pool);
+            match policy {
+                AdversaryPolicy::AllOld => {}
+                AdversaryPolicy::AllNew => base.copy_from_slice(&current),
+                AdversaryPolicy::Biased(_) | AdversaryPolicy::PerWord => {
+                    let p = if let AdversaryPolicy::Biased(p) = policy {
+                        p
+                    } else {
+                        0.5
+                    };
+                    for (w, slot) in base.iter_mut().enumerate() {
+                        if *slot != current[w] && rng.gen_bool(p) {
+                            *slot = current[w];
+                        }
+                    }
+                }
+                AdversaryPolicy::PerLine => {
+                    for (line, chunk) in base.chunks_mut(WORDS_PER_LINE).enumerate() {
+                        let cur = &current[line * WORDS_PER_LINE..];
+                        let dirty = chunk.iter().zip(cur).any(|(s, c)| s != c);
+                        if dirty && rng.gen_bool(0.5) {
+                            chunk.copy_from_slice(&cur[..chunk.len()]);
+                        }
+                    }
+                }
+            }
+            images.push(base);
+        }
+        images
+    }
+
+    /// A machine whose pools hold every kind of word a capture must get
+    /// right; returns it with the heap word that was persisted non-zero
+    /// and then overwritten with 0 (shadow non-zero, current zero).
+    fn mixed_machine(domain: DD) -> (Arc<Machine>, u64) {
+        let m = Machine::new(MachineConfig::functional(domain));
+        let heap = m.alloc_pool("heap", 512, MediaKind::Optane);
+        let log =
+            m.alloc_pool_with_class("log", 128, MediaKind::Optane, PersistenceClass::PdramLite);
+        let dram = m.alloc_pool("dram", 64, MediaKind::Dram);
+        let mut s = m.session(0);
+        // Lines 0-3 flushed and fenced; lines 4-11 dirty, some words of a
+        // line more than others; the rest of the heap untouched.
+        for w in 0..32 {
+            s.store(heap.addr(w), 1000 + w);
+        }
+        for w in (0..32).step_by(WORDS_PER_LINE) {
+            s.clwb(heap.addr(w));
+        }
+        s.sfence();
+        for w in (32..96).filter(|w| w % 3 != 0) {
+            s.store(heap.addr(w), 2000 + w);
+        }
+        // Flushed lines re-dirtied: one word to a new value, one to 0.
+        s.store(heap.addr(9), 77);
+        let zeroed = 17;
+        s.store(heap.addr(zeroed), 0);
+        for w in [0, 1, 8, 40] {
+            s.store(log.addr(w), 3000 + w);
+        }
+        s.clwb(log.addr(0));
+        s.sfence();
+        s.store(log.addr(2), 4000);
+        s.store(dram.addr(3), 5000);
+        (m, zeroed)
+    }
+
+    #[test]
+    fn sparse_capture_equals_the_dense_reference() {
+        let policies = [
+            AdversaryPolicy::AllOld,
+            AdversaryPolicy::AllNew,
+            AdversaryPolicy::PerWord,
+            AdversaryPolicy::PerLine,
+            AdversaryPolicy::Biased(0.2),
+        ];
+        for domain in DD::ALL {
+            let (m, zeroed) = mixed_machine(domain);
+            let heap = &m.pools()[0];
+            if domain == DD::Adr {
+                assert_ne!(heap.shadow().unwrap().load(zeroed), 0);
+                assert_eq!(heap.raw_load(zeroed), 0);
+            }
+            for policy in policies {
+                for seed in 0..8 {
+                    let img = m.crash_with(seed, policy);
+                    let dense = dense_capture(&m, seed, policy);
+                    let sparse: Vec<_> = img.pools.iter().map(|p| p.words.clone()).collect();
+                    assert_eq!(sparse, dense, "{domain:?} {policy} seed {seed}");
+                    let m2 = Machine::reboot(&img, MachineConfig::functional(domain));
+                    for (pool, pi) in m2.pools().iter().zip(&img.pools) {
+                        assert_eq!(dump_current(pool), pi.words, "{domain:?} {}", pi.name);
+                        assert_eq!(dump_shadow(pool), pi.words, "{domain:?} {}", pi.name);
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -311,15 +311,14 @@ impl Machine {
         media: MediaKind,
         class: PersistenceClass,
     ) -> Arc<PmemPool> {
+        self.add_pool(|id, track| PmemPool::new(id, name, len_words, media, class, track))
+    }
+
+    /// Register the pool `build` makes from the next pool id and this
+    /// machine's `track_persistence`.
+    pub(crate) fn add_pool(&self, build: impl FnOnce(PoolId, bool) -> PmemPool) -> Arc<PmemPool> {
         let id = PoolId(self.next_pool.fetch_add(1, Ordering::Relaxed));
-        let pool = Arc::new(PmemPool::new(
-            id,
-            name,
-            len_words,
-            media,
-            class,
-            self.config.track_persistence,
-        ));
+        let pool = Arc::new(build(id, self.config.track_persistence));
         let mut pools = self.pools.write().unwrap();
         let idx = id.0 as usize;
         if pools.len() <= idx {

@@ -9,6 +9,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::crash::PoolImage;
+use crate::host::{zeroed_words, Words};
 use crate::WORDS_PER_LINE;
 
 /// Identifies a pool within its [`crate::Machine`].
@@ -100,9 +102,9 @@ impl std::fmt::Display for PAddr {
 /// monotone in capture order.
 #[derive(Debug)]
 pub struct MediaShadow {
-    words: Box<[AtomicU64]>,
+    words: Words,
     /// Last-applied flush epoch per cache line.
-    applied: Box<[AtomicU64]>,
+    applied: Words,
     /// Epoch source (incremented at snapshot/persist capture time).
     epoch: AtomicU64,
     /// Serializes shadow applications (the per-line `applied` epoch
@@ -115,10 +117,9 @@ pub struct MediaShadow {
 
 impl MediaShadow {
     fn new(len: usize) -> Self {
-        let lines = len / crate::WORDS_PER_LINE;
         MediaShadow {
-            words: (0..len).map(|_| AtomicU64::new(0)).collect(),
-            applied: (0..lines).map(|_| AtomicU64::new(0)).collect(),
+            words: zeroed_words(len),
+            applied: zeroed_words(len / WORDS_PER_LINE),
             epoch: AtomicU64::new(0),
             apply_lock: std::sync::Mutex::new(()),
         }
@@ -155,7 +156,7 @@ impl MediaShadow {
 pub struct PmemPool {
     id: PoolId,
     name: String,
-    words: Box<[AtomicU64]>,
+    words: Words,
     media_kind: MediaKind,
     class: PersistenceClass,
     shadow: Option<MediaShadow>,
@@ -175,11 +176,40 @@ impl PmemPool {
         PmemPool {
             id,
             name: name.to_string(),
-            words: (0..len).map(|_| AtomicU64::new(0)).collect(),
+            words: zeroed_words(len),
             media_kind,
             class,
             shadow: track.then(|| MediaShadow::new(len)),
         }
+    }
+
+    /// A fresh pool holding a crash image's contents, current and durable
+    /// alike (reboot). Only the image's non-zero words are written: the
+    /// rest are already zero, and untouched host pages stay unmapped.
+    pub(crate) fn from_image(id: PoolId, image: &PoolImage, track: bool) -> Self {
+        assert_eq!(
+            image.words.len() % WORDS_PER_LINE,
+            0,
+            "pool `{}` image not line-aligned",
+            image.name
+        );
+        let pool = PmemPool::new(
+            id,
+            &image.name,
+            image.words.len(),
+            image.media,
+            image.class,
+            track,
+        );
+        for (w, &v) in image.words.iter().enumerate() {
+            if v != 0 {
+                pool.words[w].store(v, Ordering::Relaxed);
+                if let Some(shadow) = &pool.shadow {
+                    shadow.store(w as u64, v);
+                }
+            }
+        }
+        pool
     }
 
     pub fn id(&self) -> PoolId {
@@ -313,32 +343,6 @@ impl PmemPool {
         // every pool's at once cannot deadlock.
         self.shadow.as_ref().map(|s| s.apply_lock.lock().unwrap())
     }
-
-    /// Copy the full current contents out (crash simulation under domains
-    /// that preserve cache-visible state).
-    pub(crate) fn dump_current(&self) -> Vec<u64> {
-        (0..self.words.len() as u64)
-            .map(|w| self.raw_load(w))
-            .collect()
-    }
-
-    /// Copy the durable shadow out.
-    pub(crate) fn dump_shadow(&self) -> Option<Vec<u64>> {
-        self.shadow
-            .as_ref()
-            .map(|s| (0..s.len() as u64).map(|w| s.load(w)).collect())
-    }
-
-    /// Overwrite current contents from an image (reboot).
-    pub(crate) fn load_image(&self, image: &[u64]) {
-        assert_eq!(image.len(), self.words.len(), "image length mismatch");
-        for (w, &v) in image.iter().enumerate() {
-            self.words[w].store(v, Ordering::Relaxed);
-            if let Some(shadow) = &self.shadow {
-                shadow.store(w as u64, v);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -422,33 +426,34 @@ mod tests {
         assert_eq!(p.raw_load(0), 2);
     }
 
-    #[test]
-    fn load_image_restores_contents_and_shadow() {
-        let p = PmemPool::new(
-            PoolId(0),
-            "t",
-            8,
-            MediaKind::Optane,
-            PersistenceClass::Normal,
-            true,
-        );
-        let image = vec![7u64; 8];
-        p.load_image(&image);
-        assert_eq!(p.raw_load(3), 7);
-        assert_eq!(p.shadow().unwrap().load(3), 7);
+    fn image(words: Vec<u64>) -> PoolImage {
+        PoolImage {
+            name: "t".into(),
+            media: MediaKind::Optane,
+            class: PersistenceClass::PdramLite,
+            words,
+        }
     }
 
     #[test]
-    #[should_panic(expected = "image length mismatch")]
-    fn load_image_checks_length() {
-        let p = PmemPool::new(
-            PoolId(0),
-            "t",
-            8,
-            MediaKind::Optane,
-            PersistenceClass::Normal,
-            false,
-        );
-        p.load_image(&[1, 2, 3]);
+    fn from_image_restores_contents_and_shadow() {
+        let words = vec![7, 0, 0, 9, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2];
+        let p = PmemPool::from_image(PoolId(3), &image(words.clone()), true);
+        assert_eq!((p.id(), p.name()), (PoolId(3), "t"));
+        assert_eq!(p.class(), PersistenceClass::PdramLite);
+        assert_eq!(p.len_words(), words.len());
+        for (w, &v) in words.iter().enumerate() {
+            assert_eq!(p.raw_load(w as u64), v, "word {w}");
+            assert_eq!(p.shadow().unwrap().load(w as u64), v, "shadow {w}");
+        }
+        let untracked = PmemPool::from_image(PoolId(3), &image(words), false);
+        assert!(untracked.shadow().is_none());
+        assert_eq!(untracked.raw_load(15), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "image not line-aligned")]
+    fn from_image_checks_line_alignment() {
+        PmemPool::from_image(PoolId(1), &image(vec![1, 2, 3]), false);
     }
 }

@@ -67,7 +67,7 @@ impl Default for GlobalClock {
 /// The striped orec table.
 #[derive(Debug)]
 pub struct OrecTable {
-    orecs: Box<[AtomicU64]>,
+    orecs: pmem_sim::host::Words,
     mask: u64,
 }
 
@@ -76,7 +76,7 @@ impl OrecTable {
     pub fn new(count: usize) -> Self {
         let n = count.max(64).next_power_of_two();
         OrecTable {
-            orecs: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            orecs: pmem_sim::host::zeroed_words(n),
             mask: n as u64 - 1,
         }
     }
