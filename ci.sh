@@ -220,6 +220,27 @@ if [ -n "$FORMATS" ]; then
   exit 1
 fi
 
+echo "=== stream seam check ==="
+# The open-loop front-end draws its requests on demand (DESIGN.md §5
+# decision 20): a shard's workers claim from a segment that one shared
+# generator refills. A `partition`, or a `Vec<Request>` other than
+# `gen_open_loop`'s own, in non-test, non-comment sharded.rs (everything
+# above its first `#[cfg(test)]`), or a `gen_open_loop(` call in non-test
+# code under crates/, means a run materialises its stream again: 24 B per
+# request, live for the whole run.
+STREAM=$(awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }
+    /partition/ || (/Vec<Request>/ && !/^pub fn gen_open_loop\(/) { print FILENAME ":" FNR ": " $0 }' \
+  crates/workloads/src/sharded.rs)
+CALLS=$(for f in $(grep -rl 'gen_open_loop(' crates --include='*.rs' | grep '/src/'); do
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }
+      /gen_open_loop\(/ && !/^pub fn gen_open_loop\(/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$STREAM$CALLS" ]; then
+  echo "ERROR: a materialised request stream (see DESIGN.md decision 20):" >&2
+  printf '%s\n' "$STREAM" "$CALLS" | grep . >&2
+  exit 1
+fi
+
 echo "=== golden report lines ==="
 # The --json report lines of thirteen deterministic runs, byte for byte
 # against crates/bench/tests/golden/ — by name and first among the

@@ -20,8 +20,9 @@
 //! spans two shards via [`ptm::CrossShardTx`] (2PC over the per-shard
 //! logs).
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use pmem_sim::{DurabilityDomain, LatencyModel, MachineConfig, PAddr, StatsSnapshot};
 use ptm::{CrossShardTx, PtmConfig, PtmStatsSnapshot, ShardedEngine, TxThread};
@@ -119,29 +120,65 @@ impl Default for StreamConfig {
     }
 }
 
-/// Generate the arrival-ordered open-loop request stream.
-pub fn gen_open_loop(cfg: &StreamConfig) -> Vec<Request> {
-    let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5157_4f52_4b4c_4f41);
-    let zipf = ZipfGen::new(cfg.keys, cfg.zipf_theta);
-    let mut out = Vec::with_capacity(cfg.total_ops as usize);
-    let mut now = 0u64;
-    while (out.len() as u64) < cfg.total_ops {
-        // Bursty arrivals: a uniform gap (same mean as exponential)
-        // followed by a burst of simultaneous requests.
-        now += rng.gen_range(0..=2 * cfg.mean_gap_ns.max(1));
-        let burst = rng.gen_range(1..=cfg.burst.max(1));
-        for _ in 0..burst {
-            if out.len() as u64 >= cfg.total_ops {
-                break;
-            }
-            out.push(Request {
-                arrival_ns: now,
-                key: zipf.next(&mut rng),
-                kind: rng.gen(),
-            });
+/// The arrival-ordered open-loop request stream, generated one request
+/// at a time: bursty arrivals — a uniform gap (same mean as exponential)
+/// followed by a burst of simultaneous requests — with Zipfian keys.
+#[derive(Debug, Clone)]
+pub(crate) struct OpenLoop {
+    rng: SmallRng,
+    zipf: ZipfGen,
+    max_gap_ns: u64,
+    max_burst: u64,
+    now: u64,
+    /// Requests still to come at the current arrival instant.
+    burst_left: u64,
+    /// Requests still to come in the stream.
+    left: u64,
+}
+
+impl OpenLoop {
+    pub(crate) fn new(cfg: &StreamConfig) -> OpenLoop {
+        OpenLoop {
+            rng: SmallRng::seed_from_u64(cfg.seed ^ 0x5157_4f52_4b4c_4f41),
+            zipf: ZipfGen::new(cfg.keys, cfg.zipf_theta),
+            max_gap_ns: 2 * cfg.mean_gap_ns.max(1),
+            max_burst: cfg.burst.max(1),
+            now: 0,
+            burst_left: 0,
+            left: cfg.total_ops,
         }
     }
-    out
+}
+
+impl Iterator for OpenLoop {
+    type Item = Request;
+
+    fn next(&mut self) -> Option<Request> {
+        if self.left == 0 {
+            return None;
+        }
+        if self.burst_left == 0 {
+            self.now += self.rng.gen_range(0..=self.max_gap_ns);
+            self.burst_left = self.rng.gen_range(1..=self.max_burst);
+        }
+        self.burst_left -= 1;
+        self.left -= 1;
+        Some(Request {
+            arrival_ns: self.now,
+            key: self.zipf.next(&mut self.rng),
+            kind: self.rng.gen(),
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left as usize, Some(self.left as usize))
+    }
+}
+
+/// The whole open-loop stream at once (the sharded runs draw it through
+/// their feed instead).
+pub fn gen_open_loop(cfg: &StreamConfig) -> Vec<Request> {
+    OpenLoop::new(cfg).collect()
 }
 
 /// Execution parameters for one sharded measurement point.
@@ -176,6 +213,18 @@ impl Default for ShardedRunConfig {
             stream: StreamConfig::default(),
             trace: Vec::new(),
         }
+    }
+}
+
+impl ShardedRunConfig {
+    /// A run with no shard or no worker per shard executes nothing, and
+    /// would report requests it never ran.
+    fn assert_nonempty(&self) {
+        assert!(self.shards >= 1, "ShardedRunConfig::shards must be >= 1");
+        assert!(
+            self.threads_per_shard >= 1,
+            "ShardedRunConfig::threads_per_shard must be >= 1"
+        );
     }
 }
 
@@ -292,38 +341,175 @@ fn disarm_tracers(engine: &ShardedEngine, rc: &ShardedRunConfig) {
     }
 }
 
-/// Partition an arrival-ordered stream into per-shard queues (stable, so
-/// each queue stays arrival-ordered).
-fn partition<F: Fn(u64) -> usize>(reqs: &[Request], shards: usize, route: F) -> Vec<Vec<Request>> {
-    let mut queues = vec![Vec::new(); shards];
-    for r in reqs {
-        queues[route(r.key)].push(*r);
-    }
-    queues
+/// Requests a shard takes per refill. Big enough that a refill's lock,
+/// allocation and `Arc` cost well under a nanosecond per request; small
+/// enough that a refill, which runs the generator under the lock until
+/// its shard has this many (≈ shards × 1024 draws at ≈ 40 host-ns each),
+/// ends long before a peer shard's worker has run the 1024 requests of
+/// its own segment. Not a knob: a shard's requests are claimed in arrival
+/// order for any size, so nothing the model sees depends on it.
+const SEGMENT: usize = 1024;
+
+/// Most requests one shard may have pending (1.5 MiB). Refills pull the
+/// generator only while every shard is below it, so the feed holds at
+/// most `shards × BACKLOG` requests however long or skewed the stream:
+/// without it the lighter shard of a skewed split pulls the stream ahead
+/// of the heavier one, and the heavier one's queue grows with the stream
+/// (600 K requests of 4 Mi at a 57 / 43 split). 64 segments are tens of
+/// milliseconds of one worker's requests, so host jitter alone seldom
+/// reaches it. Not a knob, for the reason [`SEGMENT`] is not.
+const BACKLOG: usize = 64 * SEGMENT;
+
+const POISONED: &str = "a worker panicked while refilling the feed";
+
+/// A run of one shard's requests in arrival order, claimed front to back
+/// by that shard's workers.
+struct Segment {
+    reqs: Box<[Request]>,
+    head: AtomicUsize,
 }
 
-/// Drive pre-partitioned queues through the engine: `threads_per_shard`
-/// workers per shard claim requests in arrival order, idle until each
-/// request's arrival instant, execute `exec`, and record sojourn times.
-fn drive<F>(
+impl Segment {
+    fn new(reqs: Box<[Request]>) -> Arc<Segment> {
+        Arc::new(Segment {
+            reqs,
+            head: AtomicUsize::new(0),
+        })
+    }
+}
+
+/// The open-loop stream on demand, split by shard (DESIGN.md §5 decision
+/// 20). Each shard has one current [`Segment`]; its workers claim from it
+/// with one `fetch_add` per request. A worker that runs off its end
+/// refills it under the feed's one mutex: it pulls the shared generator
+/// until its shard has its next [`SEGMENT`] requests, and requests routed
+/// elsewhere wait in their shard's pending queue. The lock covers host
+/// bookkeeping only — no timed operation runs under it (decision 13(i)).
+/// Every shard needs a worker: a refill waits while any shard's backlog
+/// is full, and only that shard's workers drain it.
+struct Feed<R> {
+    route: R,
+    state: Mutex<FeedState>,
+    /// Signalled when a full backlog drains.
+    drained: Condvar,
+}
+
+struct FeedState {
+    gen: OpenLoop,
+    /// Per shard: generated, not yet in a segment (arrival order).
+    pending: Vec<VecDeque<Request>>,
+    /// Per shard: the segment its workers claim from.
+    current: Vec<Arc<Segment>>,
+    handed_out: u64,
+}
+
+impl<R: Fn(u64) -> usize> Feed<R> {
+    fn new(stream: &StreamConfig, shards: usize, route: R) -> Feed<R> {
+        let empty = Segment::new(Box::default());
+        Feed {
+            route,
+            state: Mutex::new(FeedState {
+                gen: OpenLoop::new(stream),
+                pending: vec![VecDeque::new(); shards],
+                current: vec![empty; shards],
+                handed_out: 0,
+            }),
+            drained: Condvar::new(),
+        }
+    }
+
+    /// A claim handle for one of `shard`'s workers.
+    fn claims(&self, shard: usize) -> Claims<'_, R> {
+        let seg = Arc::clone(&self.state.lock().expect(POISONED).current[shard]);
+        Claims {
+            feed: self,
+            shard,
+            seg,
+        }
+    }
+
+    /// `shard`'s next segment, for a worker that found `spent` claimed
+    /// out: the current one if a peer has already replaced `spent`, else
+    /// a new one. `None` once the stream holds no more for `shard`.
+    fn refill(&self, shard: usize, spent: &Arc<Segment>) -> Option<Arc<Segment>> {
+        let mut st = self.state.lock().expect(POISONED);
+        loop {
+            if !Arc::ptr_eq(&st.current[shard], spent) {
+                return Some(Arc::clone(&st.current[shard]));
+            }
+            if st.pending[shard].len() >= SEGMENT {
+                break;
+            }
+            if st.pending.iter().any(|q| q.len() >= BACKLOG) {
+                st = self.drained.wait(st).expect(POISONED);
+                continue;
+            }
+            let Some(req) = st.gen.next() else { break };
+            st.pending[(self.route)(req.key)].push_back(req);
+        }
+        let backlog = st.pending[shard].len();
+        let n = backlog.min(SEGMENT);
+        if n == 0 {
+            return None;
+        }
+        let seg = Segment::new(st.pending[shard].drain(..n).collect());
+        st.handed_out += n as u64;
+        st.current[shard] = Arc::clone(&seg);
+        if backlog >= BACKLOG {
+            self.drained.notify_all();
+        }
+        Some(seg)
+    }
+
+    /// Requests handed to workers so far.
+    fn handed_out(&self) -> u64 {
+        self.state.lock().expect(POISONED).handed_out
+    }
+}
+
+/// One worker's view of its shard's requests.
+struct Claims<'f, R> {
+    feed: &'f Feed<R>,
+    shard: usize,
+    seg: Arc<Segment>,
+}
+
+impl<R: Fn(u64) -> usize> Iterator for Claims<'_, R> {
+    type Item = Request;
+
+    fn next(&mut self) -> Option<Request> {
+        loop {
+            // Relaxed: the index publishes nothing; a segment's requests
+            // reach its workers through the feed's mutex.
+            let idx = self.seg.head.fetch_add(1, Ordering::Relaxed);
+            if let Some(req) = self.seg.reqs.get(idx) {
+                return Some(*req);
+            }
+            self.seg = self.feed.refill(self.shard, &self.seg)?;
+        }
+    }
+}
+
+/// Drive the feed through the engine: `threads_per_shard` workers per
+/// shard claim requests in arrival order, idle until each request's
+/// arrival instant, execute `exec`, and record sojourn times.
+fn drive<R, F>(
     engine: &ShardedEngine,
-    queues: &[Vec<Request>],
+    feed: &Feed<R>,
     rc: &ShardedRunConfig,
     exec: F,
 ) -> LatencyHistogram
 where
+    R: Fn(u64) -> usize + Sync,
     F: Fn(usize, &mut TxThread, &mut SmallRng, &Request) + Sync,
 {
     arm_tracers(engine, rc);
     engine.begin_run_all(rc.threads_per_shard, rc.window_ns);
-    let heads: Vec<AtomicUsize> = (0..rc.shards).map(|_| AtomicUsize::new(0)).collect();
     let sojourn = Mutex::new(LatencyHistogram::new());
     std::thread::scope(|scope| {
         for shard in 0..rc.shards {
             for tid in 0..rc.threads_per_shard {
                 let engine = &engine;
-                let queue = &queues[shard];
-                let head = &heads[shard];
                 let sojourn = &sojourn;
                 let exec = &exec;
                 let seed = rc.stream.seed;
@@ -333,12 +519,7 @@ where
                         seed ^ ((shard as u64) << 32 | tid as u64).wrapping_mul(0x9E37_79B9),
                     );
                     let mut local = LatencyHistogram::new();
-                    loop {
-                        let idx = head.fetch_add(1, Ordering::Relaxed);
-                        if idx >= queue.len() {
-                            break;
-                        }
-                        let req = &queue[idx];
+                    for req in feed.claims(shard) {
                         if th.session_mut().now() < req.arrival_ns {
                             th.session_mut().advance_to(req.arrival_ns);
                         }
@@ -352,7 +533,7 @@ where
                                 s.trace_event(trace::EventKind::QueueWait, wait, req.arrival_ns);
                             }
                         }
-                        exec(shard, &mut th, &mut rng, req);
+                        exec(shard, &mut th, &mut rng, &req);
                         let done = th.session_mut().now();
                         local.record(done.saturating_sub(req.arrival_ns));
                     }
@@ -379,7 +560,7 @@ pub const SHARDED_KV_VALUE_WORDS: u64 = 16;
 /// against each shard's private [`KvStore`].
 pub fn run_sharded_kv(rc: &ShardedRunConfig) -> ShardedRunResult {
     const VW: u64 = SHARDED_KV_VALUE_WORDS;
-    let reqs = gen_open_loop(&rc.stream);
+    rc.assert_nonempty();
     // Home every key, size each shard's heap for its population.
     let mut per_shard_keys = vec![Vec::new(); rc.shards];
     for k in 0..rc.stream.keys {
@@ -395,8 +576,8 @@ pub fn run_sharded_kv(rc: &ShardedRunConfig) -> ShardedRunResult {
         .collect();
     set_up_shards(&engine, &mut stores, |_, store, th| store.populate(th));
 
-    let queues = partition(&reqs, rc.shards, |key| engine.shard_of(key));
-    let sojourn = drive(&engine, &queues, rc, |shard, th, _rng, req| {
+    let feed = Feed::new(&rc.stream, rc.shards, |key| engine.shard_of(key));
+    let sojourn = drive(&engine, &feed, rc, |shard, th, _rng, req| {
         engine.assert_routed(shard, req.key);
         if req.kind & 1 == 0 {
             stores[shard].get(th, req.key);
@@ -406,7 +587,7 @@ pub fn run_sharded_kv(rc: &ShardedRunConfig) -> ShardedRunResult {
     });
 
     let label = format!("sharded-kv-{}x{}", rc.shards, rc.threads_per_shard);
-    ShardedRunResult::collect(label, rc, reqs.len() as u64, &engine, sojourn)
+    ShardedRunResult::collect(label, rc, feed.handed_out(), &engine, sojourn)
 }
 
 // ---------------------------------------------------------------------
@@ -419,12 +600,12 @@ pub fn run_sharded_kv(rc: &ShardedRunConfig) -> ShardedRunResult {
 /// so the partitioning is exact — this is the classic shardable slice of
 /// TPCC (cross-warehouse payments would need 2PC, which is out of scope).
 pub fn run_sharded_tpcc(rc: &ShardedRunConfig, kind: IndexKind) -> ShardedRunResult {
+    rc.assert_nonempty();
     let warehouses = rc.stream.keys;
     assert!(
         warehouses >= rc.shards as u64,
         "need at least one warehouse per shard"
     );
-    let reqs = gen_open_loop(&rc.stream);
     let route = |gw: u64| (gw % rc.shards as u64) as usize;
     let local_of = |gw: u64| gw / rc.shards as u64;
     let wh_per_shard = |shard: usize| {
@@ -442,14 +623,14 @@ pub fn run_sharded_tpcc(rc: &ShardedRunConfig, kind: IndexKind) -> ShardedRunRes
 
     set_up_shards(&engine, &mut insts, |_, inst, th| inst.setup(th));
 
-    let queues = partition(&reqs, rc.shards, route);
-    let sojourn = drive(&engine, &queues, rc, |shard, th, rng, req| {
+    let feed = Feed::new(&rc.stream, rc.shards, route);
+    let sojourn = drive(&engine, &feed, rc, |shard, th, rng, req| {
         debug_assert_eq!(route(req.key), shard, "warehouse routed to wrong shard");
         insts[shard].op_at_warehouse(th, rng, local_of(req.key), req.kind);
     });
 
     let label = format!("sharded-tpcc-{}x{}", rc.shards, rc.threads_per_shard);
-    ShardedRunResult::collect(label, rc, reqs.len() as u64, &engine, sojourn)
+    ShardedRunResult::collect(label, rc, feed.handed_out(), &engine, sojourn)
 }
 
 // ---------------------------------------------------------------------
@@ -477,6 +658,7 @@ pub const TRANSFER_INITIAL_BALANCE: u64 = 1_000;
 /// regardless of `rc.window_ns` (see `ptm::twopc` module docs on why a
 /// bounded window would deadlock idle cross-shard sessions).
 pub fn run_cross_shard_transfer(rc: &ShardedRunConfig, cross_frac: f64) -> ShardedRunResult {
+    rc.assert_nonempty();
     assert!((0.0..=1.0).contains(&cross_frac), "cross_frac in [0, 1]");
     let keys = rc.stream.keys;
     assert!(keys >= 4, "transfer workload needs at least 4 accounts");
@@ -501,9 +683,10 @@ pub fn run_cross_shard_transfer(rc: &ShardedRunConfig, cross_frac: f64) -> Shard
         accounts[k as usize] = c;
     }
 
-    let workers = (rc.threads_per_shard * rc.shards).max(1);
+    let workers = rc.threads_per_shard * rc.shards;
     let total_ops = rc.stream.total_ops;
     let accounts = &accounts;
+    let zipf = ZipfGen::new(keys, rc.stream.zipf_theta);
     let latency = Mutex::new(LatencyHistogram::new());
     // Cross-shard probability as a 32-bit threshold (exact for the
     // fractions the benches sweep; avoids per-op float draws).
@@ -515,7 +698,7 @@ pub fn run_cross_shard_transfer(rc: &ShardedRunConfig, cross_frac: f64) -> Shard
             let engine = &engine;
             let latency = &latency;
             let seed = rc.stream.seed;
-            let zipf = ZipfGen::new(keys, rc.stream.zipf_theta);
+            let zipf = zipf.clone();
             scope.spawn(move || {
                 let mut cx = CrossShardTx::new(engine, w);
                 let mut rng =
@@ -644,6 +827,229 @@ mod tests {
             .iter()
             .zip(&again)
             .all(|(a, b)| a.arrival_ns == b.arrival_ns && a.key == b.key && a.kind == b.kind));
+    }
+
+    /// FNV-1a over each request's three words, little-endian.
+    fn fnv1a(reqs: &[Request]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for r in reqs {
+            for w in [r.arrival_ns, r.key, r.kind] {
+                for b in w.to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn open_loop_draws_what_the_materialised_stream_drew() {
+        // Signatures of `gen_open_loop` recorded before it became
+        // `OpenLoop`'s collect().
+        let d = StreamConfig::default();
+        let paced = StreamConfig {
+            total_ops: 2_000_000,
+            keys: 1 << 16,
+            mean_gap_ns: 2_400,
+            ..d.clone()
+        };
+        let cases = [
+            (
+                StreamConfig {
+                    total_ops: 1_001,
+                    ..d.clone()
+                },
+                0xf8cc_aece_4b56_b47d,
+            ),
+            (
+                StreamConfig {
+                    total_ops: 5_000,
+                    burst: 1,
+                    seed: 7,
+                    ..d.clone()
+                },
+                0x3458_215e_49a6_be73,
+            ),
+            (
+                StreamConfig {
+                    total_ops: 0,
+                    ..d.clone()
+                },
+                0xcbf2_9ce4_8422_2325,
+            ),
+            (paced, 0x4a5d_3c9a_26a9_61bd),
+        ];
+        for (cfg, sig) in cases {
+            let mut gen = OpenLoop::new(&cfg);
+            let reqs: Vec<Request> = gen.by_ref().collect();
+            assert_eq!(reqs.len() as u64, cfg.total_ops);
+            assert_eq!(fnv1a(&reqs), sig, "{cfg:?}");
+            assert!(gen.next().is_none(), "a drained stream stays drained");
+        }
+        // The first case stops inside a burst: its last arrival instant
+        // had more requests to come.
+        let mut gen = OpenLoop::new(&StreamConfig {
+            total_ops: 1_001,
+            ..d
+        });
+        gen.by_ref().for_each(drop);
+        assert!(gen.burst_left > 0);
+    }
+
+    /// Claim a feed dry the way `drive` does, without an engine, and check
+    /// that every request runs exactly once: each worker's claims in
+    /// arrival order, each shard's together the stable partition of the
+    /// stream. Shard 0's workers start only once `gate` requests have been
+    /// routed to it.
+    fn check_feed<R>(stream: &StreamConfig, shards: usize, workers: usize, route: R, gate: usize)
+    where
+        R: Fn(u64) -> usize + Sync,
+    {
+        let all = gen_open_loop(stream);
+        let position: std::collections::HashMap<u64, usize> =
+            all.iter().enumerate().map(|(i, r)| (r.kind, i)).collect();
+        assert_eq!(position.len(), all.len(), "kinds identify requests");
+        let mut expected = vec![Vec::new(); shards];
+        for (i, r) in all.iter().enumerate() {
+            expected[route(r.key)].push(i);
+        }
+        let to_first = AtomicUsize::new(0);
+        let feed = Feed::new(stream, shards, |key| {
+            let shard = route(key);
+            if shard == 0 {
+                to_first.fetch_add(1, Ordering::Relaxed);
+            }
+            shard
+        });
+        let mut got = vec![Vec::new(); shards];
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..shards)
+                .flat_map(|shard| (0..workers).map(move |_| shard))
+                .map(|shard| {
+                    let (feed, position, to_first) = (&feed, &position, &to_first);
+                    let claims = scope.spawn(move || {
+                        while shard == 0 && to_first.load(Ordering::Relaxed) < gate {
+                            std::thread::yield_now();
+                        }
+                        feed.claims(shard)
+                            .map(|r| position[&r.kind])
+                            .collect::<Vec<usize>>()
+                    });
+                    (shard, claims)
+                })
+                .collect();
+            for (shard, claims) in workers {
+                let mine = claims.join().unwrap();
+                assert!(
+                    mine.windows(2).all(|w| w[0] < w[1]),
+                    "{shards} shards: shard {shard} claimed out of arrival order"
+                );
+                got[shard].extend(mine);
+            }
+        });
+        for (shard, mut got) in got.into_iter().enumerate() {
+            got.sort_unstable();
+            assert!(
+                got == expected[shard],
+                "{shards} shards: shard {shard} did not run its requests exactly once"
+            );
+        }
+        assert_eq!(feed.handed_out(), stream.total_ops);
+    }
+
+    #[test]
+    fn feed_runs_every_request_once_in_arrival_order_per_shard() {
+        let stream = StreamConfig {
+            total_ops: 3 * SEGMENT as u64 * 8 + 77,
+            keys: 1 << 12,
+            ..StreamConfig::default()
+        };
+        for shards in [1, 2, 3, 8, 16] {
+            for workers in [1, 2, 4] {
+                let route = |key| ShardedEngine::route(key, shards);
+                check_feed(&stream, shards, workers, route, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_backlog_holds_the_generator_until_its_shard_drains() {
+        // Shard 1 gets one key in 16. Shard 0's workers start only when
+        // its backlog is full, so shard 1's refills must wait for them.
+        let stream = StreamConfig {
+            total_ops: 3 * BACKLOG as u64,
+            ..StreamConfig::default()
+        };
+        for workers in [1, 2] {
+            let route = |key| usize::from(key % 16 == 15);
+            check_feed(&stream, 2, workers, route, BACKLOG);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ShardedRunConfig::shards must be >= 1")]
+    fn sharded_kv_rejects_zero_shards() {
+        run_sharded_kv(&ShardedRunConfig {
+            shards: 0,
+            ..quick_rc(1)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "ShardedRunConfig::threads_per_shard must be >= 1")]
+    fn sharded_kv_rejects_zero_workers() {
+        run_sharded_kv(&ShardedRunConfig {
+            threads_per_shard: 0,
+            ..quick_rc(2)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "ShardedRunConfig::shards must be >= 1")]
+    fn sharded_tpcc_rejects_zero_shards() {
+        run_sharded_tpcc(
+            &ShardedRunConfig {
+                shards: 0,
+                ..quick_rc(1)
+            },
+            IndexKind::Hash,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "ShardedRunConfig::threads_per_shard must be >= 1")]
+    fn sharded_tpcc_rejects_zero_workers() {
+        run_sharded_tpcc(
+            &ShardedRunConfig {
+                threads_per_shard: 0,
+                ..quick_rc(2)
+            },
+            IndexKind::Hash,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "ShardedRunConfig::shards must be >= 1")]
+    fn cross_shard_transfer_rejects_zero_shards() {
+        run_cross_shard_transfer(
+            &ShardedRunConfig {
+                shards: 0,
+                ..quick_rc(1)
+            },
+            0.5,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "ShardedRunConfig::threads_per_shard must be >= 1")]
+    fn cross_shard_transfer_rejects_zero_workers() {
+        run_cross_shard_transfer(
+            &ShardedRunConfig {
+                threads_per_shard: 0,
+                ..quick_rc(2)
+            },
+            0.5,
+        );
     }
 
     fn quick_rc(shards: usize) -> ShardedRunConfig {
