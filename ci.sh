@@ -162,11 +162,41 @@ if [ -n "$EAGER" ]; then
   exit 1
 fi
 
+echo "=== durability journal seam check ==="
+# A fence's snapshots reach a pool's durable shadow through its
+# durability journal, folded before anything reads the shadow (DESIGN.md
+# §5 decision 21). The shadow's words and `applied` epochs are written
+# only by `MediaShadow`'s fold and direct apply (`fold`, `apply_now`) and
+# by a reboot (`restore_word`, called from `PmemPool::from_image` alone),
+# and its fields are private to pool.rs. A `.store(` in another
+# `MediaShadow` method, a `pub` field, or a `restore_word` call elsewhere
+# is a second writer the journal's ordering argument does not cover. The
+# deleted per-line `persist_line_snapshot` stays deleted, and the crash
+# capture reads the shadow only through `freeze_applies`' guards: a
+# folding `.shadow()` under a held guard deadlocks.
+WRITERS=$(awk '/^[[:space:]]*\/\// { next }
+    /^ *(pub(\([a-z]+\))? )?fn [a-z_]+/ { match($0, /fn [a-z_]+/); fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    /^impl MediaShadow \{/ { im = 1 } im && /^}/ { im = 0 }
+    im && /\.store\(/ && fn !~ /^(fold|apply_now|restore_word)$/ { print FILENAME ":" FNR ": " $0 }
+    /^pub struct MediaShadow \{/ { st = 1 } st && /^}/ { st = 0 }
+    st && /^ +pub/ { print FILENAME ":" FNR ": " $0 }
+    /restore_word\(/ && fn != "from_image" && fn != "restore_word" { print FILENAME ":" FNR ": " $0 }' \
+  crates/pmem-sim/src/pool.rs)
+OTHERS=$(grep -rn 'persist_line_snapshot' crates src tests examples tools || true)
+CAPTURE=$(grep -Hn '\.shadow()' crates/pmem-sim/src/crash.rs || true)
+if [ -n "$WRITERS$OTHERS$CAPTURE" ]; then
+  echo "ERROR: a durable-shadow write or read around the durability journal:" >&2
+  printf '%s\n' "$WRITERS" "$OTHERS" "$CAPTURE" | grep . >&2
+  exit 1
+fi
+
 echo "=== host-hint seam check ==="
 # One instruction, one wrapper, three typed doors, one helper (DESIGN.md
 # §5 decision 17): `_mm_prefetch` only in pmem-sim/src/host.rs;
 # `host::prefetch` called only by `OrecTable::prefetch`,
-# `CacheSim::prefetch` and `PmemPool::prefetch`; `Tx::expect_read` called
+# `CacheSim::prefetch` and pool.rs's `prefetch_word` (behind
+# `PmemPool::prefetch` and the durability journal's fold, decision 21);
+# `Tx::expect_read` called
 # only where DESIGN.md lists a benchmark workload that pays for it. The
 # hint has no knob: its `allow(unsafe_code)` and the 10 `PtmConfig`
 # fields are held by the checks above.

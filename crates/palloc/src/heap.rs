@@ -28,6 +28,8 @@ pub enum AttachError {
     BadMagic(u64),
     /// The recorded length does not match the pool.
     LengthMismatch { recorded: u64, actual: u64 },
+    /// The recorded root count puts the root table past the pool end.
+    RootsOverrun { roots: u64, len: u64 },
 }
 
 impl std::fmt::Display for AttachError {
@@ -39,6 +41,9 @@ impl std::fmt::Display for AttachError {
                     f,
                     "heap length mismatch: header says {recorded}, pool has {actual}"
                 )
+            }
+            AttachError::RootsOverrun { roots, len } => {
+                write!(f, "{roots} root slots overrun the pool ({len} words)")
             }
         }
     }
@@ -143,11 +148,9 @@ impl PHeap {
         media: pmem_sim::MediaKind,
     ) -> Arc<PHeap> {
         let pool = machine.alloc_pool(name, len_words, media);
-        let start = heap_start(roots);
-        assert!(
-            (start as usize) < pool.len_words(),
-            "heap too small for its root table"
-        );
+        let start = heap_start(roots as u64)
+            .filter(|&s| (s as usize) < pool.len_words())
+            .expect("heap too small for its root table");
         pool.raw_store(OFF_MAGIC, HEAP_MAGIC);
         pool.raw_store(OFF_LEN, pool.len_words() as u64);
         pool.raw_store(OFF_ROOTS_LEN, roots as u64);
@@ -235,8 +238,16 @@ impl PHeap {
                 actual: pool.len_words() as u64,
             });
         }
-        let roots = pool.raw_load(OFF_ROOTS_LEN) as usize;
-        Ok((heap_start(roots), roots))
+        // The GC's mark reads every root slot: a corrupt count must not
+        // send it past the pool end.
+        let roots = pool.raw_load(OFF_ROOTS_LEN);
+        match heap_start(roots) {
+            Some(start) if start <= recorded => Ok((start, roots as usize)),
+            _ => Err(AttachError::RootsOverrun {
+                roots,
+                len: recorded,
+            }),
+        }
     }
 
     /// Block until any background restart GC ([`PHeap::attach_online`])

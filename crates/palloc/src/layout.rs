@@ -51,10 +51,12 @@ pub fn decode_header(word: u64) -> Option<(u64, usize)> {
 }
 
 /// First allocatable word for a heap with `roots` root slots, rounded up
-/// to a cache line so blocks start line-aligned relative to the table.
-pub fn heap_start(roots: usize) -> u64 {
-    let raw = OFF_ROOTS + roots as u64;
-    raw.div_ceil(pmem_sim::WORDS_PER_LINE as u64) * pmem_sim::WORDS_PER_LINE as u64
+/// to a cache line so blocks start line-aligned relative to the table;
+/// `None` if that is past `u64::MAX` (a corrupt roots count).
+pub fn heap_start(roots: u64) -> Option<u64> {
+    OFF_ROOTS
+        .checked_add(roots)?
+        .checked_next_multiple_of(pmem_sim::WORDS_PER_LINE as u64)
 }
 
 #[cfg(test)]
@@ -87,10 +89,16 @@ mod tests {
 
     #[test]
     fn heap_start_is_line_aligned_and_clears_roots() {
-        for roots in [0usize, 1, 4, 60, 61, 64, 100] {
-            let s = heap_start(roots);
+        for roots in [0u64, 1, 4, 60, 61, 64, 100] {
+            let s = heap_start(roots).unwrap();
             assert_eq!(s % pmem_sim::WORDS_PER_LINE as u64, 0);
-            assert!(s >= OFF_ROOTS + roots as u64);
+            assert!(s >= OFF_ROOTS + roots);
         }
+        assert_eq!(
+            heap_start(u64::MAX - OFF_ROOTS),
+            None,
+            "rounds past the end"
+        );
+        assert_eq!(heap_start(u64::MAX), None, "adds past the end");
     }
 }

@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::domain::DurabilityDomain;
 use crate::machine::{Machine, MachineConfig};
-use crate::pool::{MediaKind, PersistenceClass, PmemPool};
+use crate::pool::{FrozenShadow, MediaKind, PersistenceClass, PmemPool};
 use crate::WORDS_PER_LINE;
 
 /// How the crash adversary decides the fate of each word that was dirty
@@ -140,15 +140,18 @@ impl Machine {
         // `sfence` when an injector fires) lands either entirely
         // before the cut or entirely after it — never a torn image where
         // a later persist is included but an earlier one is not.
+        // The freeze folds each durability journal first, and the shadow
+        // is read through the guards it returns.
         let all = self.pools();
-        let _frozen: Vec<_> = all.iter().filter_map(|p| p.freeze_applies()).collect();
+        let frozen: Vec<_> = all.iter().map(|p| p.freeze_applies()).collect();
         let pools = all
             .iter()
-            .map(|pool| PoolImage {
+            .zip(&frozen)
+            .map(|(pool, shadow)| PoolImage {
                 name: pool.name().to_string(),
                 media: pool.media_kind(),
                 class: pool.class(),
-                words: surviving_words(pool, domain, policy, &mut rng),
+                words: surviving_words(pool, shadow.as_ref(), domain, policy, &mut rng),
             })
             .collect();
         CrashImage { domain, pools }
@@ -166,13 +169,14 @@ impl Machine {
 }
 
 /// What survives of one pool, read word by word straight from the pool
-/// and its durable shadow. The image starts as the allocator's zeroed
+/// and its frozen durable shadow. The image starts as the allocator's zeroed
 /// memory and only non-zero survivors are written into it, so it costs
 /// host memory where the pool held data (DESIGN.md §5 decision 19). The
 /// adversary draws from `rng` once per dirty word (per dirty line under
 /// [`AdversaryPolicy::PerLine`]), in address order.
 fn surviving_words(
     pool: &PmemPool,
+    shadow: Option<&FrozenShadow<'_>>,
     domain: DurabilityDomain,
     policy: AdversaryPolicy,
     rng: &mut SmallRng,
@@ -191,7 +195,7 @@ fn surviving_words(
         (0..pool.len_words()).for_each(|w| keep(w, current(w)));
         return words;
     }
-    let shadow = pool.shadow().unwrap_or_else(|| {
+    let shadow = shadow.unwrap_or_else(|| {
         panic!(
             "crash under {domain:?} requires track_persistence \
              (pool `{}` has no durable shadow)",
@@ -482,8 +486,8 @@ mod tests {
     }
 
     fn dump_shadow(pool: &PmemPool) -> Vec<u64> {
-        let s = pool.shadow().expect("tracked pool");
-        (0..s.len() as u64).map(|w| s.load(w)).collect()
+        let s = pool.freeze_applies().expect("tracked pool");
+        (0..pool.len_words() as u64).map(|w| s.load(w)).collect()
     }
 
     /// The capture as it was before it went sparse: a dense copy of the
@@ -584,7 +588,7 @@ mod tests {
             let (m, zeroed) = mixed_machine(domain);
             let heap = &m.pools()[0];
             if domain == DD::Adr {
-                assert_ne!(heap.shadow().unwrap().load(zeroed), 0);
+                assert_ne!(dump_shadow(heap)[zeroed as usize], 0);
                 assert_eq!(heap.raw_load(zeroed), 0);
             }
             for policy in policies {

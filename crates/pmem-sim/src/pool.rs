@@ -3,11 +3,12 @@
 //! A [`PmemPool`] is a contiguous range of 64-bit words with a backing
 //! media kind (DRAM or Optane) and a persistence class. The *current*
 //! (cache-visible) contents live in `words`; when persistence tracking is
-//! enabled the pool additionally carries a `media` array holding the
+//! enabled the pool additionally carries a [`MediaShadow`] holding the
 //! values that are *guaranteed durable* so far — the crash simulator
 //! builds failure images from it (see [`crate::crash`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::crash::PoolImage;
 use crate::host::{zeroed_words, Words};
@@ -91,28 +92,73 @@ impl std::fmt::Display for PAddr {
     }
 }
 
+/// One fenced line waiting in a pool's durability journal: its contents
+/// at `clwb` time and the capture epoch that orders it against every
+/// other persist of the line.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JournalEntry {
+    pub line: u64,
+    pub epoch: u64,
+    pub words: [u64; WORDS_PER_LINE],
+}
+
+/// Entries a durability journal holds before an append folds it: 1,024
+/// × 80 B ≈ 80 KB per fenced pool. Far more than one fence appends (a
+/// transfer or a TPCC commit fences a few to a few dozen lines), so a
+/// fold overlaps the shadow misses of hundreds of fences; small enough
+/// that the journal stays in a host L2 while it refills, and that the
+/// fold a crash capture or a `shadow()` call pays stays short. It moves
+/// no virtual number — a fold is invisible to the model — so there is
+/// no second value anyone needs, and it is not a knob.
+const JOURNAL_CAP: usize = 1_024;
+
+/// How many entries ahead of the one it applies the fold asks the host
+/// for: each entry needs three host lines (its `applied` word and the two
+/// host lines a shadow line straddles), so eight entries keep about two
+/// dozen misses in flight — what a core's fill buffers and L2 queue hold.
+const FOLD_AHEAD: usize = 8;
+
 /// Durable-so-far shadow of a pool (only allocated when the machine is
 /// created with persistence tracking, i.e. for crash tests).
 ///
-/// Applications of line snapshots are ordered by a per-pool **flush
-/// epoch**: a snapshot captured at `clwb` time but applied at `sfence`
-/// time must not overwrite data that a *later* flush (another thread's
+/// Persists of a line are ordered by a per-pool **flush epoch**: a
+/// snapshot captured at `clwb` time but made durable at `sfence` time
+/// must not overwrite data that a *later* flush (another thread's
 /// writeback or an eviction) already persisted — on real hardware the
 /// coherence protocol orders writebacks of a line, so the shadow must be
-/// monotone in capture order.
+/// monotone in capture order. Two paths write the shadow, both under the
+/// one journal lock:
+///
+/// * an `sfence` (or `fence_join`) **appends** its snapshots of this
+///   pool's lines to the durability journal, and they are **folded** in
+///   append order — skipped where `applied[line] >= epoch` — when the
+///   journal reaches [`JOURNAL_CAP`] and before anything reads the
+///   shadow ([`PmemPool::shadow`], [`PmemPool::freeze_applies`]);
+/// * [`PmemPool::persist_line_now`] (evictions, allocator headers,
+///   recovery) applies the line's current contents at once, without
+///   folding, under the current epoch.
+///
+/// Deferring the fold is invisible to any reader that folds first (DESIGN.md
+/// §5 decision 21). A `persist_line_now` reads the epoch counter under the
+/// lock, so its epoch is at least that of every snapshot appended before
+/// it, and it overwrites the line whatever `applied` says. Under that
+/// order, the line's final content is that of its largest-epoch event,
+/// with `persist_line_now` winning ties, whatever order the snapshots
+/// are applied in; and folding only moves a snapshot's application
+/// later, never ahead of a `persist_line_now` it preceded.
 #[derive(Debug)]
 pub struct MediaShadow {
     words: Words,
     /// Last-applied flush epoch per cache line.
     applied: Words,
-    /// Epoch source (incremented at snapshot/persist capture time).
+    /// Epoch source (incremented at snapshot capture time).
     epoch: AtomicU64,
-    /// Serializes shadow applications (the per-line `applied` epoch
-    /// check and the word copies it guards); crash capture holds it for
-    /// a cross-line cut (see [`PmemPool::freeze_applies`]). One lock per
+    /// The durability journal. Its lock serializes every write to the
+    /// shadow (fold, direct apply); crash capture holds it for a
+    /// cross-pool cut (see [`PmemPool::freeze_applies`]). One lock per
     /// pool is enough: striping it by line measured no different on any
     /// tracked workload (EXPERIMENTS.md "Shadow-apply lock").
-    apply_lock: std::sync::Mutex<()>,
+    journal: Mutex<Vec<JournalEntry>>,
 }
 
 impl MediaShadow {
@@ -121,25 +167,98 @@ impl MediaShadow {
             words: zeroed_words(len),
             applied: zeroed_words(len / WORDS_PER_LINE),
             epoch: AtomicU64::new(0),
-            apply_lock: std::sync::Mutex::new(()),
+            journal: Mutex::new(Vec::new()),
         }
     }
 
     /// Allocate a fresh capture epoch.
-    pub fn next_epoch(&self) -> u64 {
+    fn next_epoch(&self) -> u64 {
         self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// Persist one word.
-    #[inline]
-    pub fn store(&self, word: u64, value: u64) {
-        self.words[word as usize].store(value, Ordering::Relaxed);
-    }
-
-    /// Read the durable value of one word.
+    /// Read the durable value of one word (as of the last fold).
     #[inline]
     pub fn load(&self, word: u64) -> u64 {
         self.words[word as usize].load(Ordering::Relaxed)
+    }
+
+    /// The journal, under the lock every shadow write holds.
+    fn lock(&self) -> MutexGuard<'_, Vec<JournalEntry>> {
+        self.journal
+            .lock()
+            .expect("a thread panicked writing the durable shadow")
+    }
+
+    /// Append one fence's snapshots of this pool's lines under one lock,
+    /// folding whenever the journal reaches [`JOURNAL_CAP`].
+    fn append<'a>(&self, entries: impl Iterator<Item = &'a JournalEntry>) {
+        let mut journal = self.lock();
+        for e in entries {
+            journal.push(*e);
+            if journal.len() == JOURNAL_CAP {
+                self.fold(&mut journal);
+            }
+        }
+    }
+
+    /// Apply the journal in append order, skipping an entry whose line
+    /// already holds an equal or later epoch, and empty it. The caller
+    /// holds the lock (`journal` is its guard's contents). The entries'
+    /// shadow lines are cold and independent, so the host is asked for
+    /// them [`FOLD_AHEAD`] entries early and their misses overlap.
+    fn fold(&self, journal: &mut Vec<JournalEntry>) {
+        for e in journal.iter().take(FOLD_AHEAD) {
+            self.prefetch_line(e.line);
+        }
+        for (i, e) in journal.iter().enumerate() {
+            if let Some(ahead) = journal.get(i + FOLD_AHEAD) {
+                self.prefetch_line(ahead.line);
+            }
+            let applied = &self.applied[e.line as usize];
+            if applied.load(Ordering::Acquire) >= e.epoch {
+                continue;
+            }
+            let base = e.line as usize * WORDS_PER_LINE;
+            for (w, &v) in self.words[base..base + WORDS_PER_LINE].iter().zip(&e.words) {
+                w.store(v, Ordering::Relaxed);
+            }
+            applied.store(e.epoch, Ordering::Release);
+        }
+        journal.clear();
+    }
+
+    /// Write `line` at once from `current(word)`, under the lock and
+    /// without folding (see the type's docs for why no reader can tell).
+    fn apply_now(&self, line: u64, current: impl Fn(u64) -> u64) {
+        let _journal = self.lock();
+        // Reading the current epoch (not an RMW on the shared counter —
+        // that ping-pongs one cache line across every concurrently
+        // persisting thread) is enough: any snapshot captured before
+        // this point carries an epoch <= it and must lose to this
+        // fresher whole-line data. `applied` only grows: a newer
+        // snapshot may already have landed.
+        let epoch = self.epoch.load(Ordering::Acquire);
+        let base = line * WORDS_PER_LINE as u64;
+        for i in base..base + WORDS_PER_LINE as u64 {
+            self.words[i as usize].store(current(i), Ordering::Relaxed);
+        }
+        let applied = &self.applied[line as usize];
+        if applied.load(Ordering::Acquire) < epoch {
+            applied.store(epoch, Ordering::Release);
+        }
+    }
+
+    /// Write one word of a rebooted pool's image ([`PmemPool::from_image`]).
+    fn restore_word(&self, word: u64, value: u64) {
+        self.words[word as usize].store(value, Ordering::Relaxed);
+    }
+
+    /// Host-only hint for the lines a fold of `line` touches.
+    fn prefetch_line(&self, line: u64) {
+        let base = line as usize * WORDS_PER_LINE;
+        prefetch_word(&self.applied, line as usize);
+        prefetch_word(&self.words, base);
+        prefetch_word(&self.words, base + WORDS_PER_LINE - 1);
     }
 
     pub fn len(&self) -> usize {
@@ -205,7 +324,7 @@ impl PmemPool {
             if v != 0 {
                 pool.words[w].store(v, Ordering::Relaxed);
                 if let Some(shadow) = &pool.shadow {
-                    shadow.store(w as u64, v);
+                    shadow.restore_word(w as u64, v);
                 }
             }
         }
@@ -265,14 +384,17 @@ impl PmemPool {
     /// [`crate::host::prefetch`]); a word past the pool's end is ignored.
     #[inline]
     pub fn prefetch(&self, word: u64) {
-        if let Some(w) = self.words.get(word as usize) {
-            crate::host::prefetch(w);
-        }
+        prefetch_word(&self.words, word as usize);
     }
 
-    /// The durable shadow, if tracking is enabled.
+    /// The durable shadow, if tracking is enabled, with its journal
+    /// folded first: every fence that appended before this call is in
+    /// it. Never called while this pool's [`PmemPool::freeze_applies`]
+    /// guard is held — the fold takes the same lock.
     pub fn shadow(&self) -> Option<&MediaShadow> {
-        self.shadow.as_ref()
+        let shadow = self.shadow.as_ref()?;
+        shadow.fold(&mut shadow.lock());
+        Some(shadow)
     }
 
     /// Persist the *current* contents of an entire cache line to the
@@ -282,66 +404,73 @@ impl PmemPool {
     /// code should use [`crate::MemSession::clwb`]/`sfence` instead.
     pub fn persist_line_now(&self, line: u64) {
         if let Some(shadow) = &self.shadow {
-            let _g = shadow.apply_lock.lock().unwrap();
-            // Reading the current epoch (not an RMW on the shared
-            // counter — that ping-pongs one cache line across every
-            // concurrently-persisting thread) is enough: any snapshot
-            // captured before this point carries an epoch <= it and
-            // must lose to this fresher whole-line data. The max keeps
-            // `applied` monotone when a newer snapshot already landed.
-            let epoch = shadow.epoch.load(Ordering::Acquire);
-            let base = line * WORDS_PER_LINE as u64;
-            for i in 0..WORDS_PER_LINE as u64 {
-                shadow.store(base + i, self.raw_load(base + i));
-            }
-            let cur = shadow.applied[line as usize].load(Ordering::Acquire);
-            shadow.applied[line as usize].store(cur.max(epoch), Ordering::Release);
+            shadow.apply_now(line, |w| self.raw_load(w));
         }
     }
 
-    /// Persist a snapshot captured earlier with [`PmemPool::snapshot_line`]
-    /// (precise `clwb` semantics: the value that was flushed is the value
-    /// at `clwb` time). Skipped if a later-captured flush of the same line
-    /// already applied — shadow contents are monotone in capture order.
-    pub(crate) fn persist_line_snapshot(
-        &self,
-        line: u64,
-        values: &[u64; WORDS_PER_LINE],
-        epoch: u64,
-    ) {
-        if let Some(shadow) = &self.shadow {
-            let _g = shadow.apply_lock.lock().unwrap();
-            if shadow.applied[line as usize].load(Ordering::Acquire) >= epoch {
-                return;
-            }
-            let base = line * WORDS_PER_LINE as u64;
-            for (i, &v) in values.iter().enumerate() {
-                shadow.store(base + i as u64, v);
-            }
-            shadow.applied[line as usize].store(epoch, Ordering::Release);
-        }
-    }
-
-    /// Snapshot the words of a line from current contents, with a capture
-    /// epoch ordering it against other flushes of the same line.
-    pub(crate) fn snapshot_line(&self, line: u64) -> ([u64; WORDS_PER_LINE], u64) {
+    /// Snapshot the words of a line from current contents (precise `clwb`
+    /// semantics: what is flushed is the value at `clwb` time), with a
+    /// capture epoch ordering it against other persists of the line.
+    pub(crate) fn snapshot_line(&self, line: u64) -> JournalEntry {
         let epoch = self.shadow.as_ref().map_or(0, |s| s.next_epoch());
         let base = line * WORDS_PER_LINE as u64;
-        (
-            std::array::from_fn(|i| self.raw_load(base + i as u64)),
+        JournalEntry {
+            line,
             epoch,
-        )
+            words: std::array::from_fn(|i| self.raw_load(base + i as u64)),
+        }
     }
 
-    /// Freeze this pool's durability pipeline: holds the shadow-apply
-    /// lock so no concurrent `persist_line_now` / snapshot application
-    /// can land while the guard lives. Pools without a durable shadow
-    /// need no freezing (`None`). Crash capture holds every pool's
-    /// guard at once so the image is a single cross-pool cut.
-    pub(crate) fn freeze_applies(&self) -> Option<std::sync::MutexGuard<'_, ()>> {
+    /// Make one fence's snapshots of this pool's lines durable: append
+    /// them to the durability journal under one lock (see
+    /// [`MediaShadow`]). A no-op without a shadow.
+    pub(crate) fn journal<'a>(&self, entries: impl Iterator<Item = &'a JournalEntry>) {
+        if let Some(shadow) = &self.shadow {
+            shadow.append(entries);
+        }
+    }
+
+    /// Freeze this pool's durability pipeline: fold the journal and keep
+    /// its lock, so no append, fold or `persist_line_now` can land while
+    /// the guard lives. Pools without a durable shadow need no freezing
+    /// (`None`). Crash capture holds every pool's guard at once so the
+    /// image is a single cross-pool cut, and reads the shadow through
+    /// the guards.
+    pub(crate) fn freeze_applies(&self) -> Option<FrozenShadow<'_>> {
         // Persist paths take no further lock under this one, so holding
         // every pool's at once cannot deadlock.
-        self.shadow.as_ref().map(|s| s.apply_lock.lock().unwrap())
+        self.shadow.as_ref().map(|shadow| {
+            let mut journal = shadow.lock();
+            shadow.fold(&mut journal);
+            FrozenShadow {
+                shadow,
+                _journal: journal,
+            }
+        })
+    }
+}
+
+/// A pool's durable shadow held still by [`PmemPool::freeze_applies`]:
+/// its journal folded and its lock held.
+pub(crate) struct FrozenShadow<'a> {
+    shadow: &'a MediaShadow,
+    _journal: MutexGuard<'a, Vec<JournalEntry>>,
+}
+
+impl FrozenShadow<'_> {
+    /// Read the durable value of one word.
+    #[inline]
+    pub(crate) fn load(&self, word: u64) -> u64 {
+        self.shadow.load(word)
+    }
+}
+
+/// Host-only hint for word `i` of `table`; a word past its end is
+/// ignored (see [`crate::host::prefetch`]).
+#[inline]
+fn prefetch_word(table: &[AtomicU64], i: usize) {
+    if let Some(w) = table.get(i) {
+        crate::host::prefetch(w);
     }
 }
 
@@ -419,11 +548,99 @@ mod tests {
             true,
         );
         p.raw_store(0, 1);
-        let (snap, epoch) = p.snapshot_line(0);
+        let snap = p.snapshot_line(0);
         p.raw_store(0, 2); // modified after the (simulated) clwb
-        p.persist_line_snapshot(0, &snap, epoch);
+        p.journal(std::iter::once(&snap));
         assert_eq!(p.shadow().unwrap().load(0), 1);
         assert_eq!(p.raw_load(0), 2);
+    }
+
+    fn journal_len(p: &PmemPool) -> usize {
+        p.shadow.as_ref().unwrap().lock().len()
+    }
+
+    /// Appends of every size — one entry, a fence's worth, several
+    /// journals' worth in one call — leave at most `JOURNAL_CAP` entries
+    /// waiting, and what was folded on the way is in the shadow.
+    #[test]
+    fn the_journal_never_holds_more_than_its_cap() {
+        let chunks = [1, 7, JOURNAL_CAP - 1, 1, 2 * JOURNAL_CAP + 3, 1];
+        let lines = chunks.iter().sum::<usize>() as u64;
+        let p = PmemPool::new(
+            PoolId(0),
+            "t",
+            lines as usize * WORDS_PER_LINE,
+            MediaKind::Optane,
+            PersistenceClass::Normal,
+            true,
+        );
+        let mut line = 0;
+        for chunk in chunks {
+            let entries: Vec<_> = (line..line + chunk as u64)
+                .map(|l| {
+                    p.raw_store(l * WORDS_PER_LINE as u64, l + 1);
+                    p.snapshot_line(l)
+                })
+                .collect();
+            p.journal(entries.iter());
+            line += chunk as u64;
+            let waiting = journal_len(&p);
+            assert!(waiting <= JOURNAL_CAP, "{waiting} entries after {line}");
+            assert_eq!(
+                waiting,
+                line as usize % JOURNAL_CAP,
+                "folds exactly at the cap"
+            );
+        }
+        let folded = (line as usize / JOURNAL_CAP * JOURNAL_CAP) as u64;
+        let s = p.shadow.as_ref().unwrap();
+        for l in 0..lines {
+            let want = if l < folded { l + 1 } else { 0 };
+            assert_eq!(
+                s.load(l * WORDS_PER_LINE as u64),
+                want,
+                "line {l} before a read"
+            );
+        }
+        let s = p.shadow().unwrap();
+        assert_eq!(journal_len(&p), 0);
+        for l in 0..lines {
+            assert_eq!(s.load(l * WORDS_PER_LINE as u64), l + 1, "line {l}");
+        }
+    }
+
+    /// A crash capture taken while fences wait in the journal includes
+    /// every one of them, and leaves the journal empty.
+    #[test]
+    fn a_capture_includes_every_appended_entry() {
+        let m = crate::Machine::new(crate::MachineConfig::functional(
+            crate::DurabilityDomain::Adr,
+        ));
+        let p = m.alloc_pool("h", 1 << 12, MediaKind::Optane);
+        let q = m.alloc_pool("q", 1 << 10, MediaKind::Optane);
+        let mut s = m.session(0);
+        for line in 0..100u64 {
+            for pool in [&p, &q] {
+                s.store(pool.addr(line * 8 + line % 8), line + 7);
+                s.clwb(pool.addr(line * 8));
+            }
+            if line % 10 == 9 {
+                s.sfence();
+            }
+        }
+        // Stores after the last fence: never durable under all-old.
+        s.store(p.addr(0), 999);
+        s.clwb(p.addr(0));
+        assert_eq!((journal_len(&p), journal_len(&q)), (100, 100));
+        let img = m.crash_with(0, crate::AdversaryPolicy::AllOld);
+        assert_eq!((journal_len(&p), journal_len(&q)), (0, 0));
+        for (i, words) in img.pools.iter().map(|pi| &pi.words).enumerate() {
+            for line in 0..100u64 {
+                let w = (line * 8 + line % 8) as usize;
+                assert_eq!(words[w], line + 7, "pool {i} line {line}");
+            }
+            assert_eq!(words.iter().filter(|&&v| v != 0).count(), 100, "pool {i}");
+        }
     }
 
     fn image(words: Vec<u64>) -> PoolImage {

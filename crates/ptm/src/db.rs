@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use palloc::{GcReport, PHeap};
-use pmem_sim::{CrashImage, Machine, MachineConfig};
+use pmem_sim::{CrashImage, Machine, MachineConfig, WORDS_PER_LINE};
 
 use crate::config::PtmConfig;
 use crate::recovery::{recover_with_options, RecoverOptions, RecoveryReport};
@@ -90,7 +90,8 @@ pub(crate) fn machines_of(restarted: &[Restarted]) -> Vec<Arc<Machine>> {
 /// full restart.
 /// [`PtmDb::reopen_with`], [`crate::ShardedEngine::reopen`] and the
 /// crash harness all restart through here; the façades `expect` the
-/// result, the harness reports an `Err` as a violation.
+/// result, the harness reports an `Err` as a violation. A malformed
+/// image is an `Err`, never a panic.
 pub fn restart(
     image: &CrashImage,
     heap_pool: &str,
@@ -98,6 +99,17 @@ pub fn restart(
     opts: RecoverOptions,
 ) -> Result<Restarted, String> {
     let t0 = Instant::now();
+    if let Some(p) = image
+        .pools
+        .iter()
+        .find(|p| p.words.len() % WORDS_PER_LINE != 0)
+    {
+        return Err(format!(
+            "pool `{}` image is {} words, not whole cache lines",
+            p.name,
+            p.words.len()
+        ));
+    }
     let machine = Machine::reboot(image, machine_cfg);
     let recovery = recover_with_options(&machine, opts);
     let pool = machine
@@ -368,6 +380,67 @@ mod tests {
         assert!(reports.time_to_first_txn_ns > 0);
         assert!(reports.full_restart_ns >= reports.time_to_first_txn_ns);
         assert!(reports.recovery.recovery_ns > 0);
+    }
+
+    /// `restart` is documented as returning `Err` on a bad image: every
+    /// pool of a committed image cut by 3 words, cut by a line and grown
+    /// by a line, and bits {0, 1, 5, 40, 63} of each of the heap's first
+    /// 16 words flipped, each restart returns — it never panics. Two of
+    /// these used to: a ragged pool length (the reboot's line assert)
+    /// and a roots count whose table passes the pool end (an out-of-bounds
+    /// root read in the online GC thread, re-raised by its join).
+    #[test]
+    fn restart_returns_on_every_malformed_image() {
+        let db = PtmDb::create(cfg(), PtmConfig::redo(), 1 << 12, 4);
+        let mut th = db.thread(0);
+        let heap = Arc::clone(db.heap());
+        let a = heap.alloc(th.session_mut(), 4);
+        for v in 1..=3 {
+            th.run(|tx| tx.write_at(a, v, v * 11));
+        }
+        heap.set_root(th.session_mut(), 0, a);
+        drop(th);
+        let image = db.crash(5);
+        // (what was done, the image, the error it must give if one is pinned)
+        let mut cases = Vec::new();
+        for (i, p) in image.pools.iter().enumerate() {
+            let n = p.words.len();
+            for (what, len, err) in [
+                ("cut by 3 words", n - 3, Some("not whole cache lines")),
+                ("cut by a line", n - 8, None),
+                ("grown by a line", n + 8, None),
+            ] {
+                let mut img = image.clone();
+                img.pools[i].words.resize(len, 0);
+                cases.push((format!("pool `{}` {what}", p.name), img, err));
+            }
+        }
+        let h = image
+            .pools
+            .iter()
+            .position(|p| p.name == DB_HEAP_NAME)
+            .unwrap();
+        for w in 0..16 {
+            for bit in [0, 1, 5, 40, 63] {
+                let mut img = image.clone();
+                img.pools[h].words[w] ^= 1 << bit;
+                let err = (w == 2 && bit >= 40).then_some("root slots overrun");
+                cases.push((format!("heap word {w} bit {bit} flipped"), img, err));
+            }
+        }
+        for (what, img, want) in &cases {
+            let got = std::panic::catch_unwind(|| {
+                restart(img, DB_HEAP_NAME, cfg(), RecoverOptions::default()).map(|_| ())
+            });
+            let Ok(got) = got else {
+                panic!("{what}: restart panicked");
+            };
+            if let Some(want) = want {
+                let err = got.expect_err(what);
+                assert!(err.contains(want), "{what}: {err}");
+            }
+        }
+        assert!(restart(&image, DB_HEAP_NAME, cfg(), RecoverOptions::default()).is_ok());
     }
 
     #[test]
