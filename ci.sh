@@ -374,7 +374,7 @@ cargo run -q --release -p bench --bin crash_sites -- --workload transfer --shard
 
 echo "=== restart seam check ==="
 # Restart is one serial pipeline: log repair in pool order, then one
-# header hop, one mark worklist and an address-order sweep behind
+# header hop, one bitmap mark worklist and an address-order sweep behind
 # PHeap::attach_online's single background thread (DESIGN.md §5 decision
 # 12). A thread or a condition variable in non-test recovery.rs / gc.rs
 # (everything above a file's first `#[cfg(test)]`), a read of the inert
@@ -395,6 +395,20 @@ if grep -rnE '[A-Za-z0-9_)]\.workers\b' crates src tests examples --include='*.r
 fi
 if grep -rnE 'attach_with|recovery_worker_tid|gc_workers|recovery_workers' crates src tests examples; then
   echo "ERROR: a name of the deleted worker-parallel restart grew back (see above)" >&2
+  exit 1
+fi
+# The GC marks through its start / mark bitmaps and validate streams the
+# header chain against the sorted free entries (DESIGN.md §5 decision
+# 22): a `binary_search`, `HashMap` or `HashSet` in non-test palloc code
+# means a per-block table or a search per scanned word grew back (the
+# block-vector GC lives on only as gc.rs's test oracle).
+TABLES=$(for f in crates/palloc/src/*.rs; do
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }
+      /binary_search|HashMap|HashSet/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$TABLES" ]; then
+  echo "ERROR: a per-block table or search in the restart GC / heap validation:" >&2
+  echo "$TABLES" >&2
   exit 1
 fi
 

@@ -24,6 +24,17 @@ pub fn class_words(words: usize) -> usize {
     }
 }
 
+/// Whether `words` is a class size (a fixpoint of [`class_words`]), so
+/// that [`class_index`] maps it into `0..NUM_CLASSES`.
+#[inline]
+pub fn is_class(words: usize) -> bool {
+    if words <= 64 {
+        words > 0 && words.is_multiple_of(4)
+    } else {
+        words.is_power_of_two() && words <= 1 << 22
+    }
+}
+
 /// Map a class size (as returned by [`class_words`]) to its index.
 #[inline]
 pub fn class_index(class: usize) -> usize {
@@ -87,6 +98,17 @@ mod tests {
             assert_eq!(class_words(class), class, "class sizes are fixpoints");
             assert!(seen.insert(class));
         }
+    }
+
+    #[test]
+    fn is_class_accepts_exactly_the_class_sizes() {
+        let classes: Vec<usize> = (0..NUM_CLASSES).map(index_class).collect();
+        for words in 0..=(1 << 12) {
+            assert_eq!(is_class(words), classes.contains(&words), "{words}");
+        }
+        assert!(is_class(1 << 22));
+        assert!(!is_class(1 << 23));
+        assert!(!is_class((1 << 22) + 4));
     }
 
     #[test]

@@ -2,21 +2,32 @@
 //!
 //! After a crash, the volatile free lists are gone and some blocks may
 //! have leaked (allocated but never linked before the failure). Recovery
+//! works over two bitmaps with one bit per word of the scanned region
+//! `[start, end)` — `end` is where the header chain stops — and
 //!
 //! 1. **scans** the heap's block headers from `start` (headers are
 //!    persisted before their block can be referenced, so a zero word
-//!    terminates the allocated region);
-//! 2. **marks** conservatively from the root table: any word inside a
-//!    reachable block whose bit pattern equals the address of a block's
-//!    first data word is treated as a pointer;
-//! 3. **sweeps** every unmarked block onto the volatile free lists, in
-//!    address order: free lists are stacks, and allocation determinism
-//!    after restart (tests pin "leaked block must be recycled first")
-//!    requires a stable push order.
+//!    terminates the allocated region), setting a *start* bit at each
+//!    block's first data word;
+//! 2. **marks** conservatively from the root table: a word is a pointer
+//!    iff its pool id is the heap's, its word index lies in the scanned
+//!    region, and that index has a start bit — the address of a block's
+//!    first data word. A pointer sets the block's *mark* bit and pushes
+//!    it onto the one worklist; every word of a reached block is then
+//!    tested the same way, its extent read from the header at
+//!    `data - 1`;
+//! 3. **sweeps** every started-but-unmarked bit onto the volatile free
+//!    lists, in address order (the bitmaps are walked low word first):
+//!    free lists are stacks, and allocation determinism after restart
+//!    (tests pin "leaked block must be recycled first") requires a
+//!    stable push order. Only a swept block's header is read again, for
+//!    its class and tag; a marked block is counted by `count_ones`.
 //!
-//! Conservatism can only over-retain (an integer that happens to look
-//! like a block address keeps that block alive) — never reclaim live
-//! data.
+//! Each pointer test is O(1) bit tests, and the GC holds at most two
+//! bits per scanned word plus the worklist, freed when it returns
+//! (DESIGN.md §5 decision 22). Conservatism can only over-retain (an
+//! integer that happens to look like a block address keeps that block
+//! alive) — never reclaim live data.
 //!
 //! All three phases run on the calling thread — for an online attach
 //! that is [`crate::PHeap::attach_online`]'s one background thread.
@@ -38,15 +49,17 @@
 //! block data). Both increment [`GcReport::corrupt_headers`] and
 //! quarantine the tail — the bump pointer is pinned to the pool end so
 //! no future allocation can land on memory the chain no longer accounts
-//! for (fail toward leak, never toward corruption).
+//! for (fail toward leak, never toward corruption). The blocks before
+//! the corruption are marked and swept as usual; the scanned region ends
+//! at the last of them, so nothing past it is ever taken for a block.
 
 use std::time::Instant;
 
-use pmem_sim::{PAddr, PmemPool};
+use pmem_sim::{PAddr, PmemPool, PoolId};
 
 use crate::classes::{class_index, NUM_CLASSES};
 use crate::heap::Inner;
-use crate::layout::{decode_header, TAG_LIVE};
+use crate::layout::{decode_header, OFF_ROOTS, TAG_LIVE};
 
 /// What recovery found and did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -94,22 +107,44 @@ impl GcReport {
     }
 }
 
-/// One discovered block: data-start word, data words, header tag.
-type Block = (u64, usize, u64);
+/// What the header scan found.
+struct Scan {
+    /// Start bits: bit `i` is set iff word `start + i` is a block's first
+    /// data word. Covers the scanned region in whole `u64`s.
+    starts: Vec<u64>,
+    /// Words in the scanned region `[start, start + span)`: up to the end
+    /// of the last well-formed block.
+    span: u64,
+    /// Blocks discovered.
+    blocks: usize,
+    /// The recovered bump pointer (the pool end when quarantined).
+    bump: u64,
+    /// Corrupt headers detected (0 or 1: the scan stops at the first).
+    corrupt_headers: usize,
+}
 
 /// Header scan: walk the header chain from `start` until it reaches the
-/// pool end or terminates. Returns the discovered blocks (address
-/// order), the recovered bump pointer, and the corrupt-header count.
-fn scan(pool: &PmemPool, start: u64) -> (Vec<Block>, u64, usize) {
+/// pool end or terminates, setting a start bit at each block's first
+/// data word. The bitmap grows with the walk, so it covers the heap's
+/// data, not the pool.
+fn scan(pool: &PmemPool, start: u64) -> Scan {
     let len = pool.len_words() as u64;
-    let mut blocks = Vec::new();
+    let mut starts: Vec<u64> = Vec::new();
+    let mut blocks = 0;
     let mut cursor = start;
+    let mut corrupt_headers = 0;
     while cursor < len {
         let word = pool.raw_load(cursor);
         let data = cursor + 1;
         match decode_header(word) {
-            Some((tag, class)) if data + class as u64 <= len => {
-                blocks.push((data, class, tag));
+            Some((_, class)) if data + class as u64 <= len => {
+                let i = data - start;
+                let k = (i / 64) as usize;
+                if k >= starts.len() {
+                    starts.resize(k + 1, 0);
+                }
+                starts[k] |= 1 << (i % 64);
+                blocks += 1;
                 cursor = data + class as u64;
             }
             // The clean end of the allocated region.
@@ -117,52 +152,74 @@ fn scan(pool: &PmemPool, start: u64) -> (Vec<Block>, u64, usize) {
             // Corruption — an extent overrunning the pool, or a nonzero
             // non-header terminator: quarantine the tail (never
             // re-allocate over words the chain no longer accounts for).
-            _ => return (blocks, len, 1),
+            _ => {
+                corrupt_headers = 1;
+                break;
+            }
         }
     }
-    (blocks, cursor, 0)
+    let span = cursor - start;
+    starts.resize(span.div_ceil(64) as usize, 0);
+    Scan {
+        starts,
+        span,
+        blocks,
+        bump: if corrupt_headers == 0 { cursor } else { len },
+        corrupt_headers,
+    }
 }
 
-/// Mark the block whose first data word `word` addresses, if there is
-/// one; returns its index when this call newly marked it.
-fn mark_target(pool: &PmemPool, blocks: &[Block], marked: &mut [bool], word: u64) -> Option<usize> {
+/// The conservative pointer test, against the scan's start bits: mark
+/// the block whose first data word `word` addresses, if there is one;
+/// returns that data word when this call newly marked it.
+#[inline]
+fn mark_target(id: PoolId, start: u64, scan: &Scan, marks: &mut [u64], word: u64) -> Option<u64> {
     let p = PAddr(word);
-    if p.pool() != pool.id() {
+    // Wrapping: a word index below `start` lands far past `span`.
+    let i = p.word().wrapping_sub(start);
+    if p.pool() != id || i >= scan.span {
         return None;
     }
-    let i = blocks.binary_search_by_key(&p.word(), |b| b.0).ok()?;
-    (!std::mem::replace(&mut marked[i], true)).then_some(i)
+    let (k, bit) = ((i / 64) as usize, 1u64 << (i % 64));
+    if scan.starts[k] & bit == 0 || marks[k] & bit != 0 {
+        return None;
+    }
+    marks[k] |= bit;
+    Some(p.word())
 }
 
-/// Conservative mark from the root table: one worklist, seeded from the
-/// root slots, scanning every word of each reached block for pointers
-/// into other blocks. Returns the per-block mark bits, index-aligned
-/// with `blocks`.
-fn mark(pool: &PmemPool, blocks: &[Block], roots: usize) -> Vec<bool> {
-    let mut marked = vec![false; blocks.len()];
-    let mut worklist: Vec<usize> = (0..roots as u64)
+/// Conservative mark from the root table: one worklist of data words,
+/// seeded from the root slots, scanning every word of each reached block
+/// for pointers into other blocks. Returns the mark bits, aligned with
+/// the scan's start bits.
+fn mark(pool: &PmemPool, start: u64, scan: &Scan, roots: usize) -> Vec<u64> {
+    let id = pool.id();
+    let mut marks = vec![0u64; scan.starts.len()];
+    let mut worklist: Vec<u64> = (0..roots as u64)
         .filter_map(|slot| {
-            let root = pool.raw_load(crate::layout::OFF_ROOTS + slot);
-            mark_target(pool, blocks, &mut marked, root)
+            let root = pool.raw_load(OFF_ROOTS + slot);
+            mark_target(id, start, scan, &mut marks, root)
         })
         .collect();
-    while let Some(i) = worklist.pop() {
-        let (data, class, _) = blocks[i];
-        for w in data..data + class as u64 {
-            worklist.extend(mark_target(pool, blocks, &mut marked, pool.raw_load(w)));
+    while let Some(data) = worklist.pop() {
+        // The scan decoded this header, and nothing rewrites a header
+        // while the GC runs (alloc and free wait for it).
+        let class = decode_header(pool.raw_load(data - 1)).map_or(0, |(_, c)| c as u64);
+        for w in data..data + class {
+            worklist.extend(mark_target(id, start, scan, &mut marks, pool.raw_load(w)));
         }
     }
-    marked
+    marks
 }
 
 /// Scan + mark + sweep; returns the rebuilt volatile state and a report.
 pub(crate) fn recover(pool: &PmemPool, start: u64, roots: usize) -> (Inner, GcReport) {
     let t0 = Instant::now();
-    let (blocks, bump, corrupt_headers) = scan(pool, start);
+    let scan = scan(pool, start);
     let gc_scan_ns = t0.elapsed().as_nanos() as u64;
 
     let t1 = Instant::now();
-    let marked = mark(pool, &blocks, roots);
+    let marks = mark(pool, start, &scan, roots);
     let gc_mark_ns = t1.elapsed().as_nanos() as u64;
 
     // Sweep in address order — free lists are stacks, and restart
@@ -170,16 +227,21 @@ pub(crate) fn recover(pool: &PmemPool, start: u64, roots: usize) -> (Inner, GcRe
     let t2 = Instant::now();
     let mut free = vec![Vec::new(); NUM_CLASSES];
     let mut report = GcReport {
-        blocks_scanned: blocks.len(),
-        corrupt_headers,
+        blocks_scanned: scan.blocks,
+        corrupt_headers: scan.corrupt_headers,
         gc_scan_ns,
         gc_mark_ns,
         ..GcReport::default()
     };
-    for (&(data, class, tag), &live) in blocks.iter().zip(&marked) {
-        if live {
-            report.live_blocks += 1;
-        } else {
+    for (k, (&started, &marked)) in scan.starts.iter().zip(&marks).enumerate() {
+        report.live_blocks += marked.count_ones() as usize;
+        let mut dead = started & !marked;
+        while dead != 0 {
+            let data = start + k as u64 * 64 + dead.trailing_zeros() as u64;
+            dead &= dead - 1;
+            let Some((tag, class)) = decode_header(pool.raw_load(data - 1)) else {
+                continue;
+            };
             report.reclaimed_blocks += 1;
             report.reclaimed_words += class as u64;
             if tag == TAG_LIVE {
@@ -189,14 +251,115 @@ pub(crate) fn recover(pool: &PmemPool, start: u64, roots: usize) -> (Inner, GcRe
         }
     }
     report.gc_sweep_ns = t2.elapsed().as_nanos() as u64;
-    (Inner { bump, free }, report)
+    (
+        Inner {
+            bump: scan.bump,
+            free,
+        },
+        report,
+    )
+}
+
+/// The block-vector GC this module replaced, kept as the differential
+/// oracle's reference: a `Vec` of every block and a binary search per
+/// scanned word.
+#[cfg(test)]
+mod reference {
+    use pmem_sim::{PAddr, PmemPool};
+
+    use super::GcReport;
+    use crate::classes::{class_index, NUM_CLASSES};
+    use crate::heap::Inner;
+    use crate::layout::{decode_header, TAG_LIVE};
+
+    /// One discovered block: data-start word, data words, header tag.
+    type Block = (u64, usize, u64);
+
+    fn scan(pool: &PmemPool, start: u64) -> (Vec<Block>, u64, usize) {
+        let len = pool.len_words() as u64;
+        let mut blocks = Vec::new();
+        let mut cursor = start;
+        while cursor < len {
+            let word = pool.raw_load(cursor);
+            let data = cursor + 1;
+            match decode_header(word) {
+                Some((tag, class)) if data + class as u64 <= len => {
+                    blocks.push((data, class, tag));
+                    cursor = data + class as u64;
+                }
+                None if word == 0 => break,
+                _ => return (blocks, len, 1),
+            }
+        }
+        (blocks, cursor, 0)
+    }
+
+    fn mark_target(
+        pool: &PmemPool,
+        blocks: &[Block],
+        marked: &mut [bool],
+        word: u64,
+    ) -> Option<usize> {
+        let p = PAddr(word);
+        if p.pool() != pool.id() {
+            return None;
+        }
+        let i = blocks.binary_search_by_key(&p.word(), |b| b.0).ok()?;
+        (!std::mem::replace(&mut marked[i], true)).then_some(i)
+    }
+
+    fn mark(pool: &PmemPool, blocks: &[Block], roots: usize) -> Vec<bool> {
+        let mut marked = vec![false; blocks.len()];
+        let mut worklist: Vec<usize> = (0..roots as u64)
+            .filter_map(|slot| {
+                let root = pool.raw_load(crate::layout::OFF_ROOTS + slot);
+                mark_target(pool, blocks, &mut marked, root)
+            })
+            .collect();
+        while let Some(i) = worklist.pop() {
+            let (data, class, _) = blocks[i];
+            for w in data..data + class as u64 {
+                worklist.extend(mark_target(pool, blocks, &mut marked, pool.raw_load(w)));
+            }
+        }
+        marked
+    }
+
+    /// Scan + mark + sweep, timings left at zero.
+    pub(super) fn recover(pool: &PmemPool, start: u64, roots: usize) -> (Inner, GcReport) {
+        let (blocks, bump, corrupt_headers) = scan(pool, start);
+        let marked = mark(pool, &blocks, roots);
+        let mut free = vec![Vec::new(); NUM_CLASSES];
+        let mut report = GcReport {
+            blocks_scanned: blocks.len(),
+            corrupt_headers,
+            ..GcReport::default()
+        };
+        for (&(data, class, tag), &live) in blocks.iter().zip(&marked) {
+            if live {
+                report.live_blocks += 1;
+            } else {
+                report.reclaimed_blocks += 1;
+                report.reclaimed_words += class as u64;
+                if tag == TAG_LIVE {
+                    report.leaked_blocks += 1;
+                }
+                free[class_index(class)].push(data);
+            }
+        }
+        (Inner { bump, free }, report)
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::classes::{class_index, index_class, NUM_CLASSES};
     use crate::heap::PHeap;
-    use crate::layout::{encode_header, TAG_LIVE};
+    use crate::layout::{encode_header, OFF_ROOTS_LEN, TAG_LIVE};
     use pmem_sim::{DurabilityDomain, Machine, MachineConfig, PAddr};
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::Arc;
 
     fn machine() -> Arc<Machine> {
@@ -416,15 +579,176 @@ mod tests {
             s.store(b.offset(i), 0xDEAD_BEEF);
         }
         h.set_root(&mut s, 0, b);
-        // a's class now claims 3 extra words: the hop from a's header
-        // lands inside b's data.
+        // a's class now claims 4 extra words (still a class size): the
+        // hop from a's header lands inside b's data.
         h.pool()
-            .raw_store(a.word() - 1, encode_header(TAG_LIVE, 8 + 3));
+            .raw_store(a.word() - 1, encode_header(TAG_LIVE, 8 + 4));
         h.pool()
             .persist_line_now((a.word() - 1) / pmem_sim::WORDS_PER_LINE as u64);
         let img = m.crash(2);
         let m2 = Machine::reboot(&img, MachineConfig::functional(m.domain()));
         let (_h2, r) = PHeap::attach(m2.pool(h.pool().id())).expect("attach must fail soft");
         assert_eq!(r.corrupt_headers, 1, "skewed chain must be flagged");
+    }
+
+    /// A class word flipped to a size that is no class used to pass the
+    /// scan and panic the sweep when it filed the block (`class_index`
+    /// of 100 underflows): it is a nonzero non-header word, so corruption.
+    #[test]
+    fn non_class_size_is_corruption_not_a_panic() {
+        let m = machine();
+        let h = PHeap::format(&m, "h", 1 << 12, 4);
+        let mut s = m.session(0);
+        let a = h.alloc(&mut s, 8);
+        let leak = h.alloc(&mut s, 8);
+        h.set_root(&mut s, 0, a);
+        h.pool().raw_store(leak.word() - 1, (100 << 8) | TAG_LIVE);
+        let (h2, r) = PHeap::attach(Arc::clone(h.pool())).expect("attach must fail soft");
+        assert_eq!(
+            (r.blocks_scanned, r.live_blocks, r.corrupt_headers),
+            (1, 1, 1)
+        );
+        assert!(h2.validate().is_err());
+    }
+
+    /// A pointer into the words a corrupt header claimed, past the last
+    /// well-formed block, is not a pointer: the scanned region ends where
+    /// the chain stopped.
+    #[test]
+    fn nothing_past_the_quarantined_chain_is_marked() {
+        let m = machine();
+        let h = PHeap::format(&m, "h", 1 << 12, 4);
+        let mut s = m.session(0);
+        let a = h.alloc(&mut s, 8);
+        let b = h.alloc(&mut s, 8);
+        s.store(a.offset(0), b.0);
+        h.set_root(&mut s, 0, a);
+        h.pool().raw_store(b.word() - 1, 0xDEAD_BEEF);
+        let (_h2, r) = PHeap::attach(Arc::clone(h.pool())).expect("attach must fail soft");
+        assert_eq!(
+            (r.blocks_scanned, r.live_blocks, r.corrupt_headers),
+            (1, 1, 1)
+        );
+    }
+
+    /// A random heap for the differential oracle, built through the
+    /// allocator: mixed size classes; data words that are pointers to
+    /// random blocks (so cycles), interior pointers, foreign-pool
+    /// addresses, addresses past the pool end, or junk; random roots;
+    /// freed blocks and unreached (leaked) ones; and, one time in three
+    /// each, a header smashed to overrun the pool or to skew the chain
+    /// onto nonzero data.
+    fn random_heap(seed: u64) -> (Arc<Machine>, Arc<PHeap>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let m = machine();
+        let foreign = m.alloc_pool("foreign", 64, pmem_sim::MediaKind::Optane);
+        let roots = rng.gen_range(1usize..12);
+        // Room for 120 blocks of the largest class drawn (1,024 words).
+        let h = PHeap::format(&m, "h", 1 << 18, roots);
+        let id = h.pool().id();
+        let len = h.pool().len_words() as u64;
+        let mut s = m.session(0);
+        let n = rng.gen_range(0usize..120);
+        let blocks: Vec<PAddr> = (0..n)
+            .map(|_| {
+                let words = match rng.gen_range(0u32..8) {
+                    0 => rng.gen_range(65usize..600),
+                    _ => rng.gen_range(1usize..64),
+                };
+                h.alloc(&mut s, words)
+            })
+            .collect();
+        let word = |rng: &mut SmallRng| -> u64 {
+            let pick = |rng: &mut SmallRng| blocks[rng.gen_range(0..blocks.len())];
+            match rng.gen_range(0u32..9) {
+                0..=2 if !blocks.is_empty() => pick(rng).0,
+                3 if !blocks.is_empty() => pick(rng).offset(rng.gen_range(1u64..4)).0,
+                4 if !blocks.is_empty() => pick(rng).0 - 1, // its header
+                5 => foreign.addr(rng.gen_range(0u64..64)).0,
+                6 => PAddr::new(id, len + rng.gen_range(0u64..1 << 20)).0,
+                7 => rng.gen(),
+                _ => 0,
+            }
+        };
+        for &b in &blocks {
+            for w in 0..h.block_words(b) as u64 {
+                if rng.gen_bool(0.5) {
+                    s.store(b.offset(w), word(&mut rng));
+                }
+            }
+        }
+        for slot in 0..roots {
+            let root = PAddr(word(&mut rng));
+            h.set_root(&mut s, slot, root);
+        }
+        for &b in &blocks {
+            if rng.gen_bool(0.15) {
+                h.free(&mut s, b);
+            }
+        }
+        if !blocks.is_empty() {
+            let victim = blocks[rng.gen_range(0..blocks.len())];
+            let hdr = victim.word() - 1;
+            let class = h.block_words(victim);
+            match rng.gen_range(0u32..3) {
+                // Overrun: a class whose extent passes the pool end.
+                0 => h.pool().raw_store(hdr, encode_header(TAG_LIVE, 1 << 22)),
+                // Skew: a larger class, so the next hop lands in data
+                // (nonzero there: a nonzero terminator).
+                1 => {
+                    let bigger = index_class((class_index(class) + 1).min(NUM_CLASSES - 1));
+                    let end = victim.word() + bigger as u64;
+                    if end < len {
+                        h.pool().raw_store(end, 0xDEAD_BEEF);
+                    }
+                    h.pool().raw_store(hdr, encode_header(TAG_LIVE, bigger));
+                }
+                _ => {}
+            }
+        }
+        (m, h)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The bitmap GC and the block-vector reference agree on every
+        /// report field but the timings, on every free list (per class,
+        /// in order) and on the bump pointer.
+        #[test]
+        fn bitmap_gc_matches_the_block_vector_reference(seed in any::<u64>()) {
+            let (_m, h) = random_heap(seed);
+            let roots = h.pool().raw_load(OFF_ROOTS_LEN) as usize;
+            let (inner, mut got) = super::recover(h.pool(), h.start(), roots);
+            let (want_inner, want) = super::reference::recover(h.pool(), h.start(), roots);
+            (got.gc_scan_ns, got.gc_mark_ns, got.gc_sweep_ns) = (0, 0, 0);
+            prop_assert_eq!(got, want, "seed {}", seed);
+            prop_assert_eq!(inner.bump, want_inner.bump, "seed {}", seed);
+            prop_assert_eq!(inner.free, want_inner.free, "seed {}", seed);
+        }
+    }
+
+    /// The generator reaches every shape the oracle is meant to cover.
+    #[test]
+    fn random_heaps_cover_the_oracle_shapes() {
+        let (mut live, mut leaked, mut freed, mut corrupt, mut quarantined) = (0, 0, 0, 0, 0);
+        for seed in 0..96 {
+            let (_m, h) = random_heap(seed);
+            let roots = h.pool().raw_load(OFF_ROOTS_LEN) as usize;
+            let (inner, r) = super::recover(h.pool(), h.start(), roots);
+            live += r.live_blocks;
+            leaked += r.leaked_blocks;
+            freed += r.reclaimed_blocks - r.leaked_blocks;
+            corrupt += r.corrupt_headers;
+            quarantined += usize::from(inner.bump == h.pool().len_words() as u64);
+        }
+        assert!(
+            live > 0 && leaked > 0 && freed > 0,
+            "{live} {leaked} {freed}"
+        );
+        assert!(
+            corrupt > 10 && quarantined == corrupt,
+            "{corrupt} {quarantined}"
+        );
     }
 }

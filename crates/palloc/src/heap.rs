@@ -10,6 +10,7 @@
 //! cost of the header store + `clwb` + `sfence` is charged to the caller's
 //! clock after the lock is released.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use pmem_sim::{Machine, MemSession, PAddr, PmemPool};
@@ -92,16 +93,21 @@ pub struct PHeap {
 }
 
 /// The online-GC epoch fence: `ready == false` until the background
-/// sweep has installed the rebuilt [`Inner`].
+/// sweep has installed the rebuilt [`Inner`]. It stays true for the rest
+/// of the heap's life, so a waiter reads the flag alone and takes the
+/// mutex and condvar only while it is false; the sweep sets it under the
+/// mutex, so a waiter that saw false cannot miss the wake-up.
 struct GcGate {
-    ready: Mutex<bool>,
+    ready: AtomicBool,
+    lock: Mutex<()>,
     cv: Condvar,
 }
 
 impl GcGate {
     fn new(ready: bool) -> GcGate {
         GcGate {
-            ready: Mutex::new(ready),
+            ready: AtomicBool::new(ready),
+            lock: Mutex::new(()),
             cv: Condvar::new(),
         }
     }
@@ -218,8 +224,10 @@ impl PHeap {
         let handle = std::thread::spawn(move || {
             let (inner, report) = gc::recover(h.pool(), h.start, h.roots);
             *h.inner.lock().unwrap() = inner;
-            let mut ready = h.gate.ready.lock().unwrap();
-            *ready = true;
+            // Release pairs with `wait_gc`'s Acquire: a waiter that sees
+            // the flag sees the installed `Inner`.
+            let _guard = h.gate.lock.lock().unwrap();
+            h.gate.ready.store(true, Ordering::Release);
             h.gate.cv.notify_all();
             report
         });
@@ -252,11 +260,14 @@ impl PHeap {
 
     /// Block until any background restart GC ([`PHeap::attach_online`])
     /// has installed the rebuilt free lists. No-op on fully-attached
-    /// heaps.
+    /// heaps, and one atomic load once the sweep is done.
     fn wait_gc(&self) {
-        let mut ready = self.gate.ready.lock().unwrap();
-        while !*ready {
-            ready = self.gate.cv.wait(ready).unwrap();
+        if self.gate.ready.load(Ordering::Acquire) {
+            return;
+        }
+        let mut guard = self.gate.lock.lock().unwrap();
+        while !self.gate.ready.load(Ordering::Acquire) {
+            guard = self.gate.cv.wait(guard).unwrap();
         }
     }
 
@@ -382,19 +393,32 @@ impl PHeap {
     }
 
     /// Exhaustive consistency check of the persistent header chain
-    /// against the volatile bookkeeping. O(heap); meant for crash
-    /// harnesses and tests, not hot paths.
+    /// against the volatile bookkeeping. O(heap) time, O(free entries)
+    /// memory; meant for crash harnesses and tests, not hot paths.
     ///
     /// Checks that headers parse cleanly from the heap start up to the
     /// bump pointer, and that every free-list entry is the data start of
     /// a scanned block of the matching size class, with no duplicates.
     /// (Free-list entries may still carry a live tag: the restart GC
-    /// reclaims leaked blocks without rewriting their headers.)
+    /// reclaims leaked blocks without rewriting their headers.) The free
+    /// entries are sorted by address and merged against the one walk of
+    /// the chain; a chain error is reported ahead of a free-list error.
     pub fn validate(&self) -> Result<(), String> {
         self.wait_gc();
         let inner = self.inner.lock().unwrap();
         let len = self.pool.len_words() as u64;
-        let mut classes = std::collections::HashMap::new();
+        let mut entries: Vec<(u64, usize)> = inner
+            .free
+            .iter()
+            .enumerate()
+            .flat_map(|(idx, list)| list.iter().map(move |&data| (data, idx)))
+            .collect();
+        entries.sort_unstable();
+        let mut free_err = entries
+            .windows(2)
+            .find(|pair| pair[0].0 == pair[1].0)
+            .map(|pair| format!("block {} appears twice on free lists", pair[0].0));
+        let mut pending = entries.iter().peekable();
         let mut cursor = self.start;
         while cursor < inner.bump {
             let word = self.pool.raw_load(cursor);
@@ -411,8 +435,20 @@ impl PHeap {
                     "block header at {cursor} (class {class}) overruns the pool ({len} words)"
                 ));
             }
-            classes.insert(cursor + 1, class);
-            cursor = cursor + 1 + class as u64;
+            let data = cursor + 1;
+            // An entry below this block's data start lies inside an
+            // earlier block or on this header.
+            while let Some(&(entry, idx)) = pending.next_if(|e| e.0 <= data) {
+                let err = if entry != data {
+                    format!("free-list entry {entry} is not a block start")
+                } else if class_index(class) != idx {
+                    format!("free-list entry {entry} has class {class}, filed under index {idx}")
+                } else {
+                    continue;
+                };
+                free_err.get_or_insert(err);
+            }
+            cursor = data + class as u64;
         }
         if cursor != inner.bump {
             return Err(format!(
@@ -421,24 +457,10 @@ impl PHeap {
                 inner.bump
             ));
         }
-        let mut seen = std::collections::HashSet::new();
-        for (idx, list) in inner.free.iter().enumerate() {
-            for &data in list {
-                if !seen.insert(data) {
-                    return Err(format!("block {data} appears twice on free lists"));
-                }
-                match classes.get(&data) {
-                    None => return Err(format!("free-list entry {data} is not a block start")),
-                    Some(&class) if class_index(class) != idx => {
-                        return Err(format!(
-                            "free-list entry {data} has class {class}, filed under index {idx}"
-                        ));
-                    }
-                    Some(_) => {}
-                }
-            }
+        if let Some(&&(entry, _)) = pending.peek() {
+            free_err.get_or_insert(format!("free-list entry {entry} is not a block start"));
         }
-        Ok(())
+        free_err.map_or(Ok(()), Err)
     }
 
     /// Total words currently consumed from the bump region.
@@ -695,12 +717,76 @@ mod tests {
         let a = h.alloc(&mut s, 8);
         let _b = h.alloc(&mut s, 8);
         h.pool()
-            .raw_store(a.word() - 1, crate::layout::encode_header(TAG_LIVE, 8 + 2));
+            .raw_store(a.word() - 1, encode_header(TAG_LIVE, 8 + 4));
         let err = h.validate().unwrap_err();
         assert!(
             err.contains("not a block header") || err.contains("skews the chain"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn validate_rejects_chain_bump_mismatch() {
+        // The last block's class grows, still inside the pool: the chain
+        // now ends past the bump pointer.
+        let (m, h) = setup();
+        let mut s = m.session(0);
+        let _a = h.alloc(&mut s, 8);
+        let b = h.alloc(&mut s, 8);
+        h.pool()
+            .raw_store(b.word() - 1, encode_header(TAG_LIVE, 16));
+        let err = h.validate().unwrap_err();
+        assert!(err.contains("skews the chain"), "{err}");
+    }
+
+    /// File `data` on free list `idx` behind the allocator's back.
+    fn file_free(h: &PHeap, idx: usize, data: u64) {
+        h.inner.lock().unwrap().free[idx].push(data);
+    }
+
+    #[test]
+    fn validate_rejects_duplicate_free_entry() {
+        let (m, h) = setup();
+        let mut s = m.session(0);
+        let a = h.alloc(&mut s, 8);
+        h.free(&mut s, a);
+        h.validate().unwrap();
+        file_free(&h, class_index(8), a.word());
+        let err = h.validate().unwrap_err();
+        assert!(err.contains("appears twice on free lists"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_non_start_free_entries() {
+        let (m, h) = setup();
+        let mut s = m.session(0);
+        let a = h.alloc(&mut s, 8);
+        let b = h.alloc(&mut s, 8);
+        let bump = h.start() + h.high_water_words();
+        // Inside a block, on a header, and where a block past the last
+        // one would start.
+        for bad in [a.word() + 3, b.word() - 1, bump + 1] {
+            file_free(&h, class_index(8), bad);
+            let err = h.validate().unwrap_err();
+            let want = format!("free-list entry {bad} is not a block start");
+            assert!(err.contains(&want), "{err}");
+            h.inner.lock().unwrap().free[class_index(8)].clear();
+            h.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn validate_rejects_wrong_class_index() {
+        let (m, h) = setup();
+        let mut s = m.session(0);
+        let a = h.alloc(&mut s, 8);
+        file_free(&h, class_index(4), a.word());
+        let err = h.validate().unwrap_err();
+        let want = format!(
+            "free-list entry {} has class 8, filed under index 0",
+            a.word()
+        );
+        assert!(err.contains(&want), "{err}");
     }
 
     #[test]

@@ -36,18 +36,17 @@ pub fn encode_header(tag: u64, class_words: usize) -> u64 {
 }
 
 /// Decode a block header word into `(tag, class_words)`, or `None` if the
-/// word is not a plausible header.
+/// word is not a plausible header: a known tag over a size that is a
+/// class ([`crate::classes::is_class`]) — the only sizes the allocator
+/// writes, and the only ones `class_index` can file.
 #[inline]
 pub fn decode_header(word: u64) -> Option<(u64, usize)> {
     let tag = word & 0xFF;
     if tag != TAG_LIVE && tag != TAG_FREE {
         return None;
     }
-    let words = (word >> 8) as usize;
-    if words == 0 || words > (1 << 32) {
-        return None;
-    }
-    Some((tag, words))
+    let words = usize::try_from(word >> 8).ok()?;
+    crate::classes::is_class(words).then_some((tag, words))
 }
 
 /// First allocatable word for a heap with `roots` root slots, rounded up
@@ -85,6 +84,16 @@ mod tests {
     #[test]
     fn zero_size_rejected() {
         assert_eq!(decode_header(TAG_LIVE), None);
+    }
+
+    /// A bit-flipped class word that is not a class size would index
+    /// past the free lists; it is not a header.
+    #[test]
+    fn non_class_sizes_rejected() {
+        for words in [3usize, 10, 100, (1 << 22) + 4, 1 << 23, 1 << 40] {
+            assert_eq!(decode_header(((words as u64) << 8) | TAG_LIVE), None);
+        }
+        assert_eq!(decode_header(u64::MAX), None);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Property-based tests of the persistent allocator.
 
 use palloc::classes::{class_index, class_words, index_class, NUM_CLASSES};
+use palloc::layout::{OFF_LEN, OFF_ROOTS, OFF_ROOTS_LEN};
 use palloc::PHeap;
 use pmem_sim::{DurabilityDomain, Machine, MachineConfig, PAddr};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -112,4 +115,78 @@ proptest! {
         let fresh = h2.alloc(&mut s2, 5);
         prop_assert!(fresh.word() > 0);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Fail-soft restart: random bit flips wherever a restart reads — block
+    /// headers, root slots, data words, `OFF_LEN`, `OFF_ROOTS_LEN` — of a
+    /// committed heap's rebooted pool. `PHeap::attach`,
+    /// `attach_online(..).join()` and a `validate` of the heap they return
+    /// give `Ok` or `Err`, never a panic.
+    #[test]
+    fn restart_fails_soft_on_bit_flips(
+        flips in prop::collection::vec((0u8..5, any::<u64>(), 0u32..64), 1..5),
+        seed in any::<u64>(),
+    ) {
+        let (m, h, blocks) = committed_heap(seed);
+        let img = m.crash(seed);
+        let m2 = Machine::reboot(&img, MachineConfig::functional(DurabilityDomain::Eadr));
+        let pool = m2.pool(h.pool().id());
+        for &(target, pick, bit) in &flips {
+            let b = blocks[pick as usize % blocks.len()];
+            let word = match target {
+                0 => b.word() - 1,
+                1 => OFF_ROOTS + pick % ROOTS as u64,
+                2 => b.word() + pick % h.block_words(b) as u64,
+                3 => OFF_LEN,
+                _ => OFF_ROOTS_LEN,
+            };
+            pool.raw_store(word, pool.raw_load(word) ^ (1 << bit));
+        }
+        if let Ok((h2, _)) = PHeap::attach(Arc::clone(&pool)) {
+            let _ = h2.validate();
+        }
+        if let Ok((h2, gc)) = PHeap::attach_online(Arc::clone(&pool)) {
+            gc.join();
+            let _ = h2.validate();
+        }
+    }
+}
+
+/// Root slots of [`committed_heap`].
+const ROOTS: usize = 6;
+
+/// A heap whose every store is durable: one chain of mixed-size blocks
+/// per root slot (each block's word 0 points at the next, its other words
+/// hold small integers), plus leaked and freed blocks. Returns every
+/// block.
+fn committed_heap(seed: u64) -> (Arc<Machine>, Arc<PHeap>, Vec<PAddr>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let m = machine();
+    let h = PHeap::format(&m, "h", 1 << 16, ROOTS);
+    let mut s = m.session(0);
+    let mut blocks = Vec::new();
+    for slot in 0..ROOTS {
+        let mut head = PAddr::NULL;
+        for _ in 0..rng.gen_range(0usize..8) {
+            let b = h.alloc(&mut s, rng.gen_range(1usize..150));
+            s.store(b, head.0);
+            for w in 1..h.block_words(b) as u64 {
+                s.store(b.offset(w), rng.gen_range(0u64..1_000));
+            }
+            head = b;
+            blocks.push(b);
+        }
+        h.set_root(&mut s, slot, head);
+    }
+    for _ in 0..rng.gen_range(1usize..8) {
+        let b = h.alloc(&mut s, rng.gen_range(1usize..40));
+        if rng.gen_bool(0.5) {
+            h.free(&mut s, b);
+        }
+        blocks.push(b);
+    }
+    (m, h, blocks)
 }
