@@ -70,7 +70,7 @@ echo "=== observer seam check ==="
 # The flight recorder is the only observer a run arms and GaugeSet::apply
 # the only event fold (DESIGN.md §5 decision 15). An `obs` dependency of
 # the simulator core or the drivers, one of the deleted online-sampler or
-# second-fold names, or a 30th bench binary means the online sampler
+# second-fold names, or a 29th bench binary means the online sampler
 # stack (slot, run-config field, overhead ablation) grew back.
 if grep -n '^obs' crates/pmem-sim/Cargo.toml crates/workloads/Cargo.toml; then
   echo "ERROR: pmem-sim / workloads must not depend on obs (see above)" >&2
@@ -81,8 +81,8 @@ if grep -rnE 'attach_sampler|SampleRing|merge_samplers|TraceTotals' crates src t
   exit 1
 fi
 BINS=$(ls crates/bench/src/bin/*.rs | wc -l)
-if [ "$BINS" -ne 29 ]; then
-  echo "ERROR: crates/bench/src/bin holds $BINS binaries, expected 29" >&2
+if [ "$BINS" -ne 28 ]; then
+  echo "ERROR: crates/bench/src/bin holds $BINS binaries, expected 28" >&2
   exit 1
 fi
 
@@ -228,7 +228,7 @@ echo "=== shard seam check ==="
 # file's first `#[cfg(test)]`; engine_tests.rs is all test) means a heap
 # is formatted and a `Ptm` built beside `PtmDb::on_machine`. Examples and
 # `recovery_bench`'s crafted image keep the raw API on purpose. The
-# `PtmConfig` field count and the 29 bench binaries are held above.
+# `PtmConfig` field count and the 28 bench binaries are held above.
 if grep -rnE 'MachineSet|freeze_all|thaw_all' crates src tests examples; then
   echo "ERROR: a machine list beside ShardedEngine's Vec<PtmDb> grew back (see above)" >&2
   exit 1
@@ -271,6 +271,29 @@ if [ -n "$STREAM$CALLS" ]; then
   exit 1
 fi
 
+echo "=== container seam check ==="
+# pstructs holds only the containers a workload runs (DESIGN.md §3
+# crate map). Every module crates/pstructs/src/lib.rs declares must be
+# named — by a type it re-exports or by its `pstructs::` path — in
+# non-test, non-comment code under crates/workloads/src (everything above
+# a file's first `#[cfg(test)]`). A module no workload names is a
+# container only its own tests call.
+WORKLOAD_CODE=$(for f in $(find crates/workloads/src -name '*.rs'); do
+  awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next } { print }' "$f"
+done)
+UNRUN=""
+for m in $(sed -nE 's/^(pub )?mod ([a-z_0-9]+);.*/\2/p' crates/pstructs/src/lib.rs); do
+  PATTERN="pstructs::$m\\b"
+  for t in $(sed -nE "s/^pub use $m::\\{?([A-Za-z_0-9, ]+)\\}?;.*/\\1/p" crates/pstructs/src/lib.rs | tr ',' ' '); do
+    PATTERN="$PATTERN|\\b$t\\b"
+  done
+  printf '%s\n' "$WORKLOAD_CODE" | grep -qE "$PATTERN" || UNRUN="$UNRUN $m"
+done
+if [ -n "$UNRUN" ]; then
+  echo "ERROR: pstructs modules no workload runs:$UNRUN" >&2
+  exit 1
+fi
+
 echo "=== golden report lines ==="
 # The --json report lines of thirteen deterministic runs, byte for byte
 # against crates/bench/tests/golden/ — by name and first among the
@@ -304,11 +327,12 @@ echo "=== htm-logged ablation smoke + ADR crossover guard ==="
 # acceptance claim: back-end logging brings the HTM fast path to ADR).
 cargo run -q --release -p bench --bin ablation_htm_logged -- --quick > /dev/null
 
-echo "=== write-combining smoke + flush-elision guard ==="
-# Quick naive-vs-combined ablation. The binary's built-in regression
-# guard exits nonzero if the combined pipeline elides zero flushes on
-# the redo ADR workload (i.e. the planner stopped deduplicating).
-cargo run -q --release -p bench --bin ablation_write_combining -- --quick > /dev/null
+echo "=== flush-plan smoke + flush-elision guard ==="
+# Quick Incremental / Batched / Combined ablation. The binary's built-in
+# regression guard exits nonzero if the combined pipeline elides zero
+# flushes on the redo ADR workload (i.e. the planner stopped
+# deduplicating).
+cargo run -q --release -p bench --bin ablation_flush_plan -- --quick > /dev/null
 
 echo "=== crash toolkit seam check ==="
 # One enumerated driver and one restart sequence: a `_sharded` function

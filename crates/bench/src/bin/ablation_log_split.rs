@@ -14,7 +14,12 @@ fn main() {
     for name in ["tpcc-hash", "tatp", "btree-insert"] {
         for algo in [Algo::RedoLazy, Algo::UndoEager] {
             for &threads in &opts.threads {
-                let sc = Scenario::new("adr", MediaKind::Optane, DurabilityDomain::Adr, algo);
+                let sc = Scenario::new(
+                    format!("adr_{}", algo.label()),
+                    MediaKind::Optane,
+                    DurabilityDomain::Adr,
+                    algo,
+                );
                 let mut rc = opts.run_config(threads);
                 rc.ptm.split_log_index = true;
                 let split = run_point_with(name, &sc, &rc, opts.quick);

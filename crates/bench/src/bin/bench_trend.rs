@@ -20,7 +20,8 @@
 //! are OK). Truncated / partially written archive lines (a run killed
 //! mid-append) degrade gracefully: the complete lines still diff, a
 //! warning goes to stderr, and a zero-point archive is ignored rather
-//! than failing the whole diff.
+//! than failing the whole diff. Lines whose identity an earlier line
+//! already took are skipped with a warning too.
 //!
 //! Flags: `--quick --json --dir PATH --tolerance PCT --p99-tolerance PCT`.
 
@@ -165,6 +166,14 @@ fn main() {
                 path.display(),
                 arch.truncated,
                 arch.points.len()
+            );
+        }
+        if arch.duplicates > 0 {
+            eprintln!(
+                "bench_trend: warning: {} has {} duplicate-key line(s); \
+                 only the first line of each key is diffed",
+                path.display(),
+                arch.duplicates
             );
         }
         if arch.points.is_empty() {

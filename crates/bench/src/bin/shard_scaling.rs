@@ -183,7 +183,9 @@ fn main() {
     let mut gc_guard: Option<(f64, f64)> = None;
     for &shards in &opts.shards {
         let plain = workloads::run_sharded_kv(&point(&opts, shards, false));
-        let grouped = workloads::run_sharded_kv(&point(&opts, shards, true));
+        let mut grouped = workloads::run_sharded_kv(&point(&opts, shards, true));
+        // Its own scenario, so archives key it apart from the plain arm.
+        grouped.label.push_str("-gc");
         kv_plain.push((shards, plain.throughput_mops()));
         if gc_guard.is_none() && opts.threads_per_shard >= 4 {
             gc_guard = Some((plain.sfences_per_commit(), grouped.sfences_per_commit()));

@@ -36,14 +36,19 @@ pub struct ParsedArchive {
     /// killed mid-append, or two appends interleaved on one line). The
     /// caller should warn and diff the surviving points, not abort.
     pub truncated: usize,
+    /// Lines whose key an earlier line already took. The first line of a
+    /// key wins; every later one is a point the diff never compares, so
+    /// the caller should warn.
+    pub duplicates: usize,
 }
 
-/// Parse one archive: the points, plus counts of newer-schema lines
-/// and truncated (partially written) lines, both skipped.
+/// Parse one archive: the points, plus counts of the newer-schema,
+/// truncated (partially written) and duplicate-key lines it skipped.
 pub fn parse_archive(text: &str) -> ParsedArchive {
     let mut points: Vec<TrendPoint> = Vec::new();
     let mut skipped = 0;
     let mut truncated = 0;
+    let mut duplicates = 0;
     for line in text.lines() {
         let line = line.trim();
         if !line.starts_with('{') {
@@ -73,8 +78,8 @@ pub fn parse_archive(text: &str) -> ParsedArchive {
         };
         let key = format!("{workload}|{scenario}|{population}");
         if points.iter().any(|p| p.key == key) {
-            // Bins occasionally re-run the same point; first wins so
-            // diffs stay stable.
+            // First wins so diffs stay stable; the rest are counted.
+            duplicates += 1;
             continue;
         }
         points.push(TrendPoint {
@@ -88,6 +93,7 @@ pub fn parse_archive(text: &str) -> ParsedArchive {
         points,
         skipped_newer: skipped,
         truncated,
+        duplicates,
     }
 }
 
@@ -299,6 +305,29 @@ mod tests {
         let rep = diff(&parsed.points, &parsed.points, Tolerance::default());
         assert_eq!(rep.common, 1);
         assert_eq!(rep.regressions, 0);
+    }
+
+    #[test]
+    fn duplicate_keys_are_counted_and_the_first_wins() {
+        // Two arms labelled alike (same workload, scenario, threads) plus
+        // a third copy: one point survives, two lines are counted.
+        let text = concat!(
+            r#"{"workload":"a","scenario":"adr","threads":1,"throughput_mops":1.0}"#,
+            "\n",
+            r#"{"workload":"a","scenario":"adr","threads":1,"throughput_mops":2.0}"#,
+            "\n",
+            r#"{"workload":"a","scenario":"adr","threads":2,"throughput_mops":3.0}"#,
+            "\n",
+            r#"{"workload":"a","scenario":"adr","threads":1,"throughput_mops":4.0}"#,
+            "\n",
+        );
+        let parsed = parse_archive(text);
+        assert_eq!(parsed.duplicates, 2);
+        assert_eq!(parsed.truncated, 0);
+        assert_eq!(parsed.points.len(), 2);
+        assert_eq!(parsed.points[0].key, "a|adr|t1");
+        assert_eq!(parsed.points[0].throughput_mops, Some(1.0));
+        assert_eq!(parse_archive(V1).duplicates, 0);
     }
 
     /// A line is one object or it is damaged: text after the closing

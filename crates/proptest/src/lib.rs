@@ -23,7 +23,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SampleUniform, SeedableRng};
 
 pub mod collection;
-pub mod option;
 
 /// Runner configuration (only `cases` is honored).
 #[derive(Debug, Clone)]
@@ -276,7 +275,6 @@ pub mod prelude {
     /// Upstream's `prelude::prop` namespace.
     pub mod prop {
         pub use crate::collection;
-        pub use crate::option;
     }
 }
 

@@ -4,9 +4,9 @@
 use palloc::PHeap;
 use pmem_sim::{DurabilityDomain, Machine, MachineConfig};
 use proptest::prelude::*;
-use pstructs::{BpTree, PHashMap, PList, PQueue};
+use pstructs::{BpTree, PHashMap};
 use ptm::{Algo, Ptm, PtmConfig, TxThread};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 fn thread(algo: Algo) -> TxThread {
     let m = Machine::new(MachineConfig::functional(DurabilityDomain::Eadr));
@@ -84,41 +84,5 @@ proptest! {
             }
         }
         prop_assert_eq!(th.run(|tx| map.len(tx)), model.len() as u64);
-    }
-
-    #[test]
-    fn list_matches_btreeset(ops in prop::collection::vec((0u8..3, 0u64..64), 1..150)) {
-        let mut th = thread(Algo::RedoLazy);
-        let l = th.run(PList::create);
-        let mut model = BTreeSet::new();
-        for &(op, k) in &ops {
-            match op {
-                0 => prop_assert_eq!(th.run(|tx| l.insert(tx, k)), model.insert(k)),
-                1 => prop_assert_eq!(th.run(|tx| l.contains(tx, k)), model.contains(&k)),
-                _ => prop_assert_eq!(th.run(|tx| l.remove(tx, k)), model.remove(&k)),
-            }
-        }
-        let got = th.run(|tx| l.to_vec(tx));
-        let want: Vec<u64> = model.into_iter().collect();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn queue_matches_vecdeque(ops in prop::collection::vec(prop::option::of(any::<u64>()), 1..150)) {
-        let mut th = thread(Algo::UndoEager);
-        let q = th.run(PQueue::create);
-        let mut model = VecDeque::new();
-        for op in &ops {
-            match op {
-                Some(v) => {
-                    th.run(|tx| q.enqueue(tx, *v));
-                    model.push_back(*v);
-                }
-                None => {
-                    prop_assert_eq!(th.run(|tx| q.dequeue(tx)), model.pop_front());
-                }
-            }
-        }
-        prop_assert_eq!(th.run(|tx| q.len(tx)), model.len() as u64);
     }
 }

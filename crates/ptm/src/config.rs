@@ -95,7 +95,7 @@ impl std::str::FromStr for Algo {
 pub enum FlushPlan {
     /// Per-entry `clwb`s, and additionally each redo-log line as it
     /// fills during execution (§III-B's staggered timing; the paper found
-    /// no noticeable difference, `bench --bin ablation_flush_timing`
+    /// no noticeable difference, `bench --bin ablation_flush_plan`
     /// reproduces that).
     Incremental,
     /// Per-entry `clwb`s in a tight loop at commit: the paper's measured

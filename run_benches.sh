@@ -15,7 +15,7 @@ set -u
 : "${BENCH_TAG:?set BENCH_TAG to the archive tag, e.g. BENCH_TAG=PR13 $0}"
 cd "$(dirname "$0")"
 mkdir -p results
-BINS="fig3 fig4 fig6 fig7 table1 table2 table3 fig8 algo_compare ablation_log_split ablation_flush_timing ablation_lite_budget ablation_orec ablation_htm ablation_window ablation_index ablation_write_combining ablation_trace_overhead ablation_htm_logged memstats latency shard_scaling recovery_bench"
+BINS="fig3 fig4 fig6 fig7 table1 table2 table3 fig8 algo_compare ablation_log_split ablation_flush_plan ablation_lite_budget ablation_orec ablation_htm ablation_window ablation_index ablation_trace_overhead ablation_htm_logged memstats latency shard_scaling recovery_bench"
 for bin in $BINS; do
   echo "=== $bin start $(date +%T) ==="
   cargo run -q --release -p bench --bin $bin -- --json > results/$bin.jsonl 2> results/$bin.log

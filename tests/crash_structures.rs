@@ -4,7 +4,7 @@
 
 use optane_ptm::palloc::PHeap;
 use optane_ptm::pmem_sim::{DurabilityDomain, Machine, MachineConfig};
-use optane_ptm::pstructs::{BpTree, PHashMap, PList, PQueue};
+use optane_ptm::pstructs::{BpTree, PHashMap, PSkipList};
 use optane_ptm::ptm::db::restart;
 use optane_ptm::ptm::{Algo, Ptm, PtmConfig, RecoverOptions, TxThread};
 use std::sync::Arc;
@@ -78,36 +78,25 @@ fn btree_committed_keys_survive_every_domain() {
 }
 
 #[test]
-fn hashmap_and_list_and_queue_survive() {
+fn hashmap_survives_crashes() {
+    // Anchored in a non-zero root slot: re-attach reads the slot it was
+    // given, not the first one.
     let m = machine(DurabilityDomain::Adr);
     let heap = PHeap::format(&m, "h", 1 << 16, 4);
     let ptm = Ptm::new(cfg_for(Algo::RedoLazy));
     let mut th = TxThread::new(ptm, heap.clone(), m.session(0));
     let map = th.run(|tx| PHashMap::create(tx, 64));
-    let list = th.run(PList::create);
-    let queue = th.run(PQueue::create);
-    heap.set_root(th.session_mut(), 0, map.header());
-    heap.set_root(th.session_mut(), 1, list.header());
-    heap.set_root(th.session_mut(), 2, queue.header());
+    heap.set_root(th.session_mut(), 2, map.header());
     for k in 0..60u64 {
         th.run(|tx| map.insert(tx, k, k + 1).map(|_| ()));
-        th.run(|tx| list.insert(tx, k * 2).map(|_| ()));
-        th.run(|tx| queue.enqueue(tx, k));
     }
-    th.run(|tx| queue.dequeue(tx)); // head moves to 1
     for seed in 0..6u64 {
         let (m2, heap2) = crash_recover(&m, &heap, seed);
         let ptm2 = Ptm::new(cfg_for(Algo::RedoLazy));
         let mut th2 = TxThread::new(ptm2, heap2.clone(), m2.session(0));
-        let map2 = PHashMap::from_header(heap2.root_raw(0));
-        let list2 = PList::from_header(heap2.root_raw(1));
-        let queue2 = PQueue::from_header(heap2.root_raw(2));
-        assert_eq!(th2.run(|tx| map2.len(tx)), 60);
-        assert_eq!(th2.run(|tx| map2.get(tx, 31)), Some(32));
-        assert!(th2.run(|tx| list2.contains(tx, 58)));
-        assert_eq!(th2.run(|tx| list2.len(tx)), 60);
-        assert_eq!(th2.run(|tx| queue2.len(tx)), 59);
-        assert_eq!(th2.run(|tx| queue2.dequeue(tx)), Some(1), "seed {seed}");
+        let map2 = PHashMap::from_header(heap2.root_raw(2));
+        assert_eq!(th2.run(|tx| map2.len(tx)), 60, "seed {seed}");
+        assert_eq!(th2.run(|tx| map2.get(tx, 31)), Some(32), "seed {seed}");
     }
 }
 
@@ -163,40 +152,23 @@ fn work_continues_after_recovery() {
 }
 
 #[test]
-fn skiplist_pvec_blob_survive_crashes() {
-    use optane_ptm::pstructs::{PBlob, PSkipList, PVec};
+fn skiplist_survives_crashes() {
     let m = machine(DurabilityDomain::Adr);
     let heap = PHeap::format(&m, "h", 1 << 16, 6);
     let ptm = Ptm::new(cfg_for(Algo::RedoLazy));
     let mut th = TxThread::new(ptm, heap.clone(), m.session(0));
     let sl = th.run(PSkipList::create);
-    let v = th.run(PVec::create);
-    heap.set_root(th.session_mut(), 0, sl.header());
-    heap.set_root(th.session_mut(), 1, v.header());
+    heap.set_root(th.session_mut(), 1, sl.header());
     for k in 0..80u64 {
         th.run(|tx| sl.insert(tx, k * 3, k).map(|_| ()));
-        th.run(|tx| v.push(tx, k * k));
     }
-    // A blob anchored through the skip list.
-    let payload = b"crash-proof payload \xF0\x9F\x92\xBE".to_vec();
-    let pl = payload.clone();
-    th.run(|tx| {
-        let blob = PBlob::create(tx, &pl)?;
-        sl.insert(tx, 1_000_000, blob.addr().0)?;
-        Ok(())
-    });
     for seed in [0u64, 4, 17] {
         let (m2, heap2) = crash_recover(&m, &heap, seed);
         let ptm2 = Ptm::new(cfg_for(Algo::RedoLazy));
         let mut th2 = TxThread::new(ptm2, heap2.clone(), m2.session(0));
-        let sl2 = PSkipList::from_header(heap2.root_raw(0));
-        let v2 = PVec::from_header(heap2.root_raw(1));
+        let sl2 = PSkipList::from_header(heap2.root_raw(1));
         for k in 0..80u64 {
             assert_eq!(th2.run(|tx| sl2.get(tx, k * 3)), Some(k), "seed {seed}");
-            assert_eq!(th2.run(|tx| v2.get(tx, k)), k * k);
         }
-        let blob_addr = th2.run(|tx| sl2.get(tx, 1_000_000)).unwrap();
-        let blob = PBlob::from_addr(optane_ptm::pmem_sim::PAddr(blob_addr));
-        assert_eq!(th2.run(|tx| blob.read(tx)), payload);
     }
 }
