@@ -397,19 +397,20 @@ echo "=== cross-shard 2PC crash sweep smoke (transfer workload) ==="
 cargo run -q --release -p bench --bin crash_sites -- --workload transfer --shards 2 --max-sites 4 > /dev/null
 
 echo "=== restart seam check ==="
-# Restart is one serial pipeline: log repair in pool order, then one
-# header hop, one bitmap mark worklist and an address-order sweep behind
-# PHeap::attach_online's single background thread (DESIGN.md §5 decision
-# 12). A thread or a condition variable in non-test recovery.rs / gc.rs
-# (everything above a file's first `#[cfg(test)]`), a read of the inert
-# `RecoverOptions::workers` field, or one of the deleted parallel path's
-# names means a worker-parallel restart grew back beside it.
-THREADS=$(for f in crates/ptm/src/recovery.rs crates/palloc/src/gc.rs; do
+# Restart is one serial pipeline on the calling thread: log repair in
+# pool order, then PHeap::attach's header hop, bitmap mark worklist and
+# address-order sweep (DESIGN.md §5 decision 12). A thread, a
+# condition variable or an atomic flag in non-test palloc code or in
+# ptm's db.rs / recovery.rs (everything above a file's first
+# `#[cfg(test)]`), a read of the inert `RecoverOptions::workers` field,
+# or a name of the deleted parallel path or online attach means a
+# worker-parallel restart or a background GC grew back beside it.
+THREADS=$(for f in crates/palloc/src/*.rs crates/ptm/src/db.rs crates/ptm/src/recovery.rs; do
   awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
-      /thread::scope|thread::spawn|Condvar/ { print f ":" FNR ": " $0 }' "$f"
+      /thread::scope|thread::spawn|Condvar|AtomicBool/ { print f ":" FNR ": " $0 }' "$f"
 done)
 if [ -n "$THREADS" ]; then
-  echo "ERROR: thread or condvar in restart's log repair / GC scan+mark:" >&2
+  echo "ERROR: thread, condvar or atomic flag in restart's log repair / heap attach / GC:" >&2
   echo "$THREADS" >&2
   exit 1
 fi
@@ -419,6 +420,10 @@ if grep -rnE '[A-Za-z0-9_)]\.workers\b' crates src tests examples --include='*.r
 fi
 if grep -rnE 'attach_with|recovery_worker_tid|gc_workers|recovery_workers' crates src tests examples; then
   echo "ERROR: a name of the deleted worker-parallel restart grew back (see above)" >&2
+  exit 1
+fi
+if grep -rnwE 'attach_online|OnlineGc|GcGate|wait_gc' crates src tests examples; then
+  echo "ERROR: a name of the deleted online restart GC grew back (see above)" >&2
   exit 1
 fi
 # The GC marks through its start / mark bitmaps and validate streams the
@@ -436,11 +441,9 @@ if [ -n "$TABLES" ]; then
   exit 1
 fi
 
-echo "=== recovery_bench smoke + online-restart guard ==="
+echo "=== recovery_bench smoke ==="
 # Restart-latency sweep (pool size x dirtiness) on crafted
-# committed-but-unretired log images. The binary's built-in guard exits
-# nonzero if the first read through the online-GC epoch fence
-# degenerates to waiting for the full sweep.
+# committed-but-unretired log images; must exit 0.
 cargo run -q --release -p bench --bin recovery_bench -- --quick > /dev/null
 
 echo "=== trace smoke ==="

@@ -1,7 +1,7 @@
 //! recovery_bench — restart latency vs pool size × dirtiness.
 //!
-//! The restart-time observability bench for the log repair + online
-//! restart-GC pipeline. For each `(pool_words, dirty_entries)` cell one
+//! The restart-time observability bench for the log repair + restart-GC
+//! pipeline. For each `(pool_words, dirty_entries)` cell one
 //! crash image is crafted — a `PtmDb`-compatible heap populated with a
 //! root-reachable chain plus deliberately leaked blocks, and [`LOGS`]
 //! committed-but-unretired redo logs carrying the dirty entries — and
@@ -11,26 +11,21 @@
 //! Output: CSV to stdout, or one JSON object per point with `--json`
 //! (see [`bench::report::restart_point_json`] for the schema).
 //!
-//! `--quick` shrinks the grid and enforces the online-restart guard: at
-//! the largest quick cell a read must be servable behind the online-GC
-//! epoch fence, no later than a bounded factor of the full restart.
-
-use std::time::Instant;
+//! `--quick` shrinks the grid.
 
 use bench::report::restart_point_json;
 use palloc::PHeap;
 use pmem_sim::{CrashImage, DurabilityDomain, Machine, MachineConfig, PAddr};
 use ptm::db::{PtmDb, ReopenReports, DB_HEAP_NAME};
 use ptm::log::{committed_marker, TxLog, W_COUNT, W_STATE};
-use ptm::{recover, PtmConfig};
+use ptm::PtmConfig;
 
 /// Per-thread logs in every crafted image.
 const LOGS: usize = 8;
 /// Repetitions per point; the fastest is reported (restart is a latency
 /// measurement — the minimum is the least noisy estimator).
 const REPS: usize = 3;
-/// Payload value stored in every populated block's first word; the
-/// quick-mode first-read guard checks it through the epoch fence.
+/// Payload base value stored in every populated block's words.
 const CHAIN_MAGIC: u64 = 0xA000_0000;
 
 fn cfg() -> MachineConfig {
@@ -107,7 +102,7 @@ fn build_image(pool_words: usize, entries_per_log: usize) -> CrashImage {
     m.crash(42)
 }
 
-/// Reboot + recover + online-GC the image, best-of-REPS.
+/// Reboot + recover + restart-GC the image, best-of-REPS.
 fn measure(image: &CrashImage) -> ReopenReports {
     let mut best: Option<ReopenReports> = None;
     for _ in 0..REPS {
@@ -120,32 +115,6 @@ fn measure(image: &CrashImage) -> ReopenReports {
         }
     }
     best.unwrap()
-}
-
-/// The quick-mode guard: reboot once more and serve a read through the
-/// online-GC epoch fence *before* joining the sweep. Returns the
-/// host-side time to that first read and whether the sweep was still
-/// running when the read completed.
-fn first_read_through_fence(image: &CrashImage) -> (u64, bool) {
-    let t0 = Instant::now();
-    let m = Machine::reboot(image, cfg());
-    recover(&m);
-    let pool = m
-        .pools()
-        .into_iter()
-        .find(|p| p.name() == DB_HEAP_NAME)
-        .expect("crafted image lost its heap pool");
-    let (heap, online) = PHeap::attach_online(pool).expect("heap attach");
-    let head = heap.root_raw(0);
-    let v = heap.pool().raw_load(head.word());
-    assert_eq!(
-        v, CHAIN_MAGIC,
-        "first read through the epoch fence returned a wrong value"
-    );
-    let first_read_ns = t0.elapsed().as_nanos() as u64;
-    let sweep_still_running = !online.is_finished();
-    online.join();
-    (first_read_ns, sweep_still_running)
 }
 
 fn main() {
@@ -175,13 +144,10 @@ fn main() {
     if !json {
         println!(
             "pool_words,dirty_entries,recovery_ns,gc_scan_ns,gc_mark_ns,gc_sweep_ns,\
-             time_to_first_txn_ns,full_restart_ns"
+             full_restart_ns"
         );
     }
 
-    // The guard cell is the last one swept: largest pool x heaviest
-    // dirtiness.
-    let mut last = None;
     for &p in pools {
         for &d in dirt {
             // Clamp per-log entries so the scratch blocks fit in half
@@ -195,34 +161,14 @@ fn main() {
                 println!("{}", restart_point_json(&scenario, p as u64, dirty, &rep));
             } else {
                 println!(
-                    "{p},{dirty},{},{},{},{},{},{}",
+                    "{p},{dirty},{},{},{},{},{}",
                     rep.recovery.recovery_ns,
                     rep.gc.gc_scan_ns,
                     rep.gc.gc_mark_ns,
                     rep.gc.gc_sweep_ns,
-                    rep.time_to_first_txn_ns,
                     rep.full_restart_ns
                 );
             }
-            last = Some((image, rep.full_restart_ns));
-        }
-    }
-
-    if quick {
-        // Online restart: a read is served behind the epoch fence, and
-        // never later than a bounded factor of the full restart.
-        let (image, full) = last.expect("guard cell was swept");
-        let (first_read_ns, sweep_running) = first_read_through_fence(&image);
-        eprintln!(
-            "# first read through epoch fence after {first_read_ns} ns \
-             (sweep still running: {sweep_running}; full restart {full} ns)"
-        );
-        if first_read_ns > full.saturating_mul(4) {
-            // A loose sanity bound, not a perf assertion: the first read
-            // path must not degenerate into waiting for the whole sweep
-            // plus overhead.
-            eprintln!("# restart SLO VIOLATED: first read took >4x a full restart");
-            std::process::exit(1);
         }
     }
 }

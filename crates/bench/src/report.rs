@@ -179,7 +179,7 @@ pub fn sharded_point_json(workload: &str, r: &workloads::ShardedRunResult) -> St
 ///              recovery_ns},
 ///   gc: {blocks_scanned, live_blocks, reclaimed_blocks, leaked_blocks,
 ///        corrupt_headers, gc_scan_ns, gc_mark_ns, gc_sweep_ns},
-///   time_to_first_txn_ns, full_restart_ns}`
+///   full_restart_ns}`
 pub fn restart_point_json(
     scenario: &str,
     pool_words: u64,
@@ -213,7 +213,6 @@ pub fn restart_point_json(
     w.key("gc_sweep_ns").u64(r.gc.gc_sweep_ns);
     w.end_object();
 
-    w.key("time_to_first_txn_ns").u64(r.time_to_first_txn_ns);
     w.key("full_restart_ns").u64(r.full_restart_ns);
     w.end_object();
     w.finish()
@@ -469,7 +468,6 @@ mod tests {
                 "gc_scan_ns",
                 "gc_mark_ns",
                 "gc_sweep_ns",
-                "time_to_first_txn_ns",
                 "full_restart_ns",
             ],
             "{j}"

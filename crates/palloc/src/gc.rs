@@ -29,9 +29,9 @@
 //! integer that happens to look like a block address keeps that block
 //! alive) — never reclaim live data.
 //!
-//! All three phases run on the calling thread — for an online attach
-//! that is [`crate::PHeap::attach_online`]'s one background thread.
-//! Serial on purpose: a worker-parallel scan and mark measured slower
+//! All three phases run on the thread that calls [`crate::PHeap::attach`],
+//! which hands the heap out only after the sweep has installed the free
+//! lists. Serial on purpose: a worker-parallel scan and mark measured slower
 //! than this path in every cell of `recovery_bench`'s grid
 //! (EXPERIMENTS.md "Restart latency").
 //!

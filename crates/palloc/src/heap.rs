@@ -10,8 +10,7 @@
 //! cost of the header store + `clwb` + `sfence` is charged to the caller's
 //! clock after the lock is released.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use pmem_sim::{Machine, MemSession, PAddr, PmemPool};
 
@@ -85,51 +84,6 @@ pub struct PHeap {
     start: u64,
     roots: usize,
     inner: Mutex<Inner>,
-    /// Epoch fence for online restart GC (see [`PHeap::attach_online`]):
-    /// closed while a background mark-sweep is still rebuilding the free
-    /// lists. Read-only operations never touch it; every allocator
-    /// *mutation* waits on it.
-    gate: GcGate,
-}
-
-/// The online-GC epoch fence: `ready == false` until the background
-/// sweep has installed the rebuilt [`Inner`]. It stays true for the rest
-/// of the heap's life, so a waiter reads the flag alone and takes the
-/// mutex and condvar only while it is false; the sweep sets it under the
-/// mutex, so a waiter that saw false cannot miss the wake-up.
-struct GcGate {
-    ready: AtomicBool,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl GcGate {
-    fn new(ready: bool) -> GcGate {
-        GcGate {
-            ready: AtomicBool::new(ready),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-}
-
-/// Handle on a background restart GC started by [`PHeap::attach_online`].
-/// Joining returns the sweep's [`GcReport`]; dropping without joining
-/// leaves the sweep running to completion on its own.
-pub struct OnlineGc {
-    handle: std::thread::JoinHandle<GcReport>,
-}
-
-impl OnlineGc {
-    /// Block until the background sweep finishes and take its report.
-    pub fn join(self) -> GcReport {
-        self.handle.join().expect("online GC thread panicked")
-    }
-
-    /// Whether the sweep has finished (non-blocking).
-    pub fn is_finished(&self) -> bool {
-        self.handle.is_finished()
-    }
 }
 
 impl PHeap {
@@ -171,14 +125,15 @@ impl PHeap {
                 bump: start,
                 free: vec![Vec::new(); NUM_CLASSES],
             }),
-            gate: GcGate::new(true),
         })
     }
 
     /// Attach to (recover) a previously formatted heap, typically after
-    /// [`Machine::reboot`]. Runs the conservative mark-sweep GC to rebuild
-    /// the volatile free lists and reclaim leaked blocks. Untimed: recovery
-    /// happens outside measured execution.
+    /// [`Machine::reboot`]. Runs the conservative mark-sweep GC on the
+    /// calling thread to rebuild the volatile free lists and reclaim
+    /// leaked blocks, and returns the heap only once they are installed:
+    /// the one attach path, Makalu's offline recovery GC. Untimed:
+    /// recovery happens outside measured execution.
     pub fn attach(pool: Arc<PmemPool>) -> Result<(Arc<PHeap>, GcReport), AttachError> {
         let (start, roots) = Self::check_header(&pool)?;
         let (inner, report) = gc::recover(&pool, start, roots);
@@ -188,50 +143,9 @@ impl PHeap {
                 start,
                 roots,
                 inner: Mutex::new(inner),
-                gate: GcGate::new(true),
             }),
             report,
         ))
-    }
-
-    /// Attach with the restart GC running in the *background*: returns
-    /// immediately after header validation, so read-only traffic (root
-    /// reads, raw pool loads, read-only transactions over already-durable
-    /// data) can be served while the mark-sweep is still running —
-    /// time-to-first-read beats time-to-full-restart.
-    ///
-    /// The epoch-fence rule: operations that only read persistent state
-    /// never wait; every operation that could *mutate* allocator state
-    /// (`alloc`, `free`, `set_root`) or observe the volatile bookkeeping
-    /// (`validate`, `stats`, `high_water_words`, `free_blocks`) blocks
-    /// until the sweep has installed the rebuilt free lists. This is
-    /// sound because GC writes nothing persistent: the durable image a
-    /// reader sees is exactly the post-recovery image, independent of GC
-    /// progress.
-    pub fn attach_online(pool: Arc<PmemPool>) -> Result<(Arc<PHeap>, OnlineGc), AttachError> {
-        let (start, roots) = Self::check_header(&pool)?;
-        let heap = Arc::new(PHeap {
-            pool,
-            start,
-            roots,
-            inner: Mutex::new(Inner {
-                bump: start,
-                free: vec![Vec::new(); NUM_CLASSES],
-            }),
-            gate: GcGate::new(false),
-        });
-        let h = Arc::clone(&heap);
-        let handle = std::thread::spawn(move || {
-            let (inner, report) = gc::recover(h.pool(), h.start, h.roots);
-            *h.inner.lock().unwrap() = inner;
-            // Release pairs with `wait_gc`'s Acquire: a waiter that sees
-            // the flag sees the installed `Inner`.
-            let _guard = h.gate.lock.lock().unwrap();
-            h.gate.ready.store(true, Ordering::Release);
-            h.gate.cv.notify_all();
-            report
-        });
-        Ok((heap, OnlineGc { handle }))
     }
 
     fn check_header(pool: &Arc<PmemPool>) -> Result<(u64, usize), AttachError> {
@@ -258,19 +172,6 @@ impl PHeap {
         }
     }
 
-    /// Block until any background restart GC ([`PHeap::attach_online`])
-    /// has installed the rebuilt free lists. No-op on fully-attached
-    /// heaps, and one atomic load once the sweep is done.
-    fn wait_gc(&self) {
-        if self.gate.ready.load(Ordering::Acquire) {
-            return;
-        }
-        let mut guard = self.gate.lock.lock().unwrap();
-        while !self.gate.ready.load(Ordering::Acquire) {
-            guard = self.gate.cv.wait(guard).unwrap();
-        }
-    }
-
     /// The underlying pool.
     pub fn pool(&self) -> &Arc<PmemPool> {
         &self.pool
@@ -288,7 +189,6 @@ impl PHeap {
     /// # Panics
     /// Panics when the heap is exhausted.
     pub fn alloc(&self, s: &mut MemSession, words: usize) -> PAddr {
-        self.wait_gc();
         let class = class_words(words);
         let idx = class_index(class);
         enum Got {
@@ -349,7 +249,6 @@ impl PHeap {
     /// # Panics
     /// Panics on double free or on an address that is not a block start.
     pub fn free(&self, s: &mut MemSession, addr: PAddr) {
-        self.wait_gc();
         assert_eq!(addr.pool(), self.pool.id(), "free of foreign address");
         let hdr_word = addr.word() - 1;
         let (tag, class) = decode_header(self.pool.raw_load(hdr_word))
@@ -370,9 +269,6 @@ impl PHeap {
     /// Store a persistent root pointer (flushed and fenced: roots are the
     /// GC's anchor and must always be durable).
     pub fn set_root(&self, s: &mut MemSession, slot: usize, value: PAddr) {
-        // Re-rooting changes the reachability the concurrent mark is
-        // computing: it must fence behind the sweep like other mutations.
-        self.wait_gc();
         assert!(slot < self.roots, "root slot {slot} out of range");
         let addr = self.pool.addr(OFF_ROOTS + slot as u64);
         s.store(addr, value.0);
@@ -404,7 +300,6 @@ impl PHeap {
     /// entries are sorted by address and merged against the one walk of
     /// the chain; a chain error is reported ahead of a free-list error.
     pub fn validate(&self) -> Result<(), String> {
-        self.wait_gc();
         let inner = self.inner.lock().unwrap();
         let len = self.pool.len_words() as u64;
         let mut entries: Vec<(u64, usize)> = inner
@@ -465,20 +360,17 @@ impl PHeap {
 
     /// Total words currently consumed from the bump region.
     pub fn high_water_words(&self) -> u64 {
-        self.wait_gc();
         self.inner.lock().unwrap().bump - self.start
     }
 
     /// Number of blocks currently on free lists (tests/introspection).
     pub fn free_blocks(&self) -> usize {
-        self.wait_gc();
         self.inner.lock().unwrap().free.iter().map(Vec::len).sum()
     }
 
     /// Occupancy snapshot: bump watermark, free-list totals, and the
     /// per-class free counts (fragmentation diagnosis).
     pub fn stats(&self) -> HeapStats {
-        self.wait_gc();
         let inner = self.inner.lock().unwrap();
         let mut per_class = Vec::new();
         let mut free_words = 0u64;
@@ -787,56 +679,6 @@ mod tests {
             a.word()
         );
         assert!(err.contains(&want), "{err}");
-    }
-
-    #[test]
-    fn online_attach_serves_reads_before_alloc_unblocks() {
-        let (m, h) = setup();
-        let mut s = m.session(0);
-        let kept = h.alloc(&mut s, 8);
-        s.store(kept.offset(0), 4242);
-        s.clwb(kept.offset(0));
-        s.sfence();
-        h.set_root(&mut s, 0, kept);
-        let _leak = h.alloc(&mut s, 8);
-        let img = m.crash(6);
-        let m2 = Machine::reboot(&img, MachineConfig::functional(DurabilityDomain::Adr));
-        let pool = m2.pool(h.pool().id());
-        let (h2, gc) = PHeap::attach_online(pool).expect("online attach");
-        // Reads are served immediately — no fence (regardless of whether
-        // the background sweep has finished yet).
-        let root = h2.root_raw(0);
-        assert_eq!(root, kept);
-        assert_eq!(h2.pool().raw_load(root.word()), 4242);
-        // The report arrives when the sweep does; allocation fences.
-        let report = gc.join();
-        assert_eq!(report.live_blocks, 1);
-        assert_eq!(report.leaked_blocks, 1);
-        let mut s2 = m2.session(0);
-        let d = h2.alloc(&mut s2, 8);
-        assert_eq!(d, _leak, "post-sweep alloc must reuse the leak");
-        h2.validate().unwrap();
-    }
-
-    #[test]
-    fn online_attach_alloc_blocks_until_sweep_installs_state() {
-        // Even when the caller races alloc against the background sweep,
-        // the epoch fence makes the outcome identical to a full attach.
-        let (m, h) = setup();
-        let mut s = m.session(0);
-        let kept = h.alloc(&mut s, 8);
-        h.set_root(&mut s, 0, kept);
-        let leak = h.alloc(&mut s, 8);
-        let img = m.crash(7);
-        let m2 = Machine::reboot(&img, MachineConfig::functional(DurabilityDomain::Adr));
-        let pool = m2.pool(h.pool().id());
-        let (h2, gc) = PHeap::attach_online(pool).expect("online attach");
-        let mut s2 = m2.session(0);
-        // No join before alloc: wait_gc inside alloc is the fence.
-        let d = h2.alloc(&mut s2, 8);
-        assert_eq!(d, leak);
-        gc.join();
-        h2.validate().unwrap();
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! * free lists are volatile size-class stacks ([`classes`], [`heap`]);
 //! * [`PHeap::attach`] recovers a heap after a crash: it scans the block
 //!   headers, conservatively marks everything reachable from the roots,
-//!   and sweeps the rest back onto the free lists ([`gc`]).
+//!   and sweeps the rest back onto the free lists ([`gc`]) — offline, on
+//!   the calling thread, before the heap is handed out.
 
 #![deny(unsafe_code)]
 
@@ -27,4 +28,4 @@ pub mod heap;
 pub mod layout;
 
 pub use gc::GcReport;
-pub use heap::{AttachError, HeapStats, OnlineGc, PHeap};
+pub use heap::{AttachError, HeapStats, PHeap};

@@ -108,6 +108,15 @@ fn seal_publish_log(ax: &mut TxAccess, marker: u64) {
     ax.seal_header(ax.cow_lines.len() as u64, marker);
 }
 
+/// Every masked word of entry `i`'s home and shadow lines: a corrupt
+/// entry can put a line's later words past its pool's end.
+fn targets(ctx: &RecoverCtx<'_>, i: usize) -> impl Iterator<Item = PAddr> {
+    let (home, shadow, mask) = ctx.raw_entry(i);
+    (0..LPW)
+        .filter(move |w| mask & (1 << w) != 0)
+        .flat_map(move |w| [PAddr(home).offset(w), PAddr(shadow).offset(w)])
+}
+
 /// Publish the first `count` publish-log records: copy each record's
 /// masked shadow words home, durably.
 fn replay(ctx: &mut RecoverCtx<'_>, count: usize) {
@@ -259,7 +268,9 @@ impl LogPolicy for CowPolicy {
         if is_committed(state) && !ctx.opts.skip_redo_replay {
             // A stale count would re-copy leftover publish entries from
             // reclaimed shadow lines, a corrupt one publish garbage.
-            let Some(count) = ctx.sealed_count("committed", marker_count(state), "publish") else {
+            let Some(count) =
+                ctx.sealed_count("committed", marker_count(state), "publish", targets)
+            else {
                 return;
             };
             replay(ctx, count);
@@ -275,7 +286,9 @@ impl LogPolicy for CowPolicy {
         if committed {
             // The coordinator decided commit: publish the masked shadow
             // words home, exactly like a committed publish log.
-            let Some(count) = ctx.sealed_count("prepared", prepared_count(state), "publish") else {
+            let Some(count) =
+                ctx.sealed_count("prepared", prepared_count(state), "publish", targets)
+            else {
                 return;
             };
             replay(ctx, count);

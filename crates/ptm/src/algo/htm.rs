@@ -281,6 +281,12 @@ fn publish_home(ax: &mut TxAccess, wv: u64) {
     ax.release_owned_at(wv);
 }
 
+/// The word slot `i` stores to, if it passes its seal.
+fn target(ctx: &RecoverCtx<'_>, i: usize) -> Option<PAddr> {
+    let (a, v, wv, chk) = ctx.raw_entry4(i);
+    (chk == seal(a, v, wv)).then_some(PAddr(a))
+}
+
 /// Write the live entries among ring slots `0..count` back home, in
 /// slot order: later transactions' entries overwrite earlier ones for
 /// the same word. Checksum failures are tombstoned entries (a newer
@@ -494,7 +500,8 @@ impl LogPolicy for HtmPolicy {
         if committed {
             // The prepare path reset the ring first, so the prefix is
             // exactly the in-doubt transaction.
-            let Some(count) = ctx.sealed_count("prepared", prepared_count(state), "replay") else {
+            let Some(count) = ctx.sealed_count("prepared", prepared_count(state), "replay", target)
+            else {
                 return;
             };
             replay(ctx, count);
@@ -512,7 +519,8 @@ impl LogPolicy for HtmPolicy {
     fn recover_apply(&self, ctx: &mut RecoverCtx<'_>) {
         let state = ctx.primary.raw_load(W_STATE);
         if is_committed(state) && !ctx.opts.skip_redo_replay {
-            let Some(count) = ctx.sealed_count("committed", marker_count(state), "replay") else {
+            let Some(count) = ctx.sealed_count("committed", marker_count(state), "replay", target)
+            else {
                 return;
             };
             replay(ctx, count);

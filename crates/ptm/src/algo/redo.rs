@@ -41,6 +41,11 @@ fn seal_log(ax: &mut TxAccess, marker: u64) {
     ax.seal_header(ax.entries.len() as u64, marker);
 }
 
+/// The word entry `i` stores to.
+fn target(ctx: &RecoverCtx<'_>, i: usize) -> Option<PAddr> {
+    Some(PAddr(ctx.raw_entry(i).0))
+}
+
 /// Write the first `count` entries back to program data, durably.
 fn replay(ctx: &mut RecoverCtx<'_>, count: usize) {
     for i in 0..count {
@@ -149,7 +154,8 @@ impl LogPolicy for RedoPolicy {
     fn recover_apply(&self, ctx: &mut RecoverCtx<'_>) {
         let state = ctx.primary.raw_load(W_STATE);
         if is_committed(state) && !ctx.opts.skip_redo_replay {
-            let Some(count) = ctx.sealed_count("committed", marker_count(state), "replay") else {
+            let Some(count) = ctx.sealed_count("committed", marker_count(state), "replay", target)
+            else {
                 return;
             };
             replay(ctx, count);
@@ -163,7 +169,8 @@ impl LogPolicy for RedoPolicy {
         if committed {
             // The coordinator decided commit: the prepared entries are a
             // complete redo log — replay like a committed one.
-            let Some(count) = ctx.sealed_count("prepared", prepared_count(state), "replay") else {
+            let Some(count) = ctx.sealed_count("prepared", prepared_count(state), "replay", target)
+            else {
                 return;
             };
             replay(ctx, count);

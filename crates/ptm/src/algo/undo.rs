@@ -265,6 +265,15 @@ impl LogPolicy for UndoPolicy {
             }
             valid.push((a, old));
         }
+        // Nothing is stored unless every entry to roll back names a
+        // pool word.
+        let targets = |_: &RecoverCtx<'_>, i: usize| Some(PAddr(valid[i].0));
+        if ctx
+            .sealed_count("seal-valid", valid.len() as u64, "rollback", targets)
+            .is_none()
+        {
+            return;
+        }
         if !valid.is_empty() && !ctx.opts.skip_undo_rollback {
             for &(a, old) in valid.iter().rev() {
                 ctx.store_persist(PAddr(a), old);

@@ -56,12 +56,15 @@
 //! dangling overflow pool id, marker count beyond the log's physical
 //! capacity) must not panic recovery or replay garbage: the log is left
 //! untouched and a per-log diagnostic is pushed onto
-//! [`RecoveryReport::malformed`].
+//! [`RecoveryReport::malformed`]. The same holds for a sealed entry
+//! whose address names no pool word: before its first repair store a
+//! policy checks every address that repair will store to or load from
+//! ([`RecoverCtx::sealed_count`]).
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use pmem_sim::{Machine, PAddr, PmemPool, SiteKind, WORDS_PER_LINE};
+use pmem_sim::{Machine, PAddr, PmemPool, PoolId, SiteKind, WORDS_PER_LINE};
 
 use crate::log::{
     is_prepared, TxLog, ENTRY0, ENTRY_WORDS, LOG_POOL_PREFIX, OVF_POOL_PREFIX, STATE_IDLE, W_ALGO,
@@ -267,8 +270,18 @@ impl RecoverCtx<'_> {
     /// so a larger count means the marker word is corrupt: fail soft —
     /// no out-of-bounds entry reads, no replay of garbage, `None`, and
     /// the log left as-is for inspection (`action` names what was
-    /// skipped).
-    pub fn sealed_count(&mut self, kind: &str, count: u64, action: &str) -> Option<usize> {
+    /// skipped). The same holds when an address `targets(ctx, i)` yields
+    /// for a sealed entry `i` — every word the repair of that entry will
+    /// store to or load from — names no pool word: a policy runs this
+    /// before its first repair store. (Undo, which seals each entry with
+    /// a checksum rather than a marker, passes its seal-valid prefix.)
+    pub fn sealed_count<I: IntoIterator<Item = PAddr>>(
+        &mut self,
+        kind: &str,
+        count: u64,
+        action: &str,
+        targets: impl Fn(&Self, usize) -> I,
+    ) -> Option<usize> {
         let (count, capacity) = (count as usize, self.capacity());
         if count > capacity {
             self.malformed(format!(
@@ -276,7 +289,33 @@ impl RecoverCtx<'_> {
             ));
             return None;
         }
+        if let Some(a) = self.first_stray((0..count).flat_map(|i| targets(self, i))) {
+            let bits = a.0;
+            self.malformed(format!(
+                "entry address {a} ({bits:#x}) names no pool word — {action} skipped"
+            ));
+            return None;
+        }
         Some(count)
+    }
+
+    /// The first of `addrs` that names no word of any pool. A sealed
+    /// entry's address is read from the image like any other word, so a
+    /// flipped bit can name the reserved pool 0, a pool id past the
+    /// table, or a word past a pool's end.
+    fn first_stray(&self, addrs: impl IntoIterator<Item = PAddr>) -> Option<PAddr> {
+        // One lookup per run of same-pool addresses; pool 0 stands at
+        // length 0 and is never looked up.
+        let mut known = (PoolId(0), 0);
+        addrs.into_iter().find(|a| {
+            if a.pool() != known.0 {
+                let Some(p) = self.machine.try_pool(a.pool()) else {
+                    return true;
+                };
+                known = (a.pool(), p.len_words() as u64);
+            }
+            a.word() >= known.1
+        })
     }
 
     /// Record a per-log diagnostic: the log failed validation and was
@@ -713,7 +752,8 @@ mod tests {
 mod malformed_log_tests {
     use super::*;
     use crate::config::PtmConfig;
-    use crate::log::{committed_marker, ALGO_REDO, W_COUNT};
+    use crate::crash_harness::snapshot_pools;
+    use crate::log::{committed_marker, seal, ALGO_REDO, W_COUNT};
     use pmem_sim::{DurabilityDomain, Machine, MachineConfig, MediaKind};
 
     fn machine() -> Arc<Machine> {
@@ -807,6 +847,132 @@ mod malformed_log_tests {
         assert_eq!(log.primary.raw_load(W_STATE), committed_marker(bogus));
         let r2 = recover(&m);
         assert_eq!(r2.malformed, r.malformed, "second pass converges");
+    }
+
+    /// Words in the pool every stray-address test's good entries target.
+    const HEAP_WORDS: u64 = 1 << 10;
+
+    /// A machine whose first pool (pool 1) stands in for the heap, and a
+    /// log of `cfg`'s algorithm holding `entries`, sealed under a
+    /// committed marker when `committed`.
+    fn crafted(cfg: PtmConfig, entries: &[[u64; 4]], committed: bool) -> Arc<Machine> {
+        let m = machine();
+        let heap = m.alloc_pool("heap", HEAP_WORDS as usize, MediaKind::Optane);
+        assert_eq!(heap.id(), T.pool());
+        let log = crate::log::TxLog::create(&m, 0, &cfg);
+        for (i, entry) in entries.iter().enumerate() {
+            let e = log.entry_addr(i);
+            for (w, &v) in entry.iter().enumerate() {
+                log.primary.raw_store(e.word() + w as u64, v);
+            }
+            log.primary.persist_line_now(e.line());
+        }
+        if committed {
+            let n = entries.len() as u64;
+            log.primary.raw_store(W_COUNT, n);
+            log.primary.raw_store(W_STATE, committed_marker(n));
+            log.primary.persist_line_now(0);
+        }
+        m
+    }
+
+    /// The good target, and what a flipped bit makes of it: address 0,
+    /// pool bit 40 flipped (pool 1 becomes the reserved pool 0), bit 63
+    /// flipped (pool 8388609, past the table), a word past the pool's end.
+    const T: PAddr = PAddr((1 << 40) | 100);
+    const STRAYS: [PAddr; 4] = [
+        PAddr(0),
+        PAddr(T.0 ^ 1 << 40),
+        PAddr(T.0 ^ 1 << 63),
+        PAddr((1 << 40) | (HEAP_WORDS + 3)),
+    ];
+
+    /// Recover `m`, whose log seals an entry naming `stray` after a good
+    /// one, twice: each pass gives one diagnostic naming `stray` and
+    /// stores nothing — not the good entry, not the log's state word.
+    fn assert_stray_fails_soft(m: &Arc<Machine>, stray: PAddr) -> RecoveryReport {
+        let snapshot = || snapshot_pools(std::slice::from_ref(m));
+        let before = snapshot();
+        let r = recover(m);
+        let want = format!("entry address {stray} ({:#x}) names no pool word", stray.0);
+        assert_eq!(r.malformed.len(), 1, "{stray}: {:?}", r.malformed);
+        assert!(r.malformed[0].contains(&want), "{stray}: {:?}", r.malformed);
+        assert!(snapshot() == before, "{stray}: recovery stored");
+        let r2 = recover(m);
+        assert_eq!(
+            r2.without_timing(),
+            r.without_timing(),
+            "{stray}: second pass"
+        );
+        assert!(snapshot() == before, "{stray}: second pass stored");
+        r
+    }
+
+    /// A committed redo entry whose target is in no pool used to panic
+    /// the replay's store (pool 0 indexed out of bounds, or
+    /// `Machine::pool` past its table).
+    #[test]
+    fn redo_entry_naming_no_pool_word_fails_soft() {
+        for stray in STRAYS {
+            let m = crafted(
+                PtmConfig::redo(),
+                &[[T.0, 42, 0, 0], [stray.0, 43, 0, 0]],
+                true,
+            );
+            let r = assert_stray_fails_soft(&m, stray);
+            assert_eq!((r.redo_replayed, r.redo_entries), (0, 0));
+        }
+    }
+
+    /// The same for an HtmLogged ring. Only seal-valid slots are
+    /// replayed, so only they are checked: a torn slot naming no pool
+    /// word is still skipped and the rest replayed.
+    #[test]
+    fn htm_entry_naming_no_pool_word_fails_soft() {
+        let slot = |a: PAddr| [a.0, 42, 9, seal(a.0, 42, 9)];
+        for stray in STRAYS {
+            let m = crafted(PtmConfig::htm_logged(), &[slot(T), slot(stray)], true);
+            let r = assert_stray_fails_soft(&m, stray);
+            assert_eq!((r.htm_replayed, r.htm_entries), (0, 0));
+        }
+        let torn = [STRAYS[2].0, 42, 9, 0];
+        let m = crafted(PtmConfig::htm_logged(), &[slot(T), torn], true);
+        let r = recover(&m);
+        assert!(r.malformed.is_empty(), "{:?}", r.malformed);
+        assert_eq!((r.htm_entries, r.torn_entries), (1, 1));
+        assert_eq!(m.pool(T.pool()).raw_load(T.word()), 42);
+    }
+
+    /// A committed cow entry is checked on both lines, every masked word:
+    /// a stray home, a stray shadow, and a home whose line runs past the
+    /// pool's end at word 7.
+    #[test]
+    fn cow_entry_naming_no_pool_word_fails_soft() {
+        let shadow = T.offset(100).0;
+        let tail = PAddr::new(T.pool(), HEAP_WORDS - 4);
+        let mut cases = vec![([tail.0, shadow, 1 << 7, 0], tail.offset(7))];
+        for stray in STRAYS {
+            cases.push(([stray.0, shadow, 1, 0], stray));
+            cases.push(([shadow, stray.0, 1, 0], stray));
+        }
+        for (bad, stray) in cases {
+            let m = crafted(PtmConfig::cow(), &[[T.0, shadow, 1, 0], bad], true);
+            let r = assert_stray_fails_soft(&m, stray);
+            assert_eq!((r.cow_published, r.cow_words), (0, 0));
+        }
+    }
+
+    /// An undo entry that passes its checksum but names no pool word
+    /// fails soft before any rollback store or the truncate. (Address 0
+    /// is not an entry: it ends the prefix.)
+    #[test]
+    fn undo_entry_naming_no_pool_word_fails_soft() {
+        let entry = |a: PAddr| [a.0, 7, seal(a.0, 7, 0), 0];
+        for stray in &STRAYS[1..] {
+            let m = crafted(PtmConfig::undo(), &[entry(T), entry(*stray)], false);
+            let r = assert_stray_fails_soft(&m, *stray);
+            assert_eq!((r.undo_rolled_back, r.undo_entries), (0, 0));
+        }
     }
 }
 

@@ -585,14 +585,7 @@ mod tests {
             merged.full_restart_ns,
             reports.iter().map(|r| r.full_restart_ns).max().unwrap()
         );
-        assert_eq!(
-            merged.time_to_first_txn_ns,
-            reports
-                .iter()
-                .map(|r| r.time_to_first_txn_ns)
-                .max()
-                .unwrap()
-        );
+        assert_eq!(merged.time_to_first_txn_ns, merged.full_restart_ns);
     }
 
     #[test]
