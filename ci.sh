@@ -70,7 +70,7 @@ echo "=== observer seam check ==="
 # The flight recorder is the only observer a run arms and GaugeSet::apply
 # the only event fold (DESIGN.md §5 decision 15). An `obs` dependency of
 # the simulator core or the drivers, one of the deleted online-sampler or
-# second-fold names, or a 29th bench binary means the online sampler
+# second-fold names, or a 28th bench binary means the online sampler
 # stack (slot, run-config field, overhead ablation) grew back.
 if grep -n '^obs' crates/pmem-sim/Cargo.toml crates/workloads/Cargo.toml; then
   echo "ERROR: pmem-sim / workloads must not depend on obs (see above)" >&2
@@ -81,8 +81,8 @@ if grep -rnE 'attach_sampler|SampleRing|merge_samplers|TraceTotals' crates src t
   exit 1
 fi
 BINS=$(ls crates/bench/src/bin/*.rs | wc -l)
-if [ "$BINS" -ne 28 ]; then
-  echo "ERROR: crates/bench/src/bin holds $BINS binaries, expected 28" >&2
+if [ "$BINS" -ne 27 ]; then
+  echo "ERROR: crates/bench/src/bin holds $BINS binaries, expected 27" >&2
   exit 1
 fi
 
@@ -228,7 +228,7 @@ echo "=== shard seam check ==="
 # file's first `#[cfg(test)]`; engine_tests.rs is all test) means a heap
 # is formatted and a `Ptm` built beside `PtmDb::on_machine`. Examples and
 # `recovery_bench`'s crafted image keep the raw API on purpose. The
-# `PtmConfig` field count and the 28 bench binaries are held above.
+# `PtmConfig` field count and the 27 bench binaries are held above.
 if grep -rnE 'MachineSet|freeze_all|thaw_all' crates src tests examples; then
   echo "ERROR: a machine list beside ShardedEngine's Vec<PtmDb> grew back (see above)" >&2
   exit 1
@@ -397,20 +397,23 @@ echo "=== cross-shard 2PC crash sweep smoke (transfer workload) ==="
 cargo run -q --release -p bench --bin crash_sites -- --workload transfer --shards 2 --max-sites 4 > /dev/null
 
 echo "=== restart seam check ==="
-# Restart is one serial pipeline on the calling thread: log repair in
-# pool order, then PHeap::attach's header hop, bitmap mark worklist and
-# address-order sweep (DESIGN.md §5 decision 12). A thread, a
-# condition variable or an atomic flag in non-test palloc code or in
-# ptm's db.rs / recovery.rs (everything above a file's first
-# `#[cfg(test)]`), a read of the inert `RecoverOptions::workers` field,
-# or a name of the deleted parallel path or online attach means a
-# worker-parallel restart or a background GC grew back beside it.
-THREADS=$(for f in crates/palloc/src/*.rs crates/ptm/src/db.rs crates/ptm/src/recovery.rs; do
+# Restart is one serial pipeline on the calling thread: machine by
+# machine in shard order, log repair in pool order, then PHeap::attach's
+# header hop, bitmap mark worklist and address-order sweep (DESIGN.md §5
+# decision 12). A thread, a condition variable or an atomic flag in
+# non-test palloc code or in ptm's db.rs / recovery.rs / shard.rs
+# (everything above a file's first `#[cfg(test)]`), a read of the inert
+# `RecoverOptions::workers` field, or a name of the deleted parallel
+# path, online attach or recovery trace vocabulary means a
+# worker-parallel or per-shard-threaded restart, a background GC or a
+# restart tracer grew back beside it.
+THREADS=$(for f in crates/palloc/src/*.rs crates/ptm/src/db.rs crates/ptm/src/recovery.rs \
+    crates/ptm/src/shard.rs; do
   awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
       /thread::scope|thread::spawn|Condvar|AtomicBool/ { print f ":" FNR ": " $0 }' "$f"
 done)
 if [ -n "$THREADS" ]; then
-  echo "ERROR: thread, condvar or atomic flag in restart's log repair / heap attach / GC:" >&2
+  echo "ERROR: thread, condvar or atomic flag in restart's shard loop / log repair / heap attach / GC:" >&2
   echo "$THREADS" >&2
   exit 1
 fi
@@ -424,6 +427,11 @@ if grep -rnE 'attach_with|recovery_worker_tid|gc_workers|recovery_workers' crate
 fi
 if grep -rnwE 'attach_online|OnlineGc|GcGate|wait_gc' crates src tests examples; then
   echo "ERROR: a name of the deleted online restart GC grew back (see above)" >&2
+  exit 1
+fi
+if grep -rnE 'RECOVERY_TID|is_recovery_tid|RecoveryBegin|RecoveryApply|RecoveryEnd|RecoveryLog|GcPhase' \
+    crates src tests examples; then
+  echo "ERROR: a name of the deleted recovery trace vocabulary grew back (see above)" >&2
   exit 1
 fi
 # The GC marks through its start / mark bitmaps and validate streams the

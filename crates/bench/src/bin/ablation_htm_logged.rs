@@ -13,9 +13,6 @@
 //! begin/commit overhead. Under high contention footprint conflicts
 //! abort sections and the software fallback absorbs the work, so no
 //! claim is asserted there.
-//!
-//! If the simulated machine has HTM disabled the comparison is
-//! meaningless; the binary prints a skip note and exits 0.
 
 use bench::{emit_point, HarnessOpts};
 use pmem_sim::{DurabilityDomain, MediaKind};

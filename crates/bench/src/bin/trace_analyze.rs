@@ -11,7 +11,9 @@
 //! * **`--file <dump>`**: load a binary dump written by
 //!   `phase_profile --trace` (or any harness run), cross-check against
 //!   the counter totals embedded in the dump, and structurally validate
-//!   the sibling `<dump>.json` Chrome trace if present.
+//!   the sibling `<dump>.json` Chrome trace if present. A dump that does
+//!   not read (truncated, bad magic, an unassigned event code) exits
+//!   nonzero with the reader's message.
 //!
 //! Both modes then report the orec abort-attribution heatmap (top-10
 //! contended orecs with per-cause breakdown), the WPQ occupancy timeline
@@ -142,9 +144,10 @@ fn analyze_self_run(o: &Opts) -> Analysis {
     }
 }
 
-fn analyze_file(path: &str) -> Analysis {
-    let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    let dump = read_binary(&bytes).unwrap_or_else(|e| panic!("parsing {path}: {e}"));
+/// A dump that cannot be read or parsed is an `Err` naming the file.
+fn analyze_file(path: &str) -> Result<Analysis, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let dump = read_binary(&bytes).map_err(|e| format!("parsing {path}: {e}"))?;
     let derived = GaugeSet::of_run(&dump.threads);
     let dropped = dump.dropped_events();
     let divergences = if dropped == 0 {
@@ -156,7 +159,7 @@ fn analyze_file(path: &str) -> Analysis {
     let json_check = std::fs::read_to_string(&sibling)
         .ok()
         .map(|s| check_structure(&s));
-    Analysis {
+    Ok(Analysis {
         mode: format!("file {path}"),
         threads: dump.threads,
         dropped,
@@ -164,7 +167,7 @@ fn analyze_file(path: &str) -> Analysis {
         expected: dump.expected,
         divergences,
         json_check,
-    }
+    })
 }
 
 fn print_text(a: &Analysis, heat: &[trace::analyze::OrecAborts], wpq: &WpqTimeline) {
@@ -347,7 +350,13 @@ fn print_json(a: &Analysis, heat: &[trace::analyze::OrecAborts], wpq: &WpqTimeli
 fn main() -> ExitCode {
     let o = parse_args();
     let a = match &o.file {
-        Some(path) => analyze_file(path),
+        Some(path) => match analyze_file(path) {
+            Ok(a) => a,
+            Err(e) => {
+                eprintln!("trace_analyze: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
         None => analyze_self_run(&o),
     };
     let merged = trace::merge_threads(&a.threads);

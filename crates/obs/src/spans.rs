@@ -123,18 +123,15 @@ fn segment_comp(kind: EventKind) -> Comp {
 }
 
 /// Reconstruct committed-operation spans from per-thread traces.
-/// Recovery-band threads are skipped; events outside any transaction
-/// (setup flushes, recovery) are ignored. Returns the spans plus the
-/// total events dropped by the source rings — when nonzero the spans
-/// are a suffix of the run (rings overwrite oldest) and tail statistics
-/// remain valid, but totals are lower bounds.
+/// Events outside any transaction (setup flushes) are ignored, except a
+/// `QueueWait`, which is charged to the span its next `TxBegin` opens.
+/// Returns the spans plus the total events dropped by the source rings —
+/// when nonzero the spans are a suffix of the run (rings overwrite
+/// oldest) and tail statistics remain valid, but totals are lower bounds.
 pub fn reconstruct(threads: &[ThreadTrace]) -> (Vec<OpSpan>, u64) {
     let mut spans = Vec::new();
     let mut dropped = 0;
     for t in threads {
-        if trace::is_recovery_tid(t.tid) {
-            continue;
-        }
         dropped += t.dropped;
         let mut cur: Option<OpSpan> = None;
         // (bucket, remaining ns) of a wait event whose interval covers

@@ -91,9 +91,9 @@ pub struct GcReport {
 impl GcReport {
     /// Fold another shard's (or phase's) report into this one. Counters
     /// add saturating (a merged report must never wrap into nonsense —
-    /// mirror of the `delta_since` fix); wall-clock phase times take the
-    /// max, since per-shard GCs run concurrently and the restart clock
-    /// is the slowest shard.
+    /// mirror of the `delta_since` fix); wall-clock phase times add too,
+    /// since per-shard GCs run one after another on the restarting
+    /// thread.
     pub fn merge(&mut self, other: &GcReport) {
         self.blocks_scanned = self.blocks_scanned.saturating_add(other.blocks_scanned);
         self.live_blocks = self.live_blocks.saturating_add(other.live_blocks);
@@ -101,9 +101,9 @@ impl GcReport {
         self.leaked_blocks = self.leaked_blocks.saturating_add(other.leaked_blocks);
         self.reclaimed_words = self.reclaimed_words.saturating_add(other.reclaimed_words);
         self.corrupt_headers = self.corrupt_headers.saturating_add(other.corrupt_headers);
-        self.gc_scan_ns = self.gc_scan_ns.max(other.gc_scan_ns);
-        self.gc_mark_ns = self.gc_mark_ns.max(other.gc_mark_ns);
-        self.gc_sweep_ns = self.gc_sweep_ns.max(other.gc_sweep_ns);
+        self.gc_scan_ns = self.gc_scan_ns.saturating_add(other.gc_scan_ns);
+        self.gc_mark_ns = self.gc_mark_ns.saturating_add(other.gc_mark_ns);
+        self.gc_sweep_ns = self.gc_sweep_ns.saturating_add(other.gc_sweep_ns);
     }
 }
 

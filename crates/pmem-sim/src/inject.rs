@@ -1,8 +1,8 @@
 //! Deterministic crash-site injection.
 //!
 //! Randomized crash testing (freeze at an arbitrary real-time point, as
-//! `crash_fuzz` does) samples the space of failure points; it cannot
-//! *enumerate* it. This module adds the missing systematic tool, in the
+//! `tests/crash_bank.rs` does) samples the space of failure points; it
+//! cannot *enumerate* it. This module adds the missing systematic tool, in the
 //! spirit of pmemcheck-style crash-point injection: every
 //! persistence-relevant event in a run — timed store, `clwb`, `sfence`,
 //! dirty-line eviction, WPQ acceptance, recovery persist — is a numbered

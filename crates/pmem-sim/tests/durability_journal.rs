@@ -123,13 +123,14 @@ fn deferring_the_fold_changes_no_image() {
     }
 }
 
-/// `crash_fuzz`'s shape: four threads commit lines of their own — every
-/// word of a line set to the thread's next value, `clwb`, and one `sfence`
-/// per batch of eight lines — while this thread captures, until both
-/// have done plenty. It must finish within the timeout, and each all-old
-/// capture must be a cut: a line holds one value in all its words (a
-/// snapshot is whole; the run evicts nothing, so no line is persisted
-/// half-written), and never less than an earlier capture held.
+/// A racing crash round's shape: four threads commit lines of their
+/// own — every word of a line set to the thread's next value, `clwb`,
+/// and one `sfence` per batch of eight lines — while this thread
+/// captures, until both have done plenty. It must finish within the
+/// timeout, and each all-old capture must be a cut: a line holds one
+/// value in all its words (a snapshot is whole; the run evicts nothing,
+/// so no line is persisted half-written), and never less than an
+/// earlier capture held.
 #[test]
 fn captures_race_four_committing_threads_without_deadlock() {
     const THREADS: usize = 4;

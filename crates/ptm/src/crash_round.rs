@@ -1,8 +1,8 @@
 //! The sampled crash round: concurrent bank transfers frozen mid-flight
 //! by a power failure, restarted, and summed. Where
 //! [`crate::crash_harness`] *enumerates* the crash sites of a
-//! deterministic run, this samples the crash space of a racing one; the
-//! `crash_fuzz` soak and `tests/crash_bank.rs` both run it.
+//! deterministic run, this samples the crash space of a racing one;
+//! `tests/crash_bank.rs` runs it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;

@@ -61,13 +61,15 @@ pub struct ReopenReports {
 impl ReopenReports {
     /// Fold another engine's reopen reports into this one (shard
     /// aggregation). Counts add saturating via the underlying reports'
-    /// `merge`; the wall-clock fields take the maximum — shards restart
-    /// concurrently, so the slowest shard *is* the restart latency.
+    /// `merge`; the wall-clock fields add too — shards restart one after
+    /// another on the calling thread, so the restart latency is the sum.
     pub fn merge(&mut self, other: &ReopenReports) {
         self.recovery.merge(&other.recovery);
         self.gc.merge(&other.gc);
-        self.time_to_first_txn_ns = self.time_to_first_txn_ns.max(other.time_to_first_txn_ns);
-        self.full_restart_ns = self.full_restart_ns.max(other.full_restart_ns);
+        self.time_to_first_txn_ns = self
+            .time_to_first_txn_ns
+            .saturating_add(other.time_to_first_txn_ns);
+        self.full_restart_ns = self.full_restart_ns.saturating_add(other.full_restart_ns);
     }
 }
 
@@ -329,9 +331,9 @@ mod tests {
 
     /// Pin the aggregation rules: counts sum (saturating — a corrupt or
     /// overflowing shard counter must never wrap the fleet total), the
-    /// wall-clock fields take the max (shards restart concurrently).
+    /// wall-clock fields add too (shards restart one after another).
     #[test]
-    fn reopen_reports_merge_sums_counts_and_maxes_times() {
+    fn reopen_reports_merge_sums_counts_and_times() {
         let mut a = ReopenReports::default();
         a.recovery.logs_scanned = usize::MAX;
         a.recovery.redo_entries = 3;
@@ -355,8 +357,8 @@ mod tests {
         assert_eq!(m.recovery.redo_entries, 7);
         assert_eq!(m.recovery.malformed, b.recovery.malformed);
         assert_eq!(m.gc.blocks_scanned, 12);
-        assert_eq!(m.time_to_first_txn_ns, 30, "overlapping restarts: max");
-        assert_eq!(m.full_restart_ns, 50, "slowest shard is the restart");
+        assert_eq!(m.time_to_first_txn_ns, 40, "serial restarts: sum");
+        assert_eq!(m.full_restart_ns, 90, "serial restarts: sum");
     }
 
     /// The façade's restart timing is nonzero, and the first transaction

@@ -140,9 +140,8 @@ pub struct RecoveryReport {
 impl RecoveryReport {
     /// Fold `other` (another shard's pass) into `self`. Counts add
     /// saturating (mirrors the `ReopenReports` aggregation rules);
-    /// diagnostics concatenate in call order; the timing field takes
-    /// the maximum, since shards restart concurrently and their passes
-    /// overlap in wall-clock time rather than summing.
+    /// diagnostics concatenate in call order; the timing field adds,
+    /// since shards restart one after another on one thread.
     pub fn merge(&mut self, other: &RecoveryReport) {
         self.logs_scanned = self.logs_scanned.saturating_add(other.logs_scanned);
         self.redo_replayed = self.redo_replayed.saturating_add(other.redo_replayed);
@@ -162,7 +161,7 @@ impl RecoveryReport {
             .indoubt_resolved_abort
             .saturating_add(other.indoubt_resolved_abort);
         self.malformed.extend(other.malformed.iter().cloned());
-        self.recovery_ns = self.recovery_ns.max(other.recovery_ns);
+        self.recovery_ns = self.recovery_ns.saturating_add(other.recovery_ns);
     }
 
     /// The report with its wall-clock timing zeroed: what must be

@@ -20,8 +20,9 @@
 //!
 //! Crash behaviour composes per shard: [`ShardedEngine::crash_all`]
 //! yields one media image per shard, and [`ShardedEngine::reopen`] runs
-//! log recovery and allocator GC on every shard independently — then a
-//! single cross-shard outcome-resolution pass
+//! log recovery and allocator GC on every shard independently, one shard
+//! after another on the calling thread — then a single cross-shard
+//! outcome-resolution pass
 //! ([`crate::recovery::resolve_in_doubt`]) decides every in-doubt 2PC
 //! participant from the durable coordinator records.
 
@@ -44,32 +45,25 @@ pub(crate) fn shard_heap_name(shard: usize) -> String {
     format!("shard-heap-{shard}")
 }
 
-/// Restart a set of machines, machine `i` from `images[i]` with its heap
-/// in pool `heap_pools[i]`: every machine goes through [`restart`] on its
-/// own thread (machines never read each other's pools, so restarts
-/// commute and the result is that of the serial order), then one
-/// cross-machine [`resolve_in_doubt`] pass decides each PREPARED log from
-/// the durable coordinator records, in fixed machine order, and folds
-/// its counts into the owning machine's recovery report. The first `Err`
-/// in machine order wins; a panicking restart thread re-raises here.
+/// Restart a set of machines on the calling thread, machine `i` from
+/// `images[i]` with its heap in pool `heap_pools[i]`, in machine order:
+/// every machine goes through [`restart`] (machines never read each
+/// other's pools, so restarts commute and the order does not matter),
+/// then one cross-machine [`resolve_in_doubt`] pass decides each PREPARED
+/// log from the durable coordinator records, in fixed machine order, and
+/// folds its counts into the owning machine's recovery report. The first
+/// `Err` in machine order wins.
 pub(crate) fn restart_all(
     images: &[CrashImage],
     heap_pools: &[String],
     machine_cfg: &MachineConfig,
     opts: RecoverOptions,
 ) -> Result<Vec<Restarted>, String> {
-    let results: Vec<_> = std::thread::scope(|s| {
-        let handles: Vec<_> = images
-            .iter()
-            .zip(heap_pools)
-            .map(|(image, pool)| s.spawn(move || restart(image, pool, machine_cfg.clone(), opts)))
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-    let mut restarted = Vec::with_capacity(images.len());
-    for res in results {
-        restarted.push(res.unwrap_or_else(|payload| std::panic::resume_unwind(payload))?);
-    }
+    let mut restarted = images
+        .iter()
+        .zip(heap_pools)
+        .map(|(image, pool)| restart(image, pool, machine_cfg.clone(), opts))
+        .collect::<Result<Vec<_>, _>>()?;
     let resolution = resolve_in_doubt(&machines_of(&restarted));
     for (r, res) in restarted.iter_mut().zip(resolution) {
         r.reports.recovery.merge(&res);
@@ -235,11 +229,11 @@ impl ShardedEngine {
     /// (redo replay / undo rollback from that shard's log arena alone)
     /// followed by per-shard heap attach + GC, then one in-doubt
     /// resolution pass over all of them ([`restart_all`]). Shard `i`
-    /// recovers from `images[i]`; the shards restart *concurrently* (one
-    /// restart thread per shard), which is observationally identical to
-    /// restarting them in order — recovery on one shard never reads
-    /// another shard's pools, so shard restarts commute — and the
-    /// returned reports stay in shard order.
+    /// recovers from `images[i]`; the shards restart one after another
+    /// on the calling thread, in shard order (recovery on one shard never
+    /// reads another shard's pools, so shard restarts commute and the
+    /// order is immaterial), and the returned reports stay in shard
+    /// order.
     pub fn reopen(
         images: &[CrashImage],
         machine_cfg: MachineConfig,
@@ -520,12 +514,12 @@ mod tests {
         }
     }
 
-    /// Concurrent shard restart is deterministic — two reopens of the
-    /// same images agree report for report and word for word — and
-    /// folding the per-shard reports with `ReopenReports::merge` equals
-    /// the field-wise sum (counts) / max (wall-clock).
+    /// Shard restart is deterministic — two reopens of the same images
+    /// agree report for report and word for word — and folding the
+    /// per-shard reports with `ReopenReports::merge` equals the
+    /// field-wise sum, counts and wall-clock alike.
     #[test]
-    fn concurrent_reopen_is_deterministic_and_merge_equals_sum() {
+    fn reopen_is_deterministic_and_merge_equals_sum() {
         let e = engine(3);
         e.begin_run_all(1, u64::MAX);
         for shard in 0..3 {
@@ -583,7 +577,7 @@ mod tests {
         );
         assert_eq!(
             merged.full_restart_ns,
-            reports.iter().map(|r| r.full_restart_ns).max().unwrap()
+            reports.iter().map(|r| r.full_restart_ns).sum::<u64>()
         );
         assert_eq!(merged.time_to_first_txn_ns, merged.full_restart_ns);
     }

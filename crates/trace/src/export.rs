@@ -311,11 +311,7 @@ pub fn chrome_trace_json(threads: &[ThreadTrace]) -> String {
     w.key("traceEvents").begin_array();
     for t in &threads {
         let tid = u64::from(t.tid);
-        let name = if t.tid == crate::RECOVERY_TID {
-            "recovery".to_string()
-        } else {
-            format!("vthread {}", t.tid)
-        };
+        let name = format!("vthread {}", t.tid);
         w.begin_object();
         w.key("name").str("thread_name");
         w.key("ph").str("M");
@@ -452,6 +448,41 @@ mod tests {
         // Magic, block size, both counts and the kind bytes are checked
         // structure; payload words are free to take any value.
         assert!(rejected > (8 + 4 + 4 + 8) * 8 && rejected < record_end * 8);
+    }
+
+    /// Codes 14–16, 18 and 19 were recovery and restart-GC events that
+    /// nothing records; a dump holding one is not a dump this format
+    /// reads. Laid out by hand: magic, counter block, one thread
+    /// (`tid:u32 dropped:u64 count:u64`) with a `TxBegin` and then the
+    /// retired code (`ts:u64 kind:u8 a:u64 b:u64`), all little-endian.
+    #[test]
+    fn a_dump_holding_a_retired_kind_code_is_an_err() {
+        for code in [14u8, 15, 16, 18, 19] {
+            let mut buf = BINARY_MAGIC.to_vec();
+            put_u32(&mut buf, TOTALS.len() as u32);
+            for _ in 0..TOTALS.len() {
+                put_u64(&mut buf, 0);
+            }
+            put_u32(&mut buf, 1);
+            put_u32(&mut buf, 0);
+            put_u64(&mut buf, 0);
+            put_u64(&mut buf, 2);
+            for (ts, kind) in [(100, EventKind::TxBegin as u8), (150, code)] {
+                put_u64(&mut buf, ts);
+                buf.push(kind);
+                put_u64(&mut buf, 7);
+                put_u64(&mut buf, 9);
+            }
+            let err = read_binary(&buf).expect_err("a retired code must not read");
+            assert!(
+                err.contains(&format!("bad kind code {code}")),
+                "code {code}: {err}"
+            );
+            // The same layout with a live code in that slot reads.
+            let live = buf.len() - EVENT_BYTES + 8;
+            buf[live] = EventKind::TxCommit as u8;
+            assert!(read_binary(&buf).is_ok(), "code {code}: layout");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::{AbortCause, EventKind, HtmAbortCause, ThreadTrace};
 pub struct GaugeSet {
     /// Committed transactions (software + hardware paths).
     pub commits: u64,
-    /// Hardware-path commits (plain HTM or `HtmLogged`).
+    /// Hardware-path commits (`HtmLogged`, the one hardware path).
     pub htm_commits: u64,
     /// Hardware commits that went through the `HtmLogged` aliased
     /// back-end-logging path (`TxCommit` with `b == 2`; also counted in
@@ -96,10 +96,8 @@ impl GaugeSet {
             EventKind::TxCommit => {
                 self.commits += 1;
                 self.log_entries += a;
-                if b == 1 || b == 2 {
-                    self.htm_commits += 1;
-                }
                 if b == 2 {
+                    self.htm_commits += 1;
                     self.htm_logged_commits += 1;
                 }
                 if b == 3 {
@@ -151,7 +149,7 @@ impl GaugeSet {
                 self.queue_waits += 1;
                 self.queue_wait_ns += a;
             }
-            // Begin/acquire/validate and recovery events carry no gauge.
+            // Begin/acquire/validate events carry no gauge.
             _ => {}
         }
     }
@@ -233,14 +231,17 @@ mod tests {
     #[test]
     fn payload_words_select_the_commit_and_writeback_subsets() {
         let mut g = GaugeSet::default();
-        for b in 0..4 {
+        // Software, hardware and cross-shard commits.
+        for b in [0, 2, 3] {
             g.apply(EventKind::TxCommit, 2, b);
+        }
+        for b in 0..2 {
             g.apply(EventKind::Clwb, 9, b);
         }
-        assert_eq!((g.commits, g.log_entries), (4, 8));
-        assert_eq!((g.htm_commits, g.htm_logged_commits), (2, 1));
+        assert_eq!((g.commits, g.log_entries), (3, 6));
+        assert_eq!((g.htm_commits, g.htm_logged_commits), (1, 1));
         assert_eq!(g.twopc_commits, 1);
-        assert_eq!((g.clwbs, g.clwb_writebacks), (4, 1));
+        assert_eq!((g.clwbs, g.clwb_writebacks), (2, 1));
         let mut sum = g;
         sum.merge(&g);
         assert_eq!((sum.htm_logged_commits, sum.clwb_writebacks), (2, 2));

@@ -70,8 +70,9 @@ pub enum EventKind {
     /// entries, `b` = commit timestamp.
     TxValidate = 4,
     /// Transaction committed. `a` = write-set size in log entries,
-    /// `b` = 0 for software commits, 1 for plain hardware-path commits,
-    /// 2 for `HtmLogged` hardware commits (aliased back-end logging).
+    /// `b` = 0 for software commits, 2 for `HtmLogged` hardware commits
+    /// (aliased back-end logging), 3 for commits through the cross-shard
+    /// handle.
     TxCommit = 5,
     /// Transaction attempt aborted. `a` = [`AbortCause`] code,
     /// `b` = the orec that caused it (0 when not orec-attributable).
@@ -99,16 +100,6 @@ pub enum EventKind {
     /// synchronously. `a` = stall ns, `b` = backlog ns at issue.
     /// Timestamped at stall start, so `[ts, ts+a]` is the stall interval.
     WpqStall = 13,
-    /// Recovery pass started. `a` = candidate pools to scan. Like the
-    /// other three `Recovery*` kinds, no longer recorded (a restarted
-    /// machine has no tracer; what recovery did is in its
-    /// `RecoveryReport`); the codes stay so old dumps still parse.
-    RecoveryBegin = 14,
-    /// Recovery persisted one word. `a` = address bits, `b` = value.
-    RecoveryApply = 15,
-    /// Recovery pass finished. `a` = redo logs replayed, `b` = undo logs
-    /// rolled back.
-    RecoveryEnd = 16,
     /// A committing transaction joined an already-completed group-commit
     /// fence instead of executing its own `sfence`. `a` = virtual ns
     /// waited for the covering fence (0 when it already lay in the
@@ -116,17 +107,6 @@ pub enum EventKind {
     /// from [`EventKind::Sfence`] so the analyzer's trace-vs-counter
     /// cross-check of `sfences`/`fence_wait_ns` stays exact.
     FenceJoin = 17,
-    /// Recovery dispatched one discovered log to its policy's
-    /// `recover_apply`. `a` = the log's primary pool id, `b` = 0 (the
-    /// index of the recovery worker that replayed it, in dumps written
-    /// while a worker-parallel recovery existed).
-    RecoveryLog = 18,
-    /// One restart-GC phase completed. `a` = phase code (0 = scan,
-    /// 1 = mark, 2 = sweep), `b` = wall-clock duration in ns. Recovery
-    /// events are untimed (`ts` 0); the duration rides in `b`. No longer
-    /// recorded (a restarted machine has no tracer; the phase times are
-    /// in `ReopenReports.gc`); the code stays so old dumps still parse.
-    GcPhase = 19,
     /// The simulated hardware section retired (HTM commit succeeded).
     /// Everything between the attempt's [`EventKind::TxBegin`] and this
     /// event executed *inside* the section, so no [`EventKind::Clwb`] or
@@ -147,9 +127,11 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    pub const COUNT: usize = 23;
+    pub const COUNT: usize = 18;
 
-    /// All kinds, in code order.
+    /// All kinds, in code order. Codes 14–16, 18 and 19 belonged to
+    /// recovery and restart-GC events nothing records; they stay
+    /// unassigned, so a dump holding one fails to read.
     pub const ALL: [EventKind; EventKind::COUNT] = [
         EventKind::TxBegin,
         EventKind::TxRead,
@@ -165,12 +147,7 @@ impl EventKind {
         EventKind::Sfence,
         EventKind::WpqAccept,
         EventKind::WpqStall,
-        EventKind::RecoveryBegin,
-        EventKind::RecoveryApply,
-        EventKind::RecoveryEnd,
         EventKind::FenceJoin,
-        EventKind::RecoveryLog,
-        EventKind::GcPhase,
         EventKind::HtmRetire,
         EventKind::Backoff,
         EventKind::QueueWait,
@@ -193,21 +170,16 @@ impl EventKind {
             EventKind::Sfence => "sfence",
             EventKind::WpqAccept => "wpq_accept",
             EventKind::WpqStall => "wpq_stall",
-            EventKind::RecoveryBegin => "recovery_begin",
-            EventKind::RecoveryApply => "recovery_apply",
-            EventKind::RecoveryEnd => "recovery_end",
             EventKind::FenceJoin => "fence_join",
-            EventKind::RecoveryLog => "recovery_log",
-            EventKind::GcPhase => "gc_phase",
             EventKind::HtmRetire => "htm_retire",
             EventKind::Backoff => "backoff",
             EventKind::QueueWait => "queue_wait",
         }
     }
 
-    /// Decode a wire code.
+    /// Decode a wire code (`None` for an unassigned one).
     pub fn from_code(code: u8) -> Option<EventKind> {
-        EventKind::ALL.get(code as usize).copied()
+        EventKind::ALL.into_iter().find(|&k| k as u8 == code)
     }
 }
 
@@ -399,24 +371,6 @@ pub struct MergedEvent {
     pub b: u64,
 }
 
-/// The reserved thread id used for machine-level (sessionless) events —
-/// recovery runs outside any timed session.
-pub const RECOVERY_TID: u32 = u32::MAX;
-
-/// Width of the reserved recovery-tid band. Recovery used to submit
-/// under [`RECOVERY_TID`], and the removed worker-parallel recovery
-/// under the rest of the band (worker `w` under `RECOVERY_TID - 1 - w`).
-/// Nothing in the tree records under it now, but it stays reserved —
-/// exempt from shard tagging — so `PTMTRC01` dumps from then still read.
-pub const RECOVERY_TID_BAND: u32 = 64;
-
-/// Whether `tid` lies in the reserved recovery band (the machine-level
-/// recovery stream, or a recovery worker's in an old dump).
-#[inline]
-pub fn is_recovery_tid(tid: u32) -> bool {
-    tid >= RECOVERY_TID - RECOVERY_TID_BAND
-}
-
 /// Shard attribution: a sink created with [`TraceSink::new_for_shard`]
 /// packs its shard index into the high bits of every submitted thread
 /// id, so a merged multi-shard timeline keeps per-shard attribution
@@ -426,21 +380,13 @@ pub const SHARD_SHIFT: u32 = 20;
 /// The shard a (possibly tagged) thread id belongs to.
 #[inline]
 pub fn shard_of_tid(tid: u32) -> u32 {
-    if is_recovery_tid(tid) {
-        0
-    } else {
-        tid >> SHARD_SHIFT
-    }
+    tid >> SHARD_SHIFT
 }
 
 /// The within-shard thread id of a (possibly tagged) thread id.
 #[inline]
 pub fn local_tid(tid: u32) -> u32 {
-    if is_recovery_tid(tid) {
-        tid
-    } else {
-        tid & ((1 << SHARD_SHIFT) - 1)
-    }
+    tid & ((1 << SHARD_SHIFT) - 1)
 }
 
 /// Collects per-thread rings and merges them by virtual timestamp.
@@ -465,8 +411,14 @@ impl TraceSink {
 
     /// A sink for shard `shard` of a sharded engine: submitted thread
     /// ids are tagged with the shard index (see [`SHARD_SHIFT`]).
+    /// Panics unless the index fits the tag's `32 - SHARD_SHIFT` bits:
+    /// a wider one would tag as a smaller shard.
     pub fn new_for_shard(ring_capacity: usize, shard: u32) -> Arc<TraceSink> {
-        debug_assert!(shard < (RECOVERY_TID >> SHARD_SHIFT));
+        assert!(
+            shard < 1 << (32 - SHARD_SHIFT),
+            "shard {shard} does not fit a trace thread-id tag (at most {} shards)",
+            1u32 << (32 - SHARD_SHIFT)
+        );
         Arc::new(TraceSink {
             ring_capacity: ring_capacity.max(1),
             shard_tag: shard << SHARD_SHIFT,
@@ -489,19 +441,14 @@ impl TraceSink {
         TraceRing::new(self.ring_capacity)
     }
 
-    /// Submit a finished thread's ring. Called once per thread at session
-    /// teardown (or explicitly for machine-level event streams).
+    /// Submit a finished thread's ring, its id tagged with the sink's
+    /// shard. Called once per thread at session teardown.
     pub fn submit(&self, tid: u32, ring: &TraceRing) {
         if ring.recorded() == 0 {
             return;
         }
-        let tid = if is_recovery_tid(tid) {
-            tid
-        } else {
-            tid | self.shard_tag
-        };
         self.threads.lock().unwrap().push(ThreadTrace {
-            tid,
+            tid: tid | self.shard_tag,
             events: ring.ordered(),
             dropped: ring.dropped(),
         });
@@ -672,24 +619,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_sinks_tag_thread_ids_except_the_recovery_band() {
+    fn shard_sinks_tag_thread_ids() {
         let sink = TraceSink::new_for_shard(4, 2);
         assert_eq!(sink.shard(), 2);
         let mut r = sink.ring();
         r.record(1, EventKind::Clwb, 0, 0);
         sink.submit(1, &r);
-        // What recovery worker 3 submitted under while a worker-parallel
-        // recovery existed; such dumps must keep reading.
-        let old_worker_tid = RECOVERY_TID - 4;
-        sink.submit(old_worker_tid, &r);
-        sink.submit(RECOVERY_TID, &r);
+        sink.submit(5, &r);
         let tids: Vec<u32> = sink.threads().iter().map(|t| t.tid).collect();
-        assert_eq!(tids, [(2 << SHARD_SHIFT) | 1, old_worker_tid, RECOVERY_TID]);
+        assert_eq!(tids, [(2 << SHARD_SHIFT) | 1, (2 << SHARD_SHIFT) | 5]);
         assert_eq!((shard_of_tid(tids[0]), local_tid(tids[0])), (2, 1));
-        for &tid in &tids[1..] {
-            assert!(is_recovery_tid(tid));
-            assert_eq!((shard_of_tid(tid), local_tid(tid)), (0, tid));
-        }
+        assert_eq!((shard_of_tid(tids[1]), local_tid(tids[1])), (2, 5));
         // Unsharded sinks leave ids untouched.
         let plain = TraceSink::new(4);
         plain.submit(1, &r);
@@ -697,12 +637,35 @@ mod tests {
     }
 
     #[test]
+    fn highest_shard_the_tag_holds_is_accepted() {
+        let last = (1 << (32 - SHARD_SHIFT)) - 1;
+        assert_eq!(last, 4095);
+        let sink = TraceSink::new_for_shard(4, last);
+        assert_eq!(sink.shard(), last);
+        let mut r = sink.ring();
+        r.record(1, EventKind::Clwb, 0, 0);
+        sink.submit(3, &r);
+        let tid = sink.threads()[0].tid;
+        assert_eq!((shard_of_tid(tid), local_tid(tid)), (last, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 4096 does not fit")]
+    fn a_shard_past_the_tag_panics() {
+        TraceSink::new_for_shard(4, 1 << (32 - SHARD_SHIFT));
+    }
+
+    #[test]
     fn kind_codes_roundtrip() {
-        for (i, k) in EventKind::ALL.iter().enumerate() {
-            assert_eq!(EventKind::from_code(i as u8), Some(*k));
-            assert_eq!(*k as u8, i as u8);
+        for k in EventKind::ALL {
+            assert_eq!(EventKind::from_code(k as u8), Some(k));
         }
-        assert_eq!(EventKind::from_code(EventKind::COUNT as u8), None);
+        for code in [14, 15, 16, 18, 19, 23] {
+            assert_eq!(EventKind::from_code(code), None, "code {code}");
+        }
+        assert!(EventKind::ALL
+            .windows(2)
+            .all(|w| (w[0] as u8) < (w[1] as u8)));
         for (i, c) in AbortCause::ALL.iter().enumerate() {
             assert_eq!(AbortCause::from_code(i as u64), Some(*c));
         }

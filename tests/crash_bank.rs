@@ -14,18 +14,22 @@ use optane_ptm::ptm::{Algo, PtmConfig};
 /// One frozen round under `cfg`; the root pointer must survive and the
 /// money must be conserved.
 fn conserved(cfg: PtmConfig, domain: DurabilityDomain, seed: u64) -> FrozenRound {
-    let round = frozen_bank_round(
-        cfg,
-        domain,
-        AdversaryPolicy::default(),
-        seed,
-        Duration::from_millis(25),
-    );
+    conserved_under(cfg, domain, AdversaryPolicy::default(), seed)
+}
+
+/// [`conserved`] with the power failure's adversary `policy`.
+fn conserved_under(
+    cfg: PtmConfig,
+    domain: DurabilityDomain,
+    policy: AdversaryPolicy,
+    seed: u64,
+) -> FrozenRound {
+    let round = frozen_bank_round(cfg, domain, policy, seed, Duration::from_millis(25));
     assert_eq!(round.root, round.table, "root pointer must survive");
     assert_eq!(
         round.total,
         FROZEN_ACCOUNTS * FROZEN_INITIAL,
-        "{domain:?} seed {seed}"
+        "{domain:?} {policy} seed {seed}"
     );
     round
 }
@@ -111,4 +115,20 @@ fn money_conserved_htm_pdram() {
 #[test]
 fn money_conserved_htm_pdram_lite() {
     conserved_htm_flush_free(DurabilityDomain::PdramLite);
+}
+
+/// Extreme images (all-old, all-new) and whole-line drains catch
+/// recovery bugs that fair per-word coin flips miss: every logging
+/// algorithm under ADR, one round per adversary policy.
+#[test]
+fn money_conserved_under_every_adversary_policy() {
+    for algo in [Algo::RedoLazy, Algo::UndoEager, Algo::CowShadow] {
+        let cfg = PtmConfig {
+            algo,
+            ..PtmConfig::default()
+        };
+        for (seed, policy) in AdversaryPolicy::SWEEP.into_iter().enumerate() {
+            conserved_under(cfg.clone(), DurabilityDomain::Adr, policy, seed as u64);
+        }
+    }
 }

@@ -1,10 +1,12 @@
-//! README.md's "JSON report schema" counter table is checked against
-//! the tables the reports are generated from: a counter added, renamed,
-//! reordered or re-gated without its README row fails here.
+//! README.md's "JSON report schema" counter table and its flight
+//! recorder event table are checked against the tables they document: a
+//! counter or event kind added, renamed, reordered, re-gated or retired
+//! without its README row fails here.
 
 use optane_ptm::pmem_sim::StatsSnapshot;
 use optane_ptm::ptm::PtmStatsSnapshot;
 use optane_ptm::trace::counters::{Emit, Field, Kind};
+use optane_ptm::trace::EventKind;
 
 fn declared(block: &str, fields: &[Field]) -> Vec<String> {
     let row = |f: &Field| {
@@ -38,5 +40,20 @@ fn readme_counter_table_matches_the_declared_tables() {
         .collect();
     let mut want = declared("ptm", &PtmStatsSnapshot::default().fields());
     want.extend(declared("mem", &StatsSnapshot::default().fields()));
+    assert_eq!(documented, want);
+}
+
+#[test]
+fn readme_event_table_matches_event_kinds() {
+    let readme = include_str!("../README.md");
+    // The event column of the table under the `| event | ...` header.
+    let documented: Vec<&str> = readme
+        .lines()
+        .skip_while(|l| !l.starts_with("| event |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| l.split('|').nth(1).unwrap().trim().trim_matches('`'))
+        .collect();
+    let want: Vec<&str> = EventKind::ALL.iter().map(|k| k.label()).collect();
     assert_eq!(documented, want);
 }
