@@ -70,7 +70,7 @@ echo "=== observer seam check ==="
 # The flight recorder is the only observer a run arms and GaugeSet::apply
 # the only event fold (DESIGN.md §5 decision 15). An `obs` dependency of
 # the simulator core or the drivers, one of the deleted online-sampler or
-# second-fold names, or a 28th bench binary means the online sampler
+# second-fold names, or a 27th bench binary means the online sampler
 # stack (slot, run-config field, overhead ablation) grew back.
 if grep -n '^obs' crates/pmem-sim/Cargo.toml crates/workloads/Cargo.toml; then
   echo "ERROR: pmem-sim / workloads must not depend on obs (see above)" >&2
@@ -81,8 +81,25 @@ if grep -rnE 'attach_sampler|SampleRing|merge_samplers|TraceTotals' crates src t
   exit 1
 fi
 BINS=$(ls crates/bench/src/bin/*.rs | wc -l)
-if [ "$BINS" -ne 27 ]; then
-  echo "ERROR: crates/bench/src/bin holds $BINS binaries, expected 27" >&2
+if [ "$BINS" -ne 26 ]; then
+  echo "ERROR: crates/bench/src/bin holds $BINS binaries, expected 26" >&2
+  exit 1
+fi
+
+echo "=== CLI seam check ==="
+# Every bench binary reads its flags through bench::args::Args, whose
+# `finish` rejects what the binary did not ask for and lists what it did
+# (README.md's flag table; crates/bench/tests/cli.rs holds both). A
+# `std::env::args` or an `unknown flag` message in non-test code under
+# crates/ (everything above a file's first `#[cfg(test)]`) outside
+# crates/bench/src/args.rs means a hand-rolled flag loop grew back.
+CLI=$(for f in $(find crates -path '*/src/*' -name '*.rs' ! -path crates/bench/src/args.rs | sort); do
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+      /env::args|unknown flag/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$CLI" ]; then
+  echo "ERROR: flag parsing outside bench::args:" >&2
+  echo "$CLI" >&2
   exit 1
 fi
 
@@ -228,7 +245,7 @@ echo "=== shard seam check ==="
 # file's first `#[cfg(test)]`; engine_tests.rs is all test) means a heap
 # is formatted and a `Ptm` built beside `PtmDb::on_machine`. Examples and
 # `recovery_bench`'s crafted image keep the raw API on purpose. The
-# `PtmConfig` field count and the 27 bench binaries are held above.
+# `PtmConfig` field count and the 26 bench binaries are held above.
 if grep -rnE 'MachineSet|freeze_all|thaw_all' crates src tests examples; then
   echo "ERROR: a machine list beside ShardedEngine's Vec<PtmDb> grew back (see above)" >&2
   exit 1
@@ -312,20 +329,17 @@ echo "=== algo_compare smoke ==="
 # durability domains (throughput / abort rate / persistence work).
 cargo run -q --release -p bench --bin algo_compare -- --quick --threads 2 --ops 100 > /dev/null
 
-echo "=== htm ablation smoke + §V guard ==="
+echo "=== htm ablation smoke + §V and ADR crossover guards ==="
 # Redo vs HtmLogged on tatp / tpcc-hash / btree-mixed under eADR, PDRAM
-# and ADR, 1 thread (deterministic). The binary's built-in guard exits
-# nonzero unless, under eADR and PDRAM, every commit takes the hardware
+# and ADR, and on the KV workload under ADR at low and high contention.
+# The binary's built-in guards exit nonzero unless, at 1 thread
+# (deterministic) under eADR and PDRAM, every commit takes the hardware
 # path and HtmLogged does not lose to software redo (the paper's §V
-# expectation that TSX composes with eADR).
-cargo run -q --release -p bench --bin ablation_htm -- --quick --threads 1 > /dev/null
-
-echo "=== htm-logged ablation smoke + ADR crossover guard ==="
-# Redo vs HtmLogged on the KV workload under ADR. The binary's built-in
-# guard exits nonzero if the logged hardware path commits nothing or
-# loses to software redo at low contention at 1-2 threads (the PR 8
-# acceptance claim: back-end logging brings the HTM fast path to ADR).
-cargo run -q --release -p bench --bin ablation_htm_logged -- --quick > /dev/null
+# expectation that TSX composes with eADR), and unless, at low
+# contention and 1-2 threads under ADR, the logged hardware path commits
+# and does not lose to redo (back-end logging brings the HTM fast path
+# to ADR).
+cargo run -q --release -p bench --bin ablation_htm -- --quick --threads 1,2 > /dev/null
 
 echo "=== flush-plan smoke + flush-elision guard ==="
 # Quick Incremental / Batched / Combined ablation. The binary's built-in

@@ -17,10 +17,9 @@
 //! the run if `Combined` stops eliding flushes on the first redo / ADR
 //! cell — the planner's whole point.
 
-use bench::{emit_point, run_point_with, HarnessOpts};
-use pmem_sim::{DurabilityDomain, MediaKind};
+use bench::{emit_point, optane, run_point_with, HarnessOpts};
+use pmem_sim::DurabilityDomain;
 use ptm::{Algo, FlushPlan};
-use workloads::driver::Scenario;
 
 const PLANS: [(FlushPlan, &str); 3] = [
     (FlushPlan::Incremental, "incremental"),
@@ -29,7 +28,7 @@ const PLANS: [(FlushPlan, &str); 3] = [
 ];
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let (opts, sweep) = HarnessOpts::with_thread_sweep();
     if !opts.json {
         println!(
             "workload,algo,domain,threads,incremental_mops,batched_mops,combined_mops,\
@@ -55,13 +54,8 @@ fn main() {
                     continue;
                 }
                 let domain_label = domain.name();
-                for &threads in &opts.threads {
-                    let sc = Scenario::new(
-                        format!("{domain_label}_{}", algo.label()),
-                        MediaKind::Optane,
-                        domain,
-                        algo,
-                    );
+                for &threads in &sweep {
+                    let sc = optane(format!("{domain_label}_{}", algo.label()), domain, algo);
                     let mut rc = opts.run_config(threads);
                     let [inc, bat, com] = PLANS.map(|(plan, _)| {
                         rc.ptm.flush = plan;

@@ -3,40 +3,29 @@
 //! interesting axis is index write-set size (B+Tree splits cascade; the
 //! skip list touches only splice points) and its effect on abort rates.
 
-use bench::{emit_point, run_point, HarnessOpts};
-use pmem_sim::{DurabilityDomain, MediaKind};
+use bench::{emit_point, optane, ratio, run_point, HarnessOpts};
+use pmem_sim::DurabilityDomain;
 use ptm::Algo;
-use workloads::driver::Scenario;
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let (opts, sweep) = HarnessOpts::with_thread_sweep();
     if !opts.json {
         println!("index,threads,throughput_mops,commit_abort_ratio,max_write_entries");
     }
     for name in ["tpcc-btree", "tpcc-hash", "tpcc-skiplist"] {
-        for &threads in &opts.threads {
-            let sc = Scenario::new(
-                "adr_R",
-                MediaKind::Optane,
-                DurabilityDomain::Adr,
-                Algo::RedoLazy,
-            );
+        for &threads in &sweep {
+            let sc = optane("adr_R", DurabilityDomain::Adr, Algo::RedoLazy);
             let r = run_point(name, &sc, &opts, threads);
             if opts.json {
                 emit_point(&opts, name, &r);
                 continue;
             }
-            let ratio = r.commit_abort_ratio();
             println!(
                 "{},{},{:.4},{},{}",
                 name,
                 threads,
                 r.throughput_mops(),
-                if ratio.is_finite() {
-                    format!("{ratio:.2}")
-                } else {
-                    "inf".into()
-                },
+                ratio(&r),
                 r.ptm.max_write_entries,
             );
         }

@@ -2,22 +2,19 @@
 //! argues a handful of pages per thread suffices (Vacation <= 37 lines,
 //! TPCC <= 36); sweep the budget and watch for the knee.
 
-use bench::{emit_point, run_point_with, HarnessOpts};
-use pmem_sim::{DurabilityDomain, MediaKind};
+use bench::{emit_point, optane, run_point_with, HarnessOpts};
+use pmem_sim::DurabilityDomain;
 use ptm::Algo;
-use workloads::driver::Scenario;
 
 fn main() {
-    let opts = HarnessOpts::from_args();
-    let threads = *opts.threads.iter().max().unwrap_or(&4);
+    let (opts, threads) = HarnessOpts::with_thread_count();
     if !opts.json {
         println!("workload,lite_entries,throughput_mops");
     }
     for name in ["tpcc-hash", "tatp", "vacation-low"] {
         for lite_entries in [8usize, 16, 32, 64, 128, 512] {
-            let sc = Scenario::new(
+            let sc = optane(
                 format!("lite{lite_entries}"),
-                MediaKind::Optane,
                 DurabilityDomain::PdramLite,
                 Algo::RedoLazy,
             );

@@ -1,25 +1,19 @@
 //! Ablation 1 (DESIGN.md §5): the paper's split-log optimization — log
 //! index in DRAM vs the whole log in Optane.
 
-use bench::{emit_point, run_point_with, HarnessOpts};
-use pmem_sim::{DurabilityDomain, MediaKind};
+use bench::{emit_point, optane, run_point_with, HarnessOpts};
+use pmem_sim::DurabilityDomain;
 use ptm::Algo;
-use workloads::driver::Scenario;
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let (opts, sweep) = HarnessOpts::with_thread_sweep();
     if !opts.json {
         println!("workload,algo,threads,split_mops,unsplit_mops,split_speedup_pct");
     }
     for name in ["tpcc-hash", "tatp", "btree-insert"] {
         for algo in [Algo::RedoLazy, Algo::UndoEager] {
-            for &threads in &opts.threads {
-                let sc = Scenario::new(
-                    format!("adr_{}", algo.label()),
-                    MediaKind::Optane,
-                    DurabilityDomain::Adr,
-                    algo,
-                );
+            for &threads in &sweep {
+                let sc = optane(format!("adr_{}", algo.label()), DurabilityDomain::Adr, algo);
                 let mut rc = opts.run_config(threads);
                 rc.ptm.split_log_index = true;
                 let split = run_point_with(name, &sc, &rc, opts.quick);

@@ -2,22 +2,19 @@
 //! more false conflicts; sweep the table size and report throughput and
 //! abort rates.
 
-use bench::{emit_point, run_point_with, HarnessOpts};
-use pmem_sim::{DurabilityDomain, MediaKind};
+use bench::{emit_point, optane, ratio, run_point_with, HarnessOpts};
+use pmem_sim::DurabilityDomain;
 use ptm::Algo;
-use workloads::driver::Scenario;
 
 fn main() {
-    let opts = HarnessOpts::from_args();
-    let threads = *opts.threads.iter().max().unwrap_or(&4);
+    let (opts, threads) = HarnessOpts::with_thread_count();
     if !opts.json {
         println!("workload,orecs,throughput_mops,commit_abort_ratio");
     }
     for name in ["tpcc-hash", "btree-mixed"] {
         for shift in [8usize, 12, 16, 20] {
-            let sc = Scenario::new(
+            let sc = optane(
                 format!("orecs{}", 1 << shift),
-                MediaKind::Optane,
                 DurabilityDomain::Adr,
                 Algo::RedoLazy,
             );
@@ -28,17 +25,12 @@ fn main() {
                 emit_point(&opts, name, &r);
                 continue;
             }
-            let ratio = r.commit_abort_ratio();
             println!(
                 "{},{},{:.4},{}",
                 name,
                 1 << shift,
                 r.throughput_mops(),
-                if ratio.is_finite() {
-                    format!("{ratio:.2}")
-                } else {
-                    "inf".into()
-                }
+                ratio(&r)
             );
         }
     }

@@ -20,19 +20,13 @@
 
 use std::sync::Arc;
 
-use bench::HarnessOpts;
-use pmem_sim::{DurabilityDomain, MediaKind};
+use bench::{optane, HarnessOpts};
+use pmem_sim::DurabilityDomain;
 use workloads::driver::RunConfig;
-use workloads::Scenario;
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    let sc = Scenario::new(
-        "Optane_ADR_R",
-        MediaKind::Optane,
-        DurabilityDomain::Adr,
-        ptm::Algo::RedoLazy,
-    );
+    let sc = optane("Optane_ADR_R", DurabilityDomain::Adr, ptm::Algo::RedoLazy);
     if !opts.json {
         println!("workload,threads,mode,throughput_mops,elapsed_virtual_ns,events,regression_pct");
     }

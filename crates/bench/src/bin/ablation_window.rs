@@ -4,25 +4,18 @@
 //! simulation's conclusions would be artifacts of the executor, not of
 //! the modeled machine.
 
-use bench::{emit_point, run_point_with, HarnessOpts};
-use pmem_sim::{DurabilityDomain, MediaKind};
+use bench::{emit_point, optane, ratio, run_point_with, HarnessOpts};
+use pmem_sim::DurabilityDomain;
 use ptm::Algo;
-use workloads::driver::Scenario;
 
 fn main() {
-    let opts = HarnessOpts::from_args();
-    let threads = *opts.threads.iter().max().unwrap_or(&8);
+    let (opts, threads) = HarnessOpts::with_thread_count();
     if !opts.json {
         println!("workload,window_ns,throughput_mops,commit_abort_ratio");
     }
     for name in ["tpcc-hash", "tatp"] {
         for window in [500u64, 1_000, 2_000, 4_000, 8_000] {
-            let sc = Scenario::new(
-                format!("w{window}"),
-                MediaKind::Optane,
-                DurabilityDomain::Adr,
-                Algo::RedoLazy,
-            );
+            let sc = optane(format!("w{window}"), DurabilityDomain::Adr, Algo::RedoLazy);
             let mut rc = opts.run_config(threads);
             rc.window_ns = window;
             let r = run_point_with(name, &sc, &rc, opts.quick);
@@ -30,17 +23,12 @@ fn main() {
                 emit_point(&opts, name, &r);
                 continue;
             }
-            let ratio = r.commit_abort_ratio();
             println!(
                 "{},{},{:.4},{}",
                 name,
                 window,
                 r.throughput_mops(),
-                if ratio.is_finite() {
-                    format!("{ratio:.2}")
-                } else {
-                    "inf".into()
-                }
+                ratio(&r)
             );
         }
     }

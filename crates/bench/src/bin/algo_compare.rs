@@ -12,14 +12,12 @@
 //! for hardware sections sealed by a 2-fence back-end log. Under eADR
 //! the software policies collapse toward the same cost.
 
-use bench::{emit_point, run_point, HarnessOpts};
-use pmem_sim::{DurabilityDomain, MediaKind};
+use bench::{emit_point, optane, run_point, HarnessOpts};
+use pmem_sim::DurabilityDomain;
 use ptm::Algo;
-use workloads::Scenario;
 
 fn main() {
-    let opts = HarnessOpts::from_args();
-    let threads = *opts.threads.first().unwrap_or(&1);
+    let (opts, threads) = HarnessOpts::parse(|_, args| args.value("--threads").unwrap_or(1));
     if !opts.json {
         println!(
             "workload,scenario,threads,throughput_mops,abort_rate_pct,clwbs,sfences,\
@@ -34,12 +32,7 @@ fn main() {
             (DurabilityDomain::PdramLite, "PDRAM-lite"),
         ] {
             for algo in Algo::ALL {
-                let sc = Scenario::new(
-                    format!("Optane_{dname}_{}", algo.label()),
-                    MediaKind::Optane,
-                    domain,
-                    algo,
-                );
+                let sc = optane(format!("Optane_{dname}_{}", algo.label()), domain, algo);
                 let r = run_point(name, &sc, &opts, threads);
                 if opts.json {
                     emit_point(&opts, name, &r);

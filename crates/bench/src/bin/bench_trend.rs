@@ -4,12 +4,11 @@
 //! PR, produced by `run_benches.sh`), parses every line's identity
 //! (workload, scenario, population) and headline metrics (throughput,
 //! p99), and diffs each consecutive archive pair. A point regresses
-//! when its throughput drops beyond the throughput tolerance (default
-//! 10% — virtual-time results are deterministic, so the tolerance
-//! absorbs intentional model retuning, not noise), or its p99 rises
-//! beyond the p99 tolerance (default 60%: archived percentiles are
-//! power-bucketed with 33–50% bucket steps, so anything under one
-//! bucket is quantization).
+//! when its throughput drops beyond the throughput tolerance (10% —
+//! virtual-time results are deterministic, so the tolerance absorbs
+//! intentional model retuning, not noise), or its p99 rises beyond the
+//! p99 tolerance (60%: archived percentiles are power-bucketed with
+//! 33–50% bucket steps, so anything under one bucket is quantization).
 //!
 //! Archives from PR ≤ 8 predate `schema_version` stamping and parse as
 //! version 1; lines stamped with a *newer* schema than this binary
@@ -22,62 +21,32 @@
 //! warning goes to stderr, and a zero-point archive is ignored rather
 //! than failing the whole diff. Lines whose identity an earlier line
 //! already took are skipped with a warning too.
-//!
-//! Flags: `--quick --json --dir PATH --tolerance PCT --p99-tolerance PCT`.
 
 use std::path::PathBuf;
 
+use bench::args::Args;
 use obs::trend::{self, Tolerance, TrendReport};
 
 struct Opts {
     quick: bool,
     json: bool,
     dir: PathBuf,
-    tol: Tolerance,
 }
 
 fn parse_opts() -> Opts {
-    let mut quick = false;
-    let mut json = false;
-    let mut dir = PathBuf::from("results");
-    let mut tol = Tolerance::default();
-    let mut args = std::env::args().skip(1);
-    let next = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next()
-            .unwrap_or_else(|| panic!("{flag} needs a value"))
+    let mut args = Args::from_env();
+    let opts = Opts {
+        quick: args.flag("--quick"),
+        json: args.flag("--json"),
+        dir: args
+            .value("--dir")
+            .unwrap_or_else(|| PathBuf::from("results")),
     };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--json" => json = true,
-            "--dir" => dir = PathBuf::from(next(&mut args, "--dir")),
-            "--tolerance" => {
-                tol.throughput = next(&mut args, "--tolerance")
-                    .parse::<f64>()
-                    .expect("bad tolerance")
-                    / 100.0;
-            }
-            "--p99-tolerance" => {
-                tol.p99 = next(&mut args, "--p99-tolerance")
-                    .parse::<f64>()
-                    .expect("bad tolerance")
-                    / 100.0;
-            }
-            other => panic!(
-                "unknown flag `{other}` (known: --quick --json --dir --tolerance \
-                 --p99-tolerance)"
-            ),
-        }
-    }
-    Opts {
-        quick,
-        json,
-        dir,
-        tol,
-    }
+    args.finish();
+    opts
 }
 
-fn emit_pair(o: &Opts, prev_n: u64, next_n: u64, rep: &TrendReport) {
+fn emit_pair(o: &Opts, tol: Tolerance, prev_n: u64, next_n: u64, rep: &TrendReport) {
     if o.json {
         let mut w = trace::json::Writer::new();
         w.begin_object();
@@ -111,8 +80,8 @@ fn emit_pair(o: &Opts, prev_n: u64, next_n: u64, rep: &TrendReport) {
         rep.added,
         rep.removed,
         rep.regressions,
-        o.tol.throughput * 100.0,
-        o.tol.p99 * 100.0
+        tol.throughput * 100.0,
+        tol.p99 * 100.0
     );
     // Largest movers first, regressions always included.
     let mut deltas: Vec<_> = rep.deltas.iter().collect();
@@ -196,12 +165,13 @@ fn main() {
         return;
     }
 
+    let tol = Tolerance::default();
     let mut newest_regressions = 0usize;
     for pair in parsed.windows(2) {
         let (prev_n, prev, _) = &pair[0];
         let (next_n, next, _) = &pair[1];
-        let rep = trend::diff(prev, next, o.tol);
-        emit_pair(&o, *prev_n, *next_n, &rep);
+        let rep = trend::diff(prev, next, tol);
+        emit_pair(&o, tol, *prev_n, *next_n, &rep);
         newest_regressions = rep.regressions;
     }
 
@@ -209,8 +179,8 @@ fn main() {
         eprintln!(
             "bench_trend: {newest_regressions} regression(s) in the newest archive pair \
              beyond tolerance ({:.0}% throughput / {:.0}% p99)",
-            o.tol.throughput * 100.0,
-            o.tol.p99 * 100.0
+            tol.throughput * 100.0,
+            tol.p99 * 100.0
         );
         std::process::exit(1);
     }

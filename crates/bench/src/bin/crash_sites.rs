@@ -9,7 +9,8 @@
 //!
 //! Flags:
 //!
-//! * `--quick` — bounded smoke sweep (12 sites per case);
+//! * `--quick` — bounded smoke sweep (12 sites per case unless
+//!   `--max-sites` is given);
 //! * `--max-sites N` — stride the sweep down to ≤ N sites per case;
 //! * `--seed S` — workload/adversary seed (default 42);
 //! * `--workload bank|group|transfer` — single-threaded bank transfers
@@ -33,6 +34,7 @@
 //! Violations print their reproducer line to stderr; the process exits
 //! nonzero if any sweep case is violated.
 
+use bench::args::{fail, Args};
 use pmem_sim::AdversaryPolicy;
 use ptm::crash_harness::{
     count_sites, default_cases, run_site, shard_seed, sweep_case, BankTransfers, CrashWorkload,
@@ -42,7 +44,6 @@ use ptm::{Algo, RecoverOptions};
 use trace::json::Writer;
 
 struct Opts {
-    quick: bool,
     json: bool,
     max_sites: Option<u64>,
     seed: u64,
@@ -53,89 +54,65 @@ struct Opts {
     replay: Option<(SweepCase, u64)>,
 }
 
-fn make_workload(name: &str, shards: usize) -> Box<dyn CrashWorkload> {
-    match name {
+fn make_workload(name: &str, shards: usize) -> Option<Box<dyn CrashWorkload>> {
+    Some(match name {
         "bank" => Box::new(BankTransfers::default()),
         "group" => Box::new(GroupWindowBank::default()),
         "transfer" => Box::new(ShardedTransfers {
             shards,
             ..Default::default()
         }),
-        other => panic!("unknown workload `{other}` (known: bank group transfer)"),
-    }
+        _ => return None,
+    })
 }
 
 fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        quick: false,
-        json: false,
-        max_sites: None,
-        seed: 42,
-        workload: "bank".to_string(),
-        shards: 1,
-        recover: RecoverOptions::default(),
-        replay: None,
+    let mut args = Args::from_env();
+    let quick = args.flag("--quick");
+    let json = args.flag("--json");
+    let max_sites = args.value("--max-sites");
+    let seed = args.value("--seed").unwrap_or(42);
+    let workload = args.value("--workload").unwrap_or_else(|| "bank".into());
+    let shards = args.value("--shards").unwrap_or(1);
+    let recover = RecoverOptions {
+        skip_undo_rollback: args.flag("--skip-undo-rollback"),
+        skip_redo_replay: args.flag("--skip-redo-replay"),
+        ..RecoverOptions::default()
     };
-    let (mut site, mut algo, mut domain, mut policy) = (None, None, None, None);
-    let mut args = std::env::args().skip(1);
-    let next = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next()
-            .unwrap_or_else(|| panic!("{flag} needs a value"))
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => opts.quick = true,
-            "--json" => opts.json = true,
-            "--max-sites" => {
-                opts.max_sites = Some(next(&mut args, "--max-sites").parse().expect("bad count"))
-            }
-            "--seed" => opts.seed = next(&mut args, "--seed").parse().expect("bad seed"),
-            "--workload" => opts.workload = next(&mut args, "--workload"),
-            "--shards" => {
-                opts.shards = next(&mut args, "--shards")
-                    .parse()
-                    .expect("bad shard count");
-                assert!(opts.shards >= 1, "--shards needs at least 1");
-            }
-            "--skip-undo-rollback" => opts.recover.skip_undo_rollback = true,
-            "--skip-redo-replay" => opts.recover.skip_redo_replay = true,
-            "--site" => site = Some(next(&mut args, "--site").parse().expect("bad site")),
-            "--algo" => {
-                let v = next(&mut args, "--algo");
-                algo = Some(v.parse().unwrap_or_else(|e| panic!("{e}")));
-            }
-            "--domain" => {
-                let v = next(&mut args, "--domain");
-                domain = Some(v.parse().unwrap_or_else(|e| panic!("{e}")));
-            }
-            "--policy" => {
-                let v = next(&mut args, "--policy");
-                policy = Some(
-                    AdversaryPolicy::parse(&v).unwrap_or_else(|| panic!("unknown policy `{v}`")),
-                );
-            }
-            other => panic!(
-                "unknown flag `{other}` (known: --quick --json --max-sites --seed \
-                 --workload --shards --skip-undo-rollback --skip-redo-replay \
-                 --site --algo --domain --policy)"
-            ),
+    let site = args.value("--site");
+    let algo = args.value("--algo");
+    let domain = args.value("--domain");
+    let policy: Option<String> = args.value("--policy");
+    args.finish();
+    if shards < 1 {
+        fail("--shards needs at least 1");
+    }
+    let policy = policy.map(|v| {
+        AdversaryPolicy::parse(&v).unwrap_or_else(|| fail(format!("unknown policy `{v}`")))
+    });
+    let replay = match (site, algo, domain, policy) {
+        (Some(site), Some(algo), Some(domain), Some(policy)) => {
+            let case = SweepCase {
+                algo,
+                domain,
+                policy,
+                seed,
+            };
+            Some((case, site))
         }
+        (None, None, None, None) => None,
+        (Some(_), ..) => fail("replay mode needs --algo, --domain and --policy"),
+        (None, ..) => fail("--algo/--domain/--policy select a replay and need --site"),
+    };
+    Opts {
+        json,
+        max_sites: max_sites.or(quick.then_some(12)),
+        seed,
+        workload,
+        shards,
+        recover,
+        replay,
     }
-    if let Some(site) = site {
-        let case = SweepCase {
-            algo: algo.expect("replay mode needs --algo"),
-            domain: domain.expect("replay mode needs --domain"),
-            policy: policy.expect("replay mode needs --policy"),
-            seed: opts.seed,
-        };
-        opts.replay = Some((case, site));
-    } else {
-        assert!(
-            algo.is_none() && domain.is_none() && policy.is_none(),
-            "--algo/--domain/--policy select a replay and need --site"
-        );
-    }
-    opts
 }
 
 /// One sweep case as a JSON line. A violation's detail is free text from
@@ -189,7 +166,12 @@ fn report_case(opts: &Opts, workload: &str, shard: u64, r: &ptm::CaseResult) -> 
 
 fn main() {
     let opts = parse_opts();
-    let workload = make_workload(&opts.workload, opts.shards as usize);
+    let workload = make_workload(&opts.workload, opts.shards as usize).unwrap_or_else(|| {
+        fail(format!(
+            "unknown workload `{}` (known: bank group transfer)",
+            opts.workload
+        ))
+    });
 
     if let Some((case, site)) = opts.replay {
         let total = count_sites(workload.as_ref(), &case);
@@ -239,7 +221,7 @@ fn main() {
     }
 
     let sweep_opts = SweepOptions {
-        max_sites_per_case: if opts.quick { Some(12) } else { opts.max_sites },
+        max_sites_per_case: opts.max_sites,
         recover: opts.recover,
     };
     if !opts.json {

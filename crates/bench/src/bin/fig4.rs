@@ -4,7 +4,7 @@ use bench::{run_figure, HarnessOpts};
 use workloads::Scenario;
 
 fn main() {
-    let opts = HarnessOpts::from_args();
-    eprintln!("# fig4: tatp x 8 scenarios x {:?} threads", opts.threads);
-    run_figure(&["tatp"], &Scenario::fig3_grid(), &opts);
+    let (opts, threads) = HarnessOpts::with_thread_sweep();
+    eprintln!("# fig4: tatp x 8 scenarios x {:?} threads", threads);
+    run_figure(&["tatp"], &Scenario::fig3_grid(), &opts, &threads);
 }

@@ -5,11 +5,11 @@ use bench::{panel_workloads, run_figure, HarnessOpts};
 use workloads::Scenario;
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let (opts, threads) = HarnessOpts::with_thread_sweep();
     eprintln!(
         "# fig6: {} workloads x 7 scenarios x {:?} threads",
         panel_workloads().len(),
-        opts.threads
+        threads
     );
-    run_figure(&panel_workloads(), &Scenario::fig6_grid(), &opts);
+    run_figure(&panel_workloads(), &Scenario::fig6_grid(), &opts, &threads);
 }

@@ -4,7 +4,7 @@
 //! preserve the paper's four regimes: fits-in-L3, fits-in-DRAM,
 //! exceeds-DRAM, index-uncacheable.
 
-use bench::{emit_point, HarnessOpts};
+use bench::{emit_point, optane, HarnessOpts};
 use pmem_sim::{DurabilityDomain, MediaKind};
 use ptm::Algo;
 use workloads::driver::{run_scenario, RunConfig, Scenario};
@@ -18,56 +18,14 @@ fn main() {
     } else {
         vec![2 << 10, 16 << 10, 48 << 10, 96 << 10, 160 << 10, 256 << 10]
     };
-    let scenarios = vec![
-        Scenario::new(
-            "DRAM_R",
-            MediaKind::Dram,
-            DurabilityDomain::Eadr,
-            Algo::RedoLazy,
-        ),
-        Scenario::new(
-            "ADR_R",
-            MediaKind::Optane,
-            DurabilityDomain::Adr,
-            Algo::RedoLazy,
-        ),
-        Scenario::new(
-            "ADR_U",
-            MediaKind::Optane,
-            DurabilityDomain::Adr,
-            Algo::UndoEager,
-        ),
-        Scenario::new(
-            "eADR_R",
-            MediaKind::Optane,
-            DurabilityDomain::Eadr,
-            Algo::RedoLazy,
-        ),
-        Scenario::new(
-            "eADR_U",
-            MediaKind::Optane,
-            DurabilityDomain::Eadr,
-            Algo::UndoEager,
-        ),
-        Scenario::new(
-            "PDRAM_R",
-            MediaKind::Optane,
-            DurabilityDomain::Pdram,
-            Algo::RedoLazy,
-        ),
-        Scenario::new(
-            "PDRAM_U",
-            MediaKind::Optane,
-            DurabilityDomain::Pdram,
-            Algo::UndoEager,
-        ),
-        Scenario::new(
-            "PDRAM-Lite",
-            MediaKind::Optane,
-            DurabilityDomain::PdramLite,
-            Algo::RedoLazy,
-        ),
-    ];
+    // Figure 6's curves without DRAM undo, plus ADR on Optane.
+    let mut scenarios = Scenario::fig6_grid();
+    scenarios.retain(|sc| sc.label != "DRAM_U");
+    let adr = |label, algo| optane(label, DurabilityDomain::Adr, algo);
+    scenarios.splice(
+        1..1,
+        [adr("ADR_R", Algo::RedoLazy), adr("ADR_U", Algo::UndoEager)],
+    );
     let rc = RunConfig {
         threads: 1,
         ops_per_thread: opts.ops_per_thread,

@@ -6,8 +6,7 @@ use bench::{emit_point, run_point, HarnessOpts};
 use workloads::Scenario;
 
 fn main() {
-    let opts = HarnessOpts::from_args();
-    let threads = *opts.threads.iter().max().unwrap_or(&8);
+    let (opts, threads) = HarnessOpts::with_thread_count();
     if !opts.json {
         println!(
             "workload,scenario,threads,mops,l3_hit_pct,optane_lines_written,dram_lines_written,\

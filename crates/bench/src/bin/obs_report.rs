@@ -27,11 +27,8 @@
 //! `--verify` replays the identical configuration and asserts the
 //! exported series and decomposition are byte-identical (virtual-time
 //! determinism of the telemetry pipeline).
-//!
-//! Flags: `--quick --json --domain adr|eadr|pdram|pdram-lite --shards N`
-//! `--threads-per-shard N --ops N --period NS --gap NS --seed S`
-//! `--out PREFIX --verify`.
 
+use bench::args::Args;
 use obs::export;
 use obs::series::{self, SeriesSummary, ShardRow};
 use obs::spans::{self, Comp, Decomposition};
@@ -40,6 +37,9 @@ use trace::json::Writer;
 use trace::TraceSink;
 use workloads::{ShardedRunConfig, ShardedRunResult, StreamConfig};
 
+/// Mean inter-arrival gap of the request stream, ns.
+const GAP_NS: u64 = 100;
+
 struct Opts {
     json: bool,
     domain: DurabilityDomain,
@@ -47,68 +47,29 @@ struct Opts {
     threads_per_shard: usize,
     ops: u64,
     period_ns: u64,
-    gap_ns: u64,
     seed: u64,
     out: Option<String>,
     verify: bool,
 }
 
 fn parse_opts() -> Opts {
-    let mut quick = false;
-    let mut json = false;
-    let mut domain = DurabilityDomain::Adr;
-    let mut shards = 8usize;
-    let mut threads_per_shard = 1usize;
-    let mut ops: Option<u64> = None;
-    let mut period_ns = obs::DEFAULT_PERIOD_NS;
-    let mut gap_ns = 100u64;
-    let mut seed = 42u64;
-    let mut out = None;
-    let mut verify = false;
-    let mut args = std::env::args().skip(1);
-    let next = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next()
-            .unwrap_or_else(|| panic!("{flag} needs a value"))
+    let mut args = Args::from_env();
+    let quick = args.flag("--quick");
+    let opts = Opts {
+        json: args.flag("--json"),
+        domain: args.value("--domain").unwrap_or(DurabilityDomain::Adr),
+        shards: args.value("--shards").unwrap_or(8),
+        threads_per_shard: args.value("--threads-per-shard").unwrap_or(1),
+        ops: args
+            .value("--ops")
+            .unwrap_or(if quick { 800 } else { 4_000 }),
+        period_ns: args.value("--period").unwrap_or(obs::DEFAULT_PERIOD_NS),
+        seed: args.value("--seed").unwrap_or(42),
+        out: args.value("--out"),
+        verify: args.flag("--verify"),
     };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--json" => json = true,
-            "--domain" => {
-                domain = next(&mut args, "--domain")
-                    .parse()
-                    .unwrap_or_else(|e| panic!("{e}"));
-            }
-            "--shards" => shards = next(&mut args, "--shards").parse().expect("bad shards"),
-            "--threads-per-shard" => {
-                threads_per_shard = next(&mut args, "--threads-per-shard")
-                    .parse()
-                    .expect("bad thread count");
-            }
-            "--ops" => ops = Some(next(&mut args, "--ops").parse().expect("bad op count")),
-            "--period" => period_ns = next(&mut args, "--period").parse().expect("bad period"),
-            "--gap" => gap_ns = next(&mut args, "--gap").parse().expect("bad gap"),
-            "--seed" => seed = next(&mut args, "--seed").parse().expect("bad seed"),
-            "--out" => out = Some(next(&mut args, "--out")),
-            "--verify" => verify = true,
-            other => panic!(
-                "unknown flag `{other}` (known: --quick --json --domain --shards \
-                 --threads-per-shard --ops --period --gap --seed --out --verify)"
-            ),
-        }
-    }
-    Opts {
-        json,
-        domain,
-        shards,
-        threads_per_shard,
-        ops: ops.unwrap_or(if quick { 800 } else { 4_000 }),
-        period_ns,
-        gap_ns,
-        seed,
-        out,
-        verify,
-    }
+    args.finish();
+    opts
 }
 
 struct Report {
@@ -129,7 +90,7 @@ fn run(o: &Opts) -> Report {
     };
     rc.stream = StreamConfig {
         total_ops: o.ops,
-        mean_gap_ns: o.gap_ns,
+        mean_gap_ns: GAP_NS,
         seed: o.seed,
         ..StreamConfig::default()
     };

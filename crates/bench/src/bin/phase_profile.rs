@@ -14,14 +14,15 @@
 //! for `trace_analyze --file <path>` to cross-check offline.
 
 use bench::trace_out::write_trace_exports;
-use bench::{emit_point, run_point, run_point_with, HarnessOpts};
-use pmem_sim::{DurabilityDomain, MediaKind};
+use bench::{emit_point, optane, run_point, run_point_with, HarnessOpts};
+use pmem_sim::DurabilityDomain;
 use ptm::{Algo, Phase};
-use workloads::Scenario;
 
 fn main() {
-    let opts = HarnessOpts::from_args();
-    let threads = *opts.threads.first().unwrap_or(&1);
+    let (opts, (threads, trace)) = HarnessOpts::parse(|_, args| {
+        let threads = args.value("--threads").unwrap_or(1);
+        (threads, args.value::<String>("--trace"))
+    });
     if !opts.json {
         print!("workload,scenario,threads");
         for p in Phase::ALL {
@@ -35,13 +36,8 @@ fn main() {
             (DurabilityDomain::Eadr, "eADR"),
         ] {
             for algo in Algo::ALL {
-                let sc = Scenario::new(
-                    format!("Optane_{dname}_{}", algo.label()),
-                    MediaKind::Optane,
-                    domain,
-                    algo,
-                );
-                let traced = opts.trace.as_deref().filter(|_| {
+                let sc = optane(format!("Optane_{dname}_{}", algo.label()), domain, algo);
+                let traced = trace.as_deref().filter(|_| {
                     name == "tpcc-hash" && domain == DurabilityDomain::Adr && algo == Algo::RedoLazy
                 });
                 let r = match traced {

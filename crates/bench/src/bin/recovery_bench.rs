@@ -13,6 +13,7 @@
 //!
 //! `--quick` shrinks the grid.
 
+use bench::args::Args;
 use bench::report::restart_point_json;
 use palloc::PHeap;
 use pmem_sim::{CrashImage, DurabilityDomain, Machine, MachineConfig, PAddr};
@@ -118,15 +119,10 @@ fn measure(image: &CrashImage) -> ReopenReports {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut json = false;
-    for a in std::env::args().skip(1) {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--json" => json = true,
-            other => panic!("unknown flag `{other}` (known: --quick --json)"),
-        }
-    }
+    let mut args = Args::from_env();
+    let quick = args.flag("--quick");
+    let json = args.flag("--json");
+    args.finish();
     // Dirtiness entries are per log and clamped per pool (the scratch
     // blocks must fit alongside the population). 8192 is the default log
     // capacity — the worst legal case.

@@ -25,11 +25,8 @@
 //!
 //! * **2PC cost** — mean transaction latency at frac=0.1 under ADR must
 //!   stay ≤ 2.5× the all-single-shard (frac=0) latency.
-//!
-//! Flags: `--quick`, `--json`, `--shards a,b,c`,
-//! `--threads-per-shard N`, `--ops-per-shard N`, `--seed S`,
-//! `--cross-shard-frac a,b,c` (default 0,0.01,0.1,0.5; quick 0,0.1).
 
+use bench::args::{fail, Args};
 use bench::report;
 use pmem_sim::DurabilityDomain;
 use workloads::{IndexKind, ShardedRunConfig, ShardedRunResult, StreamConfig};
@@ -45,80 +42,36 @@ struct Opts {
 }
 
 fn parse_opts() -> Opts {
-    let mut quick = false;
-    let mut json = false;
-    let mut shards: Option<Vec<usize>> = None;
-    let mut threads_per_shard = 4usize;
-    let mut ops_per_shard: Option<u64> = None;
-    let mut seed = 42u64;
-    let mut cross_frac: Option<Vec<f64>> = None;
-    let mut args = std::env::args().skip(1);
-    let next = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next()
-            .unwrap_or_else(|| panic!("{flag} needs a value"))
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--json" => json = true,
-            "--shards" => {
-                shards = Some(
-                    next(&mut args, "--shards")
-                        .split(',')
-                        .map(|s| s.parse().expect("bad shard count"))
-                        .collect(),
-                );
-            }
-            "--threads-per-shard" => {
-                threads_per_shard = next(&mut args, "--threads-per-shard")
-                    .parse()
-                    .expect("bad thread count");
-            }
-            "--ops-per-shard" => {
-                ops_per_shard = Some(
-                    next(&mut args, "--ops-per-shard")
-                        .parse()
-                        .expect("bad op count"),
-                );
-            }
-            "--seed" => seed = next(&mut args, "--seed").parse().expect("bad seed"),
-            "--cross-shard-frac" => {
-                cross_frac = Some(
-                    next(&mut args, "--cross-shard-frac")
-                        .split(',')
-                        .map(|s| {
-                            let f: f64 = s.parse().expect("bad fraction");
-                            assert!((0.0..=1.0).contains(&f), "fraction must be in [0, 1]");
-                            f
-                        })
-                        .collect(),
-                );
-            }
-            other => panic!(
-                "unknown flag `{other}` (known: --quick --json --shards \
-                 --threads-per-shard --ops-per-shard --seed --cross-shard-frac)"
-            ),
-        }
-    }
-    let default_shards = if quick {
-        vec![1, 2, 4]
-    } else {
-        vec![1, 2, 4, 8, 16]
-    };
-    let default_frac = if quick {
-        vec![0.0, 0.1]
-    } else {
-        vec![0.0, 0.01, 0.1, 0.5]
-    };
-    Opts {
+    let mut args = Args::from_env();
+    let quick = args.flag("--quick");
+    let opts = Opts {
         quick,
-        json,
-        shards: shards.unwrap_or(default_shards),
-        threads_per_shard,
-        ops_per_shard: ops_per_shard.unwrap_or(if quick { 250 } else { 2_000 }),
-        seed,
-        cross_frac: cross_frac.unwrap_or(default_frac),
+        json: args.flag("--json"),
+        shards: args.list("--shards").unwrap_or_else(|| {
+            if quick {
+                vec![1, 2, 4]
+            } else {
+                vec![1, 2, 4, 8, 16]
+            }
+        }),
+        threads_per_shard: args.value("--threads-per-shard").unwrap_or(4),
+        ops_per_shard: args
+            .value("--ops-per-shard")
+            .unwrap_or(if quick { 250 } else { 2_000 }),
+        seed: args.value("--seed").unwrap_or(42),
+        cross_frac: args.list("--cross-shard-frac").unwrap_or_else(|| {
+            if quick {
+                vec![0.0, 0.1]
+            } else {
+                vec![0.0, 0.01, 0.1, 0.5]
+            }
+        }),
+    };
+    args.finish();
+    if let Some(f) = opts.cross_frac.iter().find(|f| !(0.0..=1.0).contains(*f)) {
+        fail(format!("--cross-shard-frac {f} is not in [0, 1]"));
     }
+    opts
 }
 
 /// One measurement point. The stream size scales with the shard count

@@ -6,8 +6,7 @@ use ptm::Algo;
 use workloads::Scenario;
 
 fn main() {
-    let opts = HarnessOpts::from_args();
-    let threads = *opts.threads.iter().max().unwrap_or(&8);
+    let (opts, threads) = HarnessOpts::with_thread_count();
     if !opts.json {
         println!("workload,algo,correct_mops,nofence_mops,speedup_pct");
     }

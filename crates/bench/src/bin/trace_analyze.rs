@@ -23,13 +23,14 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use pmem_sim::{DurabilityDomain, LatencyModel, MediaKind};
+use bench::args::Args;
+use bench::optane;
+use pmem_sim::{DurabilityDomain, LatencyModel};
 use trace::analyze::{abort_heatmap, crosscheck, fence_windows, wpq_timeline, WpqTimeline};
 use trace::export::{read_binary, ExpectedTotals};
 use trace::json::{check_structure, Writer};
 use trace::{AbortCause, GaugeSet, ThreadTrace, TraceSink};
 use workloads::driver::RunConfig;
-use workloads::Scenario;
 
 struct Opts {
     quick: bool,
@@ -43,46 +44,19 @@ struct Opts {
 }
 
 fn parse_args() -> Opts {
-    let mut o = Opts {
-        quick: false,
-        json: false,
-        file: None,
-        threads: 4,
-        ops: 1_500,
-        strict: false,
+    let mut args = Args::from_env();
+    let quick = args.flag("--quick");
+    let o = Opts {
+        quick,
+        threads: args.value("--threads").unwrap_or(4),
+        ops: args
+            .value("--ops")
+            .unwrap_or(if quick { 300 } else { 1_500 }),
+        json: args.flag("--json"),
+        file: args.value("--file"),
+        strict: args.flag("--strict"),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => {
-                o.quick = true;
-                o.ops = 300;
-            }
-            "--json" => o.json = true,
-            "--strict" => o.strict = true,
-            "--file" => o.file = Some(args.next().expect("--file needs a dump path")),
-            "--threads" => {
-                o.threads = args
-                    .next()
-                    .expect("--threads needs a number")
-                    .parse()
-                    .expect("bad thread count");
-            }
-            "--ops" => {
-                o.ops = args
-                    .next()
-                    .expect("--ops needs a number")
-                    .parse()
-                    .expect("bad op count");
-            }
-            other => {
-                panic!(
-                    "unknown flag `{other}` \
-                     (known: --quick --threads --ops --json --file --strict)"
-                )
-            }
-        }
-    }
+    args.finish();
     o
 }
 
@@ -104,12 +78,7 @@ fn analyze_self_run(o: &Opts) -> Analysis {
     // acceptances), so 512 events/op is comfortable headroom.
     let ring_cap = (o.ops as usize * 512).next_power_of_two();
     let sink = TraceSink::new(ring_cap);
-    let sc = Scenario::new(
-        "Optane_ADR_R",
-        MediaKind::Optane,
-        DurabilityDomain::Adr,
-        ptm::Algo::RedoLazy,
-    );
+    let sc = optane("Optane_ADR_R", DurabilityDomain::Adr, ptm::Algo::RedoLazy);
     // A tiny WPQ makes the backlog bound reachable at bench scale, so the
     // stall-interval reconstruction has real intervals to find.
     let model = LatencyModel {

@@ -1,14 +1,20 @@
 //! # bench — the experiment harness
 //!
 //! One binary per table and figure of the paper (see `src/bin/`), plus
-//! ablation binaries for the design decisions DESIGN.md calls out, plus
-//! wall-time microbenchmarks of the runtime's hot paths (`benches/`).
+//! ablation binaries for the design decisions DESIGN.md calls out and
+//! the crash, trace, telemetry and restart tools.
 //!
-//! All binaries print CSV to stdout and honor three flags:
+//! Every binary reads its flags through [`args::Args`] and exits nonzero
+//! on a flag it does not read; README.md tabulates which binary reads
+//! which flag. The paper binaries share [`HarnessOpts`]:
 //!
 //! * `--quick` — a fast smoke-scale run (fewer threads, fewer ops);
 //! * `--ops N` — override operations per thread;
-//! * `--threads a,b,c` — override the thread sweep.
+//! * `--json` — one JSON object per point instead of CSV;
+//!
+//! and, when they read `--threads` at all, read it as a sweep list
+//! ([`HarnessOpts::with_thread_sweep`]) or as one count
+//! ([`HarnessOpts::with_thread_count`]).
 //!
 //! Results are *virtual-time* throughput (see `pmem-sim`); absolute
 //! values are not comparable to the paper's testbed, but curve shapes,
@@ -16,78 +22,73 @@
 
 #![deny(unsafe_code)]
 
+pub mod args;
 pub mod report;
 pub mod trace_out;
 
+use args::Args;
+use pmem_sim::{DurabilityDomain, MediaKind};
 use workloads::driver::{run_scenario, RunConfig, RunResult, Scenario, Workload};
 use workloads::{
     BTreeInsertOnly, BTreeMixed, IndexKind, KvStore, Tatp, Tpcc, Vacation, VacationCfg,
 };
 
-/// Parsed harness options.
+/// The options every paper binary reads.
 #[derive(Debug, Clone)]
 pub struct HarnessOpts {
     pub quick: bool,
-    pub threads: Vec<usize>,
     pub ops_per_thread: u64,
     /// Emit one JSON object per point (JSON Lines) instead of CSV.
     pub json: bool,
-    /// Record a flight-recorder trace of one designated point to this
-    /// path (binary dump) and `<path>.json` (Chrome trace-event JSON).
-    /// Which point is traced is up to the binary; see `phase_profile`.
-    pub trace: Option<String>,
 }
 
 impl HarnessOpts {
-    /// Parse `std::env::args`. Unknown flags are rejected loudly — a
-    /// typo'd flag silently ignored would invalidate an experiment.
+    /// Parse the process arguments: `--quick`, `--json`, `--ops`, and
+    /// whatever `more` reads.
+    pub fn parse<T>(more: impl FnOnce(&HarnessOpts, &mut Args) -> T) -> (HarnessOpts, T) {
+        let mut args = Args::from_env();
+        let quick = args.flag("--quick");
+        let opts = HarnessOpts {
+            quick,
+            json: args.flag("--json"),
+            ops_per_thread: args
+                .value("--ops")
+                .unwrap_or(if quick { 300 } else { 1_500 }),
+        };
+        let more = more(&opts, &mut args);
+        args.finish();
+        (opts, more)
+    }
+
+    /// Parse the process arguments for a binary that reads no other flag.
     pub fn from_args() -> HarnessOpts {
-        let mut quick = false;
-        let mut threads: Option<Vec<usize>> = None;
-        let mut ops: Option<u64> = None;
-        let mut json = false;
-        let mut trace = None;
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => quick = true,
-                "--json" => json = true,
-                "--threads" => {
-                    let v = args.next().expect("--threads needs a list like 1,2,4");
-                    threads = Some(
-                        v.split(',')
-                            .map(|s| s.parse().expect("bad thread count"))
-                            .collect(),
-                    );
-                }
-                "--ops" => {
-                    ops = Some(
-                        args.next()
-                            .expect("--ops needs a number")
-                            .parse()
-                            .expect("bad op count"),
-                    );
-                }
-                "--trace" => {
-                    trace = Some(args.next().expect("--trace needs a file path"));
-                }
-                other => {
-                    panic!("unknown flag `{other}` (known: --quick --threads --ops --json --trace)")
-                }
-            }
-        }
-        let default_threads = if quick {
+        HarnessOpts::parse(|_, _| ()).0
+    }
+
+    /// Parse the process arguments for a binary that sweeps thread
+    /// counts: `--threads a,b,c`, by default 1, 2, 4 under `--quick` and
+    /// the paper's 1 … 32 otherwise.
+    pub fn with_thread_sweep() -> (HarnessOpts, Vec<usize>) {
+        HarnessOpts::parse(|o, args| args.list("--threads").unwrap_or_else(|| o.default_sweep()))
+    }
+
+    /// Parse the process arguments for a binary that runs at one thread
+    /// count: `--threads N`, by default the largest of the default sweep
+    /// (4 under `--quick`, 32 otherwise).
+    pub fn with_thread_count() -> (HarnessOpts, usize) {
+        HarnessOpts::parse(|o, args| {
+            let top = o.default_sweep().last().copied();
+            args.value("--threads")
+                .or(top)
+                .expect("the default sweep is not empty")
+        })
+    }
+
+    fn default_sweep(&self) -> Vec<usize> {
+        if self.quick {
             vec![1, 2, 4]
         } else {
             workloads::PAPER_THREADS.to_vec()
-        };
-        let default_ops = if quick { 300 } else { 1_500 };
-        HarnessOpts {
-            quick,
-            threads: threads.unwrap_or(default_threads),
-            ops_per_thread: ops.unwrap_or(default_ops),
-            json,
-            trace,
         }
     }
 
@@ -99,11 +100,11 @@ impl HarnessOpts {
             ..RunConfig::default()
         }
     }
+}
 
-    /// Total operations a single run will execute (for workload sizing).
-    pub fn total_ops(&self, threads: usize) -> u64 {
-        threads as u64 * self.ops_per_thread
-    }
+/// A scenario with its heap on Optane, as every ablation runs it.
+pub fn optane(label: impl Into<String>, domain: DurabilityDomain, algo: ptm::Algo) -> Scenario {
+    Scenario::new(label, MediaKind::Optane, domain, algo)
 }
 
 /// The six panel workloads of Figures 3 and 6.
@@ -137,9 +138,7 @@ pub fn make_workload(name: &str, total_ops: u64, quick: bool) -> Box<dyn Workloa
 
 /// Run one (workload, scenario, threads) point with a fresh workload.
 pub fn run_point(name: &str, sc: &Scenario, opts: &HarnessOpts, threads: usize) -> RunResult {
-    let mut w = make_workload(name, opts.total_ops(threads), opts.quick);
-    let rc = opts.run_config(threads);
-    run_scenario(w.as_mut(), sc, &rc)
+    run_point_with(name, sc, &opts.run_config(threads), opts.quick)
 }
 
 /// Like [`run_point`] but with a custom [`RunConfig`] (ablations).
@@ -149,13 +148,23 @@ pub fn run_point_with(name: &str, sc: &Scenario, rc: &RunConfig, quick: bool) ->
     run_scenario(w.as_mut(), sc, rc)
 }
 
-/// CSV header shared by the figure binaries.
-pub fn print_throughput_header() {
-    println!("workload,scenario,threads,throughput_mops,commits,aborts,commit_abort_ratio");
+/// A run's commit/abort ratio as the tables print it: two decimals,
+/// `inf` when nothing aborted.
+pub fn ratio(r: &RunResult) -> String {
+    let ratio = r.commit_abort_ratio();
+    if ratio.is_finite() {
+        format!("{ratio:.2}")
+    } else {
+        "inf".into()
+    }
 }
 
-/// Emit one CSV row.
-pub fn print_throughput_row(workload: &str, r: &RunResult) {
+/// Emit one point in the format the harness was asked for: a JSON line
+/// under `--json`, a CSV row of [`run_figure`]'s columns otherwise.
+pub fn emit_point(opts: &HarnessOpts, workload: &str, r: &RunResult) {
+    if opts.json {
+        return println!("{}", report::point_json(workload, r));
+    }
     println!(
         "{},{},{},{:.4},{},{},{:.2}",
         workload,
@@ -168,25 +177,20 @@ pub fn print_throughput_row(workload: &str, r: &RunResult) {
     );
 }
 
-/// Emit one point in the format the harness was asked for: a JSON line
-/// under `--json`, a CSV row otherwise.
-pub fn emit_point(opts: &HarnessOpts, workload: &str, r: &RunResult) {
-    if opts.json {
-        println!("{}", report::point_json(workload, r));
-    } else {
-        print_throughput_row(workload, r);
-    }
-}
-
 /// Run a full figure: every scenario x thread count for each workload.
-pub fn run_figure(workload_names: &[&str], scenarios: &[Scenario], opts: &HarnessOpts) {
+pub fn run_figure(
+    workload_names: &[&str],
+    scenarios: &[Scenario],
+    opts: &HarnessOpts,
+    threads: &[usize],
+) {
     if !opts.json {
-        print_throughput_header();
+        println!("workload,scenario,threads,throughput_mops,commits,aborts,commit_abort_ratio");
     }
     for name in workload_names {
         for sc in scenarios {
-            for &threads in &opts.threads {
-                let r = run_point(name, sc, opts, threads);
+            for &t in threads {
+                let r = run_point(name, sc, opts, t);
                 emit_point(opts, name, &r);
             }
         }
@@ -196,40 +200,32 @@ pub fn run_figure(workload_names: &[&str], scenarios: &[Scenario], opts: &Harnes
 /// Tables I / II: commit-to-abort ratio of TPCC (Hash Table) across the
 /// {DRAM, Optane} x {ADR, eADR} grid for one algorithm.
 pub fn commit_abort_table(algo: ptm::Algo) {
-    use pmem_sim::{DurabilityDomain, MediaKind};
-    let opts = HarnessOpts::from_args();
-    if !opts.json {
-        print!("scenario");
-        for t in &opts.threads {
-            print!(",{t}");
-        }
-        println!();
-    }
+    let (opts, threads) = HarnessOpts::with_thread_sweep();
+    let mut grid = Vec::new();
     for (media, mname) in [(MediaKind::Dram, "DRAM"), (MediaKind::Optane, "Optane")] {
         for (domain, dname) in [
             (DurabilityDomain::Adr, "ADR"),
             (DurabilityDomain::Eadr, "eADR"),
         ] {
-            let sc = Scenario::new(format!("{mname}_{dname}"), media, domain, algo);
-            if opts.json {
-                for &threads in &opts.threads {
-                    let r = run_point("tpcc-hash", &sc, &opts, threads);
-                    println!("{}", report::point_json("tpcc-hash", &r));
-                }
-                continue;
-            }
-            print!("{}", sc.label);
-            for &threads in &opts.threads {
-                let r = run_point("tpcc-hash", &sc, &opts, threads);
-                let ratio = r.commit_abort_ratio();
-                if ratio.is_finite() {
-                    print!(",{ratio:.2}");
-                } else {
-                    print!(",inf");
-                }
-            }
-            println!();
+            grid.push(Scenario::new(
+                format!("{mname}_{dname}"),
+                media,
+                domain,
+                algo,
+            ));
         }
+    }
+    if opts.json {
+        return run_figure(&["tpcc-hash"], &grid, &opts, &threads);
+    }
+    let cols: Vec<String> = threads.iter().map(usize::to_string).collect();
+    println!("scenario,{}", cols.join(","));
+    for sc in &grid {
+        print!("{}", sc.label);
+        for &t in &threads {
+            print!(",{}", ratio(&run_point("tpcc-hash", sc, &opts, t)));
+        }
+        println!();
     }
 }
 
@@ -250,17 +246,10 @@ mod tests {
     fn run_point_produces_sane_numbers() {
         let opts = HarnessOpts {
             quick: true,
-            threads: vec![1],
             ops_per_thread: 50,
             json: false,
-            trace: None,
         };
-        let sc = Scenario::new(
-            "t",
-            pmem_sim::MediaKind::Optane,
-            pmem_sim::DurabilityDomain::Adr,
-            ptm::Algo::RedoLazy,
-        );
+        let sc = optane("t", DurabilityDomain::Adr, ptm::Algo::RedoLazy);
         let r = run_point("tatp", &sc, &opts, 1);
         assert_eq!(r.ops, 50);
         assert!(r.throughput_mops() > 0.0);

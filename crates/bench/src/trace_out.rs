@@ -27,19 +27,14 @@ pub fn write_trace_exports(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem_sim::{DurabilityDomain, MediaKind};
+    use pmem_sim::DurabilityDomain;
     use trace::export::{read_binary, ExpectedTotals};
-    use workloads::driver::{RunConfig, Scenario};
+    use workloads::driver::RunConfig;
 
     #[test]
     fn exports_roundtrip_and_embed_run_totals() {
         let sink = TraceSink::new(TraceSink::DEFAULT_RING_CAPACITY);
-        let sc = Scenario::new(
-            "trace-out",
-            MediaKind::Optane,
-            DurabilityDomain::Adr,
-            ptm::Algo::RedoLazy,
-        );
+        let sc = crate::optane("trace-out", DurabilityDomain::Adr, ptm::Algo::RedoLazy);
         let rc = RunConfig {
             threads: 2,
             ops_per_thread: 40,

@@ -55,6 +55,14 @@ fn shard_scaling_names_the_group_commit_arm() {
 }
 
 #[test]
+fn ablation_htm_names_each_arm() {
+    assert_keys_unique(
+        env!("CARGO_BIN_EXE_ablation_htm"),
+        &["--quick", "--threads", "1"],
+    );
+}
+
+#[test]
 fn ablation_flush_plan_names_each_plan() {
     assert_keys_unique(
         env!("CARGO_BIN_EXE_ablation_flush_plan"),
