@@ -267,6 +267,26 @@ if [ -n "$FORMATS" ]; then
   exit 1
 fi
 
+echo "=== roaming clock seam check ==="
+# A cross-shard worker is one virtual thread with one clock
+# (ShardedEngine::begin_roaming_run, DESIGN.md §5 decision 14), so every
+# run it drives is bounded by the run's lag window. A `u64::MAX` in
+# non-test, non-comment code under crates/workloads/src or in
+# crates/ptm/src/twopc.rs (everything above a file's first
+# `#[cfg(test)]`) means an unbounded window grew back. The one exemption
+# is 1-thread set-up, which has no peer to lag: `begin_run(1, u64::MAX)`
+# in driver.rs's run_scenario and `begin_run_all(1, u64::MAX)` in
+# sharded.rs's set_up_shards.
+UNBOUNDED=$(for f in crates/workloads/src/*.rs crates/ptm/src/twopc.rs; do
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }
+      /u64::MAX/ && !/begin_run(_all)?\(1, u64::MAX\)/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$UNBOUNDED" ]; then
+  echo "ERROR: an unbounded lag window outside 1-thread set-up:" >&2
+  echo "$UNBOUNDED" >&2
+  exit 1
+fi
+
 echo "=== stream seam check ==="
 # The open-loop front-end draws its requests on demand (DESIGN.md §5
 # decision 20): a shard's workers claim from a segment that one shared
@@ -403,12 +423,15 @@ echo "=== per-shard crash sweep smoke (group-commit window workload) ==="
 # if any shard's recovery tears a joined window.
 cargo run -q --release -p bench --bin crash_sites -- --quick --workload group --shards 4 > /dev/null
 
-echo "=== cross-shard 2PC crash sweep smoke (transfer workload) ==="
+echo "=== cross-shard 2PC crash sweep (transfer workload, exhaustive) ==="
 # One 2-shard engine, one global site numbering across both shard
-# machines: {redo, undo, cow} x 4 domains x adversary policies, a few
-# strided sites each, asserting cross-shard transfers stay all-or-nothing
-# and in-doubt resolution is idempotent.
-cargo run -q --release -p bench --bin crash_sites -- --workload transfer --shards 2 --max-sites 4 > /dev/null
+# machines: {redo, undo, cow} x 4 domains x adversary policies, every
+# site of every case, asserting cross-shard transfers stay
+# all-or-nothing and in-doubt resolution is idempotent. Exhaustive on
+# purpose: a strided sweep stepped over the two sites where an undo
+# decide-commit tore a transfer (crash_harness.rs's
+# undo_decide_commit_does_not_tear_a_transfer).
+cargo run -q --release -p bench --bin crash_sites -- --workload transfer --shards 2 > /dev/null
 
 echo "=== restart seam check ==="
 # Restart is one serial pipeline on the calling thread: machine by

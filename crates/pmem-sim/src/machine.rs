@@ -366,8 +366,14 @@ impl Machine {
     /// bandwidth servers and replaces the clock domain; previously created
     /// sessions become stale and must not be used afterwards.
     pub fn begin_run(&self, threads: usize, window_ns: u64) {
+        self.begin_run_on(Arc::new(ClockDomain::new(threads, window_ns)));
+    }
+
+    /// [`Machine::begin_run`] on a clock domain the caller may share with
+    /// other machines: a thread's sessions on all of them share one clock.
+    pub fn begin_run_on(&self, clocks: Arc<ClockDomain>) {
         self.servers.reset();
-        *self.clocks.write().unwrap() = Arc::new(ClockDomain::new(threads, window_ns));
+        *self.clocks.write().unwrap() = clocks;
     }
 
     /// Obtain a session for virtual thread `tid` in the current run.

@@ -204,15 +204,17 @@ impl LogPolicy for UndoPolicy {
     }
 
     fn commit_prepared(&self, ax: &mut TxAccess, wv: u64) {
-        // Decide-commit: truncate the undo log and clear the marker
-        // (different cache lines — one flush each, one fence), then
-        // release the orecs. In-place data is durable since prepare.
+        // Decide-commit: truncate the undo log and fence it before the
+        // marker is cleared (under one fence, IDLE could persist alone and
+        // recovery would roll back a committed participant), then release
+        // the orecs. In-place data is durable since prepare.
         let now = ax.s.now();
         ax.timer.switch(now, Phase::LogAppend);
         if !ax.entries.is_empty() {
             let e0 = ax.log.entry_addr(0);
             ax.s.store(e0, 0);
             ax.flush_line(e0);
+            ax.fence();
         }
         ax.persist_state(STATE_IDLE);
         self.commit_publish(ax, wv);

@@ -811,7 +811,7 @@ impl ShardedTransfers {
 
     /// Populate every shard, then transact.
     fn transact(&self, engine: &ShardedEngine, case: &SweepCase) {
-        engine.begin_run_all(1, u64::MAX);
+        engine.begin_roaming_run(1, u64::MAX);
         let mut cx = CrossShardTx::new(engine, 0);
         // Per-shard account tables, rooted so recovery can find them.
         let tables: Vec<PAddr> = (0..self.shards)
@@ -1130,6 +1130,20 @@ mod tests {
         assert_eq!(a.fired, b.fired);
         assert_eq!(a.state_digest, b.state_digest, "replay must be bit-exact");
         assert_eq!(a.violations, b.violations);
+    }
+
+    /// An undo decide-commit fences its log truncation before it clears
+    /// the PREPARED marker. With one fence for both, these two sites
+    /// persisted the cleared marker without the truncation, and recovery
+    /// rolled back a participant that was decided commit.
+    #[test]
+    fn undo_decide_commit_does_not_tear_a_transfer() {
+        let w = ShardedTransfers::default();
+        let c = case(Algo::UndoEager, AdversaryPolicy::PerWord);
+        for site in [167, 343] {
+            let r = run_site(&w, &c, site, RecoverOptions::default());
+            assert!(r.violations.is_empty(), "site {site}: {:?}", r.violations);
+        }
     }
 
     #[test]

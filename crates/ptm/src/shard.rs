@@ -214,6 +214,16 @@ impl ShardedEngine {
         }
     }
 
+    /// Start a timed run for `workers` roaming workers: one clock domain,
+    /// a slot per worker, on every shard machine, so each worker has one
+    /// clock ([`crate::twopc::CrossShardTx`]) bounded by `window_ns`.
+    pub fn begin_roaming_run(&self, workers: usize, window_ns: u64) {
+        let clocks = Arc::new(pmem_sim::clock::ClockDomain::new(workers, window_ns));
+        for db in &self.shards {
+            db.machine().begin_run_on(Arc::clone(&clocks));
+        }
+    }
+
     /// Simulated power failure on all shards at once: one media image per
     /// shard, shard `i` under the adversary seed [`shard_seed`]`(seed, i)`
     /// (independent and deterministic per shard; shard 0 keeps `seed`).

@@ -47,16 +47,12 @@
 //! elided by the memory session, so the entire prepare/decide overhead
 //! collapses and 2PC costs only the extra log marker stores.
 //!
-//! ## Virtual-time coherence
+//! ## One clock per worker
 //!
-//! Each shard machine has its own virtual clock domain. A cross-shard
-//! transaction keeps one logical timeline by advancing a shard's session
-//! to the worker's current frontier (`max` over its active sessions) on
-//! first touch — a no-op for the single-shard case, which preserves
-//! bit-identical single-shard timing. Drivers must run cross-shard
-//! workers under an unbounded lag window (`window_ns == u64::MAX`):
-//! a shard session that a worker leaves idle would otherwise pin its
-//! domain's bounded-lag minimum and stall the other shards.
+//! A worker is one virtual thread ([`ShardedEngine::begin_roaming_run`]):
+//! its clock is the session it ran on last, and moving to another shard
+//! first advances that shard's session to it, so every step above runs
+//! after the one before it.
 
 use pmem_sim::PAddr;
 use trace::{AbortCause, EventKind};
@@ -76,21 +72,21 @@ pub struct CrossShardTx<'e> {
     slots: Vec<Option<TxThread>>,
     /// Shards touched by the current attempt, in first-touch order.
     active: Vec<usize>,
-    /// This worker's cross-shard virtual-time frontier.
-    now_max: u64,
+    /// The shard this worker ran on last: its session holds the clock.
+    last: usize,
 }
 
 impl<'e> CrossShardTx<'e> {
-    /// Create an executor for virtual thread `tid`. Every shard machine
-    /// must have been started (`begin_run_all`) with at least `tid + 1`
-    /// threads and an unbounded lag window (see the module docs).
+    /// Create an executor for worker `tid`. The engine must have been
+    /// started with [`ShardedEngine::begin_roaming_run`] for at least
+    /// `tid + 1` workers (see the module docs).
     pub fn new(engine: &'e ShardedEngine, tid: usize) -> CrossShardTx<'e> {
         CrossShardTx {
             engine,
             tid,
             slots: (0..engine.shards()).map(|_| None).collect(),
             active: Vec::new(),
-            now_max: 0,
+            last: 0,
         }
     }
 
@@ -119,7 +115,7 @@ impl<'e> CrossShardTx<'e> {
                 }
                 Err(Abort) => {
                     for i in 0..self.active.len() {
-                        let th = self.slots[self.active[i]].as_mut().unwrap();
+                        let th = self.on(self.active[i]);
                         th.policy.abort_rollback(&mut th.ax, None);
                     }
                 }
@@ -132,7 +128,7 @@ impl<'e> CrossShardTx<'e> {
                 .expect("aborted with no participants");
             attempts += 1;
             {
-                let th = self.slots[lead].as_mut().unwrap();
+                let th = self.on(lead);
                 PtmStats::bump(&th.ax.ptm.stats.aborts);
                 if th.ax.ptm.config.tracing {
                     let (cause, orec) = th
@@ -149,11 +145,10 @@ impl<'e> CrossShardTx<'e> {
                 );
             }
             for i in 0..self.active.len() {
-                let th = self.slots[self.active[i]].as_mut().unwrap();
-                th.ax.abort_cleanup();
+                self.on(self.active[i]).ax.abort_cleanup();
             }
             {
-                let th = self.slots[lead].as_mut().unwrap();
+                let th = self.on(lead);
                 th.ax.attempts = attempts;
                 th.ax.backoff();
             }
@@ -169,15 +164,13 @@ impl<'e> CrossShardTx<'e> {
         shard: usize,
         f: impl FnMut(&mut crate::txn::Tx<'_>) -> TxResult<T>,
     ) -> T {
-        self.ensure_slot(shard);
-        self.slots[shard].as_mut().unwrap().run(f)
+        self.on(shard).run(f)
     }
 
     /// The underlying per-shard executor (creating it if needed), for
     /// non-transactional phases such as allocation during setup.
     pub fn thread_mut(&mut self, shard: usize) -> &mut TxThread {
-        self.ensure_slot(shard);
-        self.slots[shard].as_mut().unwrap()
+        self.on(shard)
     }
 
     /// Finish every per-shard session this worker actually created
@@ -189,56 +182,47 @@ impl<'e> CrossShardTx<'e> {
         }
     }
 
-    /// This worker's virtual-time frontier: the largest `now` across its
-    /// per-shard sessions. Drivers use consecutive frontier readings as
-    /// the per-operation latency of a cross-shard transaction.
+    /// This worker's virtual time: the clock of the session it ran on
+    /// last. Drivers use consecutive readings as the per-operation
+    /// latency of a cross-shard transaction.
     pub fn frontier(&self) -> u64 {
-        let live = self
-            .slots
-            .iter()
-            .flatten()
-            .map(|th| th.ax.s.now())
-            .max()
-            .unwrap_or(0);
-        live.max(self.now_max)
+        self.slots[self.last].as_ref().map_or(0, |th| th.ax.s.now())
     }
 
-    fn ensure_slot(&mut self, shard: usize) {
+    /// The executor on `shard` (created if needed) on this worker's clock:
+    /// moving here advances the session to [`Self::frontier`].
+    fn on(&mut self, shard: usize) -> &mut TxThread {
         assert!(shard < self.slots.len(), "shard {shard} out of range");
         if self.slots[shard].is_none() {
             self.slots[shard] = Some(self.engine.thread(shard, self.tid));
         }
-    }
-
-    /// First-touch bookkeeping for the current attempt: create the
-    /// executor if needed, advance the shard's session to the worker's
-    /// time frontier, and open the per-shard attempt.
-    fn touch(&mut self, shard: usize) -> &mut TxThread {
-        if !self.active.contains(&shard) {
-            self.ensure_slot(shard);
-            for &s in &self.active {
-                let t = self.slots[s].as_ref().unwrap().ax.s.now();
-                self.now_max = self.now_max.max(t);
-            }
-            let th = self.slots[shard].as_mut().unwrap();
-            th.ax.s.advance_to(self.now_max);
-            let now = th.ax.s.now();
-            self.now_max = self.now_max.max(now);
-            th.ax.timer.start(now);
-            th.ax.begin();
-            self.active.push(shard);
+        if shard != self.last {
+            let now = self.frontier();
+            self.last = shard;
+            self.slots[shard].as_mut().unwrap().ax.s.advance_to(now);
         }
         self.slots[shard].as_mut().unwrap()
     }
 
-    /// Close every active participant's phase-accounting interval and
-    /// refresh the worker's time frontier.
+    /// First-touch bookkeeping for the current attempt: open the
+    /// per-shard attempt on the worker's clock.
+    fn touch(&mut self, shard: usize) -> &mut TxThread {
+        if !self.active.contains(&shard) {
+            let th = self.on(shard);
+            let now = th.ax.s.now();
+            th.ax.timer.start(now);
+            th.ax.begin();
+            self.active.push(shard);
+        }
+        self.on(shard)
+    }
+
+    /// Close every active participant's phase-accounting interval.
     fn drain_active(&mut self) {
         for i in 0..self.active.len() {
             let th = self.slots[self.active[i]].as_mut().unwrap();
             let now = th.ax.s.now();
             th.ax.timer.drain(now, &th.ax.ptm.phases);
-            self.now_max = self.now_max.max(now);
         }
     }
 
@@ -257,41 +241,32 @@ impl<'e> CrossShardTx<'e> {
             })
             .collect();
 
-        match writers.len() {
-            0 => {
-                // All participants read-only: per-read validation already
-                // guaranteed each shard's snapshot; nothing to decide.
-                for &s in &shards {
-                    self.slots[s].as_mut().unwrap().ax.apply_frees();
-                }
-                self.finish_commit(shards[0], 0, 0);
-                return true;
-            }
-            1 => {
-                // One writer: 2PC adds nothing — run the ordinary
-                // single-shard commit sequence on that shard.
-                if !self.slots[writers[0]].as_mut().unwrap().try_commit() {
+        if writers.len() < 2 {
+            // No writer or one: 2PC adds nothing. Per-read validation
+            // already guaranteed each shard's snapshot, and a lone writer
+            // runs the ordinary single-shard commit sequence on its shard.
+            if let Some(&w) = writers.first() {
+                if !self.on(w).try_commit() {
                     return false;
                 }
-                for &s in &shards {
-                    if s != writers[0] {
-                        self.slots[s].as_mut().unwrap().ax.apply_frees();
-                    }
-                }
-                self.finish_commit(shards[0], 0, 0);
-                return true;
             }
-            _ => {}
+            for &s in &shards {
+                if !writers.contains(&s) {
+                    self.on(s).ax.apply_frees();
+                }
+            }
+            self.finish_commit(shards[0], 0);
+            return true;
         }
 
         // --- Phase 1: acquire + validate on every writer shard --------
         for (k, &s) in writers.iter().enumerate() {
-            let th = self.slots[s].as_mut().unwrap();
+            let th = self.on(s);
             let now = th.ax.s.now();
             th.ax.timer.switch(now, Phase::Validation);
             if !th.policy.pre_commit_acquire(&mut th.ax) {
                 for &p in &writers[..k] {
-                    let th = self.slots[p].as_mut().unwrap();
+                    let th = self.on(p);
                     th.policy.abort_rollback(&mut th.ax, None);
                 }
                 return false;
@@ -299,14 +274,14 @@ impl<'e> CrossShardTx<'e> {
         }
         let mut wvs = Vec::with_capacity(writers.len());
         for &s in &writers {
-            let th = self.slots[s].as_mut().unwrap();
+            let th = self.on(s);
             let wv = th.ax.ptm.clock.bump();
             th.ax.commit_wv = wv;
             th.ax.s.advance(crate::config::OREC_NS);
             wvs.push(wv);
         }
         for (k, &s) in writers.iter().enumerate() {
-            let th = self.slots[s].as_mut().unwrap();
+            let th = self.on(s);
             let wv = wvs[k];
             if wv == th.ax.start_time + 2 {
                 continue; // validation elision, per shard
@@ -315,7 +290,7 @@ impl<'e> CrossShardTx<'e> {
                 PtmStats::bump(&th.ax.ptm.stats.aborts_validation);
                 th.ax.abort_at(AbortCause::Validation, o);
                 for (j, &p) in writers.iter().enumerate() {
-                    let th = self.slots[p].as_mut().unwrap();
+                    let th = self.on(p);
                     th.policy.abort_rollback(&mut th.ax, Some(wvs[j]));
                 }
                 return false;
@@ -327,7 +302,7 @@ impl<'e> CrossShardTx<'e> {
         // --- Phase 2: prepare every writer shard's log ----------------
         let gtid = self.engine.next_gtid();
         for &s in &writers {
-            let th = self.slots[s].as_mut().unwrap();
+            let th = self.on(s);
             let t0 = th.ax.s.now();
             th.policy.make_prepared(&mut th.ax, gtid);
             let dt = th.ax.s.now().saturating_sub(t0);
@@ -340,7 +315,7 @@ impl<'e> CrossShardTx<'e> {
         let slot_words = (self.engine.next_coord_slot() * COORD_SLOT_WORDS) as u64;
         let rec: PAddr = self.engine.coord_pool(coord).addr(slot_words);
         {
-            let th = self.slots[coord].as_mut().unwrap();
+            let th = self.on(coord);
             let now = th.ax.s.now();
             th.ax.timer.switch(now, Phase::LogAppend);
             th.ax.s.store(rec, gtid);
@@ -352,7 +327,7 @@ impl<'e> CrossShardTx<'e> {
 
         // --- Phase 3: commit every participant, then forget -----------
         for (k, &s) in writers.iter().enumerate() {
-            let th = self.slots[s].as_mut().unwrap();
+            let th = self.on(s);
             th.policy.commit_prepared(&mut th.ax, wvs[k]);
             let n = th.policy.write_set_size(&th.ax);
             th.ax.ptm.stats.note_write_set(n);
@@ -361,20 +336,15 @@ impl<'e> CrossShardTx<'e> {
         }
         for &s in &shards {
             if !writers.contains(&s) {
-                self.slots[s].as_mut().unwrap().ax.apply_frees();
+                self.on(s).ax.apply_frees();
             }
         }
-        {
-            // Tombstone: plain store, deliberately unflushed (see module
-            // docs — a stale decision record is ignored by recovery).
-            let th = self.slots[coord].as_mut().unwrap();
-            th.ax.s.store(rec, 0);
-        }
-        let n = {
-            let th = self.slots[coord].as_ref().unwrap();
-            th.policy.write_set_size(&th.ax)
-        };
-        self.finish_commit(coord, n, gtid);
+        // Tombstone: plain store, deliberately unflushed (see module
+        // docs — a stale decision record is ignored by recovery).
+        let th = self.on(coord);
+        th.ax.s.store(rec, 0);
+        let n = th.policy.write_set_size(&th.ax);
+        self.finish_commit(coord, n);
         true
     }
 
@@ -383,9 +353,9 @@ impl<'e> CrossShardTx<'e> {
     /// commit trace event (`b == 3` marks a cross-shard-handle commit —
     /// distinct from the HTM codes 1/2), and timer drain on every
     /// participant.
-    fn finish_commit(&mut self, lead: usize, write_set: u64, _gtid: u64) {
+    fn finish_commit(&mut self, lead: usize, write_set: u64) {
         {
-            let th = self.slots[lead].as_mut().unwrap();
+            let th = self.on(lead);
             PtmStats::bump(&th.ax.ptm.stats.commits);
             th.ax.trace(EventKind::TxCommit, write_set, 3);
         }
@@ -438,7 +408,7 @@ mod tests {
     #[test]
     fn cross_shard_transfer_commits_atomically() {
         let e = ShardedEngine::create(2, cfg(), PtmConfig::redo(), 1 << 14, 4);
-        e.begin_run_all(1, u64::MAX);
+        e.begin_roaming_run(1, u64::MAX);
         let mut cx = CrossShardTx::new(&e, 0);
         let cells: Vec<PAddr> = (0..2)
             .map(|s| {
@@ -463,6 +433,46 @@ mod tests {
         assert_eq!(agg.commits, 5, "4 single-shard + 1 cross-shard");
     }
 
+    /// A worker is one virtual thread: every step of a 2-writer commit
+    /// runs after the one before it, whichever shard it runs on, so the
+    /// worker's clock covers every fence the commit paid on any shard.
+    #[test]
+    fn cross_shard_commit_runs_on_one_clock() {
+        let model = pmem_sim::LatencyModel {
+            sfence_ns: 1_000,
+            ..pmem_sim::LatencyModel::zero()
+        };
+        let e = ShardedEngine::create(
+            2,
+            MachineConfig { model, ..cfg() },
+            PtmConfig::redo(),
+            1 << 14,
+            4,
+        );
+        e.begin_roaming_run(1, u64::MAX);
+        let mut cx = CrossShardTx::new(&e, 0);
+        let cells: Vec<PAddr> = (0..2)
+            .map(|s| {
+                let th = cx.thread_mut(s);
+                let heap = Arc::clone(th.heap());
+                heap.alloc(th.session_mut(), 1)
+            })
+            .collect();
+        e.reset_stats();
+        let t0 = cx.frontier();
+        cx.run(|tx| {
+            tx.write(0, cells[0], 1)?;
+            tx.write(1, cells[1], 2)
+        });
+        let elapsed = cx.frontier() - t0;
+        let fences = e.aggregate_mem_stats().sfences;
+        assert_eq!(e.aggregate_ptm_stats().prepares, 2, "a 2PC commit");
+        assert!(
+            elapsed >= fences * 1_000,
+            "{fences} fences of 1000 ns in {elapsed} ns: shards ran on separate clocks"
+        );
+    }
+
     /// The regression the tentpole hangs on: single-shard work driven
     /// through the cross-shard handle is bit-identical (counters *and*
     /// virtual time) to the plain single-shard executor.
@@ -470,7 +480,7 @@ mod tests {
     fn single_shard_path_is_bit_identical_through_cross_handle() {
         fn scenario(cross: bool) -> (u64, u64, u64, u64) {
             let e = ShardedEngine::create(1, cfg(), PtmConfig::redo(), 1 << 14, 4);
-            e.begin_run_all(1, u64::MAX);
+            e.begin_roaming_run(1, u64::MAX);
             let v = if cross {
                 let mut cx = CrossShardTx::new(&e, 0);
                 let c = {
@@ -596,7 +606,7 @@ mod tests {
             PtmConfig::htm_logged(),
         ] {
             let e = ShardedEngine::create(2, cfg(), algo.clone(), 1 << 14, 4);
-            e.begin_run_all(1, u64::MAX);
+            e.begin_roaming_run(1, u64::MAX);
             let mut cx = CrossShardTx::new(&e, 0);
             let cells: Vec<PAddr> = (0..2)
                 .map(|s| {

@@ -186,7 +186,8 @@ pub fn gen_open_loop(cfg: &StreamConfig) -> Vec<Request> {
 pub struct ShardedRunConfig {
     pub shards: usize,
     pub threads_per_shard: usize,
-    /// Bounded-lag window within each shard's clock domain.
+    /// Bounded-lag window within a clock domain: each shard's, or the one
+    /// the roaming transfer workers share across the shards.
     pub window_ns: u64,
     pub model: LatencyModel,
     pub domain: DurabilityDomain,
@@ -654,9 +655,9 @@ pub const TRANSFER_INITIAL_BALANCE: u64 = 1_000;
 /// `cross_frac` traces out exactly the seam cost the fence-budget table
 /// documents.
 ///
-/// Workers roam every shard, so the run uses an unbounded lag window
-/// regardless of `rc.window_ns` (see `ptm::twopc` module docs on why a
-/// bounded window would deadlock idle cross-shard sessions).
+/// Workers roam every shard, each on one clock
+/// ([`ShardedEngine::begin_roaming_run`]), and `rc.window_ns` bounds how
+/// far any worker runs ahead of the others.
 pub fn run_cross_shard_transfer(rc: &ShardedRunConfig, cross_frac: f64) -> ShardedRunResult {
     rc.assert_nonempty();
     assert!((0.0..=1.0).contains(&cross_frac), "cross_frac in [0, 1]");
@@ -692,7 +693,7 @@ pub fn run_cross_shard_transfer(rc: &ShardedRunConfig, cross_frac: f64) -> Shard
     // fractions the benches sweep; avoids per-op float draws).
     let cross_threshold = (cross_frac * u32::MAX as f64) as u32;
     arm_tracers(&engine, rc);
-    engine.begin_run_all(workers, u64::MAX);
+    engine.begin_roaming_run(workers, rc.window_ns);
     std::thread::scope(|scope| {
         for w in 0..workers {
             let engine = &engine;
