@@ -287,6 +287,30 @@ if [ -n "$UNBOUNDED" ]; then
   exit 1
 fi
 
+echo "=== commit-sequence seam check ==="
+# One commit sequence (DESIGN.md §5 decision 14): TxThread's commit steps
+# in txn.rs acquire, validate and count for every path, and 2PC runs its
+# participants through them. Each of these spellings in non-test ptm
+# code (everything above a file's first `#[cfg(test)]`; engine_tests.rs
+# is all test) once, in txn.rs, and `run_single` nowhere; a second hit
+# means a private copy of the sequence grew back.
+COMMIT_SEQ=$(for f in crates/ptm/src/*.rs crates/ptm/src/algo/*.rs; do
+  [ "$f" = crates/ptm/src/engine_tests.rs ] && continue
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ":" FNR ": " $0 }' "$f"
+done)
+for step in '.pre_commit_acquire(' '.validate_reads(' 'stats.commits)' 'stats.aborts)'; do
+  HITS=$(printf '%s\n' "$COMMIT_SEQ" | grep -F -- "$step" || true)
+  if [ "$(printf '%s' "$HITS" | grep -c .)" -ne 1 ] || [ "${HITS#crates/ptm/src/txn.rs:}" = "$HITS" ]; then
+    echo "ERROR: expected \`$step\` once in non-test crates/ptm/src, in txn.rs, found:" >&2
+    echo "$HITS" >&2
+    exit 1
+  fi
+done
+if printf '%s\n' "$COMMIT_SEQ" | grep -F 'run_single'; then
+  echo "ERROR: CrossShardTx::run_single grew back (see above)" >&2
+  exit 1
+fi
+
 echo "=== stream seam check ==="
 # The open-loop front-end draws its requests on demand (DESIGN.md §5
 # decision 20): a shard's workers claim from a segment that one shared
@@ -517,7 +541,7 @@ echo "=== two-clock benchmark smoke ==="
 # (virtual-time determinism, zero failed operations, the model constants):
 # seconds, and the only CI step that looks at both clocks. Builds with
 # benchmark/'s own lock file, which cargo rewrites in place while it
-# carries stale edges (ROADMAP item 2).
+# carries stale edges (ROADMAP item 5).
 benchmark/run.sh --smoke > /dev/null
 
 echo "=== bench_trend smoke ==="

@@ -497,8 +497,8 @@ impl TxAccess {
     /// Commit-time acquisition of the orec striping `addr` (redo-style:
     /// locks any unlocked even version regardless of its timestamp).
     /// Charges the index probe and orec accesses; on failure notes the
-    /// abort cause and stats and returns `false` — the caller releases
-    /// whatever it already holds.
+    /// abort cause and stats and returns `false` — the driver rolls the
+    /// attempt back.
     pub(crate) fn acquire_commit(&mut self, addr: PAddr) -> bool {
         let o = self.ptm.orecs.index_of(addr);
         self.s.advance(INDEX_NS);
@@ -634,22 +634,10 @@ impl TxAccess {
         }
     }
 
-    /// Commit-time locking over the `n` written words `word(self, i)`:
-    /// on the first failed acquisition everything held is released at
-    /// its pre-lock version and `false` returned.
-    pub(crate) fn acquire_each(
-        &mut self,
-        n: usize,
-        word: impl Fn(&TxAccess, usize) -> u64,
-    ) -> bool {
-        for i in 0..n {
-            let addr = PAddr(word(self, i));
-            if !self.acquire_commit(addr) {
-                self.release_owned_restore();
-                return false;
-            }
-        }
-        true
+    /// Commit-time locking over the `n` written words `word(self, i)`,
+    /// up to the first failed acquisition.
+    pub(crate) fn acquire_each(&mut self, n: usize, word: impl Fn(&Self, usize) -> u64) -> bool {
+        (0..n).all(|i| self.acquire_commit(PAddr(word(self, i))))
     }
 
     /// Return transactionally-allocated blocks after an abort.

@@ -61,8 +61,8 @@ pub trait LogPolicy: Sync {
     fn write_set_size(&self, ax: &TxAccess) -> u64;
 
     /// Acquire whatever orecs the commit still needs (commit-time
-    /// locking). On failure the policy has already released its own
-    /// holdings and noted the abort cause; the driver just retries.
+    /// locking), noting the abort cause on failure. Return `false`
+    /// without releasing anything: the driver rolls back.
     fn pre_commit_acquire(&self, ax: &mut TxAccess) -> bool;
 
     /// Make the write set durable up to and including the commit
@@ -77,7 +77,8 @@ pub trait LogPolicy: Sync {
 
     /// Undo the current attempt. `wv` is `Some` when the driver already
     /// bumped the clock (post-acquire validation failure) and `None`
-    /// for a user abort (`Err(Abort)` escaped the closure) — policies
+    /// for a user abort (`Err(Abort)` escaped the closure) or a failed
+    /// [`LogPolicy::pre_commit_acquire`] — policies
     /// that wrote in place must then bump the clock themselves before
     /// restoring.
     fn abort_rollback(&self, ax: &mut TxAccess, wv: Option<u64>);

@@ -91,7 +91,7 @@ pub struct RecoverOptions {
     /// it holds. It selected the worker-parallel repair until that path
     /// was removed, and stays only because `benchmark/src/suite/bank.rs`
     /// spells `workers: 1` and a PR that changes the system may not
-    /// touch `benchmark/` (ROADMAP item 2 drops that line, then this
+    /// touch `benchmark/` (ROADMAP item 5 drops that line, then this
     /// field).
     pub workers: usize,
 }

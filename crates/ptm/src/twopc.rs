@@ -10,11 +10,12 @@
 //! ## The commit protocol
 //!
 //! With two or more *writer* participants, commit runs 2PC over the
-//! shards' existing per-thread logs:
+//! shards' existing per-thread logs. The commit steps are
+//! [`TxThread`]'s own; 2PC only orders them across the shards:
 //!
-//! 1. **Acquire + validate** (per shard, ascending shard order): the
-//!    ordinary orec acquisition and TL2 read validation each shard's
-//!    policy already implements, against that shard's clock.
+//! 1. **Acquire + validate** (ascending shard order): acquire on every
+//!    writer, then take each one's commit timestamp from its shard's
+//!    clock, then run TL2 read validation on each.
 //! 2. **Prepare** (per shard): [`crate::algo::LogPolicy::make_prepared`]
 //!    seals the shard's log under a `PREPARED` marker carrying a global
 //!    transaction id (gtid) instead of `COMMITTED` — the log's content
@@ -55,7 +56,6 @@
 //! after the one before it.
 
 use pmem_sim::PAddr;
-use trace::{AbortCause, EventKind};
 
 use crate::log::{coord_seal, COORD_SLOT_WORDS};
 use crate::phases::Phase;
@@ -96,9 +96,8 @@ impl<'e> CrossShardTx<'e> {
     ///
     /// Cross-shard transactions always use the software path — the 2PC
     /// prepare/decide split has no hardware-section equivalent. Purely
-    /// single-shard work should prefer [`CrossShardTx::run_single`],
-    /// which delegates to the unmodified single-shard driver (HTM fast
-    /// path included).
+    /// single-shard work should prefer `thread_mut(shard).run(f)`, the
+    /// unmodified single-shard driver (HTM fast path included).
     pub fn run<T>(&mut self, mut f: impl FnMut(&mut CrossTx<'_, 'e>) -> TxResult<T>) -> T {
         let mut attempts: u32 = 0;
         loop {
@@ -120,30 +119,25 @@ impl<'e> CrossShardTx<'e> {
                     }
                 }
             }
-            // Failed attempt: per-participant cleanup, shared backoff.
+            // Failed attempt: counted once, on the participant that
+            // noted why (the lead for a user abort); per-participant
+            // cleanup, shared backoff.
             let lead = *self
                 .active
                 .iter()
                 .min()
                 .expect("aborted with no participants");
+            let decider = self.active.iter().copied().find(|&s| {
+                let th = self.slots[s].as_ref().unwrap();
+                th.ax.pending_abort.is_some()
+            });
+            self.on(decider.unwrap_or(lead)).note_abort();
             attempts += 1;
-            {
-                let th = self.on(lead);
-                PtmStats::bump(&th.ax.ptm.stats.aborts);
-                if th.ax.ptm.config.tracing {
-                    let (cause, orec) = th
-                        .ax
-                        .pending_abort
-                        .take()
-                        .unwrap_or((AbortCause::User as u64, 0));
-                    th.ax.s.trace_event(EventKind::TxAbort, cause, orec);
-                }
-                assert!(
-                    attempts < crate::config::MAX_RETRIES,
-                    "cross-shard livelock: {attempts} consecutive aborts on worker {}",
-                    self.tid
-                );
-            }
+            assert!(
+                attempts < crate::config::MAX_RETRIES,
+                "cross-shard livelock: {attempts} consecutive aborts on worker {}",
+                self.tid
+            );
             for i in 0..self.active.len() {
                 self.on(self.active[i]).ax.abort_cleanup();
             }
@@ -156,19 +150,9 @@ impl<'e> CrossShardTx<'e> {
         }
     }
 
-    /// Run `f` as an ordinary single-shard transaction on `shard`: the
-    /// unmodified [`TxThread::run`] driver, bit-identical to an executor
-    /// obtained from [`ShardedEngine::thread`].
-    pub fn run_single<T>(
-        &mut self,
-        shard: usize,
-        f: impl FnMut(&mut crate::txn::Tx<'_>) -> TxResult<T>,
-    ) -> T {
-        self.on(shard).run(f)
-    }
-
     /// The underlying per-shard executor (creating it if needed), for
-    /// non-transactional phases such as allocation during setup.
+    /// non-transactional phases such as allocation during setup, and for
+    /// single-shard transactions through its [`TxThread::run`].
     pub fn thread_mut(&mut self, shard: usize) -> &mut TxThread {
         self.on(shard)
     }
@@ -259,44 +243,26 @@ impl<'e> CrossShardTx<'e> {
             return true;
         }
 
-        // --- Phase 1: acquire + validate on every writer shard --------
-        for (k, &s) in writers.iter().enumerate() {
-            let th = self.on(s);
-            let now = th.ax.s.now();
-            th.ax.timer.switch(now, Phase::Validation);
-            if !th.policy.pre_commit_acquire(&mut th.ax) {
-                for &p in &writers[..k] {
+        // --- Phase 1: acquire, stamp, then validate every writer -----
+        for k in 0..writers.len() {
+            if !self.on(writers[k]).commit_acquire() {
+                // The failed writer rolled itself back.
+                for &p in writers.iter().filter(|&&p| p != writers[k]) {
                     let th = self.on(p);
                     th.policy.abort_rollback(&mut th.ax, None);
                 }
                 return false;
             }
         }
-        let mut wvs = Vec::with_capacity(writers.len());
-        for &s in &writers {
-            let th = self.on(s);
-            let wv = th.ax.ptm.clock.bump();
-            th.ax.commit_wv = wv;
-            th.ax.s.advance(crate::config::OREC_NS);
-            wvs.push(wv);
-        }
-        for (k, &s) in writers.iter().enumerate() {
-            let th = self.on(s);
-            let wv = wvs[k];
-            if wv == th.ax.start_time + 2 {
-                continue; // validation elision, per shard
-            }
-            if let Err(o) = th.ax.validate_reads() {
-                PtmStats::bump(&th.ax.ptm.stats.aborts_validation);
-                th.ax.abort_at(AbortCause::Validation, o);
+        let wvs: Vec<u64> = writers.iter().map(|&s| self.on(s).commit_stamp()).collect();
+        for k in 0..writers.len() {
+            if !self.on(writers[k]).commit_validate(wvs[k]) {
                 for (j, &p) in writers.iter().enumerate() {
                     let th = self.on(p);
                     th.policy.abort_rollback(&mut th.ax, Some(wvs[j]));
                 }
                 return false;
             }
-            let reads = th.ax.read_set.len() as u64;
-            th.ax.trace(EventKind::TxValidate, reads, wv);
         }
 
         // --- Phase 2: prepare every writer shard's log ----------------
@@ -329,10 +295,7 @@ impl<'e> CrossShardTx<'e> {
         for (k, &s) in writers.iter().enumerate() {
             let th = self.on(s);
             th.policy.commit_prepared(&mut th.ax, wvs[k]);
-            let n = th.policy.write_set_size(&th.ax);
-            th.ax.ptm.stats.note_write_set(n);
-            th.ax.note_read_set();
-            th.ax.apply_frees();
+            th.commit_done();
         }
         for &s in &shards {
             if !writers.contains(&s) {
@@ -348,17 +311,11 @@ impl<'e> CrossShardTx<'e> {
         true
     }
 
-    /// Shared commit epilogue: one `commits` bump (on the lead shard, so
-    /// aggregate commits count transactions, not participants), the
-    /// commit trace event (`b == 3` marks a cross-shard-handle commit —
-    /// distinct from the HTM codes 1/2), and timer drain on every
-    /// participant.
+    /// Shared commit epilogue: one commit noted on the lead shard (so
+    /// aggregate commits count transactions, not participants), and
+    /// timer drain on every participant.
     fn finish_commit(&mut self, lead: usize, write_set: u64) {
-        {
-            let th = self.on(lead);
-            PtmStats::bump(&th.ax.ptm.stats.commits);
-            th.ax.trace(EventKind::TxCommit, write_set, 3);
-        }
+        self.on(lead).note_commit(write_set, 3);
         self.drain_active();
     }
 }
@@ -417,16 +374,16 @@ mod tests {
                 heap.alloc(th.session_mut(), 1)
             })
             .collect();
-        cx.run_single(0, |tx| tx.write(cells[0], 100));
-        cx.run_single(1, |tx| tx.write(cells[1], 0));
+        cx.thread_mut(0).run(|tx| tx.write(cells[0], 100));
+        cx.thread_mut(1).run(|tx| tx.write(cells[1], 0));
         cx.run(|tx| {
             let a = tx.read(0, cells[0])?;
             let b = tx.read(1, cells[1])?;
             tx.write(0, cells[0], a - 40)?;
             tx.write(1, cells[1], b + 40)
         });
-        assert_eq!(cx.run_single(0, |tx| tx.read(cells[0])), 60);
-        assert_eq!(cx.run_single(1, |tx| tx.read(cells[1])), 40);
+        assert_eq!(cx.thread_mut(0).run(|tx| tx.read(cells[0])), 60);
+        assert_eq!(cx.thread_mut(1).run(|tx| tx.read(cells[1])), 40);
         let agg = e.aggregate_ptm_stats();
         assert_eq!(agg.prepares, 2, "one prepare per writer participant");
         assert_eq!(agg.coordinator_commits, 1, "one decision record");
@@ -471,6 +428,51 @@ mod tests {
             elapsed >= fences * 1_000,
             "{fences} fences of 1000 ns in {elapsed} ns: shards ran on separate clocks"
         );
+    }
+
+    /// A cross-shard abort is traced under the cause the deciding
+    /// participant noted, not as a user abort on the lead shard: worker B
+    /// commits X on shard 1 after worker A read it, so A's validation
+    /// fails on shard 1 while shard 0 leads.
+    #[test]
+    fn cross_shard_abort_is_traced_where_it_was_decided() {
+        let tracing = PtmConfig {
+            tracing: true,
+            ..PtmConfig::redo()
+        };
+        let e = ShardedEngine::create(2, cfg(), tracing, 1 << 14, 4);
+        let sinks: Vec<_> = (0..2)
+            .map(|s| {
+                let sink = trace::TraceSink::new_for_shard(1 << 12, s as u32);
+                e.shard(s).machine().attach_tracer(Arc::clone(&sink));
+                sink
+            })
+            .collect();
+        e.begin_roaming_run(2, u64::MAX);
+        let (mut a, mut b) = (CrossShardTx::new(&e, 0), CrossShardTx::new(&e, 1));
+        let cells: Vec<PAddr> = (0..2)
+            .map(|s| {
+                let th = a.thread_mut(s);
+                let heap = Arc::clone(th.heap());
+                heap.alloc(th.session_mut(), 1)
+            })
+            .collect();
+        let mut interfere = true;
+        a.run(|tx| {
+            let x = tx.read(1, cells[1])?;
+            if std::mem::take(&mut interfere) {
+                b.thread_mut(1).run(|tx| tx.write(cells[1], 7));
+            }
+            tx.write(0, cells[0], x)?;
+            tx.write(1, cells[1], x + 1)
+        });
+        drop((a, b));
+        let threads: Vec<_> = sinks.iter().flat_map(|s| s.threads()).collect();
+        let g = trace::GaugeSet::of_run(&threads);
+        let counted = e.aggregate_ptm_stats().aborts_validation;
+        assert_eq!(counted, 1, "validation failed once, on shard 1");
+        assert_eq!(g.aborts[trace::AbortCause::Validation as usize], counted);
+        assert_eq!(g.aborts[trace::AbortCause::User as usize], 0);
     }
 
     /// The regression the tentpole hangs on: single-shard work driven
@@ -617,8 +619,8 @@ mod tests {
                     c
                 })
                 .collect();
-            cx.run_single(0, |tx| tx.write(cells[0], 90));
-            cx.run_single(1, |tx| tx.write(cells[1], 10));
+            cx.thread_mut(0).run(|tx| tx.write(cells[0], 90));
+            cx.thread_mut(1).run(|tx| tx.write(cells[1], 10));
             cx.run(|tx| {
                 let a = tx.read(0, cells[0])?;
                 let b = tx.read(1, cells[1])?;

@@ -199,9 +199,7 @@ impl TxThread {
                     if self.policy.htm_commit(&mut self.ax) {
                         PtmStats::bump(&self.ax.ptm.stats.htm_commits);
                         PtmStats::bump(&self.ax.ptm.stats.htm_logged_commits);
-                        PtmStats::bump(&self.ax.ptm.stats.commits);
-                        let n = self.ax.entries.len() as u64;
-                        self.ax.trace(EventKind::TxCommit, n, 2);
+                        self.note_commit(self.ax.entries.len() as u64, 2);
                         return v;
                     }
                 }
@@ -246,23 +244,13 @@ impl TxThread {
             match outcome {
                 Ok(v) => {
                     if self.try_commit() {
-                        PtmStats::bump(&self.ax.ptm.stats.commits);
-                        let n = self.policy.write_set_size(&self.ax);
-                        self.ax.trace(EventKind::TxCommit, n, 0);
+                        self.note_commit(self.policy.write_set_size(&self.ax), 0);
                         return v;
                     }
                 }
                 Err(Abort) => self.policy.abort_rollback(&mut self.ax, None),
             }
-            PtmStats::bump(&self.ax.ptm.stats.aborts);
-            if self.ax.ptm.config.tracing {
-                let (cause, orec) = self
-                    .ax
-                    .pending_abort
-                    .take()
-                    .unwrap_or((AbortCause::User as u64, 0));
-                self.ax.s.trace_event(EventKind::TxAbort, cause, orec);
-            }
+            self.note_abort();
             self.ax.abort_cleanup();
             self.ax.attempts += 1;
             assert!(
@@ -310,42 +298,96 @@ impl TxThread {
         self.policy.on_write(&mut self.ax, addr, val)
     }
 
-    /// The shared commit sequence. The policy fills in acquisition,
-    /// durability, and publication; the driver owns the clock protocol
-    /// and read validation so every algorithm serializes identically.
-    /// (`CrossShardTx` calls it for an attempt with one writer shard.)
+    /// The shared commit sequence, composed of the steps below. The
+    /// policy fills in acquisition, durability, and publication; the
+    /// driver owns the clock protocol and read validation so every
+    /// algorithm serializes identically. `CrossShardTx` runs the same
+    /// steps on each writer shard, with 2PC's prepare and decide between
+    /// validation and publication.
     pub(crate) fn try_commit(&mut self) -> bool {
         if self.policy.read_only(&self.ax) {
             self.ax.apply_frees();
             return true;
         }
-        let now = self.ax.s.now();
-        self.ax.timer.switch(now, Phase::Validation);
-        if !self.policy.pre_commit_acquire(&mut self.ax) {
+        if !self.commit_acquire() {
             return false;
         }
-        let wv = self.ax.ptm.clock.bump();
-        self.ax.commit_wv = wv;
-        self.ax.s.advance(crate::config::OREC_NS);
-        if wv != self.ax.start_time + 2 {
-            if let Err(o) = self.ax.validate_reads() {
-                PtmStats::bump(&self.ax.ptm.stats.aborts_validation);
-                self.ax.abort_at(AbortCause::Validation, o);
-                self.policy.abort_rollback(&mut self.ax, Some(wv));
-                return false;
-            }
-            let reads = self.ax.read_set.len() as u64;
-            self.ax.trace(EventKind::TxValidate, reads, wv);
+        let wv = self.commit_stamp();
+        if !self.commit_validate(wv) {
+            self.policy.abort_rollback(&mut self.ax, Some(wv));
+            return false;
         }
         self.policy.make_durable(&mut self.ax);
         self.policy.commit_publish(&mut self.ax, wv);
+        self.commit_done();
+        true
+    }
+
+    /// Commit-time locking. A failed acquisition rolls the attempt back.
+    pub(crate) fn commit_acquire(&mut self) -> bool {
+        let now = self.ax.s.now();
+        self.ax.timer.switch(now, Phase::Validation);
+        if self.policy.pre_commit_acquire(&mut self.ax) {
+            return true;
+        }
+        self.policy.abort_rollback(&mut self.ax, None);
+        false
+    }
+
+    /// Take the commit timestamp.
+    pub(crate) fn commit_stamp(&mut self) -> u64 {
+        let wv = self.ax.ptm.clock.bump();
+        self.ax.commit_wv = wv;
+        self.ax.s.advance(crate::config::OREC_NS);
+        wv
+    }
+
+    /// TL2 read validation at `wv`. The caller rolls back on `false`.
+    pub(crate) fn commit_validate(&mut self, wv: u64) -> bool {
+        if wv == self.ax.start_time + 2 {
+            return true;
+        }
+        if let Err(o) = self.ax.validate_reads() {
+            PtmStats::bump(&self.ax.ptm.stats.aborts_validation);
+            self.ax.abort_at(AbortCause::Validation, o);
+            return false;
+        }
+        let reads = self.ax.read_set.len() as u64;
+        self.ax.trace(EventKind::TxValidate, reads, wv);
+        true
+    }
+
+    /// Bookkeeping after the writes are published.
+    pub(crate) fn commit_done(&mut self) {
         self.ax
             .ptm
             .stats
             .note_write_set(self.policy.write_set_size(&self.ax));
         self.ax.note_read_set();
         self.ax.apply_frees();
-        true
+    }
+
+    /// Count and trace one committed transaction; `code` tells the
+    /// commit path apart (0 software, 2 hardware, 3 cross-shard handle).
+    #[inline]
+    pub(crate) fn note_commit(&mut self, write_set: u64, code: u64) {
+        PtmStats::bump(&self.ax.ptm.stats.commits);
+        self.ax.trace(EventKind::TxCommit, write_set, code);
+    }
+
+    /// Count and trace one failed attempt, under the cause
+    /// `TxAccess::abort_at` noted (`User` if none).
+    #[inline]
+    pub(crate) fn note_abort(&mut self) {
+        PtmStats::bump(&self.ax.ptm.stats.aborts);
+        if self.ax.ptm.config.tracing {
+            let (cause, orec) = self
+                .ax
+                .pending_abort
+                .take()
+                .unwrap_or((AbortCause::User as u64, 0));
+            self.ax.s.trace_event(EventKind::TxAbort, cause, orec);
+        }
     }
 
     /// Hardware-path read: the cache coherence protocol does the conflict

@@ -51,7 +51,7 @@ fn apply_sharded(
     let (s1, o1) = home(k1, shards);
     let (s2, o2) = home(k2, shards);
     match op {
-        0 => cx.run_single(s1, |tx| tx.write_at(tables[s1], o1, v)),
+        0 => cx.thread_mut(s1).run(|tx| tx.write_at(tables[s1], o1, v)),
         1 => cx.run(|tx| {
             let b1 = tx.read_at(s1, tables[s1], o1)?;
             let b2 = tx.read_at(s2, tables[s2], o2)?;
@@ -69,7 +69,7 @@ fn apply_sharded(
             });
         }
         3 => {
-            cx.run_single(s1, |tx| tx.read_at(tables[s1], o1));
+            cx.thread_mut(s1).run(|tx| tx.read_at(tables[s1], o1));
         }
         _ => {
             let mut aborted_once = false;
@@ -161,7 +161,7 @@ proptest! {
             let th = cx.thread_mut(s);
             let heap = Arc::clone(th.heap());
             let table = heap.alloc(th.session_mut(), n.max(1));
-            cx.run_single(s, |tx| {
+            cx.thread_mut(s).run(|tx| {
                 for i in 0..n as u64 {
                     tx.write_at(table, i, 0)?;
                 }
@@ -175,7 +175,7 @@ proptest! {
         let sharded_state: Vec<u64> = (0..KEYS)
             .map(|k| {
                 let (s, off) = home(k, shards);
-                cx.run_single(s, |tx| tx.read_at(tables[s], off))
+                cx.thread_mut(s).run(|tx| tx.read_at(tables[s], off))
             })
             .collect();
         cx.finish();

@@ -5,10 +5,13 @@
 use optane_ptm::pmem_sim::{DurabilityDomain, MediaKind};
 use optane_ptm::ptm::Algo;
 use optane_ptm::trace::analyze::crosscheck;
-use optane_ptm::trace::export::{read_binary, write_binary};
+use optane_ptm::trace::export::{read_binary, write_binary, ExpectedTotals};
 use optane_ptm::trace::{EventKind, GaugeSet, TraceSink};
 use optane_ptm::workloads::driver::{run_scenario, RunConfig, RunResult, Scenario};
-use optane_ptm::workloads::{IndexKind, Tatp, Tpcc, Vacation, VacationCfg};
+use optane_ptm::workloads::{
+    run_cross_shard_transfer, IndexKind, ShardedRunConfig, StreamConfig, Tatp, Tpcc, Vacation,
+    VacationCfg,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -120,6 +123,34 @@ fn htm_sections_retire_with_zero_persistence_events() {
         retires, r.ptm.htm_commits,
         "every hardware commit must be marked by exactly one HtmRetire"
     );
+}
+
+#[test]
+fn traced_cross_shard_run_rederives_its_counters() {
+    // Half the transfers span both shards and contend on 64 accounts, so
+    // 2PC aborts on every cause; each must be traced where it is counted.
+    for seed in 1..=3 {
+        let mut rc = ShardedRunConfig {
+            shards: 2,
+            threads_per_shard: 2,
+            ..ShardedRunConfig::default()
+        };
+        rc.stream = StreamConfig {
+            total_ops: 4_000,
+            keys: 64,
+            seed,
+            ..StreamConfig::default()
+        };
+        rc.trace = (0..rc.shards)
+            .map(|i| TraceSink::new_for_shard(1 << 17, i as u32))
+            .collect();
+        let r = run_cross_shard_transfer(&rc, 0.5);
+        let threads: Vec<_> = rc.trace.iter().flat_map(|s| s.threads()).collect();
+        assert_eq!(threads.iter().map(|t| t.dropped).sum::<u64>(), 0);
+        let expected = ExpectedTotals::from_counters(&r.ptm.fields(), &r.mem.fields());
+        let diverged = crosscheck(&GaugeSet::of_run(&threads), &expected);
+        assert!(diverged.is_empty(), "seed {seed}: {diverged:?}");
+    }
 }
 
 proptest! {
