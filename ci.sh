@@ -311,6 +311,26 @@ if printf '%s\n' "$COMMIT_SEQ" | grep -F 'run_single'; then
   exit 1
 fi
 
+echo "=== orec protocol seam check ==="
+# One orec protocol (DESIGN.md §5 decision 23): TxAccess in access.rs
+# holds the lock loop, the spin past a held stripe, the read-set check,
+# the release and the hardware section's uncharged lock, release and
+# stripe check; policies and the driver only decide when to lock. An
+# orec load, CAS or release, a lock-word test or the spin bound in
+# non-test ptm code (everything above a file's first `#[cfg(test)]`;
+# engine_tests.rs is all test) outside access.rs, orec.rs (the table)
+# and config.rs (the bound) means a private copy of the protocol grew
+# back. `orecs.index_of`, which only addresses trace events and hints,
+# stays allowed.
+OREC_SEQ=$(printf '%s\n' "$COMMIT_SEQ" \
+  | grep -vE '^crates/ptm/src/(access|orec|config)\.rs:' \
+  | grep -E 'orecs\.(load|try_lock|release)\(|is_locked\(|owner_of\(|LOCK_SPIN' || true)
+if [ -n "$OREC_SEQ" ]; then
+  echo "ERROR: orec protocol outside TxAccess (crates/ptm/src/access.rs):" >&2
+  echo "$OREC_SEQ" >&2
+  exit 1
+fi
+
 echo "=== stream seam check ==="
 # The open-loop front-end draws its requests on demand (DESIGN.md §5
 # decision 20): a shard's workers claim from a segment that one shared

@@ -20,7 +20,8 @@
 //! mid-append) degrade gracefully: the complete lines still diff, a
 //! warning goes to stderr, and a zero-point archive is ignored rather
 //! than failing the whole diff. Lines whose identity an earlier line
-//! already took are skipped with a warning too.
+//! already took are skipped with a warning too, and so is an archive
+//! that cannot be read; bytes that are not UTF-8 spoil only their line.
 
 use std::path::PathBuf;
 
@@ -123,9 +124,20 @@ fn main() {
 
     let mut parsed = Vec::new();
     for (n, path) in &archives {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        let arch = trend::parse_archive(&text);
+        // An unreadable archive (a directory under an archive's name, a
+        // permission error) is skipped; bytes that are not UTF-8 decode
+        // lossily, so the lines they spoil count as truncated.
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                eprintln!(
+                    "bench_trend: warning: cannot read {}: {e} — archive ignored",
+                    path.display()
+                );
+                continue;
+            }
+        };
+        let arch = trend::parse_archive(&String::from_utf8_lossy(&bytes));
         if arch.truncated > 0 {
             // A partially written archive (run killed mid-append) is a
             // warning, not an abort: the complete lines still diff.

@@ -1,6 +1,7 @@
 //! Regression test: `bench_trend` degrades gracefully on truncated /
-//! partially written archive lines (warn + exit 0) instead of aborting
-//! the whole diff.
+//! partially written archive lines, bytes that are not UTF-8 and
+//! archives it cannot read (warn + exit 0) instead of aborting the
+//! whole diff.
 
 use std::fs;
 use std::path::PathBuf;
@@ -81,6 +82,64 @@ fn zero_point_archive_is_ignored_not_fatal() {
     assert!(
         stderr.contains("archive ignored"),
         "missing zero-point warning on stderr: {stderr}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Run `bench_trend --dir dir`, expect exit 0, and return (stdout, stderr).
+fn trend_ok(dir: &std::path::Path) -> (String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_bench_trend"))
+        .args(["--dir", dir.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(
+        out.status.success(),
+        "expected exit 0, got {:?}\nstdout: {stdout}\nstderr: {stderr}",
+        out.status.code()
+    );
+    (stdout, stderr)
+}
+
+#[test]
+fn non_utf8_archive_bytes_spoil_only_their_line() {
+    let dir = scratch_dir("non-utf8");
+    fs::write(dir.join("BENCH_PR9.json"), GOOD_PR9).unwrap();
+    // PR 10: PR 9's first line, then its second with a byte that is not
+    // UTF-8 inside the workload name. Read as a point, it would be a new
+    // key; it must count as a truncated line instead.
+    let mut pr10 = GOOD_PR9.replacen("kv-zipf", "kv-\u{1}", 1).into_bytes();
+    let bad = pr10.iter().position(|&b| b == 1).unwrap();
+    pr10[bad] = 0xFF;
+    fs::write(dir.join("BENCH_PR10.json"), pr10).unwrap();
+    let (stdout, stderr) = trend_ok(&dir);
+    assert!(
+        stderr.contains("has 1 truncated line(s)"),
+        "missing truncation warning on stderr: {stderr}"
+    );
+    assert!(
+        stdout.contains("1 common points, 0 added, 1 removed"),
+        "the complete line should still diff: {stdout}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unreadable_archive_is_skipped_with_a_warning() {
+    let dir = scratch_dir("unreadable");
+    fs::write(dir.join("BENCH_PR8.json"), GOOD_PR9).unwrap();
+    // A directory named like an archive: discovered, but not a file.
+    fs::create_dir(dir.join("BENCH_PR9.json")).unwrap();
+    fs::write(dir.join("BENCH_PR10.json"), GOOD_PR9).unwrap();
+    let (stdout, stderr) = trend_ok(&dir);
+    assert!(
+        stderr.contains("cannot read") && stderr.contains("BENCH_PR9.json"),
+        "missing unreadable-archive warning on stderr: {stderr}"
+    );
+    assert!(
+        stdout.contains("BENCH_PR8 -> BENCH_PR10: 2 common points"),
+        "the readable archives should still diff: {stdout}"
     );
     let _ = fs::remove_dir_all(&dir);
 }

@@ -33,8 +33,10 @@ pub struct ParsedArchive {
     pub skipped_newer: usize,
     /// Lines that start an object but are not exactly one well-formed
     /// object — a truncated or partially written archive (e.g. a run
-    /// killed mid-append, or two appends interleaved on one line). The
-    /// caller should warn and diff the surviving points, not abort.
+    /// killed mid-append, or two appends interleaved on one line) — or
+    /// that hold U+FFFD, what a lossy decode makes of bytes that are not
+    /// UTF-8. The caller should warn and diff the surviving points, not
+    /// abort.
     pub truncated: usize,
     /// Lines whose key an earlier line already took. The first line of a
     /// key wins; every later one is a point the diff never compares, so
@@ -54,7 +56,7 @@ pub fn parse_archive(text: &str) -> ParsedArchive {
         if !line.starts_with('{') {
             continue;
         }
-        if json::check_structure(line).is_err() {
+        if line.contains(char::REPLACEMENT_CHARACTER) || json::check_structure(line).is_err() {
             truncated += 1;
             continue;
         }

@@ -1,9 +1,15 @@
 //! Shared per-thread transaction machinery, independent of the logging
 //! algorithm: read-set tracking, `U64Map`-deduped write-set structures,
-//! orec acquisition/validation, phase charging, the flush window (the one
-//! place that turns a policy's durability obligations into `clwb`s), the
-//! header-seal and orec-release steps every policy ends with, and trace
-//! emission.
+//! the orec protocol, phase charging, the flush window (the one place
+//! that turns a policy's durability obligations into `clwb`s), the
+//! header-seal step every policy ends with, and trace emission.
+//!
+//! The orec protocol is here and nowhere else (DESIGN.md §5 decision
+//! 23): one spin past a held stripe, one lock loop (`TxAccess::acquire`)
+//! serving commit-time and encounter-time locking, one read-set check
+//! behind extension and commit validation, one release, and the
+//! hardware section's uncharged lock, release and stripe check. A policy
+//! decides when to lock, never how.
 //!
 //! [`TxAccess`] owns everything a transaction attempt accumulates —
 //! the [`crate::algo::LogPolicy`] implementations operate on it and keep
@@ -380,28 +386,61 @@ impl TxAccess {
         self.trace(EventKind::TxBegin, attempts, start);
     }
 
+    // ---- the orec protocol -----------------------------------------------
+
+    /// Wait out a held stripe: advance past a locked orec `o` up to
+    /// [`LOCK_SPIN`] times across the caller's whole loop (`spins`), and
+    /// return its unlocked version, or `None` once the spins are spent.
+    /// The one place a thread waits on an orec another thread holds.
+    fn wait_unlocked(&mut self, o: u32, spins: &mut u32) -> Option<u64> {
+        loop {
+            self.s.advance(OREC_NS);
+            let v = self.ptm.orecs.load(o);
+            if !is_locked(v) {
+                return Some(v);
+            }
+            if *spins >= LOCK_SPIN {
+                return None;
+            }
+            *spins += 1;
+            self.s.advance(8);
+        }
+    }
+
+    /// The first read-set entry whose orec moved since it was read, if
+    /// any. A stripe this thread has locked since counts as unmoved when
+    /// its pre-lock version is the one the read saw.
+    fn first_moved_read(&self) -> Option<u32> {
+        self.read_set.iter().find_map(|&(o, ver)| {
+            let cur = self.ptm.orecs.load(o);
+            let held_unmoved = is_locked(cur)
+                && owner_of(cur) == self.tid
+                && self
+                    .owned_map
+                    .get(o as u64)
+                    .is_some_and(|i| self.owned[i as usize].1 == ver);
+            (cur != ver && !held_unmoved).then_some(o)
+        })
+    }
+
     /// Timestamp extension: revalidate the read set at a newer clock.
     pub(crate) fn extend(&mut self) -> bool {
         let ts = self.ptm.clock.sample();
         self.s.advance(OREC_NS * (self.read_set.len() as u64 + 1));
-        for i in 0..self.read_set.len() {
-            let (o, ver) = self.read_set[i];
-            let cur = self.ptm.orecs.load(o);
-            if cur == ver {
-                continue;
-            }
-            if is_locked(cur) && owner_of(cur) == self.tid {
-                if let Some(idx) = self.owned_map.get(o as u64) {
-                    if self.owned[idx as usize].1 == ver {
-                        continue;
-                    }
-                }
-            }
+        if self.first_moved_read().is_some() {
             return false;
         }
         self.start_time = ts;
         PtmStats::bump(&self.ptm.stats.extensions);
         true
+    }
+
+    /// Validate the read set against held/current orecs. Assumes write
+    /// orecs are already acquired. On failure returns the orec whose
+    /// version moved (abort attribution).
+    pub(crate) fn validate_reads(&mut self) -> Result<(), u32> {
+        self.s.advance(OREC_NS * self.read_set.len() as u64);
+        self.first_moved_read().map_or(Ok(()), Err)
     }
 
     /// The shared validated-read protocol: spin past locked stripes,
@@ -412,18 +451,11 @@ impl TxAccess {
     pub(crate) fn validated_read(&mut self, addr: PAddr, o: u32) -> TxResult<u64> {
         let mut spins = 0;
         loop {
-            self.s.advance(OREC_NS);
-            let v1 = self.ptm.orecs.load(o);
-            if is_locked(v1) {
-                if spins < LOCK_SPIN {
-                    spins += 1;
-                    self.s.advance(8);
-                    continue;
-                }
+            let Some(v1) = self.wait_unlocked(o, &mut spins) else {
                 PtmStats::bump(&self.ptm.stats.aborts_read_locked);
                 self.abort_at(AbortCause::ReadLocked, o);
                 return Err(Abort);
-            }
+            };
             if v1 > self.start_time {
                 if self.extend() {
                     continue;
@@ -471,69 +503,94 @@ impl TxAccess {
         }
     }
 
-    /// Validate the read set against held/current orecs. Assumes write
-    /// orecs are already acquired. On failure returns the orec whose
-    /// version moved (abort attribution).
-    pub(crate) fn validate_reads(&mut self) -> Result<(), u32> {
-        self.s.advance(OREC_NS * self.read_set.len() as u64);
-        for i in 0..self.read_set.len() {
-            let (o, ver) = self.read_set[i];
-            let cur = self.ptm.orecs.load(o);
-            if cur == ver {
-                continue;
-            }
-            if is_locked(cur) && owner_of(cur) == self.tid {
-                if let Some(idx) = self.owned_map.get(o as u64) {
-                    if self.owned[idx as usize].1 == ver {
-                        continue;
-                    }
-                }
-            }
-            return Err(o);
-        }
-        Ok(())
-    }
-
-    /// Commit-time acquisition of the orec striping `addr` (redo-style:
-    /// locks any unlocked even version regardless of its timestamp).
-    /// Charges the index probe and orec accesses; on failure notes the
-    /// abort cause and stats and returns `false` — the driver rolls the
+    /// The one lock loop, shared by commit-time and encounter-time
+    /// acquisition of orec `o` (at once `Ok` if this thread holds it):
+    /// wait out a held stripe, then CAS its version to this thread's lock
+    /// word, retrying a lost CAS within the same spin budget. At encounter
+    /// time (undo, before an in-place write) a version newer than the
+    /// snapshot must first extend it: locking it as is would let reads of
+    /// the locked stripe see post-snapshot values. On failure notes the
+    /// abort cause and stats; the caller aborts and the driver rolls the
     /// attempt back.
-    pub(crate) fn acquire_commit(&mut self, addr: PAddr) -> bool {
-        let o = self.ptm.orecs.index_of(addr);
-        self.s.advance(INDEX_NS);
+    pub(crate) fn acquire(&mut self, o: u32, at_encounter: bool) -> TxResult<()> {
         if self.owned_map.get(o as u64).is_some() {
-            return true;
+            return Ok(());
         }
         let mut spins = 0;
-        let acquired = loop {
-            self.s.advance(OREC_NS);
-            let v = self.ptm.orecs.load(o);
-            if is_locked(v) {
-                if spins < LOCK_SPIN {
-                    spins += 1;
-                    self.s.advance(8);
+        while let Some(v) = self.wait_unlocked(o, &mut spins) {
+            if at_encounter && v > self.start_time {
+                if self.extend() {
                     continue;
                 }
-                break false;
+                break;
             }
             self.s.advance(OREC_NS);
             if self.ptm.orecs.try_lock(o, v, self.tid).is_ok() {
                 self.owned_map.insert(o as u64, self.owned.len() as u64);
                 self.owned.push((o, v));
                 self.trace(EventKind::TxAcquire, o as u64, v);
-                break true;
+                return Ok(());
             }
             if spins >= LOCK_SPIN {
-                break false;
+                break;
             }
             spins += 1;
-        };
-        if !acquired {
-            PtmStats::bump(&self.ptm.stats.aborts_acquire);
-            self.abort_at(AbortCause::Acquire, o);
         }
-        acquired
+        PtmStats::bump(&self.ptm.stats.aborts_acquire);
+        self.abort_at(AbortCause::Acquire, o);
+        Err(Abort)
+    }
+
+    /// Release every held orec, charged to `phase`: at `wv` (a commit's
+    /// timestamp, or a fresh one after in-place writes were restored, so
+    /// that readers of the speculative values fail validation) or, with
+    /// `None`, at its pre-lock version (nothing was written in place).
+    pub(crate) fn release_owned(&mut self, phase: Phase, wv: Option<u64>) {
+        let now = self.s.now();
+        self.timer.switch(now, phase);
+        self.s.advance(OREC_NS * self.owned.len() as u64);
+        for &(o, prev) in &self.owned {
+            self.ptm.orecs.release(o, wv.unwrap_or(prev));
+        }
+        self.owned.clear();
+        self.owned_map.clear();
+    }
+
+    /// The hardware section's lock of the write set's stripes. Orecs are
+    /// DRAM metadata a real section touches like any other line, so the
+    /// lock is uncharged, untraced and never spins: a held stripe, or one
+    /// that moves under the CAS, is a conflict (`false`; the caller
+    /// closes the section and releases what was taken).
+    pub(crate) fn htm_lock_write_set(&mut self) -> bool {
+        for i in 0..self.entries.len() {
+            let o = self.ptm.orecs.index_of(PAddr(self.entries[i].0));
+            if self.owned_map.get(o as u64).is_some() {
+                continue;
+            }
+            let v = self.ptm.orecs.load(o);
+            if is_locked(v) || self.ptm.orecs.try_lock(o, v, self.tid).is_err() {
+                return false;
+            }
+            self.owned_map.insert(o as u64, self.owned.len() as u64);
+            self.owned.push((o, v));
+        }
+        true
+    }
+
+    /// Release the section's locks at `wv` inside the crash-atomic
+    /// application, uncharged like [`Self::htm_lock_write_set`].
+    pub(crate) fn htm_release_owned(&mut self, wv: u64) {
+        for &(o, _) in &self.owned {
+            self.ptm.orecs.release(o, wv);
+        }
+    }
+
+    /// Hardware-path read check: `false` when a software writer holds
+    /// the stripe of `addr` or committed to it after the snapshot. The
+    /// coherence protocol tracks the read, so no orec time is charged.
+    pub(crate) fn htm_stripe_clean(&self, addr: PAddr) -> bool {
+        let v = self.ptm.orecs.load(self.ptm.orecs.index_of(addr));
+        !is_locked(v) && v <= self.start_time
     }
 
     /// Record the duplicate-filtered read-set high-water mark (only
@@ -545,33 +602,6 @@ impl TxAccess {
                 &self.ptm.stats.max_read_set_unique,
                 self.read_set.len() as u64,
             );
-        }
-    }
-
-    /// Release held orecs at their pre-lock versions (nothing was
-    /// written in place). Shared by the redo/cow abort paths and the
-    /// HTM commit's failure arm.
-    pub(crate) fn release_owned_restore(&mut self) {
-        let now = self.s.now();
-        self.timer.switch(now, Phase::Rollback);
-        self.s.advance(OREC_NS * self.owned.len() as u64);
-        for i in 0..self.owned.len() {
-            let (o, prev) = self.owned[i];
-            self.ptm.orecs.release(o, prev);
-        }
-        self.owned.clear();
-        self.owned_map.clear();
-    }
-
-    /// Make the committed writes visible: release held orecs at commit
-    /// timestamp `wv`, charged to [`Phase::Validation`].
-    pub(crate) fn release_owned_at(&mut self, wv: u64) {
-        let now = self.s.now();
-        self.timer.switch(now, Phase::Validation);
-        self.s.advance(OREC_NS * self.owned.len() as u64);
-        for i in 0..self.owned.len() {
-            let (o, _) = self.owned[i];
-            self.ptm.orecs.release(o, wv);
         }
     }
 
@@ -634,10 +664,15 @@ impl TxAccess {
         }
     }
 
-    /// Commit-time locking over the `n` written words `word(self, i)`,
-    /// up to the first failed acquisition.
+    /// Commit-time locking over the `n` written words `word(self, i)`
+    /// (any unlocked version, whatever its timestamp), one index probe
+    /// each, up to the first failed acquisition.
     pub(crate) fn acquire_each(&mut self, n: usize, word: impl Fn(&Self, usize) -> u64) -> bool {
-        (0..n).all(|i| self.acquire_commit(PAddr(word(self, i))))
+        (0..n).all(|i| {
+            let o = self.ptm.orecs.index_of(PAddr(word(self, i)));
+            self.s.advance(INDEX_NS);
+            self.acquire(o, false).is_ok()
+        })
     }
 
     /// Return transactionally-allocated blocks after an abort.

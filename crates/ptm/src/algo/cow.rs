@@ -248,7 +248,7 @@ impl LogPolicy for CowPolicy {
         // Retire the log, then make the writes visible.
         ax.persist_state(STATE_IDLE);
         PtmStats::bump(&ax.ptm.stats.publish_fences);
-        ax.release_owned_at(wv);
+        ax.release_owned(Phase::Validation, Some(wv));
         // Allocator work, charged like deferred frees.
         let now = ax.s.now();
         ax.timer.switch(now, Phase::Speculation);
@@ -259,7 +259,7 @@ impl LogPolicy for CowPolicy {
     /// versions (also correct after a post-bump validation failure:
     /// nothing was published) and return the shadow blocks.
     fn abort_rollback(&self, ax: &mut TxAccess, _wv: Option<u64>) {
-        ax.release_owned_restore();
+        ax.release_owned(Phase::Rollback, None);
         reclaim_shadows(ax);
     }
 

@@ -76,7 +76,6 @@ use crate::log::{
     committed_marker, is_committed, marker_count, prepared_count, prepared_marker, seal, ALGO_HTM,
     STATE_IDLE, W_STATE,
 };
-use crate::orec::is_locked;
 use crate::phases::Phase;
 use crate::recovery::RecoverCtx;
 use crate::stats::PtmStats;
@@ -278,7 +277,7 @@ fn publish_home(ax: &mut TxAccess, wv: u64) {
         // word. The stores above are already durable.
         reset_ring(ax);
     }
-    ax.release_owned_at(wv);
+    ax.release_owned(Phase::Validation, Some(wv));
 }
 
 /// The word slot `i` stores to, if it passes its seal.
@@ -350,21 +349,11 @@ impl LogPolicy for HtmPolicy {
             ax.htm_abort_cause = Some(HtmAbortCause::Explicit);
             return false;
         }
-        for i in 0..n {
-            let addr = PAddr(ax.entries[i].0);
-            let o = ax.ptm.orecs.index_of(addr);
-            if ax.owned_map.get(o as u64).is_some() {
-                continue;
-            }
-            let v = ax.ptm.orecs.load(o);
-            if is_locked(v) || ax.ptm.orecs.try_lock(o, v, ax.tid).is_err() {
-                ax.s.htm_abort();
-                ax.htm_abort_cause = Some(HtmAbortCause::Conflict);
-                ax.release_owned_restore();
-                return false;
-            }
-            ax.owned_map.insert(o as u64, ax.owned.len() as u64);
-            ax.owned.push((o, v));
+        if !ax.htm_lock_write_set() {
+            ax.s.htm_abort();
+            ax.htm_abort_cause = Some(HtmAbortCause::Conflict);
+            ax.release_owned(Phase::Rollback, None);
+            return false;
         }
         // Unrelated hardware commits must not serialize — the footprint
         // check below is the conflict detector. The timestamp only
@@ -374,7 +363,7 @@ impl LogPolicy for HtmPolicy {
         let fp = ax.s.htm_footprint_lines() as u64;
         if !ax.s.htm_commit() {
             ax.htm_abort_cause = Some(HtmAbortCause::Conflict);
-            ax.release_owned_restore();
+            ax.release_owned(Phase::Rollback, None);
             return false;
         }
         // Section retired — persistence is legal again, and the
@@ -398,9 +387,7 @@ impl LogPolicy for HtmPolicy {
             }
             let now = ax.s.now();
             ax.timer.switch(now, Phase::Validation);
-            for i in 0..ax.owned.len() {
-                ax.ptm.orecs.release(ax.owned[i].0, wv);
-            }
+            ax.htm_release_owned(wv);
             ax.s.exit_atomic();
         }
         ax.ptm.stats.note_write_set(n as u64);
@@ -492,7 +479,7 @@ impl LogPolicy for HtmPolicy {
         // dropped by retiring the ring durably (which also deregisters
         // this thread's pending-table records before any slot reuse).
         reset_ring(ax);
-        ax.release_owned_restore();
+        ax.release_owned(Phase::Rollback, None);
     }
 
     fn resolve_prepared(&self, ctx: &mut RecoverCtx<'_>, committed: bool) {
@@ -513,7 +500,7 @@ impl LogPolicy for HtmPolicy {
     /// Nothing was written in place and no ring slot was consumed;
     /// restore pre-lock versions.
     fn abort_rollback(&self, ax: &mut TxAccess, _wv: Option<u64>) {
-        ax.release_owned_restore();
+        ax.release_owned(Phase::Rollback, None);
     }
 
     fn recover_apply(&self, ctx: &mut RecoverCtx<'_>) {

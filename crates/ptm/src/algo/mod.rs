@@ -5,7 +5,13 @@
 //!
 //! The shared machinery ([`crate::access::TxAccess`]) owns the read set,
 //! write-set structures, orec protocol, phase charging, and trace
-//! emission; policies are stateless unit structs that operate on it.
+//! emission; policies are stateless unit structs that operate on it. A
+//! policy chooses *when* to lock — at commit (`pre_commit_acquire` →
+//! `TxAccess::acquire_each`), at encounter (`TxAccess::acquire` from
+//! `on_write`) or inside a hardware section
+//! (`TxAccess::htm_lock_write_set`) — and which version to release at
+//! (`TxAccess::release_owned`); it never loads, locks or releases an orec
+//! itself.
 //! `txn.rs` drives the retry loop (software and hardware) and never
 //! matches on [`Algo`] — the only algorithm dispatch in the crate is
 //! the [`policy`] registry below. Registering a new algorithm means

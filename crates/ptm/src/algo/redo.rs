@@ -142,13 +142,13 @@ impl LogPolicy for RedoPolicy {
         ax.fence();
         // Retire the log, then make the writes visible.
         ax.persist_state(STATE_IDLE);
-        ax.release_owned_at(wv);
+        ax.release_owned(Phase::Validation, Some(wv));
     }
 
     /// Redo abort: nothing was written in place; restore pre-lock
     /// versions.
     fn abort_rollback(&self, ax: &mut TxAccess, _wv: Option<u64>) {
-        ax.release_owned_restore();
+        ax.release_owned(Phase::Rollback, None);
     }
 
     fn recover_apply(&self, ctx: &mut RecoverCtx<'_>) {

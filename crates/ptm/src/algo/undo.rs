@@ -8,20 +8,27 @@
 
 use pmem_sim::PAddr;
 
-use trace::{AbortCause, EventKind};
+use trace::EventKind;
 
 use crate::access::TxAccess;
-use crate::config::{Algo, INDEX_NS, LOCK_SPIN, OREC_NS};
+use crate::config::{Algo, INDEX_NS};
 use crate::log::{prepared_marker, seal, ALGO_UNDO, STATE_IDLE, W_SEQ};
-use crate::orec::is_locked;
 use crate::phases::Phase;
 use crate::recovery::RecoverCtx;
-use crate::stats::PtmStats;
-use crate::txn::{Abort, TxResult};
+use crate::txn::TxResult;
 
 use super::LogPolicy;
 
 pub struct UndoPolicy;
+
+/// Truncate the undo log: entry 0's addr word zeroed, durable. Charged
+/// to whatever phase the caller set.
+fn truncate_log(ax: &mut TxAccess) {
+    let e0 = ax.log.entry_addr(0);
+    ax.s.store(e0, 0);
+    ax.flush_line(e0);
+    ax.fence();
+}
 
 /// Undo abort: restore old values (durably), truncate, release at a
 /// fresh timestamp so concurrent readers of speculative values fail
@@ -37,18 +44,9 @@ fn rollback_undo(ax: &mut TxAccess, wv: u64) {
     }
     ax.fence();
     if !ax.entries.is_empty() {
-        let e0 = ax.log.entry_addr(0);
-        ax.s.store(e0, 0);
-        ax.flush_line(e0);
-        ax.fence();
+        truncate_log(ax);
     }
-    ax.s.advance(OREC_NS * ax.owned.len() as u64);
-    for i in 0..ax.owned.len() {
-        let (o, _) = ax.owned[i];
-        ax.ptm.orecs.release(o, wv);
-    }
-    ax.owned.clear();
-    ax.owned_map.clear();
+    ax.release_owned(Phase::Rollback, Some(wv));
 }
 
 /// Flush the in-place data and alloc-new blocks, one fence: what commit
@@ -85,47 +83,7 @@ impl LogPolicy for UndoPolicy {
     fn on_write(&self, ax: &mut TxAccess, addr: PAddr, val: u64) -> TxResult<()> {
         let o = ax.ptm.orecs.index_of(addr);
         ax.index_cost();
-        if ax.owned_map.get(o as u64).is_none() {
-            let mut spins = 0;
-            loop {
-                ax.s.advance(OREC_NS);
-                let v = ax.ptm.orecs.load(o);
-                if is_locked(v) {
-                    // (cannot be ours: owned_map said no)
-                    if spins < LOCK_SPIN {
-                        spins += 1;
-                        ax.s.advance(8);
-                        continue;
-                    }
-                    PtmStats::bump(&ax.ptm.stats.aborts_acquire);
-                    ax.abort_at(AbortCause::Acquire, o);
-                    return Err(Abort);
-                }
-                if v > ax.start_time {
-                    // Acquiring a newer stripe would let owned-stripe reads
-                    // see post-snapshot values; extend or abort.
-                    if ax.extend() {
-                        continue;
-                    }
-                    PtmStats::bump(&ax.ptm.stats.aborts_acquire);
-                    ax.abort_at(AbortCause::Acquire, o);
-                    return Err(Abort);
-                }
-                ax.s.advance(OREC_NS);
-                if ax.ptm.orecs.try_lock(o, v, ax.tid).is_ok() {
-                    ax.owned_map.insert(o as u64, ax.owned.len() as u64);
-                    ax.owned.push((o, v));
-                    ax.trace(EventKind::TxAcquire, o as u64, v);
-                    break;
-                }
-                if spins >= LOCK_SPIN {
-                    PtmStats::bump(&ax.ptm.stats.aborts_acquire);
-                    ax.abort_at(AbortCause::Acquire, o);
-                    return Err(Abort);
-                }
-                spins += 1;
-            }
-        }
+        ax.acquire(o, true)?;
         // First write to this address: persist the old value, fenced,
         // before the in-place store (the undo fence the paper measures).
         ax.index_cost();
@@ -181,17 +139,13 @@ impl LogPolicy for UndoPolicy {
 
     fn make_durable(&self, ax: &mut TxAccess) {
         persist_in_place(ax);
-        // Truncate the undo log: entry 0's addr word zeroed, durable.
         let now = ax.s.now();
         ax.timer.switch(now, Phase::LogAppend);
-        let e0 = ax.log.entry_addr(0);
-        ax.s.store(e0, 0);
-        ax.flush_line(e0);
-        ax.fence();
+        truncate_log(ax);
     }
 
     fn commit_publish(&self, ax: &mut TxAccess, wv: u64) {
-        ax.release_owned_at(wv);
+        ax.release_owned(Phase::Validation, Some(wv));
     }
 
     fn make_prepared(&self, ax: &mut TxAccess, gtid: u64) {
@@ -211,10 +165,7 @@ impl LogPolicy for UndoPolicy {
         let now = ax.s.now();
         ax.timer.switch(now, Phase::LogAppend);
         if !ax.entries.is_empty() {
-            let e0 = ax.log.entry_addr(0);
-            ax.s.store(e0, 0);
-            ax.flush_line(e0);
-            ax.fence();
+            truncate_log(ax);
         }
         ax.persist_state(STATE_IDLE);
         self.commit_publish(ax, wv);

@@ -935,6 +935,100 @@ fn commit_write_hint_moves_no_virtual_statistic() {
     }
 }
 
+/// The contended orec paths the 1-thread goldens never reach: the lock
+/// spin, timestamp extension at encounter time and every failure arm.
+/// Two virtual threads on this one OS thread, 20 rounds per algorithm,
+/// each round in two steps.
+///
+/// 1. `th1` writes `a` and, still inside its transaction, runs `th0`,
+///    which reads `a`, then (retried) writes it, then commits empty.
+///    Under encounter-time locking `th1` holds `a`'s stripe throughout:
+///    a read-locked abort, then an acquire abort.
+/// 2. `th0` reads `b`; inside its first attempt `th1` commits `d` (and
+///    `b` on odd rounds); `th0` then writes `d` blind. Undo extends at
+///    the write (fails on odd rounds: acquire abort); redo and cow fail
+///    commit-time validation on odd rounds.
+///
+/// The final clocks, every counter and the phase totals are pinned to
+/// the values the protocol produced before its loops were merged.
+#[test]
+fn contended_orec_paths_keep_their_signature() {
+    let pinned = [
+        (
+            Algo::UndoEager,
+            "th1 now=32519 | now=33021 | \
+             commits=80 aborts=50 aborts_read_locked=20 aborts_acquire=30 extensions=10 max_write_entries=2 max_backoff_ns=395 | \
+             phases=[11111, 4270, 24440, 14120, 520, 0, 0, 10953] | \
+             loads=100 stores=400 l3_hits=493 l3_misses=7 clwbs=260 clwb_writebacks=260 sfences=250 optane_lines_written=260 fence_wait_ns=6620",
+        ),
+        (
+            Algo::RedoLazy,
+            "th1 now=28630 | now=29022 | \
+             commits=80 aborts=10 aborts_validation=10 max_write_entries=2 max_backoff_ns=193 | \
+             phases=[2682, 2620, 23500, 25081, 1600, 459, 40, 1544] | \
+             loads=50 stores=410 l3_hits=453 l3_misses=7 clwbs=250 clwb_writebacks=250 sfences=240 optane_lines_written=250 fence_wait_ns=17881",
+        ),
+        (
+            Algo::CowShadow,
+            "th1 now=35144 | now=35556 | \
+             commits=80 aborts=10 aborts_validation=10 shadow_lines_allocated=80 shadow_lines_reclaimed=80 publish_fences=120 max_backoff_ns=193 | \
+             phases=[4726, 3640, 30080, 27065, 1600, 1859, 60, 1544] | \
+             loads=120 stores=698 l3_hits=807 l3_misses=11 clwbs=320 clwb_writebacks=320 sfences=240 optane_lines_written=320 fence_wait_ns=19865",
+        ),
+    ];
+    for (algo, want) in pinned {
+        let m = Machine::new(MachineConfig {
+            window_ns: u64::MAX,
+            ..MachineConfig::default()
+        });
+        let heap = PHeap::format(&m, "heap", 1 << 16, 8);
+        let ptm = Ptm::new(PtmConfig::with_algo(algo));
+        m.begin_run(2, u64::MAX);
+        let mut th0 = TxThread::new(ptm.clone(), heap.clone(), m.session(0));
+        let mut th1 = TxThread::new(ptm.clone(), heap.clone(), m.session(1));
+        let cells = heap.alloc(th0.session_mut(), 64);
+        let (a, b, d) = (cells, cells.offset(24), cells.offset(48));
+        let stripes: Vec<u32> = [a, b, d].iter().map(|&x| ptm.orecs.index_of(x)).collect();
+        assert!(stripes[0] != stripes[1] && stripes[1] != stripes[2] && stripes[0] != stripes[2]);
+        for round in 0..20u64 {
+            let mut stage = 0;
+            th1.run(|t1| {
+                t1.write(a, round)?;
+                th0.run(|t0| {
+                    stage += 1;
+                    match stage {
+                        1 => drop(t0.read(a)?),
+                        2 => t0.write(a, round + 1)?,
+                        _ => {}
+                    }
+                    Ok(())
+                });
+                Ok(())
+            });
+            let mut first = true;
+            th0.run(|t0| {
+                let vb = t0.read(b)?;
+                if first {
+                    first = false;
+                    th1.run(|t1| {
+                        t1.write(d, round)?;
+                        if round % 2 == 1 {
+                            t1.write(b, round)?;
+                        }
+                        Ok(())
+                    });
+                }
+                t0.write(d, vb + 1)
+            });
+        }
+        let now1 = th1.session_mut().now();
+        let now0 = th0.session_mut().now();
+        drop((th0, th1));
+        let got = format!("th1 now={now1} | {}", virtual_signature(&m, &ptm, now0));
+        assert_eq!(got, want, "{algo:?}");
+    }
+}
+
 /// `Tx::expect_read` takes any span and shows to no observer. The same
 /// seeded stream runs twice per algorithm — once plain, once with hints
 /// on the null address, a pool that does not exist, one this thread has

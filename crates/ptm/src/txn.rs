@@ -58,7 +58,7 @@ use crate::access::TxAccess;
 use crate::algo::htm::PendingEntry;
 use crate::algo::LogPolicy;
 use crate::config::{PtmConfig, HTM_ATTEMPTS};
-use crate::orec::{is_locked, GlobalClock, OrecTable};
+use crate::orec::{GlobalClock, OrecTable};
 use crate::phases::{Phase, PhaseSnapshot, PhaseStats};
 use crate::stats::{PtmStats, PtmStatsSnapshot};
 
@@ -406,9 +406,7 @@ impl TxThread {
                 return Ok(self.ax.entries[i as usize].1);
             }
         }
-        let o = self.ax.ptm.orecs.index_of(addr);
-        let v = self.ax.ptm.orecs.load(o);
-        if is_locked(v) || v > self.ax.start_time {
+        if !self.ax.htm_stripe_clean(addr) {
             self.ax.htm_abort_cause = Some(HtmAbortCause::Conflict);
             return Err(Abort);
         }

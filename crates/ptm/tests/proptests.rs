@@ -329,3 +329,64 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Fail-soft restart of a corrupt log: the bank sweep workload crashed
+    /// mid-run under ADR (injector armed at a random site, every
+    /// algorithm), then one bit flipped or one word overwritten (with a
+    /// small count-like value or any value) in one of its `ptm-log-*`
+    /// pools: a header word half the time, else a word of the first 16
+    /// entries. `db::restart` returns `Ok` or `Err`; it never unwinds.
+    #[test]
+    fn restart_returns_on_a_corrupt_log_pool(
+        seed in 0u64..1_000,
+        algo_idx in 0usize..Algo::ALL.len(),
+        site_pick in any::<u64>(),
+        op in 0u8..3,
+        word in prop_oneof![
+            0..ptm::log::ENTRY0,
+            ptm::log::ENTRY0..ptm::log::ENTRY0 + 16 * ptm::log::ENTRY_WORDS,
+        ],
+        value in any::<u64>(),
+    ) {
+        use pmem_sim::AdversaryPolicy;
+        use ptm::crash_harness::{count_sites, crash_at_site, BankTransfers, SweepCase};
+        use ptm::log::LOG_POOL_PREFIX;
+        use ptm::RecoverOptions;
+
+        let case = SweepCase {
+            algo: Algo::ALL[algo_idx],
+            domain: DurabilityDomain::Adr,
+            policy: AdversaryPolicy::SWEEP[(seed % AdversaryPolicy::SWEEP.len() as u64) as usize],
+            seed,
+        };
+        let bank = BankTransfers {
+            accounts: 4,
+            initial: 64,
+            transfers: 3,
+            ..BankTransfers::default()
+        };
+        let site = site_pick % count_sites(&bank, &case);
+        let mut images = crash_at_site(&bank, &case, site).images;
+        let image = &mut images[0];
+        let logs: Vec<usize> = (0..image.pools.len())
+            .filter(|&i| image.pools[i].name.starts_with(LOG_POOL_PREFIX))
+            .collect();
+        prop_assert!(!logs.is_empty(), "the crash image holds no log pool");
+        let words = &mut image.pools[logs[(value % logs.len() as u64) as usize]].words;
+        let w = (word % words.len() as u64) as usize;
+        words[w] = match op {
+            0 => words[w] ^ 1 << (value % 64),
+            1 => value % 64,
+            _ => value,
+        };
+        let cfg = MachineConfig::functional(DurabilityDomain::Adr);
+        let image = &*image;
+        let got = std::panic::catch_unwind(|| {
+            ptm::db::restart(image, "bank", cfg, RecoverOptions::default()).map(|_| ())
+        });
+        prop_assert!(got.is_ok(), "restart unwound on {:?} site {}", case.algo, site);
+    }
+}
