@@ -530,6 +530,27 @@ if [ -n "$TABLES" ]; then
   exit 1
 fi
 
+echo "=== window-flatness check ==="
+# Bandwidth servers serve in virtual-time order (DESIGN.md §5 decision
+# 24), so throughput must not hang on how far the bounded-lag window
+# lets threads drift apart. Across windows of 0.5-8 us at 4 threads:
+# TATP max/min <= 1.25 and tpcc-hash max/min <= 1.30 (1.95-2.15 and
+# 1.33-1.41 while a lagging thread queued behind its peer's future), and
+# no request too old for its server to place (bw_horizon_misses).
+cargo run -q --release -p bench --bin ablation_window -- --quick --threads 4 | awk -F, '
+  NR == 1 { next }
+  { v = $3 + 0; if (!($1 in lo) || v < lo[$1]) lo[$1] = v; if (v > hi[$1]) hi[$1] = v; miss += $6 }
+  END {
+    bound["tatp"] = 1.25; bound["tpcc-hash"] = 1.30
+    for (w in bound) {
+      if (!(w in lo) || lo[w] <= 0) { print "ERROR: no " w " rows" > "/dev/stderr"; exit 1 }
+      r = hi[w] / lo[w]
+      if (r > bound[w]) { printf "ERROR: %s throughput max/min %.3f > %.2f across windows\n", w, r, bound[w] > "/dev/stderr"; bad = 1 }
+    }
+    if (miss > 0) { print "ERROR: " miss " bandwidth-server horizon misses" > "/dev/stderr"; bad = 1 }
+    exit bad
+  }'
+
 echo "=== recovery_bench smoke ==="
 # Restart-latency sweep (pool size x dirtiness) on crafted
 # committed-but-unretired log images; must exit 0.

@@ -149,7 +149,13 @@ pub fn sharded_point_json(workload: &str, r: &workloads::ShardedRunResult) -> St
         "dram_write_stall_ns",
         "fence_wait_ns",
     ];
-    counter_block(&mut w, "mem", named(&r.mem.fields(), &mem_names));
+    // Plus the bandwidth servers' horizon misses when nonzero, so a sweep
+    // shows whether every late request was placed.
+    let mem = r.mem.fields();
+    let sharded_mem = mem
+        .iter()
+        .filter(|f| mem_names.contains(&f.name) || (f.name == "bw_horizon_misses" && f.value > 0));
+    counter_block(&mut w, "mem", sharded_mem);
 
     w.key("per_shard").begin_array();
     for (i, m) in r.per_shard_mem.iter().enumerate() {

@@ -1,10 +1,10 @@
 //! Virtual-time queueing servers modeling shared memory-path bandwidth.
 //!
-//! Each server is a single FIFO resource with a per-request service time.
-//! A request arriving at virtual time `now` begins service at
-//! `max(now, next_free)` and finishes `service_ns` later; the gap between
-//! `now` and the start is queueing delay. This is how the simulation
-//! reproduces the paper's two bandwidth findings:
+//! Each server serves one request at a time, each for its service time,
+//! in *virtual*-time order: a request arriving at virtual time `now` is
+//! served in the server's idle time from `now` on, and the gap between
+//! `now` and its finish beyond its own service is queueing delay. This is
+//! how the simulation reproduces the paper's two bandwidth findings:
 //!
 //! * Optane **write** bandwidth saturates with ~4 writer threads: once the
 //!   aggregate line-write arrival rate exceeds `1/optane_write_line_ns`,
@@ -12,21 +12,130 @@
 //! * Optane **read** bandwidth keeps scaling to ~17 threads because its
 //!   per-line service time is much smaller.
 //!
-//! The server is lock-free: `next_free` advances with a CAS loop.
+//! Simulated threads run on host threads, each on its own virtual clock,
+//! so requests do not reach a server in virtual-time order: a thread that
+//! lags its peers inside the clock domain's window asks for service at a
+//! `now` behind work its peers have already booked. The device the paper
+//! measured serves requests in the order they arrive in time (its WPQ and
+//! interleaved DIMMs), so such a request must not queue behind its peer's
+//! future. A server books in two places:
+//!
+//! * **Busy periods, in order.** One `AtomicU64` packs the tail (the
+//!   latest finish, low 48 bits) with the sequence number of the current
+//!   busy period (high 16 bits). A request at or after the start of the
+//!   current period is served FIFO from the tail: one CAS, no lock. A
+//!   request that finds the server idle (`now > tail`) opens a new period
+//!   and records the closed one's end and its own start in a ring of
+//!   `PERIODS` entries with plain atomic stores. At one thread every
+//!   request takes this path, so a 1-thread run is exactly FIFO.
+//! * **A calendar, for late requests.** A request that arrives before the
+//!   current period's start reads the closed periods back from the ring
+//!   and fills the idle time between them, from `now` up to that start,
+//!   in [`BUCKET_NS`] buckets that count the service booked in them. A
+//!   `Mutex` guards the buckets, and only late requests take it. Service
+//!   that does not fit is appended at the tail with one `fetch_add`.
+//!
+//! Placement inside a bucket is fluid: a bucket keeps booked ns, not
+//! positions, and admits no more than the idle stretch asked for minus
+//! what it already holds, so it never over-admits. A request that shares
+//! a bucket with another late booking may finish a little later than an
+//! exact interval list would let it; no request ever finishes later than
+//! a single FIFO tail would have made it.
+//!
+//! A late request the calendar cannot place is a *horizon miss*, served
+//! FIFO at the tail: it is older than the ring remembers, more than
+//! `HORIZON_NS` behind the current period, or it needs a period whose
+//! opener, descheduled between its CAS and its ring stores, did not
+//! publish it within the reader's spins and yields. [`Grant::served`]
+//! says which path a request took, for the session's `bw_late` /
+//! `bw_horizon_misses` counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// A single-queue bandwidth server in virtual time.
+/// Low bits of the server state and of a ring word: a virtual time.
+const TIME_BITS: u32 = 48;
+const TIME_MASK: u64 = (1 << TIME_BITS) - 1;
+/// High bits: a busy-period sequence number (wrapping).
+const SEQ_MASK: u64 = u64::MAX >> TIME_BITS;
+
+/// Busy periods a server remembers, the current one included. A late
+/// request walks back through them to its `now`, so this bounds how many
+/// periods a lagging thread can be behind; a power of two, so that a
+/// wrapping sequence number keeps its slot. DESIGN.md §5 decision 24
+/// records the sizes measured against it.
+const PERIODS: usize = 256;
+/// Width of a calendar bucket.
+pub const BUCKET_NS: u64 = 32;
+/// Calendar buckets per server (allocated by its first late request).
+const BUCKETS: usize = 4096;
+/// How far behind the current period's start a late request may arrive
+/// and still be placed: one lap of the buckets, 131 µs.
+const HORIZON_NS: u64 = BUCKET_NS * BUCKETS as u64;
+/// Spins, then host-thread yields, a reader gives a period's opener to
+/// publish it (between the opener's CAS and its ring stores) before
+/// counting a horizon miss. The yields are for more simulated threads
+/// than host cores: an opener descheduled in that window publishes only
+/// once it runs again, milliseconds later (4 threads on 2 cores lost a
+/// period about once in 30 `ablation_window` runs with 64 yields).
+const PUBLISH_SPIN: u32 = 1 << 12;
+const PUBLISH_YIELDS: u32 = 1 << 14;
+/// A bucket word: its bucket index above the booked ns (at most 32).
+const BOOKED_BITS: u32 = 6;
+const BOOKED_MASK: u64 = (1 << BOOKED_BITS) - 1;
+
+/// Ring word indices of a period's slot: the previous period's end and
+/// this period's start, the idle stretch before it.
+const IDLE_FROM: usize = 0;
+const START: usize = 1;
+
+/// A ring word: period `k`'s sequence number above a virtual time. Each
+/// word carries its own tag, so a reader needs no ordering against the
+/// state word: the `Release` stores pair with the `Acquire` loads only to
+/// hand a word's value over whole.
+fn tagged(k: u64, t: u64) -> u64 {
+    ((k & SEQ_MASK) << TIME_BITS) | t
+}
+
+/// A single bandwidth server in virtual time.
 ///
-/// Aligned to two host cache lines (as `ClockSlot` is) so each server
-/// owns its host line: packed, the six 8-byte write banks and the three
-/// other servers would share two lines, and every flush would bounce the
-/// line its peers' *other* banks live on. Two threads contend on a
-/// server only where the model means them to — requests to one bank.
+/// Aligned to two host cache lines (as `ClockSlot` is) so each server's
+/// state word owns its host line: packed, the six Optane write banks and
+/// the three other servers would share lines, and every flush would
+/// bounce the line its peers' *other* banks live on. Two threads contend
+/// on a server only where the model means them to — requests to one bank.
 #[derive(Debug)]
 #[repr(align(128))]
 pub struct BwServer {
-    next_free: AtomicU64,
+    /// Tail (low 48 bits) and current busy period (high 16 bits).
+    state: AtomicU64,
+    /// `periods[k % PERIODS]`: `[end of period k - 1, start of period k]`,
+    /// both written by `k`'s opener, each a [`tagged`] word so a reader
+    /// can tell whether the slot holds `k`.
+    periods: [[AtomicU64; 2]; PERIODS],
+    calendar: Mutex<Calendar>,
+}
+
+/// The late requests' bookings.
+#[derive(Debug, Default)]
+struct Calendar {
+    /// `buckets[j % BUCKETS]`: bucket `j`'s index above the service ns
+    /// booked in it. A slot holding an older bucket is empty for `j`; one
+    /// holding a newer bucket means `j` is past the horizon, and is full.
+    buckets: Vec<u64>,
+    /// The idle stretches of the request being placed, newest first.
+    gaps: Vec<(u64, u64)>,
+}
+
+/// Which path a [`BwServer`] served a request on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Served {
+    /// At or after the current busy period's start: FIFO from the tail.
+    InOrder,
+    /// Behind the current busy period: placed in the idle time before it.
+    Late,
+    /// Late, but beyond what the server remembers: FIFO from the tail.
+    HorizonMiss,
 }
 
 /// Outcome of submitting a request to a [`BwServer`].
@@ -36,13 +145,19 @@ pub struct Grant {
     pub finish: u64,
     /// Backlog (finish minus the submitter's `now`) observed at submit time.
     pub backlog: u64,
+    /// The path the request took (counted by the session).
+    pub served: Served,
 }
 
 impl BwServer {
     pub fn new() -> Self {
-        BwServer {
-            next_free: AtomicU64::new(0),
-        }
+        let s = BwServer {
+            state: AtomicU64::new(0),
+            periods: std::array::from_fn(|_| [AtomicU64::new(0), AtomicU64::new(0)]),
+            calendar: Mutex::default(),
+        };
+        s.reset();
+        s
     }
 
     /// Submit a request of `service_ns` at virtual time `now`.
@@ -51,42 +166,223 @@ impl BwServer {
     /// decides whether (and how much of) the delay is synchronous: a demand
     /// load waits for `finish`, an asynchronous writeback only waits if the
     /// backlog exceeds its queue bound.
+    #[inline]
     pub fn request(&self, now: u64, service_ns: u64) -> Grant {
         if service_ns == 0 {
             return Grant {
                 finish: now,
                 backlog: 0,
+                served: Served::InOrder,
             };
         }
-        let mut cur = self.next_free.load(Ordering::Relaxed);
+        let mut cur = self.state.load(Ordering::Relaxed);
         loop {
-            let start = cur.max(now);
-            let finish = start + service_ns;
-            match self.next_free.compare_exchange_weak(
-                cur,
-                finish,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
+            let (seq, tail) = (cur >> TIME_BITS, cur & TIME_MASK);
+            let opens = now > tail;
+            let (next, finish, served) = if opens {
+                let finish = now + service_ns;
+                (tagged(seq + 1, finish), finish, Served::InOrder)
+            } else {
+                // At the tail, the period began at or before `now`.
+                let start = if now == tail {
+                    Some(0)
+                } else {
+                    self.published(seq, START)
+                };
+                let served = match start {
+                    Some(start) if now < start => {
+                        return self.serve_late(now, service_ns, seq, start)
+                    }
+                    Some(_) => Served::InOrder,
+                    None => Served::HorizonMiss,
+                };
+                (cur + service_ns, tail + service_ns, served)
+            };
+            // The tail must not carry into the period number.
+            assert!(finish <= TIME_MASK, "virtual time past 2^48 ns");
+            match self
+                .state
+                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Relaxed)
+            {
                 Ok(_) => {
+                    if opens {
+                        let slot = self.slot(seq + 1);
+                        slot[IDLE_FROM].store(tagged(seq + 1, tail), Ordering::Release);
+                        slot[START].store(tagged(seq + 1, now), Ordering::Release);
+                    }
                     return Grant {
                         finish,
                         backlog: finish - now,
-                    }
+                        served,
+                    };
                 }
                 Err(v) => cur = v,
             }
         }
     }
 
-    /// Current backlog relative to `now` (0 if the server is idle).
-    pub fn backlog(&self, now: u64) -> u64 {
-        self.next_free.load(Ordering::Acquire).saturating_sub(now)
+    /// Serve a request that arrived before `start`, the start of busy
+    /// period `seq`: fill the idle time between the remembered periods
+    /// from `now` on, then append what is left at the tail.
+    #[cold]
+    #[inline(never)]
+    fn serve_late(&self, now: u64, service_ns: u64, seq: u64, start: u64) -> Grant {
+        let mut cal = self.calendar();
+        let cal = &mut *cal;
+        if !self.idle_before(now, seq, start, &mut cal.gaps) {
+            return self.append(now, service_ns, 0, Served::HorizonMiss);
+        }
+        if cal.buckets.is_empty() {
+            cal.buckets = vec![0; BUCKETS];
+        }
+        let mut left = service_ns;
+        let mut finish = now;
+        'gaps: for &(from, to) in cal.gaps.iter().rev() {
+            let mut t = from;
+            while t < to {
+                if left == 0 {
+                    break 'gaps;
+                }
+                let j = t / BUCKET_NS;
+                let piece_end = to.min((j + 1) * BUCKET_NS);
+                let slot = &mut cal.buckets[j as usize % BUCKETS];
+                let held = match (*slot >> BOOKED_BITS).cmp(&j) {
+                    std::cmp::Ordering::Less => 0,
+                    std::cmp::Ordering::Equal => *slot & BOOKED_MASK,
+                    std::cmp::Ordering::Greater => piece_end - t,
+                };
+                let take = (piece_end - t).saturating_sub(held).min(left);
+                if take > 0 {
+                    *slot = (j << BOOKED_BITS) | (held + take);
+                    left -= take;
+                    finish = t + held + take;
+                }
+                t = piece_end;
+            }
+        }
+        self.append(now, left, finish, Served::Late)
     }
 
-    /// Reset the server (between benchmark phases).
+    /// Finish a late request: append `left` ns at the tail (one
+    /// `fetch_add`; the tail is past `now`, so the server stays busy).
+    fn append(&self, now: u64, left: u64, placed_until: u64, served: Served) -> Grant {
+        let finish = if left == 0 {
+            placed_until
+        } else {
+            let prev = self.state.fetch_add(left, Ordering::AcqRel) & TIME_MASK;
+            assert!(prev + left <= TIME_MASK, "virtual time past 2^48 ns");
+            prev + left
+        };
+        Grant {
+            finish,
+            backlog: finish - now,
+            served,
+        }
+    }
+
+    /// Collect the idle stretches of `[now, start)`, the idle time before
+    /// busy period `seq` and the ones before it, newest first; `false` if
+    /// the ring does not remember back to `now` or `now` is past the
+    /// calendar's horizon.
+    fn idle_before(&self, now: u64, seq: u64, start: u64, gaps: &mut Vec<(u64, u64)>) -> bool {
+        gaps.clear();
+        if start - now > HORIZON_NS {
+            return false;
+        }
+        for back in 0..PERIODS as u64 {
+            let k = seq.wrapping_sub(back);
+            let (Some(from), Some(to)) = (self.published(k, IDLE_FROM), self.published(k, START))
+            else {
+                return false;
+            };
+            if to <= now {
+                return true;
+            }
+            if from < to {
+                gaps.push((from.max(now), to));
+            }
+            if from <= now {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Word `which` of busy period `k`'s slot, once its writer has
+    /// published it. `None` if the slot has moved on to a later period,
+    /// or its writer does not publish within [`PUBLISH_SPIN`] spins and
+    /// [`PUBLISH_YIELDS`] yields.
+    fn published(&self, k: u64, which: usize) -> Option<u64> {
+        let word = &self.slot(k)[which];
+        let (want, before) = (k & SEQ_MASK, k.wrapping_sub(PERIODS as u64) & SEQ_MASK);
+        for i in 0..PUBLISH_SPIN + PUBLISH_YIELDS {
+            let v = word.load(Ordering::Acquire);
+            match v >> TIME_BITS {
+                tag if tag == want => return Some(v & TIME_MASK),
+                tag if tag != before => return None,
+                _ if i < PUBLISH_SPIN => std::hint::spin_loop(),
+                _ => std::thread::yield_now(),
+            }
+        }
+        None
+    }
+
+    fn slot(&self, k: u64) -> &[AtomicU64; 2] {
+        &self.periods[(k as usize) % PERIODS]
+    }
+
+    fn calendar(&self) -> MutexGuard<'_, Calendar> {
+        // Every update leaves the buckets valid, so a poisoned lock (a
+        // simulated crash unwinding) is recovered.
+        self.calendar.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Current backlog relative to `now` (0 if the server is idle).
+    pub fn backlog(&self, now: u64) -> u64 {
+        (self.state.load(Ordering::Acquire) & TIME_MASK).saturating_sub(now)
+    }
+
+    /// Service booked inside `[from, to)`: the remembered busy periods'
+    /// overlap with it, plus the calendar's bookings in the buckets that
+    /// lie wholly inside it. Read only by tests, as [`Self::backlog`] is.
+    pub fn booked_in(&self, from: u64, to: u64) -> u64 {
+        let state = self.state.load(Ordering::Acquire);
+        let (seq, tail) = (state >> TIME_BITS, state & TIME_MASK);
+        let (mut booked, mut end) = (0, tail);
+        for back in 0..PERIODS as u64 {
+            let k = seq.wrapping_sub(back);
+            let (Some(idle_from), Some(start)) =
+                (self.published(k, IDLE_FROM), self.published(k, START))
+            else {
+                break;
+            };
+            booked += end.min(to).saturating_sub(start.max(from));
+            end = idle_from;
+        }
+        for &b in &self.calendar().buckets {
+            let j = b >> BOOKED_BITS;
+            if j * BUCKET_NS >= from && (j + 1) * BUCKET_NS <= to {
+                booked += b & BOOKED_MASK;
+            }
+        }
+        booked
+    }
+
+    /// Reset the server (between benchmark phases): idle at time 0, in
+    /// busy period 0 `[0, 0)`, with every other slot and bucket empty.
     pub fn reset(&self) {
-        self.next_free.store(0, Ordering::Release);
+        self.state.store(0, Ordering::Release);
+        for (i, slot) in self.periods.iter().enumerate() {
+            let k = if i == 0 {
+                0
+            } else {
+                (i as u64).wrapping_sub(PERIODS as u64)
+            };
+            for word in slot {
+                word.store(tagged(k, 0), Ordering::Release);
+            }
+        }
+        self.calendar().buckets.fill(0);
     }
 }
 
@@ -224,22 +520,81 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_requests_serialize_total_service() {
-        // N threads each submit K requests of service 10 at now=0; the final
-        // next_free must equal N*K*10 exactly (no lost service time).
+    fn late_request_fills_idle_time_before_the_period() {
         let s = BwServer::new();
-        let n = 4;
-        let k = 1_000;
+        assert_eq!(s.request(1_000, 100).finish, 1_100);
+        let g = s.request(0, 50);
+        assert_eq!((g.finish, g.served), (50, Served::Late));
+        // Fluid placement: the second request takes what the first left
+        // of bucket 1, then buckets 2 and 3.
+        let g = s.request(0, 50);
+        assert_eq!((g.finish, g.served), (100, Served::Late));
+        assert_eq!(s.backlog(0), 1_100, "the tail is untouched");
+        assert_eq!(s.booked_in(0, 1_100), 200);
+    }
+
+    #[test]
+    fn late_service_that_does_not_fit_goes_to_the_tail() {
+        let s = BwServer::new();
+        s.request(100, 100);
+        let g = s.request(50, 100);
+        assert_eq!((g.finish, g.served), (250, Served::Late));
+        assert_eq!(s.booked_in(0, 250), 200);
+        // The next in-order request queues behind the appended half.
+        assert_eq!(s.request(150, 10).finish, 260);
+    }
+
+    #[test]
+    fn request_past_the_horizon_is_served_at_the_tail() {
+        let s = BwServer::new();
+        s.request(HORIZON_NS + 100, 10);
+        let g = s.request(99, 10);
+        assert_eq!(
+            (g.finish, g.served),
+            (HORIZON_NS + 120, Served::HorizonMiss)
+        );
+    }
+
+    #[test]
+    fn request_older_than_the_ring_is_served_at_the_tail() {
+        // Periods 1..=PERIODS+1 at [100p, 100p + 10): the ring keeps the
+        // idle stretches before periods 2.. only.
+        let s = BwServer::new();
+        for p in 1..=PERIODS as u64 + 1 {
+            s.request(100 * p, 10);
+        }
+        let tail = s.backlog(0);
+        let g = s.request(50, 10);
+        assert_eq!((g.finish, g.served), (tail + 10, Served::HorizonMiss));
+        let g = s.request(150, 10);
+        assert_eq!((g.finish, g.served), (160, Served::Late));
+    }
+
+    #[test]
+    fn concurrent_requests_conserve_total_service() {
+        // N threads each submit K requests of service 10, thread t from
+        // virtual time t * 500 on, one every 5 ns: more than the server
+        // serves, so whichever thread the host runs first opens a period
+        // the others are behind. Whatever path each request takes, the
+        // server must book exactly N*K*10 ns, and no bucket more than
+        // its length.
+        let s = BwServer::new();
+        let (n, k, svc) = (4u64, 1_000u64, 10u64);
         std::thread::scope(|scope| {
-            for _ in 0..n {
-                scope.spawn(|| {
-                    for _ in 0..k {
-                        s.request(0, 10);
+            for t in 0..n {
+                let s = &s;
+                scope.spawn(move || {
+                    for i in 0..k {
+                        s.request(t * 500 + i * 5, svc);
                     }
                 });
             }
         });
-        assert_eq!(s.backlog(0), (n * k * 10) as u64);
+        let tail = s.backlog(0);
+        assert_eq!(s.booked_in(0, tail), n * k * svc);
+        for j in 0..tail / BUCKET_NS {
+            assert!(s.booked_in(j * BUCKET_NS, (j + 1) * BUCKET_NS) <= BUCKET_NS);
+        }
     }
 
     #[test]

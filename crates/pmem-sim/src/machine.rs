@@ -461,12 +461,25 @@ mod tests {
 
     #[test]
     fn begin_run_resets_servers() {
+        use crate::bandwidth::Served;
         let m = Machine::new(MachineConfig::default());
-        m.servers.write_for(true, 7).request(0, 1_000);
+        let bank = m.servers.write_for(true, 7);
+        bank.request(5_000, 1_000);
+        assert_eq!(bank.request(0, 100).served, Served::Late);
         m.begin_run(2, 1_000);
         for b in &m.servers.optane_write {
             assert_eq!(b.backlog(0), 0);
+            assert_eq!(
+                b.booked_in(0, 10_000),
+                0,
+                "no period or calendar booking survives"
+            );
         }
+        // A new run starts idle: nothing of the old periods is left to
+        // queue behind or to fill around.
+        let g = bank.request(0, 1_000);
+        assert_eq!((g.finish, g.served), (1_000, Served::InOrder));
+        assert_eq!(bank.booked_in(0, 10_000), 1_000);
     }
 
     #[test]

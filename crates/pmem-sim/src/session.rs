@@ -22,6 +22,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use crate::bandwidth::{BwServer, Grant, Served};
 use crate::cache::{line_key, Access};
 use crate::clock::ClockHandle;
 use crate::domain::DurabilityDomain;
@@ -389,6 +390,18 @@ impl MemSession {
         self.clock.advance(stall);
     }
 
+    /// Submit `service_ns` to `server` at this thread's `now`, counting a
+    /// request the server could not serve in virtual-time order.
+    fn book(&self, server: &BwServer, service_ns: u64) -> Grant {
+        let g = server.request(self.now(), service_ns);
+        match g.served {
+            Served::InOrder => {}
+            Served::Late => bump(&self.stats.bw_late, 1),
+            Served::HorizonMiss => bump(&self.stats.bw_horizon_misses, 1),
+        }
+        g
+    }
+
     /// Persist a displaced dirty line's contents. MUST run synchronously
     /// with the cache-slot replacement, before any clock advance: an
     /// advance is a freeze/crash park point, and a crash landing between
@@ -411,11 +424,10 @@ impl MemSession {
         // A PDRAM-accelerated pool's L3 victims land in the DRAM cache.
         let optane = self.effective_optane(pool_id);
         let m = self.machine.model();
-        let g = self
-            .machine
-            .servers
-            .write_for(optane, victim_key)
-            .request(self.now(), m.write_line_ns(optane));
+        let g = self.book(
+            self.machine.servers.write_for(optane, victim_key),
+            m.write_line_ns(optane),
+        );
         bump(&self.stats.evictions, 1);
         if optane {
             bump(&self.stats.optane_lines_written, 1);
@@ -449,11 +461,10 @@ impl MemSession {
         };
         let m = self.machine.model();
         // Bandwidth queueing on the read path...
-        let g = self
-            .machine
-            .servers
-            .read_for(optane)
-            .request(self.now(), m.read_line_ns(optane));
+        let g = self.book(
+            self.machine.servers.read_for(optane),
+            m.read_line_ns(optane),
+        );
         self.clock.advance_to(g.finish);
         // ...plus the media access latency itself.
         let mut lat = m.load_miss_ns(optane);
@@ -499,11 +510,10 @@ impl MemSession {
                 // Optane writeback traffic.
                 if self.pdram_writeback(addr.pool()) {
                     let m = self.machine.model();
-                    let g = self
-                        .machine
-                        .servers
-                        .write_for(true, key)
-                        .request(self.now(), m.optane_write_line_ns);
+                    let g = self.book(
+                        self.machine.servers.write_for(true, key),
+                        m.optane_write_line_ns,
+                    );
                     bump(&self.stats.optane_lines_written, 1);
                     let bound = m.pdram_backlog_ns();
                     self.backpressure(true, g.backlog, bound);
@@ -559,11 +569,7 @@ impl MemSession {
             bump(&self.stats.dram_lines_written, 1);
         }
         let write_ns = self.machine.model().write_line_ns(optane);
-        let g = self
-            .machine
-            .servers
-            .write_for(optane, key)
-            .request(self.now(), write_ns);
+        let g = self.book(self.machine.servers.write_for(optane, key), write_ns);
         // The flush is durable once the WPQ accepts it — when its bank
         // starts serving it — not when the media write completes.
         self.site(SiteKind::WpqAccept);

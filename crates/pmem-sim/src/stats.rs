@@ -13,7 +13,8 @@
 //! The table below is the one place a machine counter is declared: rows
 //! are in the order the `--json` report's `mem` block emits them, and
 //! every row is an event count or a stall total, so all are `Sum` (see
-//! [`trace::counters!`]).
+//! [`trace::counters!`]). The bandwidth servers' out-of-order counters
+//! are emitted only when nonzero, as no 1-thread run has any.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -53,6 +54,12 @@ trace::counters! {
     dram_write_stall_ns: Sum, Always;
     /// Virtual ns spent waiting in `sfence` for outstanding flushes.
     fence_wait_ns: Sum, Always;
+    /// Bandwidth-server requests that arrived behind their server's
+    /// current busy period and were placed in the idle time before it.
+    bw_late: Sum, NonZero;
+    /// Late requests older than their server remembers, served in order
+    /// at the tail instead (see `bandwidth`); every bench expects zero.
+    bw_horizon_misses: Sum, NonZero;
 }
 
 /// Add `n` to a counter of the calling session's own shard. The session

@@ -1,35 +1,102 @@
 //! Property-based tests of the simulator's core invariants.
 
-use pmem_sim::bandwidth::BwServer;
+use pmem_sim::bandwidth::{BwServer, Served, BUCKET_NS};
 use pmem_sim::cache::{line_key, CacheSim};
 use pmem_sim::{DurabilityDomain, Machine, MachineConfig, MediaKind};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// `v` in an arbitrary order (Fisher–Yates under `seed`).
+fn shuffled<T: Clone>(v: &[T], seed: u64) -> Vec<T> {
+    let mut out = v.to_vec();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for i in (1..out.len()).rev() {
+        out.swap(i, rng.gen_range(0..=i));
+    }
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A bandwidth server never loses service time: after any request
-    /// sequence submitted at time 0, the backlog equals the total service.
+    /// Nondecreasing arrivals — what one thread's clock produces — are
+    /// served exactly FIFO: each finishes at `max(now, tail) + service`.
     #[test]
-    fn bw_server_conserves_service(services in prop::collection::vec(0u64..1_000, 1..50)) {
+    fn bw_server_in_order_arrivals_are_fifo(
+        steps in prop::collection::vec((0u64..300, 1u64..200), 1..60),
+    ) {
         let s = BwServer::new();
-        let total: u64 = services.iter().sum();
-        for &svc in &services {
-            s.request(0, svc);
+        let (mut now, mut tail) = (0, 0);
+        for &(gap, svc) in &steps {
+            now += gap;
+            tail = tail.max(now) + svc;
+            let g = s.request(now, svc);
+            prop_assert_eq!((g.finish, g.backlog, g.served), (tail, tail - now, Served::InOrder));
         }
-        prop_assert_eq!(s.backlog(0), total);
     }
 
-    /// Grants are FIFO-monotone: each request finishes no earlier than the
-    /// previous one (same arrival time).
+    /// Whatever order a request set arrives in, the server books exactly
+    /// its total service, and no bucket holds more than its length.
     #[test]
-    fn bw_server_grants_monotone(services in prop::collection::vec(1u64..500, 2..40)) {
+    fn bw_server_books_the_same_service_in_every_order(
+        reqs in prop::collection::vec((0u64..4_000, 1u64..200), 1..40),
+        seed in any::<u64>(),
+    ) {
+        let total: u64 = reqs.iter().map(|r| r.1).sum();
+        for order in [&reqs, &shuffled(&reqs, seed)] {
+            let s = BwServer::new();
+            for &(now, svc) in order {
+                prop_assert_ne!(s.request(now, svc).served, Served::HorizonMiss);
+            }
+            let tail = s.backlog(0);
+            prop_assert_eq!(s.booked_in(0, tail), total);
+            for j in 0..tail / BUCKET_NS + 1 {
+                prop_assert!(s.booked_in(j * BUCKET_NS, (j + 1) * BUCKET_NS) <= BUCKET_NS);
+            }
+        }
+    }
+
+    /// Requests that do not overlap — and share no bucket, the
+    /// calendar's unit of placement — are each served at once, in every
+    /// arrival order.
+    #[test]
+    fn bw_server_disjoint_requests_grant_alike_in_every_order(
+        reqs in prop::collection::vec((0u64..4, 0u64..BUCKET_NS, 1u64..100), 1..30)
+            .prop_map(|layout| {
+                let mut bucket = 0;
+                layout
+                    .into_iter()
+                    .map(|(skip, offset, svc)| {
+                        let now = (bucket + skip) * BUCKET_NS + offset;
+                        bucket = (now + svc - 1) / BUCKET_NS + 1;
+                        (now, svc)
+                    })
+                    .collect::<Vec<_>>()
+            }),
+        seed in any::<u64>(),
+    ) {
+        for order in [&reqs, &shuffled(&reqs, seed)] {
+            let s = BwServer::new();
+            for &(now, svc) in order {
+                prop_assert_eq!(s.request(now, svc).finish, now + svc);
+            }
+        }
+    }
+
+    /// No request is ever granted later than one FIFO tail — the server
+    /// before the calendar — would have granted it.
+    #[test]
+    fn bw_server_never_grants_later_than_fifo(
+        reqs in prop::collection::vec((0u64..4_000, 1u64..200), 1..60),
+    ) {
         let s = BwServer::new();
-        let mut last = 0;
-        for &svc in &services {
-            let g = s.request(0, svc);
-            prop_assert!(g.finish >= last);
-            last = g.finish;
+        let mut fifo_tail = 0;
+        for &(now, svc) in &reqs {
+            fifo_tail = fifo_tail.max(now) + svc;
+            let g = s.request(now, svc);
+            prop_assert!(g.finish <= fifo_tail, "{} > FIFO's {}", g.finish, fifo_tail);
+            prop_assert!(g.finish >= now + svc);
         }
     }
 
