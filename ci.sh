@@ -228,7 +228,7 @@ if [ "$DOORS" != "crates/pmem-sim/src/cache.rs crates/pmem-sim/src/pool.rs crate
   exit 1
 fi
 if grep -rn '\.expect_read(' crates src examples --include='*.rs' \
-    | grep -vE '^crates/(workloads/src/tpcc|pstructs/src/hashmap)\.rs:' \
+    | grep -vE '^crates/(workloads/src/tpcc|pstructs/src/(hashmap|bptree))\.rs:' \
     | grep -vE '^crates/ptm/src/(txn|engine_tests)\.rs:'; then
   echo "ERROR: Tx::expect_read call site not listed in DESIGN.md decision 17 (see above)" >&2
   exit 1
@@ -548,6 +548,26 @@ cargo run -q --release -p bench --bin ablation_window -- --quick --threads 4 | a
       if (r > bound[w]) { printf "ERROR: %s throughput max/min %.3f > %.2f across windows\n", w, r, bound[w] > "/dev/stderr"; bad = 1 }
     }
     if (miss > 0) { print "ERROR: " miss " bandwidth-server horizon misses" > "/dev/stderr"; bad = 1 }
+    exit bad
+  }'
+
+echo "=== orec geometry check ==="
+# Which words share an orec decides false conflicts. A line's words sit on
+# one aligned group of orecs (DESIGN.md §5 decision 17), so a small table
+# aliases groups, not words: at 2^8 orecs both ablation_orec workloads
+# must still read less throughput than at 2^20 (the full run reads 0.099
+# vs 0.62 Mops on tpcc-hash, 1.30 vs 4.65 on btree-mixed).
+cargo run -q --release -p bench --bin ablation_orec -- --quick | awk -F, '
+  NR == 1 { next }
+  $2 == 256 { lo[$1] = $3 + 0 }
+  $2 == 1048576 { hi[$1] = $3 + 0 }
+  END {
+    n = split("tpcc-hash btree-mixed", ws, " ")
+    for (i = 1; i <= n; i++) {
+      w = ws[i]
+      if (!(w in lo) || !(w in hi)) { print "ERROR: no " w " rows" > "/dev/stderr"; exit 1 }
+      if (hi[w] <= lo[w]) { printf "ERROR: %s reads %.4f Mops at 2^20 orecs, %.4f at 2^8\n", w, hi[w], lo[w] > "/dev/stderr"; bad = 1 }
+    }
     exit bad
   }'
 

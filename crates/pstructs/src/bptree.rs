@@ -8,6 +8,12 @@
 //! accesses go through [`ptm::Tx`], so the tree is linearizable and
 //! durable exactly as the PTM algorithm guarantees.
 //!
+//! Every node visit opens with [`Tx::expect_read`] over the whole node: a
+//! host-only hint (nothing simulated changes). A binary search's next
+//! probe is the outcome of this one, so no single probe can be asked for
+//! ahead of time, but the node can: about five simulated lines, and the
+//! orecs of each line share one host line.
+//!
 //! Node layout (`NODE_WORDS` = 2 + 2·B words):
 //!
 //! ```text
@@ -100,6 +106,7 @@ impl BpTree {
 
     #[inline]
     fn node_count_leaf(tx: &mut Tx<'_>, node: PAddr) -> TxResult<(usize, bool)> {
+        tx.expect_read(node, NODE_WORDS as u64);
         let m = tx.read_at(node, META)?;
         Ok(((m >> 1) as usize, m & 1 == 1))
     }

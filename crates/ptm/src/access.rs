@@ -646,10 +646,11 @@ impl TxAccess {
 
     /// The one host hint (DESIGN.md §5 decision 17): the `words` words
     /// from `addr` will be accessed soon, so ask the host now for the
-    /// lines that access waits on — each word's orec, and per simulated
-    /// line its L3 tag slot and home word. Host-only: nothing the model
-    /// can see changes, and whatever part of the span is no memory of
-    /// this session's is skipped.
+    /// lines that access waits on — per simulated line its orec group
+    /// (one host line: [`crate::orec::OrecTable::index_of`]), L3 tag slot
+    /// and home word. Host-only: nothing the model can see changes, and
+    /// whatever part of the span is no memory of this session's is
+    /// skipped.
     ///
     /// Two callers. A buffered-write policy that records a new write-set
     /// entry (`words == 1`): its commit will lock the orec and store and
@@ -658,9 +659,13 @@ impl TxAccess {
     /// for a transaction body that knows its read footprint ahead of time.
     #[inline]
     pub(crate) fn expect_access(&mut self, addr: PAddr, words: u64) {
+        const LINE: u64 = pmem_sim::WORDS_PER_LINE as u64;
         let orecs = &self.ptm.orecs;
-        for w in 0..self.s.prefetch(addr, words) {
-            orecs.prefetch(orecs.index_of(addr.offset(w)));
+        let end = addr.word() + self.s.prefetch(addr, words);
+        let mut word = addr.word();
+        while word < end {
+            orecs.prefetch(orecs.index_of(PAddr::new(addr.pool(), word)));
+            word = (word / LINE + 1) * LINE;
         }
     }
 

@@ -14,7 +14,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pmem_sim::PAddr;
+use pmem_sim::{PAddr, WORDS_PER_LINE};
 
 /// Is this orec value a lock word?
 #[inline]
@@ -68,6 +68,13 @@ impl Default for GlobalClock {
 #[derive(Debug)]
 pub struct OrecTable {
     orecs: pmem_sim::host::Words,
+    /// Where orec 0 sits in `orecs`: the first word on a 64-byte host
+    /// boundary. Orec `i` is word `(base + i) & mask`, so every aligned
+    /// group of [`WORDS_PER_LINE`] orecs but the last (which wraps) is
+    /// one host line, while the table keeps its power-of-two length —
+    /// the length `zeroed_words`' spare list matches when a restarted
+    /// machine asks for its tables again.
+    base: usize,
     mask: u64,
 }
 
@@ -75,8 +82,11 @@ impl OrecTable {
     /// `count` is rounded up to a power of two.
     pub fn new(count: usize) -> Self {
         let n = count.max(64).next_power_of_two();
+        let orecs = pmem_sim::host::zeroed_words(n);
+        let base = orecs.as_ptr().align_offset(64) % WORDS_PER_LINE;
         OrecTable {
-            orecs: pmem_sim::host::zeroed_words(n),
+            orecs,
+            base,
             mask: n as u64 - 1,
         }
     }
@@ -89,28 +99,39 @@ impl OrecTable {
         self.orecs.is_empty()
     }
 
-    /// Stripe an address onto an orec index (full-avalanche mix so the
-    /// pool id in the address's high bits participates).
+    #[inline]
+    fn orec(&self, idx: u32) -> &AtomicU64 {
+        &self.orecs[(self.base + idx as usize) & self.mask as usize]
+    }
+
+    /// Stripe an address onto an orec index: one orec per word, and the
+    /// words of one simulated line on consecutive orecs of one aligned
+    /// group of [`WORDS_PER_LINE`]. The group is a full-avalanche mix of
+    /// the line number, so the pool id in the address's high bits
+    /// participates. A group is 64 bytes, so a transaction that touches
+    /// several words of a line reaches their orecs through one host line
+    /// (DESIGN.md §5 decision 17).
     #[inline]
     pub fn index_of(&self, addr: PAddr) -> u32 {
-        let mut h = addr.0;
+        const SHIFT: u32 = WORDS_PER_LINE.trailing_zeros();
+        let mut h = addr.0 >> SHIFT;
         h ^= h >> 33;
         h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
         h ^= h >> 33;
-        (h & self.mask) as u32
+        (((h << SHIFT) | (addr.0 & (WORDS_PER_LINE as u64 - 1))) & self.mask) as u32
     }
 
     /// Read an orec value.
     #[inline]
     pub fn load(&self, idx: u32) -> u64 {
-        self.orecs[idx as usize].load(Ordering::Acquire)
+        self.orec(idx).load(Ordering::Acquire)
     }
 
     /// Host-only hint that orec `idx` is about to be read or locked (see
     /// [`pmem_sim::host::prefetch`]).
     #[inline]
     pub fn prefetch(&self, idx: u32) {
-        pmem_sim::host::prefetch(&self.orecs[idx as usize]);
+        pmem_sim::host::prefetch(self.orec(idx));
     }
 
     /// Try to acquire: CAS `expected` (an even version) to this thread's
@@ -118,7 +139,7 @@ impl OrecTable {
     #[inline]
     pub fn try_lock(&self, idx: u32, expected: u64, tid: u64) -> Result<(), u64> {
         debug_assert!(!is_locked(expected));
-        self.orecs[idx as usize]
+        self.orec(idx)
             .compare_exchange(
                 expected,
                 lock_word(tid),
@@ -132,7 +153,7 @@ impl OrecTable {
     #[inline]
     pub fn release(&self, idx: u32, version: u64) {
         debug_assert!(!is_locked(version));
-        self.orecs[idx as usize].store(version, Ordering::Release);
+        self.orec(idx).store(version, Ordering::Release);
     }
 }
 
@@ -188,15 +209,71 @@ mod tests {
     }
 
     #[test]
-    fn adjacent_words_usually_stripe_differently() {
+    fn a_lines_words_fill_one_aligned_group() {
         let t = OrecTable::new(1 << 16);
-        let base = PAddr::new(PoolId(1), 0);
-        let distinct: std::collections::HashSet<u32> =
-            (0..64).map(|i| t.index_of(base.offset(i))).collect();
+        let line = WORDS_PER_LINE as u64;
+        for pool in [1, 2, 77] {
+            for first in (0..4096).step_by(WORDS_PER_LINE).chain([line << 30]) {
+                let base = PAddr::new(PoolId(pool), first);
+                let group: Vec<u32> = (0..line).map(|w| t.index_of(base.offset(w))).collect();
+                let g = group[0] as u64 / line;
+                for (w, &o) in group.iter().enumerate() {
+                    assert_eq!(o as u64, g * line + w as u64, "{base} word {w}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_orec_group_is_one_host_line() {
+        for len in [64, 1 << 12, 1 << 18] {
+            let t = OrecTable::new(len);
+            let at = |i: usize| std::ptr::from_ref(t.orec(i as u32)) as usize;
+            for g in (0..t.len() - WORDS_PER_LINE).step_by(WORDS_PER_LINE) {
+                assert_eq!(at(g) % 64, 0, "group at orec {g} of {len}");
+                assert_eq!(at(g + WORDS_PER_LINE - 1) - at(g), 56);
+            }
+        }
+    }
+
+    #[test]
+    fn the_same_word_in_two_pools_lands_in_different_groups() {
+        let t = OrecTable::new(1 << 16);
+        let line = WORDS_PER_LINE as u32;
+        let mut same = 0;
+        for w in 0..4096 {
+            let a = t.index_of(PAddr::new(PoolId(1), w));
+            let b = t.index_of(PAddr::new(PoolId(2), w));
+            same += u32::from(a / line == b / line);
+        }
+        // 512 lines, each a 1-in-8192 chance of sharing a group.
+        assert!(same <= 2 * line, "{} words share a group", same);
+    }
+
+    /// Random words collide in pairs at the rate of a uniform table: a
+    /// change that shrinks the stripe space (fewer groups, a group per
+    /// pool, a lost address bit) multiplies the count.
+    #[test]
+    fn random_words_collide_like_a_uniform_table() {
+        use rand::{Rng, SeedableRng};
+        let t = OrecTable::new(1 << 18);
+        let n = 1u64 << 16;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(41);
+        let mut hits = vec![0u32; t.len()];
+        for _ in 0..n {
+            let a = PAddr::new(PoolId(rng.gen_range(1..16)), rng.gen_range(0..1 << 30));
+            hits[t.index_of(a) as usize] += 1;
+        }
+        let pairs: u64 = hits
+            .iter()
+            .map(|&h| h as u64 * (h as u64).saturating_sub(1) / 2)
+            .sum();
+        // Expected n²/(2·len) = 8,192; the count is near-Poisson, so its
+        // standard deviation is ~91. Six of them either way.
+        let expect = n * n / (2 * t.len() as u64);
         assert!(
-            distinct.len() > 48,
-            "only {} distinct stripes",
-            distinct.len()
+            pairs.abs_diff(expect) < 6 * 91,
+            "{pairs} colliding pairs, {expect} expected"
         );
     }
 
