@@ -70,7 +70,7 @@ echo "=== observer seam check ==="
 # The flight recorder is the only observer a run arms and GaugeSet::apply
 # the only event fold (DESIGN.md §5 decision 15). An `obs` dependency of
 # the simulator core or the drivers, one of the deleted online-sampler or
-# second-fold names, or a 27th bench binary means the online sampler
+# second-fold names, or a 26th bench binary means the online sampler
 # stack (slot, run-config field, overhead ablation) grew back.
 if grep -n '^obs' crates/pmem-sim/Cargo.toml crates/workloads/Cargo.toml; then
   echo "ERROR: pmem-sim / workloads must not depend on obs (see above)" >&2
@@ -81,8 +81,8 @@ if grep -rnE 'attach_sampler|SampleRing|merge_samplers|TraceTotals' crates src t
   exit 1
 fi
 BINS=$(ls crates/bench/src/bin/*.rs | wc -l)
-if [ "$BINS" -ne 26 ]; then
-  echo "ERROR: crates/bench/src/bin holds $BINS binaries, expected 26" >&2
+if [ "$BINS" -ne 25 ]; then
+  echo "ERROR: crates/bench/src/bin holds $BINS binaries, expected 25" >&2
   exit 1
 fi
 
@@ -245,7 +245,7 @@ echo "=== shard seam check ==="
 # file's first `#[cfg(test)]`; engine_tests.rs is all test) means a heap
 # is formatted and a `Ptm` built beside `PtmDb::on_machine`. Examples and
 # `recovery_bench`'s crafted image keep the raw API on purpose. The
-# `PtmConfig` field count and the 26 bench binaries are held above.
+# `PtmConfig` field count and the 25 bench binaries are held above.
 if grep -rnE 'MachineSet|freeze_all|thaw_all' crates src tests examples; then
   echo "ERROR: a machine list beside ShardedEngine's Vec<PtmDb> grew back (see above)" >&2
   exit 1
@@ -267,23 +267,26 @@ if [ -n "$FORMATS" ]; then
   exit 1
 fi
 
-echo "=== roaming clock seam check ==="
-# A cross-shard worker is one virtual thread with one clock
-# (ShardedEngine::begin_roaming_run, DESIGN.md §5 decision 14), so every
-# run it drives is bounded by the run's lag window. A `u64::MAX` in
-# non-test, non-comment code under crates/workloads/src or in
-# crates/ptm/src/twopc.rs (everything above a file's first
-# `#[cfg(test)]`) means an unbounded window grew back. The one exemption
-# is 1-thread set-up, which has no peer to lag: `begin_run(1, u64::MAX)`
-# in driver.rs's run_scenario and `begin_run_all(1, u64::MAX)` in
-# sharded.rs's set_up_shards.
-UNBOUNDED=$(for f in crates/workloads/src/*.rs crates/ptm/src/twopc.rs; do
+echo "=== one window check ==="
+# Every threaded run has one lag window, pmem_sim::clock::WINDOW_NS
+# (DESIGN.md §5 decision 8): no run config, sharded engine or bench bin
+# takes one. Fails on any `window_ns` under crates/workloads/src,
+# crates/ptm/src/{shard,twopc}.rs or crates/bench. In non-test,
+# non-comment crates/workloads/src code (everything above a file's first
+# `#[cfg(test)]`), a `begin_run` passes WINDOW_NS, a `u64::MAX` appears
+# only in 1-thread set-up (`begin_run(1, u64::MAX)`, which has no peer
+# to lag), and no `ClockDomain` is built by hand. The `u64::MAX` window
+# is for stepped runs (one OS thread alternating virtual threads), which
+# only tests make.
+WINDOWS=$(grep -rn 'window_ns' crates/workloads/src crates/ptm/src/shard.rs crates/ptm/src/twopc.rs crates/bench
+for f in crates/workloads/src/*.rs; do
   awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }
-      /u64::MAX/ && !/begin_run(_all)?\(1, u64::MAX\)/ { print f ":" FNR ": " $0 }' "$f"
+      (/u64::MAX/ || /begin_run\(/) && !/begin_run\(1, u64::MAX\)/ && !/begin_run\([^,()]*, WINDOW_NS\)/ ||
+      /ClockDomain/ { print f ":" FNR ": " $0 }' "$f"
 done)
-if [ -n "$UNBOUNDED" ]; then
-  echo "ERROR: an unbounded lag window outside 1-thread set-up:" >&2
-  echo "$UNBOUNDED" >&2
+if [ -n "$WINDOWS" ]; then
+  echo "ERROR: a lag window other than WINDOW_NS outside pmem-sim and tests:" >&2
+  echo "$WINDOWS" >&2
   exit 1
 fi
 
@@ -533,23 +536,12 @@ fi
 echo "=== window-flatness check ==="
 # Bandwidth servers serve in virtual-time order (DESIGN.md §5 decision
 # 24), so throughput must not hang on how far the bounded-lag window
-# lets threads drift apart. Across windows of 0.5-8 us at 4 threads:
-# TATP max/min <= 1.25 and tpcc-hash max/min <= 1.30 (1.95-2.15 and
-# 1.33-1.41 while a lagging thread queued behind its peer's future), and
-# no request too old for its server to place (bw_horizon_misses).
-cargo run -q --release -p bench --bin ablation_window -- --quick --threads 4 | awk -F, '
-  NR == 1 { next }
-  { v = $3 + 0; if (!($1 in lo) || v < lo[$1]) lo[$1] = v; if (v > hi[$1]) hi[$1] = v; miss += $6 }
-  END {
-    bound["tatp"] = 1.25; bound["tpcc-hash"] = 1.30
-    for (w in bound) {
-      if (!(w in lo) || lo[w] <= 0) { print "ERROR: no " w " rows" > "/dev/stderr"; exit 1 }
-      r = hi[w] / lo[w]
-      if (r > bound[w]) { printf "ERROR: %s throughput max/min %.3f > %.2f across windows\n", w, r, bound[w] > "/dev/stderr"; bad = 1 }
-    }
-    if (miss > 0) { print "ERROR: " miss " bandwidth-server horizon misses" > "/dev/stderr"; bad = 1 }
-    exit bad
-  }'
+# lets threads drift apart. tests/shape_checks.rs's window_flatness
+# sweeps windows of 0.5-8 us at 4 threads and asserts TATP max/min <= 1.25,
+# tpcc-hash max/min <= 1.30 (1.95-2.15 and 1.33-1.41 while a lagging
+# thread queued behind its peer's future) and no request too old for
+# its server to place (bw_horizon_misses).
+cargo test -q --release --test shape_checks -- --ignored window_flatness
 
 echo "=== orec geometry check ==="
 # Which words share an orec decides false conflicts. A line's words sit on

@@ -77,7 +77,8 @@ const HORIZON_NS: u64 = BUCKET_NS * BUCKETS as u64;
 /// counting a horizon miss. The yields are for more simulated threads
 /// than host cores: an opener descheduled in that window publishes only
 /// once it runs again, milliseconds later (4 threads on 2 cores lost a
-/// period about once in 30 `ablation_window` runs with 64 yields).
+/// period about once in 30 4-thread window sweeps with 64 yields;
+/// `tests/shape_checks.rs`'s `window_flatness` is that sweep).
 const PUBLISH_SPIN: u32 = 1 << 12;
 const PUBLISH_YIELDS: u32 = 1 << 14;
 /// A bucket word: its bucket index above the booked ns (at most 32).

@@ -2,7 +2,7 @@
 //!
 //! Every simulated memory operation advances the issuing thread's *virtual*
 //! clock by the operation's modeled latency. Threads run on real OS threads,
-//! but a thread whose virtual clock runs more than `window_ns` ahead of the
+//! but a thread whose virtual clock runs more than a window ahead of the
 //! slowest still-active thread yields until the others catch up. This keeps
 //! virtual time roughly aligned with real time, so that a lock held for a
 //! long *virtual* interval (e.g. across ADR flushes and fences) is exposed
@@ -13,12 +13,31 @@
 //! The coordination is deliberately approximate: it trades strict
 //! discrete-event ordering for scalability, which is the right trade for
 //! reproducing throughput *shapes* rather than cycle-exact traces.
+//!
+//! A domain takes one of two windows:
+//! * [`WINDOW_NS`] for every run with one OS thread per virtual thread
+//!   (results do not depend on it: `tests/shape_checks.rs`'s
+//!   `window_flatness` sweeps 0.5–8 µs);
+//! * `u64::MAX` (no throttling) for *stepped* runs, where one OS thread
+//!   alternates several virtual threads: a stepped thread a window ahead
+//!   of its peer would spin forever, because its own OS thread is the one
+//!   that has to step the peer. A lone virtual thread never throttles,
+//!   whatever its window.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// The lag window of every run with one OS thread per virtual thread, in
+/// virtual nanoseconds: about a fraction of one transaction's virtual
+/// time.
+pub const WINDOW_NS: u64 = 1_000;
+
 /// Sentinel virtual time for a thread that has finished its run.
 const DONE: u64 = u64::MAX;
+
+/// A handle publishes (and maybe throttles) every `PUBLISH_MASK + 1`
+/// advances.
+const PUBLISH_MASK: u32 = 0x3f;
 
 /// Yield iterations [`ClockDomain::freeze`] tolerates before concluding
 /// the world will never stop and panicking with a per-slot dump. Threads
@@ -70,10 +89,9 @@ pub struct ClockDomain {
 }
 
 impl ClockDomain {
-    /// Create a domain with `n` virtual threads and the given lag window.
-    ///
-    /// A window of `u64::MAX` disables throttling entirely (single-threaded
-    /// use, or functional tests).
+    /// Create a domain with `n` virtual threads and the given lag window:
+    /// [`WINDOW_NS`], or `u64::MAX` to disable throttling (see the module
+    /// documentation).
     pub fn new(n: usize, window_ns: u64) -> Self {
         ClockDomain {
             slots: (0..n).map(|_| Arc::new(ClockSlot::new())).collect(),
@@ -156,11 +174,6 @@ impl ClockDomain {
         self.slots.len()
     }
 
-    /// The configured lag window in virtual nanoseconds.
-    pub fn window_ns(&self) -> u64 {
-        self.window_ns
-    }
-
     /// Obtain a handle for virtual thread `tid`.
     ///
     /// # Panics
@@ -176,7 +189,6 @@ impl ClockDomain {
             } else {
                 u64::MAX
             },
-            publish_mask: 0x3f,
             ops_since_publish: 0,
             defer_park: 0,
         }
@@ -231,8 +243,6 @@ pub struct ClockHandle {
     /// another thread writes; a stale value is conservative, because
     /// peers' clocks only move forward.
     limit: u64,
-    /// Publish (and maybe throttle) every `publish_mask + 1` advances.
-    publish_mask: u32,
     ops_since_publish: u32,
     /// While > 0, the handle neither parks for a freeze nor throttles:
     /// the thread is inside a crash-atomic section (e.g. an HTM commit's
@@ -255,7 +265,7 @@ impl ClockHandle {
         self.ops_since_publish = self.ops_since_publish.wrapping_add(1);
         // Publish either periodically or when we may have crossed the
         // window relative to the minimum last seen.
-        if self.ops_since_publish & self.publish_mask == 0 || self.local_vt > self.limit {
+        if self.ops_since_publish & PUBLISH_MASK == 0 || self.local_vt > self.limit {
             self.publish_and_throttle();
         }
     }
@@ -432,9 +442,27 @@ mod tests {
         assert_eq!(a.now(), 1_000_000);
     }
 
+    /// The contract of a stepped run: with an unbounded window, one OS
+    /// thread may carry a handle far past a live peer that stays at 0 —
+    /// the peer only moves when this same thread steps it.
+    #[test]
+    fn unbounded_domain_lets_a_stepped_thread_run_past_a_live_peer() {
+        let d = Arc::new(ClockDomain::new(2, u64::MAX));
+        let mut a = d.handle(0);
+        let mut b = d.handle(1);
+        b.publish();
+        for _ in 0..1_000 {
+            a.advance(1_000);
+        }
+        a.publish();
+        assert_eq!(a.now(), 1_000_000, "1 ms ahead");
+        assert_eq!(b.now(), 0);
+        assert_eq!(d.min_time(), 0, "the peer is live, at 0");
+    }
+
     #[test]
     fn two_threads_stay_within_window() {
-        let d = Arc::new(ClockDomain::new(2, 1_000));
+        let d = Arc::new(ClockDomain::new(2, WINDOW_NS));
         let d2 = Arc::clone(&d);
         std::thread::scope(|s| {
             s.spawn(move || {

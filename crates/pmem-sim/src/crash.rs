@@ -246,7 +246,6 @@ mod tests {
         Machine::new(MachineConfig {
             domain,
             track_persistence: true,
-            window_ns: u64::MAX,
             ..MachineConfig::default()
         })
     }
@@ -358,7 +357,6 @@ mod tests {
         let m = Machine::new(MachineConfig {
             domain: DD::Adr,
             track_persistence: false,
-            window_ns: u64::MAX,
             ..MachineConfig::default()
         });
         m.alloc_pool("o", 64, MediaKind::Optane);

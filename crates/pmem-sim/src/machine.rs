@@ -56,7 +56,11 @@ pub struct MachineConfig {
     /// Enable per-pool durable shadows so crashes can be simulated.
     /// Costs 2x memory and some tracking work; off for pure benchmarks.
     pub track_persistence: bool,
-    /// Bounded-lag window for multi-threaded runs, in virtual ns.
+    /// Inert: nothing reads it — a run's lag window is the argument of
+    /// [`Machine::begin_run`]. It stays only because `benchmark/`, which
+    /// changes apart from the system it measures, spells
+    /// `window_ns: u64::MAX` in three literals (ROADMAP item 3 drops
+    /// them, then this field).
     pub window_ns: u64,
     /// Hardware-transactional-memory capabilities of this machine.
     pub htm: HtmModel,
@@ -365,6 +369,12 @@ impl Machine {
     /// Start a fresh timed run with `threads` virtual threads. Resets the
     /// bandwidth servers and replaces the clock domain; previously created
     /// sessions become stale and must not be used afterwards.
+    ///
+    /// `window_ns` is one of two values ([`crate::clock`]):
+    /// [`crate::clock::WINDOW_NS`] when each virtual thread has its own OS
+    /// thread, `u64::MAX` when one OS thread steps several virtual threads
+    /// (a stepped thread a window ahead of its peer would spin forever).
+    /// A 1-thread run never throttles, so set-up passes `u64::MAX`.
     pub fn begin_run(&self, threads: usize, window_ns: u64) {
         self.begin_run_on(Arc::new(ClockDomain::new(threads, window_ns)));
     }

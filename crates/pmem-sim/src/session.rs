@@ -756,7 +756,6 @@ mod tests {
         Machine::new(MachineConfig {
             domain,
             track_persistence: track,
-            window_ns: u64::MAX,
             ..MachineConfig::default()
         })
     }
@@ -888,7 +887,6 @@ mod tests {
             domain: DD::Adr,
             model,
             track_persistence: false,
-            window_ns: u64::MAX,
             ..MachineConfig::default()
         });
         let p = m.alloc_pool("h", 1 << 12, MediaKind::Optane);
@@ -957,7 +955,6 @@ mod tests {
             domain: DD::Adr,
             model,
             track_persistence: false,
-            window_ns: u64::MAX,
             ..MachineConfig::default()
         });
         let p = m.alloc_pool("h", 1 << 16, MediaKind::Optane);
@@ -983,7 +980,6 @@ mod tests {
             domain: DD::Adr,
             model,
             track_persistence: false,
-            window_ns: u64::MAX,
             ..MachineConfig::default()
         });
         let p = m.alloc_pool("h", 1 << 16, MediaKind::Dram);
@@ -1016,7 +1012,6 @@ mod tests {
             domain: DD::Adr,
             model,
             track_persistence: false,
-            window_ns: u64::MAX,
             ..MachineConfig::default()
         });
         let sink = trace::TraceSink::new(1 << 14);

@@ -811,7 +811,7 @@ impl ShardedTransfers {
 
     /// Populate every shard, then transact.
     fn transact(&self, engine: &ShardedEngine, case: &SweepCase) {
-        engine.begin_roaming_run(1, u64::MAX);
+        engine.begin_roaming_run(1);
         let mut cx = CrossShardTx::new(engine, 0);
         // Per-shard account tables, rooted so recovery can find them.
         let tables: Vec<PAddr> = (0..self.shards)

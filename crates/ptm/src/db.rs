@@ -230,8 +230,9 @@ impl PtmDb {
         Self::from_restarted(r, ptm_cfg)
     }
 
-    /// Begin a timed run with `threads` virtual threads (see
-    /// [`Machine::begin_run`]).
+    /// Begin a timed run with `threads` virtual threads and lag window
+    /// `window_ns`: [`pmem_sim::clock::WINDOW_NS`] or, for a stepped run,
+    /// `u64::MAX` (see [`Machine::begin_run`]).
     pub fn begin_run(&self, threads: usize, window_ns: u64) {
         self.machine.begin_run(threads, window_ns);
     }

@@ -890,10 +890,7 @@ fn commit_write_hint_moves_no_virtual_statistic() {
         ),
     ];
     for (algo, want) in pinned {
-        let m = Machine::new(MachineConfig {
-            window_ns: u64::MAX,
-            ..MachineConfig::default()
-        });
+        let m = Machine::new(MachineConfig::default());
         let heap = PHeap::format(&m, "heap", 1 << 16, 8);
         let ptm = Ptm::new(PtmConfig::with_algo(algo));
         let mut th = TxThread::new(ptm.clone(), heap.clone(), m.session(0));
@@ -983,10 +980,7 @@ fn contended_orec_paths_keep_their_signature() {
         ),
     ];
     for (algo, want) in pinned {
-        let m = Machine::new(MachineConfig {
-            window_ns: u64::MAX,
-            ..MachineConfig::default()
-        });
+        let m = Machine::new(MachineConfig::default());
         let heap = PHeap::format(&m, "heap", 1 << 16, 8);
         let ptm = Ptm::new(PtmConfig::with_algo(algo));
         m.begin_run(2, u64::MAX);
@@ -1047,7 +1041,6 @@ fn contended_orec_paths_keep_their_signature() {
 fn read_hint_on_any_span_leaves_every_observer_unchanged() {
     let run = |algo: Algo, hinted: bool| {
         let m = Machine::new(MachineConfig {
-            window_ns: u64::MAX,
             htm: HtmModel { capacity_lines: 8 },
             ..MachineConfig::default()
         });

@@ -29,6 +29,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use pmem_sim::clock::{ClockDomain, WINDOW_NS};
 use pmem_sim::{CrashImage, Machine, MachineConfig, PmemPool, StatsSnapshot};
 
 use crate::config::PtmConfig;
@@ -206,19 +207,19 @@ impl ShardedEngine {
     }
 
     /// Start a timed run on every shard: `threads_per_shard` virtual
-    /// threads each, bounded-lag window `window_ns`. Each shard has its
+    /// threads each, bounded-lag window [`WINDOW_NS`]. Each shard has its
     /// own clock domain — shards do not lag-couple to each other.
-    pub fn begin_run_all(&self, threads_per_shard: usize, window_ns: u64) {
+    pub fn begin_run_all(&self, threads_per_shard: usize) {
         for db in &self.shards {
-            db.begin_run(threads_per_shard, window_ns);
+            db.begin_run(threads_per_shard, WINDOW_NS);
         }
     }
 
     /// Start a timed run for `workers` roaming workers: one clock domain,
     /// a slot per worker, on every shard machine, so each worker has one
-    /// clock ([`crate::twopc::CrossShardTx`]) bounded by `window_ns`.
-    pub fn begin_roaming_run(&self, workers: usize, window_ns: u64) {
-        let clocks = Arc::new(pmem_sim::clock::ClockDomain::new(workers, window_ns));
+    /// clock ([`crate::twopc::CrossShardTx`]) bounded by [`WINDOW_NS`].
+    pub fn begin_roaming_run(&self, workers: usize) {
+        let clocks = Arc::new(ClockDomain::new(workers, WINDOW_NS));
         for db in &self.shards {
             db.machine().begin_run_on(Arc::clone(&clocks));
         }
@@ -387,7 +388,7 @@ mod tests {
         };
         for ptm_cfg in [PtmConfig::redo(), PtmConfig::undo()] {
             let e = ShardedEngine::create(1, mcfg.clone(), ptm_cfg.clone(), 1 << 14, 4);
-            e.begin_run_all(1, u64::MAX);
+            e.begin_run_all(1);
             let engine_clock = stream(e.thread(0, 0));
 
             let db = PtmDb::create(mcfg.clone(), ptm_cfg, 1 << 14, 4);
@@ -424,7 +425,7 @@ mod tests {
             .alloc_pool("h", 64, pmem_sim::MediaKind::Optane);
         assert_eq!(e.shard(0).machine().pools().len(), pools + 1);
         assert_eq!(e.shard(1).machine().pools().len(), pools);
-        e.begin_run_all(1, u64::MAX);
+        e.begin_run_all(1);
         {
             let mut s = e.shard(0).machine().session(0);
             s.store(p.addr(0), 7);
@@ -450,7 +451,7 @@ mod tests {
                 .alloc_pool("a", 64, pmem_sim::MediaKind::Optane)
         };
         let (p0, p1) = (pool(0), pool(1));
-        e.begin_run_all(1, u64::MAX);
+        e.begin_run_all(1);
         let mut s0 = e.shard(0).machine().session(0);
         let mut s1 = e.shard(1).machine().session(0);
         s0.store(p0.addr(0), 1);
@@ -471,7 +472,7 @@ mod tests {
     #[test]
     fn shards_commit_independently() {
         let e = engine(2);
-        e.begin_run_all(1, u64::MAX);
+        e.begin_run_all(1);
         let mut cells = Vec::new();
         for shard in 0..2 {
             let mut th = e.thread(shard, 0);
@@ -494,7 +495,7 @@ mod tests {
     #[test]
     fn crash_all_reopen_recovers_every_shard() {
         let e = engine(3);
-        e.begin_run_all(1, u64::MAX);
+        e.begin_run_all(1);
         let mut cells = Vec::new();
         for shard in 0..3 {
             let mut th = e.thread(shard, 0);
@@ -514,7 +515,7 @@ mod tests {
         for (shard, rep) in reports.iter().enumerate() {
             assert_eq!(rep.recovery.logs_scanned, 1, "shard {shard} log scan");
         }
-        e2.begin_run_all(1, u64::MAX);
+        e2.begin_run_all(1);
         for (shard, &cell) in cells.iter().enumerate() {
             let c = e2.shard(shard).heap().root_raw(0);
             assert_eq!(c, cell);
@@ -531,7 +532,7 @@ mod tests {
     #[test]
     fn reopen_is_deterministic_and_merge_equals_sum() {
         let e = engine(3);
-        e.begin_run_all(1, u64::MAX);
+        e.begin_run_all(1);
         for shard in 0..3 {
             let mut th = e.thread(shard, 0);
             let heap = Arc::clone(e.shard(shard).heap());
@@ -596,7 +597,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn foreign_shard_thread_rejected() {
         let e = engine(2);
-        e.begin_run_all(1, u64::MAX);
+        e.begin_run_all(1);
         let _ = e.thread(2, 0);
     }
 }

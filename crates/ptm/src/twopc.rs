@@ -365,7 +365,7 @@ mod tests {
     #[test]
     fn cross_shard_transfer_commits_atomically() {
         let e = ShardedEngine::create(2, cfg(), PtmConfig::redo(), 1 << 14, 4);
-        e.begin_roaming_run(1, u64::MAX);
+        e.begin_roaming_run(1);
         let mut cx = CrossShardTx::new(&e, 0);
         let cells: Vec<PAddr> = (0..2)
             .map(|s| {
@@ -406,7 +406,7 @@ mod tests {
             1 << 14,
             4,
         );
-        e.begin_roaming_run(1, u64::MAX);
+        e.begin_roaming_run(1);
         let mut cx = CrossShardTx::new(&e, 0);
         let cells: Vec<PAddr> = (0..2)
             .map(|s| {
@@ -448,7 +448,12 @@ mod tests {
                 sink
             })
             .collect();
-        e.begin_roaming_run(2, u64::MAX);
+        // Stepped: this one OS thread alternates both workers, so their
+        // clock domain must not throttle (`pmem_sim::clock`).
+        let clocks = Arc::new(pmem_sim::clock::ClockDomain::new(2, u64::MAX));
+        for s in 0..2 {
+            e.shard(s).machine().begin_run_on(Arc::clone(&clocks));
+        }
         let (mut a, mut b) = (CrossShardTx::new(&e, 0), CrossShardTx::new(&e, 1));
         let cells: Vec<PAddr> = (0..2)
             .map(|s| {
@@ -482,7 +487,7 @@ mod tests {
     fn single_shard_path_is_bit_identical_through_cross_handle() {
         fn scenario(cross: bool) -> (u64, u64, u64, u64) {
             let e = ShardedEngine::create(1, cfg(), PtmConfig::redo(), 1 << 14, 4);
-            e.begin_roaming_run(1, u64::MAX);
+            e.begin_roaming_run(1);
             let v = if cross {
                 let mut cx = CrossShardTx::new(&e, 0);
                 let c = {
@@ -527,7 +532,7 @@ mod tests {
     fn in_doubt_logs_resolve_by_coordinator_record() {
         for decide_commit in [false, true] {
             let e = ShardedEngine::create(2, cfg(), PtmConfig::redo(), 1 << 14, 4);
-            e.begin_run_all(2, u64::MAX);
+            e.begin_run_all(2);
             let mut cells = Vec::new();
             for s in 0..2 {
                 let mut th = e.thread(s, 0);
@@ -572,7 +577,7 @@ mod tests {
                 assert_eq!((commits, aborts), (0, 2));
             }
             let expected = if decide_commit { 2 } else { 1 };
-            e2.begin_run_all(1, u64::MAX);
+            e2.begin_run_all(1);
             for s in 0..2 {
                 let c = e2.shard(s).heap().root_raw(0);
                 let mut th = e2.thread(s, 0);
@@ -608,7 +613,7 @@ mod tests {
             PtmConfig::htm_logged(),
         ] {
             let e = ShardedEngine::create(2, cfg(), algo.clone(), 1 << 14, 4);
-            e.begin_roaming_run(1, u64::MAX);
+            e.begin_roaming_run(1);
             let mut cx = CrossShardTx::new(&e, 0);
             let cells: Vec<PAddr> = (0..2)
                 .map(|s| {
@@ -630,7 +635,7 @@ mod tests {
             drop(cx);
             let images = e.crash_all(13);
             let (e2, _) = ShardedEngine::reopen(&images, cfg(), algo.clone());
-            e2.begin_run_all(1, u64::MAX);
+            e2.begin_run_all(1);
             let mut total = 0;
             for s in 0..2 {
                 let c = e2.shard(s).heap().root_raw(0);

@@ -153,7 +153,7 @@ proptest! {
             1 << 14,
             4,
         );
-        engine.begin_roaming_run(1, u64::MAX);
+        engine.begin_roaming_run(1);
         let mut cx = CrossShardTx::new(&engine, 0);
         let mut tables = Vec::with_capacity(shards);
         for s in 0..shards {

@@ -122,7 +122,6 @@ mod tests {
         RunConfig {
             threads,
             ops_per_thread: ops,
-            window_ns: 2_000,
             model: LatencyModel::default(),
             seed: 7,
             ..RunConfig::default()

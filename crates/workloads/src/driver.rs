@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use pmem_sim::clock::WINDOW_NS;
 use pmem_sim::{DurabilityDomain, LatencyModel, Machine, MachineConfig, MediaKind, StatsSnapshot};
 use ptm::{Algo, PhaseSnapshot, PtmConfig, PtmDb, PtmStatsSnapshot, TxThread};
 use rand::rngs::SmallRng;
@@ -135,8 +136,6 @@ impl Scenario {
 pub struct RunConfig {
     pub threads: usize,
     pub ops_per_thread: u64,
-    /// Bounded-lag window; ~a fraction of one transaction's virtual time.
-    pub window_ns: u64,
     pub model: LatencyModel,
     pub seed: u64,
     /// Template for the PTM configuration; the scenario's algorithm,
@@ -156,7 +155,6 @@ impl Default for RunConfig {
         RunConfig {
             threads: 1,
             ops_per_thread: 2_000,
-            window_ns: 1_000,
             model: LatencyModel::default(),
             seed: 42,
             ptm: PtmConfig::default(),
@@ -219,7 +217,6 @@ pub fn run_scenario<W: Workload + ?Sized>(w: &mut W, sc: &Scenario, rc: &RunConf
         domain: sc.domain,
         model: rc.model.clone(),
         track_persistence: false,
-        window_ns: rc.window_ns,
         ..MachineConfig::default()
     });
     let ptm_cfg = PtmConfig {
@@ -243,7 +240,7 @@ pub fn run_scenario<W: Workload + ?Sized>(w: &mut W, sc: &Scenario, rc: &RunConf
     }
     // Measured phase. Latencies go into per-thread log₂ histograms merged
     // at thread exit: memory stays O(buckets), not O(ops).
-    db.begin_run(rc.threads, rc.window_ns);
+    db.begin_run(rc.threads, WINDOW_NS);
     let latency = std::sync::Mutex::new(LatencyHistogram::new());
     std::thread::scope(|scope| {
         for tid in 0..rc.threads {
@@ -394,7 +391,6 @@ mod tests {
                 domain: DurabilityDomain::Adr,
                 model: LatencyModel::default(),
                 track_persistence: false,
-                window_ns: u64::MAX,
                 ..MachineConfig::default()
             });
             let db = PtmDb::on_machine(

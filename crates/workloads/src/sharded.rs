@@ -186,9 +186,6 @@ pub fn gen_open_loop(cfg: &StreamConfig) -> Vec<Request> {
 pub struct ShardedRunConfig {
     pub shards: usize,
     pub threads_per_shard: usize,
-    /// Bounded-lag window within a clock domain: each shard's, or the one
-    /// the roaming transfer workers share across the shards.
-    pub window_ns: u64,
     pub model: LatencyModel,
     pub domain: DurabilityDomain,
     /// PTM template: algorithm, group-commit knobs, heap media.
@@ -207,7 +204,6 @@ impl Default for ShardedRunConfig {
         ShardedRunConfig {
             shards: 1,
             threads_per_shard: 4,
-            window_ns: 1_000,
             model: LatencyModel::default(),
             domain: DurabilityDomain::Adr,
             ptm: PtmConfig::default(),
@@ -293,7 +289,6 @@ fn build_engine(rc: &ShardedRunConfig, heap_words: usize) -> ShardedEngine {
         domain: rc.domain,
         model: rc.model.clone(),
         track_persistence: false,
-        window_ns: rc.window_ns,
         ..MachineConfig::default()
     };
     let ptm_cfg = PtmConfig {
@@ -312,7 +307,7 @@ fn set_up_shards<S: Send>(
     states: &mut [S],
     f: impl Fn(usize, &mut S, &mut TxThread) + Sync,
 ) {
-    engine.begin_run_all(1, u64::MAX);
+    engine.begin_run_all(1);
     std::thread::scope(|scope| {
         for (shard, state) in states.iter_mut().enumerate() {
             let f = &f;
@@ -505,7 +500,7 @@ where
     F: Fn(usize, &mut TxThread, &mut SmallRng, &Request) + Sync,
 {
     arm_tracers(engine, rc);
-    engine.begin_run_all(rc.threads_per_shard, rc.window_ns);
+    engine.begin_run_all(rc.threads_per_shard);
     let sojourn = Mutex::new(LatencyHistogram::new());
     std::thread::scope(|scope| {
         for shard in 0..rc.shards {
@@ -656,8 +651,9 @@ pub const TRANSFER_INITIAL_BALANCE: u64 = 1_000;
 /// documents.
 ///
 /// Workers roam every shard, each on one clock
-/// ([`ShardedEngine::begin_roaming_run`]), and `rc.window_ns` bounds how
-/// far any worker runs ahead of the others.
+/// ([`ShardedEngine::begin_roaming_run`]), and
+/// [`pmem_sim::clock::WINDOW_NS`] bounds how far any worker runs ahead of
+/// the others.
 pub fn run_cross_shard_transfer(rc: &ShardedRunConfig, cross_frac: f64) -> ShardedRunResult {
     rc.assert_nonempty();
     assert!((0.0..=1.0).contains(&cross_frac), "cross_frac in [0, 1]");
@@ -693,7 +689,7 @@ pub fn run_cross_shard_transfer(rc: &ShardedRunConfig, cross_frac: f64) -> Shard
     // fractions the benches sweep; avoids per-op float draws).
     let cross_threshold = (cross_frac * u32::MAX as f64) as u32;
     arm_tracers(&engine, rc);
-    engine.begin_roaming_run(workers, rc.window_ns);
+    engine.begin_roaming_run(workers);
     std::thread::scope(|scope| {
         for w in 0..workers {
             let engine = &engine;

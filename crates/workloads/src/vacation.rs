@@ -283,7 +283,6 @@ mod tests {
             domain: sc.domain,
             model: rc.model.clone(),
             track_persistence: false,
-            window_ns: rc.window_ns,
             ..pmem_sim::MachineConfig::default()
         });
         let heap = palloc::PHeap::format(&machine, "heap", w.heap_words(), 16);

@@ -12,7 +12,6 @@ fn machine(domain: DurabilityDomain) -> Arc<Machine> {
     Machine::new(MachineConfig {
         domain,
         track_persistence: true,
-        window_ns: u64::MAX,
         ..MachineConfig::default()
     })
 }

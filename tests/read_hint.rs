@@ -94,10 +94,7 @@ fn hashmap_stream_per_algorithm_matches_the_unhinted_build() {
         ),
     ];
     for (algo, want) in pinned {
-        let m = Machine::new(MachineConfig {
-            window_ns: u64::MAX,
-            ..MachineConfig::default()
-        });
+        let m = Machine::new(MachineConfig::default());
         let sink = TraceSink::new(1 << 17);
         m.attach_tracer(Arc::clone(&sink));
         let heap = PHeap::format(&m, "heap", 1 << 16, 8);
