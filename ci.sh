@@ -81,8 +81,8 @@ if grep -rnE 'attach_sampler|SampleRing|merge_samplers|TraceTotals' crates src t
   exit 1
 fi
 BINS=$(ls crates/bench/src/bin/*.rs | wc -l)
-if [ "$BINS" -ne 25 ]; then
-  echo "ERROR: crates/bench/src/bin holds $BINS binaries, expected 25" >&2
+if [ "$BINS" -ne 20 ]; then
+  echo "ERROR: crates/bench/src/bin holds $BINS binaries, expected 20" >&2
   exit 1
 fi
 
@@ -245,7 +245,7 @@ echo "=== shard seam check ==="
 # file's first `#[cfg(test)]`; engine_tests.rs is all test) means a heap
 # is formatted and a `Ptm` built beside `PtmDb::on_machine`. Examples and
 # `recovery_bench`'s crafted image keep the raw API on purpose. The
-# `PtmConfig` field count and the 25 bench binaries are held above.
+# `PtmConfig` field count and the 20 bench binaries are held above.
 if grep -rnE 'MachineSet|freeze_all|thaw_all' crates src tests examples; then
   echo "ERROR: a machine list beside ShardedEngine's Vec<PtmDb> grew back (see above)" >&2
   exit 1
@@ -379,22 +379,21 @@ if [ -n "$UNRUN" ]; then
 fi
 
 echo "=== golden report lines ==="
-# The --json report lines of thirteen deterministic runs, byte for byte
+# The --json report lines of thirteen deterministic runs and the whole
+# `phase_profile --quick --json` output, byte for byte
 # against crates/bench/tests/golden/ — by name and first among the
 # output checks, so a schema slip is reported as such and not as a
 # smoke-step failure further down.
 cargo test -q -p bench --test golden_json
 
-echo "=== phase_profile smoke (4 algorithms x {ADR, eADR}) ==="
+echo "=== phase_profile smoke (4 algorithms x {ADR, eADR, PDRAM, PDRAM-Lite}) ==="
 # phase_profile iterates the full {undo, redo, cow, htm-logged} x
-# {ADR, eADR} matrix internally, so this one smoke run exercises every
-# registered algorithm in both flush-required and flush-elided domains.
+# {ADR, eADR, PDRAM, PDRAM-Lite} matrix internally, so these runs
+# exercise every registered algorithm in every durability domain, at one
+# thread and at two (phase shares, throughput, abort rate, persistence
+# work).
 cargo run -q --release -p bench --bin phase_profile -- --threads 1 --ops 200 > /dev/null
-
-echo "=== algo_compare smoke ==="
-# Head-to-head {redo, undo, cow, htm-logged} comparison across all four
-# durability domains (throughput / abort rate / persistence work).
-cargo run -q --release -p bench --bin algo_compare -- --quick --threads 2 --ops 100 > /dev/null
+cargo run -q --release -p bench --bin phase_profile -- --quick --threads 2 --ops 100 > /dev/null
 
 echo "=== htm ablation smoke + §V and ADR crossover guards ==="
 # Redo vs HtmLogged on tatp / tpcc-hash / btree-mixed under eADR, PDRAM

@@ -81,7 +81,7 @@ fn main() {
             let htm = run(Algo::HtmLogged);
             if contention == "low" && threads <= 2 {
                 assert!(
-                    htm.ptm.htm_logged_commits > 0,
+                    htm.ptm.htm_commits > 0,
                     "HtmLogged committed nothing on the hardware path"
                 );
                 assert!(

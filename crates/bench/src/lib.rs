@@ -1,8 +1,21 @@
 //! # bench — the experiment harness
 //!
-//! One binary per table and figure of the paper (see `src/bin/`), plus
-//! ablation binaries for the design decisions DESIGN.md calls out and
-//! the crash, trace, telemetry and restart tools.
+//! One binary per figure of the paper and one for Table III (see
+//! `src/bin/`), plus ablation binaries for the design decisions DESIGN.md
+//! calls out and the crash, trace, telemetry and restart tools.
+//!
+//! A paper cell is run once, by one binary, and every point a binary runs
+//! is printed whole, so the paper's other readings are fields of those
+//! points rather than binaries of their own:
+//!
+//! * Tables I and II — `commit_abort_ratio` of `fig3`'s `tpcc-hash` rows
+//!   (`*_R` redo, `*_U` undo);
+//! * single-thread latency — the `latency` block of the 1-thread
+//!   `fig3` / `fig4` / `fig6` / `fig7` points;
+//! * the §III-C counters — the `mem` block of the 32-thread `fig3` /
+//!   `fig4` points;
+//! * the algorithm comparison — `phase_profile`, every registered
+//!   algorithm under ADR, eADR, PDRAM and PDRAM-Lite.
 //!
 //! Every binary reads its flags through [`args::Args`] and exits nonzero
 //! on a flag it does not read; README.md tabulates which binary reads
@@ -194,38 +207,6 @@ pub fn run_figure(
                 emit_point(opts, name, &r);
             }
         }
-    }
-}
-
-/// Tables I / II: commit-to-abort ratio of TPCC (Hash Table) across the
-/// {DRAM, Optane} x {ADR, eADR} grid for one algorithm.
-pub fn commit_abort_table(algo: ptm::Algo) {
-    let (opts, threads) = HarnessOpts::with_thread_sweep();
-    let mut grid = Vec::new();
-    for (media, mname) in [(MediaKind::Dram, "DRAM"), (MediaKind::Optane, "Optane")] {
-        for (domain, dname) in [
-            (DurabilityDomain::Adr, "ADR"),
-            (DurabilityDomain::Eadr, "eADR"),
-        ] {
-            grid.push(Scenario::new(
-                format!("{mname}_{dname}"),
-                media,
-                domain,
-                algo,
-            ));
-        }
-    }
-    if opts.json {
-        return run_figure(&["tpcc-hash"], &grid, &opts, &threads);
-    }
-    let cols: Vec<String> = threads.iter().map(usize::to_string).collect();
-    println!("scenario,{}", cols.join(","));
-    for sc in &grid {
-        print!("{}", sc.label);
-        for &t in &threads {
-            print!(",{}", ratio(&run_point("tpcc-hash", sc, &opts, t)));
-        }
-        println!();
     }
 }
 

@@ -313,7 +313,6 @@ mod tests {
             "\"aborts_acquire\"",
             "\"aborts_validation\"",
             "\"htm_commits\"",
-            "\"htm_logged_commits\"",
             "\"htm_aborts\"",
             "\"htm_capacity_aborts\"",
             "\"htm_conflict_aborts\"",

@@ -56,7 +56,7 @@ fn flags_a_binary_does_not_read_are_rejected() {
     let trace = std::env::temp_dir().join(format!("cli-fig3-{}.trc", std::process::id()));
     usage_error("fig3", &["--quick", "--trace", trace.to_str().unwrap()]);
     assert!(!trace.exists(), "fig3 wrote {}", trace.display());
-    for name in ["fig8", "latency", "ablation_trace_overhead"] {
+    for name in ["fig8", "ablation_trace_overhead"] {
         usage_error(name, &["--quick", "--threads", "2"]);
     }
     let line = usage_error("table3", &["--quick", "--threads", "1,2"]);

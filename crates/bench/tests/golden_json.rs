@@ -3,7 +3,10 @@
 //! Every case below is a deterministic run (one worker per machine), so
 //! `point_json` / `sharded_point_json` must reproduce the committed line
 //! in `tests/golden/<case>.json` byte for byte — counters, key order,
-//! emit-when-nonzero gating and number formatting included.
+//! emit-when-nonzero gating and number formatting included. One case is
+//! a whole binary's output: `phase_profile --quick --json`, 48 one-thread
+//! points (four algorithms × four domains × three workloads), the
+//! refactoring oracle for everything between the driver and the report.
 //!
 //! The two `run_cross_shard_transfer` cases are not bit-reproducible run
 //! to run, at the commit the goldens were first written against or
@@ -23,6 +26,7 @@
 //! and review the diff of `tests/golden/` like any other change.
 
 use std::path::PathBuf;
+use std::process::Command;
 use std::sync::{Arc, Mutex};
 
 use bench::report::{point_json, sharded_point_json};
@@ -116,7 +120,7 @@ fn htm_run(label: &str, domain: DurabilityDomain) -> String {
     // What the case exists to pin: the hardware-path counters carry
     // values. (Conflict and explicit aborts need a second thread or a
     // full back-end ring; at one thread they are present and zero.)
-    assert!(r.ptm.htm_logged_commits > 0 && r.ptm.htm_capacity_aborts > 0);
+    assert!(r.ptm.htm_commits > 0 && r.ptm.htm_capacity_aborts > 0);
     assert!(r.ptm.htm_fallbacks > 0 && r.ptm.backend_log_bytes > 0);
     point_json("wide-and-narrow", &r)
 }
@@ -151,8 +155,19 @@ fn xshard_masked(frac: f64) -> String {
     out
 }
 
+/// `phase_profile --quick --json`, one line per point.
+fn phase_profile_quick() -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_phase_profile"))
+        .args(["--quick", "--json"])
+        .output()
+        .expect("spawn phase_profile");
+    assert!(out.status.success(), "phase_profile failed");
+    let text = String::from_utf8(out.stdout).expect("UTF-8 output");
+    text.trim_end_matches('\n').to_string()
+}
+
 /// `(golden file stem, emitted line)` for every case.
-fn cases() -> [(&'static str, String); 13] {
+fn cases() -> [(&'static str, String); 14] {
     use Algo::{CowShadow, HtmLogged, RedoLazy, UndoEager};
     use FlushPlan::{Batched, Combined, Incremental};
     let kv = workloads::run_sharded_kv(&two_by_one());
@@ -191,6 +206,7 @@ fn cases() -> [(&'static str, String); 13] {
         ("sharded_kv_2x1", sharded_point_json("sharded-kv", &kv)),
         ("sharded_xshard_half_2x1", xshard_masked(0.5)),
         ("sharded_xshard_none_2x1", xshard_masked(0.0)),
+        ("phase_profile_quick", phase_profile_quick()),
     ]
 }
 

@@ -40,7 +40,7 @@ pub enum Access {
 /// Direct-mapped tag array.
 #[derive(Debug)]
 pub struct CacheSim {
-    slots: crate::host::Words,
+    slots: Box<[AtomicU64]>,
     mask: u64,
 }
 

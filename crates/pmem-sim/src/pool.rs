@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use crate::crash::PoolImage;
-use crate::host::{zeroed_words, Words};
+use crate::host::zeroed_words;
 use crate::WORDS_PER_LINE;
 
 /// Identifies a pool within its [`crate::Machine`].
@@ -148,9 +148,9 @@ const FOLD_AHEAD: usize = 8;
 /// later, never ahead of a `persist_line_now` it preceded.
 #[derive(Debug)]
 pub struct MediaShadow {
-    words: Words,
+    words: Box<[AtomicU64]>,
     /// Last-applied flush epoch per cache line.
-    applied: Words,
+    applied: Box<[AtomicU64]>,
     /// Epoch source (incremented at snapshot capture time).
     epoch: AtomicU64,
     /// The durability journal. Its lock serializes every write to the
@@ -275,7 +275,7 @@ impl MediaShadow {
 pub struct PmemPool {
     id: PoolId,
     name: String,
-    words: Words,
+    words: Box<[AtomicU64]>,
     media_kind: MediaKind,
     class: PersistenceClass,
     shadow: Option<MediaShadow>,

@@ -884,7 +884,7 @@ fn commit_write_hint_moves_no_virtual_statistic() {
         (
             Algo::HtmLogged,
             "now=675452 | \
-             commits=400 htm_commits=400 htm_logged_commits=400 backend_log_bytes=71776 max_write_entries=11 | \
+             commits=400 htm_commits=400 backend_log_bytes=71776 max_write_entries=11 | \
              phases=[113806, 52138, 379108, 25674, 16536, 88064, 0, 0] | \
              loads=1450 stores=12720 l3_hits=13572 l3_misses=598 clwbs=4174 clwb_writebacks=4108 sfences=875 optane_lines_written=4108 fence_wait_ns=1134",
         ),

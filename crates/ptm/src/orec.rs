@@ -67,13 +67,11 @@ impl Default for GlobalClock {
 /// The striped orec table.
 #[derive(Debug)]
 pub struct OrecTable {
-    orecs: pmem_sim::host::Words,
+    orecs: Box<[AtomicU64]>,
     /// Where orec 0 sits in `orecs`: the first word on a 64-byte host
     /// boundary. Orec `i` is word `(base + i) & mask`, so every aligned
     /// group of [`WORDS_PER_LINE`] orecs but the last (which wraps) is
-    /// one host line, while the table keeps its power-of-two length —
-    /// the length `zeroed_words`' spare list matches when a restarted
-    /// machine asks for its tables again.
+    /// one host line, while the table keeps its power-of-two length.
     base: usize,
     mask: u64,
 }

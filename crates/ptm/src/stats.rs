@@ -22,11 +22,9 @@ trace::counters! {
     aborts_validation: Sum, Always;
     /// Successful timestamp extensions (reads salvaged).
     extensions: Sum, Always;
-    /// Transactions committed on the hardware path.
+    /// Transactions committed on the hardware path (`HtmLogged`'s
+    /// sections, sealed by its back-end log where the domain needs one).
     htm_commits: Sum, Always;
-    /// Hardware commits that went through the `HtmLogged` aliased
-    /// back-end-logging path (also counted in `htm_commits`).
-    htm_logged_commits: Sum, Always;
     /// Hardware-path aborts (conflict/validation).
     htm_aborts: Sum, Always;
     /// Hardware aborts by cause: the section's line footprint exceeded

@@ -198,7 +198,6 @@ impl TxThread {
                 if let Ok(v) = outcome {
                     if self.policy.htm_commit(&mut self.ax) {
                         PtmStats::bump(&self.ax.ptm.stats.htm_commits);
-                        PtmStats::bump(&self.ax.ptm.stats.htm_logged_commits);
                         self.note_commit(self.ax.entries.len() as u64, 2);
                         return v;
                     }

@@ -12,8 +12,8 @@ use crate::counters::Field;
 use crate::json::Writer;
 use crate::{AbortCause, EventKind, GaugeSet, HtmAbortCause, ThreadTrace, TraceEvent};
 
-/// Magic prefix of the binary dump format, version 1.
-pub const BINARY_MAGIC: &[u8; 8] = b"PTMTRC01";
+/// Magic prefix of the binary dump format, version 2.
+pub const BINARY_MAGIC: &[u8; 8] = b"PTMTRC02";
 
 /// Where a dump total is captured from: a row of the `ptm` or the
 /// `pmem-sim` counter table (see [`crate::counters!`]), by name.
@@ -35,9 +35,10 @@ pub struct Total {
 /// The counter block, in serialization order: the subset of the live
 /// counters that the trace can independently re-derive. Capture
 /// ([`ExpectedTotals::from_counters`]), the dump layout and
-/// [`crate::analyze::crosscheck`] all walk this one table. Appending a
-/// row changes the block size, so it needs a new [`BINARY_MAGIC`].
-pub const TOTALS: [Total; 20] = {
+/// [`crate::analyze::crosscheck`] all walk this one table. Adding or
+/// removing a row changes the block layout, so it needs a new
+/// [`BINARY_MAGIC`].
+pub const TOTALS: [Total; 19] = {
     use Source::{Mem, Ptm};
     macro_rules! same_name {
         ($layer:ident $name:ident) => {
@@ -70,7 +71,6 @@ pub const TOTALS: [Total; 20] = {
         by_cause!(aborts_acquire, aborts[AbortCause::Acquire]),
         by_cause!(aborts_validation, aborts[AbortCause::Validation]),
         same_name!(Ptm htm_commits),
-        same_name!(Ptm htm_logged_commits),
         derived!(htm_aborts, GaugeSet::htm_aborts_total),
         by_cause!(htm_capacity_aborts, htm_aborts[HtmAbortCause::Capacity]),
         by_cause!(htm_conflict_aborts, htm_aborts[HtmAbortCause::Conflict]),
@@ -421,13 +421,13 @@ mod tests {
         assert!(read_binary(&trailing).is_err(), "trailing bytes");
         // Corrupt an event kind code (first event of thread 0 sits after
         // magic + counter block + thread count + tid/dropped/count + ts).
-        let kind_off = 8 + 4 + 20 * 8 + 4 + (4 + 8 + 8) + 8;
+        let kind_off = 8 + 4 + TOTALS.len() * 8 + 4 + (4 + 8 + 8) + 8;
         let mut bad_kind = bytes.clone();
         bad_kind[kind_off] = 200;
         assert!(read_binary(&bad_kind).is_err(), "kind code");
         // A thread count no dump of this size could hold must be
         // rejected, not pre-allocated for (it used to abort the process).
-        let threads_off = 8 + 4 + 20 * 8;
+        let threads_off = 8 + 4 + TOTALS.len() * 8;
         let mut bad_threads = bytes.clone();
         bad_threads[threads_off..threads_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(read_binary(&bad_threads).is_err(), "thread count");

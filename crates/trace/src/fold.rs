@@ -20,10 +20,6 @@ pub struct GaugeSet {
     pub commits: u64,
     /// Hardware-path commits (`HtmLogged`, the one hardware path).
     pub htm_commits: u64,
-    /// Hardware commits that went through the `HtmLogged` aliased
-    /// back-end-logging path (`TxCommit` with `b == 2`; also counted in
-    /// `htm_commits`).
-    pub htm_logged_commits: u64,
     /// Commits issued through the cross-shard handle (`TxCommit` with
     /// `b == 3`), 2PC and single-shard-fast-path alike — the 2PC subset
     /// is the engine's `coordinator_commits` counter.
@@ -98,7 +94,6 @@ impl GaugeSet {
                 self.log_entries += a;
                 if b == 2 {
                     self.htm_commits += 1;
-                    self.htm_logged_commits += 1;
                 }
                 if b == 3 {
                     self.twopc_commits += 1;
@@ -159,7 +154,6 @@ impl GaugeSet {
     pub fn merge(&mut self, o: &GaugeSet) {
         self.commits += o.commits;
         self.htm_commits += o.htm_commits;
-        self.htm_logged_commits += o.htm_logged_commits;
         self.twopc_commits += o.twopc_commits;
         for (d, s) in self.aborts.iter_mut().zip(o.aborts.iter()) {
             *d += s;
@@ -239,11 +233,11 @@ mod tests {
             g.apply(EventKind::Clwb, 9, b);
         }
         assert_eq!((g.commits, g.log_entries), (3, 6));
-        assert_eq!((g.htm_commits, g.htm_logged_commits), (1, 1));
+        assert_eq!(g.htm_commits, 1);
         assert_eq!(g.twopc_commits, 1);
         assert_eq!((g.clwbs, g.clwb_writebacks), (2, 1));
         let mut sum = g;
         sum.merge(&g);
-        assert_eq!((sum.htm_logged_commits, sum.clwb_writebacks), (2, 2));
+        assert_eq!((sum.htm_commits, sum.clwb_writebacks), (2, 2));
     }
 }

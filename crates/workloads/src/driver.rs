@@ -16,15 +16,14 @@ use rand::SeedableRng;
 use crate::hist::LatencyHistogram;
 
 /// One curve of the paper: where the heap lives, which durability domain
-/// is active, which algorithm runs, and whether fences are (incorrectly)
-/// elided (Table III).
+/// is active and which algorithm runs. Every other PTM knob — Table III's
+/// (incorrect) fence elision among them — is [`RunConfig::ptm`]'s.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     pub label: String,
     pub heap_media: MediaKind,
     pub domain: DurabilityDomain,
     pub algo: Algo,
-    pub elide_fences: bool,
 }
 
 impl Scenario {
@@ -39,7 +38,6 @@ impl Scenario {
             heap_media,
             domain,
             algo,
-            elide_fences: false,
         }
     }
 
@@ -114,21 +112,6 @@ impl Scenario {
             ),
         ]
     }
-
-    /// Table III's pair for a given algorithm: correct ADR vs
-    /// fence-elided ADR, both on Optane.
-    pub fn fence_elision_pair(algo: Algo) -> (Scenario, Scenario) {
-        let base = Scenario::new(
-            format!("Optane_ADR_{}", algo.label()),
-            MediaKind::Optane,
-            DurabilityDomain::Adr,
-            algo,
-        );
-        let mut elided = base.clone();
-        elided.label = format!("Optane_ADR_{}_nofence", algo.label());
-        elided.elide_fences = true;
-        (base, elided)
-    }
 }
 
 /// Execution parameters shared by all scenarios of an experiment.
@@ -138,10 +121,10 @@ pub struct RunConfig {
     pub ops_per_thread: u64,
     pub model: LatencyModel,
     pub seed: u64,
-    /// Template for the PTM configuration; the scenario's algorithm,
-    /// fence-elision flag and heap media are overlaid onto it. Ablations
-    /// perturb the other knobs (split log, flush timing, orec count,
-    /// PDRAM-Lite budget) here.
+    /// Template for the PTM configuration; the scenario's algorithm and
+    /// heap media are overlaid onto it. Ablations perturb the other knobs
+    /// (split log, flush timing, orec count, PDRAM-Lite budget, Table
+    /// III's fence elision) here.
     pub ptm: PtmConfig,
     /// Flight-recorder sink: when set, it is attached to the machine for
     /// the measured phase only (setup is excluded, matching the stats
@@ -221,7 +204,6 @@ pub fn run_scenario<W: Workload + ?Sized>(w: &mut W, sc: &Scenario, rc: &RunConf
     });
     let ptm_cfg = PtmConfig {
         algo: sc.algo,
-        elide_fences: sc.elide_fences,
         heap_media: sc.heap_media,
         tracing: rc.ptm.tracing || rc.trace.is_some(),
         ..rc.ptm.clone()

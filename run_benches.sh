@@ -15,7 +15,7 @@ set -u
 : "${BENCH_TAG:?set BENCH_TAG to the archive tag, e.g. BENCH_TAG=PR13 $0}"
 cd "$(dirname "$0")"
 mkdir -p results
-BINS="fig3 fig4 fig6 fig7 table1 table2 table3 fig8 algo_compare ablation_log_split ablation_flush_plan ablation_lite_budget ablation_orec ablation_htm ablation_index ablation_trace_overhead memstats latency shard_scaling recovery_bench"
+BINS="fig3 fig4 fig6 fig7 table3 fig8 phase_profile ablation_log_split ablation_flush_plan ablation_lite_budget ablation_orec ablation_htm ablation_index ablation_trace_overhead shard_scaling recovery_bench"
 for bin in $BINS; do
   echo "=== $bin start $(date +%T) ==="
   cargo run -q --release -p bench --bin $bin -- --json > results/$bin.jsonl 2> results/$bin.log
@@ -36,7 +36,11 @@ echo "=== trace_analyze done  $(date +%T) (rc=$?) ==="
 echo "=== obs_report start $(date +%T) ==="
 cargo run -q --release -p bench --bin obs_report -- --verify --json > results/obs_report.jsonl 2> results/obs_report.log
 echo "=== obs_report done  $(date +%T) (rc=$?) ==="
-cat results/*.jsonl > "results/BENCH_${BENCH_TAG}.json"
+# Only the files this run wrote: results/ also holds the output of
+# binaries since deleted, which must not re-enter an archive.
+for f in $BINS crash_sites crash_sites_sharded crash_sites_transfer trace_analyze obs_report; do
+  cat "results/$f.jsonl"
+done > "results/BENCH_${BENCH_TAG}.json"
 echo "consolidated $(wc -l < "results/BENCH_${BENCH_TAG}.json") points into results/BENCH_${BENCH_TAG}.json"
 echo "=== bench_trend start $(date +%T) ==="
 cargo run -q --release -p bench --bin bench_trend 2>&1 | tee results/bench_trend.log

@@ -4,7 +4,7 @@
 //! EXPERIMENTS.md); here they run in seconds at reduced op counts.
 
 use optane_ptm::pmem_sim::{DurabilityDomain, MediaKind};
-use optane_ptm::ptm::Algo;
+use optane_ptm::ptm::{Algo, PtmConfig};
 use optane_ptm::workloads::driver::{run_scenario, RunConfig, Scenario};
 use optane_ptm::workloads::{IndexKind, KvStore, Tatp, Tpcc, Workload};
 
@@ -181,9 +181,16 @@ fn pdram_lite_at_least_matches_eadr_redo() {
 fn fence_elision_speeds_up_adr() {
     // Table III: removing fences (incorrectly) buys measurable speedup.
     let c = rc(2, 400);
-    let (correct, elided) = Scenario::fence_elision_pair(Algo::UndoEager);
-    let base = mops(&mut tpcc(), &correct, &c);
-    let fast = mops(&mut tpcc(), &elided, &c);
+    let nofence = RunConfig {
+        ptm: PtmConfig {
+            elide_fences: true,
+            ..PtmConfig::default()
+        },
+        ..c.clone()
+    };
+    let adr = sc(MediaKind::Optane, DurabilityDomain::Adr, Algo::UndoEager);
+    let base = mops(&mut tpcc(), &adr, &c);
+    let fast = mops(&mut tpcc(), &adr, &nofence);
     assert!(
         fast > 1.03 * base,
         "fence elision ({fast}) must beat correct ADR ({base})"
@@ -438,7 +445,7 @@ fn run_at_window(
     window_ns: u64,
 ) -> (f64, optane_ptm::pmem_sim::StatsSnapshot) {
     use optane_ptm::pmem_sim::{Machine, MachineConfig};
-    use optane_ptm::ptm::{PtmConfig, PtmDb};
+    use optane_ptm::ptm::PtmDb;
     use rand::{rngs::SmallRng, SeedableRng};
     let rc = RunConfig::default();
     let machine = Machine::new(MachineConfig {

@@ -89,7 +89,7 @@ fn htm_sections_retire_with_zero_persistence_events() {
     // the window check is a linear scan.
     let (sink, r) = traced_run(0, 2, 300, Algo::HtmLogged, DurabilityDomain::Adr);
     assert!(
-        r.ptm.htm_logged_commits > 0,
+        r.ptm.htm_commits > 0,
         "tatp under ADR must commit on the logged hardware path"
     );
     assert_eq!(sink.dropped_events(), 0);
