@@ -40,8 +40,8 @@ fi
 echo "=== flush-shape seam check ==="
 # Policies offer lines to TxAccess's flush window and close it; what an
 # offer becomes is decided in crates/ptm/src/access.rs alone. A plan
-# test in a policy file means a per-policy flush fork grew back, and an
-# 11th PtmConfig field means a knob did (DESIGN.md §5 has one row per
+# test in a policy file means a per-policy flush fork grew back, and a
+# 10th PtmConfig field means a knob did (DESIGN.md §5 has one row per
 # field with the result or test that justifies it).
 if grep -nE 'combining\(\)|write_combining|FlushTiming|FlushPlan::' crates/ptm/src/algo/*.rs; then
   echo "ERROR: flush-shape decision inside a policy (see above)" >&2
@@ -49,8 +49,8 @@ if grep -nE 'combining\(\)|write_combining|FlushTiming|FlushPlan::' crates/ptm/s
 fi
 FIELDS=$(awk '/^pub struct PtmConfig/ { on = 1; next } on && /^}/ { exit } on && /^    pub / { n++ } END { print n + 0 }' \
   crates/ptm/src/config.rs)
-if [ "$FIELDS" -ne 10 ]; then
-  echo "ERROR: PtmConfig has $FIELDS pub fields, expected 10" >&2
+if [ "$FIELDS" -ne 9 ]; then
+  echo "ERROR: PtmConfig has $FIELDS pub fields, expected 9" >&2
   exit 1
 fi
 
@@ -70,7 +70,7 @@ echo "=== observer seam check ==="
 # The flight recorder is the only observer a run arms and GaugeSet::apply
 # the only event fold (DESIGN.md §5 decision 15). An `obs` dependency of
 # the simulator core or the drivers, one of the deleted online-sampler or
-# second-fold names, or a 26th bench binary means the online sampler
+# second-fold names, or an 18th bench binary means the online sampler
 # stack (slot, run-config field, overhead ablation) grew back.
 if grep -n '^obs' crates/pmem-sim/Cargo.toml crates/workloads/Cargo.toml; then
   echo "ERROR: pmem-sim / workloads must not depend on obs (see above)" >&2
@@ -81,8 +81,8 @@ if grep -rnE 'attach_sampler|SampleRing|merge_samplers|TraceTotals' crates src t
   exit 1
 fi
 BINS=$(ls crates/bench/src/bin/*.rs | wc -l)
-if [ "$BINS" -ne 20 ]; then
-  echo "ERROR: crates/bench/src/bin holds $BINS binaries, expected 20" >&2
+if [ "$BINS" -ne 17 ]; then
+  echo "ERROR: crates/bench/src/bin holds $BINS binaries, expected 17" >&2
   exit 1
 fi
 
@@ -215,7 +215,7 @@ echo "=== host-hint seam check ==="
 # `PmemPool::prefetch` and the durability journal's fold, decision 21);
 # `Tx::expect_read` called
 # only where DESIGN.md lists a benchmark workload that pays for it. The
-# hint has no knob: its `allow(unsafe_code)` and the 10 `PtmConfig`
+# hint has no knob: its `allow(unsafe_code)` and the 9 `PtmConfig`
 # fields are held by the checks above.
 if grep -rn '_mm_prefetch' crates src tests examples --include='*.rs' \
     | grep -v '^crates/pmem-sim/src/host\.rs:'; then
@@ -245,7 +245,7 @@ echo "=== shard seam check ==="
 # file's first `#[cfg(test)]`; engine_tests.rs is all test) means a heap
 # is formatted and a `Ptm` built beside `PtmDb::on_machine`. Examples and
 # `recovery_bench`'s crafted image keep the raw API on purpose. The
-# `PtmConfig` field count and the 20 bench binaries are held above.
+# `PtmConfig` field count and the 17 bench binaries are held above.
 if grep -rnE 'MachineSet|freeze_all|thaw_all' crates src tests examples; then
   echo "ERROR: a machine list beside ShardedEngine's Vec<PtmDb> grew back (see above)" >&2
   exit 1
@@ -394,6 +394,23 @@ echo "=== phase_profile smoke (4 algorithms x {ADR, eADR, PDRAM, PDRAM-Lite}) ==
 # work).
 cargo run -q --release -p bench --bin phase_profile -- --threads 1 --ops 200 > /dev/null
 cargo run -q --release -p bench --bin phase_profile -- --quick --threads 2 --ops 100 > /dev/null
+
+echo "=== paper grid (Figures 3, 4, 6 and 7, each cell once) ==="
+# `fig3` runs Scenario::paper_grid over the seven panel workloads: 7 x 11
+# one-thread points, each (workload, scenario) pair once. Another count
+# means a workload or a curve was dropped or added; a repeated pair means
+# a curve runs twice. (Two labels for one configuration are caught by
+# `paper_grid_runs_each_configuration_once`.)
+cargo run -q --release -p bench --bin fig3 -- --quick --threads 1 --json | awk '
+  { match($0, /"workload":"[^"]*"/); w = substr($0, RSTART, RLENGTH)
+    match($0, /"scenario":"[^"]*"/); s = substr($0, RSTART, RLENGTH)
+    n++; if (!seen[w "|" s]++) d++ }
+  END {
+    if (n != 77 || d != 77) {
+      printf "ERROR: fig3 --quick --threads 1 printed %d points, %d distinct (workload, scenario) pairs; expected 77 and 77\n", n, d > "/dev/stderr"
+      exit 1
+    }
+  }'
 
 echo "=== htm ablation smoke + §V and ADR crossover guards ==="
 # Redo vs HtmLogged on tatp / tpcc-hash / btree-mixed under eADR, PDRAM

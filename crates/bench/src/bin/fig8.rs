@@ -4,7 +4,7 @@
 //! preserve the paper's four regimes: fits-in-L3, fits-in-DRAM,
 //! exceeds-DRAM, index-uncacheable.
 
-use bench::{emit_point, optane, HarnessOpts};
+use bench::{emit_point, HarnessOpts};
 use pmem_sim::{DurabilityDomain, MediaKind};
 use ptm::Algo;
 use workloads::driver::{run_scenario, RunConfig, Scenario};
@@ -18,14 +18,15 @@ fn main() {
     } else {
         vec![2 << 10, 16 << 10, 48 << 10, 96 << 10, 160 << 10, 256 << 10]
     };
-    // Figure 6's curves without DRAM undo, plus ADR on Optane.
-    let mut scenarios = Scenario::fig6_grid();
-    scenarios.retain(|sc| sc.label != "DRAM_U");
-    let adr = |label, algo| optane(label, DurabilityDomain::Adr, algo);
-    scenarios.splice(
-        1..1,
-        [adr("ADR_R", Algo::RedoLazy), adr("ADR_U", Algo::UndoEager)],
-    );
+    // The paper grid's curves with the heap on Optane, plus the DRAM
+    // best case (eADR, redo).
+    let scenarios: Vec<Scenario> = Scenario::paper_grid()
+        .into_iter()
+        .filter(|sc| {
+            sc.heap_media == MediaKind::Optane
+                || (sc.domain == DurabilityDomain::Eadr && sc.algo == Algo::RedoLazy)
+        })
+        .collect();
     let rc = RunConfig {
         threads: 1,
         ops_per_thread: opts.ops_per_thread,

@@ -1,19 +1,23 @@
 //! # bench — the experiment harness
 //!
-//! One binary per figure of the paper and one for Table III (see
-//! `src/bin/`), plus ablation binaries for the design decisions DESIGN.md
+//! One binary per paper grid — `fig3` runs Figures 3, 4, 6 and 7, `fig8`
+//! the KV working-set sweep, `table3` Table III (see `src/bin/`) — plus
+//! ablation binaries for the design decisions DESIGN.md
 //! calls out and the crash, trace, telemetry and restart tools.
 //!
 //! A paper cell is run once, by one binary, and every point a binary runs
 //! is printed whole, so the paper's other readings are fields of those
 //! points rather than binaries of their own:
 //!
+//! * Figures 4, 6 and 7 — row filters of `fig3`: Fig. 4 is its `tatp`
+//!   rows of the eight Fig. 3 curves, Figs. 6 and 7 its `DRAM_eADR_*`,
+//!   `Optane_eADR_*`, `PDRAM_*` and `PDRAM-Lite` rows (`tatp` for Fig. 7);
 //! * Tables I and II — `commit_abort_ratio` of `fig3`'s `tpcc-hash` rows
 //!   (`*_R` redo, `*_U` undo);
-//! * single-thread latency — the `latency` block of the 1-thread
-//!   `fig3` / `fig4` / `fig6` / `fig7` points;
-//! * the §III-C counters — the `mem` block of the 32-thread `fig3` /
-//!   `fig4` points;
+//! * single-thread latency — the `latency` block of the 1-thread `fig3`
+//!   points;
+//! * the §III-C counters — the `mem` block of the 32-thread `fig3`
+//!   points;
 //! * the algorithm comparison — `phase_profile`, every registered
 //!   algorithm under ADR, eADR, PDRAM and PDRAM-Lite.
 //!
@@ -120,7 +124,8 @@ pub fn optane(label: impl Into<String>, domain: DurabilityDomain, algo: ptm::Alg
     Scenario::new(label, MediaKind::Optane, domain, algo)
 }
 
-/// The six panel workloads of Figures 3 and 6.
+/// The seven panel workloads of Figures 3 and 6 (the first six) and 4
+/// and 7 (`tatp`).
 pub fn panel_workloads() -> Vec<&'static str> {
     vec![
         "btree-insert",
@@ -129,6 +134,7 @@ pub fn panel_workloads() -> Vec<&'static str> {
         "tpcc-hash",
         "vacation-low",
         "vacation-high",
+        "tatp",
     ]
 }
 

@@ -25,7 +25,9 @@ use rand::{Rng, SeedableRng};
 
 use trace::{AbortCause, EventKind, HtmAbortCause};
 
-use crate::config::{FlushPlan, INDEX_NS, LOCK_SPIN, LOG_CAPACITY, MAX_BACKOFF_NS, OREC_NS};
+use crate::config::{
+    FlushPlan, GROUP_WINDOW_NS, INDEX_NS, LOCK_SPIN, LOG_CAPACITY, MAX_BACKOFF_NS, OREC_NS,
+};
 use crate::log::TxLog;
 use crate::orec::{is_locked, owner_of};
 use crate::phases::{Phase, PhaseTimer};
@@ -214,13 +216,12 @@ impl TxAccess {
     /// future fence — so the protocol is deadlock-free even when all
     /// virtual threads share one OS thread.
     fn group_fence(&mut self) {
-        let window = self.ptm.config.group_window_ns;
         let acc = self.s.last_flush_accept();
         let now = self.s.now();
         let g = self.ptm.group.lock().unwrap();
         let joinable = g.done >= acc
-            && now <= g.done.saturating_add(window)
-            && g.done <= now.saturating_add(window);
+            && now <= g.done.saturating_add(GROUP_WINDOW_NS)
+            && g.done <= now.saturating_add(GROUP_WINDOW_NS);
         if joinable {
             let cover = g.done;
             drop(g);

@@ -126,6 +126,13 @@ pub const MAX_RETRIES: u32 = 1_000_000;
 /// observable.
 pub const MAX_BACKOFF_NS: u64 = 40_000;
 const _: () = assert!(MAX_BACKOFF_NS > 0, "backoff ceiling must be positive");
+/// Recency window for joining a completed group fence
+/// ([`PtmConfig::group_commit`]), in virtual ns: a fence done at `d`
+/// covers a joiner at `now` only when `|now - d| <= GROUP_WINDOW_NS`
+/// (stale fences must not be joined; a fence absurdly far in this
+/// thread's future signals a clock reset and is also rejected).
+pub const GROUP_WINDOW_NS: u64 = 1_000;
+const _: () = assert!(GROUP_WINDOW_NS > 0, "a zero window could never be joined");
 /// Hardware-section attempts before a policy with a hardware path
 /// ([`Algo::HtmLogged`]) falls back to its software sequence. The
 /// hardware model itself is a machine property: the footprint capacity
@@ -158,12 +165,6 @@ pub struct PtmConfig {
     /// single-OS-thread deterministic runs (crash sweeps). Off by
     /// default: the single-fence-per-commit path stays bit-identical.
     pub group_commit: bool,
-    /// Recency window for joining a completed group fence, in virtual
-    /// ns: a fence done at `d` covers a joiner at `now` only when
-    /// `|now - d| <= group_window_ns` (stale fences must not be joined;
-    /// a fence absurdly far in this thread's future signals a clock
-    /// reset and is also rejected).
-    pub group_window_ns: u64,
     /// Number of orecs (rounded to a power of two).
     pub orec_count: usize,
     /// PDRAM-Lite primary log budget, in entries. Entries beyond it spill
@@ -191,7 +192,6 @@ impl Default for PtmConfig {
             elide_fences: false,
             split_log_index: true,
             group_commit: false,
-            group_window_ns: 1_000,
             orec_count: 1 << 18,
             lite_log_entries: 128,
             heap_media: pmem_sim::MediaKind::Optane,
@@ -246,7 +246,6 @@ mod tests {
         assert!(!c.elide_fences, "fence elision is an incorrect variant");
         assert_eq!(c.flush, FlushPlan::Batched, "the paper's measured arm");
         assert!(!c.group_commit, "group commit is opt-in");
-        assert!(c.group_window_ns > 0, "a zero window could never be joined");
     }
 
     #[test]

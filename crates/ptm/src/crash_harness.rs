@@ -718,10 +718,6 @@ impl CrashWorkload for GroupWindowBank {
         let cfg = PtmConfig {
             algo: case.algo,
             group_commit: true,
-            // Generous window: under the functional (zero-latency) config
-            // every second fence lands inside it, so the join path runs
-            // at every transfer.
-            group_window_ns: 1 << 20,
             ..PtmConfig::default()
         };
         let db = PtmDb::on_machine(
@@ -1012,24 +1008,31 @@ mod tests {
     }
 
     /// The two-thread group-commit workload really exercises the join
-    /// path: its fence stream contains `FenceJoin` events (transactions
-    /// riding another transaction's fence), so the sweep below genuinely
-    /// enumerates crash sites inside open windows.
+    /// path under every algorithm: its fence stream contains `FenceJoin`
+    /// events (transactions riding another transaction's fence) at the
+    /// default group window, so the sweeps genuinely enumerate crash
+    /// sites inside open windows. `fence_join` traces at the memory
+    /// layer, so `PtmConfig::tracing` stays off.
     #[test]
     fn group_window_bank_joins_fences() {
-        let bank = tiny_group_bank();
-        let c = case(Algo::RedoLazy, AdversaryPolicy::PerWord);
-        let machine = Machine::new(MachineConfig::functional(c.domain));
-        let sink = trace::TraceSink::new(1 << 14);
-        machine.attach_tracer(Arc::clone(&sink));
-        bank.run(std::slice::from_ref(&machine), &c);
-        machine.detach_tracer();
-        let joins = sink
-            .merged()
-            .iter()
-            .filter(|e| e.kind == trace::EventKind::FenceJoin)
-            .count();
-        assert!(joins > 0, "no transaction ever joined a fence window");
+        let bank = GroupWindowBank::default();
+        for algo in Algo::ALL {
+            let c = case(algo, AdversaryPolicy::PerWord);
+            let machine = Machine::new(MachineConfig::functional(c.domain));
+            let sink = trace::TraceSink::new(1 << 14);
+            machine.attach_tracer(Arc::clone(&sink));
+            bank.run(std::slice::from_ref(&machine), &c);
+            machine.detach_tracer();
+            let joins = sink
+                .merged()
+                .iter()
+                .filter(|e| e.kind == trace::EventKind::FenceJoin)
+                .count();
+            assert!(
+                joins > 0,
+                "{algo:?}: no transaction ever joined a fence window"
+            );
+        }
     }
 
     /// The tentpole's torn-window acceptance bar: crash sites inside an

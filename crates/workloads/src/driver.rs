@@ -41,9 +41,13 @@ impl Scenario {
         }
     }
 
-    /// The eight curves of Figures 3 and 4:
-    /// {DRAM, Optane} x {ADR, eADR} x {undo, redo}.
-    pub fn fig3_grid() -> Vec<Scenario> {
+    /// The eleven curves of Figures 3, 4, 6 and 7, each configuration
+    /// once: {DRAM, Optane} x {ADR, eADR} x {undo, redo} (Figs. 3 and 4),
+    /// then the proposed domains on Optane (Figs. 6 and 7): PDRAM (both
+    /// algorithms) and PDRAM-Lite (redo only — its whole point is the
+    /// redo log's placement). Figs. 6 and 7's DRAM and eADR curves are
+    /// the `DRAM_eADR_*` and `Optane_eADR_*` rows.
+    pub fn paper_grid() -> Vec<Scenario> {
         let mut out = Vec::new();
         for (media, mname) in [(MediaKind::Dram, "DRAM"), (MediaKind::Optane, "Optane")] {
             for (domain, dname) in [
@@ -60,57 +64,14 @@ impl Scenario {
                 }
             }
         }
+        for (label, domain, algo) in [
+            ("PDRAM_R", DurabilityDomain::Pdram, Algo::RedoLazy),
+            ("PDRAM_U", DurabilityDomain::Pdram, Algo::UndoEager),
+            ("PDRAM-Lite", DurabilityDomain::PdramLite, Algo::RedoLazy),
+        ] {
+            out.push(Scenario::new(label, MediaKind::Optane, domain, algo));
+        }
         out
-    }
-
-    /// The curves of Figures 6 and 7: DRAM best case, eADR (both
-    /// algorithms), PDRAM (both), and PDRAM-Lite (redo only — its whole
-    /// point is the redo log's placement).
-    pub fn fig6_grid() -> Vec<Scenario> {
-        vec![
-            Scenario::new(
-                "DRAM_R",
-                MediaKind::Dram,
-                DurabilityDomain::Eadr,
-                Algo::RedoLazy,
-            ),
-            Scenario::new(
-                "DRAM_U",
-                MediaKind::Dram,
-                DurabilityDomain::Eadr,
-                Algo::UndoEager,
-            ),
-            Scenario::new(
-                "eADR_R",
-                MediaKind::Optane,
-                DurabilityDomain::Eadr,
-                Algo::RedoLazy,
-            ),
-            Scenario::new(
-                "eADR_U",
-                MediaKind::Optane,
-                DurabilityDomain::Eadr,
-                Algo::UndoEager,
-            ),
-            Scenario::new(
-                "PDRAM_R",
-                MediaKind::Optane,
-                DurabilityDomain::Pdram,
-                Algo::RedoLazy,
-            ),
-            Scenario::new(
-                "PDRAM_U",
-                MediaKind::Optane,
-                DurabilityDomain::Pdram,
-                Algo::UndoEager,
-            ),
-            Scenario::new(
-                "PDRAM-Lite",
-                MediaKind::Optane,
-                DurabilityDomain::PdramLite,
-                Algo::RedoLazy,
-            ),
-        ]
     }
 }
 
@@ -323,19 +284,17 @@ mod tests {
         assert!(r.ptm.commits >= 200, "commits {}", r.ptm.commits);
     }
 
+    /// A paper cell runs once: eleven curves, eleven labels and eleven
+    /// distinct (heap media, domain, algorithm) configurations.
     #[test]
-    fn fig3_grid_has_eight_distinct_curves() {
-        let g = Scenario::fig3_grid();
-        assert_eq!(g.len(), 8);
-        let labels: std::collections::HashSet<_> = g.iter().map(|s| s.label.clone()).collect();
-        assert_eq!(labels.len(), 8);
-    }
-
-    #[test]
-    fn fig6_grid_shape() {
-        let g = Scenario::fig6_grid();
-        assert_eq!(g.len(), 7);
-        assert!(g.iter().any(|s| s.domain == DurabilityDomain::PdramLite));
+    fn paper_grid_runs_each_configuration_once() {
+        use std::collections::HashSet;
+        let g = Scenario::paper_grid();
+        assert_eq!(g.len(), 11);
+        let labels: HashSet<_> = g.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(labels.len(), 11);
+        let configs: HashSet<_> = g.iter().map(|s| (s.heap_media, s.domain, s.algo)).collect();
+        assert_eq!(configs.len(), 11);
     }
 
     /// Same seed and config ⇒ bit-identical virtual time, phase totals

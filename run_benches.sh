@@ -11,31 +11,34 @@
 #
 # Each binary runs once with --json (the structured superset of its CSV;
 # run any binary without flags for the human-readable CSV instead).
+# Every step runs even when one fails; the script exits nonzero and names
+# each failed step at the end.
 set -u
 : "${BENCH_TAG:?set BENCH_TAG to the archive tag, e.g. BENCH_TAG=PR13 $0}"
 cd "$(dirname "$0")"
 mkdir -p results
-BINS="fig3 fig4 fig6 fig7 table3 fig8 phase_profile ablation_log_split ablation_flush_plan ablation_lite_budget ablation_orec ablation_htm ablation_index ablation_trace_overhead shard_scaling recovery_bench"
+BINS="fig3 table3 fig8 phase_profile ablation_log_split ablation_flush_plan ablation_lite_budget ablation_orec ablation_htm ablation_index ablation_trace_overhead shard_scaling recovery_bench"
+FAILED=""
+# step NAME OUT BIN ARGS...: run bench binary BIN with ARGS, stdout to
+# results/OUT.jsonl and stderr to results/OUT.log, and log its exit status
+# (captured before any other command can reset `$?`).
+step() {
+  local name=$1 out=$2 bin=$3
+  shift 3
+  echo "=== $name start $(date +%T) ==="
+  cargo run -q --release -p bench --bin "$bin" -- "$@" > "results/$out.jsonl" 2> "results/$out.log"
+  local rc=$?
+  echo "=== $name done  $(date +%T) (rc=$rc) ==="
+  [ "$rc" -eq 0 ] || FAILED="$FAILED $out"
+}
 for bin in $BINS; do
-  echo "=== $bin start $(date +%T) ==="
-  cargo run -q --release -p bench --bin $bin -- --json > results/$bin.jsonl 2> results/$bin.log
-  echo "=== $bin done  $(date +%T) (rc=$?) ==="
+  step "$bin" "$bin" "$bin" --json
 done
-echo "=== crash_sites start $(date +%T) ==="
-cargo run -q --release -p bench --bin crash_sites -- --max-sites 200 --json > results/crash_sites.jsonl 2> results/crash_sites.log
-echo "=== crash_sites done  $(date +%T) (rc=$?) ==="
-echo "=== crash_sites (sharded group-commit) start $(date +%T) ==="
-cargo run -q --release -p bench --bin crash_sites -- --workload group --shards 4 --max-sites 50 --json > results/crash_sites_sharded.jsonl 2> results/crash_sites_sharded.log
-echo "=== crash_sites (sharded group-commit) done  $(date +%T) (rc=$?) ==="
-echo "=== crash_sites (cross-shard 2PC transfer) start $(date +%T) ==="
-cargo run -q --release -p bench --bin crash_sites -- --workload transfer --shards 2 --max-sites 24 --json > results/crash_sites_transfer.jsonl 2> results/crash_sites_transfer.log
-echo "=== crash_sites (cross-shard 2PC transfer) done  $(date +%T) (rc=$?) ==="
-echo "=== trace_analyze start $(date +%T) ==="
-cargo run -q --release -p bench --bin trace_analyze -- --json > results/trace_analyze.jsonl 2> results/trace_analyze.log
-echo "=== trace_analyze done  $(date +%T) (rc=$?) ==="
-echo "=== obs_report start $(date +%T) ==="
-cargo run -q --release -p bench --bin obs_report -- --verify --json > results/obs_report.jsonl 2> results/obs_report.log
-echo "=== obs_report done  $(date +%T) (rc=$?) ==="
+step crash_sites crash_sites crash_sites --max-sites 200 --json
+step "crash_sites (sharded group-commit)" crash_sites_sharded crash_sites --workload group --shards 4 --max-sites 50 --json
+step "crash_sites (cross-shard 2PC transfer)" crash_sites_transfer crash_sites --workload transfer --shards 2 --max-sites 24 --json
+step trace_analyze trace_analyze trace_analyze --json
+step obs_report obs_report obs_report --verify --json
 # Only the files this run wrote: results/ also holds the output of
 # binaries since deleted, which must not re-enter an archive.
 for f in $BINS crash_sites crash_sites_sharded crash_sites_transfer trace_analyze obs_report; do
@@ -44,5 +47,11 @@ done > "results/BENCH_${BENCH_TAG}.json"
 echo "consolidated $(wc -l < "results/BENCH_${BENCH_TAG}.json") points into results/BENCH_${BENCH_TAG}.json"
 echo "=== bench_trend start $(date +%T) ==="
 cargo run -q --release -p bench --bin bench_trend 2>&1 | tee results/bench_trend.log
-echo "=== bench_trend done  $(date +%T) (rc=$?) ==="
+rc=${PIPESTATUS[0]}
+echo "=== bench_trend done  $(date +%T) (rc=$rc) ==="
+[ "$rc" -eq 0 ] || FAILED="$FAILED bench_trend"
+if [ -n "$FAILED" ]; then
+  echo "FAILED:$FAILED" >&2
+  exit 1
+fi
 echo ALL_BENCHES_DONE

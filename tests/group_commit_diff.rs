@@ -46,7 +46,6 @@ fn run_programs(
     let ptm = Ptm::new(PtmConfig {
         algo,
         group_commit,
-        group_window_ns: 1 << 20,
         ..PtmConfig::default()
     });
     let mut ths: Vec<TxThread> = (0..2)
