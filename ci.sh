@@ -70,7 +70,7 @@ echo "=== observer seam check ==="
 # The flight recorder is the only observer a run arms and GaugeSet::apply
 # the only event fold (DESIGN.md §5 decision 15). An `obs` dependency of
 # the simulator core or the drivers, one of the deleted online-sampler or
-# second-fold names, or an 18th bench binary means the online sampler
+# second-fold names, or a 12th bench binary means the online sampler
 # stack (slot, run-config field, overhead ablation) grew back.
 if grep -n '^obs' crates/pmem-sim/Cargo.toml crates/workloads/Cargo.toml; then
   echo "ERROR: pmem-sim / workloads must not depend on obs (see above)" >&2
@@ -81,8 +81,8 @@ if grep -rnE 'attach_sampler|SampleRing|merge_samplers|TraceTotals' crates src t
   exit 1
 fi
 BINS=$(ls crates/bench/src/bin/*.rs | wc -l)
-if [ "$BINS" -ne 17 ]; then
-  echo "ERROR: crates/bench/src/bin holds $BINS binaries, expected 17" >&2
+if [ "$BINS" -ne 11 ]; then
+  echo "ERROR: crates/bench/src/bin holds $BINS binaries, expected 11" >&2
   exit 1
 fi
 
@@ -245,7 +245,7 @@ echo "=== shard seam check ==="
 # file's first `#[cfg(test)]`; engine_tests.rs is all test) means a heap
 # is formatted and a `Ptm` built beside `PtmDb::on_machine`. Examples and
 # `recovery_bench`'s crafted image keep the raw API on purpose. The
-# `PtmConfig` field count and the 17 bench binaries are held above.
+# `PtmConfig` field count and the 11 bench binaries are held above.
 if grep -rnE 'MachineSet|freeze_all|thaw_all' crates src tests examples; then
   echo "ERROR: a machine list beside ShardedEngine's Vec<PtmDb> grew back (see above)" >&2
   exit 1
@@ -412,24 +412,15 @@ cargo run -q --release -p bench --bin fig3 -- --quick --threads 1 --json | awk '
     }
   }'
 
-echo "=== htm ablation smoke + §V and ADR crossover guards ==="
-# Redo vs HtmLogged on tatp / tpcc-hash / btree-mixed under eADR, PDRAM
-# and ADR, and on the KV workload under ADR at low and high contention.
-# The binary's built-in guards exit nonzero unless, at 1 thread
-# (deterministic) under eADR and PDRAM, every commit takes the hardware
-# path and HtmLogged does not lose to software redo (the paper's §V
-# expectation that TSX composes with eADR), and unless, at low
-# contention and 1-2 threads under ADR, the logged hardware path commits
-# and does not lose to redo (back-end logging brings the HTM fast path
-# to ADR).
-cargo run -q --release -p bench --bin ablation_htm -- --quick --threads 1,2 > /dev/null
-
-echo "=== flush-plan smoke + flush-elision guard ==="
-# Quick Incremental / Batched / Combined ablation. The binary's built-in
-# regression guard exits nonzero if the combined pipeline elides zero
-# flushes on the redo ADR workload (i.e. the planner stopped
-# deduplicating).
-cargo run -q --release -p bench --bin ablation_flush_plan -- --quick > /dev/null
+echo "=== ablations run no cell twice ==="
+# `ablate` runs the side experiments as paper-grid cells with one knob
+# turned; the base cells are fig3's. json_point_keys's
+# ablate_runs_no_cell_twice runs `ablate --quick --threads 1,2 --ops 20`
+# and `fig3 --quick --threads 1 --ops 20` and fails on a repeated key or
+# on a 1-thread ablate line that measures what a fig3 line or another
+# ablate line does (a row equal to its base cell). The §V, ADR-crossover
+# and orec-geometry bounds are tests/shape_checks.rs tests, run above.
+cargo test -q --release -p bench --test json_point_keys ablate_runs_no_cell_twice
 
 echo "=== crash toolkit seam check ==="
 # One enumerated driver and one restart sequence: a `_sharded` function
@@ -558,26 +549,6 @@ echo "=== window-flatness check ==="
 # thread queued behind its peer's future) and no request too old for
 # its server to place (bw_horizon_misses).
 cargo test -q --release --test shape_checks -- --ignored window_flatness
-
-echo "=== orec geometry check ==="
-# Which words share an orec decides false conflicts. A line's words sit on
-# one aligned group of orecs (DESIGN.md §5 decision 17), so a small table
-# aliases groups, not words: at 2^8 orecs both ablation_orec workloads
-# must still read less throughput than at 2^20 (the full run reads 0.099
-# vs 0.62 Mops on tpcc-hash, 1.30 vs 4.65 on btree-mixed).
-cargo run -q --release -p bench --bin ablation_orec -- --quick | awk -F, '
-  NR == 1 { next }
-  $2 == 256 { lo[$1] = $3 + 0 }
-  $2 == 1048576 { hi[$1] = $3 + 0 }
-  END {
-    n = split("tpcc-hash btree-mixed", ws, " ")
-    for (i = 1; i <= n; i++) {
-      w = ws[i]
-      if (!(w in lo) || !(w in hi)) { print "ERROR: no " w " rows" > "/dev/stderr"; exit 1 }
-      if (hi[w] <= lo[w]) { printf "ERROR: %s reads %.4f Mops at 2^20 orecs, %.4f at 2^8\n", w, hi[w], lo[w] > "/dev/stderr"; bad = 1 }
-    }
-    exit bad
-  }'
 
 echo "=== recovery_bench smoke ==="
 # Restart-latency sweep (pool size x dirtiness) on crafted

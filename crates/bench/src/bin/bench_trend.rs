@@ -16,12 +16,15 @@
 //!
 //! Exit is nonzero when the newest pair has regressions, unless
 //! `--quick` (CI smoke: history may be empty or single-archive — both
-//! are OK). Truncated / partially written archive lines (a run killed
-//! mid-append) degrade gracefully: the complete lines still diff, a
-//! warning goes to stderr, and a zero-point archive is ignored rather
-//! than failing the whole diff. Lines whose identity an earlier line
-//! already took are skipped with a warning too, and so is an archive
-//! that cannot be read; bytes that are not UTF-8 spoil only their line.
+//! are OK), and always when a `BENCH_*.json` is not named
+//! `BENCH_PR<N>.json`: it cannot be ordered, and diffing the others
+//! without it would compare a stale pair. Truncated / partially written
+//! archive lines (a run killed mid-append) degrade gracefully: the
+//! complete lines still diff, a warning goes to stderr, and a zero-point
+//! archive is ignored rather than failing the whole diff. Lines whose
+//! identity an earlier line already took are skipped with a warning
+//! too, and so is an archive that cannot be read; bytes that are not
+//! UTF-8 spoil only their line.
 
 use std::path::PathBuf;
 
@@ -107,7 +110,13 @@ fn emit_pair(o: &Opts, tol: Tolerance, prev_n: u64, next_n: u64, rep: &TrendRepo
 
 fn main() {
     let o = parse_opts();
-    let archives = trend::discover_archives(&o.dir);
+    let archives = trend::discover_archives(&o.dir).unwrap_or_else(|path| {
+        eprintln!(
+            "bench_trend: cannot order {}: archives are named BENCH_PR<N>.json",
+            path.display()
+        );
+        std::process::exit(1);
+    });
     if archives.len() < 2 {
         let msg = format!(
             "bench_trend: {} archive(s) under {} — need 2 to diff",

@@ -1,9 +1,10 @@
 //! # bench — the experiment harness
 //!
 //! One binary per paper grid — `fig3` runs Figures 3, 4, 6 and 7, `fig8`
-//! the KV working-set sweep, `table3` Table III (see `src/bin/`) — plus
-//! ablation binaries for the design decisions DESIGN.md
-//! calls out and the crash, trace, telemetry and restart tools.
+//! the KV working-set sweep (see `src/bin/`) — plus `ablate`, which runs
+//! the paper's side experiments (Table III among them) as paper-grid
+//! cells with one knob turned, and the crash, trace, telemetry and
+//! restart tools.
 //!
 //! A paper cell is run once, by one binary, and every point a binary runs
 //! is printed whole, so the paper's other readings are fields of those
@@ -19,7 +20,9 @@
 //! * the §III-C counters — the `mem` block of the 32-thread `fig3`
 //!   points;
 //! * the algorithm comparison — `phase_profile`, every registered
-//!   algorithm under ADR, eADR, PDRAM and PDRAM-Lite.
+//!   algorithm under ADR, eADR, PDRAM and PDRAM-Lite;
+//! * an ablation's base arm — the `fig3` line of its base cell: `ablate`
+//!   prints only the arms that turn a knob.
 //!
 //! Every binary reads its flags through [`args::Args`] and exits nonzero
 //! on a flag it does not read; README.md tabulates which binary reads
@@ -30,8 +33,7 @@
 //! * `--json` — one JSON object per point instead of CSV;
 //!
 //! and, when they read `--threads` at all, read it as a sweep list
-//! ([`HarnessOpts::with_thread_sweep`]) or as one count
-//! ([`HarnessOpts::with_thread_count`]).
+//! ([`HarnessOpts::with_thread_sweep`]).
 //!
 //! Results are *virtual-time* throughput (see `pmem-sim`); absolute
 //! values are not comparable to the paper's testbed, but curve shapes,
@@ -89,18 +91,6 @@ impl HarnessOpts {
         HarnessOpts::parse(|o, args| args.list("--threads").unwrap_or_else(|| o.default_sweep()))
     }
 
-    /// Parse the process arguments for a binary that runs at one thread
-    /// count: `--threads N`, by default the largest of the default sweep
-    /// (4 under `--quick`, 32 otherwise).
-    pub fn with_thread_count() -> (HarnessOpts, usize) {
-        HarnessOpts::parse(|o, args| {
-            let top = o.default_sweep().last().copied();
-            args.value("--threads")
-                .or(top)
-                .expect("the default sweep is not empty")
-        })
-    }
-
     fn default_sweep(&self) -> Vec<usize> {
         if self.quick {
             vec![1, 2, 4]
@@ -119,7 +109,7 @@ impl HarnessOpts {
     }
 }
 
-/// A scenario with its heap on Optane, as every ablation runs it.
+/// A scenario with its heap on Optane.
 pub fn optane(label: impl Into<String>, domain: DurabilityDomain, algo: ptm::Algo) -> Scenario {
     Scenario::new(label, MediaKind::Optane, domain, algo)
 }
@@ -150,7 +140,10 @@ pub fn make_workload(name: &str, total_ops: u64, quick: bool) -> Box<dyn Workloa
         "vacation-low" => Box::new(Vacation::new(VacationCfg::low(256 << scale))),
         "vacation-high" => Box::new(Vacation::new(VacationCfg::high(256 << scale))),
         "tatp" => Box::new(Tatp::new(1024 << scale)),
-        "kvstore" => Box::new(KvStore::new(64 << scale)),
+        // 512 distinct 1 KB values make same-key conflicts rare; 16 make
+        // them the common case.
+        "kvstore-low" => Box::new(KvStore::new(512)),
+        "kvstore-high" => Box::new(KvStore::new(16)),
         other => panic!("unknown workload `{other}`"),
     }
 }
@@ -160,22 +153,11 @@ pub fn run_point(name: &str, sc: &Scenario, opts: &HarnessOpts, threads: usize) 
     run_point_with(name, sc, &opts.run_config(threads), opts.quick)
 }
 
-/// Like [`run_point`] but with a custom [`RunConfig`] (ablations).
+/// Like [`run_point`] but with a custom [`RunConfig`] (`ablate`'s knobs).
 pub fn run_point_with(name: &str, sc: &Scenario, rc: &RunConfig, quick: bool) -> RunResult {
     let total = rc.threads as u64 * rc.ops_per_thread;
     let mut w = make_workload(name, total, quick);
     run_scenario(w.as_mut(), sc, rc)
-}
-
-/// A run's commit/abort ratio as the tables print it: two decimals,
-/// `inf` when nothing aborted.
-pub fn ratio(r: &RunResult) -> String {
-    let ratio = r.commit_abort_ratio();
-    if ratio.is_finite() {
-        format!("{ratio:.2}")
-    } else {
-        "inf".into()
-    }
 }
 
 /// Emit one point in the format the harness was asked for: a JSON line

@@ -1,7 +1,8 @@
 //! Regression test: `bench_trend` degrades gracefully on truncated /
 //! partially written archive lines, bytes that are not UTF-8 and
 //! archives it cannot read (warn + exit 0) instead of aborting the
-//! whole diff.
+//! whole diff — but fails on an archive it cannot order, rather than
+//! diffing the others without it.
 
 use std::fs;
 use std::path::PathBuf;
@@ -141,5 +142,30 @@ fn unreadable_archive_is_skipped_with_a_warning() {
         stdout.contains("BENCH_PR8 -> BENCH_PR10: 2 common points"),
         "the readable archives should still diff: {stdout}"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn archive_that_cannot_be_ordered_fails_naming_it() {
+    let dir = scratch_dir("unordered");
+    fs::write(dir.join("BENCH_PR6.json"), GOOD_PR9).unwrap();
+    fs::write(dir.join("BENCH_PR9.json"), GOOD_PR9).unwrap();
+    // The newest run, archived under a tag that is not PR<N>: diffing
+    // PR 6 -> PR 9 again would report on a stale pair.
+    fs::write(dir.join("BENCH_nightly.json"), GOOD_PR9).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_bench_trend"))
+        .args(["--dir", dir.to_str().unwrap(), "--quick"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "stdout: {stdout}\nstderr: {stderr}"
+    );
+    assert!(stdout.is_empty(), "a pair was diffed: {stdout}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("BENCH_nightly.json"), "{stderr}");
     let _ = fs::remove_dir_all(&dir);
 }

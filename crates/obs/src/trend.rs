@@ -191,26 +191,37 @@ pub fn diff(prev: &[TrendPoint], next: &[TrendPoint], tol: Tolerance) -> TrendRe
     rep
 }
 
-/// Discover `BENCH_PR<N>.json` archives under `dir`, ordered by N.
-pub fn discover_archives(dir: &std::path::Path) -> Vec<(u64, std::path::PathBuf)> {
+/// Discover `BENCH_PR<N>.json` archives under `dir`, ordered by N. Any
+/// other `BENCH_*.json` is an archive that cannot be ordered among them:
+/// the first such path is the error, so an archive written under another
+/// tag is never silently left out of the diff.
+pub fn discover_archives(
+    dir: &std::path::Path,
+) -> Result<Vec<(u64, std::path::PathBuf)>, std::path::PathBuf> {
     let mut found = Vec::new();
+    let mut unordered = Vec::new();
     let Ok(entries) = std::fs::read_dir(dir) else {
-        return found;
+        return Ok(found);
     };
     for e in entries.flatten() {
         let name = e.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(num) = name
-            .strip_prefix("BENCH_PR")
-            .and_then(|s| s.strip_suffix(".json"))
-        {
-            if let Ok(n) = num.parse::<u64>() {
-                found.push((n, e.path()));
-            }
+        let Some(tag) = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("BENCH_"))
+            .and_then(|n| n.strip_suffix(".json"))
+        else {
+            continue;
+        };
+        match tag.strip_prefix("PR").and_then(|n| n.parse::<u64>().ok()) {
+            Some(n) => found.push((n, e.path())),
+            None => unordered.push(e.path()),
         }
     }
+    if let Some(path) = unordered.into_iter().min() {
+        return Err(path);
+    }
     found.sort();
-    found
+    Ok(found)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //!   TATP tables, memcached-like KV index);
 //! * [`skiplist::PSkipList`] — ordered map with probabilistic balance
 //!   (deterministic towers; smaller write sets than the B+Tree), the
-//!   TPCC skip-list index of `ablation_index`.
+//!   TPCC skip-list index (`ablate`'s `tpcc-skiplist` row).
 //!
 //! Handles are plain persistent addresses: store them in a
 //! [`palloc::PHeap`] root slot and re-attach after a crash with

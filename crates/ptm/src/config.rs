@@ -95,8 +95,10 @@ impl std::str::FromStr for Algo {
 pub enum FlushPlan {
     /// Per-entry `clwb`s, and additionally each redo-log line as it
     /// fills during execution (§III-B's staggered timing; the paper found
-    /// no noticeable difference, `bench --bin ablation_flush_plan`
-    /// reproduces that).
+    /// no noticeable difference, `bench --bin ablate`'s `+incremental`
+    /// rows reproduce that). Only a redo log under a domain that needs
+    /// flushes has lines to flush early: elsewhere this plan is
+    /// `Batched` line for line (a test in `ablate` pins it).
     Incremental,
     /// Per-entry `clwb`s in a tight loop at commit: the paper's measured
     /// baseline and the default.

@@ -15,9 +15,15 @@
 # each failed step at the end.
 set -u
 : "${BENCH_TAG:?set BENCH_TAG to the archive tag, e.g. BENCH_TAG=PR13 $0}"
+# bench_trend orders archives by N in BENCH_PR<N>.json and refuses any
+# other name, so a run under another tag would end in a failed diff.
+if ! [[ "$BENCH_TAG" =~ ^PR[0-9]+$ ]]; then
+  echo "BENCH_TAG must be PR<N> (bench_trend orders archives by N), got '$BENCH_TAG'" >&2
+  exit 2
+fi
 cd "$(dirname "$0")"
 mkdir -p results
-BINS="fig3 table3 fig8 phase_profile ablation_log_split ablation_flush_plan ablation_lite_budget ablation_orec ablation_htm ablation_index ablation_trace_overhead shard_scaling recovery_bench"
+BINS="fig3 fig8 phase_profile ablate ablation_trace_overhead shard_scaling recovery_bench"
 FAILED=""
 # step NAME OUT BIN ARGS...: run bench binary BIN with ARGS, stdout to
 # results/OUT.jsonl and stderr to results/OUT.log, and log its exit status

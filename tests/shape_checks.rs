@@ -388,6 +388,109 @@ fn write_sets_are_small_enough_for_pdram_lite() {
     assert!(tpcc_lines >= 10, "TPCC transactions do write substantially");
 }
 
+/// `ablate`'s `--quick` scale: 300 ops per thread from the default seed,
+/// each workload sized as `bench::make_workload` sizes it there. The
+/// bounds below hold at this scale; it is part of them (the KV crossover
+/// fails at 20 and 50 ops).
+fn quick(threads: usize) -> RunConfig {
+    RunConfig {
+        threads,
+        ops_per_thread: 300,
+        ..RunConfig::default()
+    }
+}
+
+fn quick_workload(name: &str, threads: usize) -> Box<dyn Workload> {
+    use optane_ptm::workloads::BTreeMixed;
+    match name {
+        "tatp" => Box::new(Tatp::new(2048)),
+        "tpcc-hash" => Box::new(Tpcc::new(IndexKind::Hash, 8, threads as u64 * 300)),
+        "btree-mixed" => Box::new(BTreeMixed::new(1 << 13)),
+        other => panic!("no quick {other}"),
+    }
+}
+
+/// §V: hardware transactions compose with eADR and PDRAM, where
+/// commit-time cache visibility is durability. At 1 thread
+/// (deterministic), every `HtmLogged` commit takes the hardware path and
+/// `HtmLogged` does not lose to software redo.
+#[test]
+fn htm_commits_in_hardware_without_flushes() {
+    for name in ["tatp", "tpcc-hash", "btree-mixed"] {
+        for domain in [DurabilityDomain::Eadr, DurabilityDomain::Pdram] {
+            let run = |algo| {
+                let s = sc(MediaKind::Optane, domain, algo);
+                run_scenario(quick_workload(name, 1).as_mut(), &s, &quick(1))
+            };
+            let (redo, htm) = (run(Algo::RedoLazy), run(Algo::HtmLogged));
+            assert_eq!(
+                htm.ptm.htm_commits, htm.ptm.commits,
+                "{name} {domain:?}: every 1-thread commit must take the hardware path"
+            );
+            assert!(
+                htm.throughput_mops() >= redo.throughput_mops(),
+                "{name} {domain:?}: HtmLogged ({:.4} Mops) must not lose to redo ({:.4} Mops)",
+                htm.throughput_mops(),
+                redo.throughput_mops(),
+            );
+        }
+    }
+}
+
+/// The ADR crossover: on the KV store at low contention (512 distinct
+/// 1 KB values) and 1-2 threads, `HtmLogged` commits on its logged
+/// hardware path and does not lose to redo: fewer fences per commit
+/// outweigh the HTM begin/commit overhead (by 8 % at both counts).
+#[test]
+fn htm_keeps_up_under_adr_at_low_contention() {
+    for threads in [1, 2] {
+        let run = |algo| {
+            let s = sc(MediaKind::Optane, DurabilityDomain::Adr, algo);
+            run_scenario(&mut KvStore::new(512), &s, &quick(threads))
+        };
+        let (redo, htm) = (run(Algo::RedoLazy), run(Algo::HtmLogged));
+        assert!(
+            htm.ptm.htm_commits > 0,
+            "HtmLogged committed nothing on the hardware path ({threads} threads)"
+        );
+        assert!(
+            htm.throughput_mops() >= redo.throughput_mops(),
+            "HtmLogged ({:.4} Mops) must not lose to redo ({:.4} Mops) \
+             at low contention under ADR ({threads} threads)",
+            htm.throughput_mops(),
+            redo.throughput_mops(),
+        );
+    }
+}
+
+/// Orec geometry: a line's words sit on one aligned group of orecs
+/// (DESIGN.md §5 decision 17), so a small table aliases groups, not
+/// words, and at 4 threads 2^8 orecs still read less throughput than
+/// 2^20 (the full `ablate` run reads 0.099 vs 0.62 Mops on `tpcc-hash`,
+/// 1.30 vs 4.65 on `btree-mixed`; at this scale about 0.10 vs 0.25 and
+/// 0.97 vs 1.87).
+#[test]
+fn few_orecs_read_less_than_many() {
+    for name in ["tpcc-hash", "btree-mixed"] {
+        let run = |orec_count| {
+            let c = RunConfig {
+                ptm: PtmConfig {
+                    orec_count,
+                    ..PtmConfig::default()
+                },
+                ..quick(4)
+            };
+            let s = sc(MediaKind::Optane, DurabilityDomain::Adr, Algo::RedoLazy);
+            run_scenario(quick_workload(name, 4).as_mut(), &s, &c).throughput_mops()
+        };
+        let (lo, hi) = (run(1 << 8), run(1 << 20));
+        assert!(
+            hi > lo,
+            "{name} reads {hi:.4} Mops at 2^20 orecs, {lo:.4} at 2^8"
+        );
+    }
+}
+
 /// Methodology: results do not hang on the executor's bounded-lag window
 /// (DESIGN.md decision 8). Bandwidth servers serve in virtual-time order
 /// (decision 24), so across windows of 0.5-8 µs at 4 threads TATP
