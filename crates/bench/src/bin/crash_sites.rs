@@ -14,11 +14,12 @@
 //! * `--max-sites N` — stride the sweep down to ≤ N sites per case;
 //! * `--seed S` — workload/adversary seed (default 42);
 //! * `--workload bank|group|transfer` — single-threaded bank transfers
-//!   (default), the two-thread group-commit window workload (crashes
-//!   inside an open fence window must never tear the joined
-//!   transactions), or the cross-shard 2PC transfer workload (one
-//!   global site numbering across all shard machines; crashes anywhere
-//!   in the prepare/decide/commit window must leave transfers atomic);
+//!   (default), two virtual threads' bank transfers stepped alternately
+//!   on one OS thread (each thread's accounts must recover to a
+//!   committed prefix of its own plan), or the cross-shard 2PC transfer
+//!   workload (one global site numbering across all shard machines;
+//!   crashes anywhere in the prepare/decide/commit window must leave
+//!   transfers atomic);
 //! * `--shards N` — for `bank`/`group`: sweep N shards' logs
 //!   independently, each under its own derived seed (shard 0 keeps the
 //!   base seed, so `--shards 1` is bit-identical to the unsharded
@@ -38,7 +39,7 @@ use bench::args::{fail, Args};
 use pmem_sim::AdversaryPolicy;
 use ptm::crash_harness::{
     count_sites, default_cases, run_site, shard_seed, sweep_case, BankTransfers, CrashWorkload,
-    GroupWindowBank, ShardedTransfers, SweepCase, SweepOptions,
+    ShardedTransfers, SweepCase, SweepOptions, TwoThreadBank,
 };
 use ptm::{Algo, RecoverOptions};
 use trace::json::Writer;
@@ -57,7 +58,7 @@ struct Opts {
 fn make_workload(name: &str, shards: usize) -> Option<Box<dyn CrashWorkload>> {
     Some(match name {
         "bank" => Box::new(BankTransfers::default()),
-        "group" => Box::new(GroupWindowBank::default()),
+        "group" => Box::new(TwoThreadBank::default()),
         "transfer" => Box::new(ShardedTransfers {
             shards,
             ..Default::default()

@@ -271,14 +271,13 @@ fn main() {
         );
         let t = &s.totals;
         println!(
-            "totals: commits={} aborts={} sfences={} fence_wait_ns={} fence_joins={} \
+            "totals: commits={} aborts={} sfences={} fence_wait_ns={} \
              clwbs={} wpq_accepts={} wpq_stalls={} wpq_stall_ns={} backoffs={} \
              queue_waits={} queue_wait_ns={}",
             t.commits,
             t.aborts_total(),
             t.sfences,
             t.fence_wait_ns,
-            t.fence_joins,
             t.clwbs,
             t.wpq_accepts,
             t.wpq_stalls,

@@ -125,13 +125,7 @@ pub fn sharded_point_json(workload: &str, r: &workloads::ShardedRunResult) -> St
     w.end_object();
 
     let ptm = r.ptm.fields();
-    let ptm_names = [
-        "commits",
-        "aborts",
-        "group_commit_windows",
-        "sfences_elided",
-        "max_backoff_ns",
-    ];
+    let ptm_names = ["commits", "aborts", "max_backoff_ns"];
     counter_block(&mut w, "ptm", named(&ptm, &ptm_names));
     // The 2PC counters (in-doubt resolution included), only when the run
     // actually crossed shards: single-shard sweeps keep the exact
@@ -322,10 +316,6 @@ mod tests {
             "\"wpq_stall_ns\"",
             "\"dram_write_stall_ns\"",
             "\"fence_wait_ns\"",
-            // Group-commit and backoff observability (PR 6): consumers
-            // key on these to compute fences-per-commit reductions.
-            "\"group_commit_windows\"",
-            "\"sfences_elided\"",
             "\"max_backoff_ns\"",
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
@@ -357,8 +347,6 @@ mod tests {
             "\"sfences_per_commit\"",
             "\"sojourn\"",
             "\"p99\"",
-            "\"group_commit_windows\"",
-            "\"sfences_elided\"",
             "\"max_backoff_ns\"",
             "\"per_shard\"",
             "\"wpq_stall_ns\"",

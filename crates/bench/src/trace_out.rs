@@ -64,7 +64,6 @@ mod tests {
         let ptm = ptm::PtmStatsSnapshot {
             commits: 3,
             htm_capacity_aborts: 4,
-            sfences_elided: 5,
             ..Default::default()
         };
         let mem = pmem_sim::StatsSnapshot {
@@ -83,7 +82,6 @@ mod tests {
                 ("htm_capacity_aborts", 4),
                 ("clwbs", 7),
                 ("wpq_stall_ns", 8),
-                ("fence_joins", 5),
             ]
         );
     }

@@ -1,5 +1,6 @@
-//! Every `--json` line of the bins that run two arms per point must carry
-//! its own `obs::trend::parse_archive` identity
+//! Every `--json` line of the bins that run several arms per sweep point
+//! (`shard_scaling`'s shard counts and cross-shard fractions, `ablate`'s
+//! knobs) must carry its own `obs::trend::parse_archive` identity
 //! (`workload|scenario|population`): the trend guard keeps the first line
 //! of a key and never compares the rest.
 
@@ -33,7 +34,7 @@ fn assert_keys_unique(exe: &str, args: &[&str]) -> String {
 }
 
 #[test]
-fn shard_scaling_names_the_group_commit_arm() {
+fn shard_scaling_keys_are_unique() {
     assert_keys_unique(
         env!("CARGO_BIN_EXE_shard_scaling"),
         &[

@@ -19,7 +19,7 @@ const NS_DECIMALS: usize = 4;
 
 /// The plain (non-per-cause) gauges of a row, in export order: the JSON
 /// keys and the CSV columns both come from this one list.
-fn scalar_gauges(g: &GaugeSet) -> [(&'static str, u64); 20] {
+fn scalar_gauges(g: &GaugeSet) -> [(&'static str, u64); 18] {
     [
         ("htm_fallbacks", g.htm_fallbacks),
         ("reads", g.reads),
@@ -28,8 +28,6 @@ fn scalar_gauges(g: &GaugeSet) -> [(&'static str, u64); 20] {
         ("htm_log_entries", g.htm_log_entries),
         ("sfences", g.sfences),
         ("fence_wait_ns", g.fence_wait_ns),
-        ("fence_joins", g.fence_joins),
-        ("join_wait_ns", g.join_wait_ns),
         ("clwbs", g.clwbs),
         ("clwb_batches", g.clwb_batches),
         ("wpq_accepts", g.wpq_accepts),

@@ -98,7 +98,7 @@ impl SeriesSummary {
             if windows.last() != Some(&r.ts) {
                 windows.push(r.ts);
             }
-            if r.g.sfences > 0 || r.g.fence_wait_ns > 0 || r.g.fence_joins > 0 {
+            if r.g.sfences > 0 || r.g.fence_wait_ns > 0 {
                 s.fence_rows += 1;
             }
             if r.g.wpq_accepts > 0 || r.g.wpq_stalls > 0 {

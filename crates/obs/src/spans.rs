@@ -2,9 +2,9 @@
 //! decomposition.
 //!
 //! The flight recorder stamps every engine event with the virtual
-//! clock; wait-style events (`Sfence`, `FenceJoin`, `WpqStall`,
-//! `Backoff`, `QueueWait`) are stamped at wait *start* carrying the
-//! duration in `a`. That is exactly enough to rebuild each committed
+//! clock; wait-style events (`Sfence`, `WpqStall`, `Backoff`,
+//! `QueueWait`) are stamped at wait *start* carrying the duration in
+//! `a`. That is exactly enough to rebuild each committed
 //! operation as a span and cut it into exhaustive components: every
 //! virtual nanosecond between the first `TxBegin` and the `TxCommit`
 //! lands in exactly one bucket, so component sums equal measured
@@ -114,7 +114,6 @@ fn segment_comp(kind: EventKind) -> Comp {
         | EventKind::ClwbBatch
         | EventKind::WpqAccept
         | EventKind::Sfence
-        | EventKind::FenceJoin
         | EventKind::WpqStall => Comp::Flush,
         // Work ending at a backoff start is abort cleanup.
         EventKind::Backoff => Comp::Rollback,
@@ -187,9 +186,7 @@ pub fn reconstruct(threads: &[ThreadTrace]) -> (Vec<OpSpan>, u64) {
             span.comp_ns[segment_comp(ev.kind) as usize] += dt;
             match ev.kind {
                 EventKind::TxBegin => span.attempts += 1,
-                EventKind::Sfence | EventKind::FenceJoin => {
-                    wait = Some((Comp::FenceWait, ev.a));
-                }
+                EventKind::Sfence => wait = Some((Comp::FenceWait, ev.a)),
                 EventKind::WpqStall => wait = Some((Comp::WpqStall, ev.a)),
                 EventKind::Backoff => wait = Some((Comp::Backoff, ev.a)),
                 EventKind::TxCommit => {

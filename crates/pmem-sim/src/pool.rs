@@ -129,11 +129,11 @@ const FOLD_AHEAD: usize = 8;
 /// monotone in capture order. Two paths write the shadow, both under the
 /// one journal lock:
 ///
-/// * an `sfence` (or `fence_join`) **appends** its snapshots of this
-///   pool's lines to the durability journal, and they are **folded** in
-///   append order — skipped where `applied[line] >= epoch` — when the
-///   journal reaches [`JOURNAL_CAP`] and before anything reads the
-///   shadow ([`PmemPool::shadow`], [`PmemPool::freeze_applies`]);
+/// * an `sfence` **appends** its snapshots of this pool's lines to the
+///   durability journal, and they are **folded** in append order —
+///   skipped where `applied[line] >= epoch` — when the journal reaches
+///   [`JOURNAL_CAP`] and before anything reads the shadow
+///   ([`PmemPool::shadow`], [`PmemPool::freeze_applies`]);
 /// * [`PmemPool::persist_line_now`] (evictions, allocator headers,
 ///   recovery) applies the line's current contents at once, without
 ///   folding, under the current epoch.

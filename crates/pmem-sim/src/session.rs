@@ -650,13 +650,6 @@ impl MemSession {
             self.clock.advance(wait);
         }
         self.clock.advance(self.machine.model().sfence_ns);
-        self.commit_pending();
-    }
-
-    /// Commit this thread's pending flush snapshots to the durable
-    /// shadow (the post-wait half of `sfence`, shared with
-    /// [`Self::fence_join`]).
-    fn commit_pending(&mut self) {
         if self.machine.tracking() && self.machine.domain() == DurabilityDomain::Adr {
             self.journal_pending();
         } else {
@@ -685,41 +678,6 @@ impl MemSession {
             );
             self.pending.retain(|pf| pf.pool != id);
         }
-    }
-
-    /// WPQ-acceptance time of this thread's latest outstanding flush
-    /// (what the next `sfence` would wait for). The PTM group-commit
-    /// window uses this to decide whether an already-completed fence
-    /// covers this thread's flushes.
-    #[inline]
-    pub fn last_flush_accept(&self) -> u64 {
-        self.last_flush_accept
-    }
-
-    /// Join a group-commit fence instead of executing a new `sfence`.
-    ///
-    /// `cover_done` is the virtual time at which the covering fence
-    /// completed; the caller guarantees `cover_done >=
-    /// last_flush_accept`, i.e. every flush this thread issued had been
-    /// accepted by the WPQ when the covering fence drained it. Waits
-    /// (if at all) only until `cover_done`, commits the pending
-    /// snapshots exactly like `sfence`, but issues no fence of its own:
-    /// no `sfences` bump, no `sfence_ns` charge, no `Sfence` trace
-    /// event — a `FenceJoin` event records the elision instead, which
-    /// keeps the analyzer's trace-vs-counter cross-check exact.
-    pub fn fence_join(&mut self, cover_done: u64) {
-        if !self.machine.domain().requires_flushes() {
-            return;
-        }
-        self.site(SiteKind::Sfence);
-        let now = self.now();
-        let target = cover_done.max(self.last_flush_accept);
-        let wait = target.saturating_sub(now);
-        self.trace_event(trace::EventKind::FenceJoin, wait, cover_done);
-        if wait > 0 {
-            self.clock.advance(wait);
-        }
-        self.commit_pending();
     }
 
     /// Convenience: `clwb` every line covering `words` words from `addr`,
@@ -1041,45 +999,6 @@ mod tests {
             traced, st.wpq_stall_ns,
             "every WpqStall event must correspond to exactly one counter charge"
         );
-    }
-
-    /// `fence_join` rides another thread's fence: it waits until the
-    /// cover point, commits pending persists, but retires no fence of its
-    /// own — the `sfences` counter and `Sfence` trace stream are
-    /// untouched, and a `FenceJoin` event records the ride.
-    #[test]
-    fn fence_join_waits_to_cover_without_retiring_a_fence() {
-        let m = machine(DD::Adr, true);
-        let p = m.alloc_pool("h", 64, MediaKind::Optane);
-        let sink = trace::TraceSink::new(1 << 12);
-        m.attach_tracer(Arc::clone(&sink));
-        {
-            let mut s = m.session(0);
-            s.store(p.addr(0), 7);
-            s.clwb(p.addr(0));
-            let accept = s.last_flush_accept();
-            let cover = s.now() + 500;
-            s.fence_join(cover);
-            assert!(
-                s.now() >= cover.max(accept),
-                "join waits to the cover point"
-            );
-            // The joined line is durable: the pending snapshot committed.
-            assert_eq!(p.shadow().unwrap().load(0), 7);
-        }
-        m.detach_tracer();
-        let st = m.stats.snapshot();
-        assert_eq!(st.sfences, 0, "a join is not a fence");
-        assert_eq!(st.fence_wait_ns, 0, "join waits are not fence waits");
-        let merged = sink.merged();
-        assert_eq!(
-            merged
-                .iter()
-                .filter(|e| e.kind == trace::EventKind::FenceJoin)
-                .count(),
-            1
-        );
-        assert!(!merged.iter().any(|e| e.kind == trace::EventKind::Sfence));
     }
 
     #[test]

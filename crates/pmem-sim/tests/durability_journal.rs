@@ -3,7 +3,7 @@
 //! reader can tell.
 //!
 //! * Equivalence: one seeded schedule of stores, loads, `clwb`,
-//!   `clwb_batch`, `sfence`, `fence_join`, L3 evictions (a 64-line L3) and
+//!   `clwb_batch`, `sfence`, L3 evictions (a 64-line L3) and
 //!   `persist_line_now`, with crash captures at random points, run twice —
 //!   once reading `shadow()` after every fence, which folds at once and so
 //!   applies snapshots in the order `sfence` used to, and once folding only
@@ -85,13 +85,8 @@ fn schedule(seed: u64, sessions: usize, fold_every_fence: bool) -> (Vec<Vec<u64>
                 }
                 s.clwb_batch(&mut batch);
             }
-            65..=76 => {
+            65..=82 => {
                 s.sfence();
-                fold();
-            }
-            77..=82 => {
-                let cover = s.now().max(s.last_flush_accept()) + rng.gen_range(0..50);
-                s.fence_join(cover);
                 fold();
             }
             83..=93 => pool.persist_line_now(addr.line()),

@@ -25,9 +25,7 @@ use rand::{Rng, SeedableRng};
 
 use trace::{AbortCause, EventKind, HtmAbortCause};
 
-use crate::config::{
-    FlushPlan, GROUP_WINDOW_NS, INDEX_NS, LOCK_SPIN, LOG_CAPACITY, MAX_BACKOFF_NS, OREC_NS,
-};
+use crate::config::{FlushPlan, INDEX_NS, LOCK_SPIN, LOG_CAPACITY, MAX_BACKOFF_NS, OREC_NS};
 use crate::log::TxLog;
 use crate::orec::{is_locked, owner_of};
 use crate::phases::{Phase, PhaseTimer};
@@ -187,56 +185,14 @@ impl TxAccess {
     /// `sfence`, charged to [`Phase::FenceWait`]. Under eADR-class
     /// domains the session elides the fence, so ~0 ns is charged — this
     /// is how the profiler shows the ADR→eADR fence-wait collapse.
-    /// With `group_commit` on (and a flush-requiring domain), the fence
-    /// first tries to join the shard's group-commit window.
     #[inline]
     pub(crate) fn fence(&mut self) {
         if !self.ptm.config.elide_fences {
             let now = self.s.now();
             let prev = self.timer.switch(now, Phase::FenceWait);
-            if self.ptm.config.group_commit && self.s.machine().domain().requires_flushes() {
-                self.group_fence();
-            } else {
-                self.s.sfence();
-            }
+            self.s.sfence();
             let now = self.s.now();
             self.timer.switch(now, prev);
-        }
-    }
-
-    /// The group-commit fence protocol (see `txn::GroupFence`). A fence
-    /// request *joins* the window's last completed lead fence when that
-    /// fence (a) completed at or after this thread's latest WPQ
-    /// acceptance — so it drained this thread's flushes too — and (b)
-    /// lies within the recency window of this thread's clock in either
-    /// direction (a stale record from before a clock reset must lead,
-    /// not join). Otherwise it *leads*: executes a real `sfence` and
-    /// publishes the completion time for later committers to join.
-    /// Joining is retrospective — nobody ever blocks waiting for a
-    /// future fence — so the protocol is deadlock-free even when all
-    /// virtual threads share one OS thread.
-    fn group_fence(&mut self) {
-        let acc = self.s.last_flush_accept();
-        let now = self.s.now();
-        let g = self.ptm.group.lock().unwrap();
-        let joinable = g.done >= acc
-            && now <= g.done.saturating_add(GROUP_WINDOW_NS)
-            && g.done <= now.saturating_add(GROUP_WINDOW_NS);
-        if joinable {
-            let cover = g.done;
-            drop(g);
-            self.s.fence_join(cover);
-            PtmStats::bump(&self.ptm.stats.sfences_elided);
-        } else {
-            drop(g);
-            self.s.sfence();
-            let done = self.s.now();
-            // Store unconditionally: even if a concurrent lead finished
-            // later, any completed fence is a valid (if conservative)
-            // cover, and overwriting heals stale records left behind by
-            // `begin_run` clock resets.
-            self.ptm.group.lock().unwrap().done = done;
-            PtmStats::bump(&self.ptm.stats.group_commit_windows);
         }
     }
 
@@ -711,8 +667,7 @@ impl TxAccess {
         self.timer.switch(now, Phase::Backoff);
         let shift = self.attempts.min(8);
         // Exponential growth saturates at the configured ceiling so a
-        // victim of a hot orec is delayed a bounded amount per attempt
-        // (never pushed past, e.g., a whole group-commit window).
+        // victim of a hot orec is delayed a bounded amount per attempt.
         let ceiling = (100u64 << shift).min(MAX_BACKOFF_NS);
         let delay = self.rng.gen_range(ceiling / 2..=ceiling);
         PtmStats::high_water(&self.ptm.stats.max_backoff_ns, delay);

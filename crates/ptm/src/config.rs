@@ -122,19 +122,11 @@ pub const LOCK_SPIN: u32 = 16;
 /// Abort ceiling before declaring livelock (panics). Generous.
 pub const MAX_RETRIES: u32 = 1_000_000;
 /// Contention backoff ceiling in virtual ns (the exponential retry
-/// backoff saturates here). Bounded so a victim of a hot orec can never
-/// be pushed past a group-commit window length per attempt; the
-/// high-water `PtmStats::max_backoff_ns` makes the actual worst delay
-/// observable.
+/// backoff saturates here). Bounded so a victim of a hot orec is
+/// delayed a bounded amount per attempt; the high-water
+/// `PtmStats::max_backoff_ns` makes the actual worst delay observable.
 pub const MAX_BACKOFF_NS: u64 = 40_000;
 const _: () = assert!(MAX_BACKOFF_NS > 0, "backoff ceiling must be positive");
-/// Recency window for joining a completed group fence
-/// ([`PtmConfig::group_commit`]), in virtual ns: a fence done at `d`
-/// covers a joiner at `now` only when `|now - d| <= GROUP_WINDOW_NS`
-/// (stale fences must not be joined; a fence absurdly far in this
-/// thread's future signals a clock reset and is also rejected).
-pub const GROUP_WINDOW_NS: u64 = 1_000;
-const _: () = assert!(GROUP_WINDOW_NS > 0, "a zero window could never be joined");
 /// Hardware-section attempts before a policy with a hardware path
 /// ([`Algo::HtmLogged`]) falls back to its software sequence. The
 /// hardware model itself is a machine property: the footprint capacity
@@ -159,14 +151,6 @@ pub struct PtmConfig {
     /// index in DRAM. When `false`, index probes are charged Optane
     /// latency (ablation).
     pub split_log_index: bool,
-    /// Cross-transaction group commit (Marathe et al., *Persistent
-    /// Memory Transactions*): a transaction reaching `make_durable`
-    /// whose flushes were all WPQ-accepted before a recently completed
-    /// fence *joins* that fence instead of issuing its own `sfence`.
-    /// Joining is retrospective and never blocks, so it composes with
-    /// single-OS-thread deterministic runs (crash sweeps). Off by
-    /// default: the single-fence-per-commit path stays bit-identical.
-    pub group_commit: bool,
     /// Number of orecs (rounded to a power of two).
     pub orec_count: usize,
     /// PDRAM-Lite primary log budget, in entries. Entries beyond it spill
@@ -193,7 +177,6 @@ impl Default for PtmConfig {
             flush: FlushPlan::Batched,
             elide_fences: false,
             split_log_index: true,
-            group_commit: false,
             orec_count: 1 << 18,
             lite_log_entries: 128,
             heap_media: pmem_sim::MediaKind::Optane,
@@ -247,7 +230,6 @@ mod tests {
         assert!(c.split_log_index, "paper's tuned algorithms split the log");
         assert!(!c.elide_fences, "fence elision is an incorrect variant");
         assert_eq!(c.flush, FlushPlan::Batched, "the paper's measured arm");
-        assert!(!c.group_commit, "group commit is opt-in");
     }
 
     #[test]

@@ -660,30 +660,28 @@ impl CrashWorkload for BankTransfers {
     }
 }
 
-/// A two-thread bank driven through a shared group-commit window, for
-/// sweeping crash sites that land *inside* an open window — after a lead
-/// transaction published its fence but while joiners are still riding it.
+/// A two-thread bank: the sweeps' one workload with two virtual threads
+/// committing on one machine.
 ///
 /// Both virtual threads live on one OS thread and are stepped
-/// alternately (A, B, A, B, ...), so the run is fully deterministic in
-/// the case seed while still exercising the cross-transaction join path:
-/// under the functional machine config the second thread's
-/// `make_durable` always lands within the lead's window and joins
-/// instead of fencing. Each thread transfers only within its own
-/// account range, so recovery must land on a committed prefix of each
-/// thread's plan *independently* — a torn window (a joiner treated as
-/// durable although its covering fence never retired) shows up as a
+/// alternately (A, B, A, B, ...) under an unbounded lag window (no
+/// window ever blocks one thread on the other), so the run is fully
+/// deterministic in the case seed while each thread's commits — log
+/// appends, flushes and fences — interleave with the other's. Each
+/// thread transfers only within its own account range, so recovery must
+/// land on a committed prefix of each thread's plan *independently*: a
+/// crash that leaves one thread's transfer half-applied shows up as a
 /// non-prefix state.
 #[derive(Debug, Clone)]
-pub struct GroupWindowBank {
+pub struct TwoThreadBank {
     pub accounts_per_thread: u64,
     pub initial: u64,
     pub transfers_per_thread: usize,
 }
 
-impl Default for GroupWindowBank {
+impl Default for TwoThreadBank {
     fn default() -> Self {
-        GroupWindowBank {
+        TwoThreadBank {
             accounts_per_thread: 4,
             initial: 100,
             transfers_per_thread: 4,
@@ -691,7 +689,7 @@ impl Default for GroupWindowBank {
     }
 }
 
-impl GroupWindowBank {
+impl TwoThreadBank {
     /// Thread `t`'s plan, confined to its own account range
     /// `[t·n, (t+1)·n)`.
     fn plan(&self, seed: u64, t: u64) -> BankPlan {
@@ -704,7 +702,7 @@ impl GroupWindowBank {
     }
 }
 
-impl CrashWorkload for GroupWindowBank {
+impl CrashWorkload for TwoThreadBank {
     fn name(&self) -> &str {
         "group-bank"
     }
@@ -715,15 +713,10 @@ impl CrashWorkload for GroupWindowBank {
 
     fn run(&self, machines: &[Arc<Machine>], case: &SweepCase) {
         machines[0].begin_run(2, u64::MAX);
-        let cfg = PtmConfig {
-            algo: case.algo,
-            group_commit: true,
-            ..PtmConfig::default()
-        };
         let db = PtmDb::on_machine(
             Arc::clone(&machines[0]),
             &self.heap_pool(0),
-            cfg,
+            PtmConfig::with_algo(case.algo),
             1 << 15,
             4,
         );
@@ -733,7 +726,7 @@ impl CrashWorkload for GroupWindowBank {
         let plans = [self.plan(case.seed, 0), self.plan(case.seed, 1)];
         // Step the two virtual threads alternately from this one OS
         // thread: every B-transfer commits right after an A-transfer's
-        // fence, inside the window A just opened (and vice versa).
+        // fence (and vice versa).
         for (pa, pb) in plans[0].transfers.iter().zip(&plans[1].transfers) {
             for (t, &(from, to, amt)) in [pa, pb].into_iter().enumerate() {
                 let base = t as u64 * n;
@@ -750,7 +743,7 @@ impl CrashWorkload for GroupWindowBank {
         if let Some(table) = rooted_table(&restarted[0], 2 * n) {
             for (t, range) in table.chunks(n as usize).enumerate() {
                 if let Some(v) = self.plan(case.seed, t as u64).prefix_violation(range) {
-                    violations.push(format!("thread {t} (torn group-commit window?): {v}"));
+                    violations.push(format!("thread {t}: {v}"));
                 }
             }
         }
@@ -999,49 +992,20 @@ mod tests {
         assert!(fixed.violations.is_empty(), "{:?}", fixed.violations);
     }
 
-    fn tiny_group_bank() -> GroupWindowBank {
-        GroupWindowBank {
+    fn tiny_two_thread_bank() -> TwoThreadBank {
+        TwoThreadBank {
             accounts_per_thread: 4,
             initial: 64,
             transfers_per_thread: 3,
         }
     }
 
-    /// The two-thread group-commit workload really exercises the join
-    /// path under every algorithm: its fence stream contains `FenceJoin`
-    /// events (transactions riding another transaction's fence) at the
-    /// default group window, so the sweeps genuinely enumerate crash
-    /// sites inside open windows. `fence_join` traces at the memory
-    /// layer, so `PtmConfig::tracing` stays off.
+    /// Crash sites in the two-thread bank — for every algorithm across
+    /// all four live durability domains — recover to a committed prefix
+    /// on both threads.
     #[test]
-    fn group_window_bank_joins_fences() {
-        let bank = GroupWindowBank::default();
-        for algo in Algo::ALL {
-            let c = case(algo, AdversaryPolicy::PerWord);
-            let machine = Machine::new(MachineConfig::functional(c.domain));
-            let sink = trace::TraceSink::new(1 << 14);
-            machine.attach_tracer(Arc::clone(&sink));
-            bank.run(std::slice::from_ref(&machine), &c);
-            machine.detach_tracer();
-            let joins = sink
-                .merged()
-                .iter()
-                .filter(|e| e.kind == trace::EventKind::FenceJoin)
-                .count();
-            assert!(
-                joins > 0,
-                "{algo:?}: no transaction ever joined a fence window"
-            );
-        }
-    }
-
-    /// The tentpole's torn-window acceptance bar: crash sites inside an
-    /// open group-commit window — for every algorithm across all four
-    /// live durability domains — recover to a committed prefix on both
-    /// participating threads.
-    #[test]
-    fn group_window_sweep_is_clean_across_algos_and_domains() {
-        let bank = tiny_group_bank();
+    fn two_thread_sweep_is_clean_across_algos_and_domains() {
+        let bank = tiny_two_thread_bank();
         let opts = SweepOptions {
             max_sites_per_case: Some(16),
             ..SweepOptions::default()
@@ -1071,8 +1035,8 @@ mod tests {
     }
 
     #[test]
-    fn group_window_replay_is_deterministic() {
-        let bank = tiny_group_bank();
+    fn two_thread_replay_is_deterministic() {
+        let bank = tiny_two_thread_bank();
         let c = case(Algo::CowShadow, AdversaryPolicy::PerWord);
         let total = count_sites(&bank, &c);
         assert!(total > 0);

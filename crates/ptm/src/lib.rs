@@ -70,8 +70,8 @@ pub mod umap;
 pub use config::{Algo, FlushPlan, PtmConfig};
 pub use crash_harness::{
     count_sites, default_cases, run_site, sweep, sweep_case, BankTransfers, CaseResult,
-    CrashWorkload, GroupWindowBank, ShardedTransfers, SiteResult, SweepCase, SweepOptions,
-    SweepReport, Violation,
+    CrashWorkload, ShardedTransfers, SiteResult, SweepCase, SweepOptions, SweepReport,
+    TwoThreadBank, Violation,
 };
 pub use db::PtmDb;
 pub use phases::{Phase, PhaseSnapshot, PhaseStats, PhaseTimer, PHASE_COUNT};

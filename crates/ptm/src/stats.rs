@@ -76,14 +76,8 @@ trace::counters! {
     /// CowShadow: ordering points issued while publishing shadow lines
     /// to their home locations (two per committed writer transaction).
     publish_fences: Sum, Always;
-    /// Group commit: fence windows opened (lead fences that later
-    /// commits could join).
-    group_commit_windows: Sum, Always;
-    /// Group commit: `sfence`s elided because the committing transaction
-    /// joined an already-completed window fence.
-    sfences_elided: Sum, Always;
     /// Largest single contention-backoff delay issued, in virtual ns
-    /// (high-water; bounded by `PtmConfig::max_backoff_ns`).
+    /// (high-water; bounded by `config::MAX_BACKOFF_NS`).
     max_backoff_ns: Max, Always;
 }
 

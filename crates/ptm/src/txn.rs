@@ -62,19 +62,6 @@ use crate::orec::{GlobalClock, OrecTable};
 use crate::phases::{Phase, PhaseSnapshot, PhaseStats};
 use crate::stats::{PtmStats, PtmStatsSnapshot};
 
-/// The group-commit window record: the completion time of the most
-/// recent lead fence on this PTM instance. A committing transaction
-/// whose flushes were all WPQ-accepted before `done` (and whose clock is
-/// within the recency window of it) joins that fence instead of issuing
-/// its own `sfence`. Retrospective by construction — joiners never wait
-/// for a future fence, so the protocol cannot deadlock a
-/// single-OS-thread deterministic run.
-#[derive(Debug, Default)]
-pub(crate) struct GroupFence {
-    /// Virtual completion time of the last lead `sfence` (0 = none yet).
-    pub done: u64,
-}
-
 /// A shared PTM instance: one per machine/heap.
 pub struct Ptm {
     pub config: PtmConfig,
@@ -83,9 +70,6 @@ pub struct Ptm {
     pub stats: PtmStats,
     /// Where transaction time goes, by [`Phase`] (see [`crate::phases`]).
     pub phases: PhaseStats,
-    /// Group-commit window state (uncontended single-word mutex; only
-    /// touched when `config.group_commit` is on).
-    pub(crate) group: Mutex<GroupFence>,
     /// `HtmLogged` pending table: home address → the committed-but-
     /// unretired back-end log entry covering it (see `algo::htm`).
     /// Never iterated in a state-bearing order, so a `HashMap` keeps
@@ -114,7 +98,6 @@ impl Ptm {
             clock: GlobalClock::new(),
             stats: PtmStats::new(),
             phases: PhaseStats::new(),
-            group: Mutex::new(GroupFence::default()),
             pending_log: Mutex::new(HashMap::new()),
             tombstones_in_flight: std::sync::atomic::AtomicU64::new(0),
         })

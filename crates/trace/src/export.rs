@@ -35,10 +35,11 @@ pub struct Total {
 /// The counter block, in serialization order: the subset of the live
 /// counters that the trace can independently re-derive. Capture
 /// ([`ExpectedTotals::from_counters`]), the dump layout and
-/// [`crate::analyze::crosscheck`] all walk this one table. Adding or
-/// removing a row changes the block layout, so it needs a new
-/// [`BINARY_MAGIC`].
-pub const TOTALS: [Total; 19] = {
+/// [`crate::analyze::crosscheck`] all walk this one table. A dump
+/// records its block's row count and [`read_binary`] rejects any other
+/// count, so adding or removing a row needs no new magic; replacing or
+/// reordering rows keeps the count and needs a new [`BINARY_MAGIC`].
+pub const TOTALS: [Total; 18] = {
     use Source::{Mem, Ptm};
     macro_rules! same_name {
         ($layer:ident $name:ident) => {
@@ -82,12 +83,6 @@ pub const TOTALS: [Total; 19] = {
         same_name!(Mem sfences),
         same_name!(Mem fence_wait_ns),
         same_name!(Mem wpq_stall_ns),
-        // Each group-commit fence join elides exactly one `sfence`.
-        Total {
-            name: "fence_joins",
-            source: Ptm("sfences_elided"),
-            derive: |g| g.fence_joins,
-        },
     ]
 };
 
@@ -326,11 +321,7 @@ pub fn chrome_trace_json(threads: &[ThreadTrace]) -> String {
             w.key("name").str(ev.kind.label());
             let durationful = matches!(
                 ev.kind,
-                EventKind::Sfence
-                    | EventKind::WpqStall
-                    | EventKind::FenceJoin
-                    | EventKind::Backoff
-                    | EventKind::QueueWait
+                EventKind::Sfence | EventKind::WpqStall | EventKind::Backoff | EventKind::QueueWait
             );
             if durationful {
                 w.key("ph").str("X");
@@ -451,13 +442,14 @@ mod tests {
     }
 
     /// Codes 14–16, 18 and 19 were recovery and restart-GC events that
-    /// nothing records; a dump holding one is not a dump this format
-    /// reads. Laid out by hand: magic, counter block, one thread
-    /// (`tid:u32 dropped:u64 count:u64`) with a `TxBegin` and then the
-    /// retired code (`ts:u64 kind:u8 a:u64 b:u64`), all little-endian.
+    /// nothing records, and code 17 the deleted group-commit fence join;
+    /// a dump holding one is not a dump this format reads. Laid out by
+    /// hand: magic, counter block, one thread (`tid:u32 dropped:u64
+    /// count:u64`) with a `TxBegin` and then the retired code (`ts:u64
+    /// kind:u8 a:u64 b:u64`), all little-endian.
     #[test]
     fn a_dump_holding_a_retired_kind_code_is_an_err() {
-        for code in [14u8, 15, 16, 18, 19] {
+        for code in [14u8, 15, 16, 17, 18, 19] {
             let mut buf = BINARY_MAGIC.to_vec();
             put_u32(&mut buf, TOTALS.len() as u32);
             for _ in 0..TOTALS.len() {
@@ -483,6 +475,27 @@ mod tests {
             buf[live] = EventKind::TxCommit as u8;
             assert!(read_binary(&buf).is_ok(), "code {code}: layout");
         }
+    }
+
+    /// A dump written before group commit's deletion carries one more
+    /// total (its fence-join count) than [`TOTALS`]; it reads as an
+    /// `Err` naming the block size, never a panic or a misaligned parse.
+    #[test]
+    fn a_dump_with_the_old_counter_block_is_an_err() {
+        let mut buf = BINARY_MAGIC.to_vec();
+        put_u32(&mut buf, TOTALS.len() as u32 + 1);
+        for _ in 0..=TOTALS.len() {
+            put_u64(&mut buf, 0);
+        }
+        put_u32(&mut buf, 0);
+        let err = read_binary(&buf).expect_err("an old counter block must not read");
+        assert!(
+            err.contains(&format!(
+                "unsupported counter-block size {}",
+                TOTALS.len() + 1
+            )),
+            "{err}"
+        );
     }
 
     #[test]

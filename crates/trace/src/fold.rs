@@ -38,15 +38,9 @@ pub struct GaugeSet {
     /// (`HtmRetire.b` — the `HtmLogged` ring-log occupancy proxy).
     pub log_entries: u64,
     pub htm_log_entries: u64,
-    /// Own `sfence`s executed and virtual ns waited in them.
+    /// `sfence`s executed and virtual ns waited in them.
     pub sfences: u64,
     pub fence_wait_ns: u64,
-    /// Group-commit window joins (fences elided) and ns waited for the
-    /// covering fence. Joins charge no machine counter (the wait belongs
-    /// to the covering fence's timeline), so `join_wait_ns` has no
-    /// cross-check partner.
-    pub fence_joins: u64,
-    pub join_wait_ns: u64,
     /// Cache-line write-backs requested, those that found the line dirty
     /// (`Clwb` with `b == 1`), and batched drains started.
     pub clwbs: u64,
@@ -116,10 +110,6 @@ impl GaugeSet {
                 self.sfences += 1;
                 self.fence_wait_ns += a;
             }
-            EventKind::FenceJoin => {
-                self.fence_joins += 1;
-                self.join_wait_ns += a;
-            }
             EventKind::Clwb => {
                 self.clwbs += 1;
                 if b == 1 {
@@ -168,8 +158,6 @@ impl GaugeSet {
         self.htm_log_entries += o.htm_log_entries;
         self.sfences += o.sfences;
         self.fence_wait_ns += o.fence_wait_ns;
-        self.fence_joins += o.fence_joins;
-        self.join_wait_ns += o.join_wait_ns;
         self.clwbs += o.clwbs;
         self.clwb_writebacks += o.clwb_writebacks;
         self.clwb_batches += o.clwb_batches;

@@ -100,13 +100,6 @@ pub enum EventKind {
     /// synchronously. `a` = stall ns, `b` = backlog ns at issue.
     /// Timestamped at stall start, so `[ts, ts+a]` is the stall interval.
     WpqStall = 13,
-    /// A committing transaction joined an already-completed group-commit
-    /// fence instead of executing its own `sfence`. `a` = virtual ns
-    /// waited for the covering fence (0 when it already lay in the
-    /// past), `b` = the covering fence's completion timestamp. Distinct
-    /// from [`EventKind::Sfence`] so the analyzer's trace-vs-counter
-    /// cross-check of `sfences`/`fence_wait_ns` stays exact.
-    FenceJoin = 17,
     /// The simulated hardware section retired (HTM commit succeeded).
     /// Everything between the attempt's [`EventKind::TxBegin`] and this
     /// event executed *inside* the section, so no [`EventKind::Clwb`] or
@@ -127,11 +120,12 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    pub const COUNT: usize = 18;
+    pub const COUNT: usize = 17;
 
     /// All kinds, in code order. Codes 14–16, 18 and 19 belonged to
-    /// recovery and restart-GC events nothing records; they stay
-    /// unassigned, so a dump holding one fails to read.
+    /// recovery and restart-GC events nothing records, and code 17 to
+    /// the deleted group-commit fence join; they stay unassigned, so a
+    /// dump holding one fails to read.
     pub const ALL: [EventKind; EventKind::COUNT] = [
         EventKind::TxBegin,
         EventKind::TxRead,
@@ -147,7 +141,6 @@ impl EventKind {
         EventKind::Sfence,
         EventKind::WpqAccept,
         EventKind::WpqStall,
-        EventKind::FenceJoin,
         EventKind::HtmRetire,
         EventKind::Backoff,
         EventKind::QueueWait,
@@ -170,7 +163,6 @@ impl EventKind {
             EventKind::Sfence => "sfence",
             EventKind::WpqAccept => "wpq_accept",
             EventKind::WpqStall => "wpq_stall",
-            EventKind::FenceJoin => "fence_join",
             EventKind::HtmRetire => "htm_retire",
             EventKind::Backoff => "backoff",
             EventKind::QueueWait => "queue_wait",
@@ -660,7 +652,7 @@ mod tests {
         for k in EventKind::ALL {
             assert_eq!(EventKind::from_code(k as u8), Some(k));
         }
-        for code in [14, 15, 16, 18, 19, 23] {
+        for code in [14, 15, 16, 17, 18, 19, 23] {
             assert_eq!(EventKind::from_code(code), None, "code {code}");
         }
         assert!(EventKind::ALL

@@ -188,7 +188,7 @@ pub struct ShardedRunConfig {
     pub threads_per_shard: usize,
     pub model: LatencyModel,
     pub domain: DurabilityDomain,
-    /// PTM template: algorithm, group-commit knobs, heap media.
+    /// PTM template: algorithm, flush plan, heap media.
     pub ptm: PtmConfig,
     pub stream: StreamConfig,
     /// Per-shard flight-recorder sinks (`trace[i]` → shard `i`'s
@@ -274,8 +274,7 @@ impl ShardedRunResult {
         self.ops as f64 * 1_000.0 / self.elapsed_virtual_ns as f64
     }
 
-    /// Fences retired per committed transaction — the group-commit
-    /// headline metric.
+    /// Fences retired per committed transaction.
     pub fn sfences_per_commit(&self) -> f64 {
         self.mem.sfences as f64 / self.ptm.commits.max(1) as f64
     }
@@ -1108,23 +1107,5 @@ mod tests {
         let r0 = run_cross_shard_transfer(&rc, 0.0);
         assert_eq!(r0.ptm.prepares, 0);
         assert_eq!(r0.ptm.coordinator_commits, 0);
-    }
-
-    #[test]
-    fn group_commit_elides_fences_on_sharded_kv() {
-        let mut base = quick_rc(1);
-        base.threads_per_shard = 4;
-        base.stream.total_ops = 600;
-        let plain = run_sharded_kv(&base);
-        let mut grouped = base.clone();
-        grouped.ptm.group_commit = true;
-        let g = run_sharded_kv(&grouped);
-        assert!(g.ptm.sfences_elided > 0, "no joins happened");
-        assert!(
-            g.sfences_per_commit() < plain.sfences_per_commit(),
-            "group commit must reduce fences/commit: {} vs {}",
-            g.sfences_per_commit(),
-            plain.sfences_per_commit()
-        );
     }
 }

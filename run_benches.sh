@@ -41,7 +41,7 @@ for bin in $BINS; do
   step "$bin" "$bin" "$bin" --json
 done
 step crash_sites crash_sites crash_sites --max-sites 200 --json
-step "crash_sites (sharded group-commit)" crash_sites_sharded crash_sites --workload group --shards 4 --max-sites 50 --json
+step "crash_sites (sharded two-thread bank)" crash_sites_sharded crash_sites --workload group --shards 4 --max-sites 50 --json
 step "crash_sites (cross-shard 2PC transfer)" crash_sites_transfer crash_sites --workload transfer --shards 2 --max-sites 24 --json
 step trace_analyze trace_analyze trace_analyze --json
 step obs_report obs_report obs_report --verify --json
