@@ -11,18 +11,16 @@
 //! * `orecs<N>` — the orec table's size (false conflicts);
 //! * `htm` — §V's question: `Algo::HtmLogged` instead of software redo;
 //! * `nofence` — Table III: `clwb`s without `sfence`s (incorrect,
-//!   measurement only);
-//! * the index extension: TPCC's order index as a skip list, under its
-//!   own workload name.
+//!   measurement only).
 //!
 //! Each line is labelled with its `fig3` workload name and scenario
 //! `<base>+<override>`, e.g. `tpcc-hash|Optane_ADR_R+unsplit`. A base
 //! cell's own line is `fig3`'s, with the same key, and is not re-run
-//! here, except where `fig3` runs no such workload (`tpcc-skiplist` and
-//! the KV store at low and high contention). Arms equal to their base by
-//! construction are not rows: a flush plan under a domain that needs no
-//! flushes, and `Incremental` for undo, which has no redo log to flush
-//! early (the tests below pin both).
+//! here, except where `fig3` runs no such workload (the KV store at low
+//! and high contention). Arms equal to their base by construction are
+//! not rows: a flush plan under a domain that needs no flushes, and
+//! `Incremental` for undo, which has no redo log to flush early (the
+//! tests below pin both).
 //!
 //! `--threads a,b,c` is a sweep; the budget, orec and fence-elision rows
 //! run once, at its largest count.
@@ -147,11 +145,6 @@ const ROWS: &[Row] = &[
         workloads: &["tpcc-hash", "tatp", "vacation-low", "vacation-high"],
         bases: &["Optane_ADR_U", "Optane_ADR_R"],
         knobs: &[Knob::NoFence],
-    },
-    Row {
-        workloads: &["tpcc-skiplist"],
-        bases: ADR_R,
-        knobs: &[Knob::Base],
     },
 ];
 

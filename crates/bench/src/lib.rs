@@ -136,7 +136,6 @@ pub fn make_workload(name: &str, total_ops: u64, quick: bool) -> Box<dyn Workloa
         "btree-mixed" => Box::new(BTreeMixed::new(1 << (12 + scale))),
         "tpcc-btree" => Box::new(Tpcc::new(IndexKind::BTree, 8, total_ops)),
         "tpcc-hash" => Box::new(Tpcc::new(IndexKind::Hash, 8, total_ops)),
-        "tpcc-skiplist" => Box::new(Tpcc::new(IndexKind::SkipList, 8, total_ops)),
         "vacation-low" => Box::new(Vacation::new(VacationCfg::low(256 << scale))),
         "vacation-high" => Box::new(Vacation::new(VacationCfg::high(256 << scale))),
         "tatp" => Box::new(Tatp::new(1024 << scale)),

@@ -7,10 +7,7 @@
 //! * [`bptree::BpTree`] — fixed-fanout B+Tree (DudeTM's microbenchmark
 //!   structure and the TPCC B+Tree index);
 //! * [`hashmap::PHashMap`] — chained hash table (TPCC Hash-Table index,
-//!   TATP tables, memcached-like KV index);
-//! * [`skiplist::PSkipList`] — ordered map with probabilistic balance
-//!   (deterministic towers; smaller write sets than the B+Tree), the
-//!   TPCC skip-list index (`ablate`'s `tpcc-skiplist` row).
+//!   TATP tables, memcached-like KV index).
 //!
 //! Handles are plain persistent addresses: store them in a
 //! [`palloc::PHeap`] root slot and re-attach after a crash with
@@ -20,8 +17,6 @@
 
 pub mod bptree;
 pub mod hashmap;
-pub mod skiplist;
 
 pub use bptree::BpTree;
 pub use hashmap::PHashMap;
-pub use skiplist::PSkipList;

@@ -8,21 +8,18 @@
 //! what drives the commit/abort ratios of Tables I and II.
 
 use pmem_sim::PAddr;
-use pstructs::{BpTree, PHashMap, PSkipList};
+use pstructs::{BpTree, PHashMap};
 use ptm::{Tx, TxResult, TxThread};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::driver::Workload;
 
-/// Which structure indexes orders. The paper evaluates the first two;
-/// the skip list is this repository's extension (smaller index write
-/// sets, no split cascades).
+/// Which structure indexes orders: the paper's two TPCC variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
     BTree,
     Hash,
-    SkipList,
 }
 
 /// Order index dispatch.
@@ -30,7 +27,6 @@ pub enum IndexKind {
 enum OrderIndex {
     BTree(BpTree),
     Hash(PHashMap),
-    SkipList(PSkipList),
 }
 
 impl OrderIndex {
@@ -38,7 +34,6 @@ impl OrderIndex {
         match self {
             OrderIndex::BTree(t) => t.insert(tx, key, val).map(|_| ()),
             OrderIndex::Hash(h) => h.insert(tx, key, val).map(|_| ()),
-            OrderIndex::SkipList(s) => s.insert(tx, key, val).map(|_| ()),
         }
     }
 
@@ -46,7 +41,6 @@ impl OrderIndex {
         match self {
             OrderIndex::BTree(t) => t.get(tx, key),
             OrderIndex::Hash(h) => h.get(tx, key),
-            OrderIndex::SkipList(s) => s.get(tx, key),
         }
     }
 }
@@ -135,7 +129,6 @@ impl Workload for Tpcc {
         match self.kind {
             IndexKind::BTree => "tpcc-btree".into(),
             IndexKind::Hash => "tpcc-hash".into(),
-            IndexKind::SkipList => "tpcc-skiplist".into(),
         }
     }
 
@@ -206,7 +199,6 @@ impl Workload for Tpcc {
             IndexKind::Hash => OrderIndex::Hash(
                 th.run(|tx| PHashMap::create(tx, (self.expected_orders / 2).max(1024) as usize)),
             ),
-            IndexKind::SkipList => OrderIndex::SkipList(th.run(PSkipList::create)),
         };
         self.wh = Some(wh);
         self.dist = Some(dist);
@@ -367,7 +359,7 @@ mod tests {
 
     #[test]
     fn both_index_kinds_run() {
-        for kind in [IndexKind::BTree, IndexKind::Hash, IndexKind::SkipList] {
+        for kind in [IndexKind::BTree, IndexKind::Hash] {
             let mut w = Tpcc::new(kind, 2, 300);
             let sc = Scenario::new(
                 "t",

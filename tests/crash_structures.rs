@@ -4,7 +4,7 @@
 
 use optane_ptm::palloc::PHeap;
 use optane_ptm::pmem_sim::{DurabilityDomain, Machine, MachineConfig};
-use optane_ptm::pstructs::{BpTree, PHashMap, PSkipList};
+use optane_ptm::pstructs::{BpTree, PHashMap};
 use optane_ptm::ptm::db::restart;
 use optane_ptm::ptm::{Algo, Ptm, PtmConfig, RecoverOptions, TxThread};
 use std::sync::Arc;
@@ -148,27 +148,5 @@ fn work_continues_after_recovery() {
     assert_eq!(th3.run(|tx| tree3.len(tx)), 100);
     for k in 0..100u64 {
         assert_eq!(th3.run(|tx| tree3.get(tx, k)), Some(k));
-    }
-}
-
-#[test]
-fn skiplist_survives_crashes() {
-    let m = machine(DurabilityDomain::Adr);
-    let heap = PHeap::format(&m, "h", 1 << 16, 6);
-    let ptm = Ptm::new(cfg_for(Algo::RedoLazy));
-    let mut th = TxThread::new(ptm, heap.clone(), m.session(0));
-    let sl = th.run(PSkipList::create);
-    heap.set_root(th.session_mut(), 1, sl.header());
-    for k in 0..80u64 {
-        th.run(|tx| sl.insert(tx, k * 3, k).map(|_| ()));
-    }
-    for seed in [0u64, 4, 17] {
-        let (m2, heap2) = crash_recover(&m, &heap, seed);
-        let ptm2 = Ptm::new(cfg_for(Algo::RedoLazy));
-        let mut th2 = TxThread::new(ptm2, heap2.clone(), m2.session(0));
-        let sl2 = PSkipList::from_header(heap2.root_raw(1));
-        for k in 0..80u64 {
-            assert_eq!(th2.run(|tx| sl2.get(tx, k * 3)), Some(k), "seed {seed}");
-        }
     }
 }

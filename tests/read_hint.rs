@@ -4,14 +4,13 @@
 //! must leave the final virtual clock, every counter of the three layers,
 //! the phase totals and the flight recorder's event sequence at the
 //! values recorded at the commit before the hint existed. Since the orec
-//! index stripes by line, the trace hashes (read and acquire events carry
-//! orec ids) come from a build of that index with every `expect_read`
-//! and `expect_access` call removed. They hash the version-2 dump
-//! (`PTMTRC02`) with its 18 totals; the same dumps with a zero 19th total
-//! appended (the fence-join count group commit kept) hash to the values
-//! pinned before group commit was deleted, and laid out as version 1
-//! (its magic, and `htm_logged_commits` = `htm_commits` as an eighth
-//! total) to the values pinned before that counter was folded.
+//! index stripes by line, the event sequences (read and acquire events
+//! carry orec ids) come from a build of that index with every
+//! `expect_read` and `expect_access` call removed. The trace half of a
+//! line hashes the events alone, thread by thread; the counters are
+//! compared field by field in the same line, so a change to the trace
+//! dump's counter block (`trace::export::TOTALS`) leaves the hashes as
+//! they are.
 
 use std::sync::Arc;
 
@@ -20,7 +19,6 @@ use optane_ptm::pmem_sim::{DurabilityDomain, Machine, MachineConfig, MediaKind};
 use optane_ptm::pstructs::PHashMap;
 use optane_ptm::ptm::{Algo, PhaseSnapshot, Ptm, PtmConfig, PtmStatsSnapshot, TxThread};
 use optane_ptm::trace::counters::Field;
-use optane_ptm::trace::export::{write_binary, ExpectedTotals};
 use optane_ptm::trace::TraceSink;
 use optane_ptm::workloads::driver::{run_scenario, RunConfig, Scenario};
 use optane_ptm::workloads::{IndexKind, Tpcc};
@@ -28,8 +26,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// One line per run: the final virtual time, every nonzero counter, the
-/// phase totals, and the trace as (events, FNV-1a of its binary dump —
-/// every event's timestamp, kind and payload, in order).
+/// phase totals, and the trace as (events, FNV-1a over each thread's tid
+/// and then every event's timestamp, kind code and payload, in order).
 fn signature(
     now: u64,
     ptm: &PtmStatsSnapshot,
@@ -48,12 +46,19 @@ fn signature(
     let threads = sink.threads();
     assert_eq!(sink.dropped_events(), 0, "ring too small for the stream");
     let events: usize = threads.iter().map(|t| t.events.len()).sum();
-    let totals = ExpectedTotals::from_counters(&ptm.fields(), &mem.fields());
-    let fnv = write_binary(&threads, &totals)
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
-        });
+    let mut bytes = Vec::new();
+    for t in &threads {
+        bytes.extend_from_slice(&t.tid.to_le_bytes());
+        for ev in &t.events {
+            bytes.extend_from_slice(&ev.ts.to_le_bytes());
+            bytes.push(ev.kind as u8);
+            bytes.extend_from_slice(&ev.a.to_le_bytes());
+            bytes.extend_from_slice(&ev.b.to_le_bytes());
+        }
+    }
+    let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    });
     format!(
         "now={now} | {} | phases={:?} | {} | trace={events}:{fnv:016x}",
         nonzero(ptm.fields()),
@@ -71,7 +76,7 @@ fn hashmap_stream_per_algorithm_matches_the_unhinted_build() {
              commits=601 max_write_entries=4 | \
              phases=[129021, 6041, 179822, 43746, 13896, 24544, 0, 0] | \
              loads=3818 stores=3442 l3_hits=7180 l3_misses=80 clwbs=1913 clwb_writebacks=1913 sfences=1288 optane_lines_written=1913 fence_wait_ns=5106 | \
-             trace=11710:ea23d779749f594d",
+             trace=11710:48c82025f8de72b0",
         ),
         (
             Algo::UndoEager,
@@ -79,7 +84,7 @@ fn hashmap_stream_per_algorithm_matches_the_unhinted_build() {
              commits=601 max_write_entries=4 | \
              phases=[140053, 43685, 186588, 55138, 4440, 0, 0, 0] | \
              loads=4606 stores=3908 l3_hits=8434 l3_misses=80 clwbs=2224 clwb_writebacks=1950 sfences=1754 optane_lines_written=1950 fence_wait_ns=2518 | \
-             trace=12524:e45f4e71a77f5586",
+             trace=12524:c0cee26230a8ea60",
         ),
         (
             Algo::CowShadow,
@@ -87,7 +92,7 @@ fn hashmap_stream_per_algorithm_matches_the_unhinted_build() {
              commits=601 shadow_lines_allocated=522 shadow_lines_reclaimed=522 publish_fences=644 | \
              phases=[130384, 9970, 193546, 51846, 13896, 40942, 0, 0] | \
              loads=4606 stores=5261 l3_hits=9781 l3_misses=86 clwbs=2059 clwb_writebacks=2059 sfences=1288 optane_lines_written=2059 fence_wait_ns=13206 | \
-             trace=12002:88b2c9a660b5e834",
+             trace=12002:a23b0feedf907c34",
         ),
         (
             Algo::HtmLogged,
@@ -95,7 +100,7 @@ fn hashmap_stream_per_algorithm_matches_the_unhinted_build() {
              commits=601 htm_commits=601 backend_log_bytes=25216 max_write_entries=4 | \
              phases=[102537, 51215, 132352, 20832, 13455, 24544, 0, 0] | \
              loads=3957 stores=4847 l3_hits=8660 l3_misses=144 clwbs=1686 clwb_writebacks=1559 sfences=771 optane_lines_written=1559 fence_wait_ns=1152 | \
-             trace=5819:3a8c38c779e6b66e",
+             trace=5819:88dd23316dfdbd39",
         ),
     ];
     for (algo, want) in pinned {
@@ -147,7 +152,7 @@ fn tpcc_new_order_and_payment_match_the_unhinted_build() {
                 commits=40 max_write_entries=100 | \
                 phases=[60389, 23223, 244964, 8432, 26992, 52161, 0, 0] | \
                 loads=1349 stores=5154 l3_hits=6280 l3_misses=223 clwbs=2606 clwb_writebacks=2606 sfences=160 optane_lines_written=2606 fence_wait_ns=3632 | \
-                trace=10158:498454f0f4986d72";
+                trace=10158:08cb7e80d8bd2ae4";
     let sink = TraceSink::new(1 << 17);
     let sc = Scenario::new(
         "hint",
