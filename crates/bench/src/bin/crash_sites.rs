@@ -28,7 +28,7 @@
 //! * `--json` — one JSON object per case (JSON Lines) instead of CSV;
 //! * `--skip-undo-rollback`, `--skip-redo-replay` — deliberately break
 //!   recovery to demonstrate the sweep catches it (must exit nonzero);
-//! * replay mode: `--site N --algo redo|undo|cow|htm --domain
+//! * replay mode: `--site N --algo redo|undo|htm --domain
 //!   adr|eadr|pdram|pdram-lite --policy per-word|all-old|all-new|per-line|biased:P`
 //!   re-runs one exact crash from a `CRASH-REPRO` line.
 //!

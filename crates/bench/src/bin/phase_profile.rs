@@ -2,8 +2,7 @@
 //! algorithm issue? The paper's §III-B argument as a table: per
 //! (workload × durability domain × algorithm), the share of virtual
 //! transaction time spent in each phase, then throughput, abort rate and
-//! the persistence work actually issued (clwb + sfence counts, shadow
-//! traffic for copy-on-write).
+//! the persistence work actually issued (clwb + sfence counts).
 //!
 //! The headline shape: under ADR on Optane the flush + fence-wait share
 //! is substantial (the persistence choreography *is* the overhead);
@@ -11,8 +10,7 @@
 //! elided — the surviving costs are speculation, logging stores and
 //! validation. The registered policies run the *same* driver and differ
 //! only behind the `LogPolicy` trait: redo with O(1) fences per
-//! transaction, undo with O(W) fences, cow shadow paying ~2x data writes
-//! for line-granular publication, and htm-logged trading orec
+//! transaction, undo with O(W) fences, and htm-logged trading orec
 //! bookkeeping for hardware sections sealed by a 2-fence back-end log.
 //!
 //! With `--trace <path>`, the tpcc-hash / ADR / redo point is re-run with
@@ -35,10 +33,7 @@ fn main() {
         for p in Phase::ALL {
             print!(",{}_pct", p.label());
         }
-        println!(
-            ",persistence_pct,total_phase_ns,throughput_mops,abort_rate_pct,clwbs,sfences,\
-             shadow_lines_allocated,publish_fences"
-        );
+        println!(",persistence_pct,total_phase_ns,throughput_mops,abort_rate_pct,clwbs,sfences");
     }
     for name in ["btree-insert", "tpcc-hash", "vacation-low"] {
         for (domain, dname) in [
@@ -86,15 +81,13 @@ fn main() {
                     0.0
                 };
                 println!(
-                    ",{:.1},{},{:.4},{:.2},{},{},{},{}",
+                    ",{:.1},{},{:.4},{:.2},{},{}",
                     r.phases.persistence_share() * 100.0,
                     r.phases.total_ns(),
                     r.throughput_mops(),
                     abort_rate,
                     r.mem.clwbs,
                     r.mem.sfences,
-                    r.ptm.shadow_lines_allocated,
-                    r.ptm.publish_fences,
                 );
             }
         }

@@ -295,9 +295,6 @@ mod tests {
             "\"lines_planned\"",
             "\"max_read_set_unique\"",
             "\"max_write_lines\"",
-            "\"shadow_lines_allocated\"",
-            "\"shadow_lines_reclaimed\"",
-            "\"publish_fences\"",
             "\"clwb_batches\"",
             // Per-cause abort attribution and the hybrid-HTM counters:
             // trace_analyze cross-checks its trace-derived totals against

@@ -52,11 +52,11 @@ const REPLAYS: [&str; 9] = [
     "--workload bank --site 60 --algo undo --domain eadr --policy all-new",
     "--workload bank --site 200 --algo htm --domain adr --policy per-line",
     "--workload group --site 110 --algo redo --domain adr --policy per-word",
-    "--workload group --site 130 --algo cow --domain adr --policy all-old",
+    "--workload group --site 130 --algo undo --domain adr --policy all-old",
     "--workload group --site 50 --algo undo --domain pdram-lite --policy all-new",
     "--workload transfer --shards 2 --site 150 --algo redo --domain adr --policy all-old",
     "--workload transfer --shards 2 --site 200 --algo undo --domain adr --policy per-word",
-    "--workload transfer --shards 2 --site 80 --algo cow --domain eadr --policy per-line",
+    "--workload transfer --shards 2 --site 80 --algo undo --domain eadr --policy per-line",
 ];
 
 /// `(golden file, obs_report flags)`: one flush-bound and one flush-free

@@ -4,8 +4,8 @@
 //! `point_json` / `sharded_point_json` must reproduce the committed line
 //! in `tests/golden/<case>.json` byte for byte — counters, key order,
 //! emit-when-nonzero gating and number formatting included. One case is
-//! a whole binary's output: `phase_profile --quick --json`, 48 one-thread
-//! points (four algorithms × four domains × three workloads), the
+//! a whole binary's output: `phase_profile --quick --json`, 36 one-thread
+//! points (three algorithms × four domains × three workloads), the
 //! refactoring oracle for everything between the driver and the report.
 //!
 //! The two `run_cross_shard_transfer` cases are not bit-reproducible run
@@ -167,8 +167,8 @@ fn phase_profile_quick() -> String {
 }
 
 /// `(golden file stem, emitted line)` for every case.
-fn cases() -> [(&'static str, String); 14] {
-    use Algo::{CowShadow, HtmLogged, RedoLazy, UndoEager};
+fn cases() -> [(&'static str, String); 12] {
+    use Algo::{HtmLogged, RedoLazy, UndoEager};
     use FlushPlan::{Batched, Combined, Incremental};
     let kv = workloads::run_sharded_kv(&two_by_one());
     [
@@ -185,11 +185,6 @@ fn cases() -> [(&'static str, String); 14] {
         (
             "point_tpcc_adr_undo_combined_1t",
             tpcc_adr(UndoEager, Combined),
-        ),
-        ("point_tpcc_adr_cow_1t", tpcc_adr(CowShadow, Batched)),
-        (
-            "point_tpcc_adr_cow_combined_1t",
-            tpcc_adr(CowShadow, Combined),
         ),
         (
             "point_tpcc_adr_htm_combined_1t",

@@ -71,13 +71,6 @@ pub struct TxAccess {
     pub(crate) owned_map: U64Map,
     pub(crate) undo_logged: U64Map,
     pub(crate) eager_writes: Vec<u64>,
-    /// CowShadow: home-line base bits -> index into `cow_lines`.
-    pub(crate) cow_map: U64Map,
-    /// CowShadow: per-home-line shadow redirections.
-    pub(crate) cow_lines: Vec<crate::algo::cow::CowLine>,
-    /// CowShadow: unique written word addresses (commit-time orec
-    /// acquisition, word-granular like the redo write set).
-    pub(crate) cow_words: Vec<u64>,
     /// Blocks allocated and zero-initialized this transaction via the
     /// alloc-new optimization: their stores bypass the log (they are
     /// unreachable until a logged pointer-write commits) but their lines
@@ -145,9 +138,6 @@ impl TxAccess {
             owned_map: U64Map::new(64),
             undo_logged: U64Map::new(64),
             eager_writes: Vec::with_capacity(64),
-            cow_map: U64Map::new(64),
-            cow_lines: Vec::with_capacity(64),
-            cow_words: Vec::with_capacity(64),
             fresh_blocks: Vec::new(),
             tx_allocs: Vec::new(),
             tx_frees: Vec::new(),
@@ -328,9 +318,6 @@ impl TxAccess {
         self.owned_map.clear();
         self.undo_logged.clear();
         self.eager_writes.clear();
-        self.cow_map.clear();
-        self.cow_lines.clear();
-        self.cow_words.clear();
         self.fresh_blocks.clear();
         self.tx_allocs.clear();
         self.tx_frees.clear();

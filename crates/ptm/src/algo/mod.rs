@@ -20,7 +20,6 @@
 //! and supplies [`LogPolicy::htm_commit`]; [`htm::HtmPolicy`] is the
 //! one that does.
 
-pub mod cow;
 pub mod htm;
 pub mod redo;
 pub mod undo;
@@ -107,7 +106,7 @@ pub trait LogPolicy: Sync {
     /// 2PC decide-commit on a prepared participant: publish the writes,
     /// retire the log, release orecs at `wv`. The default is
     /// [`LogPolicy::commit_publish`], correct for policies whose publish
-    /// path overwrites the marker with a durable `IDLE` (redo, cow).
+    /// path overwrites the marker with a durable `IDLE` (redo).
     fn commit_prepared(&self, ax: &mut TxAccess, wv: u64) {
         self.commit_publish(ax, wv);
     }
@@ -159,7 +158,6 @@ pub fn policy(algo: Algo) -> &'static dyn LogPolicy {
     match algo {
         Algo::RedoLazy => &redo::RedoPolicy,
         Algo::UndoEager => &undo::UndoPolicy,
-        Algo::CowShadow => &cow::CowPolicy,
         Algo::HtmLogged => &htm::HtmPolicy,
     }
 }
@@ -204,6 +202,9 @@ mod tests {
             assert_eq!(back.algo(), algo);
         }
         assert!(policy_for_tag(0).is_none());
+        // Tag 3 belonged to the deleted copy-on-write algorithm: retired,
+        // so an older image carrying it is a foreign log.
+        assert!(policy_for_tag(3).is_none());
         assert!(policy_for_tag(0xDEAD).is_none());
     }
 }

@@ -2,8 +2,7 @@
 
 /// Which PTM algorithm to run. The first two are the best performers
 /// from the authors' PACT'19 suite, as used throughout the paper; the
-/// third is the canonical copy-on-write design point (Marathe et al.,
-/// arXiv:1804.00701) that proves the `ptm::algo` seam.
+/// third is durable HTM (Giles et al.), the paper's §V future work.
 ///
 /// Each variant maps to one [`crate::algo::LogPolicy`] implementation in
 /// the `crate::algo` registry — adding an algorithm means adding a
@@ -17,12 +16,6 @@ pub enum Algo {
     /// "orec-eager": encounter-time locking with undo logging. Writes go
     /// in place after persisting the old value. O(W) fences.
     UndoEager,
-    /// Copy-on-write shadow updates: writes are redirected to
-    /// line-granular shadow blocks allocated from the persistent heap,
-    /// published atomically at commit (redo-style marker), and reclaimed
-    /// on abort (or by the restart GC after a crash). O(1) fences, ~2x
-    /// data writes.
-    CowShadow,
     /// Durable HTM via aliased back-end logging (Giles et al., *Hardware
     /// Transactional Persistent Memory*): the transaction body runs in a
     /// simulated hardware section with buffered writes and **no** orec
@@ -40,19 +33,13 @@ impl Algo {
     /// Every registered algorithm, in registry order. Test helpers and
     /// sweep grids iterate this so a newly registered algorithm is
     /// exercised automatically.
-    pub const ALL: [Algo; 4] = [
-        Algo::RedoLazy,
-        Algo::UndoEager,
-        Algo::CowShadow,
-        Algo::HtmLogged,
-    ];
+    pub const ALL: [Algo; 3] = [Algo::RedoLazy, Algo::UndoEager, Algo::HtmLogged];
 
-    /// Suffix used in the paper's curve labels ("R" / "U" / "C" / "H").
+    /// Suffix used in the paper's curve labels ("R" / "U" / "H").
     pub fn label(self) -> &'static str {
         match self {
             Algo::RedoLazy => "R",
             Algo::UndoEager => "U",
-            Algo::CowShadow => "C",
             Algo::HtmLogged => "H",
         }
     }
@@ -64,7 +51,6 @@ impl Algo {
         match self {
             Algo::RedoLazy => "redo",
             Algo::UndoEager => "undo",
-            Algo::CowShadow => "cow",
             Algo::HtmLogged => "htm",
         }
     }
@@ -83,7 +69,10 @@ impl std::str::FromStr for Algo {
         Algo::ALL
             .into_iter()
             .find(|a| a.name() == s)
-            .ok_or_else(|| format!("unknown algorithm `{s}` (known: redo, undo, cow, htm)"))
+            .ok_or_else(|| {
+                let known: Vec<&str> = Algo::ALL.iter().map(|a| a.name()).collect();
+                format!("unknown algorithm `{s}` (known: {})", known.join(", "))
+            })
     }
 }
 
@@ -202,10 +191,6 @@ impl PtmConfig {
         Self::with_algo(Algo::UndoEager)
     }
 
-    pub fn cow() -> Self {
-        Self::with_algo(Algo::CowShadow)
-    }
-
     pub fn htm_logged() -> Self {
         Self::with_algo(Algo::HtmLogged)
     }
@@ -243,14 +228,12 @@ mod tests {
     fn constructors_pick_algorithms() {
         assert_eq!(PtmConfig::redo().algo, Algo::RedoLazy);
         assert_eq!(PtmConfig::undo().algo, Algo::UndoEager);
-        assert_eq!(PtmConfig::cow().algo, Algo::CowShadow);
         assert_eq!(PtmConfig::htm_logged().algo, Algo::HtmLogged);
         for algo in Algo::ALL {
             assert_eq!(PtmConfig::with_algo(algo).algo, algo);
         }
         assert_eq!(Algo::RedoLazy.label(), "R");
         assert_eq!(Algo::UndoEager.label(), "U");
-        assert_eq!(Algo::CowShadow.label(), "C");
         assert_eq!(Algo::HtmLogged.label(), "H");
     }
 
@@ -261,5 +244,11 @@ mod tests {
             assert_eq!(s.parse::<Algo>().unwrap(), algo, "{s}");
         }
         assert!("nope".parse::<Algo>().is_err());
+        // The retired copy-on-write name is rejected, and the message
+        // names every registered algorithm.
+        let err = "cow".parse::<Algo>().unwrap_err();
+        for algo in Algo::ALL {
+            assert!(err.contains(algo.name()), "{err}");
+        }
     }
 }

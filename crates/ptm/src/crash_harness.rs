@@ -1037,7 +1037,7 @@ mod tests {
     #[test]
     fn two_thread_replay_is_deterministic() {
         let bank = tiny_two_thread_bank();
-        let c = case(Algo::CowShadow, AdversaryPolicy::PerWord);
+        let c = case(Algo::UndoEager, AdversaryPolicy::PerWord);
         let total = count_sites(&bank, &c);
         assert!(total > 0);
         let site = total / 3;
@@ -1135,7 +1135,7 @@ mod tests {
             max_sites_per_case: Some(10),
             ..SweepOptions::default()
         };
-        for algo in [Algo::RedoLazy, Algo::UndoEager, Algo::CowShadow] {
+        for algo in [Algo::RedoLazy, Algo::UndoEager] {
             for domain in [
                 DurabilityDomain::Adr,
                 DurabilityDomain::Eadr,

@@ -1,5 +1,5 @@
 //! Engine-level tests for the transaction driver and every registered
-//! algorithm policy (redo, undo, cow shadow, htm). These exercise the public
+//! algorithm policy (redo, undo, htm). These exercise the public
 //! `TxThread`/`Tx` API only; policy-internal unit tests live next to
 //! their modules.
 
@@ -148,9 +148,7 @@ fn free_in_committed_tx_is_applied() {
                                    // legal until commit
             Ok(())
         });
-        // The freed block is back on its size class (cow additionally
-        // cycles shadow blocks through a different class, so counting
-        // free blocks is not algorithm-portable — reuse is).
+        // The freed block is back on its size class.
         let again = heap.alloc(th.session_mut(), 8);
         assert_eq!(again, a, "{algo:?}: freed block must be reusable");
     }
@@ -338,43 +336,8 @@ fn combined_undo_writebacks_equal_unique_dirty_lines() {
     assert_eq!(s.flushes_elided, k - data_lines);
 }
 
-/// Cow shadow accounting: under ADR with write combining, a committed
-/// transaction flushes each shadow line once, the publish-log lines,
-/// the header line twice (marker + retire), and each home line once in
-/// the publish window — and bumps exactly two publish fences.
-#[test]
-fn combined_cow_writebacks_count_shadow_and_home_lines() {
-    let (m, ptm, heap) = setup_with(PtmConfig::combined(Algo::CowShadow));
-    let mut th = TxThread::new(ptm.clone(), heap.clone(), m.session(0));
-    let a = heap.alloc(th.session_mut(), 24);
-    let writes: Vec<PAddr> = (0..8).chain(16..20).map(|w| a.offset(w)).collect();
-    let before = m.stats.snapshot();
-    th.run(|tx| {
-        for (i, &w) in writes.iter().enumerate() {
-            tx.write(w, i as u64 + 1)?;
-        }
-        Ok(())
-    });
-    let d = m.stats.snapshot().delta_since(&before);
-    let home_lines = unique_lines(&writes);
-    let s = ptm.stats_snapshot();
-    assert_eq!(s.shadow_lines_allocated, home_lines, "one shadow per line");
-    assert_eq!(s.shadow_lines_reclaimed, home_lines, "reclaimed at publish");
-    assert_eq!(s.publish_fences, 2, "publish + retire");
-    // shadow lines + publish-log lines (one 4-word record per dirtied
-    // line, two per cache line) + header twice + home lines.
-    let log_lines = crate::log::entry_lines(home_lines as usize) as u64;
-    let expected = home_lines + log_lines + 2 + home_lines;
-    assert_eq!(
-        d.clwbs, expected,
-        "cow flushes shadow {home_lines} + log {log_lines} + header 2 + home {home_lines}"
-    );
-}
-
 /// The combined pipeline must commit the same data as the naive one
 /// while issuing strictly fewer flushes on a line-sharing write set.
-/// Redo and undo only: cow is already line-granular, so combining has
-/// nothing left to elide there.
 #[test]
 fn combined_pipeline_matches_naive_semantics_with_fewer_flushes() {
     for algo in [Algo::RedoLazy, Algo::UndoEager] {
@@ -480,10 +443,9 @@ fn undo_pays_more_fences_than_redo() {
     };
     let undo = fences_for(Algo::UndoEager);
     let redo = fences_for(Algo::RedoLazy);
-    let cow = fences_for(Algo::CowShadow);
     assert!(
-        undo >= writes && redo <= 8 && cow <= 8,
-        "undo fences {undo} (expect >= {writes}), redo {redo} and cow {cow} (expect O(1))"
+        undo >= writes && redo <= 8,
+        "undo fences {undo} (expect >= {writes}), redo {redo} (expect O(1))"
     );
 }
 
@@ -875,13 +837,6 @@ fn commit_write_hint_moves_no_virtual_statistic() {
              loads=1390 stores=8532 l3_hits=9385 l3_misses=537 clwbs=4335 clwb_writebacks=4335 sfences=1568 optane_lines_written=4335 fence_wait_ns=5316",
         ),
         (
-            Algo::CowShadow,
-            "now=1012343 | \
-             commits=400 shadow_lines_allocated=2235 shadow_lines_reclaimed=2235 publish_fences=784 | \
-             phases=[142433, 31824, 616264, 51328, 37444, 132924, 0, 0] | \
-             loads=3636 stores=17453 l3_hits=20530 l3_misses=559 clwbs=6556 clwb_writebacks=6556 sfences=1568 optane_lines_written=6556 fence_wait_ns=4288",
-        ),
-        (
             Algo::HtmLogged,
             "now=675452 | \
              commits=400 htm_commits=400 backend_log_bytes=71776 max_write_entries=11 | \
@@ -945,7 +900,7 @@ fn commit_write_hint_moves_no_virtual_statistic() {
 ///    a read-locked abort, then an acquire abort.
 /// 2. `th0` reads `b`; inside its first attempt `th1` commits `d` (and
 ///    `b` on odd rounds); `th0` then writes `d` blind. Undo extends at
-///    the write (fails on odd rounds: acquire abort); redo and cow fail
+///    the write (fails on odd rounds: acquire abort); redo fails
 ///    commit-time validation on odd rounds.
 ///
 /// The final clocks, every counter and the phase totals are pinned. The
@@ -970,13 +925,6 @@ fn contended_orec_paths_keep_their_signature() {
              commits=80 aborts=10 aborts_validation=10 max_write_entries=2 max_backoff_ns=193 | \
              phases=[2662, 1956, 23500, 14159, 1600, 459, 40, 1544] | \
              loads=50 stores=410 l3_hits=453 l3_misses=7 clwbs=250 clwb_writebacks=250 sfences=240 optane_lines_written=250 fence_wait_ns=6959 bw_late=81",
-        ),
-        (
-            Algo::CowShadow,
-            "th1 now=32221 | now=24245 | \
-             commits=80 aborts=10 aborts_validation=10 shadow_lines_allocated=80 shadow_lines_reclaimed=80 publish_fences=120 max_backoff_ns=193 | \
-             phases=[3446, 3262, 30080, 14489, 1600, 1859, 60, 1544] | \
-             loads=120 stores=698 l3_hits=807 l3_misses=11 clwbs=320 clwb_writebacks=320 sfences=240 optane_lines_written=320 fence_wait_ns=7289 bw_late=103",
         ),
     ];
     for (algo, want) in pinned {

@@ -10,9 +10,9 @@
 //!   redo logging and O(1) fences per transaction;
 //! * **orec-eager** ([`config::Algo::UndoEager`]) — encounter-time locking
 //!   with undo logging and O(W) fences;
-//! * **cow shadow** ([`config::Algo::CowShadow`]) — commit-time locking
-//!   with copy-on-write shadow lines published home at commit, O(1)
-//!   fences at ~2x data-write cost.
+//! * **htm-logged** ([`config::Algo::HtmLogged`]) — durable HTM: the
+//!   body runs in a simulated hardware section with no flush or fence
+//!   inside it, persisted afterwards through a back-end redo log.
 //!
 //! All are tuned the way the paper tunes them for Optane: the log's hash
 //! index lives in DRAM while logged data lives in persistent memory (the

@@ -5,8 +5,11 @@
 //! ```text
 //! word 0  state        (IDLE / COMMITTED — the redo linearization marker)
 //! word 1  count        (redo: number of valid entries, sealed with state)
-//! word 2  algo         (1 = redo, 2 = undo, 3 = cow, 4 = htm; recovery
-//!                       dispatches on it via the `crate::algo` registry)
+//! word 2  algo         (1 = redo, 2 = undo, 4 = htm; recovery
+//!                       dispatches on it via the `crate::algo` registry;
+//!                       3 is retired (the deleted copy-on-write
+//!                       algorithm): never reassign, so an older image
+//!                       carrying it stays a foreign log)
 //! word 3  overflow id  (pool id of the spill region, 0 = none)
 //! word 4  primary cap  (entries that fit in this pool)
 //! word 8… entries      (4 words each: addr, value, checksum, pad)
@@ -131,7 +134,6 @@ pub fn coord_seal(gtid: u64) -> u64 {
 /// `LogPolicy::persistent_tag`).
 pub const ALGO_REDO: u64 = 1;
 pub const ALGO_UNDO: u64 = 2;
-pub const ALGO_COW: u64 = 3;
 pub const ALGO_HTM: u64 = 4;
 
 /// Header word offsets.

@@ -13,9 +13,6 @@
 //! * **undo, live entries**: the crash interrupted an in-flight
 //!   transaction after some in-place writes — roll the entries back in
 //!   reverse order, persist the restored values, truncate.
-//! * **cow, COMMITTED**: publish each logged shadow line's masked words
-//!   to its home location (idempotent, like redo replay), then retire;
-//!   the orphaned shadow blocks are reclaimed by the restart GC.
 //! * **htm, COMMITTED**: the back-end *ring* may seal several
 //!   transactions' entries under one grown marker — replay the slots in
 //!   order, skipping checksum failures (tombstoned entries a newer
@@ -111,10 +108,6 @@ pub struct RecoveryReport {
     pub undo_entries: usize,
     /// Undo entries rejected by the torn-write checksum.
     pub torn_entries: usize,
-    /// Committed cow logs whose shadow lines were published forward.
-    pub cow_published: usize,
-    /// Cow words copied shadow → home during publish replay.
-    pub cow_words: usize,
     /// Committed HtmLogged back-end rings replayed forward.
     pub htm_replayed: usize,
     /// Live (non-tombstoned) ring entries written back during replay.
@@ -149,8 +142,6 @@ impl RecoveryReport {
         self.undo_rolled_back = self.undo_rolled_back.saturating_add(other.undo_rolled_back);
         self.undo_entries = self.undo_entries.saturating_add(other.undo_entries);
         self.torn_entries = self.torn_entries.saturating_add(other.torn_entries);
-        self.cow_published = self.cow_published.saturating_add(other.cow_published);
-        self.cow_words = self.cow_words.saturating_add(other.cow_words);
         self.htm_replayed = self.htm_replayed.saturating_add(other.htm_replayed);
         self.htm_entries = self.htm_entries.saturating_add(other.htm_entries);
         self.prepared_skipped = self.prepared_skipped.saturating_add(other.prepared_skipped);
@@ -323,12 +314,6 @@ impl RecoverCtx<'_> {
         self.report
             .malformed
             .push(format!("pool '{}': {msg}", self.primary.name()));
-    }
-
-    /// Untimed raw load of an arbitrary persistent word (e.g. cow
-    /// shadow data referenced from a log entry).
-    pub fn raw_load(&self, addr: PAddr) -> u64 {
-        self.machine.pool(addr.pool()).raw_load(addr.word())
     }
 
     /// Zero entry 0's address word (undo-style truncation), durably.
@@ -733,17 +718,33 @@ mod tests {
 
     #[test]
     fn foreign_prefixed_pool_is_ignored() {
-        let m = pmem_sim::Machine::new(MachineConfig::functional(DurabilityDomain::Adr));
-        m.alloc_pool("ptm-log-weird", 64, MediaKind::Optane); // ALGO word = 0
-        let r = recover(&m);
-        assert_eq!(r.logs_scanned, 1);
-        assert_eq!(r.redo_replayed + r.undo_rolled_back, 0);
-        assert_eq!(r.malformed.len(), 1, "unknown tag must leave a diagnostic");
-        assert!(
-            r.malformed[0].contains("unknown algorithm tag"),
-            "{:?}",
-            r.malformed
-        );
+        // 0: an unformatted pool. 3: the retired copy-on-write tag, as
+        // an image written before that algorithm was deleted carries it
+        // (sealed committed, one entry) — it must fail soft too.
+        for tag in [0, 3] {
+            let m = pmem_sim::Machine::new(MachineConfig::functional(DurabilityDomain::Adr));
+            let pool = m.alloc_pool("ptm-log-weird", 64, MediaKind::Optane);
+            if tag != 0 {
+                pool.raw_store(W_ALGO, tag);
+                pool.raw_store(W_COUNT, 1);
+                pool.raw_store(W_STATE, committed_marker(1));
+                pool.persist_line_now(0);
+            }
+            let before = crate::crash_harness::snapshot_pools(std::slice::from_ref(&m));
+            let r = recover(&m);
+            assert_eq!(r.logs_scanned, 1, "tag {tag}");
+            assert_eq!(r.redo_replayed + r.undo_rolled_back + r.htm_replayed, 0);
+            assert_eq!(r.malformed.len(), 1, "unknown tag must leave a diagnostic");
+            assert!(
+                r.malformed[0].contains("unknown algorithm tag"),
+                "{:?}",
+                r.malformed
+            );
+            assert!(
+                crate::crash_harness::snapshot_pools(std::slice::from_ref(&m)) == before,
+                "tag {tag}: the log must be left untouched"
+            );
+        }
     }
 }
 
@@ -940,25 +941,6 @@ mod malformed_log_tests {
         assert!(r.malformed.is_empty(), "{:?}", r.malformed);
         assert_eq!((r.htm_entries, r.torn_entries), (1, 1));
         assert_eq!(m.pool(T.pool()).raw_load(T.word()), 42);
-    }
-
-    /// A committed cow entry is checked on both lines, every masked word:
-    /// a stray home, a stray shadow, and a home whose line runs past the
-    /// pool's end at word 7.
-    #[test]
-    fn cow_entry_naming_no_pool_word_fails_soft() {
-        let shadow = T.offset(100).0;
-        let tail = PAddr::new(T.pool(), HEAP_WORDS - 4);
-        let mut cases = vec![([tail.0, shadow, 1 << 7, 0], tail.offset(7))];
-        for stray in STRAYS {
-            cases.push(([stray.0, shadow, 1, 0], stray));
-            cases.push(([shadow, stray.0, 1, 0], stray));
-        }
-        for (bad, stray) in cases {
-            let m = crafted(PtmConfig::cow(), &[[T.0, shadow, 1, 0], bad], true);
-            let r = assert_stray_fails_soft(&m, stray);
-            assert_eq!((r.cow_published, r.cow_words), (0, 0));
-        }
     }
 
     /// An undo entry that passes its checksum but names no pool word

@@ -68,14 +68,6 @@ trace::counters! {
     max_read_set_unique: Max, Always;
     /// Largest write-back footprint observed, in unique data lines.
     max_write_lines: Max, Always;
-    /// CowShadow: shadow lines allocated from the persistent heap.
-    shadow_lines_allocated: Sum, Always;
-    /// CowShadow: shadow lines returned to the allocator after a publish
-    /// or an abort (crashed transactions leave theirs to the restart GC).
-    shadow_lines_reclaimed: Sum, Always;
-    /// CowShadow: ordering points issued while publishing shadow lines
-    /// to their home locations (two per committed writer transaction).
-    publish_fences: Sum, Always;
     /// Largest single contention-backoff delay issued, in virtual ns
     /// (high-water; bounded by `config::MAX_BACKOFF_NS`).
     max_backoff_ns: Max, Always;

@@ -609,7 +609,6 @@ mod tests {
         for algo in [
             PtmConfig::redo(),
             PtmConfig::undo(),
-            PtmConfig::cow(),
             PtmConfig::htm_logged(),
         ] {
             let e = ShardedEngine::create(2, cfg(), algo.clone(), 1 << 14, 4);

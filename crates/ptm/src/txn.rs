@@ -1,7 +1,7 @@
 //! The transaction driver: retry/backoff loop, commit sequencing, and
 //! the hardware-TM fast path.
 //!
-//! Algorithm-specific behavior (redo / undo / cow shadow) lives behind
+//! Algorithm-specific behavior (redo / undo / htm-logged) lives behind
 //! [`crate::algo::LogPolicy`]; the shared per-attempt machinery (read
 //! set, write-set structures, orec protocol, phase charging, trace
 //! emission) lives in [`crate::access::TxAccess`]. This module never
@@ -31,8 +31,6 @@
 //! * **orec-eager** issues **O(W)** fences: every first write to a
 //!   location persists an undo entry (`clwb` + `sfence`) *before* the
 //!   in-place store;
-//! * **cow shadow** is O(1)-fenced like redo, trading the log payload
-//!   for shadow lines published home at commit;
 //! * **htm-logged** commits in a hardware section whose contention
 //!   window contains *no* `clwb` or `sfence` — persistence moves to a
 //!   back-end log sealed after the section retires (two fences,

@@ -250,8 +250,8 @@ proptest! {
     /// Cross-algorithm differential test: an identical sequential
     /// workload (random writes, reads, user aborts, arbitrary
     /// transaction boundaries) produces the identical committed heap
-    /// state under every registered algorithm (redo, undo, cow shadow,
-    /// htm-logged — the latter on its hardware path), in every
+    /// state under every registered algorithm (redo, undo, htm-logged —
+    /// the latter on its hardware path), in every
     /// durability domain. The algorithm seam may change *how* writes
     /// become durable, never *what* commits.
     #[test]
@@ -308,12 +308,11 @@ proptest! {
                 }
             }
             run_chunk(&mut th, &chunk, false);
-            // Committed (cache-visible) data-block state. Only the block
-            // itself is compared: cow legitimately perturbs allocator
-            // metadata by cycling shadow blocks.
+            // Committed (cache-visible) state of the whole heap pool:
+            // the data block and the allocator metadata around it.
             let pool = heap.pool();
-            (0..48u64)
-                .map(|a| pool.raw_load(base.word() + a))
+            (0..pool.len_words() as u64)
+                .map(|w| pool.raw_load(w))
                 .collect::<Vec<u64>>()
         };
         let reference = final_state(Algo::ALL[0]);

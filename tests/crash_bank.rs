@@ -57,13 +57,6 @@ fn money_conserved_undo_adr() {
 }
 
 #[test]
-fn money_conserved_cow_adr() {
-    for seed in 0..4 {
-        run_crash_bank(Algo::CowShadow, DurabilityDomain::Adr, seed);
-    }
-}
-
-#[test]
 fn money_conserved_redo_eadr() {
     run_crash_bank(Algo::RedoLazy, DurabilityDomain::Eadr, 7);
 }
@@ -71,11 +64,6 @@ fn money_conserved_redo_eadr() {
 #[test]
 fn money_conserved_undo_eadr() {
     run_crash_bank(Algo::UndoEager, DurabilityDomain::Eadr, 7);
-}
-
-#[test]
-fn money_conserved_cow_eadr() {
-    run_crash_bank(Algo::CowShadow, DurabilityDomain::Eadr, 7);
 }
 
 #[test]
@@ -122,7 +110,7 @@ fn money_conserved_htm_pdram_lite() {
 /// algorithm under ADR, one round per adversary policy.
 #[test]
 fn money_conserved_under_every_adversary_policy() {
-    for algo in [Algo::RedoLazy, Algo::UndoEager, Algo::CowShadow] {
+    for algo in [Algo::RedoLazy, Algo::UndoEager] {
         let cfg = PtmConfig {
             algo,
             ..PtmConfig::default()

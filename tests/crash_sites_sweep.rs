@@ -23,7 +23,7 @@ fn small_bank() -> BankTransfers {
     }
 }
 
-/// The headline acceptance sweep: {redo, undo, cow} × {ADR, eADR, PDRAM,
+/// The headline acceptance sweep: {redo, undo, htm} × {ADR, eADR, PDRAM,
 /// PDRAM-Lite} × all four adversary policies, strided to a test-sized
 /// budget, with zero violations.
 #[test]

@@ -87,14 +87,6 @@ fn hashmap_stream_per_algorithm_matches_the_unhinted_build() {
              trace=12524:c0cee26230a8ea60",
         ),
         (
-            Algo::CowShadow,
-            "now=440584 | \
-             commits=601 shadow_lines_allocated=522 shadow_lines_reclaimed=522 publish_fences=644 | \
-             phases=[130384, 9970, 193546, 51846, 13896, 40942, 0, 0] | \
-             loads=4606 stores=5261 l3_hits=9781 l3_misses=86 clwbs=2059 clwb_writebacks=2059 sfences=1288 optane_lines_written=2059 fence_wait_ns=13206 | \
-             trace=12002:a23b0feedf907c34",
-        ),
-        (
             Algo::HtmLogged,
             "now=344935 | \
              commits=601 htm_commits=601 backend_log_bytes=25216 max_write_entries=4 | \
